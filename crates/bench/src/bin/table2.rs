@@ -3,7 +3,8 @@
 //! Prints, for each accuracy column: the paper's published row, the closed-form
 //! model, and the discrete-event measurement of the actual protocol engine —
 //! for the paper-faithful fixed-depth mechanism and for the adaptive-depth
-//! mechanism (DESIGN.md §4.5 discusses the differences).
+//! mechanism (the `predpkt_perfmodel::model` module docs state the
+//! difference).
 //!
 //! Run: `cargo run -p predpkt-bench --release --bin table2 [cycles]`
 //! Pass `--json` to also write `BENCH_table2.json` for tracking, and

@@ -103,6 +103,12 @@ impl<P: PollReady + ?Sized> PollReady for &mut P {
     }
 }
 
+impl<P: PollReady + ?Sized> PollReady for Box<P> {
+    fn readiness(&mut self) -> Readiness {
+        (**self).readiness()
+    }
+}
+
 /// Spin-then-park engine over N [`PollReady`] sources: one thread waits on
 /// all of them, paying the shared-memory waiter's latency ladder exactly
 /// once regardless of how many sources it covers.

@@ -1076,6 +1076,18 @@ impl<T: Transport> Transport for ReliableTransport<T> {
         self.inner.batch_stats()
     }
 
+    fn fault_stats(&self) -> Option<crate::lossy::FaultStats> {
+        self.inner.fault_stats()
+    }
+
+    fn recovery_stats(&self) -> Option<RecoveryStats> {
+        Some(self.stats)
+    }
+
+    fn failure(&self) -> Option<RetryExhausted> {
+        self.failure
+    }
+
     /// Logical packets still owed to `to`: decoded-but-unconsumed deliveries
     /// plus every frame the sender will (re)transmit until acknowledged.
     /// In-flight wire frames are *not* double-counted — a frame is either

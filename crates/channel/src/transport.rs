@@ -1,7 +1,10 @@
 //! Transports and the costed channel facade.
 
 use crate::cost::{ChannelCostModel, Side};
+use crate::lossy::FaultStats;
 use crate::message::Packet;
+use crate::poll::{PollReady, Readiness};
+use crate::reliable::{RecoveryStats, RetryExhausted};
 use crate::stats::ChannelStats;
 use predpkt_sim::{Snapshot, VirtualTime};
 use std::collections::VecDeque;
@@ -97,6 +100,74 @@ pub trait Transport {
     fn batch_stats(&self) -> Option<BatchStats> {
         None
     }
+
+    /// Faults injected so far, when a fault-injecting layer sits anywhere in
+    /// this stack (`None` otherwise). Wrappers forward their inner
+    /// transport's counters, like [`batch_stats`](Self::batch_stats).
+    fn fault_stats(&self) -> Option<FaultStats> {
+        None
+    }
+
+    /// Recovery counters, when a reliability layer sits anywhere in this
+    /// stack (`None` otherwise). Wrappers forward.
+    fn recovery_stats(&self) -> Option<RecoveryStats> {
+        None
+    }
+
+    /// The first frame a reliability layer in this stack gave up on, if any
+    /// (`None` without such a layer). Wrappers forward.
+    fn failure(&self) -> Option<RetryExhausted> {
+        None
+    }
+}
+
+/// A boxed transport is the transport it holds — every hook forwarded, so a
+/// type-erased `Box<dyn Transport>` keeps the inner backend's coalescing
+/// overrides and counters.
+impl<T: Transport + ?Sized> Transport for Box<T> {
+    fn send(&mut self, from: Side, packet: Packet) {
+        (**self).send(from, packet);
+    }
+
+    fn recv(&mut self, to: Side) -> Option<Packet> {
+        (**self).recv(to)
+    }
+
+    fn pending(&self, to: Side) -> usize {
+        (**self).pending(to)
+    }
+
+    fn send_ref(&mut self, from: Side, packet: &Packet) {
+        (**self).send_ref(from, packet);
+    }
+
+    fn send_batch(&mut self, from: Side, packets: &mut Vec<Packet>) {
+        (**self).send_batch(from, packets);
+    }
+
+    fn send_batch_ref(&mut self, from: Side, packets: &mut dyn Iterator<Item = &Packet>) {
+        (**self).send_batch_ref(from, packets);
+    }
+
+    fn drain(&mut self, to: Side, out: &mut Vec<Packet>) {
+        (**self).drain(to, out);
+    }
+
+    fn batch_stats(&self) -> Option<BatchStats> {
+        (**self).batch_stats()
+    }
+
+    fn fault_stats(&self) -> Option<FaultStats> {
+        (**self).fault_stats()
+    }
+
+    fn recovery_stats(&self) -> Option<RecoveryStats> {
+        (**self).recovery_stats()
+    }
+
+    fn failure(&self) -> Option<RetryExhausted> {
+        (**self).failure()
+    }
 }
 
 /// A [`Transport`] whose receiving end can block awaiting the next packet —
@@ -110,6 +181,12 @@ pub trait WaitTransport: Transport {
     /// or `timeout` elapses. Returns `true` if a subsequent
     /// [`recv`](Transport::recv) may yield a packet.
     fn wait_for_packet(&mut self, timeout: Duration) -> bool;
+}
+
+impl<T: WaitTransport + ?Sized> WaitTransport for Box<T> {
+    fn wait_for_packet(&mut self, timeout: Duration) -> bool {
+        (**self).wait_for_packet(timeout)
+    }
 }
 
 /// Deterministic in-process transport: two FIFO queues.
@@ -160,6 +237,26 @@ impl Transport for QueueTransport {
         match to {
             Side::Simulator => self.to_sim.len(),
             Side::Accelerator => self.to_acc.len(),
+        }
+    }
+}
+
+/// Both ends of the queue live in one object on one thread, so there is
+/// nobody to wait for: the wait answers at once with what is queued now.
+/// This is what lets the shared in-process medium stand behind the same
+/// type-erased link bound as the per-side endpoints.
+impl WaitTransport for QueueTransport {
+    fn wait_for_packet(&mut self, _timeout: Duration) -> bool {
+        self.readiness() == Readiness::Ready
+    }
+}
+
+impl PollReady for QueueTransport {
+    fn readiness(&mut self) -> Readiness {
+        if self.to_acc.is_empty() && self.to_sim.is_empty() {
+            Readiness::Idle
+        } else {
+            Readiness::Ready
         }
     }
 }
@@ -220,7 +317,7 @@ pub struct CostedChannel<T = QueueTransport> {
     /// When set, sends are billed immediately but parked in the outbox until
     /// [`flush`](Self::flush) (or the next receive) pushes them to the
     /// transport as one batch — the per-scheduling-slice coalescing the
-    /// threaded session runner uses. Billing order and amounts are identical
+    /// per-side session engine uses. Billing order and amounts are identical
     /// to the unbatched path, so statistics and ledgers cannot diverge.
     batching: bool,
     outbox: Vec<Packet>,

@@ -101,8 +101,8 @@ impl fmt::Display for ConfigError {
 impl Error for ConfigError {}
 
 /// Builds the two channel wrappers from a model pair and a configuration —
-/// the single place wrapper knobs are wired, shared by the co-operative
-/// engine and the threaded session runner so the backends can never drift.
+/// the single place wrapper knobs are wired, shared by the reference engine
+/// and the port engine so the backends can never drift.
 ///
 /// # Panics
 ///
@@ -198,20 +198,6 @@ impl CoEmuConfig {
         }
         self.lob_depth = depth;
         Ok(self)
-    }
-
-    /// Overrides the LOB depth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `try_lob_depth`, which reports invalid depths"
-    )]
-    pub fn lob_depth(self, depth: usize) -> Self {
-        self.try_lob_depth(depth)
-            .expect("LOB depth must be non-zero")
     }
 
     /// Checks the configuration for internal consistency. The
@@ -318,8 +304,10 @@ pub enum SliceStatus {
 /// The channel is generic over any [`Transport`] backend (deterministic
 /// [`QueueTransport`] by default; see
 /// [`LossyTransport`](predpkt_channel::LossyTransport) for fault injection).
-/// For real-thread execution use [`EmuSession`](crate::EmuSession), which
-/// runs one wrapper per OS thread instead of this co-operative loop.
+/// This is the **reference engine**: both domains share one in-process
+/// medium, so a run is exactly reproducible, and every other backend is
+/// conformance-checked against it. [`EmuSession`](crate::EmuSession) runs its
+/// queue-backed backends on it and everything else on per-side link ends.
 pub struct CoEmulator<M: DomainModel, T: Transport = QueueTransport> {
     sim: ChannelWrapper<M>,
     acc: ChannelWrapper<M>,
@@ -399,6 +387,11 @@ impl<M: DomainModel, T: Transport> CoEmulator<M, T> {
         )
     }
 
+    /// The two protocol engines, simulator side first.
+    pub(crate) fn wrappers(&self) -> (&ChannelWrapper<M>, &ChannelWrapper<M>) {
+        (&self.sim, &self.acc)
+    }
+
     /// Replaces the observer.
     pub fn set_observer(&mut self, observer: Box<dyn EmuObserver>) {
         self.observer = observer;
@@ -460,63 +453,19 @@ impl<M: DomainModel, T: Transport> CoEmulator<M, T> {
     /// Returns [`SimError::Deadlock`] if the run starves before both domains
     /// reach the target, or any protocol/snapshot error.
     pub fn run_until_synchronized(&mut self, cycles: u64) -> Result<(), SimError> {
-        let sim_costs = self.config.costs_for(Side::Simulator);
-        let acc_costs = self.config.costs_for(Side::Accelerator);
-        loop {
-            let sim_halted = self.sim.at_transition_boundary() && self.sim.cycle() >= cycles;
-            let acc_halted = self.acc.at_transition_boundary() && self.acc.cycle() >= cycles;
-            if sim_halted && acc_halted {
-                return Ok(());
-            }
-            let a = if sim_halted {
-                Progress::Blocked
-            } else {
-                self.sim.step(
-                    &mut self.channel,
-                    &mut self.ledger,
-                    &sim_costs,
-                    self.observer.as_mut(),
-                )?
-            };
-            let b = if acc_halted {
-                Progress::Blocked
-            } else {
-                self.acc.step(
-                    &mut self.channel,
-                    &mut self.ledger,
-                    &acc_costs,
-                    self.observer.as_mut(),
-                )?
-            };
-            if a == Progress::Blocked && b == Progress::Blocked {
-                // Packets addressed to a halted domain can never be consumed,
-                // so only messages toward a still-running side count as
-                // potential progress.
-                let toward = |halted: bool, side: Side| {
-                    if halted {
-                        0
-                    } else {
-                        self.channel.pending(side)
-                    }
-                };
-                let deliverable =
-                    toward(sim_halted, Side::Simulator) + toward(acc_halted, Side::Accelerator);
-                if deliverable == 0 {
-                    return Err(SimError::Deadlock {
-                        cycle: self.committed_cycles(),
-                    });
-                }
-            }
-        }
+        // A slice over the shared in-process medium never idles: it is done,
+        // deadlocked, or out of budget.
+        while self.run_slice(cycles, u32::MAX)? != SliceStatus::Done {}
+        Ok(())
     }
 
-    /// Runs at most `max_steps` scheduling rounds of the
-    /// [`run_until_synchronized`](Self::run_until_synchronized) loop — the
+    /// Runs at most `max_steps` scheduling rounds toward the
+    /// [`run_until_synchronized`](Self::run_until_synchronized) halt — the
     /// budgeted form a session server interleaves with thousands of other
-    /// sessions on one worker thread. The stop condition, stepping order,
-    /// and deadlock rule are byte-for-byte the same, so a run driven to
-    /// [`SliceStatus::Done`] through any sequence of slices commits exactly
-    /// what one uninterrupted call commits.
+    /// sessions on one worker thread, and the loop the blocking form is a
+    /// wrapper around: a run driven to [`SliceStatus::Done`] through any
+    /// sequence of slices commits exactly what one uninterrupted call
+    /// commits.
     ///
     /// Never returns [`SliceStatus::Idle`]: both ends of the queue transport
     /// live in this object, so "blocked with deliverable traffic" resolves
@@ -556,6 +505,9 @@ impl<M: DomainModel, T: Transport> CoEmulator<M, T> {
                 )?
             };
             if a == Progress::Blocked && b == Progress::Blocked {
+                // Packets addressed to a halted domain can never be consumed,
+                // so only messages toward a still-running side count as
+                // potential progress.
                 let toward = |halted: bool, side: Side| {
                     if halted {
                         0
@@ -658,7 +610,7 @@ const COOP_SECTIONS: [&str; 4] = ["wrapper.sim", "wrapper.acc", "channel", "ledg
 impl<M: DomainModel, T: Transport + Snapshot> CoEmulator<M, T> {
     /// Whether both domains stand at a committed transition boundary — the
     /// only cut at which a checkpoint is consistent.
-    pub(crate) fn at_checkpoint_boundary(&self) -> bool {
+    fn at_checkpoint_boundary(&self) -> bool {
         self.sim.at_transition_boundary() && self.acc.at_transition_boundary()
     }
 

@@ -1,13 +1,12 @@
-//! N-domain fabric sessions: the boundary-halt runner generalized past two
-//! domains.
+//! N-domain fabric sessions: the port engine past two domains.
 //!
 //! A [`FabricSession`] joins `N ≥ 2` domains over a full-mesh
 //! [`Fabric`](predpkt_channel::Fabric) of links. Routing is structural and
 //! single-hop: every ordered pair of domains owns a dedicated directed link,
 //! so a packet for domain `d` goes out on the one link that ends at `d` and
 //! no domain ever forwards another pair's traffic. On each edge the
-//! lower-numbered domain plays [`Side::Simulator`] and the higher-numbered
-//! one [`Side::Accelerator`] (fixed by
+//! lower-numbered domain plays [`Side::Simulator`](predpkt_channel::Side)
+//! and the higher-numbered one `Side::Accelerator` (fixed by
 //! [`FabricEdge::role_of`]), and the pair runs the paper's
 //! prediction-packetizing protocol over their link — a domain therefore
 //! hosts one **port** (protocol engine + costed channel + ledger) per peer,
@@ -17,596 +16,40 @@
 //!
 //! A domain halts only when *every one of its ports* stands at a transition
 //! boundary with the target cycle count committed — the same deterministic
-//! protocol event the two-domain runner halts on, per edge. The two-domain
-//! halt-linger generalizes: a fully halted domain keeps pumping
-//! acknowledgements on **all** of its links until every other domain has
-//! halted too, so per-link reliability layers can finish retransmissions and
-//! no peer is ever stranded mid-recovery. With `N = 2` the fabric runner
-//! degenerates exactly to today's `ThreadedSession` (one edge, one port per
-//! domain), which the conformance suite asserts bit-for-bit.
+//! protocol event a two-domain [`EmuSession`](crate::EmuSession) halts on,
+//! per edge — and a fully halted domain keeps pumping acknowledgements on
+//! **all** of its links until every other domain has halted too, so per-link
+//! reliability layers can finish retransmissions and no peer is ever
+//! stranded mid-recovery. The engine is the one that runs the two-domain
+//! session's real-link backends, where `N = 2` is one edge and one port per
+//! domain; the conformance suite pins the two to each other bit-for-bit.
 //!
 //! ## Backends and determinism
 //!
-//! [`FabricLinkSelect`] mirrors the two-domain
-//! [`TransportSelect`]: an in-process cooperative baseline
-//! (`Queue`), real threads over mpsc links (`Threaded`), TCP loopback
-//! sockets (`Tcp`), shared-memory rings packed into one region (`Shm`), and
-//! a per-link ack-and-retransmit layer over any of them (`Reliable`). All
-//! of them halt at transition boundaries, so per-domain ledgers, traces,
-//! and channel statistics are bit-identical across backends — the N-domain
-//! extension of the two-domain conformance property.
+//! Every link of a fabric runs over the same [`TransportSelect`] a
+//! two-domain session takes: in-process links stepped co-operatively on the
+//! calling thread (`Queue`, and `Lossy` with its seeded faults — the
+//! baseline), one OS thread per **domain** (not per link) over mpsc links
+//! (`Threaded`), TCP loopback sockets, one per edge (`Tcp`), shared-memory
+//! rings packed into one region (`Shm`), and a per-link ack-and-retransmit
+//! layer over any of them (`Reliable`). A configured fault plan fires on
+//! every link with per-edge decorrelated seeds. All of them halt at
+//! transition boundaries, so per-domain ledgers, traces, and channel
+//! statistics are bit-identical across backends — the N-domain extension of
+//! the two-domain conformance property.
 
 use crate::blueprint::SocBlueprint;
-use crate::coemu::{build_wrapper_pair, CoEmuConfig, ConfigError};
-use crate::observer::NoopObserver;
+use crate::coemu::{CoEmuConfig, ConfigError, SliceStatus};
+use crate::engine::PortEngine;
+use crate::link::{LinkSpec, TransportSelect};
 use crate::report::PerfReport;
-use crate::session::{
-    map_reliable_outcome, per_side_fault_specs, reliable_config, SessionError, ShmOptions,
-    TcpOptions, ThreadedOpts,
-};
-use crate::wrapper::{merge_committed_traces, ChannelWrapper, CwStats, DomainCosts, Progress};
+use crate::session::{map_reliable_outcome, SessionError};
+use crate::wrapper::merge_committed_traces;
 use crate::AhbDomainModel;
-use predpkt_channel::{
-    BatchStats, ChannelStats, CostedChannel, Fabric, FabricEdge, FaultSpec, FaultStats,
-    LossyTransport, PollReady, Readiness, RecoveryStats, ReliableTransport, RetryExhausted,
-    ShmEndpoint, Side, TcpEndpoint, ThreadedEndpoint, Transport, WaitTransport,
-};
+use predpkt_channel::{BatchStats, ChannelStats, FabricEdge, FaultStats, RecoveryStats};
 use predpkt_predict::PaperSuite;
 use predpkt_sim::{SimError, TimeLedger, Trace};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::thread;
-use std::time::Instant;
-
-/// The transport backend every link of a fabric session runs over.
-///
-/// The fabric analogue of [`TransportSelect`]: one selection
-/// applies to all links (per-link heterogeneous fabrics are a non-goal —
-/// conformance compares whole backends).
-///
-/// [`TransportSelect`]: crate::TransportSelect
-#[derive(Debug, Clone, Copy)]
-pub enum FabricLinkSelect {
-    /// Deterministic in-process links scheduled co-operatively on the
-    /// calling thread — the baseline every other backend is
-    /// conformance-checked against. The [`ThreadedOpts`] pace the (rare)
-    /// idle waits and bound starvation.
-    Queue(ThreadedOpts),
-    /// One OS thread per **domain** (not per link) over in-process mpsc
-    /// links.
-    Threaded(ThreadedOpts),
-    /// One OS thread per domain over real TCP loopback socket pairs — one
-    /// socket per edge, the shape a cross-host fabric takes. A configured
-    /// [`TcpOptions::fault`] plan fires on every link with per-edge
-    /// decorrelated seeds.
-    Tcp(TcpOptions),
-    /// One OS thread per domain over shared-memory rings, every edge packed
-    /// into **one** region (heap-shared, or one `/dev/shm` file under
-    /// [`ShmOptions::file_backed`]).
-    Shm(ShmOptions),
-    /// A per-link ack-and-retransmit [`ReliableTransport`] over one of the
-    /// inner backends: the fabric survives per-link faults, and the repair
-    /// traffic is billed into per-domain [`RecoveryStats`].
-    Reliable {
-        /// The transport underneath each link's reliability layer.
-        inner: FabricReliableInner,
-        /// Sliding-window size per link direction.
-        window: usize,
-        /// Retransmissions allowed per frame before the run fails with
-        /// [`SimError::RetryBudgetExhausted`].
-        retry_budget: u32,
-    },
-}
-
-impl Default for FabricLinkSelect {
-    fn default() -> Self {
-        FabricLinkSelect::Queue(ThreadedOpts::default())
-    }
-}
-
-impl FabricLinkSelect {
-    /// A reliable fabric backend with the default window and retry budget.
-    pub fn reliable(inner: FabricReliableInner) -> Self {
-        let defaults = predpkt_channel::ReliableConfig::default();
-        FabricLinkSelect::Reliable {
-            inner,
-            window: defaults.window,
-            retry_budget: defaults.retry_budget,
-        }
-    }
-}
-
-/// The transport underneath a [`FabricLinkSelect::Reliable`] layer.
-#[derive(Debug, Clone, Copy)]
-pub enum FabricReliableInner {
-    /// Co-operative in-process links (the deterministic baseline, with the
-    /// recovery layer exercised but never needed).
-    Queue(ThreadedOpts),
-    /// One OS thread per domain over mpsc links.
-    Threaded(ThreadedOpts),
-    /// TCP loopback links; with [`TcpOptions::fault`] set, per-edge seeded
-    /// faults fire on every socket and the per-link reliability layers
-    /// absorb them.
-    Tcp(TcpOptions),
-    /// Shared-memory ring links; with [`ShmOptions::fault`] set, per-edge
-    /// seeded faults fire on every ring.
-    Shm(ShmOptions),
-}
-
-impl Default for FabricReliableInner {
-    fn default() -> Self {
-        FabricReliableInner::Queue(ThreadedOpts::default())
-    }
-}
-
-/// One domain-side terminus of a fabric edge: the protocol engine for that
-/// edge, its costed channel over the edge's endpoint, and its share of the
-/// domain's virtual-time ledger.
-struct FabricPort<M: crate::model::DomainModel, E: Transport> {
-    edge: usize,
-    role: Side,
-    wrapper: ChannelWrapper<M>,
-    ch: CostedChannel<E>,
-    ledger: TimeLedger,
-}
-
-impl<M: crate::model::DomainModel, E: Transport> FabricPort<M, E> {
-    fn halted(&self, target: u64) -> bool {
-        self.wrapper.at_transition_boundary() && self.wrapper.cycle() >= target
-    }
-}
-
-/// The transport-generic fabric engine: per-domain port lists over the edge
-/// list, plus the run knobs.
-struct FabricCore<M: crate::model::DomainModel, E: Transport> {
-    /// `ports[d]` are domain `d`'s ports in edge order.
-    ports: Vec<Vec<FabricPort<M, E>>>,
-    edges: Vec<FabricEdge>,
-    config: CoEmuConfig,
-    opts: ThreadedOpts,
-    /// The replay seed reported on retry exhaustion (the base fault plan's
-    /// when one can actually fire, 0 otherwise).
-    failure_seed: u64,
-}
-
-impl<M: crate::model::DomainModel, E: Transport> FabricCore<M, E> {
-    /// Builds one protocol engine pair per edge from the blueprint and
-    /// distributes the resulting ports to their domains.
-    fn build(
-        blueprint: &SocBlueprint,
-        fabric: Fabric<E>,
-        config: CoEmuConfig,
-        opts: ThreadedOpts,
-        failure_seed: u64,
-    ) -> Result<FabricCore<AhbDomainModel, E>, SessionError> {
-        let (domains, edges, links) = fabric.into_parts();
-        let mut ports: Vec<Vec<FabricPort<AhbDomainModel, E>>> =
-            (0..domains).map(|_| Vec::new()).collect();
-        for ((edge_index, edge), (sim_end, acc_end)) in edges.iter().enumerate().zip(links) {
-            let (sim_model, acc_model) = blueprint.build_pair_with(&PaperSuite)?;
-            let (sim, acc) = build_wrapper_pair(sim_model, acc_model, &config);
-            let port = |role: Side, wrapper, end: E| {
-                let mut ch = CostedChannel::with_transport(end, config.channel);
-                // Same per-slice batching as the two-domain runners: billing
-                // is identical to the unbatched path, so the conformance
-                // property is untouched.
-                ch.set_batching(true);
-                FabricPort {
-                    edge: edge_index,
-                    role,
-                    wrapper,
-                    ch,
-                    ledger: TimeLedger::new(),
-                }
-            };
-            ports[edge.a()].push(port(Side::Simulator, sim, sim_end));
-            ports[edge.b()].push(port(Side::Accelerator, acc, acc_end));
-        }
-        Ok(FabricCore {
-            ports,
-            edges,
-            config,
-            opts,
-            failure_seed,
-        })
-    }
-
-    fn domains(&self) -> usize {
-        self.ports.len()
-    }
-
-    fn committed_cycles(&self) -> u64 {
-        self.ports
-            .iter()
-            .flatten()
-            .map(|p| p.wrapper.cycle())
-            .min()
-            .unwrap_or(0)
-    }
-
-    fn domain_committed(&self, domain: usize) -> u64 {
-        self.ports[domain]
-            .iter()
-            .map(|p| p.wrapper.cycle())
-            .min()
-            .unwrap_or(0)
-    }
-
-    fn domain_ledger(&self, domain: usize) -> TimeLedger {
-        let mut out = TimeLedger::new();
-        for p in &self.ports[domain] {
-            out.merge(&p.ledger);
-        }
-        out
-    }
-
-    fn domain_channel_stats(&self, domain: usize) -> ChannelStats {
-        let mut out = ChannelStats::default();
-        for p in &self.ports[domain] {
-            out.merge(p.ch.stats());
-        }
-        out
-    }
-
-    fn domain_batch_stats(&self, domain: usize) -> Option<BatchStats> {
-        let mut out: Option<BatchStats> = None;
-        for p in &self.ports[domain] {
-            match (&mut out, p.ch.batch_stats()) {
-                (Some(acc), Some(b)) => acc.merge(&b),
-                (slot @ None, Some(b)) => *slot = Some(b),
-                _ => {}
-            }
-        }
-        out
-    }
-
-    /// Domain `domain`'s wrapper statistics, split by the role its ports
-    /// play (leader-side engines vs lagger-side engines).
-    fn domain_cw_stats(&self, domain: usize) -> (CwStats, CwStats) {
-        let mut sim = CwStats::default();
-        let mut acc = CwStats::default();
-        for p in &self.ports[domain] {
-            match p.role {
-                Side::Simulator => sim.merge(p.wrapper.stats()),
-                Side::Accelerator => acc.merge(p.wrapper.stats()),
-            }
-        }
-        (sim, acc)
-    }
-
-    /// The two engines of edge `edge` (simulator-role first), wherever their
-    /// domains keep them.
-    fn edge_wrappers(&self, edge: usize) -> (&ChannelWrapper<M>, &ChannelWrapper<M>) {
-        let e = self.edges[edge];
-        let find = |domain: usize| {
-            self.ports[domain]
-                .iter()
-                .find(|p| p.edge == edge)
-                .expect("every edge has a port at both ends")
-        };
-        (&find(e.a()).wrapper, &find(e.b()).wrapper)
-    }
-}
-
-/// The per-domain thread body: `run_side` generalized over a port list. A
-/// domain steps its non-halted ports round-robin; a port that reaches the
-/// halt condition early keeps draining its link non-blocking (the per-port
-/// halt-linger — its recv also flushes any batched final message). Once
-/// *all* ports stand halted the domain flushes everything, announces itself
-/// done, and lingers pumping acknowledgements on every link until all
-/// `n_domains` domains are done.
-#[allow(clippy::too_many_arguments)]
-fn run_fabric_domain<M: crate::model::DomainModel, E: WaitTransport>(
-    ports: &mut [FabricPort<M, E>],
-    sim_costs: &DomainCosts,
-    acc_costs: &DomainCosts,
-    target: u64,
-    epoch: &AtomicU64,
-    stop: &AtomicBool,
-    done: &AtomicU64,
-    n_domains: u64,
-    opts: ThreadedOpts,
-) -> Result<(), SimError> {
-    let mut obs = NoopObserver;
-    let mut blocked_at: Option<(u64, Instant)> = None;
-    let mut halted = false;
-    loop {
-        if stop.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        if ports.iter().all(|p| p.halted(target)) {
-            if !halted {
-                halted = true;
-                // Final messages may still sit in the batching outboxes:
-                // push them out before lingering, or a peer would starve.
-                for p in ports.iter_mut() {
-                    p.ch.flush();
-                }
-                done.fetch_add(1, Ordering::AcqRel);
-            }
-            if done.load(Ordering::Acquire) >= n_domains {
-                return Ok(());
-            }
-            // The N-way halt-linger: this domain is finished, but per-link
-            // reliability layers may still owe peers retransmissions and
-            // must keep consuming acknowledgements on *every* link —
-            // returning now would strand any peer whose link dropped an
-            // in-flight frame. Protocol traffic stops at the boundary, so
-            // anything drained here is recovery-layer chatter.
-            for p in ports.iter_mut() {
-                if stop.load(Ordering::Acquire) || done.load(Ordering::Acquire) >= n_domains {
-                    break;
-                }
-                if p.ch.transport_mut().wait_for_packet(opts.poll_interval) {
-                    let _ = p.ch.recv(p.role);
-                }
-            }
-            continue;
-        }
-        let mut any_worked = false;
-        let mut first_error = None;
-        for p in ports.iter_mut() {
-            if p.halted(target) {
-                // Per-port halt-linger while sibling ports still run: drain
-                // recovery chatter without blocking (recv also flushes the
-                // batching outbox, exactly like the sliced runner's halted
-                // branch).
-                let _ = p.ch.recv(p.role);
-                continue;
-            }
-            let costs = match p.role {
-                Side::Simulator => sim_costs,
-                Side::Accelerator => acc_costs,
-            };
-            match p.wrapper.step(&mut p.ch, &mut p.ledger, costs, &mut obs) {
-                Ok(Progress::Worked) => {
-                    epoch.fetch_add(1, Ordering::AcqRel);
-                    any_worked = true;
-                }
-                Ok(Progress::Blocked) => {}
-                Err(e) => {
-                    first_error = Some(e);
-                    break;
-                }
-            }
-        }
-        if let Some(e) = first_error {
-            stop.store(true, Ordering::Release);
-            return Err(e);
-        }
-        if any_worked {
-            blocked_at = None;
-            continue;
-        }
-        // Every non-halted port is blocked: starvation detection via the
-        // shared progress epoch, same wall-clock rule as the two-domain
-        // runner.
-        let now_epoch = epoch.load(Ordering::Acquire);
-        match blocked_at {
-            Some((e, since)) if e == now_epoch => {
-                if since.elapsed() >= opts.deadlock_timeout {
-                    stop.store(true, Ordering::Release);
-                    let cycle = ports.iter().map(|p| p.wrapper.cycle()).min().unwrap_or(0);
-                    return Err(SimError::Deadlock { cycle });
-                }
-            }
-            _ => blocked_at = Some((now_epoch, Instant::now())),
-        }
-        // Wait for traffic on the blocked ports, one short slice each,
-        // breaking out as soon as any link has something (the other ports
-        // are re-polled on the next round).
-        for p in ports.iter_mut() {
-            if stop.load(Ordering::Acquire) {
-                return Ok(());
-            }
-            if p.halted(target) {
-                continue;
-            }
-            if p.ch.transport_mut().wait_for_packet(opts.poll_interval) {
-                break;
-            }
-        }
-    }
-}
-
-/// Spawns one thread per domain and runs all of them to the N-way
-/// boundary-halt condition; returns after joining every thread.
-fn run_fabric_threaded<M, E>(core: &mut FabricCore<M, E>, cycles: u64) -> Result<(), SimError>
-where
-    M: crate::model::DomainModel + Send,
-    E: WaitTransport + Send,
-{
-    let sim_costs = core.config.costs_for(Side::Simulator);
-    let acc_costs = core.config.costs_for(Side::Accelerator);
-    let opts = core.opts;
-    let n_domains = core.ports.len() as u64;
-    let epoch = AtomicU64::new(0);
-    let stop = AtomicBool::new(false);
-    let done = AtomicU64::new(0);
-    let results = thread::scope(|s| {
-        let handles: Vec<_> = core
-            .ports
-            .iter_mut()
-            .map(|ports| {
-                s.spawn(|| {
-                    run_fabric_domain(
-                        ports, &sim_costs, &acc_costs, cycles, &epoch, &stop, &done, n_domains,
-                        opts,
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fabric domain thread panicked"))
-            .collect::<Vec<_>>()
-    });
-    results.into_iter().try_fold((), |(), r| r)
-}
-
-/// The co-operative runner: every domain's every port stepped round-robin on
-/// the calling thread — the fabric's deterministic in-process baseline
-/// (`FabricLinkSelect::Queue`), and the N-domain analogue of the two-domain
-/// sliced runner's scheduling. The message sequence over each link is a
-/// protocol event stream ending at the same transition boundary, so the
-/// committed results are bit-identical to the threaded runners'.
-fn run_fabric_cooperative<M, E>(core: &mut FabricCore<M, E>, cycles: u64) -> Result<(), SimError>
-where
-    M: crate::model::DomainModel,
-    E: WaitTransport + PollReady,
-{
-    let sim_costs = core.config.costs_for(Side::Simulator);
-    let acc_costs = core.config.costs_for(Side::Accelerator);
-    let opts = core.opts;
-    let mut obs = NoopObserver;
-    let mut blocked_since: Option<Instant> = None;
-    loop {
-        let mut all_halted = true;
-        let mut any_worked = false;
-        let mut deliverable = 0usize;
-        for ports in core.ports.iter_mut() {
-            for p in ports.iter_mut() {
-                if p.halted(cycles) {
-                    // Halt-linger, co-operative form: drain recovery chatter
-                    // (and flush any batched final message via recv).
-                    let _ = p.ch.recv(p.role);
-                    continue;
-                }
-                all_halted = false;
-                let costs = match p.role {
-                    Side::Simulator => &sim_costs,
-                    Side::Accelerator => &acc_costs,
-                };
-                match p.wrapper.step(&mut p.ch, &mut p.ledger, costs, &mut obs)? {
-                    Progress::Worked => any_worked = true,
-                    Progress::Blocked => deliverable += p.ch.pending(p.role),
-                }
-            }
-        }
-        if all_halted {
-            for p in core.ports.iter_mut().flatten() {
-                p.ch.flush();
-            }
-            return Ok(());
-        }
-        if any_worked || deliverable > 0 {
-            blocked_since = None;
-            continue;
-        }
-        // Nothing stepped and nothing locally decoded — probe the media.
-        let mut readiness = Readiness::Idle;
-        for p in core.ports.iter_mut().flatten() {
-            if !p.halted(cycles) {
-                readiness = readiness.combine(p.ch.transport_mut().readiness());
-            }
-        }
-        match readiness {
-            Readiness::Ready => {
-                blocked_since = None;
-            }
-            Readiness::Dead => {
-                let cycle = core.committed_cycles();
-                return Err(SimError::Deadlock { cycle });
-            }
-            Readiness::Idle => {
-                let since = *blocked_since.get_or_insert_with(Instant::now);
-                if since.elapsed() >= opts.deadlock_timeout {
-                    let cycle = core.committed_cycles();
-                    return Err(SimError::Deadlock { cycle });
-                }
-                thread::sleep(opts.poll_interval);
-            }
-        }
-    }
-}
-
-/// First recorded frame abandonment across every link's two reliability
-/// layers, in deterministic (edge, side) order.
-fn fabric_failure<M, T>(core: &FabricCore<M, ReliableTransport<T>>) -> Option<RetryExhausted>
-where
-    M: crate::model::DomainModel,
-    T: Transport,
-{
-    let mut per_edge: Vec<[Option<RetryExhausted>; 2]> = vec![[None, None]; core.edges.len()];
-    for p in core.ports.iter().flatten() {
-        let slot = match p.role {
-            Side::Simulator => 0,
-            Side::Accelerator => 1,
-        };
-        per_edge[p.edge][slot] = p.ch.transport().failure();
-    }
-    per_edge.into_iter().flatten().flatten().next()
-}
-
-/// Merged recovery counters over domain `domain`'s reliability layers
-/// (or over every link's, with `domain = None`).
-fn fabric_recovery<M, T>(
-    core: &FabricCore<M, ReliableTransport<T>>,
-    domain: Option<usize>,
-) -> RecoveryStats
-where
-    M: crate::model::DomainModel,
-    T: Transport,
-{
-    let mut out = RecoveryStats::default();
-    for (d, ports) in core.ports.iter().enumerate() {
-        if domain.is_some_and(|want| want != d) {
-            continue;
-        }
-        for p in ports {
-            out.merge(&p.ch.transport().recovery_stats());
-        }
-    }
-    out
-}
-
-/// Merged fault counters over every link's two fault wrappers; `None` when
-/// no wrapper's plan is active (mirrors the two-domain rule).
-fn fabric_faults<'a, T: Transport + 'a>(
-    wrappers: impl Iterator<Item = &'a LossyTransport<T>>,
-) -> Option<FaultStats> {
-    let mut out: Option<FaultStats> = None;
-    for w in wrappers {
-        if !w.spec().is_active() {
-            continue;
-        }
-        match &mut out {
-            Some(acc) => acc.merge(&w.fault_stats()),
-            slot @ None => *slot = Some(w.fault_stats()),
-        }
-    }
-    out
-}
-
-// Variant sizes are close and fabrics are built once per run.
-#[allow(clippy::large_enum_variant)]
-enum FabricInner {
-    Queue(FabricCore<AhbDomainModel, ThreadedEndpoint>),
-    Threaded(FabricCore<AhbDomainModel, ThreadedEndpoint>),
-    Tcp(FabricCore<AhbDomainModel, LossyTransport<TcpEndpoint>>),
-    Shm(FabricCore<AhbDomainModel, LossyTransport<ShmEndpoint>>),
-    ReliableQueue(FabricCore<AhbDomainModel, ReliableTransport<ThreadedEndpoint>>),
-    ReliableThreaded(FabricCore<AhbDomainModel, ReliableTransport<ThreadedEndpoint>>),
-    ReliableTcp(FabricCore<AhbDomainModel, ReliableTransport<LossyTransport<TcpEndpoint>>>),
-    ReliableShm(FabricCore<AhbDomainModel, ReliableTransport<LossyTransport<ShmEndpoint>>>),
-}
-
-/// Dispatches an expression over every fabric variant (each arm
-/// monomorphizes the same generic body).
-macro_rules! with_fabric {
-    ($inner:expr, |$c:ident| $body:expr) => {
-        match $inner {
-            FabricInner::Queue($c) => $body,
-            FabricInner::Threaded($c) => $body,
-            FabricInner::Tcp($c) => $body,
-            FabricInner::Shm($c) => $body,
-            FabricInner::ReliableQueue($c) => $body,
-            FabricInner::ReliableThreaded($c) => $body,
-            FabricInner::ReliableTcp($c) => $body,
-            FabricInner::ReliableShm($c) => $body,
-        }
-    };
-}
 
 /// Builder for a [`FabricSession`]; obtained from
 /// [`FabricSession::from_blueprint`].
@@ -614,7 +57,7 @@ pub struct FabricSessionBuilder<'bp> {
     blueprint: &'bp SocBlueprint,
     domains: usize,
     config: CoEmuConfig,
-    link: FabricLinkSelect,
+    link: TransportSelect,
 }
 
 impl FabricSessionBuilder<'_> {
@@ -631,15 +74,15 @@ impl FabricSessionBuilder<'_> {
         self
     }
 
-    /// Selects the link backend (defaults to the co-operative queue
-    /// baseline).
-    pub fn link(mut self, link: FabricLinkSelect) -> Self {
+    /// Selects the backend every link runs over (defaults to the
+    /// co-operative queue baseline).
+    pub fn link(mut self, link: TransportSelect) -> Self {
         self.link = link;
         self
     }
 
-    /// Builds the fabric session: the endpoint mesh, then one protocol
-    /// engine pair per edge.
+    /// Builds the fabric session: the link mesh, then one protocol engine
+    /// pair per edge.
     ///
     /// # Errors
     ///
@@ -653,190 +96,17 @@ impl FabricSessionBuilder<'_> {
                 domains: self.domains,
             }));
         }
-        let fault_spec = match &self.link {
-            FabricLinkSelect::Tcp(opts)
-            | FabricLinkSelect::Reliable {
-                inner: FabricReliableInner::Tcp(opts),
-                ..
-            } => opts.fault.as_ref(),
-            FabricLinkSelect::Shm(opts)
-            | FabricLinkSelect::Reliable {
-                inner: FabricReliableInner::Shm(opts),
-                ..
-            } => opts.fault.as_ref(),
-            _ => None,
-        };
-        if let Some(spec) = fault_spec {
-            spec.validate().map_err(ConfigError::invalid_fault_spec)?;
-        }
-        if let FabricLinkSelect::Reliable {
-            window,
-            retry_budget,
-            ..
-        } = &self.link
-        {
-            reliable_config(*window, *retry_budget)
-                .validate()
-                .map_err(ConfigError::invalid_reliable_config)?;
-        }
-        let n = self.domains;
-        let config = self.config;
-        let channel_model = config.channel;
-        let bp = self.blueprint;
-        let inner = match self.link {
-            FabricLinkSelect::Queue(opts) => {
-                FabricInner::Queue(FabricCore::<AhbDomainModel, ThreadedEndpoint>::build(
-                    bp,
-                    Fabric::threaded_mesh(n),
-                    config,
-                    opts,
-                    0,
-                )?)
-            }
-            FabricLinkSelect::Threaded(opts) => {
-                FabricInner::Threaded(FabricCore::<AhbDomainModel, ThreadedEndpoint>::build(
-                    bp,
-                    Fabric::threaded_mesh(n),
-                    config,
-                    opts,
-                    0,
-                )?)
-            }
-            FabricLinkSelect::Tcp(opts) => {
-                let fabric = Fabric::tcp_mesh(n)
-                    .map_err(SessionError::Io)?
-                    .map(|edge, _, role, end| lossy_for(edge, role, opts.fault, end));
-                FabricInner::Tcp(FabricCore::<AhbDomainModel, _>::build(
-                    bp,
-                    fabric,
-                    config,
-                    opts.threaded,
-                    0,
-                )?)
-            }
-            FabricLinkSelect::Shm(opts) => {
-                let fabric = shm_mesh(n, &opts)?
-                    .map(|edge, _, role, end| lossy_for(edge, role, opts.fault, end));
-                FabricInner::Shm(FabricCore::<AhbDomainModel, _>::build(
-                    bp,
-                    fabric,
-                    config,
-                    opts.threaded,
-                    0,
-                )?)
-            }
-            FabricLinkSelect::Reliable {
-                inner,
-                window,
-                retry_budget,
-            } => {
-                let rcfg = reliable_config(window, retry_budget);
-                // One closure per branch: each wraps a different endpoint
-                // type, so they can't share a single (monomorphic) closure.
-                macro_rules! reliable {
-                    () => {
-                        |_, _, role, end| {
-                            ReliableTransport::new(end, rcfg, channel_model).for_side(role)
-                        }
-                    };
-                }
-                match inner {
-                    FabricReliableInner::Queue(opts) => {
-                        let fabric = Fabric::threaded_mesh(n).map(reliable!());
-                        FabricInner::ReliableQueue(FabricCore::<AhbDomainModel, _>::build(
-                            bp, fabric, config, opts, 0,
-                        )?)
-                    }
-                    FabricReliableInner::Threaded(opts) => {
-                        let fabric = Fabric::threaded_mesh(n).map(reliable!());
-                        FabricInner::ReliableThreaded(FabricCore::<AhbDomainModel, _>::build(
-                            bp, fabric, config, opts, 0,
-                        )?)
-                    }
-                    FabricReliableInner::Tcp(opts) => {
-                        let fabric = Fabric::tcp_mesh(n)
-                            .map_err(SessionError::Io)?
-                            .map(|edge, _, role, end| lossy_for(edge, role, opts.fault, end))
-                            .map(reliable!());
-                        FabricInner::ReliableTcp(FabricCore::<AhbDomainModel, _>::build(
-                            bp,
-                            fabric,
-                            config,
-                            opts.threaded,
-                            failure_seed(opts.fault),
-                        )?)
-                    }
-                    FabricReliableInner::Shm(opts) => {
-                        let fabric = shm_mesh(n, &opts)?
-                            .map(|edge, _, role, end| lossy_for(edge, role, opts.fault, end))
-                            .map(reliable!());
-                        FabricInner::ReliableShm(FabricCore::<AhbDomainModel, _>::build(
-                            bp,
-                            fabric,
-                            config,
-                            opts.threaded,
-                            failure_seed(opts.fault),
-                        )?)
-                    }
-                }
-            }
-        };
-        Ok(FabricSession { inner })
-    }
-}
-
-/// Per-edge, per-side fault plans: the base plan's seed decorrelated per
-/// edge (edge 0 keeps the base seed, so a one-edge fabric reproduces the
-/// two-domain session's fault stream exactly), then split per side by the
-/// same rule the two-domain backends use.
-fn edge_fault_specs(fault: Option<FaultSpec>, edge: usize) -> (FaultSpec, FaultSpec) {
-    let base = fault.unwrap_or(FaultSpec::none(0));
-    let seed = base.seed ^ (edge as u64).wrapping_mul(0xd1b5_4a32_d192_ed03);
-    per_side_fault_specs(Some(FaultSpec { seed, ..base }))
-}
-
-/// Wraps one endpoint in its edge's and side's fault plan.
-fn lossy_for<E: Transport>(
-    edge: usize,
-    role: Side,
-    fault: Option<FaultSpec>,
-    end: E,
-) -> LossyTransport<E> {
-    let (sim_spec, acc_spec) = edge_fault_specs(fault, edge);
-    let spec = match role {
-        Side::Simulator => sim_spec,
-        Side::Accelerator => acc_spec,
-    };
-    LossyTransport::new(end, spec)
-}
-
-/// The exhaustion-replay seed a reliable-over-lossy fabric reports: the base
-/// plan's seed when it can actually fire, 0 otherwise (same rule as the
-/// two-domain session).
-fn failure_seed(fault: Option<FaultSpec>) -> u64 {
-    match fault {
-        Some(spec) if spec.is_active() => spec.seed,
-        _ => 0,
-    }
-}
-
-/// Builds the shm endpoint mesh an [`ShmOptions`] asks for (heap region, or
-/// one `/dev/shm` file under `file_backed`).
-fn shm_mesh(domains: usize, opts: &ShmOptions) -> Result<Fabric<ShmEndpoint>, SessionError> {
-    if opts.file_backed {
-        #[cfg(unix)]
-        {
-            Fabric::shm_file_mesh(domains, opts.ring_words).map_err(SessionError::Io)
-        }
-        #[cfg(not(unix))]
-        {
-            Err(SessionError::Io(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "file-backed shm regions require a unix host",
-            )))
-        }
-    } else {
-        Ok(Fabric::shm_mesh(domains, opts.ring_words))
+        let link = self.link.lower()?;
+        let mesh = link.mesh(self.domains, self.config.channel)?;
+        let models = mesh
+            .edges()
+            .iter()
+            .map(|_| self.blueprint.build_pair_with(&PaperSuite))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(FabricSession {
+            engine: PortEngine::new(models, mesh, self.config, &link, None),
+            link,
+        })
     }
 }
 
@@ -844,7 +114,7 @@ fn shm_mesh(domains: usize, opts: &ShmOptions) -> Result<Fabric<ShmEndpoint>, Se
 /// for topology, routing, and halt semantics.
 ///
 /// ```
-/// use predpkt_core::{FabricLinkSelect, FabricSession, Side, SocBlueprint, ThreadedOpts};
+/// use predpkt_core::{FabricSession, Side, SocBlueprint, ThreadedOpts, TransportSelect};
 /// use predpkt_ahb::engine::BusOp;
 /// use predpkt_ahb::masters::TrafficGenMaster;
 /// use predpkt_ahb::slaves::MemorySlave;
@@ -855,7 +125,7 @@ fn shm_mesh(domains: usize, opts: &ShmOptions) -> Result<Fabric<ShmEndpoint>, Se
 ///     })
 ///     .slave(Side::Simulator, 0x0, 0x1000, || Box::new(MemorySlave::new(0x1000, 0)));
 /// let mut session = FabricSession::from_blueprint(&blueprint, 3)
-///     .link(FabricLinkSelect::Threaded(ThreadedOpts::default()))
+///     .link(TransportSelect::Threaded(ThreadedOpts::default()))
 ///     .build()?;
 /// session.run_until_committed(120)?;
 /// for d in 0..session.domains() {
@@ -865,7 +135,8 @@ fn shm_mesh(domains: usize, opts: &ShmOptions) -> Result<Fabric<ShmEndpoint>, Se
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct FabricSession {
-    inner: FabricInner,
+    engine: PortEngine<AhbDomainModel>,
+    link: LinkSpec,
 }
 
 impl FabricSession {
@@ -877,33 +148,26 @@ impl FabricSession {
             blueprint,
             domains,
             config: CoEmuConfig::paper_defaults(),
-            link: FabricLinkSelect::default(),
+            link: TransportSelect::Queue,
         }
     }
 
-    /// A stable name for the link backend in force (telemetry).
+    /// A stable name for the link backend in force (telemetry): `"fabric+"`
+    /// followed by the name a two-domain session over the same
+    /// [`TransportSelect`] reports.
     pub fn backend(&self) -> &'static str {
-        match &self.inner {
-            FabricInner::Queue(_) => "fabric+queue",
-            FabricInner::Threaded(_) => "fabric+threaded",
-            FabricInner::Tcp(_) => "fabric+tcp",
-            FabricInner::Shm(_) => "fabric+shm",
-            FabricInner::ReliableQueue(_) => "fabric+reliable+queue",
-            FabricInner::ReliableThreaded(_) => "fabric+reliable+threaded",
-            FabricInner::ReliableTcp(_) => "fabric+reliable+tcp",
-            FabricInner::ReliableShm(_) => "fabric+reliable+shm",
-        }
+        self.link.fabric_name()
     }
 
     /// How many domains the fabric joins.
     pub fn domains(&self) -> usize {
-        with_fabric!(&self.inner, |c| c.domains())
+        self.engine.domains()
     }
 
     /// The fabric's edge list (lexicographic; see
     /// [`full_mesh`](predpkt_channel::full_mesh)).
     pub fn edges(&self) -> &[FabricEdge] {
-        with_fabric!(&self.inner, |c| &c.edges)
+        self.engine.edges()
     }
 
     /// Runs until every domain stands halted at a transition boundary with
@@ -915,83 +179,53 @@ impl FabricSession {
     /// [`EmuSession::run_until_committed`](crate::EmuSession::run_until_committed),
     /// surfaced from whichever domain hit them first.
     pub fn run_until_committed(&mut self, cycles: u64) -> Result<(), SimError> {
-        match &mut self.inner {
-            FabricInner::Queue(c) => run_fabric_cooperative(c, cycles),
-            FabricInner::Threaded(c) => run_fabric_threaded(c, cycles),
-            FabricInner::Tcp(c) => run_fabric_threaded(c, cycles),
-            FabricInner::Shm(c) => run_fabric_threaded(c, cycles),
-            FabricInner::ReliableQueue(c) => {
-                let result = run_fabric_cooperative(c, cycles);
-                let seed = c.failure_seed;
-                let committed = c.committed_cycles();
-                map_reliable_outcome(result, fabric_failure(c), seed, committed)
-            }
-            FabricInner::ReliableThreaded(c) => {
-                let result = run_fabric_threaded(c, cycles);
-                let seed = c.failure_seed;
-                let committed = c.committed_cycles();
-                map_reliable_outcome(result, fabric_failure(c), seed, committed)
-            }
-            FabricInner::ReliableTcp(c) => {
-                let result = run_fabric_threaded(c, cycles);
-                let seed = c.failure_seed;
-                let committed = c.committed_cycles();
-                map_reliable_outcome(result, fabric_failure(c), seed, committed)
-            }
-            FabricInner::ReliableShm(c) => {
-                let result = run_fabric_threaded(c, cycles);
-                let seed = c.failure_seed;
-                let committed = c.committed_cycles();
-                map_reliable_outcome(result, fabric_failure(c), seed, committed)
-            }
-        }
+        let result = self.engine.run_until_synchronized(cycles);
+        map_reliable_outcome(
+            result.map(|()| SliceStatus::Done),
+            self.engine.failure(),
+            self.link.failure_seed(),
+            self.committed_cycles(),
+        )
+        .map(|_| ())
     }
 
     /// Cycles every domain has committed (the minimum over all ports).
     pub fn committed_cycles(&self) -> u64 {
-        with_fabric!(&self.inner, |c| c.committed_cycles())
+        self.engine.committed_cycles(None)
     }
 
     /// Cycles domain `domain` has committed on every one of its ports.
     pub fn domain_committed(&self, domain: usize) -> u64 {
-        with_fabric!(&self.inner, |c| c.domain_committed(domain))
+        self.engine.committed_cycles(Some(domain))
     }
 
     /// Domain `domain`'s virtual-time ledger (its ports merged in edge
     /// order).
     pub fn domain_ledger(&self, domain: usize) -> TimeLedger {
-        with_fabric!(&self.inner, |c| c.domain_ledger(domain))
+        self.engine.ledger(Some(domain))
     }
 
     /// Domain `domain`'s channel statistics, merged over its links.
     pub fn domain_channel_stats(&self, domain: usize) -> ChannelStats {
-        with_fabric!(&self.inner, |c| c.domain_channel_stats(domain))
+        self.engine.channel_stats(Some(domain))
     }
 
     /// The whole fabric's ledger (every domain merged).
     pub fn ledger(&self) -> TimeLedger {
-        let mut out = TimeLedger::new();
-        for d in 0..self.domains() {
-            out.merge(&self.domain_ledger(d));
-        }
-        out
+        self.engine.ledger(None)
     }
 
     /// The whole fabric's channel statistics (every link counted once per
     /// side, matching the two-domain session's merged view).
     pub fn channel_stats(&self) -> ChannelStats {
-        let mut out = ChannelStats::default();
-        for d in 0..self.domains() {
-            out.merge(&self.domain_channel_stats(d));
-        }
-        out
+        self.engine.channel_stats(None)
     }
 
     /// Domain `domain`'s performance report: its merged ledger and channel
     /// statistics, its wrapper counters split by port role, and — on
     /// reliable backends — its share of the recovery bill.
     pub fn domain_report(&self, domain: usize) -> PerfReport {
-        let (sim, acc) = with_fabric!(&self.inner, |c| c.domain_cw_stats(domain));
+        let (sim, acc) = self.engine.cw_stats(Some(domain));
         let report = PerfReport::new(
             self.domain_ledger(domain),
             self.domain_committed(domain),
@@ -1003,7 +237,10 @@ impl FabricSession {
             Some(recovery) => report.with_recovery(recovery),
             None => report,
         };
-        match with_fabric!(&self.inner, |c| c.domain_batch_stats(domain)) {
+        let batch =
+            self.engine
+                .link_stats(Some(domain), |link| link.batch_stats(), BatchStats::merge);
+        match batch {
             Some(batch) => report.with_batch(batch),
             None => report,
         }
@@ -1012,44 +249,28 @@ impl FabricSession {
     /// Domain `domain`'s merged recovery counters, when the fabric runs
     /// over a reliable backend.
     pub fn domain_recovery_stats(&self, domain: usize) -> Option<RecoveryStats> {
-        match &self.inner {
-            FabricInner::ReliableQueue(c) => Some(fabric_recovery(c, Some(domain))),
-            FabricInner::ReliableThreaded(c) => Some(fabric_recovery(c, Some(domain))),
-            FabricInner::ReliableTcp(c) => Some(fabric_recovery(c, Some(domain))),
-            FabricInner::ReliableShm(c) => Some(fabric_recovery(c, Some(domain))),
-            _ => None,
-        }
+        self.engine.link_stats(
+            Some(domain),
+            |link| link.recovery_stats(),
+            RecoveryStats::merge,
+        )
     }
 
     /// The whole fabric's merged recovery counters, when reliable.
     pub fn recovery_stats(&self) -> Option<RecoveryStats> {
-        match &self.inner {
-            FabricInner::ReliableQueue(c) => Some(fabric_recovery(c, None)),
-            FabricInner::ReliableThreaded(c) => Some(fabric_recovery(c, None)),
-            FabricInner::ReliableTcp(c) => Some(fabric_recovery(c, None)),
-            FabricInner::ReliableShm(c) => Some(fabric_recovery(c, None)),
-            _ => None,
-        }
+        self.engine
+            .link_stats(None, |link| link.recovery_stats(), RecoveryStats::merge)
     }
 
-    /// Merged fault counters over every link, when a fault plan is active
-    /// anywhere.
+    /// Merged fault counters over every link, when the fabric injects
+    /// faults (same rule as
+    /// [`EmuSession::fault_stats`](crate::EmuSession::fault_stats)).
     pub fn fault_stats(&self) -> Option<FaultStats> {
-        match &self.inner {
-            FabricInner::Tcp(c) => {
-                fabric_faults(c.ports.iter().flatten().map(|p| p.ch.transport()))
-            }
-            FabricInner::Shm(c) => {
-                fabric_faults(c.ports.iter().flatten().map(|p| p.ch.transport()))
-            }
-            FabricInner::ReliableTcp(c) => {
-                fabric_faults(c.ports.iter().flatten().map(|p| p.ch.transport().inner()))
-            }
-            FabricInner::ReliableShm(c) => {
-                fabric_faults(c.ports.iter().flatten().map(|p| p.ch.transport().inner()))
-            }
-            _ => None,
+        if !self.link.reports_faults() {
+            return None;
         }
+        self.engine
+            .link_stats(None, |link| link.fault_stats(), FaultStats::merge)
     }
 
     /// Merges edge `edge`'s two committed local-output traces into full-bus
@@ -1057,10 +278,8 @@ impl FabricSession {
     /// [`EmuSession::merged_trace`](crate::EmuSession::merged_trace) does
     /// for the two-domain session.
     pub fn edge_trace(&self, edge: usize, merge: impl Fn(&[u64], &[u64]) -> Vec<u64>) -> Trace {
-        with_fabric!(&self.inner, |c| {
-            let (sim, acc) = c.edge_wrappers(edge);
-            merge_committed_traces(sim, acc, merge)
-        })
+        let (sim, acc) = self.engine.edge_wrappers(edge);
+        merge_committed_traces(sim, acc, merge)
     }
 }
 

@@ -24,9 +24,22 @@
 //!   ack-and-retransmit reliable layer over any of them), a predictor suite,
 //!   and [`EmuObserver`] hooks that stream every protocol
 //!   event (mode switches, rollbacks, LOB flushes, channel accesses).
-//! * [`CoEmulator`] is the co-operative engine under the queue-backed
-//!   sessions, now generic over any [`Transport`](predpkt_channel::Transport);
-//!   [`CoEmulator::from_blueprint`] remains as a thin compatibility shim.
+//!   [`FabricSession`] is the same front door for `N ≥ 2` domains over a
+//!   full mesh of links, each running the same [`TransportSelect`].
+//! * A backend is described **once**: a [`TransportSelect`] lowers to one
+//!   internal link description (base medium, optional fault plan, optional
+//!   reliability layer) that validates the knobs, names the backend, derives
+//!   the per-link fault seeds, and builds the layers by stacking them — for
+//!   sessions and fabrics alike.
+//! * Two engines drive the protocol. [`CoEmulator`] is the **reference
+//!   engine**: both domains over one shared in-process medium on the calling
+//!   thread, generic over any [`Transport`](predpkt_channel::Transport); the
+//!   queue-backed sessions run on it, and every other backend is
+//!   conformance-checked against it. The **port engine** gives each domain
+//!   its own end of every link it touches — one thread per domain, or
+//!   bounded co-operative slices for a session farm — and runs both the
+//!   real-link backends of an [`EmuSession`] (the one-edge, two-domain case)
+//!   and every [`FabricSession`].
 //! * [`DomainModel`] abstracts the domain content so the same protocol engine
 //!   drives both the real AHB SoC and the controlled-accuracy synthetic
 //!   workloads used to regenerate the paper's parametric evaluation.
@@ -153,7 +166,9 @@ mod ahb_model;
 mod blueprint;
 mod checkpoint;
 mod coemu;
+mod engine;
 mod fabric;
+mod link;
 mod model;
 mod observer;
 mod protocol;
@@ -165,14 +180,14 @@ pub use ahb_model::AhbDomainModel;
 pub use blueprint::{Placement, SocBlueprint};
 pub use checkpoint::{CheckpointError, SessionCheckpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 pub use coemu::{CoEmuConfig, CoEmulator, ConfigError, SliceStatus};
-pub use fabric::{FabricLinkSelect, FabricReliableInner, FabricSession, FabricSessionBuilder};
+pub use fabric::{FabricSession, FabricSessionBuilder};
+pub use link::{ReliableInner, ShmOptions, TcpOptions, ThreadedOpts, TransportSelect};
 pub use model::{DomainModel, TickKind};
 pub use observer::{EmuEvent, EmuObserver, EventCounters, EventCounts, EventLog, NoopObserver};
 pub use protocol::{Message, ProtocolError};
 pub use report::PerfReport;
 pub use session::{
-    BlueprintSessionBuilder, EmuSession, EmuSessionBuilder, ReliableInner, SessionError,
-    ShmOptions, SlicedSession, TcpOptions, ThreadedOpts, TransportSelect,
+    BlueprintSessionBuilder, EmuSession, EmuSessionBuilder, SessionError, SlicedSession,
 };
 pub use wrapper::{ChannelWrapper, CwStats, ModePolicy, PaperPath, Progress};
 

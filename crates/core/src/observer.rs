@@ -216,23 +216,27 @@ impl EmuObserver for EventLog {
     }
 }
 
-/// Adapter giving two worker threads serialized access to one observer.
+/// Adapter giving domain threads serialized access to one observer. With no
+/// observer installed (`None`) events are discarded without touching any
+/// mutex, so unobserved domain threads never serialize on their hot path.
 pub(crate) struct SharedObserver<'a> {
-    inner: &'a Mutex<Box<dyn EmuObserver>>,
+    inner: Option<&'a Mutex<Box<dyn EmuObserver>>>,
 }
 
 impl<'a> SharedObserver<'a> {
-    pub(crate) fn new(inner: &'a Mutex<Box<dyn EmuObserver>>) -> Self {
+    pub(crate) fn new(inner: Option<&'a Mutex<Box<dyn EmuObserver>>>) -> Self {
         SharedObserver { inner }
     }
 }
 
 impl EmuObserver for SharedObserver<'_> {
     fn on_event(&mut self, side: Side, event: &EmuEvent) {
-        self.inner
-            .lock()
-            .expect("observer mutex poisoned")
-            .on_event(side, event);
+        if let Some(observer) = self.inner {
+            observer
+                .lock()
+                .expect("observer mutex poisoned")
+                .on_event(side, event);
+        }
     }
 }
 

@@ -3,29 +3,40 @@
 //! An [`EmuSession`] composes the four ingredients of a co-emulation run —
 //! a pair of domain models (usually from a [`SocBlueprint`]), a
 //! [`CoEmuConfig`], a transport backend, and an optional [`EmuObserver`] —
-//! behind one builder, and runs the same protocol engine over any backend:
+//! behind one builder, and runs the same protocol over any backend:
 //!
 //! * [`TransportSelect::Queue`] — the deterministic in-process
-//!   [`QueueTransport`], scheduled co-operatively (the evaluation default);
-//! * [`TransportSelect::Lossy`] — a [`LossyTransport`] injecting seeded
+//!   [`QueueTransport`](predpkt_channel::QueueTransport), scheduled
+//!   co-operatively (the evaluation default);
+//! * [`TransportSelect::Lossy`] — a
+//!   [`LossyTransport`](predpkt_channel::LossyTransport) injecting seeded
 //!   drops/truncations/duplicates for protocol-robustness scenarios;
 //! * [`TransportSelect::Threaded`] — one OS thread per domain over a
 //!   [`ThreadedTransport`](predpkt_channel::ThreadedTransport), exercising
 //!   the protocol under genuine concurrency;
 //! * [`TransportSelect::Tcp`] — one OS thread per domain over a real TCP
-//!   socket pair (per-side [`TcpEndpoint`]s moving length-prefixed frames),
-//!   the same machinery that carries a session whose domains live in
-//!   different processes or hosts;
+//!   socket pair (per-side [`TcpEndpoint`](predpkt_channel::TcpEndpoint)s
+//!   moving length-prefixed frames), the same machinery that carries a
+//!   session whose domains live in different processes or hosts;
 //! * [`TransportSelect::Shm`] — one OS thread per domain over a
-//!   shared-memory ring pair (per-side [`ShmEndpoint`]s moving the same
-//!   frames through lock-free SPSC rings, heap-shared or in a `/dev/shm`
-//!   region file), the multi-process-on-one-host configuration;
+//!   shared-memory ring pair (per-side
+//!   [`ShmEndpoint`](predpkt_channel::ShmEndpoint)s moving the same frames
+//!   through lock-free SPSC rings, heap-shared or in a `/dev/shm` region
+//!   file), the multi-process-on-one-host configuration;
 //! * [`TransportSelect::Reliable`] — an ack-and-retransmit
-//!   [`ReliableTransport`] over any of the above (chosen with
-//!   [`ReliableInner`]): the session *survives* injected faults, committing
-//!   bit-identical traces and ledgers to a clean run, with the repair
-//!   traffic billed into [`RecoveryStats`]
-//!   (see [`EmuSession::recovery_stats`]).
+//!   [`ReliableTransport`](predpkt_channel::ReliableTransport) over any of
+//!   the above (chosen with [`ReliableInner`](crate::ReliableInner)): the
+//!   session *survives* injected faults, committing bit-identical traces and
+//!   ledgers to a clean run, with the repair traffic billed into
+//!   [`RecoveryStats`] (see [`EmuSession::recovery_stats`]).
+//!
+//! Underneath there are two engines. The in-process backends (queue, lossy,
+//! and the reliable layer over either) run on the **reference engine**,
+//! [`CoEmulator`]: both domains over one shared medium on the calling
+//! thread, exactly reproducible. Every other backend gives each domain its
+//! own end of a link and runs on the **port engine** — the same engine that
+//! drives an N-domain [`FabricSession`](crate::FabricSession), of which a
+//! session is the one-edge, two-domain case.
 //!
 //! Sessions halt at **transition boundaries**: a domain stops only when it is
 //! synchronized with its peer and has committed at least the target cycle
@@ -59,28 +70,24 @@
 //! ```
 
 use crate::blueprint::SocBlueprint;
-use crate::checkpoint::{restore_section, save_section, CheckpointError, SessionCheckpoint};
+use crate::checkpoint::{CheckpointError, SessionCheckpoint};
 use crate::coemu::{CoEmuConfig, CoEmulator, ConfigError, SliceStatus};
+use crate::engine::PortEngine;
+use crate::link::{Link, LinkSpec, TransportSelect};
 use crate::model::DomainModel;
-use crate::observer::{EmuObserver, NoopObserver, SharedObserver};
+use crate::observer::EmuObserver;
 use crate::report::PerfReport;
-use crate::wrapper::{ChannelWrapper, CwStats, DomainCosts, ModePolicy, Progress};
+use crate::wrapper::{merge_committed_traces, ChannelWrapper, CwStats, ModePolicy};
 use crate::AhbDomainModel;
 use predpkt_ahb::bus::BusConfigError;
 use predpkt_channel::{
-    BatchStats, ChannelCostModel, ChannelStats, CostedChannel, FaultSpec, FaultStats,
-    LossyTransport, PollReady, QueueTransport, Readiness, RecoveryStats, ReliableConfig,
-    ReliableTransport, RetryExhausted, ShmEndpoint, ShmTransport, Side, TcpEndpoint, TcpTransport,
-    ThreadedEndpoint, ThreadedTransport, Transport, WaitTransport, DEFAULT_RING_WORDS,
+    BatchStats, ChannelStats, FaultStats, PollReady, Readiness, RecoveryStats, RetryExhausted,
+    Transport,
 };
 use predpkt_predict::{PaperSuite, PredictorSuite};
-use predpkt_sim::{SimError, Snapshot, TimeLedger, Trace};
+use predpkt_sim::{SimError, TimeLedger, Trace};
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::thread;
-use std::time::{Duration, Instant};
 
 /// Why a session could not be built.
 #[derive(Debug)]
@@ -138,194 +145,6 @@ impl From<BusConfigError> for SessionError {
     }
 }
 
-/// Tuning knobs for the real-thread backend.
-#[derive(Debug, Clone, Copy)]
-pub struct ThreadedOpts {
-    /// How long a blocked domain waits on its endpoint before re-checking the
-    /// halt and deadlock conditions.
-    pub poll_interval: Duration,
-    /// How long both domains may starve (no protocol progress anywhere)
-    /// before the run is reported as deadlocked. This is wall-clock time, so
-    /// an extreme OS scheduling stall is indistinguishable from protocol
-    /// starvation — the generous default trades detection latency for
-    /// robustness on loaded (e.g. CI) machines.
-    pub deadlock_timeout: Duration,
-}
-
-impl Default for ThreadedOpts {
-    fn default() -> Self {
-        ThreadedOpts {
-            poll_interval: Duration::from_millis(2),
-            deadlock_timeout: Duration::from_secs(10),
-        }
-    }
-}
-
-/// Tuning knobs for the TCP socket backend.
-///
-/// The session spawns an ephemeral localhost pair
-/// ([`TcpTransport::loopback_pair`]) and runs one domain thread per endpoint
-/// through the same runner as the mpsc backend — so the traffic crosses a
-/// real socket while the session stays externally synchronous. `fault`
-/// optionally wraps each endpoint in a per-side
-/// [`LossyTransport`](predpkt_channel::LossyTransport), injecting seeded
-/// faults *on the socket path*; compose with [`TransportSelect::Reliable`]
-/// (via [`ReliableInner::Tcp`]) when the session must survive them.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TcpOptions {
-    /// Domain-thread scheduling knobs (poll interval doubles as the socket
-    /// read timeout while a domain is blocked).
-    pub threaded: ThreadedOpts,
-    /// Seeded per-side fault plan applied on top of the sockets; `None`
-    /// leaves the link clean (the wrapper is then bit-for-bit transparent).
-    pub fault: Option<FaultSpec>,
-}
-
-impl TcpOptions {
-    /// Overrides the domain-thread scheduling knobs.
-    pub fn threaded(mut self, opts: ThreadedOpts) -> Self {
-        self.threaded = opts;
-        self
-    }
-
-    /// Injects seeded faults on the socket path.
-    pub fn fault(mut self, spec: FaultSpec) -> Self {
-        self.fault = Some(spec);
-        self
-    }
-}
-
-/// Tuning knobs for the shared-memory ring backend.
-///
-/// The session spawns a per-side [`ShmEndpoint`] pair — a heap region shared
-/// through an `Arc` by default, or a `/dev/shm` region file when
-/// [`file_backed`](Self::file_backed) is set (the multi-process codepath,
-/// exercised here within one process) — and runs one domain thread per
-/// endpoint through the same runner as the mpsc and socket backends. `fault`
-/// optionally wraps each endpoint in a per-side
-/// [`LossyTransport`](predpkt_channel::LossyTransport), injecting seeded
-/// faults *on the ring path*; compose with [`TransportSelect::Reliable`]
-/// (via [`ReliableInner::Shm`]) when the session must survive them.
-#[derive(Debug, Clone, Copy)]
-pub struct ShmOptions {
-    /// Domain-thread scheduling knobs (poll interval doubles as the park
-    /// timeout while a domain is blocked on the ring).
-    pub threaded: ThreadedOpts,
-    /// Seeded per-side fault plan applied on top of the rings; `None`
-    /// leaves the channel clean (the wrapper is then bit-for-bit
-    /// transparent).
-    pub fault: Option<FaultSpec>,
-    /// Per-direction ring capacity in words (rounded up to a power of two).
-    pub ring_words: u32,
-    /// Put the rings in a `/dev/shm` region file instead of a shared heap
-    /// allocation — the same codepath two separate processes would use.
-    pub file_backed: bool,
-}
-
-impl Default for ShmOptions {
-    fn default() -> Self {
-        ShmOptions {
-            threaded: ThreadedOpts::default(),
-            fault: None,
-            ring_words: DEFAULT_RING_WORDS,
-            file_backed: false,
-        }
-    }
-}
-
-impl ShmOptions {
-    /// Overrides the domain-thread scheduling knobs.
-    pub fn threaded(mut self, opts: ThreadedOpts) -> Self {
-        self.threaded = opts;
-        self
-    }
-
-    /// Injects seeded faults on the ring path.
-    pub fn fault(mut self, spec: FaultSpec) -> Self {
-        self.fault = Some(spec);
-        self
-    }
-
-    /// Overrides the per-direction ring capacity in words.
-    pub fn ring_words(mut self, words: u32) -> Self {
-        self.ring_words = words;
-        self
-    }
-
-    /// Backs the rings with a `/dev/shm` region file.
-    pub fn file_backed(mut self) -> Self {
-        self.file_backed = true;
-        self
-    }
-}
-
-/// The transport backend a session runs over.
-#[derive(Debug, Clone, Copy, Default)]
-pub enum TransportSelect {
-    /// Deterministic in-process FIFOs, co-operative scheduling (the default).
-    #[default]
-    Queue,
-    /// Seeded fault injection over in-process FIFOs.
-    Lossy(FaultSpec),
-    /// One OS thread per domain over `std::sync::mpsc` channels.
-    Threaded(ThreadedOpts),
-    /// One OS thread per domain over a real TCP socket pair.
-    Tcp(TcpOptions),
-    /// One OS thread per domain over a shared-memory ring pair — the
-    /// multi-process-on-one-host configuration (and the lowest-latency
-    /// channel the crate models).
-    Shm(ShmOptions),
-    /// An ack-and-retransmit [`ReliableTransport`] over one of the inner
-    /// backends — the session *survives* channel faults instead of merely
-    /// detecting them, and bills the recovery traffic (see
-    /// [`EmuSession::recovery_stats`]).
-    Reliable {
-        /// The transport underneath the reliability layer.
-        inner: ReliableInner,
-        /// Sliding-window size (unacknowledged frames per direction).
-        window: usize,
-        /// Retransmissions allowed per frame before the session fails with
-        /// [`SimError::RetryBudgetExhausted`].
-        retry_budget: u32,
-    },
-}
-
-impl TransportSelect {
-    /// A reliable backend with the default window (8) and retry budget (16).
-    pub fn reliable(inner: ReliableInner) -> Self {
-        let defaults = ReliableConfig::default();
-        TransportSelect::Reliable {
-            inner,
-            window: defaults.window,
-            retry_budget: defaults.retry_budget,
-        }
-    }
-}
-
-/// The transport underneath a [`TransportSelect::Reliable`] layer.
-#[derive(Debug, Clone, Copy, Default)]
-pub enum ReliableInner {
-    /// Deterministic in-process FIFOs (the default).
-    #[default]
-    Queue,
-    /// Seeded fault injection — the combination the reliability layer exists
-    /// for: the session commits bit-identical results to a clean run while
-    /// `RecoveryStats` records the repairs.
-    Lossy(FaultSpec),
-    /// One OS thread per domain.
-    Threaded(ThreadedOpts),
-    /// One OS thread per domain over a real TCP socket pair — the remote-
-    /// accelerator configuration. With [`TcpOptions::fault`] set, seeded
-    /// faults fire *on the socket path* and the per-side reliability layers
-    /// absorb them.
-    Tcp(TcpOptions),
-    /// One OS thread per domain over a shared-memory ring pair — the
-    /// one-host multi-process configuration. With [`ShmOptions::fault`]
-    /// set, seeded faults fire *on the ring path* and the per-side
-    /// reliability layers absorb them.
-    Shm(ShmOptions),
-}
-
 /// Builder for an [`EmuSession`] from an explicit pair of domain models.
 ///
 /// Obtained from [`EmuSession::builder`]; for AHB SoCs prefer
@@ -378,249 +197,39 @@ impl<M: DomainModel + Send + 'static> EmuSessionBuilder<M> {
     ///
     /// Returns [`SessionError::Config`] for invalid configurations — a zero
     /// LOB depth set through [`lob_depth`](Self::lob_depth), an out-of-range
-    /// [`FaultSpec`] rate on the lossy backends, or a degenerate
-    /// [`ReliableConfig`] knob on the reliable backend.
+    /// [`FaultSpec`](predpkt_channel::FaultSpec) rate on the lossy backends,
+    /// or a degenerate reliable-layer knob on the reliable backend — and
+    /// [`SessionError::Io`] when a socket or region file cannot be set up.
     ///
     /// # Panics
     ///
     /// Panics if the two models' sides or widths disagree.
     pub fn build(self) -> Result<EmuSession<M>, SessionError> {
         self.config.validate()?;
-        let fault_spec = match &self.transport {
-            TransportSelect::Lossy(spec) => Some(spec),
-            TransportSelect::Tcp(opts) => opts.fault.as_ref(),
-            TransportSelect::Shm(opts) => opts.fault.as_ref(),
-            TransportSelect::Reliable {
-                inner: ReliableInner::Lossy(spec),
-                ..
-            } => Some(spec),
-            TransportSelect::Reliable {
-                inner: ReliableInner::Tcp(opts),
-                ..
-            } => opts.fault.as_ref(),
-            TransportSelect::Reliable {
-                inner: ReliableInner::Shm(opts),
-                ..
-            } => opts.fault.as_ref(),
-            _ => None,
+        let link = self.transport.lower()?;
+        let cost_model = self.config.channel;
+        let inner = if link.is_cooperative() {
+            let engine = CoEmulator::with_transport(
+                self.sim,
+                self.acc,
+                self.config,
+                link.shared_medium(cost_model),
+            );
+            SessionInner::Reference(Box::new(match self.observer {
+                Some(observer) => engine.with_observer(observer),
+                None => engine,
+            }))
+        } else {
+            SessionInner::Ports(PortEngine::new(
+                vec![(self.sim, self.acc)],
+                link.mesh(2, cost_model)?,
+                self.config,
+                &link,
+                self.observer,
+            ))
         };
-        if let Some(spec) = fault_spec {
-            spec.validate().map_err(ConfigError::invalid_fault_spec)?;
-        }
-        if let TransportSelect::Reliable {
-            window,
-            retry_budget,
-            ..
-        } = &self.transport
-        {
-            reliable_config(*window, *retry_budget)
-                .validate()
-                .map_err(ConfigError::invalid_reliable_config)?;
-        }
-        let observer = |observer: Option<Box<dyn EmuObserver>>| {
-            observer.unwrap_or_else(|| Box::new(NoopObserver))
-        };
-        let channel_model = self.config.channel;
-        let inner = match self.transport {
-            TransportSelect::Queue => SessionInner::Queue(
-                CoEmulator::with_transport(self.sim, self.acc, self.config, QueueTransport::new())
-                    .with_observer(observer(self.observer)),
-            ),
-            TransportSelect::Lossy(spec) => SessionInner::Lossy(
-                CoEmulator::with_transport(
-                    self.sim,
-                    self.acc,
-                    self.config,
-                    lossy_over(QueueTransport::new(), spec)?,
-                )
-                .with_observer(observer(self.observer)),
-            ),
-            TransportSelect::Threaded(opts) => {
-                let (sim_end, acc_end) = ThreadedTransport::pair();
-                SessionInner::Threaded(ThreadedSession::new(
-                    self.sim,
-                    self.acc,
-                    self.config,
-                    opts,
-                    self.observer,
-                    sim_end,
-                    acc_end,
-                ))
-            }
-            TransportSelect::Tcp(opts) => {
-                let (sim_end, acc_end) = tcp_endpoint_pair(&opts)?;
-                SessionInner::Tcp(ThreadedSession::new(
-                    self.sim,
-                    self.acc,
-                    self.config,
-                    opts.threaded,
-                    self.observer,
-                    sim_end,
-                    acc_end,
-                ))
-            }
-            TransportSelect::Shm(opts) => {
-                let (sim_end, acc_end) = shm_endpoint_pair(&opts)?;
-                SessionInner::Shm(ThreadedSession::new(
-                    self.sim,
-                    self.acc,
-                    self.config,
-                    opts.threaded,
-                    self.observer,
-                    sim_end,
-                    acc_end,
-                ))
-            }
-            TransportSelect::Reliable {
-                inner,
-                window,
-                retry_budget,
-            } => {
-                let rcfg = reliable_config(window, retry_budget);
-                match inner {
-                    ReliableInner::Queue => SessionInner::ReliableQueue(
-                        CoEmulator::with_transport(
-                            self.sim,
-                            self.acc,
-                            self.config,
-                            reliable_over(QueueTransport::new(), rcfg, channel_model)?,
-                        )
-                        .with_observer(observer(self.observer)),
-                    ),
-                    ReliableInner::Lossy(spec) => SessionInner::ReliableLossy(
-                        CoEmulator::with_transport(
-                            self.sim,
-                            self.acc,
-                            self.config,
-                            reliable_over(
-                                lossy_over(QueueTransport::new(), spec)?,
-                                rcfg,
-                                channel_model,
-                            )?,
-                        )
-                        .with_observer(observer(self.observer)),
-                    ),
-                    ReliableInner::Threaded(opts) => {
-                        let (sim_end, acc_end) = ThreadedTransport::pair();
-                        SessionInner::ReliableThreaded(ThreadedSession::new(
-                            self.sim,
-                            self.acc,
-                            self.config,
-                            opts,
-                            self.observer,
-                            reliable_over(sim_end, rcfg, channel_model)?.for_side(Side::Simulator),
-                            reliable_over(acc_end, rcfg, channel_model)?
-                                .for_side(Side::Accelerator),
-                        ))
-                    }
-                    ReliableInner::Tcp(opts) => {
-                        let (sim_end, acc_end) = tcp_endpoint_pair(&opts)?;
-                        SessionInner::ReliableTcp(ThreadedSession::new(
-                            self.sim,
-                            self.acc,
-                            self.config,
-                            opts.threaded,
-                            self.observer,
-                            reliable_over(sim_end, rcfg, channel_model)?.for_side(Side::Simulator),
-                            reliable_over(acc_end, rcfg, channel_model)?
-                                .for_side(Side::Accelerator),
-                        ))
-                    }
-                    ReliableInner::Shm(opts) => {
-                        let (sim_end, acc_end) = shm_endpoint_pair(&opts)?;
-                        SessionInner::ReliableShm(ThreadedSession::new(
-                            self.sim,
-                            self.acc,
-                            self.config,
-                            opts.threaded,
-                            self.observer,
-                            reliable_over(sim_end, rcfg, channel_model)?.for_side(Side::Simulator),
-                            reliable_over(acc_end, rcfg, channel_model)?
-                                .for_side(Side::Accelerator),
-                        ))
-                    }
-                }
-            }
-        };
-        Ok(EmuSession { inner })
+        Ok(EmuSession { inner, link })
     }
-}
-
-/// Builds a fault wrapper through the fallible constructor, lifting the
-/// channel layer's typed rejection into the session error space — the
-/// builder prevalidates every spec, so this cannot actually fail, but the
-/// session layer keeps no panicking path to the channel constructors.
-fn lossy_over<T: Transport>(inner: T, spec: FaultSpec) -> Result<LossyTransport<T>, SessionError> {
-    LossyTransport::try_new(inner, spec)
-        .map_err(|e| SessionError::Config(ConfigError::invalid_fault_spec(e)))
-}
-
-/// Builds a reliability layer through the fallible constructor; same
-/// rationale as [`lossy_over`].
-fn reliable_over<T: Transport>(
-    inner: T,
-    config: ReliableConfig,
-    model: ChannelCostModel,
-) -> Result<ReliableTransport<T>, SessionError> {
-    ReliableTransport::try_new(inner, config, model)
-        .map_err(|e| SessionError::Config(ConfigError::invalid_reliable_config(e)))
-}
-
-/// Per-side fault plans for a two-endpoint backend (a transparent
-/// [`FaultSpec::none`] pair when no faults are requested). The simulator
-/// side uses the configured seed as given; the accelerator side a
-/// decorrelated one, so the two directions see independent fault streams —
-/// mirroring the shared-scope lossy backends, whose single RNG serves both
-/// directions.
-pub(crate) fn per_side_fault_specs(fault: Option<FaultSpec>) -> (FaultSpec, FaultSpec) {
-    let sim_spec = fault.unwrap_or(FaultSpec::none(0));
-    let acc_spec = FaultSpec {
-        seed: sim_spec.seed ^ 0x9e37_79b9_7f4a_7c15,
-        ..sim_spec
-    };
-    (sim_spec, acc_spec)
-}
-
-/// Spawns the ephemeral localhost socket pair for a TCP-backed session and
-/// wraps each endpoint in its side's fault plan.
-fn tcp_endpoint_pair(
-    opts: &TcpOptions,
-) -> Result<(LossyTransport<TcpEndpoint>, LossyTransport<TcpEndpoint>), SessionError> {
-    let (sim_end, acc_end) = TcpTransport::loopback_pair().map_err(SessionError::Io)?;
-    let (sim_spec, acc_spec) = per_side_fault_specs(opts.fault);
-    Ok((
-        lossy_over(sim_end, sim_spec)?,
-        lossy_over(acc_end, acc_spec)?,
-    ))
-}
-
-/// Spawns the shared-memory ring pair for an shm-backed session — a shared
-/// heap region by default, a `/dev/shm` region file under
-/// [`ShmOptions::file_backed`] — and wraps each endpoint in its side's fault
-/// plan, exactly like the socket backend.
-fn shm_endpoint_pair(
-    opts: &ShmOptions,
-) -> Result<(LossyTransport<ShmEndpoint>, LossyTransport<ShmEndpoint>), SessionError> {
-    let (sim_end, acc_end) = if opts.file_backed {
-        #[cfg(unix)]
-        {
-            ShmTransport::file_pair_with_capacity(opts.ring_words).map_err(SessionError::Io)?
-        }
-        #[cfg(not(unix))]
-        {
-            return Err(SessionError::Io(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "file-backed shm regions require a unix host",
-            )));
-        }
-    } else {
-        ShmTransport::pair_with_capacity(opts.ring_words)
-    };
-    let (sim_spec, acc_spec) = per_side_fault_specs(opts.fault);
-    Ok((
-        lossy_over(sim_end, sim_spec)?,
-        lossy_over(acc_end, acc_spec)?,
-    ))
 }
 
 /// Builder for an [`EmuSession`] over an AHB [`SocBlueprint`], composing the
@@ -691,56 +300,24 @@ impl<'bp> BlueprintSessionBuilder<'bp> {
     }
 }
 
-/// Builds the [`ReliableConfig`] a session uses for the given window and
-/// retry budget (defaults for the timing knobs).
-pub(crate) fn reliable_config(window: usize, retry_budget: u32) -> ReliableConfig {
-    ReliableConfig::default()
-        .window(window)
-        .retry_budget(retry_budget)
-}
-
 /// A co-emulation run composed from models, config, transport, and observer.
 ///
 /// See the crate-level docs for the backend catalogue ([`TransportSelect`])
 /// and the boundary-halt semantics shared by every backend.
 pub struct EmuSession<M: DomainModel + Send + 'static> {
     inner: SessionInner<M>,
+    link: LinkSpec,
 }
 
-// Variant sizes are within ~20% of each other and sessions are built once
-// per run, so boxing the largest variant would only add indirection.
-#[allow(clippy::large_enum_variant)]
 enum SessionInner<M: DomainModel + Send + 'static> {
-    Queue(CoEmulator<M, QueueTransport>),
-    Lossy(CoEmulator<M, LossyTransport<QueueTransport>>),
-    Threaded(ThreadedSession<M, ThreadedEndpoint>),
-    Tcp(ThreadedSession<M, LossyTransport<TcpEndpoint>>),
-    Shm(ThreadedSession<M, LossyTransport<ShmEndpoint>>),
-    ReliableQueue(CoEmulator<M, ReliableTransport<QueueTransport>>),
-    ReliableLossy(CoEmulator<M, ReliableTransport<LossyTransport<QueueTransport>>>),
-    ReliableThreaded(ThreadedSession<M, ReliableTransport<ThreadedEndpoint>>),
-    ReliableTcp(ThreadedSession<M, ReliableTransport<LossyTransport<TcpEndpoint>>>),
-    ReliableShm(ThreadedSession<M, ReliableTransport<LossyTransport<ShmEndpoint>>>),
-}
-
-/// Dispatches over the four co-operative (CoEmulator-backed) variants and the
-/// four threaded variants with separate expression bodies, so the repetitive
-/// accessor methods stay readable.
-macro_rules! with_inner {
-    ($inner:expr, |$c:ident| $coop:expr, |$t:ident| $threaded:expr) => {
-        match $inner {
-            SessionInner::Queue($c) => $coop,
-            SessionInner::Lossy($c) => $coop,
-            SessionInner::ReliableQueue($c) => $coop,
-            SessionInner::ReliableLossy($c) => $coop,
-            SessionInner::Threaded($t) => $threaded,
-            SessionInner::Tcp($t) => $threaded,
-            SessionInner::Shm($t) => $threaded,
-            SessionInner::ReliableThreaded($t) => $threaded,
-            SessionInner::ReliableTcp($t) => $threaded,
-            SessionInner::ReliableShm($t) => $threaded,
-        }
-    };
+    /// The reference engine: both domains over one shared in-process medium,
+    /// stepped on the calling thread. (Boxed: it holds its wrappers inline
+    /// and would otherwise make every session five times the port engine's
+    /// size.)
+    Reference(Box<CoEmulator<M, Box<dyn Link>>>),
+    /// The port engine with one edge: each domain on its own end of a real
+    /// link.
+    Ports(PortEngine<M>),
 }
 
 impl EmuSession<AhbDomainModel> {
@@ -772,18 +349,7 @@ impl<M: DomainModel + Send + 'static> EmuSession<M> {
 
     /// A stable name for the backend in force (telemetry).
     pub fn backend(&self) -> &'static str {
-        match &self.inner {
-            SessionInner::Queue(_) => "queue",
-            SessionInner::Lossy(_) => "lossy",
-            SessionInner::Threaded(_) => "threaded",
-            SessionInner::Tcp(_) => "tcp",
-            SessionInner::Shm(_) => "shm",
-            SessionInner::ReliableQueue(_) => "reliable+queue",
-            SessionInner::ReliableLossy(_) => "reliable+lossy",
-            SessionInner::ReliableThreaded(_) => "reliable+threaded",
-            SessionInner::ReliableTcp(_) => "reliable+tcp",
-            SessionInner::ReliableShm(_) => "reliable+shm",
-        }
+        self.link.session_name()
     }
 
     /// Runs until both domains have committed at least `cycles` cycles and
@@ -799,84 +365,86 @@ impl<M: DomainModel + Send + 'static> EmuSession<M> {
     /// a frame, or any protocol/snapshot error — including decode failures
     /// for corrupted packets.
     pub fn run_until_committed(&mut self, cycles: u64) -> Result<(), SimError> {
-        match &mut self.inner {
-            SessionInner::Queue(c) => c.run_until_synchronized(cycles),
-            SessionInner::Lossy(c) => c.run_until_synchronized(cycles),
-            SessionInner::Threaded(t) => t.run_until_synchronized(cycles),
-            SessionInner::Tcp(t) => t.run_until_synchronized(cycles),
-            SessionInner::Shm(t) => t.run_until_synchronized(cycles),
-            SessionInner::ReliableQueue(c) => {
-                let result = c.run_until_synchronized(cycles);
-                map_reliable_outcome(result, c.transport().failure(), 0, c.committed_cycles())
-            }
-            SessionInner::ReliableLossy(c) => {
-                let seed = c.transport().inner().spec().seed;
-                let result = c.run_until_synchronized(cycles);
-                map_reliable_outcome(result, c.transport().failure(), seed, c.committed_cycles())
-            }
-            SessionInner::ReliableThreaded(t) => run_reliable_threaded(t, cycles, 0),
-            SessionInner::ReliableTcp(t) => run_reliable_lossy_threaded(t, cycles),
-            SessionInner::ReliableShm(t) => run_reliable_lossy_threaded(t, cycles),
-        }
+        let result = match &mut self.inner {
+            SessionInner::Reference(c) => c.run_until_synchronized(cycles),
+            SessionInner::Ports(p) => p.run_until_synchronized(cycles),
+        };
+        // A blocking run that returned is a sliced run that reached `Done`.
+        self.reliable_outcome(result.map(|()| SliceStatus::Done))
+            .map(|_| ())
+    }
+
+    /// Maps a run's outcome through the reliable backends' failure rule
+    /// (see [`map_reliable_outcome`]); a no-op on every other backend.
+    fn reliable_outcome(
+        &self,
+        result: Result<SliceStatus, SimError>,
+    ) -> Result<SliceStatus, SimError> {
+        let failure = match &self.inner {
+            SessionInner::Reference(c) => c.transport().failure(),
+            SessionInner::Ports(p) => p.failure(),
+        };
+        map_reliable_outcome(
+            result,
+            failure,
+            self.link.failure_seed(),
+            self.committed_cycles(),
+        )
     }
 
     /// Cycles both domains have committed.
     pub fn committed_cycles(&self) -> u64 {
-        with_inner!(&self.inner, |c| c.committed_cycles(), |t| t
-            .committed_cycles())
+        match &self.inner {
+            SessionInner::Reference(c) => c.committed_cycles(),
+            SessionInner::Ports(p) => p.committed_cycles(None),
+        }
     }
 
-    /// The virtual-time ledger (merged across domain threads for the
-    /// threaded backends).
+    /// The virtual-time ledger (merged across the two per-side ledgers for
+    /// the per-side backends).
     pub fn ledger(&self) -> TimeLedger {
-        with_inner!(&self.inner, |c| c.ledger().clone(), |t| t.merged_ledger())
+        match &self.inner {
+            SessionInner::Reference(c) => c.ledger().clone(),
+            SessionInner::Ports(p) => p.ledger(None),
+        }
     }
 
     /// Channel statistics (merged across the two per-side channels for the
-    /// threaded backends). Recovery overhead of a reliable backend is *not*
+    /// per-side backends). Recovery overhead of a reliable backend is *not*
     /// included — see [`recovery_stats`](Self::recovery_stats) — so these
     /// figures stay comparable with a clean run.
     pub fn channel_stats(&self) -> ChannelStats {
-        with_inner!(&self.inner, |c| c.channel_stats().clone(), |t| t
-            .merged_channel_stats())
+        match &self.inner {
+            SessionInner::Reference(c) => c.channel_stats().clone(),
+            SessionInner::Ports(p) => p.channel_stats(None),
+        }
+    }
+
+    /// One optional counter block of the link stack, merged across both
+    /// sides where each has its own.
+    fn link_stats<S>(&self, hook: fn(&dyn Link) -> Option<S>, merge: fn(&mut S, &S)) -> Option<S> {
+        match &self.inner {
+            SessionInner::Reference(c) => hook(c.transport().as_ref()),
+            SessionInner::Ports(p) => p.link_stats(None, hook, merge),
+        }
     }
 
     /// Fault counters, when the session injects faults (the lossy backend,
-    /// directly or under the reliability layer; the TCP backends when a
-    /// [`TcpOptions::fault`] plan is in force, merged across the two
-    /// per-side wrappers).
+    /// directly or under the reliability layer; the TCP and shm backends
+    /// when an active [`TcpOptions::fault`](crate::TcpOptions::fault) /
+    /// [`ShmOptions::fault`](crate::ShmOptions::fault) plan is in force,
+    /// merged across the two per-side wrappers).
     pub fn fault_stats(&self) -> Option<FaultStats> {
-        match &self.inner {
-            SessionInner::Lossy(c) => Some(c.transport().fault_stats()),
-            SessionInner::ReliableLossy(c) => Some(c.transport().inner().fault_stats()),
-            SessionInner::Tcp(t) => {
-                merged_socket_faults(t.sim_ch.transport(), t.acc_ch.transport())
-            }
-            SessionInner::Shm(t) => {
-                merged_socket_faults(t.sim_ch.transport(), t.acc_ch.transport())
-            }
-            SessionInner::ReliableTcp(t) => {
-                merged_socket_faults(t.sim_ch.transport().inner(), t.acc_ch.transport().inner())
-            }
-            SessionInner::ReliableShm(t) => {
-                merged_socket_faults(t.sim_ch.transport().inner(), t.acc_ch.transport().inner())
-            }
-            _ => None,
+        if !self.link.reports_faults() {
+            return None;
         }
+        self.link_stats(|link| link.fault_stats(), FaultStats::merge)
     }
 
     /// Recovery counters, when the session runs over a reliable backend
-    /// (merged across the two per-side layers for `Reliable{Threaded}` and
-    /// `Reliable{Tcp}`).
+    /// (merged across the two per-side layers where each side has its own).
     pub fn recovery_stats(&self) -> Option<RecoveryStats> {
-        match &self.inner {
-            SessionInner::ReliableQueue(c) => Some(c.transport().recovery_stats()),
-            SessionInner::ReliableLossy(c) => Some(c.transport().recovery_stats()),
-            SessionInner::ReliableThreaded(t) => Some(merged_reliable_recovery(t)),
-            SessionInner::ReliableTcp(t) => Some(merged_reliable_recovery(t)),
-            SessionInner::ReliableShm(t) => Some(merged_reliable_recovery(t)),
-            _ => None,
-        }
+        self.link_stats(|link| link.recovery_stats(), RecoveryStats::merge)
     }
 
     /// Physical-write efficiency counters (frames per socket write / ring
@@ -885,56 +453,56 @@ impl<M: DomainModel + Send + 'static> EmuSession<M> {
     /// lossy/reliable wrappers. `None` for backends with no physical write
     /// concept (queue, lossy-over-queue, mpsc).
     pub fn batch_stats(&self) -> Option<BatchStats> {
-        fn merged<T: Transport>(a: Option<BatchStats>, b: &CostedChannel<T>) -> Option<BatchStats> {
-            match (a, b.batch_stats()) {
-                (Some(mut a), Some(b)) => {
-                    a.merge(&b);
-                    Some(a)
-                }
-                (a, b) => a.or(b),
-            }
+        self.link_stats(|link| link.batch_stats(), BatchStats::merge)
+    }
+
+    /// The two protocol engines, simulator side first.
+    fn wrappers(&self) -> (&ChannelWrapper<M>, &ChannelWrapper<M>) {
+        match &self.inner {
+            SessionInner::Reference(c) => c.wrappers(),
+            SessionInner::Ports(p) => p.edge_wrappers(0),
         }
-        with_inner!(&self.inner, |c| c.transport().batch_stats(), |t| merged(
-            t.sim_ch.batch_stats(),
-            &t.acc_ch
-        ))
     }
 
     /// Simulator-side wrapper statistics.
     pub fn sim_stats(&self) -> &CwStats {
-        with_inner!(&self.inner, |c| c.sim_stats(), |t| t.sim.stats())
+        self.wrappers().0.stats()
     }
 
     /// Accelerator-side wrapper statistics.
     pub fn acc_stats(&self) -> &CwStats {
-        with_inner!(&self.inner, |c| c.acc_stats(), |t| t.acc.stats())
+        self.wrappers().1.stats()
     }
 
     /// The simulator-side model.
     pub fn sim_model(&self) -> &M {
-        with_inner!(&self.inner, |c| c.sim_model(), |t| t.sim.model())
+        self.wrappers().0.model()
     }
 
     /// The accelerator-side model.
     pub fn acc_model(&self) -> &M {
-        with_inner!(&self.inner, |c| c.acc_model(), |t| t.acc.model())
+        self.wrappers().1.model()
     }
 
     /// The configuration in force.
     pub fn config(&self) -> &CoEmuConfig {
-        with_inner!(&self.inner, |c| c.config(), |t| &t.config)
+        match &self.inner {
+            SessionInner::Reference(c) => c.config(),
+            SessionInner::Ports(p) => p.config(),
+        }
     }
 
     /// Builds the performance report over the committed cycles, including
     /// the recovery bill for reliable backends.
     pub fn report(&self) -> PerfReport {
-        let report = with_inner!(&self.inner, |c| c.report(), |t| PerfReport::new(
-            t.merged_ledger(),
-            t.committed_cycles(),
-            t.merged_channel_stats(),
-            t.sim.stats().clone(),
-            t.acc.stats().clone(),
-        ));
+        let (sim, acc) = self.wrappers();
+        let report = PerfReport::new(
+            self.ledger(),
+            self.committed_cycles(),
+            self.channel_stats(),
+            sim.stats().clone(),
+            acc.stats().clone(),
+        );
         let report = match self.recovery_stats() {
             Some(recovery) => report.with_recovery(recovery),
             None => report,
@@ -948,8 +516,8 @@ impl<M: DomainModel + Send + 'static> EmuSession<M> {
     /// Merges the two domains' committed local-output traces into full-bus
     /// records (see [`CoEmulator::merged_trace`]).
     pub fn merged_trace(&self, merge: impl Fn(&[u64], &[u64]) -> Vec<u64>) -> Trace {
-        with_inner!(&self.inner, |c| c.merged_trace(merge), |t| t
-            .merged_trace(merge))
+        let (sim, acc) = self.wrappers();
+        merge_committed_traces(sim, acc, merge)
     }
 
     /// Whether both domains stand at a committed transition boundary — the
@@ -957,8 +525,8 @@ impl<M: DomainModel + Send + 'static> EmuSession<M> {
     /// after every [`run_until_committed`](Self::run_until_committed) call
     /// (the halt condition *is* the boundary).
     pub fn at_checkpoint_boundary(&self) -> bool {
-        with_inner!(&self.inner, |c| c.at_checkpoint_boundary(), |t| t
-            .at_checkpoint_boundary())
+        let (sim, acc) = self.wrappers();
+        sim.at_transition_boundary() && acc.at_transition_boundary()
     }
 
     /// Takes a whole-session checkpoint: both domains' model, predictor,
@@ -981,8 +549,10 @@ impl<M: DomainModel + Send + 'static> EmuSession<M> {
     /// after a failed restore.
     pub fn checkpoint(&self) -> Result<SessionCheckpoint, CheckpointError> {
         let mut ckpt = SessionCheckpoint::new(self.backend(), self.committed_cycles());
-        with_inner!(&self.inner, |c| c.checkpoint_into(&mut ckpt), |t| t
-            .checkpoint_into(&mut ckpt))?;
+        match &self.inner {
+            SessionInner::Reference(c) => c.checkpoint_into(&mut ckpt),
+            SessionInner::Ports(p) => p.checkpoint_into(&mut ckpt),
+        }?;
         Ok(ckpt)
     }
 
@@ -1005,8 +575,10 @@ impl<M: DomainModel + Send + 'static> EmuSession<M> {
                 found: ckpt.backend().to_string(),
             });
         }
-        with_inner!(&mut self.inner, |c| c.restore_from(ckpt), |t| t
-            .restore_from(ckpt))
+        match &mut self.inner {
+            SessionInner::Reference(c) => c.restore_from(ckpt),
+            SessionInner::Ports(p) => p.restore_from(ckpt),
+        }
     }
 
     /// Rebuilds this session on a **fresh transport** and rewinds it onto
@@ -1038,7 +610,10 @@ impl<M: DomainModel + Send + 'static> EmuSession<M> {
         ckpt: &SessionCheckpoint,
         transport: TransportSelect,
     ) -> Result<EmuSession<M>, SessionError> {
-        let (sim, acc, config, observer) = self.into_parts();
+        let (sim, acc, config, observer) = match self.inner {
+            SessionInner::Reference(c) => c.into_parts(),
+            SessionInner::Ports(p) => p.into_parts(),
+        };
         let mut session = EmuSession::builder(sim, acc)
             .config(config)
             .transport(transport)
@@ -1047,109 +622,35 @@ impl<M: DomainModel + Send + 'static> EmuSession<M> {
         session.restore(ckpt)?;
         Ok(session)
     }
-
-    /// Dismantles the session, salvaging the pieces a rebuild needs.
-    fn into_parts(self) -> (M, M, CoEmuConfig, Box<dyn EmuObserver>) {
-        with_inner!(self.inner, |c| c.into_parts(), |t| t.into_parts())
-    }
 }
 
-/// Runs a per-side-reliable threaded session to completion and maps the
-/// outcome through the shared [`RetryExhausted`] precedence rule — one body
-/// for both the mpsc and the socket backends, so their failure semantics can
-/// never drift.
-fn run_reliable_threaded<M, T>(
-    t: &mut ThreadedSession<M, ReliableTransport<T>>,
-    cycles: u64,
-    seed: u64,
-) -> Result<(), SimError>
-where
-    M: DomainModel + Send + 'static,
-    T: WaitTransport + Send,
-{
-    let result = t.run_until_synchronized(cycles);
-    let failure = t
-        .sim_ch
-        .transport()
-        .failure()
-        .or_else(|| t.acc_ch.transport().failure());
-    map_reliable_outcome(result, failure, seed, t.committed_cycles())
-}
-
-/// [`run_reliable_threaded`] for the backends whose per-side endpoints sit
-/// under a fault wrapper (TCP, shm): the replay seed reported on exhaustion
-/// is the fault plan's — when it can actually fire — and 0 otherwise. One
-/// body for every such backend, so the seed derivation can never drift
-/// between them.
-fn run_reliable_lossy_threaded<M, T>(
-    t: &mut ThreadedSession<M, ReliableTransport<LossyTransport<T>>>,
-    cycles: u64,
-) -> Result<(), SimError>
-where
-    M: DomainModel + Send + 'static,
-    T: Transport,
-    LossyTransport<T>: WaitTransport + Send,
-{
-    let spec = *t.sim_ch.transport().inner().spec();
-    let seed = if spec.is_active() { spec.seed } else { 0 };
-    run_reliable_threaded(t, cycles, seed)
-}
-
-/// Merges the two per-side reliability layers' recovery counters.
-fn merged_reliable_recovery<M, T>(t: &ThreadedSession<M, ReliableTransport<T>>) -> RecoveryStats
-where
-    M: DomainModel + Send + 'static,
-    T: WaitTransport + Send,
-{
-    let mut stats = t.sim_ch.transport().recovery_stats();
-    stats.merge(&t.acc_ch.transport().recovery_stats());
-    stats
-}
-
-/// Merges the two per-side fault wrappers of a two-endpoint backend (socket
-/// or shared-memory ring); `None` when neither side injects faults (the
-/// wrapper is then a transparent shim, and reporting all-zero counters would
-/// wrongly suggest fault injection was requested).
-fn merged_socket_faults<T: Transport>(
-    sim: &LossyTransport<T>,
-    acc: &LossyTransport<T>,
-) -> Option<FaultStats> {
-    if !sim.spec().is_active() && !acc.spec().is_active() {
-        return None;
-    }
-    let mut stats = sim.fault_stats();
-    stats.merge(&acc.fault_stats());
-    Some(stats)
-}
-
-/// Converts an *errored* run on a reliable backend: a recorded
+/// Converts a run's outcome on a reliable backend. A recorded
 /// [`RetryExhausted`] failure takes precedence over the raw engine error
-/// (typically the deadlock the abandonment surfaced as). A run that reached
-/// its target is reported as success even if a failure was recorded along
-/// the way — on the threaded backend an OS scheduling stall can burn the
-/// retry budget spuriously, and a completed run proves every abandoned frame
-/// had in fact been delivered.
+/// (typically the deadlock the abandonment surfaced as). An *idle* slice with
+/// an abandoned frame recorded is hopeless too — the abandoned data can never
+/// arrive, so the exhaustion surfaces immediately instead of letting a
+/// scheduler park the session until its deadlock window expires. A run that
+/// reached its target ([`SliceStatus::Done`]; a blocking run that returned)
+/// is reported as success even if a failure was recorded along the way — on
+/// the real-thread backends an OS scheduling stall can burn the retry budget
+/// spuriously, and a completed run proves every abandoned frame had in fact
+/// been delivered.
 pub(crate) fn map_reliable_outcome(
-    result: Result<(), SimError>,
+    result: Result<SliceStatus, SimError>,
     failure: Option<RetryExhausted>,
     seed: u64,
     cycle: u64,
-) -> Result<(), SimError> {
+) -> Result<SliceStatus, SimError> {
     match (result, failure) {
-        (Err(_), Some(f)) => Err(retry_exhausted(f, seed, cycle)),
+        (Err(_) | Ok(SliceStatus::Idle), Some(f)) => Err(SimError::RetryBudgetExhausted {
+            seed,
+            seq: f.seq as u64,
+            retries: f.retries,
+            cycle,
+            idle_picos: f.idle.as_picos(),
+            peer_gone: f.cause == predpkt_channel::TransportDead::PeerGone,
+        }),
         (result, _) => result,
-    }
-}
-
-/// The [`SimError`] a recorded frame abandonment surfaces as.
-pub(crate) fn retry_exhausted(f: RetryExhausted, seed: u64, cycle: u64) -> SimError {
-    SimError::RetryBudgetExhausted {
-        seed,
-        seq: f.seq as u64,
-        retries: f.retries,
-        cycle,
-        idle_picos: f.idle.as_picos(),
-        peer_gone: f.cause == predpkt_channel::TransportDead::PeerGone,
     }
 }
 
@@ -1162,479 +663,19 @@ impl<M: DomainModel + Send + fmt::Debug + 'static> fmt::Debug for EmuSession<M> 
     }
 }
 
-/// The real-thread backend: one [`ChannelWrapper`] per OS thread, each with a
-/// per-side costed channel over a blocking-capable endpoint (a bare
-/// [`ThreadedTransport`] endpoint, or a [`ReliableTransport`] wrapping one)
-/// and its own ledger. Threads are spawned per run and joined before the call
-/// returns, so the session is externally synchronous.
-struct ThreadedSession<M: DomainModel + Send + 'static, E: WaitTransport + Send> {
-    sim: ChannelWrapper<M>,
-    acc: ChannelWrapper<M>,
-    sim_ch: CostedChannel<E>,
-    acc_ch: CostedChannel<E>,
-    sim_ledger: TimeLedger,
-    acc_ledger: TimeLedger,
-    config: CoEmuConfig,
-    opts: ThreadedOpts,
-    /// `None` when no observer is installed, so the worker threads skip the
-    /// serializing mutex entirely on their hot path.
-    observer: Option<Mutex<Box<dyn EmuObserver>>>,
-}
-
-impl<M: DomainModel + Send + 'static, E: WaitTransport + Send> ThreadedSession<M, E> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        sim_model: M,
-        acc_model: M,
-        config: CoEmuConfig,
-        opts: ThreadedOpts,
-        observer: Option<Box<dyn EmuObserver>>,
-        sim_end: E,
-        acc_end: E,
-    ) -> Self {
-        let (sim, acc) = crate::coemu::build_wrapper_pair(sim_model, acc_model, &config);
-        let mut sim_ch = CostedChannel::with_transport(sim_end, config.channel);
-        let mut acc_ch = CostedChannel::with_transport(acc_end, config.channel);
-        // Per-scheduling-slice batching: a domain's sends are parked in the
-        // channel outbox and flushed when the domain next reads the channel
-        // or blocks — consecutive messages (a report followed by the next
-        // transition's opener) coalesce into one physical write. Billing is
-        // identical to the unbatched path, so traces, statistics, and
-        // ledgers stay bit-identical to the queue baseline (the conformance
-        // harness asserts exactly that).
-        sim_ch.set_batching(true);
-        acc_ch.set_batching(true);
-        ThreadedSession {
-            sim,
-            acc,
-            sim_ch,
-            acc_ch,
-            sim_ledger: TimeLedger::new(),
-            acc_ledger: TimeLedger::new(),
-            config,
-            opts,
-            observer: observer.map(Mutex::new),
-        }
-    }
-
-    fn committed_cycles(&self) -> u64 {
-        self.sim.cycle().min(self.acc.cycle())
-    }
-
-    /// Dismantles the session, salvaging models, configuration, and
-    /// observer for a rebuild on a fresh transport (endpoints, channels,
-    /// and ledgers are transport-scoped or restored from the checkpoint).
-    fn into_parts(self) -> (M, M, CoEmuConfig, Box<dyn EmuObserver>) {
-        let observer = match self.observer {
-            Some(m) => m.into_inner().unwrap_or_else(|e| e.into_inner()),
-            None => Box::new(NoopObserver),
-        };
-        (
-            self.sim.into_model(),
-            self.acc.into_model(),
-            self.config,
-            observer,
-        )
-    }
-
-    fn merged_ledger(&self) -> TimeLedger {
-        let mut out = self.sim_ledger.clone();
-        out.merge(&self.acc_ledger);
-        out
-    }
-
-    fn merged_channel_stats(&self) -> ChannelStats {
-        let mut out = self.sim_ch.stats().clone();
-        out.merge(self.acc_ch.stats());
-        out
-    }
-
-    fn merged_trace(&self, merge: impl Fn(&[u64], &[u64]) -> Vec<u64>) -> Trace {
-        crate::wrapper::merge_committed_traces(&self.sim, &self.acc, merge)
-    }
-
-    /// Spawns one thread per domain and runs both to the boundary-halt
-    /// condition; returns after joining both.
-    fn run_until_synchronized(&mut self, cycles: u64) -> Result<(), SimError> {
-        let sim_costs = self.config.costs_for(Side::Simulator);
-        let acc_costs = self.config.costs_for(Side::Accelerator);
-        let opts = self.opts;
-        let epoch = AtomicU64::new(0);
-        let stop = AtomicBool::new(false);
-        let done = AtomicU64::new(0);
-        let observer = self.observer.as_ref();
-        let (sim, acc) = (&mut self.sim, &mut self.acc);
-        let (sim_ch, acc_ch) = (&mut self.sim_ch, &mut self.acc_ch);
-        let (sim_ledger, acc_ledger) = (&mut self.sim_ledger, &mut self.acc_ledger);
-
-        let (sim_result, acc_result) = thread::scope(|s| {
-            let sim_handle = s.spawn(|| {
-                run_side(
-                    sim, sim_ch, sim_ledger, &sim_costs, cycles, &epoch, &stop, &done, opts,
-                    observer,
-                )
-            });
-            let acc_result = run_side(
-                acc, acc_ch, acc_ledger, &acc_costs, cycles, &epoch, &stop, &done, opts, observer,
-            );
-            (
-                sim_handle.join().expect("simulator thread panicked"),
-                acc_result,
-            )
-        });
-        sim_result.and(acc_result)
-    }
-}
-
-/// The labels a two-endpoint (per-side-channel) checkpoint serializes under,
-/// in restore order.
-const THREADED_SECTIONS: [&str; 6] = [
-    "wrapper.sim",
-    "wrapper.acc",
-    "channel.sim",
-    "channel.acc",
-    "ledger.sim",
-    "ledger.acc",
-];
-
-impl<M: DomainModel + Send + 'static, E: WaitTransport + Send + Snapshot> ThreadedSession<M, E> {
-    fn at_checkpoint_boundary(&self) -> bool {
-        self.sim.at_transition_boundary() && self.acc.at_transition_boundary()
-    }
-
-    /// Fills `ckpt` with the per-side component sections. Runs between
-    /// `run_until_synchronized` calls (the domain threads are joined), so
-    /// `&self` access is race-free; endpoint transports serialize nothing —
-    /// in-flight frames in an external medium are healed on resume by a
-    /// reliability layer's re-armed window.
-    fn checkpoint_into(&self, ckpt: &mut SessionCheckpoint) -> Result<(), CheckpointError> {
-        if let Some(err) = self.sim.poisoned().or_else(|| self.acc.poisoned()) {
-            return Err(CheckpointError::Poisoned(err.clone()));
-        }
-        if !self.at_checkpoint_boundary() {
-            return Err(CheckpointError::NotAtBoundary);
-        }
-        ckpt.push_section("wrapper.sim", save_section(|w| self.sim.checkpoint_save(w)));
-        ckpt.push_section("wrapper.acc", save_section(|w| self.acc.checkpoint_save(w)));
-        ckpt.push_section("channel.sim", save_section(|w| self.sim_ch.save(w)));
-        ckpt.push_section("channel.acc", save_section(|w| self.acc_ch.save(w)));
-        ckpt.push_section("ledger.sim", save_section(|w| self.sim_ledger.save(w)));
-        ckpt.push_section("ledger.acc", save_section(|w| self.acc_ledger.save(w)));
-        Ok(())
-    }
-
-    fn restore_from(&mut self, ckpt: &SessionCheckpoint) -> Result<(), CheckpointError> {
-        // Pre-flight the section table before touching anything, so a
-        // checkpoint with the wrong shape is rejected without mutation.
-        for label in THREADED_SECTIONS {
-            ckpt.section(label)?;
-        }
-        let result = (|| {
-            let ThreadedSession {
-                sim,
-                acc,
-                sim_ch,
-                acc_ch,
-                sim_ledger,
-                acc_ledger,
-                ..
-            } = self;
-            restore_section(ckpt, "wrapper.sim", |r| sim.checkpoint_restore(r))?;
-            restore_section(ckpt, "wrapper.acc", |r| acc.checkpoint_restore(r))?;
-            restore_section(ckpt, "channel.sim", |r| sim_ch.restore(r))?;
-            restore_section(ckpt, "channel.acc", |r| acc_ch.restore(r))?;
-            restore_section(ckpt, "ledger.sim", |r| sim_ledger.restore(r))?;
-            restore_section(ckpt, "ledger.acc", |r| acc_ledger.restore(r))
-        })();
-        if let Err(CheckpointError::Snapshot { source, .. }) = &result {
-            // A failed section leaves the pair inconsistent: poison both
-            // wrappers so the session refuses to step until a full restore
-            // succeeds.
-            self.sim.poison(source.clone());
-            self.acc.poison(source.clone());
-        }
-        result
-    }
-}
-
-/// The per-domain thread body: step until halted, blocked-wait on the
-/// endpoint, detect starvation via the shared progress epoch. A domain that
-/// reaches its halt condition *lingers* (see below) until its peer halts too.
-#[allow(clippy::too_many_arguments)]
-fn run_side<M: DomainModel, E: WaitTransport>(
-    wrapper: &mut ChannelWrapper<M>,
-    ch: &mut CostedChannel<E>,
-    ledger: &mut TimeLedger,
-    costs: &DomainCosts,
-    target: u64,
-    epoch: &AtomicU64,
-    stop: &AtomicBool,
-    done: &AtomicU64,
-    opts: ThreadedOpts,
-    observer: Option<&Mutex<Box<dyn EmuObserver>>>,
-) -> Result<(), SimError> {
-    let mut noop = NoopObserver;
-    let mut shared;
-    let obs: &mut dyn EmuObserver = match observer {
-        Some(m) => {
-            shared = SharedObserver::new(m);
-            &mut shared
-        }
-        None => &mut noop,
-    };
-    let mut blocked_at: Option<(u64, Instant)> = None;
-    let mut halted = false;
-    loop {
-        if stop.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        if wrapper.at_transition_boundary() && wrapper.cycle() >= target {
-            if !halted {
-                halted = true;
-                // The final message of the run (e.g. the closing report) may
-                // still sit in the batching outbox: push it out before
-                // lingering, or the peer would starve into a deadlock.
-                ch.flush();
-                done.fetch_add(1, Ordering::AcqRel);
-            }
-            if done.load(Ordering::Acquire) >= 2 {
-                return Ok(());
-            }
-            // This domain is finished, but a per-side reliability layer may
-            // still owe the peer retransmissions and must keep consuming
-            // acknowledgements — returning now would strand the peer if the
-            // link dropped an in-flight frame. Protocol traffic stops at the
-            // boundary, so anything drained here is recovery-layer chatter
-            // (acks consumed inside the transport, duplicates it suppresses).
-            if ch.transport_mut().wait_for_packet(opts.poll_interval) {
-                let _ = ch.recv(wrapper.side());
-            }
-            continue;
-        }
-        match wrapper.step(ch, ledger, costs, &mut *obs) {
-            Ok(Progress::Worked) => {
-                epoch.fetch_add(1, Ordering::AcqRel);
-                blocked_at = None;
-            }
-            Ok(Progress::Blocked) => {
-                let now_epoch = epoch.load(Ordering::Acquire);
-                match blocked_at {
-                    Some((e, since)) if e == now_epoch => {
-                        if since.elapsed() >= opts.deadlock_timeout {
-                            stop.store(true, Ordering::Release);
-                            return Err(SimError::Deadlock {
-                                cycle: wrapper.cycle(),
-                            });
-                        }
-                    }
-                    _ => blocked_at = Some((now_epoch, Instant::now())),
-                }
-                ch.transport_mut().wait_for_packet(opts.poll_interval);
-            }
-            Err(e) => {
-                stop.store(true, Ordering::Release);
-                return Err(e);
-            }
-        }
-    }
-}
-
-impl<M, E> ThreadedSession<M, E>
-where
-    M: DomainModel + Send + 'static,
-    E: WaitTransport + Send + PollReady,
-{
-    /// One bounded co-operative slice of the two-endpoint session: both
-    /// domains stepped round-robin *on the calling thread*, against the same
-    /// per-side channels, ledgers, and batching the two-thread runner uses.
-    /// The message sequence is identical to
-    /// [`run_until_synchronized`](Self::run_until_synchronized) — stepping
-    /// order cannot reorder packets that cross a real medium, the halt
-    /// condition is the same deterministic protocol event, and the
-    /// halt-linger flush happens at the same points — so traces, statistics,
-    /// and ledgers stay bit-identical to the threaded (and queue) runs.
-    ///
-    /// Where the two-thread runner parks a blocked domain in
-    /// `wait_for_packet`, this returns [`SliceStatus::Idle`] so the caller
-    /// can multiplex the wait over many sessions (the session farm parks it
-    /// on a [poll-set](predpkt_channel::PollSet)). Starvation detection
-    /// therefore also moves to the caller — with one exception: a *dead*
-    /// medium (peer gone, everything drained) with nothing deliverable fails
-    /// fast with [`SimError::Deadlock`] instead of waiting out a timeout.
-    fn run_slice(&mut self, target: u64, max_steps: u32) -> Result<SliceStatus, SimError> {
-        let sim_costs = self.config.costs_for(Side::Simulator);
-        let acc_costs = self.config.costs_for(Side::Accelerator);
-        let ThreadedSession {
-            sim,
-            acc,
-            sim_ch,
-            acc_ch,
-            sim_ledger,
-            acc_ledger,
-            observer,
-            ..
-        } = self;
-        let mut noop = NoopObserver;
-        let mut shared;
-        let obs: &mut dyn EmuObserver = match observer.as_ref() {
-            Some(m) => {
-                shared = SharedObserver::new(m);
-                &mut shared
-            }
-            None => &mut noop,
-        };
-        let halted = |w: &ChannelWrapper<M>| w.at_transition_boundary() && w.cycle() >= target;
-        for _ in 0..max_steps {
-            let sim_halted = halted(sim);
-            let acc_halted = halted(acc);
-            if sim_halted && acc_halted {
-                // Both flushes are no-ops if the linger branch below already
-                // pushed the final outbox out.
-                sim_ch.flush();
-                acc_ch.flush();
-                return Ok(SliceStatus::Done);
-            }
-            let a = if sim_halted {
-                // The halt-linger of the two-thread runner (see `run_side`):
-                // the final message of the run may still sit in the batching
-                // outbox (recv flushes it), and a per-side reliability layer
-                // may owe the peer retransmissions and must keep consuming
-                // acknowledgements. Anything drained here is recovery-layer
-                // chatter — protocol traffic stops at the boundary.
-                let _ = sim_ch.recv(Side::Simulator);
-                Progress::Blocked
-            } else {
-                sim.step(sim_ch, sim_ledger, &sim_costs, &mut *obs)?
-            };
-            let b = if acc_halted {
-                let _ = acc_ch.recv(Side::Accelerator);
-                Progress::Blocked
-            } else {
-                acc.step(acc_ch, acc_ledger, &acc_costs, &mut *obs)?
-            };
-            if a == Progress::Blocked && b == Progress::Blocked {
-                let deliverable = if sim_halted {
-                    0
-                } else {
-                    sim_ch.pending(Side::Simulator)
-                } + if acc_halted {
-                    0
-                } else {
-                    acc_ch.pending(Side::Accelerator)
-                };
-                if deliverable == 0 {
-                    // Nothing locally decoded — but frames may be in flight
-                    // inside the medium (kernel socket buffer, ring). Probe
-                    // both endpoints without blocking.
-                    match sim_ch
-                        .transport_mut()
-                        .readiness()
-                        .combine(acc_ch.transport_mut().readiness())
-                    {
-                        // Data just landed: keep stepping, it is deliverable
-                        // on the next round.
-                        Readiness::Ready => {}
-                        Readiness::Idle => return Ok(SliceStatus::Idle),
-                        Readiness::Dead => {
-                            return Err(SimError::Deadlock {
-                                cycle: sim.cycle().min(acc.cycle()),
-                            })
-                        }
-                    }
-                }
-            }
-        }
-        // The budget may have run out on exactly the round that finished.
-        if halted(&*sim) && halted(&*acc) {
-            self.sim_ch.flush();
-            self.acc_ch.flush();
-            return Ok(SliceStatus::Done);
-        }
-        Ok(SliceStatus::Working)
-    }
-
-    /// Non-blocking readiness of the pair of endpoints (the farm's parking
-    /// probe): data anywhere wins, then death, then idleness.
-    fn poll_endpoints(&mut self) -> Readiness {
-        self.sim_ch
-            .transport_mut()
-            .readiness()
-            .combine(self.acc_ch.transport_mut().readiness())
-    }
-}
-
-/// [`map_reliable_outcome`] for sliced runs: additionally, an *idle* session
-/// with an abandoned frame recorded is hopeless — the abandoned data can
-/// never arrive, so the exhaustion surfaces immediately instead of letting a
-/// scheduler park the session until its deadlock window expires. A slice
-/// that reaches [`SliceStatus::Done`] still reports success even with a
-/// failure recorded (the completed run proves every abandoned frame had in
-/// fact been delivered — same rule as the blocking runner).
-fn map_reliable_slice(
-    result: Result<SliceStatus, SimError>,
-    failure: Option<RetryExhausted>,
-    seed: u64,
-    cycle: u64,
-) -> Result<SliceStatus, SimError> {
-    match (result, failure) {
-        (Err(_), Some(f)) => Err(retry_exhausted(f, seed, cycle)),
-        (Ok(SliceStatus::Idle), Some(f)) => Err(retry_exhausted(f, seed, cycle)),
-        (result, _) => result,
-    }
-}
-
-/// [`run_reliable_threaded`], sliced: one body for every per-side-reliable
-/// backend so the failure precedence cannot drift from the blocking runner.
-fn slice_reliable_threaded<M, T>(
-    t: &mut ThreadedSession<M, ReliableTransport<T>>,
-    target: u64,
-    max_steps: u32,
-    seed: u64,
-) -> Result<SliceStatus, SimError>
-where
-    M: DomainModel + Send + 'static,
-    T: WaitTransport + Send + PollReady,
-{
-    let result = t.run_slice(target, max_steps);
-    let failure = t
-        .sim_ch
-        .transport()
-        .failure()
-        .or_else(|| t.acc_ch.transport().failure());
-    map_reliable_slice(result, failure, seed, t.committed_cycles())
-}
-
-/// [`run_reliable_lossy_threaded`], sliced: the replay seed reported on
-/// exhaustion is the fault plan's when it can actually fire, 0 otherwise.
-fn slice_reliable_lossy<M, T>(
-    t: &mut ThreadedSession<M, ReliableTransport<LossyTransport<T>>>,
-    target: u64,
-    max_steps: u32,
-) -> Result<SliceStatus, SimError>
-where
-    M: DomainModel + Send + 'static,
-    T: Transport,
-    LossyTransport<T>: WaitTransport + Send + PollReady,
-{
-    let spec = *t.sim_ch.transport().inner().spec();
-    let seed = if spec.is_active() { spec.seed } else { 0 };
-    slice_reliable_threaded(t, target, max_steps, seed)
-}
-
 /// An [`EmuSession`] scheduled in bounded slices instead of run to completion
 /// on dedicated threads — the unit a [session
 /// farm](https://docs.rs/predpkt-farm) multiplexes over a fixed worker pool.
 ///
 /// Every backend the session layer offers runs sliced, with the same
-/// committed results: the queue-backed variants already were co-operative,
-/// and the two-endpoint variants (mpsc, TCP, shm — bare or under the
-/// reliable layer) step both domains on the calling thread, moving the
-/// blocking waits out to the caller as [`SliceStatus::Idle`] +
-/// [`readiness`](Self::readiness). The cross-transport conformance property
-/// carries over: driving a session to [`SliceStatus::Done`] through *any*
-/// interleaving of slices commits bit-identical traces, channel statistics,
-/// and ledgers to one uninterrupted [`EmuSession::run_until_committed`]
-/// call.
+/// committed results: the reference engine is co-operative to begin with,
+/// and the port engine (mpsc, TCP, shm — bare or under the reliable layer)
+/// steps both domains on the calling thread, moving the blocking waits out
+/// to the caller as [`SliceStatus::Idle`] + [`readiness`](Self::readiness).
+/// The cross-transport conformance property carries over: driving a session
+/// to [`SliceStatus::Done`] through *any* interleaving of slices commits
+/// bit-identical traces, channel statistics, and ledgers to one
+/// uninterrupted [`EmuSession::run_until_committed`] call.
 ///
 /// ```
 /// use predpkt_core::{EmuSession, SliceStatus, SocBlueprint, Side};
@@ -1746,26 +787,11 @@ impl<M: DomainModel + Send + 'static> SlicedSession<M> {
     /// One bounded run of the backend engine toward `target`, with no
     /// checkpoint capture.
     fn dispatch_slice(&mut self, target: u64, max_steps: u32) -> Result<SliceStatus, SimError> {
-        let status = match &mut self.session.inner {
-            SessionInner::Queue(c) => c.run_slice(target, max_steps),
-            SessionInner::Lossy(c) => c.run_slice(target, max_steps),
-            SessionInner::Threaded(t) => t.run_slice(target, max_steps),
-            SessionInner::Tcp(t) => t.run_slice(target, max_steps),
-            SessionInner::Shm(t) => t.run_slice(target, max_steps),
-            SessionInner::ReliableQueue(c) => {
-                let result = c.run_slice(target, max_steps);
-                map_reliable_slice(result, c.transport().failure(), 0, c.committed_cycles())
-            }
-            SessionInner::ReliableLossy(c) => {
-                let seed = c.transport().inner().spec().seed;
-                let result = c.run_slice(target, max_steps);
-                map_reliable_slice(result, c.transport().failure(), seed, c.committed_cycles())
-            }
-            SessionInner::ReliableThreaded(t) => slice_reliable_threaded(t, target, max_steps, 0),
-            SessionInner::ReliableTcp(t) => slice_reliable_lossy(t, target, max_steps),
-            SessionInner::ReliableShm(t) => slice_reliable_lossy(t, target, max_steps),
-        }?;
-        Ok(status)
+        let result = match &mut self.session.inner {
+            SessionInner::Reference(c) => c.run_slice(target, max_steps),
+            SessionInner::Ports(p) => p.run_slice(target, max_steps),
+        };
+        self.session.reliable_outcome(result)
     }
 
     /// Stashes a checkpoint if the session stands at a committed boundary
@@ -1871,16 +897,8 @@ impl<M: DomainModel + Send + 'static> PollReady for SlicedSession<M> {
     /// fail fast, freeing its slot.
     fn readiness(&mut self) -> Readiness {
         match &mut self.session.inner {
-            SessionInner::Queue(_)
-            | SessionInner::Lossy(_)
-            | SessionInner::ReliableQueue(_)
-            | SessionInner::ReliableLossy(_) => Readiness::Ready,
-            SessionInner::Threaded(t) => t.poll_endpoints(),
-            SessionInner::Tcp(t) => t.poll_endpoints(),
-            SessionInner::Shm(t) => t.poll_endpoints(),
-            SessionInner::ReliableThreaded(t) => t.poll_endpoints(),
-            SessionInner::ReliableTcp(t) => t.poll_endpoints(),
-            SessionInner::ReliableShm(t) => t.poll_endpoints(),
+            SessionInner::Reference(_) => Readiness::Ready,
+            SessionInner::Ports(p) => p.readiness(),
         }
     }
 }

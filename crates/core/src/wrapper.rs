@@ -245,7 +245,7 @@ pub(crate) struct DomainCosts {
 const ADAPTIVE_MIN_DEPTH: usize = 2;
 
 /// Merges the committed prefix of two wrappers' local-output traces into
-/// full-bus records (shared by the co-operative and threaded runners).
+/// full-bus records (shared by the reference and port engines).
 pub(crate) fn merge_committed_traces<M: DomainModel>(
     sim: &ChannelWrapper<M>,
     acc: &ChannelWrapper<M>,
@@ -390,11 +390,6 @@ impl<M: DomainModel> ChannelWrapper<M> {
     /// deterministic protocol event independent of scheduling.
     pub(crate) fn at_transition_boundary(&self) -> bool {
         matches!(self.phase, Phase::Elect)
-    }
-
-    /// The domain this wrapper drives.
-    pub(crate) fn side(&self) -> Side {
-        self.side
     }
 
     /// The restore failure that quarantined this wrapper, if any.

@@ -11,8 +11,9 @@
 //! The harness replaces the ad-hoc per-variant assertions that used to live
 //! in `transport_equivalence.rs`: adding a transport backend now means adding
 //! one line to [`conformant_backends`], and the whole matrix — including the
-//! reliable layer's clean-link invariants (zero retransmissions, nonzero
-//! acks, strictly higher billed words) — applies to it unchanged.
+//! reliable layer's clean-link invariants (no CRC rejects, nonzero acks,
+//! strictly higher billed words; zero retransmissions where the clock is
+//! deterministic) — applies to it unchanged.
 //!
 //! Socket-backed variants run over ephemeral localhost ports
 //! (`TcpTransport::loopback_pair`), so parallel test processes cannot collide
@@ -268,9 +269,10 @@ pub fn assert_matches_baseline(
     );
 }
 
-/// Asserts the reliable layer's clean-link invariants: no repairs were ever
-/// needed, every frame was still acknowledged, and the honest bill (headers +
-/// acks) is strictly higher than the baseline's.
+/// Asserts the reliable layer's clean-link invariants: nothing was corrupted,
+/// every frame was still acknowledged, and the honest bill (headers + acks)
+/// is strictly higher than the baseline's — plus, where the retransmission
+/// clock is deterministic, that no repair was ever needed.
 pub fn assert_clean_reliable_invariants(
     workload: &Workload,
     name: &str,
@@ -283,11 +285,20 @@ pub fn assert_clean_reliable_invariants(
             workload.name
         )
     });
-    assert_eq!(
-        recovery.retransmits, 0,
-        "{}/{name}: clean link needs no retransmission",
-        workload.name
-    );
+    // Only the co-operative rows promise zero retransmissions: their clock
+    // ticks on protocol polls alone. On the real-thread rows polls are
+    // wall-clock-paced, so a descheduled peer can fire a spurious (harmless,
+    // duplicate-suppressed) retransmission on a perfectly clean link — see
+    // the "Virtual-time retransmission clock" paragraph in
+    // `predpkt_channel::reliable`. There `retransmits` is unconstrained;
+    // bit-identity to the baseline is what is promised, and already checked.
+    if matches!(name, "reliable+queue" | "reliable+lossy") {
+        assert_eq!(
+            recovery.retransmits, 0,
+            "{}/{name}: clean link needs no retransmission",
+            workload.name
+        );
+    }
     assert_eq!(
         recovery.crc_rejects, 0,
         "{}/{name}: clean link corrupts nothing",

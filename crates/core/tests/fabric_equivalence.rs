@@ -13,12 +13,12 @@
 mod common;
 
 use common::conformance::{
-    shm_opts, tcp_opts, test_opts, workload_config, workload_matrix, Workload,
+    conformant_backends, shm_opts, tcp_opts, test_opts, workload_config, workload_matrix, Workload,
 };
 use common::figure2_soc;
 use predpkt_channel::{ChannelStats, FaultSpec, Side};
 use predpkt_core::{
-    EmuSession, FabricLinkSelect, FabricReliableInner, FabricSession, SessionError, SocBlueprint,
+    CheckpointError, EmuSession, FabricSession, ReliableInner, SessionError, SocBlueprint,
     TransportSelect,
 };
 use predpkt_sim::VirtualTime;
@@ -41,30 +41,38 @@ struct FabricObserved {
 }
 
 /// Every fabric link backend, with its stable name. The queue baseline is
-/// first; fault-injecting variants appear in their fault-free configuration
-/// (seeded fault sweeps have their own test).
-fn fabric_backends() -> Vec<(&'static str, FabricLinkSelect)> {
+/// first; the real-link fault-injecting variants appear in their fault-free
+/// configuration (their seeded fault sweep has its own test), while the
+/// in-process reliable-over-lossy row carries a live seeded plan — it is
+/// stepped co-operatively, so its repairs are deterministic and must land on
+/// the clean baseline like everything else.
+fn fabric_backends() -> Vec<(&'static str, TransportSelect)> {
     vec![
-        ("queue", FabricLinkSelect::Queue(test_opts())),
-        ("threaded", FabricLinkSelect::Threaded(test_opts())),
-        ("tcp", FabricLinkSelect::Tcp(tcp_opts())),
-        ("shm", FabricLinkSelect::Shm(shm_opts())),
-        ("shm+file", FabricLinkSelect::Shm(shm_opts().file_backed())),
+        ("queue", TransportSelect::Queue),
+        ("lossy", TransportSelect::Lossy(FaultSpec::none(1))),
+        ("threaded", TransportSelect::Threaded(test_opts())),
+        ("tcp", TransportSelect::Tcp(tcp_opts())),
+        ("shm", TransportSelect::Shm(shm_opts())),
+        ("shm+file", TransportSelect::Shm(shm_opts().file_backed())),
         (
             "reliable+queue",
-            FabricLinkSelect::reliable(FabricReliableInner::Queue(test_opts())),
+            TransportSelect::reliable(ReliableInner::Queue),
+        ),
+        (
+            "reliable+lossy",
+            TransportSelect::reliable(ReliableInner::Lossy(FaultSpec::drops(29, 0.1))),
         ),
         (
             "reliable+threaded",
-            FabricLinkSelect::reliable(FabricReliableInner::Threaded(test_opts())),
+            TransportSelect::reliable(ReliableInner::Threaded(test_opts())),
         ),
         (
             "reliable+tcp",
-            FabricLinkSelect::reliable(FabricReliableInner::Tcp(tcp_opts())),
+            TransportSelect::reliable(ReliableInner::Tcp(tcp_opts())),
         ),
         (
             "reliable+shm",
-            FabricLinkSelect::reliable(FabricReliableInner::Shm(shm_opts())),
+            TransportSelect::reliable(ReliableInner::Shm(shm_opts())),
         ),
     ]
 }
@@ -93,7 +101,7 @@ fn observe_fabric(session: &FabricSession, blueprint: &SocBlueprint) -> FabricOb
     }
 }
 
-fn run_fabric(n: usize, link: FabricLinkSelect, workload: &Workload) -> FabricObserved {
+fn run_fabric(n: usize, link: TransportSelect, workload: &Workload) -> FabricObserved {
     let blueprint = figure2_soc();
     let mut session = FabricSession::from_blueprint(&blueprint, n)
         .config(workload_config(workload))
@@ -109,7 +117,7 @@ fn run_fabric(n: usize, link: FabricLinkSelect, workload: &Workload) -> FabricOb
 /// The whole-matrix conformance sweep for an `n`-domain fabric.
 fn assert_fabric_conformance(n: usize) {
     for workload in workload_matrix() {
-        let baseline = run_fabric(n, FabricLinkSelect::Queue(test_opts()), &workload);
+        let baseline = run_fabric(n, TransportSelect::Queue, &workload);
         assert_eq!(
             baseline.domains.len(),
             n,
@@ -165,9 +173,9 @@ fn eight_domain_fabric_conforms_across_backends() {
 fn faulted_reliable_fabric_matches_clean_baseline() {
     let workload = workload_matrix().remove(0);
     for n in [2usize, 3] {
-        let baseline = run_fabric(n, FabricLinkSelect::Queue(test_opts()), &workload);
+        let baseline = run_fabric(n, TransportSelect::Queue, &workload);
         for seed in [11u64, 97] {
-            let faulted = FabricLinkSelect::reliable(FabricReliableInner::Tcp(
+            let faulted = TransportSelect::reliable(ReliableInner::Tcp(
                 tcp_opts().fault(FaultSpec::drops(seed, 0.15)),
             ));
             let observed = run_fabric(n, faulted, &workload);
@@ -226,6 +234,55 @@ fn two_domain_fabric_degenerates_to_emu_session() {
                 "{}",
                 ctx("fabric virtual time diverged")
             );
+        }
+    }
+}
+
+/// One link description names both runners: for every `TransportSelect`
+/// shape the fabric's backend name is the session's behind a `"fabric+"`
+/// prefix, and the name a checkpoint is stamped with is exactly what
+/// `restore` matches on — a cut restores into any session reporting the same
+/// name and is rejected as a `BackendMismatch` by every other.
+#[test]
+fn backend_names_agree_between_session_and_fabric_and_gate_restore() {
+    let blueprint = figure2_soc();
+    let session = |select: TransportSelect| {
+        EmuSession::from_blueprint(&blueprint)
+            .transport(select)
+            .build()
+            .expect("two-domain session builds")
+    };
+    let checkpoints: Vec<_> = conformant_backends()
+        .into_iter()
+        .map(|(name, select)| {
+            let mut emu = session(select);
+            let fabric = FabricSession::from_blueprint(&blueprint, 2)
+                .link(select)
+                .build()
+                .expect("fabric session builds");
+            assert_eq!(
+                format!("fabric+{}", emu.backend()),
+                fabric.backend(),
+                "{name}: session and fabric name the same link differently"
+            );
+            emu.run_until_committed(40).expect("session completes");
+            let ckpt = emu.checkpoint().expect("halted at a boundary");
+            assert_eq!(ckpt.backend(), emu.backend(), "{name}: stamped name");
+            ckpt
+        })
+        .collect();
+    for (name, select) in conformant_backends() {
+        for ckpt in &checkpoints {
+            let mut twin = session(select);
+            match twin.restore(ckpt) {
+                Ok(()) => assert_eq!(ckpt.backend(), twin.backend(), "{name}"),
+                Err(CheckpointError::BackendMismatch { expected, found }) => {
+                    assert_ne!(ckpt.backend(), twin.backend(), "{name}");
+                    assert_eq!(expected, twin.backend(), "{name}");
+                    assert_eq!(found, ckpt.backend(), "{name}");
+                }
+                Err(other) => panic!("{name}: unexpected restore error {other}"),
+            }
         }
     }
 }

@@ -1,4 +1,18 @@
 //! The closed-form model.
+//!
+//! ## Deviation from the paper: fixed-depth vs adaptive run-ahead
+//!
+//! Read literally, the paper's leader always runs ahead a full LOB; that
+//! fixed-depth mechanism ([`AnalyticRow::at`], `CoEmuConfig::adaptive_depth`
+//! off) throws away up to a whole LOB of speculative cycles on every early
+//! misprediction, which moves the ALS break-even up to p ≈ 0.35 and leaves
+//! the low-accuracy columns of Table 2 well below the published figures
+//! (hence the ±25 % per-point shape tolerance in the tests). The
+//! adaptive-depth mechanism ([`AnalyticRow::at_adaptive`]: ramp toward the
+//! LOB cap on clean transitions, shrink to the observed run length on
+//! failures) stays within a few percent of the conventional baseline even
+//! at p = 0.1, like the paper's Table 2 (ratio 0.94), so both are modelled
+//! and measured side by side.
 
 use predpkt_channel::{ChannelCostModel, Direction, Side};
 use predpkt_core::CoEmuConfig;
@@ -410,8 +424,9 @@ mod tests {
         for (p, paper_perf) in paper {
             let row = AnalyticRow::at(&m, p);
             let rel = (row.performance - paper_perf) / paper_perf;
-            // Our mechanism differs in known ways (DESIGN.md §4.5); the shape
-            // tolerance is ±25% per point.
+            // Our mechanism differs in known ways (see the module docs'
+            // "Deviation from the paper"); the shape tolerance is ±25% per
+            // point.
             assert!(
                 rel.abs() < 0.25,
                 "p={p}: model {} vs paper {paper_perf} ({:+.1}%)",

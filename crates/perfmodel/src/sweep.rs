@@ -121,8 +121,8 @@ mod tests {
     #[test]
     fn als_break_even_fixed_depth() {
         // A fixed full-depth run-ahead wastes 64 speculative cycles per early
-        // failure, moving the ALS break-even up to p ≈ 0.35 (documented
-        // deviation, DESIGN.md §4.5).
+        // failure, moving the ALS break-even up to p ≈ 0.35 (the deviation
+        // documented in the `predpkt_perfmodel::model` module docs).
         let be = break_even_accuracy(&als(1_000, 64), 0.01, 0.9).expect("crossing exists");
         assert!(
             (0.25..=0.45).contains(&be),

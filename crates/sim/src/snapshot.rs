@@ -376,6 +376,18 @@ pub trait Snapshot {
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError>;
 }
 
+/// A boxed component checkpoints as the component it holds, so type-erased
+/// state (`Box<dyn Snapshot>`) serializes exactly like the concrete type.
+impl<S: Snapshot + ?Sized> Snapshot for Box<S> {
+    fn save(&self, w: &mut StateWriter<'_>) {
+        (**self).save(w);
+    }
+
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        (**self).restore(r)
+    }
+}
+
 /// Convenience: saves any [`Snapshot`] component into a fresh [`StateVec`].
 pub fn save_to_vec<S: Snapshot + ?Sized>(component: &S) -> StateVec {
     let mut state = StateVec::new();
