@@ -5,22 +5,19 @@
 //! this bin makes that relationship a standing artifact. For each cell of
 //! the suite × workload × backend matrix it reports the observed prediction
 //! hit rate, the billed channel traffic in words, and wall-clock time.
-//! `traffic_words` is fully deterministic (it depends only on the protocol
-//! event stream, which conformance pins across backends), which is what lets
-//! CI trend-gate it without the noise floor of wall-clock metrics.
+//! The words column is fully deterministic (it depends only on the protocol
+//! event stream, which conformance pins across backends); the wall column is
+//! context only — host speed is read from `benchmark/`.
 //!
 //! The bin also self-checks the tentpole claim: on the hotspot-mesh workload
 //! the sequence-learning suites (markov, adaptive) must move strictly fewer
 //! words than `LastValueSuite`.
 //!
 //! Run: `cargo run -p predpkt-bench --release --bin accuracy_sweep [cycles]`
-//! Pass `--json` to also write `BENCH_accuracy_sweep.json`, `--quick` for
-//! the reduced CI configuration.
 
 use std::time::Instant;
 
-use predpkt_bench::args::{write_bench_json, BenchArgs, JsonValue};
-use predpkt_bench::loopback::bench_opts;
+use predpkt_bench::{bench_opts, cycles_arg};
 use predpkt_core::{
     CoEmuConfig, EmuSession, ModePolicy, ShmOptions, SocBlueprint, TransportSelect,
 };
@@ -31,27 +28,23 @@ use predpkt_workloads::{
 
 const SUITES: &[&str] = &["paper", "lastvalue", "markov", "adaptive"];
 
-fn workloads(quick: bool) -> Vec<(&'static str, SocBlueprint)> {
-    let mut w = vec![
+fn workloads() -> Vec<(&'static str, SocBlueprint)> {
+    vec![
         ("mesh-hotspot", mesh_hotspot_soc(MeshConfig::default())),
         ("desc-ring", descriptor_ring_soc(RingConfig::default())),
-    ];
-    if !quick {
-        w.push(("figure2", figure2_soc(42)));
-    }
-    w
+        ("figure2", figure2_soc(42)),
+    ]
 }
 
-fn backends(quick: bool) -> Vec<(&'static str, TransportSelect)> {
-    let mut b = vec![("queue", TransportSelect::Queue)];
-    if !quick {
-        b.push(("threaded", TransportSelect::Threaded(bench_opts())));
-    }
-    b.push((
-        "shm",
-        TransportSelect::Shm(ShmOptions::default().threaded(bench_opts())),
-    ));
-    b
+fn backends() -> Vec<(&'static str, TransportSelect)> {
+    vec![
+        ("queue", TransportSelect::Queue),
+        ("threaded", TransportSelect::Threaded(bench_opts())),
+        (
+            "shm",
+            TransportSelect::Shm(ShmOptions::default().threaded(bench_opts())),
+        ),
+    ]
 }
 
 fn config() -> CoEmuConfig {
@@ -90,10 +83,9 @@ fn run_cell(
 }
 
 fn main() {
-    let args = BenchArgs::parse();
-    let cycles = args.cycles(1600, 600);
-    let workloads = workloads(args.quick);
-    let backends = backends(args.quick);
+    let cycles = cycles_arg(1600);
+    let workloads = workloads();
+    let backends = backends();
 
     println!("== Accuracy × traffic sweep: suite × workload × backend ==");
     println!("({cycles} committed cycles per cell)\n");
@@ -102,7 +94,6 @@ fn main() {
         "suite", "workload", "backend", "hit", "words", "wall"
     );
 
-    let mut rows = Vec::new();
     // lastvalue/markov/adaptive traffic on the self-check cell.
     let mut mesh_queue_words: Vec<(String, u64)> = Vec::new();
     for (wname, blueprint) in &workloads {
@@ -125,15 +116,6 @@ fn main() {
                 if *wname == "mesh-hotspot" && *bname == "queue" {
                     mesh_queue_words.push((suite.to_string(), words));
                 }
-                rows.push(vec![
-                    ("cell", JsonValue::from(format!("{suite}/{wname}/{bname}"))),
-                    ("suite", JsonValue::from(*suite)),
-                    ("workload", JsonValue::from(*wname)),
-                    ("backend", JsonValue::from(*bname)),
-                    ("hit_rate", JsonValue::from(hit)),
-                    ("traffic_words", JsonValue::from(words)),
-                    ("wall_us", JsonValue::from(wall_us)),
-                ]);
             }
         }
     }
@@ -162,17 +144,4 @@ fn main() {
         "adaptive ({ad} words) must move strictly less traffic than lastvalue ({lv})"
     );
     println!("self-check ok: sequence-learning suites beat last-value on the hotspot mesh");
-
-    if args.json {
-        write_bench_json(
-            "accuracy_sweep",
-            &[
-                ("cycles", JsonValue::from(cycles)),
-                ("suites", JsonValue::from(SUITES.len())),
-                ("workloads", JsonValue::from(workloads.len())),
-                ("backends", JsonValue::from(backends.len())),
-            ],
-            &rows,
-        );
-    }
 }

@@ -3,16 +3,10 @@
 //! the channel ("the amount of data does not exceed five words at a time").
 //!
 //! Run: `cargo run -p predpkt-bench --release --bin channel_char`
-//! Pass `--json` to also write `BENCH_channel_char.json` for tracking.
-//! (`--quick` is accepted for CI uniformity; the characterization is
-//! closed-form and already instant.)
 
-use predpkt_bench::args::{write_bench_json, BenchArgs, JsonValue};
 use predpkt_channel::{ChannelCostModel, Direction, LayeredStartup};
 
 fn main() {
-    let args = BenchArgs::parse();
-    let mut json_rows: Vec<Vec<(&str, JsonValue)>> = Vec::new();
     let pci = ChannelCostModel::iprove_pci();
     let layers = LayeredStartup::iprove_pci();
 
@@ -37,13 +31,6 @@ fn main() {
         let rev = pci.access_cost(Direction::AccToSim, words);
         let eff = pci.efficiency(Direction::SimToAcc, words);
         let mbs = pci.throughput_words_per_sec(Direction::SimToAcc, words) * 4.0 / 1e6;
-        json_rows.push(vec![
-            ("words", JsonValue::from(words)),
-            ("cost_fwd_ps", JsonValue::from(fwd.as_picos())),
-            ("cost_rev_ps", JsonValue::from(rev.as_picos())),
-            ("efficiency_fwd", JsonValue::from(eff)),
-            ("mbytes_per_sec_fwd", JsonValue::from(mbs)),
-        ]);
         println!(
             "{words:>8} {fwd:>14} {rev:>14} {:>11.1}% {mbs:>12.1}",
             eff * 100.0
@@ -64,12 +51,4 @@ fn main() {
          Tsim=1us, Tacc=0.1us: {:.1} kcycles/s (paper: 38.9k)",
         1e-3 / (per_cycle.as_secs_f64() + 1.1e-6)
     );
-
-    if args.json {
-        write_bench_json(
-            "channel_char",
-            &[("startup_ps", JsonValue::from(pci.startup().as_picos()))],
-            &json_rows,
-        );
-    }
 }

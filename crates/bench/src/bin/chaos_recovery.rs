@@ -9,19 +9,16 @@
 //! eviction) carries the latest boundary checkpoint out, the respawn closure
 //! builds a clean transport, and the session resumes from its cut. The bin
 //! asserts every healed session commits **bit-identically** to an
-//! uninterrupted direct run, and reports what the chaos cost: heals, backoff
-//! wall, and the deterministic recovered-session word count the trend gate
-//! pins (bit-stable by construction — a change means the protocol stream
-//! moved, not the runner).
+//! uninterrupted direct run — billed words included — and reports what the
+//! chaos cost: heals, backoff wall, and the recovered-session word count
+//! (bit-stable by construction — a change means the protocol stream moved,
+//! not the runner).
 //!
 //! Run: `cargo run -p predpkt-bench --release --bin chaos_recovery [sessions]`
-//! Pass `--json` to also write `BENCH_chaos_recovery.json` for tracking, and
-//! `--quick` for the reduced-session CI configuration.
 
 use std::time::{Duration, Instant};
 
-use predpkt_bench::args::{write_bench_json, BenchArgs, JsonValue};
-use predpkt_bench::loopback::bench_opts;
+use predpkt_bench::{bench_opts, cycles_arg};
 use predpkt_channel::FaultSpec;
 use predpkt_core::{
     AhbDomainModel, CoEmuConfig, EmuSession, ModePolicy, ShmOptions, TcpOptions, TransportSelect,
@@ -30,8 +27,8 @@ use predpkt_farm::{FarmConfig, ReadmitPolicy, SessionFarm};
 use predpkt_workloads::figure2_soc;
 
 const SEED: u64 = 0xc4a0_5bad;
-/// Committed-cycle target per session — fixed across modes so the recovered
-/// word count the trend gate pins never depends on `--quick`.
+/// Committed-cycle target per session — fixed, so the recovered word count
+/// depends only on the session count.
 const CYCLES: u64 = 120;
 const WORKERS: usize = 4;
 /// Kill cuts rotate over frame indices that land well inside the run at
@@ -215,9 +212,8 @@ fn run_cell(cell: Cell, sessions: usize, baselines: &[Fingerprint]) -> CellRow {
 }
 
 fn main() {
-    let args = BenchArgs::parse();
-    // The positional override counts *sessions per cell* here, not cycles.
-    let sessions = args.cycles(6, 3) as usize;
+    // The positional argument counts *sessions per cell* here, not cycles.
+    let sessions = cycles_arg(6) as usize;
 
     println!("== Chaos recovery: doomed sessions healed by farm re-admission ==");
     println!(
@@ -227,7 +223,7 @@ fn main() {
 
     let baselines: Vec<Fingerprint> = (0..sessions as u64).map(direct_baseline).collect();
 
-    let mut rows = Vec::new();
+    let mut identical = true;
     println!(
         "{:>16} {:>8} {:>10} {:>8} {:>11} {:>11} {:>12} {:>9}",
         "fault", "sessions", "readmitted", "gave_up", "backoff", "wall", "recov words", "identical"
@@ -245,41 +241,15 @@ fn main() {
             row.recovered_words,
             if row.identical { "ok" } else { "DIVERGED" }
         );
-        rows.push(row);
+        identical &= row.identical;
     }
 
     println!(
         "\nevery session above was killed mid-run by a seeded terminal fault and\n\
          resumed from its latest boundary checkpoint on a fresh link; the healed\n\
          commits are bit-identical to uninterrupted runs, so the recovered word\n\
-         count is deterministic — the trend gate pins it per cell."
+         count is deterministic."
     );
 
-    let identical = rows.iter().all(|r| r.identical);
-    if args.json {
-        let json_rows: Vec<Vec<(&str, JsonValue)>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    ("fault", JsonValue::from(r.label)),
-                    ("sessions", JsonValue::from(r.sessions)),
-                    ("readmitted", JsonValue::from(r.readmitted)),
-                    ("gave_up", JsonValue::from(r.gave_up)),
-                    ("backoff_us", JsonValue::from(r.backoff.as_micros() as u64)),
-                    ("wall_us", JsonValue::from(r.wall.as_micros() as u64)),
-                    ("recovered_words", JsonValue::from(r.recovered_words)),
-                ]
-            })
-            .collect();
-        write_bench_json(
-            "chaos_recovery",
-            &[
-                ("sessions_per_cell", JsonValue::from(sessions)),
-                ("cycles", JsonValue::from(CYCLES)),
-                ("trace_identical", JsonValue::from(u64::from(identical))),
-            ],
-            &json_rows,
-        );
-    }
     assert!(identical, "a healed run diverged from its direct baseline");
 }

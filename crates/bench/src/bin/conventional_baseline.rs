@@ -2,20 +2,15 @@
 //! sim=1000k and 28.8 kcycles/s at sim=100k.
 //!
 //! Run: `cargo run -p predpkt-bench --release --bin conventional_baseline [cycles]`
-//! Pass `--json` to also write `BENCH_conventional_baseline.json` for
-//! tracking, and `--quick` for the reduced-iteration CI configuration.
 
-use predpkt_bench::args::{write_bench_json, BenchArgs, JsonValue};
-use predpkt_bench::{fmt_kcps, run_synthetic};
+use predpkt_bench::{cycles_arg, fmt_kcps, run_synthetic};
 use predpkt_channel::Side;
 use predpkt_core::{CoEmuConfig, ModePolicy};
 use predpkt_perfmodel::ModelParams;
 use predpkt_sim::Frequency;
 
 fn main() {
-    let args = BenchArgs::parse();
-    let cycles = args.cycles(5_000, 1_000);
-    let mut json_rows: Vec<Vec<(&str, JsonValue)>> = Vec::new();
+    let cycles = cycles_arg(5_000);
     println!("== Conventional co-emulation baselines ==\n");
     println!(
         "{:<12} {:>12} {:>12} {:>12} {:>14}",
@@ -27,15 +22,6 @@ fn main() {
             .sim_speed(Frequency::from_kcycles_per_sec(sim_k));
         let report = run_synthetic(1.0, config, cycles);
         let params = ModelParams::from_config(&config, Side::Accelerator);
-        json_rows.push(vec![
-            ("sim_kcps", JsonValue::from(sim_k)),
-            ("measured_cps", JsonValue::from(report.performance_cps())),
-            ("analytic_cps", JsonValue::from(params.conventional_perf())),
-            (
-                "accesses_per_cycle",
-                JsonValue::from(report.accesses_per_cycle()),
-            ),
-        ]);
         println!(
             "{:<12} {:>12} {:>12} {:>12} {:>14.2}",
             format!("{sim_k}k"),
@@ -50,12 +36,4 @@ fn main() {
          each, the channel alone caps co-emulation at ~41 kcycles/s regardless of\n\
          simulator or accelerator speed."
     );
-
-    if args.json {
-        write_bench_json(
-            "conventional_baseline",
-            &[("cycles", JsonValue::from(cycles))],
-            &json_rows,
-        );
-    }
 }

@@ -10,20 +10,16 @@
 //! edge.
 //!
 //! Run: `cargo run -p predpkt-bench --release --bin fabric_sweep [cycles]`
-//! Pass `--json` to also write `BENCH_fabric_sweep.json` for tracking, and
-//! `--quick` for the reduced-cycle CI configuration.
 
 use std::time::Instant;
 
-use predpkt_bench::args::{write_bench_json, BenchArgs, JsonValue};
-use predpkt_bench::loopback::bench_opts;
+use predpkt_bench::{bench_opts, cycles_arg};
 use predpkt_core::{CoEmuConfig, FabricSession, ModePolicy, SocBlueprint, TransportSelect};
 use predpkt_workloads::figure2_soc;
 
 /// Domain counts swept (the full mesh grows quadratically in links: 1, 6,
 /// 28, 120).
-const FULL_SWEEP: &[usize] = &[2, 4, 8, 16];
-const QUICK_SWEEP: &[usize] = &[2, 4, 8];
+const SWEEP: [usize; 4] = [2, 4, 8, 16];
 const PROBE_CYCLES: u64 = 120;
 const PROBE_DOMAINS: usize = 3;
 
@@ -102,9 +98,7 @@ fn probe_bit_identity() -> bool {
 }
 
 fn main() {
-    let args = BenchArgs::parse();
-    let cycles = args.cycles(400, 120);
-    let sweep = if args.quick { QUICK_SWEEP } else { FULL_SWEEP };
+    let cycles = cycles_arg(400);
 
     println!("== Fabric sweep: N-domain co-emulation over threaded mesh links ==");
     println!("({cycles} committed cycles per run, full mesh, one thread per domain)\n");
@@ -114,8 +108,7 @@ fn main() {
         "\n{:>4} {:>6} {:>12} {:>14} {:>14}",
         "n", "links", "wall", "words/domain", "wall/link"
     );
-    let mut rows = Vec::new();
-    for &n in sweep {
+    for n in SWEEP {
         let blueprint = figure2_soc(0);
         // One untimed warmup run per shape absorbs first-touch costs
         // (thread spawn paths, allocator growth) before the timed run.
@@ -142,33 +135,11 @@ fn main() {
             words_per_domain,
             wall / links as u32,
         );
-        rows.push(vec![
-            ("backend", JsonValue::from(format!("n{n}"))),
-            ("domains", JsonValue::from(n)),
-            ("links", JsonValue::from(links)),
-            ("wall_us", JsonValue::from(wall.as_micros() as u64)),
-            ("channel_words", JsonValue::from(total_words)),
-            ("words_per_domain", JsonValue::from(words_per_domain)),
-            (
-                "committed_cycles",
-                JsonValue::from(session.committed_cycles()),
-            ),
-        ]);
     }
     println!(
         "\nEvery domain halts at the same transition boundary regardless of N;\n\
          the sweep measures fabric overhead, not protocol divergence."
     );
 
-    if args.json {
-        write_bench_json(
-            "fabric_sweep",
-            &[
-                ("cycles", JsonValue::from(cycles)),
-                ("trace_identical", JsonValue::from(u64::from(identical))),
-            ],
-            &rows,
-        );
-    }
     assert!(identical, "threaded fabric diverged from queue baseline");
 }

@@ -3,19 +3,15 @@
 //! depth 8 / 64), with the conventional-method reference lines.
 //!
 //! Run: `cargo run -p predpkt-bench --release --bin figure4 [cycles]`
-//! Pass `--json` to also write `BENCH_figure4.json` for tracking, and
-//! `--quick` for the reduced-iteration CI configuration.
 
-use predpkt_bench::args::{write_bench_json, BenchArgs, JsonValue};
-use predpkt_bench::{ascii_chart, fmt_kcps, run_synthetic};
+use predpkt_bench::{ascii_chart, cycles_arg, fmt_kcps, run_synthetic};
 use predpkt_channel::Side;
 use predpkt_core::{CoEmuConfig, ModePolicy};
 use predpkt_perfmodel::{ModelParams, PAPER_ACCURACY_GRID};
 use predpkt_sim::Frequency;
 
 fn main() {
-    let args = BenchArgs::parse();
-    let cycles = args.cycles(40_000, 4_000);
+    let cycles = cycles_arg(40_000);
 
     println!("== Figure 4: simulation performance vs prediction accuracy (ALS) ==\n");
 
@@ -53,17 +49,6 @@ fn main() {
         );
         series.push((name, ys));
     }
-    let mut json_rows: Vec<Vec<(&str, JsonValue)>> = Vec::new();
-    for (name, ys) in &series {
-        for (p, y) in PAPER_ACCURACY_GRID.iter().zip(ys) {
-            json_rows.push(vec![
-                ("series", JsonValue::from(*name)),
-                ("accuracy", JsonValue::from(*p)),
-                ("performance_cps", JsonValue::from(*y)),
-            ]);
-        }
-    }
-
     // Conventional reference lines (paper: 28.8k and 38.9k).
     for (label, sim_k) in [
         ("conventional @100k", 100u64),
@@ -101,14 +86,6 @@ fn main() {
             ys.iter()
                 .map(|pt| format!("{:>8}", fmt_kcps(pt.performance)))
                 .collect::<String>()
-        );
-    }
-
-    if args.json {
-        write_bench_json(
-            "figure4",
-            &[("cycles", JsonValue::from(cycles))],
-            &json_rows,
         );
     }
 }

@@ -5,17 +5,12 @@
 //! this with its two depths; here is the full surface).
 //!
 //! Run: `cargo run -p predpkt-bench --release --bin lob_sweep [cycles]`
-//! Pass `--json` to also write `BENCH_lob_sweep.json` for tracking, and
-//! `--quick` for the reduced-iteration CI configuration.
 
-use predpkt_bench::args::{write_bench_json, BenchArgs, JsonValue};
-use predpkt_bench::{fmt_kcps, run_synthetic};
+use predpkt_bench::{cycles_arg, fmt_kcps, run_synthetic};
 use predpkt_core::{CoEmuConfig, ModePolicy};
 
 fn main() {
-    let args = BenchArgs::parse();
-    let cycles = args.cycles(30_000, 3_000);
-    let mut json_rows: Vec<Vec<(&str, JsonValue)>> = Vec::new();
+    let cycles = cycles_arg(30_000);
     let depths = [2usize, 4, 8, 16, 32, 64, 128, 256];
     let accuracies = [1.0, 0.99, 0.95, 0.9, 0.7, 0.5];
 
@@ -34,12 +29,6 @@ fn main() {
                 .try_lob_depth(d)
                 .expect("depth is non-zero");
             let perf = run_synthetic(p, config, cycles).performance_cps();
-            json_rows.push(vec![
-                ("depth", JsonValue::from(d)),
-                ("accuracy", JsonValue::from(p)),
-                ("adaptive", JsonValue::from(0u64)),
-                ("performance_cps", JsonValue::from(perf)),
-            ]);
             if perf > best[i].2 {
                 best[i] = (p, d, perf);
             }
@@ -59,20 +48,6 @@ fn main() {
             .expect("depth is non-zero")
             .adaptive(true);
         let perf = run_synthetic(p, config, cycles).performance_cps();
-        json_rows.push(vec![
-            ("depth", JsonValue::from(256usize)),
-            ("accuracy", JsonValue::from(p)),
-            ("adaptive", JsonValue::from(1u64)),
-            ("performance_cps", JsonValue::from(perf)),
-        ]);
         println!("  p={p:<5} -> {}", fmt_kcps(perf));
-    }
-
-    if args.json {
-        write_bench_json(
-            "lob_sweep",
-            &[("cycles", JsonValue::from(cycles))],
-            &json_rows,
-        );
     }
 }

@@ -4,11 +4,8 @@
 //! channel-access reduction.
 //!
 //! Run: `cargo run -p predpkt-bench --release --bin mode_compare [cycles]`
-//! Pass `--json` to also write `BENCH_mode_compare.json` for tracking, and
-//! `--quick` for the reduced-iteration CI configuration.
 
-use predpkt_bench::args::{write_bench_json, BenchArgs, JsonValue};
-use predpkt_bench::fmt_kcps;
+use predpkt_bench::{cycles_arg, fmt_kcps};
 use predpkt_core::{CoEmuConfig, CoEmulator, ModePolicy, SocBlueprint};
 use predpkt_workloads::{dma_offload_soc, figure2_soc, irq_driven_soc, stream_soc};
 
@@ -24,9 +21,7 @@ fn run(blueprint: &SocBlueprint, policy: ModePolicy, cycles: u64) -> predpkt_cor
 }
 
 fn main() {
-    let args = BenchArgs::parse();
-    let cycles = args.cycles(3_000, 500);
-    let mut json_rows: Vec<Vec<(&str, JsonValue)>> = Vec::new();
+    let cycles = cycles_arg(3_000);
 
     println!("== Operating-mode comparison on real workloads (real predictors) ==");
     println!("(adaptive depth + head-carry on; rollback cost = actual snapshot size)\n");
@@ -50,27 +45,6 @@ fn main() {
             ("auto", ModePolicy::Auto),
         ] {
             let report = run(&blueprint, policy, cycles);
-            json_rows.push(vec![
-                ("workload", JsonValue::from(name)),
-                ("mode", JsonValue::from(mode_name)),
-                ("performance_cps", JsonValue::from(report.performance_cps())),
-                (
-                    "gain",
-                    JsonValue::from(report.performance_cps() / base.performance_cps()),
-                ),
-                (
-                    "accesses_per_cycle",
-                    JsonValue::from(report.accesses_per_cycle()),
-                ),
-                (
-                    "observed_accuracy",
-                    JsonValue::from(report.observed_accuracy().unwrap_or(f64::NAN)),
-                ),
-                (
-                    "rollbacks",
-                    JsonValue::from(report.sim_stats().rollbacks + report.acc_stats().rollbacks),
-                ),
-            ]);
             println!(
                 "  {:<14} {:>10} {:>7.2}x {:>12.3} {:>12} {:>10}",
                 mode_name,
@@ -89,12 +63,4 @@ fn main() {
         "auto mode follows the data-flow source per transition (the paper's dynamic\n\
          SLA/ALS/conservative decision, problem #4 in §3)."
     );
-
-    if args.json {
-        write_bench_json(
-            "mode_compare",
-            &[("cycles", JsonValue::from(cycles))],
-            &json_rows,
-        );
-    }
 }

@@ -7,19 +7,15 @@
 //! the same accounting the transport-equivalence suite proves is protocol-
 //! invisible.
 //!
-//! Run: `cargo run -p predpkt-bench --release --bin recovery_sweep`
-//! Pass `--json` to also write `BENCH_recovery_sweep.json` for tracking, and
-//! `--quick` for the reduced-iteration CI configuration.
+//! Run: `cargo run -p predpkt-bench --release --bin recovery_sweep [cycles]`
 
-use predpkt_bench::loopback::fig2_soc;
+use predpkt_bench::{cycles_arg, fig2_soc};
 use predpkt_channel::FaultSpec;
 use predpkt_core::{
     CoEmuConfig, EmuSession, ModePolicy, PerfReport, ReliableInner, TransportSelect,
 };
 
 const SEED: u64 = 0x5eed_2025;
-const CYCLES: u64 = 400;
-const QUICK_CYCLES: u64 = 150;
 const DROP_RATES: [f64; 6] = [0.0, 0.02, 0.05, 0.1, 0.2, 0.3];
 
 fn run(backend: TransportSelect, cycles: u64) -> PerfReport {
@@ -68,9 +64,7 @@ fn row(label: String, report: &PerfReport, clean_words: u64) -> Row {
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
-    let quick = std::env::args().any(|a| a == "--quick");
-    let cycles = if quick { QUICK_CYCLES } else { CYCLES };
+    let cycles = cycles_arg(400);
 
     let clean = run(TransportSelect::Queue, cycles);
     let clean_words = clean.billed_words();
@@ -139,32 +133,4 @@ fn main() {
          columns above are the price — billed through the same iPROVE PCI cost model\n\
          the paper uses, so Table-2-style figures stay honest on unreliable links."
     );
-
-    if json {
-        let mut out = String::from("{\n  \"bench\": \"recovery_sweep\",\n");
-        out.push_str(&format!("  \"seed\": {SEED},\n  \"cycles\": {cycles},\n"));
-        out.push_str(&format!("  \"clean_billed_words\": {clean_words},\n"));
-        out.push_str("  \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"fault\": \"{}\", \"retransmits\": {}, \"acks\": {}, \
-                 \"duplicates_suppressed\": {}, \"crc_rejects\": {}, \
-                 \"out_of_order_drops\": {}, \"overhead_words\": {}, \
-                 \"billed_words\": {}, \"overhead_ratio\": {:.6}}}{}\n",
-                r.label,
-                r.retransmits,
-                r.acks,
-                r.dups,
-                r.crc_rejects,
-                r.reorder_drops,
-                r.overhead_words,
-                r.billed_words,
-                r.overhead_ratio,
-                if i + 1 == rows.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        std::fs::write("BENCH_recovery_sweep.json", out).expect("write BENCH_recovery_sweep.json");
-        println!("\nwrote BENCH_recovery_sweep.json");
-    }
 }

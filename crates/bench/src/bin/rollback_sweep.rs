@@ -5,18 +5,13 @@
 //! (hardware shadow registers at 0.03 ns/var vs simulator memcpy at 10 ns/var).
 //!
 //! Run: `cargo run -p predpkt-bench --release --bin rollback_sweep [cycles]`
-//! Pass `--json` to also write `BENCH_rollback_sweep.json` for tracking, and
-//! `--quick` for the reduced-iteration CI configuration.
 
-use predpkt_bench::args::{write_bench_json, BenchArgs, JsonValue};
-use predpkt_bench::{fmt_kcps, run_synthetic};
+use predpkt_bench::{cycles_arg, fmt_kcps, run_synthetic};
 use predpkt_core::{CoEmuConfig, ModePolicy};
 use predpkt_sim::CostCategory;
 
 fn main() {
-    let args = BenchArgs::parse();
-    let cycles = args.cycles(30_000, 3_000);
-    let mut json_rows: Vec<Vec<(&str, JsonValue)>> = Vec::new();
+    let cycles = cycles_arg(30_000);
 
     println!("== Rollback-variable sweep (p = 0.9) ==\n");
     for (name, policy) in [
@@ -39,26 +34,6 @@ fn main() {
                 .policy(policy)
                 .rollback_vars(Some(vars));
             let report = run_synthetic(0.9, config, cycles);
-            json_rows.push(vec![
-                (
-                    "policy",
-                    JsonValue::from(if name.starts_with("ALS") {
-                        "als"
-                    } else {
-                        "sla"
-                    }),
-                ),
-                ("vars", JsonValue::from(vars)),
-                (
-                    "t_store",
-                    JsonValue::from(report.per_cycle(CostCategory::StateStore)),
-                ),
-                (
-                    "t_restore",
-                    JsonValue::from(report.per_cycle(CostCategory::StateRestore)),
-                ),
-                ("performance_cps", JsonValue::from(report.performance_cps())),
-            ]);
             println!(
                 "{vars:>10} {:>12.2e} {:>12.2e} {:>12}",
                 report.per_cycle(CostCategory::StateStore),
@@ -72,12 +47,4 @@ fn main() {
         "takeaway: hardware shadow-copy snapshots are free up to ~100k variables;\n\
          simulator-side memcpy snapshots erode the SLA gain past ~10k variables."
     );
-
-    if args.json {
-        write_bench_json(
-            "rollback_sweep",
-            &[("cycles", JsonValue::from(cycles))],
-            &json_rows,
-        );
-    }
 }

@@ -2,20 +2,15 @@
 //! 15.34 at sim=1000k) and break-even accuracies (98% and 70%).
 //!
 //! Run: `cargo run -p predpkt-bench --release --bin sla_summary [cycles]`
-//! Pass `--json` to also write `BENCH_sla_summary.json` for tracking, and
-//! `--quick` for the reduced-iteration CI configuration.
 
-use predpkt_bench::args::{write_bench_json, BenchArgs, JsonValue};
-use predpkt_bench::{fmt_kcps, run_synthetic};
+use predpkt_bench::{cycles_arg, fmt_kcps, run_synthetic};
 use predpkt_channel::Side;
 use predpkt_core::{CoEmuConfig, ModePolicy};
 use predpkt_perfmodel::{break_even_accuracy, AnalyticRow, ModelParams};
 use predpkt_sim::Frequency;
 
 fn main() {
-    let args = BenchArgs::parse();
-    let cycles = args.cycles(40_000, 4_000);
-    let mut json_rows: Vec<Vec<(&str, JsonValue)>> = Vec::new();
+    let cycles = cycles_arg(40_000);
 
     println!("== SLA summary (Simulator Leading Accelerator) ==\n");
     for (sim_k, paper_gain, paper_be, paper_conv) in
@@ -37,14 +32,6 @@ fn main() {
         let be_str = be.map_or("none".into(), |b| format!("{b:.3}"));
         let spot = be.map(|b| run_synthetic(b, config, cycles).performance_cps() / conv);
 
-        json_rows.push(vec![
-            ("kind", JsonValue::from("summary")),
-            ("sim_kcps", JsonValue::from(sim_k)),
-            ("conventional_cps", JsonValue::from(conv)),
-            ("max_gain_measured", JsonValue::from(des_gain)),
-            ("max_gain_model", JsonValue::from(model_gain)),
-            ("break_even_p", JsonValue::from(be.unwrap_or(f64::NAN))),
-        ]);
         println!(
             "simulator = {sim_k} kcycles/s (conventional {} , paper {paper_conv})",
             fmt_kcps(conv)
@@ -73,25 +60,11 @@ fn main() {
             CoEmuConfig::paper_defaults().policy(ModePolicy::ForcedAls),
             cycles,
         );
-        json_rows.push(vec![
-            ("kind", JsonValue::from("sensitivity")),
-            ("accuracy", JsonValue::from(p)),
-            ("sla_cps", JsonValue::from(sla.performance_cps())),
-            ("als_cps", JsonValue::from(als.performance_cps())),
-        ]);
         println!(
             "  p={p:<5} SLA {:>8}   ALS {:>8}   SLA/ALS {:.2}",
             fmt_kcps(sla.performance_cps()),
             fmt_kcps(als.performance_cps()),
             sla.performance_cps() / als.performance_cps()
-        );
-    }
-
-    if args.json {
-        write_bench_json(
-            "sla_summary",
-            &[("cycles", JsonValue::from(cycles))],
-            &json_rows,
         );
     }
 }

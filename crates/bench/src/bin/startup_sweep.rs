@@ -6,19 +6,14 @@
 //! adds risk.
 //!
 //! Run: `cargo run -p predpkt-bench --release --bin startup_sweep [cycles]`
-//! Pass `--json` to also write `BENCH_startup_sweep.json` for tracking, and
-//! `--quick` for the reduced-iteration CI configuration.
 
-use predpkt_bench::args::{write_bench_json, BenchArgs, JsonValue};
-use predpkt_bench::{fmt_kcps, run_synthetic};
+use predpkt_bench::{cycles_arg, fmt_kcps, run_synthetic};
 use predpkt_channel::ChannelCostModel;
 use predpkt_core::{CoEmuConfig, ModePolicy};
 use predpkt_sim::VirtualTime;
 
 fn main() {
-    let args = BenchArgs::parse();
-    let cycles = args.cycles(30_000, 3_000);
-    let mut json_rows: Vec<Vec<(&str, JsonValue)>> = Vec::new();
+    let cycles = cycles_arg(30_000);
 
     println!("== Channel startup-overhead sweep (p = 0.99) ==\n");
     println!(
@@ -42,15 +37,6 @@ fn main() {
                 .channel(channel),
             cycles,
         );
-        json_rows.push(vec![
-            ("startup_ns", JsonValue::from(startup_ns)),
-            ("conventional_cps", JsonValue::from(conv.performance_cps())),
-            ("optimistic_cps", JsonValue::from(opt.performance_cps())),
-            (
-                "gain",
-                JsonValue::from(opt.performance_cps() / conv.performance_cps()),
-            ),
-        ]);
         println!(
             "{:>10}ns {:>14} {:>14} {:>7.2}x",
             startup_ns,
@@ -64,12 +50,4 @@ fn main() {
          at zero overhead the conventional method is already channel-limited only\n\
          by payload and the optimistic scheme's advantage collapses."
     );
-
-    if args.json {
-        write_bench_json(
-            "startup_sweep",
-            &[("cycles", JsonValue::from(cycles))],
-            &json_rows,
-        );
-    }
 }

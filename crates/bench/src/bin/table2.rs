@@ -7,11 +7,8 @@
 //! difference).
 //!
 //! Run: `cargo run -p predpkt-bench --release --bin table2 [cycles]`
-//! Pass `--json` to also write `BENCH_table2.json` for tracking, and
-//! `--quick` for the reduced-iteration CI configuration.
 
-use predpkt_bench::args::{write_bench_json, BenchArgs, JsonValue};
-use predpkt_bench::{fmt_kcps, fmt_sci, print_row, run_synthetic};
+use predpkt_bench::{cycles_arg, fmt_kcps, fmt_sci, print_row, run_synthetic};
 use predpkt_channel::Side;
 use predpkt_core::{CoEmuConfig, ModePolicy};
 use predpkt_perfmodel::{AnalyticRow, ModelParams};
@@ -34,9 +31,7 @@ const PAPER_PERF: [f64; 8] = [652e3, 543e3, 363e3, 226e3, 138e3, 76.7e3, 46.1e3,
 const PAPER_RATIO: [f64; 8] = [16.75, 13.97, 9.33, 5.80, 3.56, 1.91, 1.19, 0.94];
 
 fn main() {
-    let args = BenchArgs::parse();
-    let cycles = args.cycles(60_000, 6_000);
-    let mut json_rows: Vec<Vec<(&str, JsonValue)>> = Vec::new();
+    let cycles = cycles_arg(60_000);
 
     println!("== Table 2: Performance of ALS ==");
     println!("(sim 1,000 kcycles/s, acc 10 Mcycles/s, LOB 64, 1,000 rollback vars, iPROVE PCI)\n");
@@ -127,23 +122,6 @@ fn main() {
             .iter()
             .map(|&p| run_synthetic(p, config, cycles))
             .collect();
-        let variant = if name.contains("adaptive") {
-            "adaptive"
-        } else {
-            "fixed"
-        };
-        for (p, r) in ACCURACIES.iter().zip(&reports) {
-            json_rows.push(vec![
-                ("variant", JsonValue::from(variant)),
-                ("accuracy", JsonValue::from(*p)),
-                ("performance_cps", JsonValue::from(r.performance_cps())),
-                ("ratio", JsonValue::from(r.ratio_vs(baseline))),
-                (
-                    "observed_accuracy",
-                    JsonValue::from(r.observed_accuracy().unwrap_or(f64::NAN)),
-                ),
-            ]);
-        }
         print_row(
             "Tsim.",
             &reports
@@ -211,15 +189,4 @@ fn main() {
         fmt_kcps(baseline),
         (AnalyticRow::at(&params, 1.0).ratio - 1.0) * 100.0
     );
-
-    if args.json {
-        write_bench_json(
-            "table2",
-            &[
-                ("cycles", JsonValue::from(cycles)),
-                ("conventional_cps", JsonValue::from(baseline)),
-            ],
-            &json_rows,
-        );
-    }
 }

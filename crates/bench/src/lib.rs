@@ -1,18 +1,78 @@
 //! # predpkt-bench — evaluation harness
 //!
 //! Shared plumbing for the table/figure regeneration binaries (see
-//! `src/bin/`) and the host-side micro-benchmarks (see `benches/`, built on
-//! the self-contained [`micro`] harness).
+//! `src/bin/`): each takes one optional positional `[cycles]`, prints a
+//! table and asserts its own bit-identity/ordering checks. Nothing parses
+//! their output and none of them is a speed measurement — host speed is read
+//! from the repo's one benchmark, `benchmark/` (see `BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use predpkt_core::{CoEmuConfig, ModePolicy, PerfReport};
+use predpkt_ahb::engine::BusOp;
+use predpkt_ahb::masters::{DmaDescriptor, DmaMaster, TrafficGenMaster};
+use predpkt_ahb::slaves::{MemorySlave, PeripheralSlave};
+use predpkt_core::{CoEmuConfig, ModePolicy, PerfReport, Side, SocBlueprint, ThreadedOpts};
 use predpkt_workloads::SyntheticSoc;
+use std::time::Duration;
 
-pub mod args;
-pub mod loopback;
-pub mod micro;
+/// The committed-cycle count a bin runs: its one optional positional
+/// argument, else `default`. Anything that is not a count (a leftover flag,
+/// a second argument) ends the process with a usage line instead of being
+/// silently ignored.
+pub fn cycles_arg(default: u64) -> u64 {
+    parse_cycles(std::env::args().skip(1), default).unwrap_or_else(|e| {
+        eprintln!("usage: [cycles] — {e}");
+        std::process::exit(2)
+    })
+}
+
+fn parse_cycles(mut args: impl Iterator<Item = String>, default: u64) -> Result<u64, String> {
+    let Some(first) = args.next() else {
+        return Ok(default);
+    };
+    if let Some(extra) = args.next() {
+        return Err(format!("unexpected second argument {extra:?}"));
+    }
+    first
+        .parse()
+        .map_err(|_| format!("{first:?} is not a count"))
+}
+
+/// The Fig. 2-shaped SoC the recovery sweep runs: a DMA master and a
+/// looping traffic generator on the accelerator side against a memory slave
+/// on the simulator side and a peripheral on the accelerator side.
+pub fn fig2_soc() -> SocBlueprint {
+    SocBlueprint::new()
+        .master(Side::Accelerator, || {
+            Box::new(DmaMaster::new(vec![
+                DmaDescriptor::new(0x0000_0100, 0x0000_1100, 24),
+                DmaDescriptor::new(0x0000_1200, 0x0000_0200, 12),
+            ]))
+        })
+        .master(Side::Accelerator, || {
+            Box::new(
+                TrafficGenMaster::from_ops(vec![BusOp::write_single(0x0000_2004, 0xabcd)])
+                    .looping()
+                    .with_idle_gap(7),
+            )
+        })
+        .slave(Side::Simulator, 0x0000_0000, 0x2000, || {
+            Box::new(MemorySlave::new(0x2000, 0))
+        })
+        .slave(Side::Accelerator, 0x0000_2000, 0x1000, || {
+            Box::new(PeripheralSlave::new(1))
+        })
+}
+
+/// Fine-grained polling so blocked-domain wakeups don't dominate the
+/// figure.
+pub fn bench_opts() -> ThreadedOpts {
+    ThreadedOpts {
+        poll_interval: Duration::from_micros(200),
+        deadlock_timeout: Duration::from_secs(10),
+    }
+}
 
 /// Runs the synthetic harness at accuracy `p` under `config` for `cycles`
 /// committed cycles and returns the report.
@@ -105,6 +165,15 @@ mod tests {
         assert_eq!(fmt_kcps(1_500_000.0), "1.50M");
         assert_eq!(fmt_sci(0.0), "0");
         assert_eq!(fmt_sci(1.0e-6), "1.0e-6");
+    }
+
+    #[test]
+    fn cycles_arg_is_one_optional_count() {
+        let parse = |args: &[&str]| parse_cycles(args.iter().map(|a| a.to_string()), 1000);
+        assert_eq!(parse(&[]), Ok(1000));
+        assert_eq!(parse(&["42"]), Ok(42));
+        assert!(parse(&["--fast"]).is_err());
+        assert!(parse(&["42", "7"]).is_err());
     }
 
     #[test]

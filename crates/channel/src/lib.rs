@@ -249,7 +249,7 @@
 //! Scheduling never changes results: a farm-scheduled session commits
 //! bit-identical traces, channel statistics, and virtual-time ledgers to a
 //! dedicated-thread run — asserted per transport by the farm's stress suite
-//! and the `session_farm` bench.
+//! (`farm_stress.rs`) and gated in-run by the `farm-mixed` benchmark workload.
 //!
 //! # Quickstart: checkpoint, migrate, replay
 //!
@@ -371,11 +371,12 @@
 //!   the steady state without touching the allocator (the
 //!   [`ReliableTransport`] does exactly this; its
 //!   [`pool_stats`](ReliableTransport::pool_stats) hit rate sits at ~1.0
-//!   after warm-up, asserted by the `frame_codec` bench).
+//!   after warm-up, asserted in `tests/reliable.rs` and reported by the
+//!   benchmark as `channel.pool_hit_rate`).
 //! * **Batching.** [`Transport::send_batch`] / [`Transport::send_batch_ref`]
 //!   coalesce a burst of frames into **one** physical operation: one
-//!   `write_all` on a [`TcpEndpoint`] (≈20× faster than per-frame writes in
-//!   the `frame_codec` bench), one chunked head publication run on a
+//!   `write_all` on a [`TcpEndpoint`] (coalescing pinned by
+//!   `tests/batch_path.rs`), one chunked head publication run on a
 //!   [`ShmEndpoint`]. [`CostedChannel::set_batching`] parks sends in an
 //!   outbox flushed on the next receive, which is how the threaded session
 //!   runner batches per scheduling slice; billing is identical either way,
@@ -386,7 +387,7 @@
 //!   every outgoing data frame (`RelData` header word 2) and emits a
 //!   standalone [`PacketTag::RelAck`] only on idle polls — when traffic is
 //!   bidirectional, nearly all acknowledgements travel for free
-//!   ([`RecoveryStats::ack_piggyback_ratio`] ≈ 1 in the loopback benches),
+//!   ([`RecoveryStats::ack_piggyback_ratio`] ≈ 1 on a clean loopback link),
 //!   which is a ~33% cut in recovery overhead words and removes one
 //!   startup-dominated channel access per exchange.
 //! * **When `TCP_NODELAY` matters.** [`TcpEndpoint`] always enables it: the
@@ -400,11 +401,7 @@
 //!   its polls cost syscalls. This halves the shared-memory loopback
 //!   session's wall clock versus sleep-first waiting.
 
-// The shm module's lock-free SPSC ring stores its data words in
-// `UnsafeCell`s (published by the head/tail atomics); it carries the
-// crate's only `unsafe`, each block documented. Everything else stays
-// unsafe-free under this deny.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cost;
@@ -434,8 +431,6 @@ pub use reliable::{
 };
 pub use shm::{RingError, ShmEndpoint, ShmRegion, ShmTransport, DEFAULT_RING_WORDS};
 pub use stats::ChannelStats;
-pub use tcp::{
-    ConnectRetryError, FrameError, RetryPolicy, TcpEndpoint, TcpTransport, MAX_FRAME_WORDS,
-};
+pub use tcp::{FrameError, TcpEndpoint, TcpTransport, MAX_FRAME_WORDS};
 pub use threaded::{ThreadedEndpoint, ThreadedTransport};
 pub use transport::{BatchStats, CostedChannel, QueueTransport, Transport, WaitTransport};

@@ -13,9 +13,9 @@
 //! Two backings share one ring algorithm:
 //!
 //! * the **in-process pair** ([`ShmTransport::pair`]) — an
-//!   [`Arc<ShmRegion>`](ShmRegion) of [`UnsafeCell`] data words with atomic
-//!   head/tail counters, for sessions whose domains are threads of one
-//!   process (and for deterministic tests of the ring itself);
+//!   [`Arc<ShmRegion>`](ShmRegion) of relaxed-atomic data words with
+//!   acquire/release head/tail counters, for sessions whose domains are
+//!   threads of one process (and for deterministic tests of the ring itself);
 //! * the **file-backed form** ([`ShmEndpoint::create`] /
 //!   [`ShmEndpoint::attach`], Unix only) — the same layout serialized into a
 //!   `/dev/shm` tempfile (falling back to the system temp dir), accessed with
@@ -48,17 +48,10 @@
 //! of sleeping out its timeout. A peer that vanishes mid-frame leaves the
 //! decoder stranded, which the survivor reports as [`RingError::TornFrame`].
 
-// The heap backing holds its data words in `UnsafeCell`s published across
-// threads by the head/tail atomics (the classic lock-free SPSC ring). The
-// crate otherwise denies `unsafe`; the two `unsafe` blocks live in
-// `HeapBacking` with their invariants spelled out.
-#![allow(unsafe_code)]
-
 use crate::cost::Side;
 use crate::message::Packet;
 use crate::tcp::{self, FrameDecoder, FrameError};
 use crate::transport::{Transport, WaitTransport};
-use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
@@ -254,7 +247,7 @@ trait RingBacking: Send + Sync {
 struct HeapRing {
     head: AtomicU32,
     tail: AtomicU32,
-    data: Box<[UnsafeCell<u32>]>,
+    data: Box<[AtomicU32]>,
 }
 
 impl HeapRing {
@@ -262,7 +255,7 @@ impl HeapRing {
         HeapRing {
             head: AtomicU32::new(0),
             tail: AtomicU32::new(0),
-            data: (0..capacity).map(|_| UnsafeCell::new(0)).collect(),
+            data: (0..capacity).map(|_| AtomicU32::new(0)).collect(),
         }
     }
 }
@@ -292,9 +285,20 @@ impl LinkSlot {
 /// *one* region, so an N-domain host pays one shared allocation, not one per
 /// link.
 ///
-/// Data words live in [`UnsafeCell`]s; the head/tail atomics carry the only
-/// synchronization. The SPSC discipline makes this sound — see the safety
-/// comments on the `Sync` impl and the data accessors.
+/// Data words are atomics accessed `Relaxed`; the head/tail counters carry
+/// the only synchronization. Each ring is single-producer/single-consumer —
+/// exactly one endpoint ever writes data words and stores `head`, exactly
+/// one ever reads data words and stores `tail` ([`ShmTransport::pair`] /
+/// [`ShmTransport::mesh`] hand out one endpoint per side *per link slot*,
+/// each backing addresses exactly one slot, and endpoints are `!Clone`). A
+/// producer writes slots in `[head, head+n)` and only then release-stores
+/// `head+n`; the consumer acquire-loads `head` before reading those slots,
+/// so the writes happen-before the reads. Symmetrically, the consumer
+/// release-stores `tail` after reading and the producer acquire-loads `tail`
+/// before reusing a slot. The Release/Acquire pairing on `head` (and on
+/// `tail`) is what orders the relaxed data accesses: a consumer never
+/// observes a slot's stale value, and a producer never overwrites a word
+/// still to be read.
 pub struct ShmRegion {
     capacity: u32,
     links: Vec<LinkSlot>,
@@ -308,21 +312,6 @@ impl fmt::Debug for ShmRegion {
             .finish_non_exhaustive()
     }
 }
-
-// SAFETY: each ring is single-producer/single-consumer — exactly one
-// endpoint ever writes data words and stores `head`, exactly one ever reads
-// data words and stores `tail` (ShmTransport::pair / ShmTransport::mesh hand
-// out one endpoint per side *per link slot*, each backing addresses exactly
-// one slot, and endpoints are !Clone). A producer writes slots in
-// [head, head+n) and only then release-stores head+n; the consumer
-// acquire-loads head before reading those slots, so the writes
-// happen-before the reads. Symmetrically, the consumer release-stores tail
-// after reading and the producer acquire-loads tail before reusing a slot.
-// No data word is therefore ever accessed concurrently from two threads.
-unsafe impl Sync for ShmRegion {}
-// SAFETY: the region owns its buffers; moving it between threads transfers
-// plain data and atomics, both of which are Send.
-unsafe impl Send for ShmRegion {}
 
 impl ShmRegion {
     fn with_links(capacity: u32, links: usize) -> Self {
@@ -375,26 +364,26 @@ impl RingBacking for HeapBacking {
     }
 
     fn write_data(&self, ring: RingDir, slot: u32, data: &[u32]) -> Result<(), RingError> {
+        // `slot..slot+data.len()` lies in the producer-owned span
+        // [head, head+free): the consumer has release-stored a tail covering
+        // these slots and will not read them again until the producer's
+        // subsequent release-store of head publishes them, so Relaxed is
+        // enough here. See `ShmRegion` for the full protocol.
         let cells = &self.slot().rings[ring.index()].data;
         for (i, &w) in data.iter().enumerate() {
-            // SAFETY: `slot..slot+data.len()` lies in the producer-owned
-            // span [head, head+free): the consumer has release-stored a tail
-            // covering these slots and will not read them again until the
-            // producer's subsequent release-store of head publishes them.
-            // See the Sync impl for the full protocol.
-            unsafe { *cells[slot as usize + i].get() = w };
+            cells[slot as usize + i].store(w, Ordering::Relaxed);
         }
         Ok(())
     }
 
     fn read_data(&self, ring: RingDir, slot: u32, out: &mut [u32]) -> Result<(), RingError> {
+        // `slot..slot+out.len()` lies in the consumer-owned span
+        // [tail, head): the producer release-stored a head covering these
+        // slots (acquire-loaded by the caller) and will not write them again
+        // until the consumer's subsequent release-store of tail frees them.
         let cells = &self.slot().rings[ring.index()].data;
         for (i, o) in out.iter_mut().enumerate() {
-            // SAFETY: `slot..slot+out.len()` lies in the consumer-owned span
-            // [tail, head): the producer release-stored a head covering
-            // these slots and will not write them again until the consumer's
-            // subsequent release-store of tail frees them.
-            *o = unsafe { *cells[slot as usize + i].get() };
+            *o = cells[slot as usize + i].load(Ordering::Relaxed);
         }
         Ok(())
     }

@@ -47,10 +47,8 @@
 //! deadlocking on teardown.
 
 use crate::cost::Side;
-use crate::knob::KnobError;
 use crate::message::{Packet, PacketTag};
 use crate::transport::{Transport, WaitTransport};
-use predpkt_sim::SplitMix64;
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
@@ -70,131 +68,6 @@ pub const MAX_FRAME_WORDS: u32 = 1 << 20;
 /// microseconds; only a peer that holds the connection open without reading
 /// (filling the kernel send buffer) ever reaches this.
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Backoff schedule for [`TcpEndpoint::reconnect`]: a bounded budget of
-/// connect attempts spaced by exponential backoff with seeded jitter.
-///
-/// The delay before retry *k* (zero-based) is drawn uniformly from
-/// `[d/2, d)` where `d = min(base_delay << k, max_delay)` — the classic
-/// half-jittered exponential ramp, so a fleet of healing sessions does not
-/// dial a recovering peer in lockstep. The jitter stream is seeded
-/// ([`jitter_seed`](Self::jitter_seed)), so a given policy retries on a
-/// reproducible schedule.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Connect attempts before [`reconnect`](TcpEndpoint::reconnect) gives
-    /// up with a typed [`ConnectRetryError`]. Must be at least 1.
-    pub max_attempts: u32,
-    /// Backoff before the first retry (doubled each further retry).
-    pub base_delay: Duration,
-    /// Ceiling the exponential ramp saturates at.
-    pub max_delay: Duration,
-    /// Seed for the jitter stream; identical seeds reproduce identical retry
-    /// schedules.
-    pub jitter_seed: u64,
-}
-
-impl Default for RetryPolicy {
-    /// Five attempts, 10 ms initial backoff, 1 s ceiling.
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 5,
-            base_delay: Duration::from_millis(10),
-            max_delay: Duration::from_secs(1),
-            jitter_seed: 0x5eed,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Overrides the connect-attempt budget.
-    pub fn max_attempts(mut self, attempts: u32) -> Self {
-        self.max_attempts = attempts;
-        self
-    }
-
-    /// Overrides the initial backoff delay.
-    pub fn base_delay(mut self, delay: Duration) -> Self {
-        self.base_delay = delay;
-        self
-    }
-
-    /// Overrides the backoff ceiling.
-    pub fn max_delay(mut self, delay: Duration) -> Self {
-        self.max_delay = delay;
-        self
-    }
-
-    /// Overrides the jitter seed.
-    pub fn jitter_seed(mut self, seed: u64) -> Self {
-        self.jitter_seed = seed;
-        self
-    }
-
-    /// Checks the policy is usable.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`KnobError`] naming the offending knob: a zero attempt
-    /// budget, or a ceiling below the initial delay.
-    pub fn validate(&self) -> Result<(), KnobError> {
-        if self.max_attempts == 0 {
-            return Err(KnobError::new(
-                "max_attempts",
-                "must allow at least one connect attempt",
-            ));
-        }
-        if self.max_delay < self.base_delay {
-            return Err(KnobError::new(
-                "max_delay",
-                format!(
-                    "ceiling {:?} is below the initial delay {:?}",
-                    self.max_delay, self.base_delay
-                ),
-            ));
-        }
-        Ok(())
-    }
-
-    /// The jittered backoff before zero-based retry `attempt`, consuming one
-    /// draw from `rng`.
-    fn delay_for(&self, attempt: u32, rng: &mut SplitMix64) -> Duration {
-        let ramp = self
-            .base_delay
-            .saturating_mul(1u32 << attempt.min(20))
-            .min(self.max_delay);
-        let nanos = ramp.as_nanos().min(u64::MAX as u128) as u64;
-        let jittered = nanos / 2 + ((nanos as f64 / 2.0) * rng.unit_f64()) as u64;
-        Duration::from_nanos(jittered)
-    }
-}
-
-/// [`TcpEndpoint::reconnect`] burned its whole connect-attempt budget.
-#[derive(Debug)]
-pub struct ConnectRetryError {
-    /// Connect attempts made (the policy's full budget).
-    pub attempts: u32,
-    /// Wall-clock time spent dialing and backing off.
-    pub elapsed: Duration,
-    /// The error the final attempt failed with.
-    pub last: io::Error,
-}
-
-impl fmt::Display for ConnectRetryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "reconnect gave up after {} attempts over {:?}: {}",
-            self.attempts, self.elapsed, self.last
-        )
-    }
-}
-
-impl Error for ConnectRetryError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        Some(&self.last)
-    }
-}
 
 /// Why a TCP frame could not be decoded (or a stream operation failed).
 ///
@@ -560,64 +433,6 @@ impl TcpEndpoint {
             peer_closed: false,
             wbuf: Vec::new(),
             io_stats: crate::transport::BatchStats::default(),
-        })
-    }
-
-    /// Replaces a dead (or dying) connection with a freshly dialed one,
-    /// retrying under `policy`'s exponential-backoff schedule with seeded
-    /// jitter until a connect succeeds or the attempt budget is gone.
-    ///
-    /// On success every link-scoped field is reset — sticky error, peer-EOF
-    /// flag, decoder, and any packets decoded from the old connection (the
-    /// old link's in-flight state is abandoned; a
-    /// [`ReliableTransport`](crate::ReliableTransport) layered above heals it
-    /// by re-arming its retransmission window on restore). Cumulative
-    /// [`batch_stats`](Transport::batch_stats) survive: they describe the
-    /// endpoint's lifetime, not one connection. The old socket is shut down
-    /// both ways so a peer blocked on it wakes promptly.
-    ///
-    /// # Errors
-    ///
-    /// A typed [`ConnectRetryError`] carrying the attempt count, the
-    /// wall-clock spent, and the final attempt's I/O error. The endpoint is
-    /// left on its old (dead) stream in that case, so the failure mode is
-    /// "still dead", never "half-connected".
-    pub fn reconnect(
-        &mut self,
-        addr: impl ToSocketAddrs,
-        policy: &RetryPolicy,
-    ) -> Result<(), ConnectRetryError> {
-        let started = std::time::Instant::now();
-        let attempts = policy.max_attempts.max(1);
-        let mut rng = SplitMix64::new(policy.jitter_seed);
-        let mut last: Option<io::Error> = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                thread::sleep(policy.delay_for(attempt - 1, &mut rng));
-            }
-            let dialed = TcpStream::connect(&addr).and_then(|stream| {
-                stream.set_nodelay(true)?;
-                stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
-                Ok(stream)
-            });
-            match dialed {
-                Ok(stream) => {
-                    let _ = self.stream.shutdown(Shutdown::Both);
-                    self.stream = stream;
-                    self.decoder = FrameDecoder::new();
-                    self.ready.clear();
-                    self.error = None;
-                    self.peer_closed = false;
-                    self.wbuf.clear();
-                    return Ok(());
-                }
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(ConnectRetryError {
-            attempts,
-            elapsed: started.elapsed(),
-            last: last.expect("at least one attempt always runs"),
         })
     }
 
@@ -1005,80 +820,6 @@ mod tests {
         // Sends after the peer is gone are lost on the floor, not panics.
         sim.send(Side::Simulator, Packet::new(PacketTag::Handshake, vec![]));
         sim.send(Side::Simulator, Packet::new(PacketTag::Handshake, vec![]));
-    }
-
-    #[test]
-    fn reconnect_revives_a_dead_endpoint() {
-        let (mut sim, acc) = pair();
-        drop(acc); // peer crashes
-        while !sim.stream_dead() {
-            let _ = sim.wait_for_packet(Duration::from_millis(5));
-        }
-        // A fresh peer comes up elsewhere; the endpoint dials it and the
-        // link works again, with the sticky death state fully cleared.
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let accept = thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            TcpEndpoint::from_stream(stream, Side::Accelerator).unwrap()
-        });
-        let policy = RetryPolicy::default().base_delay(Duration::from_millis(1));
-        sim.reconnect(addr, &policy).expect("reconnect");
-        let mut acc = accept.join().unwrap();
-        assert!(!sim.stream_dead());
-        assert!(sim.last_error().is_none() && !sim.peer_closed());
-        sim.send(Side::Simulator, Packet::new(PacketTag::Handshake, vec![9]));
-        while !acc.wait_for_packet(Duration::from_secs(5)) {}
-        assert_eq!(acc.recv(Side::Accelerator).unwrap().payload(), &[9]);
-    }
-
-    #[test]
-    fn reconnect_budget_exhaustion_is_typed() {
-        let (mut sim, _acc) = pair();
-        // An address nothing listens on: bind, learn the port, release it.
-        let addr = {
-            let l = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-            l.local_addr().unwrap()
-        };
-        let policy = RetryPolicy::default()
-            .max_attempts(3)
-            .base_delay(Duration::from_micros(100))
-            .max_delay(Duration::from_millis(1));
-        let err = sim.reconnect(addr, &policy).expect_err("nothing listening");
-        assert_eq!(err.attempts, 3);
-        assert!(
-            err.to_string().contains("gave up after 3 attempts"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn retry_policy_schedule_is_seeded_and_bounded() {
-        let policy = RetryPolicy::default()
-            .base_delay(Duration::from_millis(4))
-            .max_delay(Duration::from_millis(20))
-            .jitter_seed(7);
-        let draw = || {
-            let mut rng = SplitMix64::new(policy.jitter_seed);
-            (0..6)
-                .map(|k| policy.delay_for(k, &mut rng))
-                .collect::<Vec<_>>()
-        };
-        let (a, b) = (draw(), draw());
-        assert_eq!(a, b, "same seed, same schedule");
-        for (k, d) in a.iter().enumerate() {
-            let ramp = policy
-                .base_delay
-                .saturating_mul(1 << k.min(20) as u32)
-                .min(policy.max_delay);
-            assert!(*d >= ramp / 2 && *d < ramp.max(Duration::from_nanos(1)));
-        }
-        assert!(RetryPolicy::default().validate().is_ok());
-        assert!(RetryPolicy::default().max_attempts(0).validate().is_err());
-        assert!(RetryPolicy::default()
-            .max_delay(Duration::ZERO)
-            .validate()
-            .is_err());
     }
 
     #[test]

@@ -200,8 +200,7 @@ impl SessionCheckpoint {
         self.sections.iter().map(|(l, s)| (l.as_str(), s.len()))
     }
 
-    /// Total state words across all sections — the figure the checkpoint
-    /// cost bench tracks.
+    /// Total state words across all sections.
     pub fn total_words(&self) -> usize {
         self.sections.iter().map(|(_, s)| s.len()).sum()
     }

@@ -170,17 +170,16 @@ impl Message {
                 })
             }
             PacketTag::Burst => {
+                // The payload is the delta block followed by exactly
+                // `remote_width` leader_next words, so the split point is
+                // known before the block is parsed.
+                let Some(block_len) = p.len().checked_sub(remote_width) else {
+                    return Err(ProtocolError::Truncated { tag: packet.tag() });
+                };
+                let (block, leader_next) = p.split_at(block_len);
+                let blocks = decode_block(block).map_err(|_| ProtocolError::BadBlock)?;
                 // The sender's remote width is OUR local width: entries embed
                 // predictions of our outputs.
-                let blocks = decode_block(p).or_else(|_| {
-                    // The block is a prefix of the payload; decode greedily by
-                    // re-trying with the trailing leader_next words removed.
-                    if p.len() < remote_width {
-                        return Err(ProtocolError::Truncated { tag: packet.tag() });
-                    }
-                    decode_block(&p[..p.len() - remote_width]).map_err(|_| ProtocolError::BadBlock)
-                });
-                let blocks = blocks?;
                 let entry_words = 1 + remote_width + local_width;
                 let mut entries = Vec::with_capacity(blocks.len());
                 for b in &blocks {
@@ -192,14 +191,9 @@ impl Message {
                     let predicted = has_prediction.then(|| b[1 + remote_width..].to_vec());
                     entries.push(LobEntry { local, predicted });
                 }
-                let block_len = encode_block(&blocks).len();
-                let rest = &p[block_len..];
-                if rest.len() != remote_width {
-                    return Err(ProtocolError::Truncated { tag: packet.tag() });
-                }
                 Ok(Message::Burst {
                     entries,
-                    leader_next: rest.to_vec(),
+                    leader_next: leader_next.to_vec(),
                 })
             }
             PacketTag::ReportSuccess => {
@@ -282,6 +276,24 @@ mod tests {
             leader_next: vec![10, 11, 12],
         };
         assert_eq!(roundtrip(&m), m);
+
+        // The receiver splits the payload at `len - LW` before parsing: a
+        // payload too short to hold leader_next is truncated, and a prefix
+        // that is not a delta block is a bad block — neither panics.
+        let wire = m.encode(LW, RW);
+        let decode = |payload: &[u32]| {
+            Message::decode(&Packet::new(PacketTag::Burst, payload.to_vec()), RW, LW)
+        };
+        assert_eq!(
+            decode(&wire.payload()[..LW - 1]),
+            Err(ProtocolError::Truncated {
+                tag: PacketTag::Burst
+            })
+        );
+        let mut garbage = wire.payload().to_vec();
+        garbage.remove(2); // the block now ends one word early
+        assert_eq!(decode(&garbage), Err(ProtocolError::BadBlock));
+        assert_eq!(decode(&[7; 5]), Err(ProtocolError::BadBlock));
     }
 
     #[test]

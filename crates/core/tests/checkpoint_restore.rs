@@ -20,11 +20,11 @@ use common::conformance::{
     assert_matches_baseline, baseline, conformant_backends, observe, workload_config, workload_for,
     Observed, Workload,
 };
-use common::figure2_soc;
+use common::{figure2_soc, figure2_soc_seeded};
 use predpkt_channel::{FaultSpec, RecoveryStats};
 use predpkt_core::{
-    AhbDomainModel, CheckpointError, EmuSession, ModePolicy, ReliableInner, SessionCheckpoint,
-    Side, SliceStatus, SocBlueprint, TransportSelect,
+    AhbDomainModel, CheckpointError, CoEmuConfig, EmuSession, ModePolicy, ReliableInner,
+    SessionCheckpoint, Side, SliceStatus, SocBlueprint, TransportSelect,
 };
 use predpkt_sim::SimError;
 
@@ -102,6 +102,32 @@ fn restore_then_run_matches_straight_through_on_every_backend() {
             assert_eq!(recovery.retransmits, 0, "{name}: clean link, restored run");
             assert_eq!(recovery.crc_rejects, 0, "{name}: clean link, restored run");
         }
+    }
+}
+
+/// The blob is what crosses the wire on eviction and migration, and its size
+/// is deterministic for a fixed cut — so it is pinned exactly, per engine
+/// layout (the cooperative queue engine's sections, the endpoint-backed TCP
+/// engine's per-side sections). Any drift is a real format or state change:
+/// update the numbers on purpose, in the PR that explains why.
+#[test]
+fn checkpoint_blob_size_is_pinned_per_engine_layout() {
+    for (name, bytes) in [("queue", 46_644), ("tcp", 46_904)] {
+        let mut session = EmuSession::from_blueprint(&figure2_soc_seeded(11))
+            .config(
+                CoEmuConfig::paper_defaults()
+                    .policy(ModePolicy::Auto)
+                    .rollback_vars(None),
+            )
+            .transport(backend_for(name))
+            .build()
+            .expect("session builds");
+        session
+            .run_until_committed(200)
+            .expect("run reaches the cut");
+        let ckpt = session.checkpoint().expect("checkpoint at the boundary");
+        assert_eq!(ckpt.committed_cycles(), 203, "{name}: the halt boundary");
+        assert_eq!(ckpt.to_bytes().len(), bytes, "{name}: blob bytes");
     }
 }
 

@@ -15,9 +15,17 @@ use predpkt_core::{Side, SocBlueprint};
 /// one blueprint, which is what makes their bit-identical assertions
 /// meaningful.
 pub fn figure2_soc() -> SocBlueprint {
+    figure2_soc_seeded(0xbeef)
+}
+
+/// [`figure2_soc`] with a chosen CPU seed: what
+/// `predpkt_workloads::figure2_soc(seed)` builds for an odd `seed` (that
+/// crate depends on this one, so the suites cannot call it).
+#[allow(dead_code)] // only the checkpoint size pin varies the seed
+pub fn figure2_soc_seeded(cpu_seed: u64) -> SocBlueprint {
     SocBlueprint::new()
-        .master(Side::Simulator, || {
-            Box::new(CpuMaster::new(0xbeef, CpuProfile::default()))
+        .master(Side::Simulator, move || {
+            Box::new(CpuMaster::new(cpu_seed, CpuProfile::default()))
         })
         .master(Side::Accelerator, || {
             Box::new(DmaMaster::new(vec![
