@@ -78,7 +78,6 @@ pub struct AhbBusBuilder {
     regions: Vec<Region>,
     default_master: usize,
     check_protocol: bool,
-    trace_enabled: bool,
 }
 
 impl AhbBusBuilder {
@@ -122,12 +121,6 @@ impl AhbBusBuilder {
         self
     }
 
-    /// Disables trace recording (enabled by default).
-    pub fn without_trace(mut self) -> Self {
-        self.trace_enabled = false;
-        self
-    }
-
     /// Builds the bus.
     ///
     /// # Errors
@@ -160,7 +153,6 @@ impl AhbBusBuilder {
             slaves: self.slaves,
             fabric: Fabric::new(arbiter, decoder),
             trace: Trace::new(),
-            trace_enabled: self.trace_enabled,
             checker: self.check_protocol.then(ProtocolChecker::new),
             cycle: 0,
         })
@@ -191,7 +183,6 @@ pub struct AhbBus {
     slaves: Vec<Box<dyn AhbSlave>>,
     fabric: Fabric,
     trace: Trace,
-    trace_enabled: bool,
     checker: Option<ProtocolChecker>,
     cycle: u64,
 }
@@ -199,10 +190,7 @@ pub struct AhbBus {
 impl AhbBus {
     /// Starts building a bus.
     pub fn builder() -> AhbBusBuilder {
-        AhbBusBuilder {
-            trace_enabled: true,
-            ..AhbBusBuilder::default()
-        }
+        AhbBusBuilder::default()
     }
 
     /// Evaluates one clock cycle, returning the derived view.
@@ -214,9 +202,7 @@ impl AhbBus {
         if let Some(checker) = &mut self.checker {
             checker.check(self.cycle, &view, &m_out, &s_out);
         }
-        if self.trace_enabled {
-            self.trace.record(pack_cycle_record(&m_out, &s_out));
-        }
+        self.trace.record(pack_cycle_record(&m_out, &s_out));
 
         for (i, m) in self.masters.iter_mut().enumerate() {
             m.tick(&self.fabric.master_view(&view, MasterId(i)));
@@ -288,16 +274,6 @@ impl AhbBus {
     /// Downcasts a slave to its concrete type.
     pub fn slave_as<T: AhbSlave>(&self, id: SlaveId) -> Option<&T> {
         self.slaves.get(id.0)?.as_any().downcast_ref::<T>()
-    }
-
-    /// Mutable downcast of a master.
-    pub fn master_as_mut<T: AhbMaster>(&mut self, id: MasterId) -> Option<&mut T> {
-        self.masters.get_mut(id.0)?.as_any_mut().downcast_mut::<T>()
-    }
-
-    /// Mutable downcast of a slave.
-    pub fn slave_as_mut<T: AhbSlave>(&mut self, id: SlaveId) -> Option<&mut T> {
-        self.slaves.get_mut(id.0)?.as_any_mut().downcast_mut::<T>()
     }
 }
 

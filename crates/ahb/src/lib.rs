@@ -70,8 +70,8 @@ use std::any::Any;
 ///
 /// Implementors are Moore machines (see the crate docs) and must be
 /// [`Snapshot`]-able so they can live in a rollback-capable leader domain, and
-/// `Send` so a domain model can move to a worker thread when the co-emulation
-/// runs over a real-thread transport.
+/// `Send` so a session farm can move a session, domain models included,
+/// between its worker threads.
 pub trait AhbMaster: Snapshot + Any + Send {
     /// The signal values this master drives during the current cycle
     /// (pure function of state latched at the previous edge).

@@ -1,12 +1,13 @@
 //! E11 — fabric scaling: one co-emulation spread over N domains on a routed
 //! full-mesh link fabric.
 //!
-//! Sweeps the domain count over threaded mesh links (one OS thread per
-//! domain, N·(N−1)/2 links) and reports wall time, per-domain committed
+//! Sweeps the domain count over mpsc mesh links (the `Threaded` backend,
+//! N·(N−1)/2 links, every domain stepped on the calling thread) and reports
+//! wall time, per-domain committed
 //! cycles, and aggregate channel traffic — the cost curve of going from the
 //! paper's two domains to a wider fabric. Before the timed sweep, a
-//! bit-identity probe checks that a threaded 3-domain fabric commits exactly
-//! what the co-operative queue-fabric baseline commits, per domain and per
+//! bit-identity probe checks that a 3-domain fabric over the `Threaded`
+//! backend commits exactly what the queue-fabric baseline commits, per domain and per
 //! edge.
 //!
 //! Run: `cargo run -p predpkt-bench --release --bin fabric_sweep [cycles]`
@@ -68,8 +69,8 @@ fn probe_fingerprint(session: &FabricSession, blueprint: &SocBlueprint) -> Vec<u
     out
 }
 
-/// The bit-identity probe: a threaded 3-domain fabric against the
-/// co-operative queue-fabric baseline.
+/// The bit-identity probe: a 3-domain fabric over the `Threaded` backend
+/// against the queue-fabric baseline.
 fn probe_bit_identity() -> bool {
     let blueprint = figure2_soc(0);
     let (_, baseline) = run_fabric(
@@ -100,8 +101,8 @@ fn probe_bit_identity() -> bool {
 fn main() {
     let cycles = cycles_arg(400);
 
-    println!("== Fabric sweep: N-domain co-emulation over threaded mesh links ==");
-    println!("({cycles} committed cycles per run, full mesh, one thread per domain)\n");
+    println!("== Fabric sweep: N-domain co-emulation over mpsc mesh links ==");
+    println!("({cycles} committed cycles per run, full mesh, all domains on one thread)\n");
     let identical = probe_bit_identity();
 
     println!(

@@ -65,8 +65,8 @@ pub fn fig2_soc() -> SocBlueprint {
         })
 }
 
-/// Fine-grained polling so blocked-domain wakeups don't dominate the
-/// figure.
+/// A fine idle-wait slice, so a wait on a quiet link end doesn't dominate
+/// the figure.
 pub fn bench_opts() -> ThreadedOpts {
     ThreadedOpts {
         poll_interval: Duration::from_micros(200),

@@ -212,25 +212,6 @@ impl Fabric<crate::shm::ShmEndpoint> {
 }
 
 impl<E> Fabric<E> {
-    /// Assembles a fabric from parts — for callers composing their own
-    /// endpoint types. `links` must be index-aligned with `edges`.
-    ///
-    /// # Panics
-    ///
-    /// When the link and edge counts disagree.
-    pub fn from_parts(domains: usize, edges: Vec<FabricEdge>, links: Vec<(E, E)>) -> Self {
-        assert_eq!(
-            edges.len(),
-            links.len(),
-            "one endpoint pair per fabric edge"
-        );
-        Fabric {
-            domains,
-            edges,
-            links,
-        }
-    }
-
     /// How many domains the fabric joins.
     pub fn domains(&self) -> usize {
         self.domains

@@ -86,8 +86,8 @@
 //! One process listens, the other dials; each wraps its endpoint in its own
 //! per-side [`CostedChannel`] (and, for links that must absorb real-world
 //! loss, a per-side [`ReliableTransport`] via
-//! [`for_side`](ReliableTransport::for_side), exactly like the
-//! one-thread-per-domain backend does):
+//! [`for_side`](ReliableTransport::for_side), exactly like an in-process
+//! session over per-side endpoints does):
 //!
 //! ```no_run
 //! use predpkt_channel::{

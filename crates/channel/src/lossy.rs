@@ -423,13 +423,6 @@ impl<T: Transport> Transport for LossyTransport<T> {
         self.inner.recv(to)
     }
 
-    fn drain(&mut self, to: Side, out: &mut Vec<Packet>) {
-        if self.link_down() {
-            return;
-        }
-        self.inner.drain(to, out);
-    }
-
     fn pending(&self, to: Side) -> usize {
         if self.link_down() {
             return 0;

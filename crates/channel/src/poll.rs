@@ -145,15 +145,6 @@ impl PollSet {
         }
     }
 
-    /// Explicit tuning: `spin_sweeps` full sweeps over the set before the
-    /// first park, then parks of `park_slice` between sweeps.
-    pub fn with_tuning(spin_sweeps: u32, park_slice: Duration) -> Self {
-        PollSet {
-            spin_sweeps,
-            park_slice,
-        }
-    }
-
     /// One non-blocking sweep: probes every source once and returns the
     /// first actionable one (`Ready` or `Dead`) with its index, or `None`
     /// when the whole set is idle.
@@ -249,11 +240,13 @@ mod tests {
     fn wait_any_times_out_on_an_idle_set() {
         let mut set = vec![scripted(Readiness::Idle)];
         let t0 = Instant::now();
-        let hit = PollSet::with_tuning(4, Duration::from_micros(50))
-            .wait_any(&mut set, Duration::from_millis(5));
+        let hit = PollSet::syscall_probes().wait_any(&mut set, Duration::from_millis(5));
         assert!(hit.is_none());
         assert!(t0.elapsed() >= Duration::from_millis(5));
-        assert!(set[0].probes >= 4, "spin sweeps probed the source");
+        assert!(
+            set[0].probes >= SPIN_POLLS_SYSCALL,
+            "spin sweeps probed the source"
+        );
     }
 
     #[test]

@@ -35,11 +35,13 @@
 //!   frame unacknowledged for [`ReliableConfig::rto`] of such idle time is
 //!   retransmitted, go-back-N, up to [`ReliableConfig::retry_budget`] times
 //!   before the layer gives up and records a [`RetryExhausted`] failure
-//!   instead of hanging. On real-thread backends polls are wall-clock-paced,
-//!   so an OS scheduling stall can fire spurious retransmissions (harmless —
-//!   duplicates are suppressed) or even burn the budget; the session layer
-//!   therefore treats a recorded failure on a run that still completed as
-//!   the false alarm it provably is.
+//!   instead of hanging. A session polls both ends of a link from one
+//!   thread, so over an in-process medium the clock is a function of the
+//!   protocol alone; over a socket or a region file the kernel paces
+//!   delivery, so late data can fire spurious retransmissions (harmless —
+//!   duplicates are suppressed) or even burn the budget, and the session
+//!   layer therefore treats a recorded failure on a run that still completed
+//!   as the false alarm it provably is.
 //! * **Cost accounting.** The paper's whole subject is channel traffic, so
 //!   recovery overhead is billed honestly: frame headers, acks, and every
 //!   retransmitted word are charged through the [`ChannelCostModel`] into
@@ -464,11 +466,6 @@ impl<T: Transport> ReliableTransport<T> {
     /// [`LossyTransport`](crate::LossyTransport) fault counters).
     pub fn inner(&self) -> &T {
         &self.inner
-    }
-
-    /// Exclusive access to the inner transport.
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
     }
 
     /// Consumes the wrapper, returning the inner transport.
@@ -1055,21 +1052,6 @@ impl<T: Transport> Transport for ReliableTransport<T> {
         self.pump_timeouts();
         self.flush_pending_ack(to);
         None
-    }
-
-    fn drain(&mut self, to: Side, out: &mut Vec<Packet>) {
-        self.drain_inner(to);
-        let in_dir = to.peer().outbound();
-        let deliverable = &mut self.recv[in_dir.index()].deliverable;
-        if deliverable.is_empty() {
-            // An empty drain is one fruitless poll: let the retransmission
-            // clock advance, then flush owed acks (same order as `recv`).
-            self.now += self.config.poll_tick;
-            self.pump_timeouts();
-            self.flush_pending_ack(to);
-            return;
-        }
-        out.extend(self.recv[in_dir.index()].deliverable.drain(..));
     }
 
     fn batch_stats(&self) -> Option<BatchStats> {

@@ -49,6 +49,7 @@
 use crate::cost::Side;
 use crate::message::{Packet, PacketTag};
 use crate::transport::{Transport, WaitTransport};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
@@ -286,11 +287,6 @@ impl FrameDecoder {
         !self.available().is_empty()
     }
 
-    /// Bytes buffered but not yet decoded.
-    pub fn buffered_bytes(&self) -> usize {
-        self.available().len()
-    }
-
     /// Bytes still owed before the partially buffered frame completes (0 at
     /// a frame boundary, or when the buffered prefix is itself malformed —
     /// [`next_frame`](Self::next_frame) surfaces the typed error for that).
@@ -343,6 +339,15 @@ impl FrameDecoder {
 #[derive(Debug)]
 pub struct TcpTransport;
 
+thread_local! {
+    /// This thread's loopback listener: bound at its first pair, closed when
+    /// the thread exits. Creating, binding and closing a listening socket is
+    /// some 40 % of what a pair costs to set up (cold kernel paths after a
+    /// run), and a thread builds its pairs one at a time, dialling and
+    /// accepting back to back — so one listener serves all of them.
+    static LOOPBACK: RefCell<Option<TcpListener>> = const { RefCell::new(None) };
+}
+
 impl TcpTransport {
     /// Creates a connected localhost pair over an ephemeral port: the
     /// simulator endpoint dials, the accelerator endpoint is accepted. No
@@ -353,10 +358,31 @@ impl TcpTransport {
     ///
     /// Any socket-layer failure binding, connecting, or accepting.
     pub fn loopback_pair() -> io::Result<(TcpEndpoint, TcpEndpoint)> {
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
-        let sim_stream = TcpStream::connect(addr)?;
-        let (acc_stream, _) = listener.accept()?;
+        LOOPBACK.with_borrow_mut(|slot| {
+            let pair = Self::pair_through(slot);
+            if pair.is_err() {
+                // Whatever broke, the next pair starts from a fresh listener.
+                *slot = None;
+            }
+            pair
+        })
+    }
+
+    fn pair_through(slot: &mut Option<TcpListener>) -> io::Result<(TcpEndpoint, TcpEndpoint)> {
+        if slot.is_none() {
+            *slot = Some(TcpListener::bind(("127.0.0.1", 0))?);
+        }
+        let listener = slot.as_ref().expect("bound above");
+        let sim_stream = TcpStream::connect(listener.local_addr()?)?;
+        let dialled_from = sim_stream.local_addr()?;
+        // The port stays open between pairs, so something else on the host
+        // may have dialled it meanwhile: take our own connection only.
+        let acc_stream = loop {
+            let (stream, peer) = listener.accept()?;
+            if peer == dialled_from {
+                break stream;
+            }
+        };
         Ok((
             TcpEndpoint::from_stream(sim_stream, Side::Simulator)?,
             TcpEndpoint::from_stream(acc_stream, Side::Accelerator)?,
@@ -412,11 +438,15 @@ impl TcpEndpoint {
 
     /// Wraps an already-connected stream. `TCP_NODELAY` is enabled: the
     /// protocol exchanges small latency-sensitive frames, the workload
-    /// Nagle's algorithm punishes hardest. Writes carry a generous
-    /// [`WRITE_TIMEOUT`]: a peer that keeps the connection open but stops
-    /// reading (wedged or stopped process) would otherwise block the sender
-    /// forever inside `send` — past the timeout the endpoint records a
-    /// sticky error and the session layer detects the starvation instead.
+    /// Nagle's algorithm punishes hardest. The socket is kept
+    /// **non-blocking** for its whole life, so an empty poll is one `read`
+    /// and a write that fits the kernel buffer one `write`; it turns
+    /// blocking only for the timed read of a wait and for the rest of a
+    /// write the kernel buffer refused. That blocking remainder carries a
+    /// generous [`WRITE_TIMEOUT`]: a peer that keeps the connection open but
+    /// stops reading (wedged or stopped process) would otherwise block the
+    /// sender forever inside `send` — past the timeout the endpoint records
+    /// a sticky error and the session layer detects the starvation instead.
     ///
     /// # Errors
     ///
@@ -424,6 +454,7 @@ impl TcpEndpoint {
     pub fn from_stream(stream: TcpStream, side: Side) -> io::Result<Self> {
         stream.set_nodelay(true)?;
         stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+        stream.set_nonblocking(true)?;
         Ok(TcpEndpoint {
             side,
             stream,
@@ -442,14 +473,33 @@ impl TcpEndpoint {
         if frames == 0 {
             return;
         }
-        // recv polling may have left the socket non-blocking; writes must not
-        // short-circuit mid-frame.
-        let _ = self.stream.set_nonblocking(false);
         self.io_stats.frames += frames;
         self.io_stats.physical_writes += 1;
-        if let Err(e) = self.stream.write_all(&self.wbuf) {
+        if let Err(e) = self.write_all_wbuf() {
             self.error = Some(e.into());
         }
+    }
+
+    /// Writes all of `wbuf`: without blocking while the kernel buffer takes
+    /// it, and — a frame must never stop half-written — blocking under
+    /// [`WRITE_TIMEOUT`] for whatever it refuses.
+    fn write_all_wbuf(&mut self) -> io::Result<()> {
+        let mut rest = &self.wbuf[..];
+        while !rest.is_empty() {
+            match self.stream.write(rest) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => rest = &rest[n..],
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    self.stream.set_nonblocking(false)?;
+                    let written = self.stream.write_all(rest);
+                    self.stream.set_nonblocking(true)?;
+                    return written;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
     }
 
     /// Which side this endpoint belongs to.
@@ -515,10 +565,6 @@ impl TcpEndpoint {
         if self.stream_dead() {
             return;
         }
-        if let Err(e) = self.stream.set_nonblocking(true) {
-            self.error = Some(e.into());
-            return;
-        }
         let mut scratch = [0u8; 8192];
         loop {
             match self.stream.read(&mut scratch) {
@@ -540,7 +586,6 @@ impl TcpEndpoint {
                 }
             }
         }
-        let _ = self.stream.set_nonblocking(false);
     }
 
     /// One blocking read with `timeout`; returns whether any bytes arrived.
@@ -551,10 +596,24 @@ impl TcpEndpoint {
         // A zero timeout means "block forever" to the socket layer; clamp to
         // the smallest real timeout instead.
         let timeout = timeout.max(Duration::from_millis(1));
-        if let Err(e) = self.stream.set_read_timeout(Some(timeout)) {
+        let blocking = self
+            .stream
+            .set_nonblocking(false)
+            .and_then(|()| self.stream.set_read_timeout(Some(timeout)));
+        if let Err(e) = blocking {
             self.error = Some(e.into());
             return false;
         }
+        let got = self.read_once();
+        if let Err(e) = self.stream.set_nonblocking(true) {
+            self.error.get_or_insert(e.into());
+        }
+        got
+    }
+
+    /// One read on a socket in blocking mode; returns whether any bytes
+    /// arrived.
+    fn read_once(&mut self) -> bool {
         let mut scratch = [0u8; 8192];
         loop {
             return match self.stream.read(&mut scratch) {
@@ -820,6 +879,63 @@ mod tests {
         // Sends after the peer is gone are lost on the floor, not panics.
         sim.send(Side::Simulator, Packet::new(PacketTag::Handshake, vec![]));
         sim.send(Side::Simulator, Packet::new(PacketTag::Handshake, vec![]));
+    }
+
+    /// A frame of 2^18 payload words: 1 MiB on the wire.
+    fn mib_frame(i: u32) -> Packet {
+        Packet::new(PacketTag::Burst, vec![i; 1 << 18])
+    }
+
+    #[test]
+    fn a_refused_write_finishes_blocking_once_the_peer_drains() {
+        // 32 MiB is more than loopback send and receive buffers hold
+        // together, and the peer starts reading late: the non-blocking write
+        // is refused part-way and the rest must go out through the blocking
+        // fallback — whole frames, in order, no error — once the peer drains.
+        const FRAMES: u32 = 32;
+        let (mut sim, mut acc) = pair();
+        let reader = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(100));
+            for i in 0..FRAMES {
+                while !acc.wait_for_packet(Duration::from_secs(5)) {
+                    assert!(acc.last_error().is_none(), "{:?}", acc.last_error());
+                }
+                let p = acc.recv(Side::Accelerator).unwrap();
+                assert!(p == mib_frame(i), "frame {i} arrives whole and in order");
+            }
+        });
+        for i in 0..FRAMES {
+            sim.send(Side::Simulator, mib_frame(i));
+        }
+        assert!(sim.last_error().is_none(), "{:?}", sim.last_error());
+        reader.join().unwrap();
+        assert_eq!(sim.batch_stats().unwrap().frames, u64::from(FRAMES));
+    }
+
+    #[test]
+    fn a_peer_that_never_drains_leaves_a_sticky_error_not_a_spin() {
+        let (mut sim, _acc_open_but_never_read) = pair();
+        // The production timeout is 30 s; the mechanism is the same at 50 ms.
+        sim.stream
+            .set_write_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        let t0 = std::time::Instant::now();
+        let mut sent = 0;
+        while sim.last_error().is_none() {
+            assert!(sent < 64, "64 MiB cannot fit a loopback socket");
+            sim.send(Side::Simulator, mib_frame(sent));
+            sent += 1;
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "gave up at the timeout"
+        );
+        assert!(matches!(sim.last_error(), Some(FrameError::Io(_))));
+        // Sticky: later sends are dropped on the floor without touching the
+        // socket again.
+        let before = sim.batch_stats().unwrap();
+        sim.send(Side::Simulator, mib_frame(0));
+        assert_eq!(sim.batch_stats().unwrap(), before);
     }
 
     #[test]

@@ -47,8 +47,8 @@ impl BatchStats {
 /// domain). Costing and statistics live in [`CostedChannel`].
 ///
 /// The batch hooks ([`send_batch`](Self::send_batch),
-/// [`send_batch_ref`](Self::send_batch_ref), [`drain`](Self::drain)) default
-/// to sequential sends/receives, so every implementation is batch-correct by
+/// [`send_batch_ref`](Self::send_batch_ref)) default to sequential sends, so
+/// every implementation is batch-correct by
 /// construction; backends with a physical write concept override them to
 /// coalesce — the delivered packet sequence **must** stay bit-identical to
 /// the sequential path (the cross-transport conformance harness asserts it).
@@ -83,14 +83,6 @@ pub trait Transport {
     fn send_batch_ref(&mut self, from: Side, packets: &mut dyn Iterator<Item = &Packet>) {
         for packet in packets {
             self.send_ref(from, packet);
-        }
-    }
-
-    /// Moves every packet currently deliverable to `to` into `out`,
-    /// preserving order.
-    fn drain(&mut self, to: Side, out: &mut Vec<Packet>) {
-        while let Some(packet) = self.recv(to) {
-            out.push(packet);
         }
     }
 
@@ -149,10 +141,6 @@ impl<T: Transport + ?Sized> Transport for Box<T> {
         (**self).send_batch_ref(from, packets);
     }
 
-    fn drain(&mut self, to: Side, out: &mut Vec<Packet>) {
-        (**self).drain(to, out);
-    }
-
     fn batch_stats(&self) -> Option<BatchStats> {
         (**self).batch_stats()
     }
@@ -171,8 +159,8 @@ impl<T: Transport + ?Sized> Transport for Box<T> {
 }
 
 /// A [`Transport`] whose receiving end can block awaiting the next packet —
-/// the capability the one-thread-per-domain session runner needs so a blocked
-/// domain can sleep instead of spinning. Implemented by
+/// the capability a domain running in its own thread or process needs so it
+/// can sleep while blocked instead of spinning. Implemented by
 /// [`ThreadedEndpoint`](crate::ThreadedEndpoint) and forwarded by wrappers
 /// such as [`ReliableTransport`](crate::ReliableTransport), which also use the
 /// wakeup to pump their retransmission timers.
@@ -238,16 +226,6 @@ impl Transport for QueueTransport {
             Side::Simulator => self.to_sim.len(),
             Side::Accelerator => self.to_acc.len(),
         }
-    }
-}
-
-/// Both ends of the queue live in one object on one thread, so there is
-/// nobody to wait for: the wait answers at once with what is queued now.
-/// This is what lets the shared in-process medium stand behind the same
-/// type-erased link bound as the per-side endpoints.
-impl WaitTransport for QueueTransport {
-    fn wait_for_packet(&mut self, _timeout: Duration) -> bool {
-        self.readiness() == Readiness::Ready
     }
 }
 
@@ -422,11 +400,6 @@ impl<T: Transport> CostedChannel<T> {
     /// The accumulated statistics.
     pub fn stats(&self) -> &ChannelStats {
         &self.stats
-    }
-
-    /// Resets the statistics (the transport queues are untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
     }
 
     /// The cost model in force.
@@ -650,12 +623,11 @@ mod tests {
         let mut owned = packets.clone();
         batched.send_batch(Side::Simulator, &mut owned);
         assert!(owned.is_empty(), "send_batch drains its input");
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        sequential.drain(Side::Accelerator, &mut a);
-        batched.drain(Side::Accelerator, &mut b);
-        assert_eq!(a, b);
-        assert_eq!(a, packets);
+        let delivered = |t: &mut QueueTransport| -> Vec<Packet> {
+            std::iter::from_fn(|| t.recv(Side::Accelerator)).collect()
+        };
+        assert_eq!(delivered(&mut sequential), packets);
+        assert_eq!(delivered(&mut batched), packets);
     }
 
     #[test]
@@ -676,15 +648,5 @@ mod tests {
         assert_eq!(merged.physical_writes, 2);
         assert_eq!(merged.frames_per_write(), Some(4.0));
         assert_eq!(BatchStats::default().frames_per_write(), None);
-    }
-
-    #[test]
-    fn reset_stats_keeps_queue() {
-        let mut ch = CostedChannel::new(ChannelCostModel::iprove_pci());
-        ch.send(Side::Simulator, pkt(1));
-        ch.reset_stats();
-        assert_eq!(ch.stats().total_accesses(), 0);
-        assert_eq!(ch.pending(Side::Accelerator), 1);
-        assert!(ch.recv(Side::Accelerator).is_some());
     }
 }

@@ -27,6 +27,11 @@ fn packet_mix() -> Vec<Packet> {
         .collect()
 }
 
+/// Everything `t` can deliver to the accelerator side right now, in order.
+fn delivered(t: &mut impl Transport) -> Vec<Packet> {
+    std::iter::from_fn(|| t.recv(Side::Accelerator)).collect()
+}
+
 #[test]
 fn queue_batch_matches_sequential() {
     let packets = packet_mix();
@@ -36,11 +41,8 @@ fn queue_batch_matches_sequential() {
     }
     let mut batched = QueueTransport::new();
     batched.send_batch(Side::Simulator, &mut packets.clone());
-    let (mut a, mut b) = (Vec::new(), Vec::new());
-    sequential.drain(Side::Accelerator, &mut a);
-    batched.drain(Side::Accelerator, &mut b);
-    assert_eq!(a, packets);
-    assert_eq!(b, packets);
+    assert_eq!(delivered(&mut sequential), packets);
+    assert_eq!(delivered(&mut batched), packets);
 }
 
 #[test]
@@ -48,9 +50,7 @@ fn lossy_faultless_batch_is_transparent() {
     let packets = packet_mix();
     let mut t = LossyTransport::over_queue(FaultSpec::none(3));
     t.send_batch(Side::Simulator, &mut packets.clone());
-    let mut got = Vec::new();
-    t.drain(Side::Accelerator, &mut got);
-    assert_eq!(got, packets);
+    assert_eq!(delivered(&mut t), packets);
 }
 
 #[test]
@@ -72,18 +72,18 @@ fn lossy_seeded_batch_matches_sequential_fault_for_fault() {
     let mut batched = LossyTransport::over_queue(spec);
     batched.send_batch(Side::Simulator, &mut packets.clone());
     assert_eq!(sequential.fault_stats(), batched.fault_stats());
-    let (mut a, mut b) = (Vec::new(), Vec::new());
-    sequential.drain(Side::Accelerator, &mut a);
-    batched.drain(Side::Accelerator, &mut b);
-    assert_eq!(a, b, "identical fault draws, identical deliveries");
+    let b = delivered(&mut batched);
+    assert_eq!(
+        delivered(&mut sequential),
+        b,
+        "identical fault draws, identical deliveries"
+    );
 
     // The by-reference path draws the same stream too.
     let mut by_ref = LossyTransport::over_queue(spec);
     by_ref.send_batch_ref(Side::Simulator, &mut packets.iter());
     assert_eq!(by_ref.fault_stats(), batched.fault_stats());
-    let mut c = Vec::new();
-    by_ref.drain(Side::Accelerator, &mut c);
-    assert_eq!(c, b);
+    assert_eq!(delivered(&mut by_ref), b);
 }
 
 #[test]
@@ -104,7 +104,7 @@ fn tcp_batch_matches_sequential_and_coalesces_writes() {
                 "socket starved at {}/{n}",
                 got.len()
             );
-            end.drain(Side::Accelerator, &mut got);
+            got.extend(delivered(end));
         }
         got
     };
@@ -136,11 +136,8 @@ fn shm_batch_matches_sequential_and_shares_publications() {
     let (mut bat_sim, mut bat_acc) = ShmTransport::pair();
     bat_sim.send_batch(Side::Simulator, &mut packets.clone());
 
-    let (mut a, mut b) = (Vec::new(), Vec::new());
-    seq_acc.drain(Side::Accelerator, &mut a);
-    bat_acc.drain(Side::Accelerator, &mut b);
-    assert_eq!(a, packets);
-    assert_eq!(b, packets);
+    assert_eq!(delivered(&mut seq_acc), packets);
+    assert_eq!(delivered(&mut bat_acc), packets);
 
     let seq_stats = seq_sim.batch_stats().unwrap();
     let bat_stats = bat_sim.batch_stats().unwrap();
@@ -209,7 +206,5 @@ fn send_ref_matches_owned_send_on_endpoints() {
     for p in &packets {
         sim.send_ref(Side::Simulator, p);
     }
-    let mut got = Vec::new();
-    acc.drain(Side::Accelerator, &mut got);
-    assert_eq!(got, packets);
+    assert_eq!(delivered(&mut acc), packets);
 }

@@ -392,11 +392,6 @@ impl<M: DomainModel, T: Transport> CoEmulator<M, T> {
         (&self.sim, &self.acc)
     }
 
-    /// Replaces the observer.
-    pub fn set_observer(&mut self, observer: Box<dyn EmuObserver>) {
-        self.observer = observer;
-    }
-
     /// Cycles both domains have committed (the lagger's progress during
     /// speculation).
     pub fn committed_cycles(&self) -> u64 {
@@ -444,8 +439,8 @@ impl<M: DomainModel, T: Transport> CoEmulator<M, T> {
     ///
     /// Unlike [`run_until_committed`](Self::run_until_committed), the stop
     /// point is a deterministic protocol event rather than a scheduling
-    /// artifact, so every transport backend — including the real-thread
-    /// runner — halts after exactly the same message sequence. This is the
+    /// artifact, so every transport backend — including the socket and ring
+    /// ones — halts after exactly the same message sequence. This is the
     /// semantics [`EmuSession`](crate::EmuSession) runs with.
     ///
     /// # Errors

@@ -19,25 +19,26 @@
 //! halted too, so per-link reliability layers can finish retransmissions and
 //! no peer is stranded mid-recovery.
 //!
-//! Two schedules drive the same ports: one OS thread per domain
-//! ([`run_domain`]), and a budgeted co-operative slice on the calling thread
-//! ([`PortEngine::run_slice`]) that a session farm interleaves with
-//! thousands of others.
+//! One schedule drives the ports: a budgeted slice on the calling thread
+//! ([`PortEngine::run_slice`]). The protocol is strictly alternating — a
+//! leader blocks in *Get response* exactly while its lagger follows the
+//! burst — so inside one session both domains never have work at once, and
+//! which medium joins them (mpsc, socket, ring) changes nothing about who
+//! steps them. A session farm interleaves slices of thousands of sessions;
+//! [`PortEngine::run_until_synchronized`] is the same slice in a blocking
+//! loop.
 
 use crate::checkpoint::{restore_section, save_section, CheckpointError, SessionCheckpoint};
 use crate::coemu::{build_wrapper_pair, CoEmuConfig, SliceStatus};
 use crate::link::{Link, LinkSpec, ThreadedOpts};
 use crate::model::DomainModel;
-use crate::observer::{EmuObserver, NoopObserver, SharedObserver};
+use crate::observer::{EmuObserver, NoopObserver};
 use crate::wrapper::{ChannelWrapper, CwStats, DomainCosts, Progress};
 use predpkt_channel::{
-    ChannelStats, CostedChannel, Fabric, FabricEdge, PollReady, Readiness, RetryExhausted, Side,
-    Transport, WaitTransport,
+    ChannelStats, CostedChannel, Fabric, FabricEdge, PollReady, PollSet, Readiness, RetryExhausted,
+    Side, Transport,
 };
 use predpkt_sim::{SimError, Snapshot, TimeLedger};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::thread;
 use std::time::Instant;
 
 /// One domain-side terminus of an edge: the protocol engine for that edge,
@@ -66,12 +67,7 @@ pub(crate) struct PortEngine<M: DomainModel> {
     edges: Vec<FabricEdge>,
     config: CoEmuConfig,
     opts: ThreadedOpts,
-    /// In-process links: stepped on the calling thread instead of one
-    /// thread per domain.
-    cooperative: bool,
-    /// `None` when no observer is installed, so the domain threads skip the
-    /// serializing mutex entirely on their hot path.
-    observer: Option<Mutex<Box<dyn EmuObserver>>>,
+    observer: Box<dyn EmuObserver>,
 }
 
 fn all_halted<M: DomainModel>(ports: &[Vec<Port<M>>], target: u64) -> bool {
@@ -139,8 +135,7 @@ impl<M: DomainModel> PortEngine<M> {
             edges,
             config,
             opts: link.opts(),
-            cooperative: link.is_cooperative(),
-            observer: observer.map(Mutex::new),
+            observer: observer.unwrap_or_else(|| Box::new(NoopObserver)),
         }
     }
 
@@ -257,39 +252,36 @@ impl<M: DomainModel> PortEngine<M> {
     /// (link ends, channels, and ledgers are transport-scoped or restored
     /// from the checkpoint).
     pub(crate) fn into_parts(mut self) -> (M, M, CoEmuConfig, Box<dyn EmuObserver>) {
-        let observer = match self.observer {
-            Some(m) => m.into_inner().unwrap_or_else(|e| e.into_inner()),
-            None => Box::new(NoopObserver),
-        };
         let mut model = |domain: usize| {
             let port = self.ports[domain].pop().expect("a session has one edge");
             port.wrapper.into_model()
         };
-        (model(0), model(1), self.config, observer)
+        (model(0), model(1), self.config, self.observer)
     }
 
-    /// Runs at most `max_steps` co-operative scheduling rounds toward
-    /// `target`: every port of every domain stepped round-robin *on the
-    /// calling thread*, against the same per-side channels, ledgers, and
-    /// batching the domain threads use. The message sequence over each link
-    /// is identical to the threaded run's — stepping order cannot reorder
-    /// packets that cross a real medium, the halt condition is the same
-    /// deterministic protocol event, and the halt-linger flush happens at the
-    /// same points — so traces, statistics, and ledgers stay bit-identical.
+    /// Runs at most `max_steps` scheduling rounds toward `target` on the
+    /// calling thread. A round visits every port of every domain once and
+    /// steps it until it blocks on its link or halts — at most one
+    /// transition (LOB depth + flush + await), because every transition needs
+    /// an answer from the peer. Stepping order cannot reorder packets within
+    /// a link, the halt condition is a deterministic protocol event, and the
+    /// final outbox flush happens at the same point on every backend — so
+    /// traces, statistics, and ledgers are bit-identical whatever the medium
+    /// and however a run is cut into slices.
     ///
-    /// Where a domain thread parks in `wait_for_packet`, this returns
-    /// [`SliceStatus::Idle`] so the caller can multiplex the wait over many
-    /// sessions. Starvation detection therefore also moves to the caller —
-    /// with one exception: a *dead* medium (peer gone, everything drained)
-    /// with nothing deliverable fails fast with [`SimError::Deadlock`]
-    /// instead of waiting out a timeout.
+    /// When every running port is blocked and no link end has anything,
+    /// this returns [`SliceStatus::Idle`] so the caller can multiplex the
+    /// wait over many sessions. Starvation detection therefore belongs to
+    /// the caller too — with one exception: a *dead* medium (peer gone,
+    /// everything drained) with nothing deliverable fails fast with
+    /// [`SimError::Deadlock`] instead of waiting out a timeout.
     pub(crate) fn run_slice(
         &mut self,
         target: u64,
         max_steps: u32,
     ) -> Result<SliceStatus, SimError> {
         let ports = &mut self.ports[..];
-        let mut obs = SharedObserver::new(self.observer.as_ref());
+        let obs = self.observer.as_mut();
         for _ in 0..max_steps {
             if all_halted(ports, target) {
                 break;
@@ -298,24 +290,30 @@ impl<M: DomainModel> PortEngine<M> {
             let mut deliverable = 0;
             for p in ports.iter_mut().flatten() {
                 if p.halted(target) {
-                    // The halt-linger, co-operative form: the final message
-                    // of the run may still sit in the batching outbox (recv
-                    // flushes it), and a per-side reliability layer may owe
-                    // the peer retransmissions and must keep consuming
-                    // acknowledgements. Anything drained here is
-                    // recovery-layer chatter — protocol traffic stops at the
-                    // boundary.
+                    // The halt-linger: the final message of the run may
+                    // still sit in the batching outbox (recv flushes it),
+                    // and a per-side reliability layer may owe the peer
+                    // retransmissions and must keep consuming
+                    // acknowledgements until every port has halted. Anything
+                    // drained here is recovery-layer chatter — protocol
+                    // traffic stops at the boundary.
                     let _ = p.ch.recv(p.role);
                     continue;
                 }
-                match p
-                    .wrapper
-                    .step(&mut p.ch, &mut p.ledger, &p.costs, &mut obs)?
-                {
-                    Progress::Worked => any_worked = true,
-                    // Packets addressed to a halted port can never be
-                    // consumed, so only the running ports' count.
-                    Progress::Blocked => deliverable += p.ch.pending(p.role),
+                // Until the port blocks or halts, not one step per round: a
+                // blocked peer would otherwise be re-polled once per cycle
+                // this port predicts, and over a socket each poll is a
+                // syscall.
+                while !p.halted(target) {
+                    match p.wrapper.step(&mut p.ch, &mut p.ledger, &p.costs, obs)? {
+                        Progress::Worked => any_worked = true,
+                        Progress::Blocked => {
+                            // Packets addressed to a halted port can never
+                            // be consumed, so only the running ports' count.
+                            deliverable += p.ch.pending(p.role);
+                            break;
+                        }
+                    }
                 }
             }
             if any_worked || deliverable > 0 {
@@ -348,12 +346,13 @@ impl<M: DomainModel> PortEngine<M> {
         Ok(SliceStatus::Working)
     }
 
-    /// The blocking co-operative runner: slices until done, sleeping out
-    /// idle rounds. A reliability layer over in-process links needs
-    /// fruitless polls to advance its retransmission clock, so an idle round
-    /// is not yet a deadlock here — only a full starvation window of them is.
-    fn run_cooperative(&mut self, target: u64) -> Result<(), SimError> {
-        let opts = self.opts;
+    /// Runs until every domain stands halted at a transition boundary with
+    /// at least `target` cycles committed on each of its ports: slices until
+    /// done, waiting on the link ends through idle rounds. A reliability
+    /// layer needs fruitless polls to advance its retransmission clock, so
+    /// an idle round is not yet a deadlock — only a full starvation window
+    /// of them is.
+    pub(crate) fn run_until_synchronized(&mut self, target: u64) -> Result<(), SimError> {
         let mut idle_since: Option<Instant> = None;
         loop {
             // One round per slice, so `Working` means *this* round moved
@@ -363,169 +362,25 @@ impl<M: DomainModel> PortEngine<M> {
                 SliceStatus::Working => idle_since = None,
                 SliceStatus::Idle => {
                     if idle_since.get_or_insert_with(Instant::now).elapsed()
-                        >= opts.deadlock_timeout
+                        >= self.opts.deadlock_timeout
                     {
                         return Err(SimError::Deadlock {
                             cycle: self.committed_cycles(None),
                         });
                     }
-                    thread::sleep(opts.poll_interval);
+                    // Halted ports are left out: what arrives for them is
+                    // never consumed, so it must not cut the wait short.
+                    let mut ends: Vec<_> = self
+                        .ports
+                        .iter_mut()
+                        .flatten()
+                        .filter(|p| !p.halted(target))
+                        .map(|p| p.ch.transport_mut())
+                        .collect();
+                    PollSet::syscall_probes().wait_any(&mut ends, self.opts.poll_interval);
                 }
             }
         }
-    }
-}
-
-/// What the domain threads of one run share.
-struct Run<'a> {
-    target: u64,
-    domains: u64,
-    opts: ThreadedOpts,
-    observer: Option<&'a Mutex<Box<dyn EmuObserver>>>,
-    /// Bumped on every step that made progress, anywhere: a domain is
-    /// starved only while this stands still.
-    epoch: AtomicU64,
-    /// Raised by the first domain to fail; everyone else stops at once.
-    stop: AtomicBool,
-    /// Domains that have reached their halt condition.
-    done: AtomicU64,
-}
-
-/// The per-domain thread body. A domain steps its non-halted ports
-/// round-robin, blocked-waits on their link ends, and detects starvation via
-/// the shared progress epoch; a port that reaches the halt condition early
-/// keeps draining its link without blocking. Once *all* ports stand halted
-/// the domain flushes everything, announces itself done, and lingers until
-/// every domain is done.
-fn run_domain<M: DomainModel>(ports: &mut [Port<M>], run: &Run<'_>) -> Result<(), SimError> {
-    let mut obs = SharedObserver::new(run.observer);
-    let all_done = || run.done.load(Ordering::Acquire) >= run.domains;
-    let mut blocked_at: Option<(u64, Instant)> = None;
-    let mut halted = false;
-    loop {
-        if run.stop.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        if ports.iter().all(|p| p.halted(run.target)) {
-            if !halted {
-                halted = true;
-                // The final message of the run (e.g. the closing report) may
-                // still sit in a batching outbox: push it out before
-                // lingering, or the peer would starve into a deadlock.
-                for p in ports.iter_mut() {
-                    p.ch.flush();
-                }
-                run.done.fetch_add(1, Ordering::AcqRel);
-            }
-            if all_done() {
-                return Ok(());
-            }
-            // This domain is finished, but per-link reliability layers may
-            // still owe peers retransmissions and must keep consuming
-            // acknowledgements on *every* link — returning now would strand
-            // any peer whose link dropped an in-flight frame. Protocol
-            // traffic stops at the boundary, so anything drained here is
-            // recovery-layer chatter (acks consumed inside the transport,
-            // duplicates it suppresses).
-            for p in ports.iter_mut() {
-                if run.stop.load(Ordering::Acquire) || all_done() {
-                    break;
-                }
-                if p.ch.transport_mut().wait_for_packet(run.opts.poll_interval) {
-                    let _ = p.ch.recv(p.role);
-                }
-            }
-            continue;
-        }
-        let mut any_worked = false;
-        for p in ports.iter_mut() {
-            if p.halted(run.target) {
-                // Per-port halt-linger while sibling ports still run (see
-                // the co-operative slice's halted branch).
-                let _ = p.ch.recv(p.role);
-                continue;
-            }
-            match p.wrapper.step(&mut p.ch, &mut p.ledger, &p.costs, &mut obs) {
-                Ok(Progress::Worked) => {
-                    run.epoch.fetch_add(1, Ordering::AcqRel);
-                    any_worked = true;
-                }
-                Ok(Progress::Blocked) => {}
-                Err(e) => {
-                    run.stop.store(true, Ordering::Release);
-                    return Err(e);
-                }
-            }
-        }
-        if any_worked {
-            blocked_at = None;
-            continue;
-        }
-        // Every non-halted port is blocked: this domain is starved for as
-        // long as nobody anywhere makes progress.
-        let now_epoch = run.epoch.load(Ordering::Acquire);
-        match blocked_at {
-            Some((e, since)) if e == now_epoch => {
-                if since.elapsed() >= run.opts.deadlock_timeout {
-                    run.stop.store(true, Ordering::Release);
-                    let cycle = min_cycle(ports.iter());
-                    return Err(SimError::Deadlock { cycle });
-                }
-            }
-            _ => blocked_at = Some((now_epoch, Instant::now())),
-        }
-        // Wait for traffic on the blocked ports, one short slice each,
-        // breaking out as soon as any link has something (the other ports
-        // are re-polled on the next round).
-        for p in ports.iter_mut() {
-            if run.stop.load(Ordering::Acquire) {
-                return Ok(());
-            }
-            if !p.halted(run.target) && p.ch.transport_mut().wait_for_packet(run.opts.poll_interval)
-            {
-                break;
-            }
-        }
-    }
-}
-
-impl<M: DomainModel + Send> PortEngine<M> {
-    /// Runs until every domain stands halted at a transition boundary with
-    /// at least `target` cycles committed on each of its ports — on the
-    /// calling thread for in-process links, on one thread per domain
-    /// otherwise (joined before the call returns, so the engine stays
-    /// externally synchronous).
-    pub(crate) fn run_until_synchronized(&mut self, target: u64) -> Result<(), SimError> {
-        if self.cooperative {
-            return self.run_cooperative(target);
-        }
-        let run = Run {
-            target,
-            domains: self.ports.len() as u64,
-            opts: self.opts,
-            observer: self.observer.as_ref(),
-            epoch: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-            done: AtomicU64::new(0),
-        };
-        // The last domain runs on the calling thread, the others on their
-        // own; the first error in domain order wins.
-        let (last, others) = self
-            .ports
-            .split_last_mut()
-            .expect("an engine has at least two domains");
-        thread::scope(|s| {
-            let handles: Vec<_> = others
-                .iter_mut()
-                .map(|ports| s.spawn(|| run_domain(ports, &run)))
-                .collect();
-            let last_result = run_domain(last, &run);
-            let results: Vec<_> = handles
-                .into_iter()
-                .map(|h| h.join().expect("domain thread panicked"))
-                .collect();
-            results.into_iter().chain([last_result]).collect()
-        })
     }
 }
 
@@ -552,11 +407,9 @@ impl<M: DomainModel> PortEngine<M> {
         [&mut sim[0][0], &mut acc[0][0]]
     }
 
-    /// Fills `ckpt` with the per-side component sections. Runs between
-    /// `run_until_synchronized` calls (the domain threads are joined), so
-    /// `&self` access is race-free; endpoint transports serialize nothing —
-    /// in-flight frames in an external medium are healed on resume by a
-    /// reliability layer's re-armed window.
+    /// Fills `ckpt` with the per-side component sections. Endpoint
+    /// transports serialize nothing — in-flight frames in an external medium
+    /// are healed on resume by a reliability layer's re-armed window.
     pub(crate) fn checkpoint_into(
         &self,
         ckpt: &mut SessionCheckpoint,

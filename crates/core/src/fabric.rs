@@ -21,19 +21,19 @@
 //! **all** of its links until every other domain has halted too, so per-link
 //! reliability layers can finish retransmissions and no peer is ever
 //! stranded mid-recovery. The engine is the one that runs the two-domain
-//! session's real-link backends, where `N = 2` is one edge and one port per
+//! session's per-side-endpoint backends, where `N = 2` is one edge and one port per
 //! domain; the conformance suite pins the two to each other bit-for-bit.
 //!
 //! ## Backends and determinism
 //!
 //! Every link of a fabric runs over the same [`TransportSelect`] a
-//! two-domain session takes: in-process links stepped co-operatively on the
-//! calling thread (`Queue`, and `Lossy` with its seeded faults — the
-//! baseline), one OS thread per **domain** (not per link) over mpsc links
-//! (`Threaded`), TCP loopback sockets, one per edge (`Tcp`), shared-memory
-//! rings packed into one region (`Shm`), and a per-link ack-and-retransmit
-//! layer over any of them (`Reliable`). A configured fault plan fires on
-//! every link with per-edge decorrelated seeds. All of them halt at
+//! two-domain session takes: mpsc links (`Queue` — the baseline — `Lossy`
+//! with its seeded faults, and `Threaded`), TCP loopback sockets, one per
+//! edge (`Tcp`), shared-memory rings packed into one region (`Shm`), and a
+//! per-link ack-and-retransmit layer over any of them (`Reliable`). A
+//! configured fault plan fires on every link with per-edge decorrelated
+//! seeds. Every domain is stepped on the calling thread whatever the medium,
+//! and all of them halt at
 //! transition boundaries, so per-domain ledgers, traces, and channel
 //! statistics are bit-identical across backends — the N-domain extension of
 //! the two-domain conformance property.
@@ -74,8 +74,8 @@ impl FabricSessionBuilder<'_> {
         self
     }
 
-    /// Selects the backend every link runs over (defaults to the
-    /// co-operative queue baseline).
+    /// Selects the backend every link runs over (defaults to the queue
+    /// baseline).
     pub fn link(mut self, link: TransportSelect) -> Self {
         self.link = link;
         self

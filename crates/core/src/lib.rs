@@ -19,7 +19,7 @@
 //!   rolls forth when the lagger reports a misprediction.
 //! * [`EmuSession`] is the front door: a builder composing a blueprint (or an
 //!   explicit model pair), a [`CoEmuConfig`], a [`TransportSelect`] backend
-//!   (deterministic queue, fault-injecting lossy, one-thread-per-domain, a
+//!   (deterministic queue, fault-injecting lossy, mpsc endpoints, a
 //!   real TCP socket pair, a shared-memory ring pair, or an
 //!   ack-and-retransmit reliable layer over any of them), a predictor suite,
 //!   and [`EmuObserver`] hooks that stream every protocol
@@ -36,10 +36,11 @@
 //!   thread, generic over any [`Transport`](predpkt_channel::Transport); the
 //!   queue-backed sessions run on it, and every other backend is
 //!   conformance-checked against it. The **port engine** gives each domain
-//!   its own end of every link it touches — one thread per domain, or
-//!   bounded co-operative slices for a session farm — and runs both the
-//!   real-link backends of an [`EmuSession`] (the one-edge, two-domain case)
-//!   and every [`FabricSession`].
+//!   its own end of every link it touches and runs both the
+//!   per-side-endpoint backends of an [`EmuSession`] (the one-edge,
+//!   two-domain case) and every [`FabricSession`]. Both step their domains
+//!   on the calling thread — to completion, or in bounded slices for a
+//!   session farm — so backends differ in the medium, never in the schedule.
 //! * [`DomainModel`] abstracts the domain content so the same protocol engine
 //!   drives both the real AHB SoC and the controlled-accuracy synthetic
 //!   workloads used to regenerate the paper's parametric evaluation.

@@ -3,34 +3,38 @@
 //! Users pick a backend with [`TransportSelect`] — for a two-domain
 //! [`EmuSession`](crate::EmuSession) and for every edge of a
 //! [`FabricSession`](crate::FabricSession) alike. The selection lowers to an
-//! internal [`LinkSpec`]: a **base** medium (in-process queue, mpsc threads,
-//! TCP socket, shared-memory ring) plus two optional layers stacked on top of
+//! internal [`LinkSpec`]: a **base** medium (in-process queue, mpsc channel
+//! pair, TCP socket, shared-memory ring) plus two optional layers stacked on top of
 //! it, a seeded fault plan ([`LossyTransport`]) and an ack-and-retransmit
 //! layer ([`ReliableTransport`]). Communication layers stack independently
 //! of behaviour (the layered-TLM point), so validation, the backend's stable
 //! name, seed derivation, and construction each exist exactly once here, and
-//! the engines only ever see a type-erased [`Link`].
+//! the engines only ever see a type-erased [`Link`]. What distinguishes the
+//! backends is the medium, never the schedule: every session and fabric is
+//! stepped on the thread that calls its run method.
 
 use crate::coemu::ConfigError;
 use crate::session::SessionError;
 use predpkt_channel::{
     ChannelCostModel, Fabric, FaultSpec, LossyTransport, PollReady, QueueTransport, ReliableConfig,
-    ReliableTransport, Side, WaitTransport, DEFAULT_RING_WORDS,
+    ReliableTransport, Side, Transport, DEFAULT_RING_WORDS,
 };
 use predpkt_sim::Snapshot;
 use std::time::Duration;
 
-/// Tuning knobs for the real-thread backend.
+/// Waiting knobs of a blocking run over per-side link ends (the name dates
+/// from the mpsc backend, built on `ThreadedTransport`; it is API and stays).
 #[derive(Debug, Clone, Copy)]
 pub struct ThreadedOpts {
-    /// How long a blocked domain waits on its endpoint before re-checking the
-    /// halt and deadlock conditions.
+    /// The idle-wait slice: how long a run whose every port is blocked waits
+    /// on its link ends at a time before re-checking the starvation window.
     pub poll_interval: Duration,
-    /// How long both domains may starve (no protocol progress anywhere)
-    /// before the run is reported as deadlocked. This is wall-clock time, so
-    /// an extreme OS scheduling stall is indistinguishable from protocol
-    /// starvation — the generous default trades detection latency for
-    /// robustness on loaded (e.g. CI) machines.
+    /// How long the run may starve (no protocol progress on any port)
+    /// before it is reported as deadlocked. This is wall-clock time, so a
+    /// medium that delivers extremely late (a stalled kernel, a stopped
+    /// peer process) is indistinguishable from protocol starvation — the
+    /// generous default trades detection latency for robustness on loaded
+    /// (e.g. CI) machines.
     pub deadlock_timeout: Duration,
 }
 
@@ -45,17 +49,16 @@ impl Default for ThreadedOpts {
 
 /// Tuning knobs for the TCP socket backend.
 ///
-/// The session spawns an ephemeral localhost socket per link and runs one
-/// domain thread per endpoint — so the traffic crosses a real socket while
-/// the session stays externally synchronous. `fault` optionally wraps each
+/// The session opens an ephemeral localhost socket per link and gives each
+/// domain its own endpoint — so the traffic crosses a real socket while both
+/// domains are stepped on the calling thread. `fault` optionally wraps each
 /// endpoint in a per-side
 /// [`LossyTransport`](predpkt_channel::LossyTransport), injecting seeded
 /// faults *on the socket path*; compose with [`TransportSelect::Reliable`]
 /// (via [`ReliableInner::Tcp`]) when the session must survive them.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TcpOptions {
-    /// Domain-thread scheduling knobs (poll interval doubles as the socket
-    /// read timeout while a domain is blocked).
+    /// Idle-wait slice and starvation window of a blocking run.
     pub threaded: ThreadedOpts,
     /// Seeded per-side fault plan applied on top of the sockets; `None`
     /// leaves the link clean (the wrapper is then bit-for-bit transparent).
@@ -63,7 +66,7 @@ pub struct TcpOptions {
 }
 
 impl TcpOptions {
-    /// Overrides the domain-thread scheduling knobs.
+    /// Overrides the idle-wait slice and starvation window.
     pub fn threaded(mut self, opts: ThreadedOpts) -> Self {
         self.threaded = opts;
         self
@@ -78,19 +81,18 @@ impl TcpOptions {
 
 /// Tuning knobs for the shared-memory ring backend.
 ///
-/// The session spawns per-side [`ShmEndpoint`](predpkt_channel::ShmEndpoint)s
+/// The session creates per-side [`ShmEndpoint`](predpkt_channel::ShmEndpoint)s
 /// — over a heap region shared through an `Arc` by default, or a `/dev/shm`
 /// region file when [`file_backed`](Self::file_backed) is set (the
-/// multi-process codepath, exercised here within one process) — and runs one
-/// domain thread per endpoint. `fault` optionally wraps each endpoint in a
+/// multi-process codepath, exercised here within one process) — one per
+/// domain, both stepped on the calling thread. `fault` optionally wraps each endpoint in a
 /// per-side [`LossyTransport`](predpkt_channel::LossyTransport), injecting
 /// seeded faults *on the ring path*; compose with
 /// [`TransportSelect::Reliable`] (via [`ReliableInner::Shm`]) when the
 /// session must survive them.
 #[derive(Debug, Clone, Copy)]
 pub struct ShmOptions {
-    /// Domain-thread scheduling knobs (poll interval doubles as the park
-    /// timeout while a domain is blocked on the ring).
+    /// Idle-wait slice and starvation window of a blocking run.
     pub threaded: ThreadedOpts,
     /// Seeded per-side fault plan applied on top of the rings; `None`
     /// leaves the channel clean (the wrapper is then bit-for-bit
@@ -115,7 +117,7 @@ impl Default for ShmOptions {
 }
 
 impl ShmOptions {
-    /// Overrides the domain-thread scheduling knobs.
+    /// Overrides the idle-wait slice and starvation window.
     pub fn threaded(mut self, opts: ThreadedOpts) -> Self {
         self.threaded = opts;
         self
@@ -143,18 +145,18 @@ impl ShmOptions {
 /// The transport backend a session — or every link of a fabric — runs over.
 #[derive(Debug, Clone, Copy, Default)]
 pub enum TransportSelect {
-    /// Deterministic in-process FIFOs, co-operative scheduling (the default,
+    /// Deterministic in-process FIFOs shared by both domains (the default,
     /// and the baseline every other backend is conformance-checked against).
     #[default]
     Queue,
     /// Seeded fault injection over in-process FIFOs.
     Lossy(FaultSpec),
-    /// One OS thread per domain over `std::sync::mpsc` channels.
+    /// Per-side endpoints over `std::sync::mpsc` channels.
     Threaded(ThreadedOpts),
-    /// One OS thread per domain over real TCP sockets — one socket per link,
-    /// the shape a cross-host run takes.
+    /// Per-side endpoints over real TCP sockets — one socket per link, the
+    /// shape a cross-host run takes.
     Tcp(TcpOptions),
-    /// One OS thread per domain over shared-memory rings — the
+    /// Per-side endpoints over shared-memory rings — the
     /// multi-process-on-one-host configuration (and the lowest-latency
     /// channel the crate models). A fabric packs every link into one region.
     Shm(ShmOptions),
@@ -196,34 +198,33 @@ pub enum ReliableInner {
     /// for: the session commits bit-identical results to a clean run while
     /// `RecoveryStats` records the repairs.
     Lossy(FaultSpec),
-    /// One OS thread per domain.
+    /// Per-side endpoints over `std::sync::mpsc` channels.
     Threaded(ThreadedOpts),
-    /// One OS thread per domain over real TCP sockets — the remote-
+    /// Per-side endpoints over real TCP sockets — the remote-
     /// accelerator configuration. With [`TcpOptions::fault`] set, seeded
     /// faults fire *on the socket path* and the per-side reliability layers
     /// absorb them.
     Tcp(TcpOptions),
-    /// One OS thread per domain over shared-memory rings — the one-host
+    /// Per-side endpoints over shared-memory rings — the one-host
     /// multi-process configuration. With [`ShmOptions::fault`] set, seeded
     /// faults fire *on the ring path* and the per-side reliability layers
     /// absorb them.
     Shm(ShmOptions),
 }
 
-/// What an engine needs of a link end, whatever it is made of: blocking and
-/// non-blocking receive probes, checkpointable state, and the freedom to
-/// move to a domain thread. Every backend — a bare endpoint or any stack of
+/// What an engine needs of a link end, whatever it is made of: a mailbox
+/// with a non-blocking readiness probe, checkpointable state, and the freedom to
+/// move between a session farm's workers. Every backend — a bare endpoint or any stack of
 /// layers over one — is erased behind this one object-safe bound.
-pub(crate) trait Link: WaitTransport + PollReady + Snapshot + Send {}
+pub(crate) trait Link: Transport + PollReady + Snapshot + Send {}
 
-impl<T: WaitTransport + PollReady + Snapshot + Send> Link for T {}
+impl<T: Transport + PollReady + Snapshot + Send> Link for T {}
 
 /// The medium at the bottom of a link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LinkBase {
-    /// In-process and co-operatively scheduled: one shared
-    /// [`QueueTransport`] under a two-domain session, mpsc endpoint pairs
-    /// stepped on the calling thread under a fabric.
+    /// In-process FIFOs: one [`QueueTransport`] shared by both domains
+    /// under a two-domain session, mpsc endpoint pairs under a fabric.
     Queue,
     Threaded,
     Tcp,
@@ -234,7 +235,7 @@ enum LinkBase {
 }
 
 /// A validated link description: base medium, optional fault plan, optional
-/// reliability layer, scheduling knobs. Only [`TransportSelect::lower`]
+/// reliability layer, waiting knobs. Only [`TransportSelect::lower`]
 /// makes one, so holding a `LinkSpec` means every knob has been checked.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LinkSpec {
@@ -361,13 +362,14 @@ impl LinkSpec {
         self.names().1
     }
 
-    /// Whether the link is in-process and scheduled co-operatively on the
-    /// calling thread (as opposed to one OS thread per domain).
-    pub(crate) fn is_cooperative(&self) -> bool {
+    /// Whether a two-domain session over this link shares one in-process
+    /// medium between its domains — the reference engine's shape — instead
+    /// of giving each domain its own link end.
+    pub(crate) fn shares_medium(&self) -> bool {
         self.base == LinkBase::Queue
     }
 
-    /// The scheduling knobs (poll pacing, starvation window).
+    /// The waiting knobs (idle-wait slice, starvation window).
     pub(crate) fn opts(&self) -> ThreadedOpts {
         self.opts
     }
@@ -438,8 +440,8 @@ impl LinkSpec {
         }
     }
 
-    /// The one shared in-process medium of a two-domain co-operative
-    /// session.
+    /// The one in-process medium both domains of a two-domain session share
+    /// (see [`shares_medium`](Self::shares_medium)).
     pub(crate) fn shared_medium(&self, model: ChannelCostModel) -> Box<dyn Link> {
         self.stack(QueueTransport::new(), 0, None, model)
     }

@@ -6,9 +6,9 @@
 //! starts (mode switches), rollbacks, LOB flushes, channel accesses — from
 //! both channel wrappers, tagged with the side that produced it.
 //!
-//! Observers must be `Send`: when a session runs over the real-thread
-//! transport, events arrive from two worker threads (serialized through a
-//! mutex, so `Sync` is *not* required).
+//! Every event of a session or fabric arrives on the thread that called
+//! its run method, one at a time. Observers must still be `Send`: a session
+//! farm moves whole sessions, observer included, between its workers.
 
 use predpkt_channel::{Direction, Side};
 use predpkt_sim::VirtualTime;
@@ -213,30 +213,6 @@ impl EmuObserver for EventLog {
             .lock()
             .expect("log mutex poisoned")
             .push((side, event.clone()));
-    }
-}
-
-/// Adapter giving domain threads serialized access to one observer. With no
-/// observer installed (`None`) events are discarded without touching any
-/// mutex, so unobserved domain threads never serialize on their hot path.
-pub(crate) struct SharedObserver<'a> {
-    inner: Option<&'a Mutex<Box<dyn EmuObserver>>>,
-}
-
-impl<'a> SharedObserver<'a> {
-    pub(crate) fn new(inner: Option<&'a Mutex<Box<dyn EmuObserver>>>) -> Self {
-        SharedObserver { inner }
-    }
-}
-
-impl EmuObserver for SharedObserver<'_> {
-    fn on_event(&mut self, side: Side, event: &EmuEvent) {
-        if let Some(observer) = self.inner {
-            observer
-                .lock()
-                .expect("observer mutex poisoned")
-                .on_event(side, event);
-        }
     }
 }
 

@@ -177,10 +177,18 @@ impl Message {
                     return Err(ProtocolError::Truncated { tag: packet.tag() });
                 };
                 let (block, leader_next) = p.split_at(block_len);
-                let blocks = decode_block(block).map_err(|_| ProtocolError::BadBlock)?;
                 // The sender's remote width is OUR local width: entries embed
                 // predictions of our outputs.
                 let entry_words = 1 + remote_width + local_width;
+                // A non-empty block of any other width fails the per-entry
+                // check below; refuse it on its header, before the peer's
+                // count word drives the parse (zero-width entries cost no
+                // wire words, so nothing else bounds how many a block claims).
+                if matches!(block, [count, width, ..] if *count != 0 && *width as usize != entry_words)
+                {
+                    return Err(ProtocolError::BadBlock);
+                }
+                let blocks = decode_block(block).map_err(|_| ProtocolError::BadBlock)?;
                 let mut entries = Vec::with_capacity(blocks.len());
                 for b in &blocks {
                     if b.len() != entry_words {
@@ -294,6 +302,16 @@ mod tests {
         garbage.remove(2); // the block now ends one word early
         assert_eq!(decode(&garbage), Err(ProtocolError::BadBlock));
         assert_eq!(decode(&[7; 5]), Err(ProtocolError::BadBlock));
+        // A block prefix announcing 2^32 - 1 entries in three words.
+        assert_eq!(
+            decode(&[u32::MAX, 1, 0, 10, 11, 12]),
+            Err(ProtocolError::BadBlock)
+        );
+        // The same count over zero-width entries, which no word count bounds.
+        assert_eq!(
+            decode(&[u32::MAX, 0, 10, 11, 12]),
+            Err(ProtocolError::BadBlock)
+        );
     }
 
     #[test]

@@ -115,11 +115,6 @@ impl PerfReport {
         self.batch.as_ref()
     }
 
-    /// Mean frames per physical write, when the backend batches.
-    pub fn frames_per_physical_write(&self) -> Option<f64> {
-        self.batch.as_ref().and_then(|b| b.frames_per_write())
-    }
-
     /// Fraction of reliability-layer acknowledgements that rode data frames
     /// for free, when the run used a reliable backend.
     pub fn ack_piggyback_ratio(&self) -> Option<f64> {

@@ -6,20 +6,19 @@
 //! behind one builder, and runs the same protocol over any backend:
 //!
 //! * [`TransportSelect::Queue`] — the deterministic in-process
-//!   [`QueueTransport`](predpkt_channel::QueueTransport), scheduled
-//!   co-operatively (the evaluation default);
+//!   [`QueueTransport`](predpkt_channel::QueueTransport), one medium shared
+//!   by both domains (the evaluation default);
 //! * [`TransportSelect::Lossy`] — a
 //!   [`LossyTransport`](predpkt_channel::LossyTransport) injecting seeded
 //!   drops/truncations/duplicates for protocol-robustness scenarios;
-//! * [`TransportSelect::Threaded`] — one OS thread per domain over a
-//!   [`ThreadedTransport`](predpkt_channel::ThreadedTransport), exercising
-//!   the protocol under genuine concurrency;
-//! * [`TransportSelect::Tcp`] — one OS thread per domain over a real TCP
-//!   socket pair (per-side [`TcpEndpoint`](predpkt_channel::TcpEndpoint)s
-//!   moving length-prefixed frames), the same machinery that carries a
-//!   session whose domains live in different processes or hosts;
-//! * [`TransportSelect::Shm`] — one OS thread per domain over a
-//!   shared-memory ring pair (per-side
+//! * [`TransportSelect::Threaded`] — per-side endpoints of a
+//!   [`ThreadedTransport`](predpkt_channel::ThreadedTransport) (`mpsc`
+//!   channels), the cheapest medium that gives each domain its own link end;
+//! * [`TransportSelect::Tcp`] — a real TCP socket pair (per-side
+//!   [`TcpEndpoint`](predpkt_channel::TcpEndpoint)s moving length-prefixed
+//!   frames), the same machinery that carries a session whose domains live
+//!   in different processes or hosts;
+//! * [`TransportSelect::Shm`] — a shared-memory ring pair (per-side
 //!   [`ShmEndpoint`](predpkt_channel::ShmEndpoint)s moving the same frames
 //!   through lock-free SPSC rings, heap-shared or in a `/dev/shm` region
 //!   file), the multi-process-on-one-host configuration;
@@ -36,12 +35,13 @@
 //! thread, exactly reproducible. Every other backend gives each domain its
 //! own end of a link and runs on the **port engine** — the same engine that
 //! drives an N-domain [`FabricSession`](crate::FabricSession), of which a
-//! session is the one-edge, two-domain case.
+//! session is the one-edge, two-domain case. Both engines step their domains
+//! on the calling thread: backends differ in the medium, not the schedule.
 //!
 //! Sessions halt at **transition boundaries**: a domain stops only when it is
 //! synchronized with its peer and has committed at least the target cycle
 //! count. The stop point is therefore a protocol event, not a scheduling
-//! artifact — a queue run and a threaded run of the same blueprint commit
+//! artifact — a queue run and a socket run of the same blueprint commit
 //! bit-identical traces and exchange exactly the same packets, which the
 //! transport-equivalence suite asserts.
 //!
@@ -208,7 +208,7 @@ impl<M: DomainModel + Send + 'static> EmuSessionBuilder<M> {
         self.config.validate()?;
         let link = self.transport.lower()?;
         let cost_model = self.config.channel;
-        let inner = if link.is_cooperative() {
+        let inner = if link.shares_medium() {
             let engine = CoEmulator::with_transport(
                 self.sim,
                 self.acc,
@@ -531,7 +531,7 @@ impl<M: DomainModel + Send + 'static> EmuSession<M> {
 
     /// Takes a whole-session checkpoint: both domains' model, predictor,
     /// trace, and statistics state, the channel (in-flight frames of the
-    /// cooperative backends; the reliability layer's windows, clock, and
+    /// shared in-process medium; the reliability layer's windows, clock, and
     /// recovery counters where one is installed), and the virtual-time
     /// ledgers — one consistent cut, stamped with the
     /// [`backend`](Self::backend) name and the committed cycle count.
@@ -631,8 +631,8 @@ impl<M: DomainModel + Send + 'static> EmuSession<M> {
 /// arrive, so the exhaustion surfaces immediately instead of letting a
 /// scheduler park the session until its deadlock window expires. A run that
 /// reached its target ([`SliceStatus::Done`]; a blocking run that returned)
-/// is reported as success even if a failure was recorded along the way — on
-/// the real-thread backends an OS scheduling stall can burn the retry budget
+/// is reported as success even if a failure was recorded along the way — over
+/// a socket or a region file, late kernel delivery can burn the retry budget
 /// spuriously, and a completed run proves every abandoned frame had in fact
 /// been delivered.
 pub(crate) fn map_reliable_outcome(
@@ -664,14 +664,14 @@ impl<M: DomainModel + Send + fmt::Debug + 'static> fmt::Debug for EmuSession<M> 
 }
 
 /// An [`EmuSession`] scheduled in bounded slices instead of run to completion
-/// on dedicated threads — the unit a [session
+/// in one blocking call — the unit a [session
 /// farm](https://docs.rs/predpkt-farm) multiplexes over a fixed worker pool.
 ///
 /// Every backend the session layer offers runs sliced, with the same
-/// committed results: the reference engine is co-operative to begin with,
-/// and the port engine (mpsc, TCP, shm — bare or under the reliable layer)
-/// steps both domains on the calling thread, moving the blocking waits out
-/// to the caller as [`SliceStatus::Idle`] + [`readiness`](Self::readiness).
+/// committed results: the reference engine never waits on a medium, and the
+/// port engine (mpsc, TCP, shm — bare or under the reliable layer) hands the
+/// waits its blocking run would make out to the caller as
+/// [`SliceStatus::Idle`] + [`readiness`](Self::readiness).
 /// The cross-transport conformance property carries over: driving a session
 /// to [`SliceStatus::Done`] through *any* interleaving of slices commits
 /// bit-identical traces, channel statistics, and ledgers to one

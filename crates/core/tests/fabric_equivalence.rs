@@ -1,5 +1,5 @@
 //! N-domain fabric conformance: every fabric backend commits exactly what
-//! the co-operative queue-fabric baseline commits, per domain and per edge,
+//! the queue-fabric baseline commits, per domain and per edge,
 //! for N ∈ {2, 3, 8} — and the N = 2 fabric degenerates bit-for-bit to the
 //! two-domain session it generalizes.
 //!
@@ -158,7 +158,8 @@ fn three_domain_fabric_conforms_across_backends() {
     assert_fabric_conformance(3);
 }
 
-/// The wide sweep: 8 domains, 28 links, 8 domain threads with 7 ports each.
+/// The wide sweep: 8 domains, 28 links, 7 ports per domain, all 56 stepped
+/// on the test's thread.
 /// Expensive, so ignored by default; CI's slow-tests job runs it.
 #[test]
 #[ignore = "wide fabric sweep; run with --ignored (CI slow-tests does)"]

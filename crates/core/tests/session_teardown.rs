@@ -1,18 +1,20 @@
-//! Session teardown: dropping an `EmuSession` over the thread- and
-//! socket-backed transports must join every worker thread and close every
-//! socket promptly — no deadlock, no leaked file descriptors — whether the
-//! session never ran, ran partially, or died with an error. Every scenario
-//! runs under a wall-clock watchdog, so a teardown hang fails the test
-//! instead of hanging the suite.
+//! Session teardown: dropping an `EmuSession` over the per-side-endpoint
+//! transports (mpsc, socket, ring) must close every socket and release every
+//! region promptly — no deadlock, no leaked file descriptors — whether the
+//! session never ran, ran partially, or died with an error. A session owns
+//! no threads: both domains are stepped on the thread that calls its run
+//! method, which the observer-thread test below pins. Every scenario runs
+//! under a wall-clock watchdog, so a teardown hang fails the test instead of
+//! hanging the suite.
 
 use predpkt_channel::{FaultSpec, ShmTransport, Side, Transport, WaitTransport};
 use predpkt_core::{
-    CoEmuConfig, EmuSession, ModePolicy, ReliableInner, ShmOptions, TcpOptions, ThreadedOpts,
-    TransportSelect,
+    CoEmuConfig, EmuEvent, EmuObserver, EmuSession, ModePolicy, ReliableInner, ShmOptions,
+    TcpOptions, ThreadedOpts, TransportSelect,
 };
 use predpkt_sim::SimError;
-use std::sync::mpsc;
-use std::thread;
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread::{self, ThreadId};
 use std::time::Duration;
 
 mod common;
@@ -42,7 +44,7 @@ fn config() -> CoEmuConfig {
         .rollback_vars(None)
 }
 
-/// Short scheduling knobs so error paths surface in milliseconds, not the
+/// Short waiting knobs so error paths surface in milliseconds, not the
 /// production 10-second deadlock window.
 fn snappy() -> ThreadedOpts {
     ThreadedOpts {
@@ -114,8 +116,7 @@ fn dropping_a_partially_run_session_joins_workers_and_closes_sockets() {
 fn dropping_a_session_that_died_mid_run_does_not_hang() {
     // A 100%-drop fault plan on the plain (non-reliable) TCP backend starves
     // the handshake; the run must error out via the deadlock detector and the
-    // dead session must still tear down cleanly, sockets and threads
-    // included.
+    // dead session must still tear down cleanly, sockets included.
     within("tcp+drops", Duration::from_secs(30), || {
         let mut session = EmuSession::from_blueprint(&figure2_soc())
             .config(config())
@@ -136,10 +137,9 @@ fn dropping_a_session_that_died_mid_run_does_not_hang() {
 
 #[test]
 fn sessions_can_run_again_after_a_partial_run() {
-    // Teardown is only half the contract: the worker threads are spawned per
-    // run, so a session must also support a *second* run after halting — on
-    // the socket backends this proves the connections survive the first
-    // join and are not half-closed by it.
+    // Teardown is only half the contract: a session must also support a
+    // *second* run after halting — on the socket backends this proves the
+    // connections survive the first halt and are not half-closed by it.
     for (name, backend) in backends() {
         within(name, Duration::from_secs(30), move || {
             let mut session = EmuSession::from_blueprint(&figure2_soc())
@@ -234,6 +234,41 @@ fn repeated_socket_sessions_release_their_descriptors() {
     });
 }
 
+/// Records which thread delivered each event.
+struct ThreadRecorder(Arc<Mutex<Vec<ThreadId>>>);
+
+impl EmuObserver for ThreadRecorder {
+    fn on_event(&mut self, _side: Side, _event: &EmuEvent) {
+        self.0.lock().unwrap().push(thread::current().id());
+    }
+}
+
+#[test]
+fn every_observer_event_arrives_on_the_calling_thread() {
+    // Both domains of an endpoint-backed session are stepped by whoever
+    // calls `run_until_committed`: an observer sees one thread, the
+    // caller's, however many domains and whatever the medium.
+    for (name, backend) in backends() {
+        if !matches!(name, "tcp" | "shm") {
+            continue;
+        }
+        within(name, Duration::from_secs(30), move || {
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let mut session = EmuSession::from_blueprint(&figure2_soc())
+                .config(config())
+                .transport(backend)
+                .observer(Box::new(ThreadRecorder(seen.clone())))
+                .build()
+                .expect("session builds");
+            session.run_until_committed(120).expect("run");
+            let seen = seen.lock().unwrap();
+            assert!(seen.len() > 100, "{name}: both sides report events");
+            let caller = thread::current().id();
+            assert!(seen.iter().all(|id| *id == caller), "{name}");
+        });
+    }
+}
+
 /// Drives a sliced session to `Done`, sleeping briefly on `Idle` — enough
 /// wait discipline for teardown tests (conformance uses the poll-set).
 fn drive_sliced(
@@ -252,8 +287,8 @@ fn drive_sliced(
 
 #[test]
 fn dropping_a_mid_flight_sliced_session_is_clean() {
-    // The sliced runner owns no threads, but it *does* hold live sockets,
-    // rings, and half-spoken protocol state when abandoned between slices —
+    // A sliced session holds live sockets, rings, and half-spoken protocol
+    // state when abandoned between slices —
     // exactly the state a farm holds when it cancels or evicts a session.
     for (name, backend) in backends() {
         within(name, Duration::from_secs(30), move || {
@@ -276,7 +311,7 @@ fn dropping_a_mid_flight_sliced_session_is_clean() {
 
 #[test]
 fn repeated_sliced_socket_sessions_release_their_descriptors() {
-    // The sliced analogue of the thread-backed descriptor churn above:
+    // The sliced analogue of the blocking-run descriptor churn above:
     // sixty-four sequential sliced TCP sessions, each run to completion and
     // dropped, must not accumulate sockets or listeners.
     within("sliced tcp churn", Duration::from_secs(60), || {
@@ -366,10 +401,9 @@ fn dropping_an_unused_fabric_session_is_immediate() {
 
 #[test]
 fn dropping_a_partially_run_fabric_session_joins_all_domains() {
-    // Three domain threads, three links: a mid-run halt must join every
-    // domain thread and close every socket, exactly like the two-domain
-    // session — the N-way done-counting must not strand a thread in the
-    // halt-linger when the session is dropped between runs.
+    // Three domains, three links: a mid-run halt must leave every socket
+    // closable, exactly like the two-domain session — the N-way halt-linger
+    // must end when the last port halts, not keep the run call spinning.
     for (name, link) in fabric_backends() {
         within(name, Duration::from_secs(30), move || {
             let mut session = FabricSession::from_blueprint(&figure2_soc(), 3)
@@ -387,10 +421,9 @@ fn dropping_a_partially_run_fabric_session_joins_all_domains() {
 #[test]
 fn a_fabric_with_one_wedged_link_wakes_every_blocked_domain() {
     // A 100%-drop plan starves *every* link's handshake (the per-edge plans
-    // derive from one base spec). All three domains block; the epoch-based
-    // deadlock detector must fire in one of them, its `stop` broadcast must
-    // wake the other two out of their waits, and the dead session must still
-    // tear down within the watchdog — no domain thread left parked forever.
+    // derive from one base spec). All three domains block; the starvation
+    // window must expire over the idle waits on six silent link ends, and the
+    // dead session must still tear down within the watchdog.
     within("fabric tcp+drops", Duration::from_secs(30), || {
         let mut session = FabricSession::from_blueprint(&figure2_soc(), 3)
             .config(config())

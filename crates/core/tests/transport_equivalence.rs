@@ -2,7 +2,7 @@
 //! (`common/conformance.rs`): the same blueprint and seed must produce
 //! bit-identical committed traces, identical channel statistics, and
 //! identical virtual-time ledgers over **every** transport backend — the
-//! deterministic queue, the fault-free lossy wrapper, the real-thread
+//! deterministic queue, the fault-free lossy wrapper, the mpsc endpoint
 //! transport, the TCP socket transport, the shared-memory ring transport
 //! (heap-shared and `/dev/shm` file-backed), and the ack-and-retransmit
 //! reliable layer over each of them. Sessions halt at transition

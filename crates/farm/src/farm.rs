@@ -530,6 +530,18 @@ fn settle<M: DomainModel + Send + 'static>(
     finish(shared, state, id, submitted, outcome, session);
 }
 
+/// One build step with its panics contained: the fresh session, or the
+/// outcome the job ends with.
+fn build_contained<M: DomainModel + Send + 'static>(
+    build: &mut dyn FnMut() -> Result<SlicedSession<M>, SessionError>,
+) -> Result<Box<SlicedSession<M>>, SessionOutcome> {
+    match catch_unwind(AssertUnwindSafe(build)) {
+        Ok(Ok(session)) => Ok(Box::new(session)),
+        Ok(Err(e)) => Err(SessionOutcome::BuildFailed(e)),
+        Err(panic) => Err(SessionOutcome::Panicked(panic_message(panic))),
+    }
+}
+
 /// One scheduling turn for one job, run outside the farm lock. Panics in the
 /// build closure or the slice are contained here: the worker reports them as
 /// a [`SessionOutcome::Panicked`] result and keeps serving other sessions.
@@ -541,54 +553,28 @@ fn run_turn<M: DomainModel + Send + 'static>(job: Job<M>, cfg: &FarmConfig) -> T
         mut heal,
         mut resume,
     } = job;
-    let mut session = match state {
-        JobState::Built(s) => s,
-        JobState::Unbuilt(build) => match catch_unwind(AssertUnwindSafe(build)) {
-            Ok(Ok(s)) => Box::new(s),
-            Ok(Err(e)) => {
-                return Turn::Finished {
-                    id,
-                    submitted,
-                    outcome: SessionOutcome::BuildFailed(e),
-                    session: None,
-                    heal,
-                }
-            }
-            Err(panic) => {
-                return Turn::Finished {
-                    id,
-                    submitted,
-                    outcome: SessionOutcome::Panicked(panic_message(panic)),
-                    session: None,
-                    heal,
-                }
-            }
-        },
-        JobState::Respawn => {
-            let respawn = heal
+    let built = match state {
+        JobState::Built(s) => Ok(s),
+        JobState::Unbuilt(build) => {
+            let mut build = Some(build);
+            build_contained(&mut || (build.take().expect("an unbuilt job builds once"))())
+        }
+        JobState::Respawn => build_contained(
+            &mut heal
                 .as_mut()
-                .map(|h| &mut h.respawn)
-                .expect("respawn jobs carry their heal hook");
-            match catch_unwind(AssertUnwindSafe(respawn)) {
-                Ok(Ok(s)) => Box::new(s),
-                Ok(Err(e)) => {
-                    return Turn::Finished {
-                        id,
-                        submitted,
-                        outcome: SessionOutcome::BuildFailed(e),
-                        session: None,
-                        heal,
-                    }
-                }
-                Err(panic) => {
-                    return Turn::Finished {
-                        id,
-                        submitted,
-                        outcome: SessionOutcome::Panicked(panic_message(panic)),
-                        session: None,
-                        heal,
-                    }
-                }
+                .expect("respawn jobs carry their heal hook")
+                .respawn,
+        ),
+    };
+    let mut session = match built {
+        Ok(session) => session,
+        Err(outcome) => {
+            return Turn::Finished {
+                id,
+                submitted,
+                outcome,
+                session: None,
+                heal,
             }
         }
     };

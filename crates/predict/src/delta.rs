@@ -88,7 +88,14 @@ pub fn decode_block(wire: &[u32]) -> Result<Vec<Vec<u32>>, DeltaDecodeError> {
     let mut next = || it.next().ok_or(DeltaDecodeError::Truncated);
     let count = next()? as usize;
     let width = next()? as usize;
-    let mut entries = Vec::with_capacity(count);
+    let mask_words = width.div_ceil(32);
+    // `count` is the peer's word, not a fact: reserve only what the words
+    // that follow could describe. Every entry after the first costs at least
+    // its mask words; zero-width entries cost nothing, so their count bounds
+    // nothing and nothing is reserved for them up front.
+    let rest = wire.len().saturating_sub(2).saturating_sub(width);
+    let describable = rest.checked_div(mask_words).map_or(0, |more| more + 1);
+    let mut entries = Vec::with_capacity(count.min(describable));
     if count == 0 {
         return if it.next().is_none() {
             Ok(entries)
@@ -98,7 +105,6 @@ pub fn decode_block(wire: &[u32]) -> Result<Vec<Vec<u32>>, DeltaDecodeError> {
     }
     let mut current: Vec<u32> = (0..width).map(|_| next()).collect::<Result<_, _>>()?;
     entries.push(current.clone());
-    let mask_words = width.div_ceil(32);
     for _ in 1..count {
         let mask: Vec<u32> = (0..mask_words).map(|_| next()).collect::<Result<_, _>>()?;
         for i in 0..width {
@@ -180,6 +186,12 @@ mod tests {
                 "cut at {cut}"
             );
         }
+        // A hostile count over a three-word input: rejected after reserving
+        // room for the one entry those words could hold, not for 2^32 - 1.
+        assert_eq!(
+            decode_block(&[u32::MAX, 1, 0]),
+            Err(DeltaDecodeError::Truncated)
+        );
     }
 
     #[test]

@@ -43,8 +43,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! The same session runs over a real-thread transport
-//! (`TransportSelect::Threaded`), a fault-injecting one
+//! The same session runs over per-side mpsc endpoints
+//! (`TransportSelect::Threaded`), a fault-injecting transport
 //! (`TransportSelect::Lossy`), a real TCP socket pair
 //! (`TransportSelect::Tcp`), or a shared-memory ring pair
 //! (`TransportSelect::Shm` — multi-process co-emulation on one host) by

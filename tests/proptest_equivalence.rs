@@ -183,7 +183,7 @@ fn random_socs_commit_golden_traces() {
 
 #[test]
 fn random_socs_commit_golden_traces_across_backends() {
-    // A smaller sample through the fault-free lossy and real-thread backends:
+    // A smaller sample through the fault-free lossy and mpsc-endpoint backends:
     // the committed trace must not depend on the transport at all.
     for case in 0..6 {
         assert_case_commits_golden(
