@@ -23,7 +23,8 @@
 
 use crate::burst::{beat_addr, fits_in_boundary};
 use crate::signals::{
-    AddrPhase, Hburst, Hresp, Hsize, Htrans, MasterSignals, MasterView, SlaveSignals, SlaveView,
+    read_decoded, AddrPhase, Hburst, Hresp, Hsize, Htrans, MasterSignals, MasterView, SlaveSignals,
+    SlaveView,
 };
 use predpkt_sim::{Snapshot, SnapshotError, StateReader, StateWriter};
 
@@ -540,12 +541,19 @@ impl Snapshot for MasterEngine {
     }
 
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        // The payload vectors of the operation and result being overwritten
+        // are refilled, not replaced.
+        let (mut addrs, mut wdata) = self
+            .op
+            .take()
+            .map(|op| (op.addrs, op.wdata))
+            .unwrap_or_default();
         self.op = if r.bool()? {
             let write = r.bool()?;
-            let size = Hsize::decode(r.u32()?).ok_or(SnapshotError::Corrupt { at: 0 })?;
-            let burst = Hburst::decode(r.u32()?).ok_or(SnapshotError::Corrupt { at: 0 })?;
-            let addrs = r.slice_u32()?;
-            let wdata = r.slice_u32()?;
+            let size = read_decoded(r, Hsize::decode)?;
+            let burst = read_decoded(r, Hburst::decode)?;
+            r.slice_u32_into(&mut addrs)?;
+            r.slice_u32_into(&mut wdata)?;
             let lock = r.bool()?;
             let prot = r.u32()? as u8;
             Some(BusOp {
@@ -560,17 +568,18 @@ impl Snapshot for MasterEngine {
         } else {
             None
         };
-        self.state = MState::decode(r.u32()?).ok_or(SnapshotError::Corrupt { at: 0 })?;
+        self.state = read_decoded(r, MState::decode)?;
         self.addr_beat = r.u32()?;
         self.dp_beat = if r.bool()? { Some(r.u32()?) } else { None };
         self.done_beats = r.u32()?;
-        self.rdata = r.slice_u32()?;
+        r.slice_u32_into(&mut self.rdata)?;
         self.restart_singles = r.bool()?;
         self.error = r.bool()?;
+        let mut rdata = self.result.take().map(|res| res.rdata).unwrap_or_default();
         self.result = if r.bool()? {
             let write = r.bool()?;
             let addr = r.u32()?;
-            let rdata = r.slice_u32()?;
+            r.slice_u32_into(&mut rdata)?;
             let error = r.bool()?;
             Some(OpResult {
                 write,
@@ -881,6 +890,7 @@ impl Snapshot for SlaveEngine {
     }
 
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        let at = r.position();
         let code = r.u32()?;
         self.state = match code & 0b111 {
             0 => SState::Idle,
@@ -890,7 +900,7 @@ impl Snapshot for SlaveEngine {
             4 => SState::ErrFirst,
             5 => SState::ErrSecond,
             6 => SState::Stalled,
-            _ => return Err(SnapshotError::Corrupt { at: 0 }),
+            _ => return Err(r.corrupt_at(at)),
         };
         self.phase = if r.bool()? {
             let master = crate::signals::MasterId(r.usize()?);
@@ -899,11 +909,11 @@ impl Snapshot for SlaveEngine {
             } else {
                 None
             };
-            let trans = Htrans::decode(r.u32()?).ok_or(SnapshotError::Corrupt { at: 0 })?;
+            let trans = read_decoded(r, Htrans::decode)?;
             let addr = r.u32()?;
             let write = r.bool()?;
-            let size = Hsize::decode(r.u32()?).ok_or(SnapshotError::Corrupt { at: 0 })?;
-            let burst = Hburst::decode(r.u32()?).ok_or(SnapshotError::Corrupt { at: 0 })?;
+            let size = read_decoded(r, Hsize::decode)?;
+            let burst = read_decoded(r, Hburst::decode)?;
             Some(AddrPhase {
                 master,
                 slave,
@@ -916,7 +926,7 @@ impl Snapshot for SlaveEngine {
         } else {
             None
         };
-        self.resp = Hresp::decode(r.u32()?).ok_or(SnapshotError::Corrupt { at: 0 })?;
+        self.resp = read_decoded(r, Hresp::decode)?;
         self.rdata = r.u32()?;
         Ok(())
     }

@@ -14,7 +14,8 @@
 
 use crate::burst::BurstTracker;
 use crate::signals::{
-    AddrPhase, Hresp, MasterId, MasterSignals, MasterView, SlaveId, SlaveSignals, SlaveView,
+    read_decoded, AddrPhase, Hburst, Hresp, Hsize, Htrans, MasterId, MasterSignals, MasterView,
+    SlaveId, SlaveSignals, SlaveView,
 };
 use predpkt_sim::{Snapshot, SnapshotError, StateReader, StateWriter};
 
@@ -271,15 +272,17 @@ impl Snapshot for Arbiter {
     }
 
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        let at = r.position();
         let granted = r.usize()?;
         if granted >= self.num_masters {
-            return Err(SnapshotError::Corrupt { at: 0 });
+            return Err(r.corrupt_at(at));
         }
         self.granted = MasterId(granted);
         self.split_mask = r.u32()? as u16;
         self.burst = if r.bool()? {
+            let at = r.position();
             let words = [r.u32()?, r.u32()?];
-            Some(BurstTracker::unpack(&words).ok_or(SnapshotError::Corrupt { at: 0 })?)
+            Some(BurstTracker::unpack(&words).ok_or_else(|| r.corrupt_at(at))?)
         } else {
             None
         };
@@ -488,14 +491,11 @@ impl Snapshot for Fabric {
             } else {
                 None
             };
-            let trans =
-                crate::signals::Htrans::decode(r.u32()?).ok_or(SnapshotError::Corrupt { at: 0 })?;
+            let trans = read_decoded(r, Htrans::decode)?;
             let addr = r.u32()?;
             let write = r.bool()?;
-            let size =
-                crate::signals::Hsize::decode(r.u32()?).ok_or(SnapshotError::Corrupt { at: 0 })?;
-            let burst =
-                crate::signals::Hburst::decode(r.u32()?).ok_or(SnapshotError::Corrupt { at: 0 })?;
+            let size = read_decoded(r, Hsize::decode)?;
+            let burst = read_decoded(r, Hburst::decode)?;
             Some(AddrPhase {
                 master,
                 slave,

@@ -190,7 +190,7 @@ impl Snapshot for DmaMaster {
         } else {
             DmaPhase::Reading
         };
-        self.chunk = r.slice_u32()?;
+        r.slice_u32_into(&mut self.chunk)?;
         self.inflight_words = r.u32()?;
         self.engine.restore(r)?;
         self.words_moved_total = r.word()?;

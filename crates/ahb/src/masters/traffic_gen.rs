@@ -130,17 +130,25 @@ impl Snapshot for TrafficGenMaster {
         self.next_op = r.usize()?;
         self.idle_left = r.u32()?;
         self.engine.restore(r)?;
+        // Results only accumulate, so a rollback mostly truncates; the
+        // entries that stay are refilled where they are.
         let n = r.usize()?;
-        self.results = (0..n)
-            .map(|_| {
-                Ok(OpResult {
-                    write: r.bool()?,
-                    addr: r.u32()?,
-                    rdata: r.slice_u32()?,
-                    error: r.bool()?,
-                })
-            })
-            .collect::<Result<_, SnapshotError>>()?;
+        self.results.truncate(n);
+        for i in 0..n {
+            if i == self.results.len() {
+                self.results.push(OpResult {
+                    write: false,
+                    addr: 0,
+                    rdata: Vec::new(),
+                    error: false,
+                });
+            }
+            let res = &mut self.results[i];
+            res.write = r.bool()?;
+            res.addr = r.u32()?;
+            r.slice_u32_into(&mut res.rdata)?;
+            res.error = r.bool()?;
+        }
         Ok(())
     }
 }

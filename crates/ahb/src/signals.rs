@@ -441,6 +441,16 @@ impl SlaveView {
     }
 }
 
+/// Reads one word and decodes it as an encoded signal, reporting a value
+/// outside the encoding as corrupt at that word's own index.
+pub(crate) fn read_decoded<T>(
+    r: &mut StateReader<'_>,
+    decode: impl FnOnce(u32) -> Option<T>,
+) -> Result<T, SnapshotError> {
+    let at = r.position();
+    decode(r.u32()?).ok_or_else(|| r.corrupt_at(at))
+}
+
 impl Snapshot for MasterSignals {
     fn save(&self, w: &mut StateWriter<'_>) {
         let packed = self.pack();
@@ -448,8 +458,9 @@ impl Snapshot for MasterSignals {
     }
 
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        let at = r.position();
         let words = [r.u32()?, r.u32()?, r.u32()?];
-        *self = MasterSignals::unpack(&words).ok_or(SnapshotError::Corrupt { at: 0 })?;
+        *self = MasterSignals::unpack(&words).ok_or_else(|| r.corrupt_at(at))?;
         Ok(())
     }
 }
@@ -461,8 +472,9 @@ impl Snapshot for SlaveSignals {
     }
 
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        let at = r.position();
         let words = [r.u32()?, r.u32()?];
-        *self = SlaveSignals::unpack(&words).ok_or(SnapshotError::Corrupt { at: 0 })?;
+        *self = SlaveSignals::unpack(&words).ok_or_else(|| r.corrupt_at(at))?;
         Ok(())
     }
 }

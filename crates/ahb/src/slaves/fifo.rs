@@ -158,15 +158,31 @@ impl AhbSlave for FifoSlave {
     }
 }
 
+/// Writes a FIFO as the length-prefixed slice its contents form.
+fn save_deque(w: &mut StateWriter<'_>, fifo: &VecDeque<u32>) {
+    w.usize(fifo.len());
+    for &word in fifo {
+        w.u32(word);
+    }
+}
+
+/// Refills a FIFO from a length-prefixed slice, in the buffer it owns: a
+/// cleared deque and a vector trade their allocation without copying.
+fn restore_deque(r: &mut StateReader<'_>, fifo: &mut VecDeque<u32>) -> Result<(), SnapshotError> {
+    fifo.clear();
+    let mut words = Vec::from(std::mem::take(fifo));
+    let read = r.slice_u32_into(&mut words);
+    *fifo = words.into();
+    read
+}
+
 impl Snapshot for FifoSlave {
     fn save(&self, w: &mut StateWriter<'_>) {
         w.u32(self.produce_phase)
             .u32(self.next_produced)
             .u32(self.consume_phase);
-        let tx: Vec<u32> = self.tx.iter().copied().collect();
-        w.slice_u32(&tx);
-        let rx: Vec<u32> = self.rx.iter().copied().collect();
-        w.slice_u32(&rx);
+        save_deque(w, &self.tx);
+        save_deque(w, &self.rx);
         w.slice_u32(&self.consumed);
         self.engine.save(w);
         w.word(self.underflow_reads);
@@ -176,9 +192,9 @@ impl Snapshot for FifoSlave {
         self.produce_phase = r.u32()?;
         self.next_produced = r.u32()?;
         self.consume_phase = r.u32()?;
-        self.tx = r.slice_u32()?.into();
-        self.rx = r.slice_u32()?.into();
-        self.consumed = r.slice_u32()?;
+        restore_deque(r, &mut self.tx)?;
+        restore_deque(r, &mut self.rx)?;
+        r.slice_u32_into(&mut self.consumed)?;
         self.engine.restore(r)?;
         self.underflow_reads = r.word()?;
         Ok(())

@@ -155,7 +155,7 @@ impl Snapshot for MemorySlave {
     }
 
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.words = r.slice_u32()?;
+        r.slice_u32_into(&mut self.words)?;
         self.engine.restore(r)?;
         self.reads = r.word()?;
         self.writes = r.word()?;

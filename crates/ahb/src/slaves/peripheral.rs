@@ -171,7 +171,7 @@ impl Snapshot for PeripheralSlave {
         self.irq_pending = r.bool()?;
         self.period = r.u32()?;
         self.count = r.u32()?;
-        self.mailbox = r.slice_u32()?;
+        r.slice_u32_into(&mut self.mailbox)?;
         self.engine.restore(r)
     }
 }

@@ -168,17 +168,15 @@ impl Snapshot for SplitSlave {
     }
 
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.words = r.slice_u32()?;
-        let n = r.usize()?;
-        self.jobs = (0..n)
-            .map(|_| {
-                Ok(Job {
-                    master: MasterId(r.usize()?),
-                    cycles_left: r.u32()?,
-                    armed: r.bool()?,
-                })
-            })
-            .collect::<Result<_, SnapshotError>>()?;
+        r.slice_u32_into(&mut self.words)?;
+        self.jobs.clear();
+        for _ in 0..r.usize()? {
+            self.jobs.push(Job {
+                master: MasterId(r.usize()?),
+                cycles_left: r.u32()?,
+                armed: r.bool()?,
+            });
+        }
         self.ready_masters = r.u32()? as u16;
         self.unmask_pulse = r.u32()? as u16;
         self.engine.restore(r)?;

@@ -24,7 +24,7 @@ use crate::protocol::Message;
 use predpkt_channel::{CostedChannel, Side, Transport};
 use predpkt_predict::{Lob, LobEntry};
 use predpkt_sim::{
-    restore_from_vec, save_to_vec, CostCategory, SimError, Snapshot, SnapshotError, StateReader,
+    restore_from_vec, save_into, CostCategory, SimError, Snapshot, SnapshotError, StateReader,
     StateVec, StateWriter, TimeLedger, TraceMark, VirtualTime,
 };
 use std::fmt;
@@ -294,8 +294,13 @@ pub struct ChannelWrapper<M: DomainModel> {
     policy: ModePolicy,
     phase: Phase,
     lob: Lob,
-    /// Snapshot of the leader state at the transition start + trace mark.
-    snapshot: Option<(StateVec, TraceMark)>,
+    /// The leader's rollback state: one buffer for the wrapper's lifetime,
+    /// refilled at every transition start and left in place by a clean
+    /// report and a rollback alike.
+    snapshot: StateVec,
+    /// The trace mark taken with `snapshot`; `None` while no transition's
+    /// snapshot is live, so whatever `snapshot` holds is stale.
+    snapshot_mark: Option<TraceMark>,
     /// Entries in flight after a flush (for roll-forth replay).
     inflight: Vec<LobEntry>,
     /// Actual remote values used by the head cycle of the current transition
@@ -332,7 +337,8 @@ impl<M: DomainModel> ChannelWrapper<M> {
             policy,
             phase: Phase::HandshakeSend,
             lob: Lob::new(lob_depth),
-            snapshot: None,
+            snapshot: StateVec::new(),
+            snapshot_mark: None,
             inflight: Vec::new(),
             head_actuals: None,
             pending_actuals: None,
@@ -459,7 +465,7 @@ impl<M: DomainModel> ChannelWrapper<M> {
         self.stats.restore(r)?;
         self.phase = Phase::Elect;
         let _ = self.lob.drain();
-        self.snapshot = None;
+        self.snapshot_mark = None;
         self.inflight.clear();
         self.head_actuals = None;
         Ok(())
@@ -490,15 +496,16 @@ impl<M: DomainModel> ChannelWrapper<M> {
         ledger.charge(costs.category, costs.cycle);
     }
 
-    fn rollback_vars(&self, costs: &DomainCosts, state: &StateVec) -> u64 {
-        costs.rollback_vars_override.unwrap_or(state.len()) as u64
+    /// The rollback variables one store or restore of `snapshot` bills.
+    fn rollback_vars(&self, costs: &DomainCosts) -> u64 {
+        costs.rollback_vars_override.unwrap_or(self.snapshot.len()) as u64
     }
 
     fn take_snapshot(&mut self, ledger: &mut TimeLedger, costs: &DomainCosts) {
-        let state = save_to_vec(&self.model);
-        let vars = self.rollback_vars(costs, &state);
+        save_into(&self.model, &mut self.snapshot);
+        let vars = self.rollback_vars(costs);
         ledger.charge(CostCategory::StateStore, costs.store_per_var * vars);
-        self.snapshot = Some((state, self.model.trace_mark()));
+        self.snapshot_mark = Some(self.model.trace_mark());
     }
 
     /// Runs one scheduling quantum. Returns [`Progress::Blocked`] when waiting
@@ -679,7 +686,7 @@ impl<M: DomainModel> ChannelWrapper<M> {
                             self.cur_depth = (self.cur_depth * 2).min(self.depth_cap);
                         }
                         self.pending_actuals = Some((self.model.cycle(), next));
-                        self.snapshot = None;
+                        self.snapshot_mark = None;
                         self.inflight.clear();
                         self.head_actuals = None;
                         self.phase = Phase::Elect;
@@ -828,13 +835,13 @@ impl<M: DomainModel> ChannelWrapper<M> {
         costs: &DomainCosts,
         obs: &mut dyn EmuObserver,
     ) -> Result<(), SimError> {
-        let (state, mark) = self
-            .snapshot
+        let mark = self
+            .snapshot_mark
             .take()
             .ok_or_else(|| SimError::Config("rollback without a snapshot".into()))?;
-        let vars = self.rollback_vars(costs, &state);
+        let vars = self.rollback_vars(costs);
         ledger.charge(CostCategory::StateRestore, costs.restore_per_var * vars);
-        if let Err(err) = restore_from_vec(&mut self.model, &state) {
+        if let Err(err) = restore_from_vec(&mut self.model, &self.snapshot) {
             // The model now holds an undefined mixture of pre- and
             // post-rollback state: quarantine it so no further step can run.
             self.poisoned = Some(err.clone());

@@ -269,3 +269,31 @@ fn rollbacks_occur_and_are_repaired() {
     );
     assert!(report.observed_accuracy().is_some());
 }
+
+/// The billing unit is the state vector's length: with `rollback_vars(None)`
+/// every store and restore charges `per_var × state.len()`. A snapshot path
+/// that wrote other words — packed, skipped, reordered — would still commit
+/// the right trace and would silently change the model-time statistics, so
+/// the totals of one long run are pinned to the picosecond.
+#[test]
+fn snapshot_billing_is_pinned() {
+    use predpkt_sim::CostCategory;
+    let blueprint = figure2_soc();
+    let config = CoEmuConfig::paper_defaults()
+        .policy(ModePolicy::Auto)
+        .rollback_vars(None);
+    let mut coemu = CoEmulator::from_blueprint(&blueprint, config).unwrap();
+    coemu.run_until_committed(6_000).unwrap();
+    let report = coemu.report();
+    let picos = |category| coemu.ledger().get(category).as_picos();
+    assert_eq!(
+        (
+            report.sim_stats().transitions + report.acc_stats().transitions,
+            report.sim_stats().rollbacks + report.acc_stats().rollbacks,
+            picos(CostCategory::StateStore),
+            picos(CostCategory::StateRestore),
+        ),
+        (1_091, 1_029, 13_597_885_400, 13_576_149_040),
+        "transitions, rollbacks, Tstore and Trest of 6 000 Fig. 2 cycles"
+    );
+}

@@ -6,7 +6,11 @@
 //! instance, and saving again must reproduce the original state vector
 //! exactly — and a truncated vector must be rejected with a typed
 //! [`SnapshotError`], after which the good vector still restores cleanly
-//! (a failed restore never bricks the component).
+//! (a failed restore never bricks the component). Components with
+//! variable-length state take a third leg, the one a rollback exercises: the
+//! saved words restored over a *dirty* instance — seeded too, but driven
+//! differently, so its queues, lists and tables have other sizes and
+//! contents — must leave nothing of the dirty state behind.
 //!
 //! The aggregate impls pull their members in recursively: the
 //! [`AhbDomainModel`] case covers the bus, fabric, arbiter, master/slave
@@ -18,21 +22,26 @@
 mod common;
 
 use common::figure2_soc;
+use predpkt_ahb::engine::BusOp;
+use predpkt_ahb::masters::{CpuMaster, CpuProfile, DmaDescriptor, DmaMaster, TrafficGenMaster};
+use predpkt_ahb::signals::{Hburst, Hsize};
+use predpkt_ahb::slaves::{FifoSlave, MemorySlave, PeripheralSlave, SplitSlave};
 use predpkt_channel::{
     ChannelCostModel, ChannelStats, CostedChannel, FaultSpec, LossyTransport, Packet, PacketTag,
     QueueTransport, ReliableConfig, ReliableTransport, ShmTransport, TcpTransport,
     ThreadedTransport, Transport,
 };
-use predpkt_core::{CwStats, DomainModel, Side, TickKind};
+use predpkt_core::{AhbDomainModel, CwStats, DomainModel, Side, SocBlueprint, TickKind};
 use predpkt_predict::{
-    AdaptiveConfig, AdaptiveMasterPredictor, AdaptiveSlavePredictor, BurstFollower,
+    AdaptiveConfig, AdaptiveMasterPredictor, AdaptiveSlavePredictor, AdaptiveSuite, BurstFollower,
     ContextMasterPredictor, ContextSlavePredictor, ContextTable, LastValueMasterPredictor,
     LastValuePredictor, LastValueSlavePredictor, Lob, LobEntry, MasterPredictor, MasterSignals,
-    PaperMasterPredictor, PaperSlavePredictor, SlavePredictor, SlaveSignals, WaitPredictor,
+    PaperMasterPredictor, PaperSlavePredictor, PaperSuite, PredictorSuite, SlavePredictor,
+    SlaveSignals, WaitPredictor,
 };
 use predpkt_sim::{
-    restore_from_vec, save_to_vec, CostCategory, Snapshot, SplitMix64, StateVec, TimeLedger, Trace,
-    VirtualTime,
+    restore_from_vec, save_to_vec, CostCategory, Snapshot, SnapshotError, SplitMix64, StateReader,
+    StateVec, StateWriter, TimeLedger, Trace, VirtualTime,
 };
 
 /// The law: seeded → save → restore-into-fresh → save is a fixed point, a
@@ -64,6 +73,32 @@ fn assert_roundtrip<T: Snapshot + ?Sized>(name: &str, seeded: &T, fresh: &mut T)
     );
 }
 
+/// [`assert_roundtrip`] plus the rollback leg: restoring over `dirty`, a
+/// second seeded instance in another state, reproduces the saved vector.
+/// Restores reuse the target's allocations, so this is what catches a site
+/// that appends to, or keeps the tail of, what was there.
+fn assert_roundtrip_over_dirty<T: Snapshot + ?Sized>(
+    name: &str,
+    seeded: &T,
+    fresh: &mut T,
+    dirty: &mut T,
+) {
+    assert_roundtrip(name, seeded, fresh);
+    let saved = save_to_vec(seeded);
+    assert_ne!(
+        save_to_vec(dirty),
+        saved,
+        "{name}: the dirty instance must not already hold the seeded state"
+    );
+    restore_from_vec(dirty, &saved)
+        .unwrap_or_else(|e| panic!("{name}: restore over a dirty instance failed: {e}"));
+    assert_eq!(
+        save_to_vec(dirty),
+        saved,
+        "{name}: restoring over a dirty instance left some of its state behind"
+    );
+}
+
 #[test]
 fn sim_components_roundtrip() {
     let mut rng = SplitMix64::new(0x5eed_cafe);
@@ -76,7 +111,11 @@ fn sim_components_roundtrip() {
     for i in 0..32u64 {
         trace.record(vec![i, i.wrapping_mul(0x9e37_79b9), i ^ 0xff]);
     }
-    assert_roundtrip("Trace", &trace, &mut Trace::new());
+    let mut longer = Trace::new();
+    for i in 0..50u64 {
+        longer.record(vec![i; (i % 5) as usize]);
+    }
+    assert_roundtrip_over_dirty("Trace", &trace, &mut Trace::new(), &mut longer);
 
     let mut ledger = TimeLedger::new();
     ledger.charge(CostCategory::Simulator, VirtualTime::from_nanos(1_234));
@@ -223,7 +262,16 @@ fn predictor_components_roundtrip() {
         })
         .expect("LOB has room");
     }
-    assert_roundtrip("Lob", &lob, &mut Lob::new(8));
+    let mut fuller = Lob::new(8);
+    for i in 0..8u32 {
+        fuller
+            .push(LobEntry {
+                local: vec![i; 3],
+                predicted: Some(vec![i, i]),
+            })
+            .expect("LOB has room");
+    }
+    assert_roundtrip_over_dirty("Lob", &lob, &mut Lob::new(8), &mut fuller);
 
     let mut paper_master = PaperMasterPredictor::new();
     let mut sig = MasterSignals::default();
@@ -294,46 +342,69 @@ fn adaptive_predictor_components_roundtrip() {
         let key = rng.below(96);
         table.observe(key, (key as u32).wrapping_mul(5) + (i % 7 == 0) as u32);
     }
-    assert_roundtrip("ContextTable", &table, &mut ContextTable::new());
+    let mut other_table = ContextTable::new();
+    for key in 0..300u64 {
+        other_table.observe(key * 7, key as u32 ^ 0x55);
+    }
+    assert_roundtrip_over_dirty(
+        "ContextTable",
+        &table,
+        &mut ContextTable::new(),
+        &mut other_table,
+    );
 
     // Drive the master through a repeating gapped single-transfer stream so
     // the phase machine, stride history, and run counters are all mid-flight
     // at the cut.
-    let mut ctx_master = ContextMasterPredictor::new();
-    for period in 0..5u32 {
-        for cycle in 0..9u32 {
-            let mut sig = MasterSignals::idle();
-            sig.busreq = (2..5).contains(&cycle);
-            if cycle == 4 {
-                sig.addr = 0x100 + period * 0x20;
-                sig.trans = predpkt_predict::Htrans::Nonseq;
-                sig.write = true;
-                sig.wdata = period;
+    // The dirty instances of this test see the same kind of stream with
+    // another length and stride, so tables, histories and cursors all differ.
+    let gapped_stream = |p: &mut dyn MasterPredictor, periods: u32, stride: u32| {
+        for period in 0..periods {
+            for cycle in 0..9u32 {
+                let mut sig = MasterSignals::idle();
+                sig.busreq = (2..5).contains(&cycle);
+                if cycle == 4 {
+                    sig.addr = 0x100 + period * stride;
+                    sig.trans = predpkt_predict::Htrans::Nonseq;
+                    sig.write = true;
+                    sig.wdata = period;
+                }
+                p.observe(&sig, cycle == 4);
+                p.predict();
             }
-            ctx_master.observe(&sig, cycle == 4);
-            ctx_master.predict();
         }
-    }
-    assert_roundtrip(
+    };
+    let mut ctx_master = ContextMasterPredictor::new();
+    gapped_stream(&mut ctx_master, 5, 0x20);
+    let mut dirty_master = ContextMasterPredictor::new();
+    gapped_stream(&mut dirty_master, 13, 0x44);
+    assert_roundtrip_over_dirty(
         "ContextMasterPredictor",
         &ctx_master,
         &mut ContextMasterPredictor::new(),
+        &mut dirty_master,
     );
 
+    let wait_stream = |p: &mut dyn SlavePredictor, cycles: u32, wait_every: u32| {
+        let mut ssig = SlaveSignals::idle();
+        for i in 0..cycles {
+            ssig.ready = i % wait_every != 1;
+            ssig.rdata = i.wrapping_mul(31);
+            ssig.irq = i % 8 == 7;
+            p.observe(&ssig, (i % 2 == 0).then_some(i % 4 == 0));
+            p.begin_phase(i % 4 == 0);
+            p.predict(i % 2 == 0);
+        }
+    };
     let mut ctx_slave = ContextSlavePredictor::new();
-    let mut ssig = SlaveSignals::idle();
-    for i in 0..40u32 {
-        ssig.ready = i % 3 != 1;
-        ssig.rdata = i.wrapping_mul(31);
-        ssig.irq = i % 8 == 7;
-        ctx_slave.observe(&ssig, (i % 2 == 0).then_some(i % 4 == 0));
-        ctx_slave.begin_phase(i % 4 == 0);
-        ctx_slave.predict(i % 2 == 0);
-    }
-    assert_roundtrip(
+    wait_stream(&mut ctx_slave, 40, 3);
+    let mut dirty_slave = ContextSlavePredictor::new();
+    wait_stream(&mut dirty_slave, 97, 5);
+    assert_roundtrip_over_dirty(
         "ContextSlavePredictor",
         &ctx_slave,
         &mut ContextSlavePredictor::new(),
+        &mut dirty_slave,
     );
 
     // A twitchy config so the scoreboard actually switches (and banks pending
@@ -355,10 +426,13 @@ fn adaptive_predictor_components_roundtrip() {
         ad_master.observe(&sig, i % 4 == 1);
         ad_master.predict();
     }
-    assert_roundtrip(
+    let mut dirty_master = AdaptiveMasterPredictor::new(cfg);
+    gapped_stream(&mut dirty_master, 13, 0x44);
+    assert_roundtrip_over_dirty(
         "AdaptiveMasterPredictor",
         &ad_master,
         &mut AdaptiveMasterPredictor::new(cfg),
+        &mut dirty_master,
     );
     // Un-drained switch billing is part of the cut: the restored twin must
     // bill the same words the donor owed.
@@ -380,11 +454,32 @@ fn adaptive_predictor_components_roundtrip() {
         ad_slave.begin_phase(i % 8 == 0);
         ad_slave.predict(i % 2 == 1);
     }
-    assert_roundtrip(
+    let mut dirty_slave = AdaptiveSlavePredictor::new(cfg);
+    wait_stream(&mut dirty_slave, 97, 5);
+    assert_roundtrip_over_dirty(
         "AdaptiveSlavePredictor",
         &ad_slave,
         &mut AdaptiveSlavePredictor::new(cfg),
+        &mut dirty_slave,
     );
+}
+
+/// Builds a pair and runs it in lockstep conservative execution: each domain
+/// ticks on the other's actual outputs, training predictors and advancing
+/// every engine.
+fn driven_pair(
+    blueprint: &SocBlueprint,
+    suite: &dyn PredictorSuite,
+    cycles: usize,
+) -> (AhbDomainModel, AhbDomainModel) {
+    let (mut sim, mut acc) = blueprint.build_pair_with(suite).expect("pair builds");
+    for _ in 0..cycles {
+        let sim_out = sim.local_outputs();
+        let acc_out = acc.local_outputs();
+        sim.tick(&acc_out, TickKind::Actual);
+        acc.tick(&sim_out, TickKind::Actual);
+    }
+    (sim, acc)
 }
 
 /// The big aggregate: one seeded [`AhbDomainModel`] vector covers the bus
@@ -393,20 +488,23 @@ fn adaptive_predictor_components_roundtrip() {
 #[test]
 fn domain_models_roundtrip() {
     let blueprint = figure2_soc();
-    let (mut sim, mut acc) = blueprint.build_pair().expect("pair builds");
-    // Lockstep conservative execution: each domain ticks on the other's
-    // actual outputs, training predictors and advancing every engine.
-    for _ in 0..64 {
-        let sim_out = sim.local_outputs();
-        let acc_out = acc.local_outputs();
-        sim.tick(&acc_out, TickKind::Actual);
-        acc.tick(&sim_out, TickKind::Actual);
-    }
+    let (mut sim, mut acc) = driven_pair(&blueprint, &PaperSuite, 64);
     assert!(sim.cycle() > 0 && acc.cycle() > 0);
 
     let (mut fresh_sim, mut fresh_acc) = blueprint.build_pair().expect("pair builds");
-    assert_roundtrip("AhbDomainModel (simulator)", &sim, &mut fresh_sim);
-    assert_roundtrip("AhbDomainModel (accelerator)", &acc, &mut fresh_acc);
+    let (mut dirty_sim, mut dirty_acc) = driven_pair(&blueprint, &PaperSuite, 211);
+    assert_roundtrip_over_dirty(
+        "AhbDomainModel (simulator)",
+        &sim,
+        &mut fresh_sim,
+        &mut dirty_sim,
+    );
+    assert_roundtrip_over_dirty(
+        "AhbDomainModel (accelerator)",
+        &acc,
+        &mut fresh_acc,
+        &mut dirty_acc,
+    );
 
     // The model's own Snapshot is the *rollback* cut, which deliberately
     // excludes the committed trace (rollback must never rewrite committed
@@ -427,6 +525,147 @@ fn domain_models_roundtrip() {
         acc.tick(&a, TickKind::Actual);
     }
     assert_eq!(sim.trace().hash(), fresh_sim.trace().hash());
+}
+
+/// The rollback case at full size: every component whose state has a
+/// variable length (FIFO levels, split jobs in flight, accumulated results,
+/// burst payloads, DMA chunks) sits in one SoC under the adaptive suite, and
+/// cuts taken at unrelated moments are restored over each other in both
+/// directions — shorter over longer and longer over shorter.
+#[test]
+fn domain_models_restore_over_each_other() {
+    // The CPU's data region is the split slave, so jobs are in flight at
+    // most cuts, often several at once with the other two masters'.
+    let blueprint = SocBlueprint::new()
+        .master(Side::Simulator, || {
+            Box::new(CpuMaster::new(0x51de, CpuProfile::default()))
+        })
+        .master(Side::Accelerator, || {
+            Box::new(TrafficGenMaster::from_ops(vec![
+                BusOp::read_incr(0x2000, Hsize::Word, 4),
+                BusOp::read_single(0x1004),
+                BusOp::write_burst(0x2000, Hsize::Word, Hburst::Incr4, vec![1, 2, 3, 4]),
+                BusOp::read_burst(0x0040, Hsize::Word, Hburst::Wrap8),
+                BusOp::write_single(0x3008, 0xabcd),
+                BusOp::read_incr(0x2000, Hsize::Word, 6),
+                BusOp::read_single(0x3008),
+            ]))
+        })
+        .master(Side::Accelerator, || {
+            Box::new(DmaMaster::new(vec![
+                DmaDescriptor::new(0x0100, 0x1010, 24),
+                DmaDescriptor::new(0x1010, 0x0200, 12),
+            ]))
+        })
+        .slave(Side::Simulator, 0x0000, 0x1000, || {
+            Box::new(MemorySlave::new(0x1000, 0))
+        })
+        .slave(Side::Accelerator, 0x1000, 0x1000, || {
+            Box::new(SplitSlave::new(0x100, 9))
+        })
+        .slave(Side::Accelerator, 0x2000, 0x1000, || {
+            Box::new(FifoSlave::new(8, 3, 5))
+        })
+        .slave(Side::Simulator, 0x3000, 0x1000, || {
+            Box::new(PeripheralSlave::new(1))
+        });
+    let suite = AdaptiveSuite::default();
+    let cuts = [7, 23, 41, 64, 90, 133, 211, 340];
+    let mut lengths = std::collections::BTreeSet::new();
+    for &seeded_at in &cuts {
+        let (sim, acc) = driven_pair(&blueprint, &suite, seeded_at);
+        lengths.insert((save_to_vec(&sim).len(), save_to_vec(&acc).len()));
+        for &dirty_at in cuts.iter().filter(|&&at| at != seeded_at) {
+            let (mut fresh_sim, mut fresh_acc) =
+                blueprint.build_pair_with(&suite).expect("pair builds");
+            let (mut dirty_sim, mut dirty_acc) = driven_pair(&blueprint, &suite, dirty_at);
+            let name = format!("cut at {seeded_at} over cut at {dirty_at}");
+            assert_roundtrip_over_dirty(
+                &format!("simulator, {name}"),
+                &sim,
+                &mut fresh_sim,
+                &mut dirty_sim,
+            );
+            assert_roundtrip_over_dirty(
+                &format!("accelerator, {name}"),
+                &acc,
+                &mut fresh_acc,
+                &mut dirty_acc,
+            );
+        }
+    }
+    assert!(
+        lengths.len() > cuts.len() / 2,
+        "the cuts must differ in size for the dirty leg to mean anything: {lengths:?}"
+    );
+}
+
+/// A word outside a signal's encoding is reported at its own index under its
+/// section's label, wherever in the vector the component's words lie.
+#[test]
+fn corrupt_signal_word_names_its_index_and_section() {
+    let blueprint = figure2_soc();
+    let (_, acc) = (1..200)
+        .map(|cycles| driven_pair(&blueprint, &PaperSuite, cycles))
+        .find(|(_, acc)| acc.fabric().data_phase().is_some())
+        .expect("some cut has a data phase in flight");
+    // Laid out as a checkpoint lays it out: behind other words, labeled.
+    let saved = save_to_vec(&acc);
+    let section_start = 5;
+    let labeled = |damaged: Option<usize>| {
+        let mut state = StateVec::new();
+        let mut w = StateWriter::new(&mut state);
+        w.slice(&[0; 4]).section("acc.model");
+        for (i, &word) in saved.words().iter().enumerate() {
+            w.word(if damaged == Some(section_start + i) {
+                0xffff
+            } else {
+                word
+            });
+        }
+        state
+    };
+
+    // Walk the fabric's words up to the data phase's HTRANS: the arbiter
+    // (grant, split mask, optional burst tracker), the default-slave flag,
+    // then the phase's master and optional slave.
+    let clean = labeled(None);
+    let mut r = StateReader::new(&clean);
+    r.slice().unwrap();
+    assert_eq!(r.position(), section_start);
+    r.usize().unwrap();
+    r.u32().unwrap();
+    if r.bool().unwrap() {
+        r.u32().unwrap();
+        r.u32().unwrap();
+    }
+    r.bool().unwrap();
+    assert!(r.bool().unwrap(), "the cut was chosen with a data phase");
+    r.usize().unwrap();
+    if r.bool().unwrap() {
+        r.usize().unwrap();
+    }
+    let htrans = r.position();
+    let hsize = htrans + 3; // HTRANS, HADDR, HWRITE, HSIZE
+
+    for at in [htrans, hsize] {
+        let (_, mut target) = blueprint.build_pair().expect("pair builds");
+        let state = labeled(Some(at));
+        let mut r = StateReader::new(&state);
+        r.slice().unwrap();
+        let err = target
+            .restore(&mut r)
+            .expect_err("a bad encoding is rejected");
+        assert_eq!(err.section(), Some("acc.model"));
+        assert_eq!(
+            err,
+            SnapshotError::InSection {
+                section: "acc.model",
+                offset: at - section_start,
+                source: Box::new(SnapshotError::Corrupt { at }),
+            }
+        );
+    }
 }
 
 #[test]

@@ -20,7 +20,7 @@
 //!
 //! [`PaperSuite`]: crate::PaperSuite
 
-use crate::context::{ContextMasterPredictor, ContextSlavePredictor};
+use crate::context::{restore_array, ContextMasterPredictor, ContextSlavePredictor};
 use crate::suite::{
     LastValueMasterPredictor, LastValueSlavePredictor, MasterPredictor, PaperMasterPredictor,
     PaperSlavePredictor, PredictorSuite, SlavePredictor,
@@ -139,14 +139,12 @@ impl Scoreboard {
     }
 
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let hits = r.slice_u32()?;
-        self.hits = hits
-            .try_into()
-            .map_err(|_| SnapshotError::Corrupt { at: r.position() })?;
+        restore_array(r, &mut self.hits)?;
         self.samples = r.u32()?;
+        let at = r.position();
         self.active = r.u32()?;
         if self.active as usize >= CANDIDATES {
-            return Err(SnapshotError::Corrupt { at: r.position() });
+            return Err(r.corrupt_at(at));
         }
         self.cooldown = r.u32()?;
         self.pending_words = r.u32()?;

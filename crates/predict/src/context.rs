@@ -141,17 +141,31 @@ impl Snapshot for ContextTable {
     }
 
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.tags = r.slice_u32()?;
-        self.values = r.slice_u32()?;
-        self.conf = r.slice_u32()?;
-        if self.tags.len() != TABLE_SLOTS
-            || self.values.len() != TABLE_SLOTS
-            || self.conf.len() != TABLE_SLOTS
-        {
-            return Err(SnapshotError::Corrupt { at: r.position() });
+        for column in [&mut self.tags, &mut self.values, &mut self.conf] {
+            let at = r.position();
+            r.slice_u32_into(column)?;
+            if column.len() != TABLE_SLOTS {
+                return Err(r.corrupt_at(at));
+            }
         }
         Ok(())
     }
+}
+
+/// Restores a fixed array that [`StateWriter::slice_u32`] saved: the length
+/// word must announce exactly `N` entries, which are read into place.
+pub(crate) fn restore_array<const N: usize>(
+    r: &mut StateReader<'_>,
+    out: &mut [u32; N],
+) -> Result<(), SnapshotError> {
+    let at = r.position();
+    if r.usize()? != N {
+        return Err(r.corrupt_at(at));
+    }
+    for slot in out {
+        *slot = r.u32()?;
+    }
+    Ok(())
 }
 
 /// Request-cycle phase of the master being modelled (see
@@ -364,10 +378,7 @@ impl Snapshot for ContextMasterPredictor {
         self.follower.restore(r)?;
         self.lock.restore(r)?;
         self.wdata.restore(r)?;
-        let hist = r.slice_u32()?;
-        self.hist = hist
-            .try_into()
-            .map_err(|_| SnapshotError::Corrupt { at: r.position() })?;
+        restore_array(r, &mut self.hist)?;
         self.last_addr = r.u32()?;
         self.proto.restore(r)?;
         self.phase = r.u32()?;
@@ -514,10 +525,7 @@ impl Snapshot for ContextSlavePredictor {
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         self.table.restore(r)?;
         self.rdata.restore(r)?;
-        let whist = r.slice_u32()?;
-        self.whist = whist
-            .try_into()
-            .map_err(|_| SnapshotError::Corrupt { at: r.position() })?;
+        restore_array(r, &mut self.whist)?;
         self.observing = r.u32()?;
         self.countdown = r.u32()?;
         self.irq_level = r.bool()?;

@@ -163,8 +163,9 @@ impl Snapshot for BurstFollower {
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         self.last.restore(r)?;
         self.burst = if r.bool()? {
+            let at = r.position();
             let words = [r.u32()?, r.u32()?];
-            Some(BurstTracker::unpack(&words).ok_or(SnapshotError::Corrupt { at: 0 })?)
+            Some(BurstTracker::unpack(&words).ok_or_else(|| r.corrupt_at(at))?)
         } else {
             None
         };

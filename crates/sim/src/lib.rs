@@ -42,7 +42,8 @@ pub use error::SimError;
 pub use ledger::{CostCategory, LedgerReport, TimeLedger};
 pub use rng::{splitmix64_mix, SplitMix64};
 pub use snapshot::{
-    restore_from_vec, save_to_vec, Snapshot, SnapshotError, StateReader, StateVec, StateWriter,
+    restore_from_vec, save_into, save_to_vec, Snapshot, SnapshotError, StateReader, StateVec,
+    StateWriter,
 };
 pub use stats::{Counter, RunningStats};
 pub use time::{CycleCount, Frequency, VirtualTime};

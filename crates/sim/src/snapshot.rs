@@ -9,6 +9,23 @@
 //!
 //! The word count of a snapshot is the *number of rollback variables*, which
 //! drives the store/restore cost model (the paper assumes 1,000 of them).
+//!
+//! # Cost contract
+//!
+//! Rollback state is saved before every optimistic transition and restored on
+//! every misprediction, so both directions are on the hot path:
+//!
+//! * **A save is one pass into a buffer the caller keeps.** [`save_into`]
+//!   clears and refills a [`StateVec`] whose allocation survives from one
+//!   snapshot to the next; the slice writers append in bulk.
+//! * **A restore reuses the target's allocations.** Components read
+//!   variable-length state with [`StateReader::slice_into`] /
+//!   [`StateReader::slice_u32_into`] into the vector they already own
+//!   instead of building a new one.
+//! * **[`StateVec::len`] is what the ledger bills** (`store_per_var ×
+//!   len()`), so no optimisation may change which words a component writes,
+//!   or their order: a cheaper host copy must leave the virtual-time
+//!   statistics identical.
 
 use std::error::Error;
 use std::fmt;
@@ -121,19 +138,18 @@ impl<'a> StateWriter<'a> {
 
     /// Appends a length-prefixed slice of words.
     pub fn slice(&mut self, v: &[u64]) -> &mut Self {
+        self.out.words.reserve(v.len() + 1);
         self.usize(v.len());
-        for &w in v {
-            self.word(w);
-        }
+        self.out.words.extend_from_slice(v);
         self
     }
 
-    /// Appends a length-prefixed slice of `u32` words.
+    /// Appends a length-prefixed slice of `u32` words (each zero-extended to
+    /// one word).
     pub fn slice_u32(&mut self, v: &[u32]) -> &mut Self {
+        self.out.words.reserve(v.len() + 1);
         self.usize(v.len());
-        for &w in v {
-            self.u32(w);
-        }
+        self.out.words.extend(v.iter().map(|&w| u64::from(w)));
         self
     }
 
@@ -235,29 +251,95 @@ impl<'a> StateReader<'a> {
         }
     }
 
-    /// Reads a length-prefixed slice of words.
+    /// Reads a length prefix and borrows the `n` words it announces,
+    /// advancing past them. The prefix comes from outside (a checkpoint
+    /// blob), so it is compared with the words remaining before anything is
+    /// sized by it; an overrun consumes the rest of the vector, as reading
+    /// word by word would.
+    fn prefixed(&mut self) -> Result<&'a [u64], SnapshotError> {
+        let n = self.usize()?;
+        if n > self.remaining() {
+            self.pos = self.words.len();
+            return Err(self.label(self.pos, SnapshotError::Exhausted { at: self.pos }));
+        }
+        let body = &self.words[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(body)
+    }
+
+    /// Reads a length-prefixed slice of words into `out`, replacing its
+    /// contents and reusing its allocation.
     ///
     /// # Errors
     ///
     /// Returns [`SnapshotError::Exhausted`] on underrun.
-    pub fn slice(&mut self) -> Result<Vec<u64>, SnapshotError> {
-        let n = self.usize()?;
-        (0..n).map(|_| self.word()).collect()
+    pub fn slice_into(&mut self, out: &mut Vec<u64>) -> Result<(), SnapshotError> {
+        out.clear();
+        out.extend_from_slice(self.prefixed()?);
+        Ok(())
     }
 
-    /// Reads a length-prefixed slice of `u32` words.
+    /// Reads a length-prefixed slice of `u32` words into `out`, replacing its
+    /// contents and reusing its allocation.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`StateReader::u32`].
+    /// Same conditions as [`StateReader::u32`], except that a length prefix
+    /// beyond the words remaining is [`SnapshotError::Exhausted`] whatever
+    /// those words hold. On error `out` holds no meaningful contents.
+    pub fn slice_u32_into(&mut self, out: &mut Vec<u32>) -> Result<(), SnapshotError> {
+        out.clear();
+        let body = self.prefixed()?;
+        // Range check and narrowing copy in one pass: a word that does not
+        // fit sets a bit above the low 32 in `seen`.
+        let mut seen = 0;
+        out.extend(body.iter().map(|&w| {
+            seen |= w;
+            w as u32
+        }));
+        if seen > u64::from(u32::MAX) {
+            let bad = body
+                .iter()
+                .position(|&w| w > u64::from(u32::MAX))
+                .expect("a word above u32::MAX set the high bits");
+            let at = self.pos - body.len() + bad;
+            self.pos = at + 1;
+            return Err(self.corrupt_at(at));
+        }
+        Ok(())
+    }
+
+    /// Reads a length-prefixed slice of words into a fresh vector.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`StateReader::slice_into`].
+    pub fn slice(&mut self) -> Result<Vec<u64>, SnapshotError> {
+        let mut out = Vec::new();
+        self.slice_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// Reads a length-prefixed slice of `u32` words into a fresh vector.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`StateReader::slice_u32_into`].
     pub fn slice_u32(&mut self) -> Result<Vec<u32>, SnapshotError> {
-        let n = self.usize()?;
-        (0..n).map(|_| self.u32()).collect()
+        let mut out = Vec::new();
+        self.slice_u32_into(&mut out)?;
+        Ok(out)
     }
 
     /// The absolute index of the next word to be read.
     pub fn position(&self) -> usize {
         self.pos
+    }
+
+    /// The number of words not yet read — the bound on any count or length
+    /// the remaining words can honestly announce.
+    pub fn remaining(&self) -> usize {
+        self.words.len() - self.pos
     }
 
     /// Builds a section-labeled [`SnapshotError::Corrupt`] anchored at
@@ -365,10 +447,18 @@ pub trait Snapshot {
 
     /// Restores the state previously produced by [`save`](Snapshot::save).
     ///
+    /// The target is in general *dirty and of another size*: a rollback
+    /// restores over whatever the mispredicted cycles left behind (a FIFO
+    /// that filled, a job list that grew). Variable-length state is
+    /// therefore cleared and refilled in the allocation the component
+    /// already owns ([`StateReader::slice_u32_into`]), never appended to and
+    /// never rebuilt in a new one.
+    ///
     /// # Errors
     ///
     /// Returns a [`SnapshotError`] if the reader underruns or a word fails
-    /// validation. On error the component may be left partially restored:
+    /// validation. On error the component may be left partially restored,
+    /// but still a valid target for the next well-formed vector:
     /// callers that keep the component alive **must** quarantine it (the
     /// protocol engine poisons its wrapper, so every later step fails with
     /// [`SimError::StatePoisoned`](crate::SimError) instead of silently
@@ -388,11 +478,19 @@ impl<S: Snapshot + ?Sized> Snapshot for Box<S> {
     }
 }
 
+/// Saves any [`Snapshot`] component into `state`, replacing its words and
+/// section labels and reusing its allocations — the form for a caller that
+/// snapshots repeatedly.
+pub fn save_into<S: Snapshot + ?Sized>(component: &S, state: &mut StateVec) {
+    state.words.clear();
+    state.sections.clear();
+    component.save(&mut StateWriter::new(state));
+}
+
 /// Convenience: saves any [`Snapshot`] component into a fresh [`StateVec`].
 pub fn save_to_vec<S: Snapshot + ?Sized>(component: &S) -> StateVec {
     let mut state = StateVec::new();
-    let mut writer = StateWriter::new(&mut state);
-    component.save(&mut writer);
+    save_into(component, &mut state);
     state
 }
 
@@ -566,6 +664,105 @@ mod tests {
         r.u32().unwrap();
         let err = r.word().unwrap_err();
         assert_eq!(err.section(), Some("tail"));
+    }
+
+    #[test]
+    fn save_into_replaces_words_and_sections() {
+        struct Labeled(Widget);
+        impl Snapshot for Labeled {
+            fn save(&self, w: &mut StateWriter<'_>) {
+                w.section("widget");
+                self.0.save(w);
+            }
+            fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+                self.0.restore(r)
+            }
+        }
+        let component = Labeled(Widget {
+            counter: 3,
+            armed: true,
+            fifo: vec![4, 5],
+        });
+        let mut reused = StateVec::new();
+        StateWriter::new(&mut reused)
+            .section("stale")
+            .slice(&[9; 40])
+            .section("staler")
+            .u32(1);
+        save_into(&component, &mut reused);
+        let fresh = save_to_vec(&component);
+        assert_eq!(reused.words(), fresh.words());
+        assert_eq!(reused.sections(), fresh.sections());
+        assert_eq!(reused.sections(), &[("widget", 0)]);
+    }
+
+    /// The bulk readers fail with the error, index, label and cursor the
+    /// word-by-word readers gave.
+    #[test]
+    fn bulk_readers_validate_like_the_per_word_readers() {
+        let labeled = |words: &[u64]| {
+            let mut state = StateVec::from(words.to_vec());
+            state.sections.push(("blob", 0));
+            state
+        };
+        // The section starts at word 0, so the offset is the absolute index.
+        let in_blob = |at: usize, source: SnapshotError| SnapshotError::InSection {
+            section: "blob",
+            offset: at,
+            source: Box::new(source),
+        };
+        let mut out = vec![7u32; 3];
+        for (words, err, position) in [
+            // A length no vector can hold: nothing is reserved for it.
+            (
+                &[u64::MAX][..],
+                in_blob(1, SnapshotError::Exhausted { at: 1 }),
+                1,
+            ),
+            (
+                &[5, 1, 2][..],
+                in_blob(3, SnapshotError::Exhausted { at: 3 }),
+                3,
+            ),
+            (
+                &[2, 1, 1 << 32][..],
+                in_blob(2, SnapshotError::Corrupt { at: 2 }),
+                3,
+            ),
+            (
+                &[3, 1, 1 << 32, 1 << 33][..],
+                in_blob(2, SnapshotError::Corrupt { at: 2 }),
+                3,
+            ),
+        ] {
+            let state = labeled(words);
+            let mut r = StateReader::new(&state);
+            assert_eq!(r.slice_u32_into(&mut out), Err(err), "{words:?}");
+            assert_eq!(r.position(), position, "{words:?}");
+            assert!(
+                out.capacity() < 64,
+                "reserved for a bogus length: {words:?}"
+            );
+        }
+
+        let state = labeled(&[5, 1, 2]);
+        let mut r = StateReader::new(&state);
+        let mut wide = vec![7u64; 3];
+        assert_eq!(
+            r.slice_into(&mut wide),
+            Err(in_blob(3, SnapshotError::Exhausted { at: 3 }))
+        );
+        assert_eq!(r.position(), 3);
+
+        // A good vector then restores over whatever the failures left.
+        let state = labeled(&[2, 8, 9, 1, u64::MAX]);
+        let mut r = StateReader::new(&state);
+        r.slice_u32_into(&mut out).unwrap();
+        assert_eq!(out, [8, 9]);
+        assert_eq!(r.remaining(), 2);
+        r.slice_into(&mut wide).unwrap();
+        assert_eq!(wide, [u64::MAX]);
+        r.finish().unwrap();
     }
 
     #[test]

@@ -158,7 +158,9 @@ impl crate::Snapshot for Trace {
 
     fn restore(&mut self, r: &mut crate::StateReader<'_>) -> Result<(), crate::SnapshotError> {
         let n = r.usize()?;
-        let mut records = Vec::with_capacity(n.min(1 << 20));
+        // The count comes from a blob; every record costs at least its
+        // length word, so the words left bound what it can honestly claim.
+        let mut records = Vec::with_capacity(n.min(r.remaining()));
         for _ in 0..n {
             records.push(r.slice()?);
         }
@@ -257,6 +259,28 @@ mod tests {
         assert_eq!(a.first_divergence(&b), Some(1));
         b.truncate(TraceMark(1));
         assert_eq!(a.first_divergence(&b), None); // prefix relation
+    }
+
+    #[test]
+    fn restore_bounds_the_record_count_by_the_words_present() {
+        use crate::{restore_from_vec, save_to_vec, SnapshotError, StateVec};
+        let mut t = Trace::new();
+        t.record(vec![1, 2]);
+        t.record(vec![]);
+        let saved = save_to_vec(&t);
+        let mut back = Trace::new();
+        back.record(vec![9]);
+        restore_from_vec(&mut back, &saved).unwrap();
+        assert_eq!(back, t);
+
+        // A count the blob cannot back is an underrun, not an allocation.
+        for words in [vec![1 << 40], vec![1 << 20, 0]] {
+            let at = words.len();
+            assert_eq!(
+                restore_from_vec(&mut back, &StateVec::from(words)),
+                Err(SnapshotError::Exhausted { at })
+            );
+        }
     }
 
     #[test]

@@ -178,7 +178,7 @@ impl Snapshot for SyntheticModel {
 
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         self.value = r.u32()?;
-        self.last_remote = r.slice_u32()?;
+        r.slice_u32_into(&mut self.last_remote)?;
         self.cycle = r.word()?;
         Ok(())
     }
