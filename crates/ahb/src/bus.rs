@@ -13,19 +13,24 @@ use crate::{AhbMaster, AhbSlave};
 use predpkt_sim::{Snapshot, SnapshotError, StateReader, StateWriter, Trace};
 use std::fmt;
 
-/// Packs one cycle's Moore outputs into a canonical trace record.
+/// The words of one cycle's canonical trace record: every master's packed
+/// signals, then every slave's.
 ///
 /// Both the golden bus and the split co-emulation use this encoding, so traces
 /// compare directly.
+fn cycle_record_words<'a>(
+    masters: &'a [MasterSignals],
+    slaves: &'a [SlaveSignals],
+) -> impl Iterator<Item = u64> + 'a {
+    let masters = masters.iter().flat_map(|m| m.pack());
+    let slaves = slaves.iter().flat_map(|s| s.pack());
+    masters.chain(slaves).map(u64::from)
+}
+
+/// Packs one cycle's Moore outputs into a canonical trace record (the owned
+/// form of what [`AhbBus::tick`] records).
 pub fn pack_cycle_record(masters: &[MasterSignals], slaves: &[SlaveSignals]) -> Vec<u64> {
-    let mut rec = Vec::with_capacity(masters.len() * 3 + slaves.len() * 2);
-    for m in masters {
-        rec.extend(m.pack().iter().map(|&w| w as u64));
-    }
-    for s in slaves {
-        rec.extend(s.pack().iter().map(|&w| w as u64));
-    }
-    rec
+    cycle_record_words(masters, slaves).collect()
 }
 
 /// Bus construction failure.
@@ -149,6 +154,8 @@ impl AhbBusBuilder {
         let decoder = Decoder::new(self.regions)?;
         let arbiter = Arbiter::new(self.masters.len(), MasterId(self.default_master));
         Ok(AhbBus {
+            m_out: Vec::with_capacity(self.masters.len()),
+            s_out: Vec::with_capacity(self.slaves.len()),
             masters: self.masters,
             slaves: self.slaves,
             fabric: Fabric::new(arbiter, decoder),
@@ -181,6 +188,11 @@ impl AhbBusBuilder {
 pub struct AhbBus {
     masters: Vec<Box<dyn AhbMaster>>,
     slaves: Vec<Box<dyn AhbSlave>>,
+    /// Every master's Moore outputs for the cycle being evaluated, refilled
+    /// in place by `tick`. Scratch, not state.
+    m_out: Vec<MasterSignals>,
+    /// Every slave's Moore outputs, as `m_out`.
+    s_out: Vec<SlaveSignals>,
     fabric: Fabric,
     trace: Trace,
     checker: Option<ProtocolChecker>,
@@ -195,14 +207,17 @@ impl AhbBus {
 
     /// Evaluates one clock cycle, returning the derived view.
     pub fn tick(&mut self) -> CycleView {
-        let m_out: Vec<MasterSignals> = self.masters.iter().map(|m| m.outputs()).collect();
-        let s_out: Vec<SlaveSignals> = self.slaves.iter().map(|s| s.outputs()).collect();
-        let view = self.fabric.view(&m_out, &s_out);
+        self.m_out.clear();
+        self.m_out.extend(self.masters.iter().map(|m| m.outputs()));
+        self.s_out.clear();
+        self.s_out.extend(self.slaves.iter().map(|s| s.outputs()));
+        let (m_out, s_out) = (&self.m_out, &self.s_out);
+        let view = self.fabric.view(m_out, s_out);
 
         if let Some(checker) = &mut self.checker {
-            checker.check(self.cycle, &view, &m_out, &s_out);
+            checker.check(self.cycle, &view, m_out, s_out);
         }
-        self.trace.record(pack_cycle_record(&m_out, &s_out));
+        self.trace.record_words(cycle_record_words(m_out, s_out));
 
         for (i, m) in self.masters.iter_mut().enumerate() {
             m.tick(&self.fabric.master_view(&view, MasterId(i)));
@@ -210,7 +225,7 @@ impl AhbBus {
         for (j, s) in self.slaves.iter_mut().enumerate() {
             s.tick(&self.fabric.slave_view(&view, SlaveId(j)));
         }
-        self.fabric.tick(&view, &m_out, &s_out);
+        self.fabric.tick(&view, m_out, s_out);
         self.cycle += 1;
         view
     }

@@ -42,6 +42,58 @@ pub struct AhbDomainModel {
     cycle: u64,
 }
 
+/// The bus carries at most this many masters and this many slaves (HSPLIT
+/// and the IRQ vector are 16 bits), so one cycle's full signal vectors fit
+/// two stack arrays.
+const MAX_COMPONENTS: usize = 16;
+
+/// Splits the first `N` words off `words`.
+fn take_chunk<const N: usize>(words: &mut &[u32]) -> Option<[u32; N]> {
+    let chunk = words.get(..N)?.try_into().ok()?;
+    *words = &words[N..];
+    Some(chunk)
+}
+
+/// Unpacks a peer's packed outputs (`words`: its masters ascending, then its
+/// slaves) over the slots of `m` and `s` that `placement` puts on the peer's
+/// side. A malformed chunk leaves its slot as it was; returns whether every
+/// chunk was well formed and `words` had exactly the peer's width.
+fn unpack_remote(
+    placement: &Placement,
+    side: Side,
+    words: &[u32],
+    m: &mut [MasterSignals],
+    s: &mut [SlaveSignals],
+) -> bool {
+    let mut ok = true;
+    let mut rest = words;
+    for (slot, &domain) in m.iter_mut().zip(&placement.masters) {
+        if domain == side {
+            continue;
+        }
+        let Some(chunk) = take_chunk::<3>(&mut rest) else {
+            return false;
+        };
+        match MasterSignals::unpack(&chunk) {
+            Some(sig) => *slot = sig,
+            None => ok = false,
+        }
+    }
+    for (slot, &domain) in s.iter_mut().zip(&placement.slaves) {
+        if domain == side {
+            continue;
+        }
+        let Some(chunk) = take_chunk::<2>(&mut rest) else {
+            return false;
+        };
+        match SlaveSignals::unpack(&chunk) {
+            Some(sig) => *slot = sig,
+            None => ok = false,
+        }
+    }
+    ok && rest.is_empty()
+}
+
 impl AhbDomainModel {
     /// Assembles a domain. Component slots must be `Some` exactly where
     /// `placement` assigns this `side`; predictors for the remote slots are
@@ -60,6 +112,10 @@ impl AhbDomainModel {
     ) -> Self {
         assert_eq!(masters.len(), placement.masters.len());
         assert_eq!(slaves.len(), placement.slaves.len());
+        assert!(
+            masters.len() <= MAX_COMPONENTS && slaves.len() <= MAX_COMPONENTS,
+            "at most {MAX_COMPONENTS} masters and {MAX_COMPONENTS} slaves"
+        );
         for (i, m) in masters.iter().enumerate() {
             assert_eq!(
                 m.is_some(),
@@ -101,140 +157,109 @@ impl AhbDomainModel {
         }
     }
 
-    fn is_local_master(&self, i: usize) -> bool {
-        self.placement.masters[i] == self.side
-    }
-
-    fn is_local_slave(&self, j: usize) -> bool {
-        self.placement.slaves[j] == self.side
-    }
-
-    /// Full per-cycle signal vectors: local Moore outputs + remote proxies.
-    fn full_vectors(&self) -> (Vec<MasterSignals>, Vec<SlaveSignals>) {
-        let m = self
-            .masters
-            .iter()
-            .enumerate()
-            .map(|(i, slot)| match slot {
-                Some(c) => c.outputs(),
-                None => self.remote_m[i],
-            })
-            .collect();
-        let s = self
-            .slaves
-            .iter()
-            .enumerate()
-            .map(|(j, slot)| match slot {
-                Some(c) => c.outputs(),
-                None => self.remote_s[j],
-            })
-            .collect();
-        (m, s)
-    }
-
-    /// Unpacks the peer's packed outputs into the remote proxy slots.
-    fn load_remote(&mut self, words: &[u32]) {
-        let mut at = 0;
-        for i in 0..self.masters.len() {
-            if !self.is_local_master(i) {
-                let chunk = [words[at], words[at + 1], words[at + 2]];
-                self.remote_m[i] =
-                    MasterSignals::unpack(&chunk).expect("peer sent malformed master signals");
-                at += 3;
-            }
+    /// One cycle's full signal vectors — local Moore outputs where a
+    /// component is placed here, the proxy values elsewhere — in the leading
+    /// `masters.len()` / `slaves.len()` slots of two stack arrays.
+    fn full_vectors(
+        &self,
+    ) -> (
+        [MasterSignals; MAX_COMPONENTS],
+        [SlaveSignals; MAX_COMPONENTS],
+    ) {
+        let mut full_m = [MasterSignals::idle(); MAX_COMPONENTS];
+        let mut full_s = [SlaveSignals::idle(); MAX_COMPONENTS];
+        for ((full, slot), proxy) in full_m.iter_mut().zip(&self.masters).zip(&self.remote_m) {
+            *full = slot.as_ref().map_or(*proxy, |c| c.outputs());
         }
-        for j in 0..self.slaves.len() {
-            if !self.is_local_slave(j) {
-                let chunk = [words[at], words[at + 1]];
-                self.remote_s[j] =
-                    SlaveSignals::unpack(&chunk).expect("peer sent malformed slave signals");
-                at += 2;
-            }
+        for ((full, slot), proxy) in full_s.iter_mut().zip(&self.slaves).zip(&self.remote_s) {
+            *full = slot.as_ref().map_or(*proxy, |c| c.outputs());
         }
-        debug_assert_eq!(at, words.len(), "remote width mismatch");
+        (full_m, full_s)
     }
 
-    /// Packs this domain's local component outputs (canonical order: masters
-    /// ascending, then slaves ascending).
-    fn pack_local(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.local_width());
-        for m in self.masters.iter().flatten() {
-            out.extend_from_slice(&m.outputs().pack());
-        }
-        for s in self.slaves.iter().flatten() {
-            out.extend_from_slice(&s.outputs().pack());
-        }
-        out
-    }
-
-    /// The MSABS active projection of this domain's local outputs under `view`
-    /// (see the module docs). `local` must be this domain's packed outputs or a
-    /// prediction of them.
-    fn project_local(&self, local: &[u32], view: &CycleView, leader: Side) -> Option<Vec<u32>> {
-        let mut out = Vec::new();
-        let mut at = 0;
-        for i in 0..self.masters.len() {
-            if !self.is_local_master(i) {
+    /// `true` where the MSABS active projections (see the module docs) of
+    /// this domain's actual outputs — the local slots of `full_m` / `full_s`
+    /// — and of `predicted`, a packed prediction of them, agree under `view`.
+    /// Which positions are active depends on `view` alone, so the two
+    /// projections are compared position by position and never built. A
+    /// malformed prediction matches nothing.
+    fn projection_matches(
+        &self,
+        full_m: &[MasterSignals],
+        full_s: &[SlaveSignals],
+        predicted: &[u32],
+        view: &CycleView,
+        leader: Side,
+    ) -> bool {
+        let mut rest = predicted;
+        for (i, a) in full_m.iter().enumerate() {
+            if self.placement.masters[i] != self.side {
                 continue;
             }
-            let chunk = [local[at], local[at + 1], local[at + 2]];
-            at += 3;
-            let sig = MasterSignals::unpack(&chunk)?;
+            let Some(p) = take_chunk::<3>(&mut rest).and_then(|c| MasterSignals::unpack(&c)) else {
+                return false;
+            };
             // Arbitration requests: always active.
-            out.push(sig.busreq as u32 | (sig.lock as u32) << 1);
-            // Address/control: only for the granted master.
-            if view.grant == MasterId(i) {
-                out.push(sig.trans.encode());
-                out.push(sig.addr);
-                out.push(sig.write as u32);
-                out.push(sig.size.encode());
-                out.push(sig.burst.encode());
-                out.push(sig.prot as u32);
+            if (a.busreq, a.lock) != (p.busreq, p.lock) {
+                return false;
+            }
+            // Address/control: only for the granted master (HPROT travels as
+            // four bits).
+            if view.grant == MasterId(i)
+                && (a.trans, a.addr, a.write, a.size, a.burst, a.prot & 0xf)
+                    != (p.trans, p.addr, p.write, p.size, p.burst, p.prot)
+            {
+                return false;
             }
             // Write data: only when this master's write data phase must be
             // visible to the leader domain (slave local to the leader).
-            if let Some(dp) = &view.dp {
-                if dp.write && dp.master == MasterId(i) {
-                    let slave_visible = match dp.slave {
-                        Some(s) => self.placement.slaves[s.0] == leader,
-                        None => false,
-                    };
-                    if slave_visible {
-                        out.push(sig.wdata);
-                    }
-                }
+            let wdata_visible = matches!(&view.dp, Some(dp) if dp.write
+                && dp.master == MasterId(i)
+                && matches!(dp.slave, Some(s) if self.placement.slaves[s.0] == leader));
+            if wdata_visible && a.wdata != p.wdata {
+                return false;
             }
         }
-        for j in 0..self.slaves.len() {
-            if !self.is_local_slave(j) {
+        for (j, a) in full_s.iter().enumerate() {
+            if self.placement.slaves[j] != self.side {
                 continue;
             }
-            let chunk = [local[at], local[at + 1]];
-            at += 2;
-            let sig = SlaveSignals::unpack(&chunk)?;
+            let Some(p) = take_chunk::<2>(&mut rest).and_then(|c| SlaveSignals::unpack(&c)) else {
+                return false;
+            };
             // HSPLIT and IRQ: always active.
-            out.push(sig.split_unmask as u32);
-            out.push(sig.irq as u32);
+            if (a.split_unmask, a.irq) != (p.split_unmask, p.irq) {
+                return false;
+            }
             // Ready/response: only for the data-phase slave.
-            if let Some(dp) = &view.dp {
-                if dp.slave == Some(SlaveId(j)) {
-                    out.push(sig.ready as u32);
-                    out.push(sig.resp.encode());
-                    // Read data: only when a leader-side master consumes it.
-                    if !dp.write && self.placement.masters[dp.master.0] == leader {
-                        out.push(sig.rdata);
-                    }
+            if let Some(dp) = view.dp.as_ref().filter(|dp| dp.slave == Some(SlaveId(j))) {
+                if (a.ready, a.resp) != (p.ready, p.resp) {
+                    return false;
+                }
+                // Read data: only when a leader-side master consumes it.
+                if !dp.write && self.placement.masters[dp.master.0] == leader && a.rdata != p.rdata
+                {
+                    return false;
                 }
             }
         }
-        Some(out)
+        true
     }
 
     /// Tick the fabric and local components one cycle given assembled vectors.
     fn advance(&mut self, full_m: &[MasterSignals], full_s: &[SlaveSignals], view: &CycleView) {
         // Record the committed local outputs before state changes.
-        self.trace
-            .record(self.pack_local().iter().map(|&w| w as u64).collect());
+        let local_m = full_m
+            .iter()
+            .zip(&self.masters)
+            .filter(|(_, c)| c.is_some());
+        let local_s = full_s.iter().zip(&self.slaves).filter(|(_, c)| c.is_some());
+        self.trace.record_words(
+            local_m
+                .flat_map(|(sig, _)| sig.pack())
+                .chain(local_s.flat_map(|(sig, _)| sig.pack()))
+                .map(u64::from),
+        );
 
         for (i, slot) in self.masters.iter_mut().enumerate() {
             if let Some(c) = slot {
@@ -302,7 +327,19 @@ impl DomainModel for AhbDomainModel {
     }
 
     fn local_outputs(&self) -> Vec<u32> {
-        self.pack_local()
+        let mut out = Vec::with_capacity(self.local_width());
+        self.local_outputs_into(&mut out);
+        out
+    }
+
+    /// Canonical order: masters ascending, then slaves ascending.
+    fn local_outputs_into(&self, out: &mut Vec<u32>) {
+        for m in self.masters.iter().flatten() {
+            out.extend_from_slice(&m.outputs().pack());
+        }
+        for s in self.slaves.iter().flatten() {
+            out.extend_from_slice(&s.outputs().pack());
+        }
     }
 
     fn needs_sync(&self) -> bool {
@@ -338,32 +375,33 @@ impl DomainModel for AhbDomainModel {
     }
 
     fn predict_remote(&mut self) -> Vec<u32> {
+        let mut out = Vec::with_capacity(self.remote_width());
+        self.predict_remote_into(&mut out);
+        out
+    }
+
+    fn predict_remote_into(&mut self, out: &mut Vec<u32>) {
         // Predict each remote component's signals, updating proxy slots so the
         // subsequent tick sees them.
-        let dp = self.fabric.data_phase().copied();
-        for i in 0..self.masters.len() {
-            if let Some(p) = &mut self.m_pred[i] {
-                self.remote_m[i] = p.predict();
+        let dp_slave = self.fabric.data_phase().and_then(|dp| dp.slave);
+        for (proxy, pred) in self.remote_m.iter_mut().zip(&mut self.m_pred) {
+            if let Some(p) = pred {
+                *proxy = p.predict();
+                out.extend_from_slice(&proxy.pack());
             }
         }
-        for j in 0..self.slaves.len() {
-            if let Some(p) = &mut self.s_pred[j] {
-                let dp_here = matches!(&dp, Some(d) if d.slave == Some(SlaveId(j)));
-                self.remote_s[j] = p.predict(dp_here);
+        for (j, (proxy, pred)) in self.remote_s.iter_mut().zip(&mut self.s_pred).enumerate() {
+            if let Some(p) = pred {
+                *proxy = p.predict(dp_slave == Some(SlaveId(j)));
+                out.extend_from_slice(&proxy.pack());
             }
         }
-        let mut out = Vec::with_capacity(self.remote_width());
-        for i in 0..self.masters.len() {
-            if !self.is_local_master(i) {
-                out.extend_from_slice(&self.remote_m[i].pack());
-            }
-        }
-        for j in 0..self.slaves.len() {
-            if !self.is_local_slave(j) {
-                out.extend_from_slice(&self.remote_s[j].pack());
-            }
-        }
-        out
+    }
+
+    fn check_remote(&self, remote: &[u32]) -> bool {
+        let mut m = [MasterSignals::idle(); MAX_COMPONENTS];
+        let mut s = [SlaveSignals::idle(); MAX_COMPONENTS];
+        unpack_remote(&self.placement, self.side, remote, &mut m, &mut s)
     }
 
     fn take_control_words(&mut self) -> u64 {
@@ -378,9 +416,21 @@ impl DomainModel for AhbDomainModel {
     }
 
     fn tick(&mut self, remote: &[u32], kind: TickKind) {
-        self.load_remote(remote);
+        let well_formed = unpack_remote(
+            &self.placement,
+            self.side,
+            remote,
+            &mut self.remote_m,
+            &mut self.remote_s,
+        );
+        assert!(
+            well_formed,
+            "malformed remote signals: the wrapper passes peer vectors through check_remote first"
+        );
         let (full_m, full_s) = self.full_vectors();
-        let view = self.fabric.view(&full_m, &full_s);
+        let full_m = &full_m[..self.masters.len()];
+        let full_s = &full_s[..self.slaves.len()];
+        let view = self.fabric.view(full_m, full_s);
 
         if kind == TickKind::Actual {
             // Train predictors on the observed remote values.
@@ -400,44 +450,26 @@ impl DomainModel for AhbDomainModel {
                 }
             }
         }
-        self.advance(&full_m, &full_s, &view);
+        self.advance(full_m, full_s, &view);
     }
 
     fn verify_prediction(&self, leader_outputs: &[u32], predicted_me: &[u32]) -> bool {
-        // Build the cycle view from actual values (leader outputs + our own).
-        let mut remote_m = self.remote_m.clone();
-        let mut remote_s = self.remote_s.clone();
-        self.unpack_remote_into(leader_outputs, &mut remote_m, &mut remote_s);
-        let full_m: Vec<MasterSignals> = self
-            .masters
-            .iter()
-            .enumerate()
-            .map(|(i, slot)| match slot {
-                Some(c) => c.outputs(),
-                None => remote_m[i],
-            })
-            .collect();
-        let full_s: Vec<SlaveSignals> = self
-            .slaves
-            .iter()
-            .enumerate()
-            .map(|(j, slot)| match slot {
-                Some(c) => c.outputs(),
-                None => remote_s[j],
-            })
-            .collect();
-        let view = self.fabric.view(&full_m, &full_s);
-
-        let leader = self.side.peer();
-        let actual_local = self.pack_local();
-        match (
-            self.project_local(&actual_local, &view, leader),
-            self.project_local(predicted_me, &view, leader),
-        ) {
-            (Some(a), Some(p)) => a == p,
-            // A malformed prediction never verifies.
-            _ => false,
-        }
+        // Build the cycle view from actual values: our own outputs, and the
+        // leader's over the proxies. The wrapper checked `leader_outputs`;
+        // for a caller that did not, a malformed chunk leaves the proxy
+        // value in its slot.
+        let (mut full_m, mut full_s) = self.full_vectors();
+        unpack_remote(
+            &self.placement,
+            self.side,
+            leader_outputs,
+            &mut full_m,
+            &mut full_s,
+        );
+        let full_m = &full_m[..self.masters.len()];
+        let full_s = &full_s[..self.slaves.len()];
+        let view = self.fabric.view(full_m, full_s);
+        self.projection_matches(full_m, full_s, predicted_me, &view, self.side.peer())
     }
 
     fn trace(&self) -> &Trace {
@@ -454,36 +486,6 @@ impl DomainModel for AhbDomainModel {
 
     fn trace_truncate(&mut self, mark: TraceMark) {
         self.trace.truncate(mark);
-    }
-}
-
-impl AhbDomainModel {
-    /// Helper used by `verify_prediction` (non-destructive remote unpack).
-    fn unpack_remote_into(
-        &self,
-        words: &[u32],
-        remote_m: &mut [MasterSignals],
-        remote_s: &mut [SlaveSignals],
-    ) {
-        let mut at = 0;
-        for (i, slot) in remote_m.iter_mut().enumerate() {
-            if !self.is_local_master(i) {
-                let chunk = [words[at], words[at + 1], words[at + 2]];
-                if let Some(sig) = MasterSignals::unpack(&chunk) {
-                    *slot = sig;
-                }
-                at += 3;
-            }
-        }
-        for (j, slot) in remote_s.iter_mut().enumerate() {
-            if !self.is_local_slave(j) {
-                let chunk = [words[at], words[at + 1]];
-                if let Some(sig) = SlaveSignals::unpack(&chunk) {
-                    *slot = sig;
-                }
-                at += 2;
-            }
-        }
     }
 }
 

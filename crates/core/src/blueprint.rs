@@ -150,6 +150,12 @@ impl SocBlueprint {
     }
 
     fn fresh_fabric(&self) -> Result<Fabric, BusConfigError> {
+        // The golden bus refuses these too; a domain would panic on them.
+        for count in [self.masters.len(), self.slaves.len()] {
+            if count > 16 {
+                return Err(BusConfigError::TooManyComponents { count });
+            }
+        }
         let decoder = Decoder::new(self.regions())?;
         let arbiter = Arbiter::new(self.masters.len().max(1), MasterId(self.default_master));
         Ok(Fabric::new(arbiter, decoder))
@@ -296,5 +302,18 @@ mod tests {
             slaves: vec![Side::Simulator],
         };
         assert!(!p.is_split());
+    }
+
+    #[test]
+    fn oversized_blueprints_are_refused_for_domains_as_for_the_golden_bus() {
+        let mut wide = blueprint();
+        for j in 2..17u32 {
+            wide = wide.slave(Side::Accelerator, j * 0x1000, 0x1000, || {
+                Box::new(MemorySlave::new(0x1000, 0))
+            });
+        }
+        let too_many = BusConfigError::TooManyComponents { count: 17 };
+        assert_eq!(wide.build_golden().err(), Some(too_many.clone()));
+        assert_eq!(wide.build_pair().err(), Some(too_many));
     }
 }

@@ -34,6 +34,27 @@ pub enum TickKind {
 /// * [`Snapshot`] must capture everything `tick` depends on — components,
 ///   fabric replica, predictors, proxy values — but **not** the trace (the
 ///   wrapper truncates it with marks on rollback).
+///
+/// # The per-cycle path
+///
+/// Every committed cycle the wrapper calls
+/// [`local_outputs_into`](DomainModel::local_outputs_into),
+/// [`predict_remote_into`](DomainModel::predict_remote_into) (leader),
+/// [`verify_prediction`](DomainModel::verify_prediction) (lagger),
+/// [`check_remote`](DomainModel::check_remote) and
+/// [`tick`](DomainModel::tick), plus the cheap queries. The `_into` forms
+/// *append* to a buffer the wrapper keeps (a LOB entry, a pooled payload) and
+/// are what the wrapper calls; a model for which speed matters overrides them
+/// and allocates nothing in steady state — in them, in `tick` (record the
+/// trace with [`Trace::record_words`]) or in `verify_prediction`. The
+/// provided bodies go through the allocating required forms, so a model that
+/// implements only those behaves identically, one vector per call slower.
+///
+/// The required methods' signatures are frozen while
+/// `benchmark/src/timed.rs` implements this trait: new methods must be
+/// provided ones. A decorator that does not forward a provided method gets
+/// the provided body — correct, but it allocates where the wrapped model
+/// would not, and it skips the model's `check_remote`.
 pub trait DomainModel: Snapshot {
     /// Which side of the channel this domain is.
     fn side(&self) -> Side;
@@ -50,6 +71,11 @@ pub trait DomainModel: Snapshot {
     /// This domain's packed Moore outputs for the upcoming cycle.
     fn local_outputs(&self) -> Vec<u32>;
 
+    /// Appends [`local_outputs`](DomainModel::local_outputs) to `out`.
+    fn local_outputs_into(&self, out: &mut Vec<u32>) {
+        out.extend_from_slice(&self.local_outputs());
+    }
+
     /// `true` if the upcoming cycle needs unpredictable inbound data
     /// (lagger→leader read data or write data, §3's data rule) and therefore
     /// forces synchronization.
@@ -62,6 +88,22 @@ pub trait DomainModel: Snapshot {
     /// Predicts the peer's packed outputs for the upcoming cycle, advancing
     /// predictor state along the speculative timeline.
     fn predict_remote(&mut self) -> Vec<u32>;
+
+    /// Appends [`predict_remote`](DomainModel::predict_remote) to `out`.
+    fn predict_remote_into(&mut self, out: &mut Vec<u32>) {
+        out.extend_from_slice(&self.predict_remote());
+    }
+
+    /// `true` if `remote` — `remote_width` words a peer sent as its outputs —
+    /// is a vector [`tick`](DomainModel::tick) can take. The wrapper asks
+    /// before it hands any peer-supplied outputs to the model and fails the
+    /// session with a protocol error otherwise, so `tick` may treat a
+    /// malformed vector as a broken internal condition. Predictions are not
+    /// checked here: a malformed one simply does not verify. Models whose
+    /// `tick` accepts any words keep the provided `true`.
+    fn check_remote(&self, _remote: &[u32]) -> bool {
+        true
+    }
 
     /// Advances one cycle given the peer's outputs for that cycle.
     fn tick(&mut self, remote: &[u32], kind: TickKind);

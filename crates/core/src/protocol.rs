@@ -12,9 +12,8 @@
 //! | `ReportSuccess` | R-path | lagger's next-cycle outputs |
 //! | `ReportFailure` | L-5 | failing index, actual outputs, next-cycle outputs |
 
-use crate::wrapper::lob_entries_to_blocks;
 use predpkt_channel::{Packet, PacketTag};
-use predpkt_predict::{decode_block, encode_block, LobEntry};
+use predpkt_predict::LobEntries;
 use std::error::Error;
 use std::fmt;
 
@@ -64,9 +63,12 @@ impl fmt::Display for ProtocolError {
 
 impl Error for ProtocolError {}
 
-/// A decoded protocol message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Message {
+/// A protocol message over borrowed words: what is encoded lends the
+/// sender's buffers, what is decoded lends the received payload (and, for a
+/// burst, the caller's decode buffer), so neither direction copies a vector
+/// into a message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Message<'a> {
     /// Width agreement: (my local width, my remote width).
     Handshake {
         /// Sender's local output width.
@@ -77,147 +79,147 @@ pub enum Message {
     /// One conservative cycle of outputs.
     CycleOutputs {
         /// The sender's packed local outputs.
-        outputs: Vec<u32>,
+        outputs: &'a [u32],
     },
     /// A LOB flush.
     Burst {
         /// Buffered entries in cycle order.
-        entries: Vec<LobEntry>,
+        entries: LobEntries<'a>,
         /// The leader's Moore outputs for the cycle after the burst (valid only
         /// if every prediction checks out).
-        leader_next: Vec<u32>,
+        leader_next: &'a [u32],
     },
     /// Every prediction checked out.
     ReportSuccess {
         /// The lagger's Moore outputs for the next cycle.
-        next: Vec<u32>,
+        next: &'a [u32],
     },
     /// A prediction failed.
     ReportFailure {
         /// Index (into the burst's entries) of the failing cycle.
         failed_index: usize,
         /// The lagger's actual outputs for that cycle.
-        actual: Vec<u32>,
+        actual: &'a [u32],
         /// The lagger's Moore outputs for the cycle after it.
-        next: Vec<u32>,
+        next: &'a [u32],
     },
 }
 
-impl Message {
-    /// Serializes into a tagged packet.
-    pub fn encode(&self, _local_width: usize, remote_width: usize) -> Packet {
-        match self {
+impl<'a> Message<'a> {
+    /// Appends the message's payload words to `payload` (a pooled buffer on
+    /// the hot path) and returns the tag they travel under.
+    pub fn encode_into(&self, payload: &mut Vec<u32>) -> PacketTag {
+        match *self {
             Message::Handshake {
                 local_width,
                 remote_width,
-            } => Packet::new(
-                PacketTag::Handshake,
-                vec![*local_width as u32, *remote_width as u32],
-            ),
+            } => {
+                payload.extend_from_slice(&[local_width as u32, remote_width as u32]);
+                PacketTag::Handshake
+            }
             Message::CycleOutputs { outputs } => {
-                Packet::new(PacketTag::CycleOutputs, outputs.clone())
+                payload.extend_from_slice(outputs);
+                PacketTag::CycleOutputs
             }
             Message::Burst {
                 entries,
                 leader_next,
             } => {
-                let mut payload = encode_block(&lob_entries_to_blocks(entries, remote_width));
+                entries.encode_into(payload);
                 payload.extend_from_slice(leader_next);
-                Packet::new(PacketTag::Burst, payload)
+                PacketTag::Burst
             }
-            Message::ReportSuccess { next } => Packet::new(PacketTag::ReportSuccess, next.clone()),
+            Message::ReportSuccess { next } => {
+                payload.extend_from_slice(next);
+                PacketTag::ReportSuccess
+            }
             Message::ReportFailure {
                 failed_index,
                 actual,
                 next,
             } => {
-                let mut payload = vec![*failed_index as u32];
+                payload.push(failed_index as u32);
                 payload.extend_from_slice(actual);
                 payload.extend_from_slice(next);
-                Packet::new(PacketTag::ReportFailure, payload)
+                PacketTag::ReportFailure
             }
         }
     }
 
+    /// Serializes into a tagged packet with a payload of its own.
+    pub fn encode(&self) -> Packet {
+        let mut payload = Vec::new();
+        let tag = self.encode_into(&mut payload);
+        Packet::new(tag, payload)
+    }
+
     /// Decodes a packet received by a domain whose local outputs are
     /// `local_width` words and whose peer outputs are `remote_width` words.
+    /// Only lengths and the block structure are checked here; whether a
+    /// vector is one the model can take is the wrapper's question to
+    /// [`DomainModel::check_remote`](crate::DomainModel::check_remote).
+    ///
+    /// A burst's entries are delta-decoded into `burst` (its contents are
+    /// replaced, its allocation reused) and lent back from there; every other
+    /// message leaves `burst` alone and borrows the packet only.
     ///
     /// # Errors
     ///
     /// Returns a [`ProtocolError`] on malformed payloads.
     pub fn decode(
-        packet: &Packet,
+        packet: &'a Packet,
         local_width: usize,
         remote_width: usize,
-    ) -> Result<Message, ProtocolError> {
+        burst: &'a mut Vec<u32>,
+    ) -> Result<Message<'a>, ProtocolError> {
         let p = packet.payload();
+        let truncated = || ProtocolError::Truncated { tag: packet.tag() };
         match packet.tag() {
             PacketTag::Handshake => {
-                if p.len() != 2 {
-                    return Err(ProtocolError::Truncated { tag: packet.tag() });
-                }
+                let &[local_width, remote_width] = p else {
+                    return Err(truncated());
+                };
                 Ok(Message::Handshake {
-                    local_width: p[0] as usize,
-                    remote_width: p[1] as usize,
+                    local_width: local_width as usize,
+                    remote_width: remote_width as usize,
                 })
             }
             PacketTag::CycleOutputs => {
                 if p.len() != remote_width {
-                    return Err(ProtocolError::Truncated { tag: packet.tag() });
+                    return Err(truncated());
                 }
-                Ok(Message::CycleOutputs {
-                    outputs: p.to_vec(),
-                })
+                Ok(Message::CycleOutputs { outputs: p })
             }
             PacketTag::Burst => {
                 // The payload is the delta block followed by exactly
                 // `remote_width` leader_next words, so the split point is
                 // known before the block is parsed.
-                let Some(block_len) = p.len().checked_sub(remote_width) else {
-                    return Err(ProtocolError::Truncated { tag: packet.tag() });
-                };
+                let block_len = p.len().checked_sub(remote_width).ok_or_else(truncated)?;
                 let (block, leader_next) = p.split_at(block_len);
                 // The sender's remote width is OUR local width: entries embed
                 // predictions of our outputs.
-                let entry_words = 1 + remote_width + local_width;
-                // A non-empty block of any other width fails the per-entry
-                // check below; refuse it on its header, before the peer's
-                // count word drives the parse (zero-width entries cost no
-                // wire words, so nothing else bounds how many a block claims).
-                if matches!(block, [count, width, ..] if *count != 0 && *width as usize != entry_words)
-                {
-                    return Err(ProtocolError::BadBlock);
-                }
-                let blocks = decode_block(block).map_err(|_| ProtocolError::BadBlock)?;
-                let mut entries = Vec::with_capacity(blocks.len());
-                for b in &blocks {
-                    if b.len() != entry_words {
-                        return Err(ProtocolError::BadBlock);
-                    }
-                    let has_prediction = b[0] != 0;
-                    let local = b[1..1 + remote_width].to_vec();
-                    let predicted = has_prediction.then(|| b[1 + remote_width..].to_vec());
-                    entries.push(LobEntry { local, predicted });
-                }
+                let entries = LobEntries::decode_into(block, remote_width, local_width, burst)
+                    .map_err(|_| ProtocolError::BadBlock)?;
                 Ok(Message::Burst {
                     entries,
-                    leader_next: leader_next.to_vec(),
+                    leader_next,
                 })
             }
             PacketTag::ReportSuccess => {
                 if p.len() != remote_width {
-                    return Err(ProtocolError::Truncated { tag: packet.tag() });
+                    return Err(truncated());
                 }
-                Ok(Message::ReportSuccess { next: p.to_vec() })
+                Ok(Message::ReportSuccess { next: p })
             }
             PacketTag::ReportFailure => {
                 if p.len() != 1 + 2 * remote_width {
-                    return Err(ProtocolError::Truncated { tag: packet.tag() });
+                    return Err(truncated());
                 }
+                let (actual, next) = p[1..].split_at(remote_width);
                 Ok(Message::ReportFailure {
                     failed_index: p[0] as usize,
-                    actual: p[1..1 + remote_width].to_vec(),
-                    next: p[1 + remote_width..].to_vec(),
+                    actual,
+                    next,
                 })
             }
             // Reliability-layer frames are consumed by `ReliableTransport`
@@ -235,127 +237,233 @@ impl Message {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use predpkt_predict::{Lob, LobEntry};
 
     // Widths used throughout: sender local = 3 words, sender remote = 2 words.
     const LW: usize = 3;
     const RW: usize = 2;
 
     /// Encodes as the sender (local 3 / remote 2), decodes as the receiver
-    /// (local 2 / remote 3).
-    fn roundtrip(msg: &Message) -> Message {
-        let pkt = msg.encode(LW, RW);
-        Message::decode(&pkt, RW, LW).unwrap()
+    /// (local 2 / remote 3), and requires the same message back.
+    fn assert_roundtrip(msg: &Message<'_>) {
+        let pkt = msg.encode();
+        let mut burst = vec![0xdead; 7];
+        assert_eq!(Message::decode(&pkt, RW, LW, &mut burst).as_ref(), Ok(msg));
+    }
+
+    /// A burst payload as the receiver (local 2 / remote 3) decodes it.
+    fn decode_burst(payload: &[u32], burst: &mut Vec<u32>) -> Result<usize, ProtocolError> {
+        let pkt = Packet::new(PacketTag::Burst, payload.to_vec());
+        match Message::decode(&pkt, RW, LW, burst)? {
+            Message::Burst { entries, .. } => Ok(entries.len()),
+            other => panic!("a burst tag decoded to {other:?}"),
+        }
+    }
+
+    fn lob_of(entries: &[LobEntry<'_>]) -> Lob {
+        let mut lob = Lob::new(entries.len().max(1), LW, RW);
+        for &entry in entries {
+            lob.push(entry).unwrap();
+        }
+        lob
     }
 
     #[test]
     fn handshake_roundtrip() {
-        let m = Message::Handshake {
+        assert_roundtrip(&Message::Handshake {
             local_width: 3,
             remote_width: 2,
-        };
-        assert_eq!(roundtrip(&m), m);
+        });
     }
 
     #[test]
     fn cycle_outputs_roundtrip() {
-        let m = Message::CycleOutputs {
-            outputs: vec![1, 2, 3],
-        };
-        assert_eq!(roundtrip(&m), m);
+        assert_roundtrip(&Message::CycleOutputs {
+            outputs: &[1, 2, 3],
+        });
     }
 
     #[test]
     fn burst_roundtrip_with_head_and_predictions() {
+        let lob = lob_of(&[
+            LobEntry {
+                local: &[1, 2, 3],
+                predicted: None,
+            },
+            LobEntry {
+                local: &[4, 5, 6],
+                predicted: Some(&[7, 8]),
+            },
+            LobEntry {
+                local: &[4, 5, 9],
+                predicted: Some(&[7, 8]),
+            },
+        ]);
         let m = Message::Burst {
-            entries: vec![
-                LobEntry {
-                    local: vec![1, 2, 3],
-                    predicted: None,
-                },
-                LobEntry {
-                    local: vec![4, 5, 6],
-                    predicted: Some(vec![7, 8]),
-                },
-                LobEntry {
-                    local: vec![4, 5, 9],
-                    predicted: Some(vec![7, 8]),
-                },
-            ],
-            leader_next: vec![10, 11, 12],
+            entries: lob.entries(),
+            leader_next: &[10, 11, 12],
         };
-        assert_eq!(roundtrip(&m), m);
+        assert_roundtrip(&m);
 
         // The receiver splits the payload at `len - LW` before parsing: a
         // payload too short to hold leader_next is truncated, and a prefix
         // that is not a delta block is a bad block — neither panics.
-        let wire = m.encode(LW, RW);
-        let decode = |payload: &[u32]| {
-            Message::decode(&Packet::new(PacketTag::Burst, payload.to_vec()), RW, LW)
-        };
+        let wire = m.encode();
+        let mut burst = Vec::new();
         assert_eq!(
-            decode(&wire.payload()[..LW - 1]),
+            decode_burst(&wire.payload()[..LW - 1], &mut burst),
             Err(ProtocolError::Truncated {
                 tag: PacketTag::Burst
             })
         );
         let mut garbage = wire.payload().to_vec();
         garbage.remove(2); // the block now ends one word early
-        assert_eq!(decode(&garbage), Err(ProtocolError::BadBlock));
-        assert_eq!(decode(&[7; 5]), Err(ProtocolError::BadBlock));
+        assert_eq!(
+            decode_burst(&garbage, &mut burst),
+            Err(ProtocolError::BadBlock)
+        );
+        assert_eq!(
+            decode_burst(&[7; 5], &mut burst),
+            Err(ProtocolError::BadBlock)
+        );
         // A block prefix announcing 2^32 - 1 entries in three words.
         assert_eq!(
-            decode(&[u32::MAX, 1, 0, 10, 11, 12]),
+            decode_burst(&[u32::MAX, 1, 0, 10, 11, 12], &mut burst),
             Err(ProtocolError::BadBlock)
         );
         // The same count over zero-width entries, which no word count bounds.
         assert_eq!(
-            decode(&[u32::MAX, 0, 10, 11, 12]),
+            decode_burst(&[u32::MAX, 0, 10, 11, 12], &mut burst),
             Err(ProtocolError::BadBlock)
         );
     }
 
+    /// Every hostile length the owned decoder was tested against, against
+    /// the borrowed one — and the reused buffer never reserves more than the
+    /// words of the block could describe.
+    #[test]
+    fn hostile_bursts_are_refused_without_sizing_the_buffer_by_them() {
+        const ENTRY: usize = 1 + LW + RW;
+        let lob = lob_of(&[
+            LobEntry {
+                local: &[1, 2, 3],
+                predicted: Some(&[7, 8]),
+            },
+            LobEntry {
+                local: &[4, 2, 3],
+                predicted: Some(&[7, 9]),
+            },
+            LobEntry {
+                local: &[4, 5, 3],
+                predicted: Some(&[7, 9]),
+            },
+        ]);
+        let good = Message::Burst {
+            entries: lob.entries(),
+            leader_next: &[10, 11, 12],
+        }
+        .encode();
+        let good = good.payload();
+        let block_len = good.len() - LW;
+        let with_next = |block: &[u32]| [block, &[10, 11, 12]].concat();
+
+        let mut burst = Vec::new();
+        let mut refused = |payload: &[u32], want: ProtocolError| {
+            let before = burst.capacity();
+            assert_eq!(decode_burst(payload, &mut burst), Err(want), "{payload:?}");
+            let block_words = payload.len().saturating_sub(LW);
+            assert!(
+                burst.capacity() <= before.max(block_words * ENTRY),
+                "{payload:?}: capacity {} from {before}",
+                burst.capacity()
+            );
+        };
+        let truncated = ProtocolError::Truncated {
+            tag: PacketTag::Burst,
+        };
+
+        // A count of 2^32 - 1 over a three-word block.
+        refused(
+            &with_next(&[u32::MAX, ENTRY as u32, 0]),
+            ProtocolError::BadBlock,
+        );
+        // Header widths other than 1 + remote + local, zero included (no
+        // word count bounds how many zero-width entries a block claims).
+        for width in [0, 1, ENTRY as u32 - 1, ENTRY as u32 + 1, u32::MAX] {
+            refused(&with_next(&[u32::MAX, width]), ProtocolError::BadBlock);
+            refused(
+                &with_next(&[1, width, 0, 0, 0, 0, 0, 0]),
+                ProtocolError::BadBlock,
+            );
+        }
+        // The block cut at every length (the leader-next words still follow).
+        for cut in 0..block_len {
+            refused(&with_next(&good[..cut]), ProtocolError::BadBlock);
+        }
+        // Trailing words between the block and leader_next.
+        refused(
+            &[&good[..block_len], &[9, 10, 11, 12]].concat(),
+            ProtocolError::BadBlock,
+        );
+        // A payload shorter than the leader-next words alone.
+        for len in 0..LW {
+            refused(&good[..len], truncated.clone());
+        }
+        // After all of that the same buffer still takes a good burst.
+        assert_eq!(decode_burst(good, &mut burst), Ok(3));
+        assert!(burst.capacity() <= (block_len * ENTRY).max(3 * ENTRY));
+    }
+
     #[test]
     fn burst_compresses_stable_entries() {
-        let entries: Vec<LobEntry> = (0..64)
-            .map(|i| LobEntry {
-                local: vec![0x100 + i, 7, 7],
-                predicted: Some(vec![9, 9]),
+        let mut lob = Lob::new(64, LW, RW);
+        for i in 0..64 {
+            lob.push(LobEntry {
+                local: &[0x100 + i, 7, 7],
+                predicted: Some(&[9, 9]),
             })
-            .collect();
+            .unwrap();
+        }
         let m = Message::Burst {
-            entries,
-            leader_next: vec![0, 0, 0],
+            entries: lob.entries(),
+            leader_next: &[0, 0, 0],
         };
-        let pkt = m.encode(LW, RW);
+        let pkt = m.encode();
         let raw_words = 64 * (1 + 3 + 2) + 3;
         assert!(
             (pkt.wire_words() as usize) < raw_words / 2,
             "delta packetizing shrinks the flush ({} vs {raw_words})",
             pkt.wire_words()
         );
-        assert_eq!(Message::decode(&pkt, RW, LW).unwrap(), m);
+        assert_roundtrip(&m);
     }
 
     #[test]
     fn reports_roundtrip() {
-        let ok = Message::ReportSuccess {
-            next: vec![5, 6, 7],
-        };
-        assert_eq!(roundtrip(&ok), ok);
-        let fail = Message::ReportFailure {
+        assert_roundtrip(&Message::ReportSuccess { next: &[5, 6, 7] });
+        assert_roundtrip(&Message::ReportFailure {
             failed_index: 4,
-            actual: vec![1, 2, 3],
-            next: vec![9, 8, 7],
-        };
-        assert_eq!(roundtrip(&fail), fail);
+            actual: &[1, 2, 3],
+            next: &[9, 8, 7],
+        });
     }
 
     #[test]
     fn truncated_rejected() {
-        let pkt = Packet::new(PacketTag::ReportSuccess, vec![1]);
-        assert!(Message::decode(&pkt, RW, LW).is_err());
-        let pkt = Packet::new(PacketTag::Handshake, vec![]);
-        assert!(Message::decode(&pkt, RW, LW).is_err());
+        let mut burst = Vec::new();
+        for (tag, payload) in [
+            (PacketTag::ReportSuccess, vec![1]),
+            (PacketTag::Handshake, vec![]),
+            (PacketTag::CycleOutputs, vec![1, 2]),
+            (PacketTag::ReportFailure, vec![0, 1, 2, 3, 4, 5]),
+            (PacketTag::ReportFailure, vec![0, 1, 2, 3, 4, 5, 6, 7]),
+        ] {
+            let pkt = Packet::new(tag, payload);
+            assert_eq!(
+                Message::decode(&pkt, RW, LW, &mut burst),
+                Err(ProtocolError::Truncated { tag })
+            );
+        }
     }
 
     #[test]

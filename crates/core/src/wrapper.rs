@@ -21,34 +21,13 @@
 use crate::model::{DomainModel, TickKind};
 use crate::observer::{EmuEvent, EmuObserver};
 use crate::protocol::Message;
-use predpkt_channel::{CostedChannel, Side, Transport};
-use predpkt_predict::{Lob, LobEntry};
+use predpkt_channel::{BufferPool, CostedChannel, Packet, Side, Transport};
+use predpkt_predict::{Lob, LobEntries};
 use predpkt_sim::{
     restore_from_vec, save_into, CostCategory, SimError, Snapshot, SnapshotError, StateReader,
     StateVec, StateWriter, TimeLedger, TraceMark, VirtualTime,
 };
 use std::fmt;
-
-/// Converts LOB entries into fixed-width blocks for the delta packetizer
-/// (`[has_prediction, local…, prediction-or-zeros…]`).
-pub(crate) fn lob_entries_to_blocks(
-    entries: &[LobEntry],
-    prediction_width: usize,
-) -> Vec<Vec<u32>> {
-    entries
-        .iter()
-        .map(|e| {
-            let mut b = Vec::with_capacity(1 + e.local.len() + prediction_width);
-            b.push(e.predicted.is_some() as u32);
-            b.extend_from_slice(&e.local);
-            match &e.predicted {
-                Some(p) => b.extend_from_slice(p),
-                None => b.extend(std::iter::repeat(0).take(prediction_width)),
-            }
-            b
-        })
-        .collect()
-}
 
 /// Operating-mode policy: who may lead, and whether prediction is allowed
 /// (paper §2: SLA, ALS, and the conventional conservative mode; §3 problem 4:
@@ -269,7 +248,7 @@ pub(crate) fn merge_committed_traces<M: DomainModel>(
     out
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     /// Send our handshake.
     HandshakeSend,
@@ -287,12 +266,63 @@ enum Phase {
     FollowAwait,
 }
 
+/// The wrapper's sending half, a field of its own so that a message may lend
+/// the wrapper's other buffers while it is sent.
+struct Outbox {
+    side: Side,
+    /// Where outgoing payloads come from and consumed incoming ones return
+    /// to: a transition sends a burst and receives a report (or the reverse),
+    /// so after warm-up every payload is a buffer the peer's last message
+    /// arrived in.
+    pool: BufferPool,
+}
+
+impl Outbox {
+    /// Encodes `msg` into a pooled payload, sends it and bills the access.
+    fn send<T: Transport>(
+        &mut self,
+        channel: &mut CostedChannel<T>,
+        ledger: &mut TimeLedger,
+        msg: &Message<'_>,
+        obs: &mut dyn EmuObserver,
+    ) {
+        let mut payload = self.pool.acquire();
+        let tag = msg.encode_into(&mut payload);
+        let pkt = Packet::new(tag, payload);
+        let words = pkt.wire_words();
+        let cost = channel.send(self.side, pkt);
+        ledger.charge(CostCategory::Channel, cost);
+        obs.on_event(
+            self.side,
+            &EmuEvent::ChannelSend {
+                direction: self.side.outbound(),
+                words,
+                cost,
+            },
+        );
+    }
+}
+
+/// Replaces `buf` with `model`'s outputs for the upcoming cycle.
+fn refill_outputs<M: DomainModel>(model: &M, buf: &mut Vec<u32>) {
+    buf.clear();
+    model.local_outputs_into(buf);
+}
+
 /// The per-domain protocol engine. See the module docs.
+///
+/// Every buffer a cycle needs is a field that outlives it — the LOB and its
+/// in-flight twin, the burst decode buffer, the two output vectors, the
+/// carried actuals, the payload pool — so a committed cycle in steady state
+/// allocates nothing here (`tests/alloc_budget.rs` pins that).
 pub struct ChannelWrapper<M: DomainModel> {
     model: M,
     side: Side,
     policy: ModePolicy,
     phase: Phase,
+    /// The run-ahead being buffered: one flat buffer already in the
+    /// packetizer's block layout, filled in place by the model's `_into`
+    /// methods and delta-encoded straight into the burst payload.
     lob: Lob,
     /// The leader's rollback state: one buffer for the wrapper's lifetime,
     /// refilled at every transition start and left in place by a clean
@@ -301,14 +331,24 @@ pub struct ChannelWrapper<M: DomainModel> {
     /// The trace mark taken with `snapshot`; `None` while no transition's
     /// snapshot is live, so whatever `snapshot` holds is stale.
     snapshot_mark: Option<TraceMark>,
-    /// Entries in flight after a flush (for roll-forth replay).
-    inflight: Vec<LobEntry>,
-    /// Actual remote values used by the head cycle of the current transition
-    /// (retained for replay).
-    head_actuals: Option<Vec<u32>>,
-    /// Remote Moore outputs for the upcoming cycle, tagged with that cycle
-    /// index (carried by reports and bursts).
-    pending_actuals: Option<(u64, Vec<u32>)>,
+    /// The entries in flight after a flush (for roll-forth replay): the
+    /// flush swaps `lob` with this buffer, so the two trade allocations and
+    /// nothing is copied.
+    inflight: Lob,
+    /// The lagger's decode buffer: a received burst's entries, end to end.
+    burst: Vec<u32>,
+    /// Scratch for this domain's outputs on their way into a message (a
+    /// conservative exchange, a failing cycle's actuals, the leader's
+    /// next-cycle outputs).
+    outputs: Vec<u32>,
+    /// Scratch for the next-cycle outputs a report carries.
+    next: Vec<u32>,
+    /// Remote Moore outputs for the upcoming cycle (carried by reports and
+    /// bursts); meaningful only while `pending_cycle` is set.
+    pending_actuals: Vec<u32>,
+    /// The cycle index `pending_actuals` is for; `None` when nothing is
+    /// carried.
+    pending_cycle: Option<u64>,
     /// Whether to exploit report/burst-carried next-cycle outputs for head
     /// cycles (protocol refinement; off for paper-faithful accounting).
     carry_actuals: bool,
@@ -320,6 +360,7 @@ pub struct ChannelWrapper<M: DomainModel> {
     /// clean transition, shrink to the achieved run on a failure.
     adaptive_depth: bool,
     stats: CwStats,
+    outbox: Outbox,
     /// Set when a restore failed partway, leaving the model in an undefined
     /// mixture of old and new state. Every further [`step`](Self::step) then
     /// refuses with [`SimError::StatePoisoned`] — a half-restored run must
@@ -331,23 +372,31 @@ impl<M: DomainModel> ChannelWrapper<M> {
     /// Creates a wrapper around a domain model.
     pub fn new(model: M, lob_depth: usize, policy: ModePolicy) -> Self {
         let side = model.side();
+        let lob = Lob::new(lob_depth, model.local_width(), model.remote_width());
         ChannelWrapper {
-            model,
             side,
             policy,
             phase: Phase::HandshakeSend,
-            lob: Lob::new(lob_depth),
+            inflight: lob.clone(),
+            lob,
             snapshot: StateVec::new(),
             snapshot_mark: None,
-            inflight: Vec::new(),
-            head_actuals: None,
-            pending_actuals: None,
+            burst: Vec::new(),
+            outputs: Vec::with_capacity(model.local_width()),
+            next: Vec::with_capacity(model.local_width()),
+            pending_actuals: Vec::with_capacity(model.remote_width()),
+            pending_cycle: None,
             carry_actuals: true,
             depth_cap: lob_depth,
             cur_depth: lob_depth,
             adaptive_depth: false,
             stats: CwStats::default(),
+            outbox: Outbox {
+                side,
+                pool: BufferPool::new(),
+            },
             poisoned: None,
+            model,
         }
     }
 
@@ -395,7 +444,7 @@ impl<M: DomainModel> ChannelWrapper<M> {
     /// session runners halt domains only here, so the stop point is a
     /// deterministic protocol event independent of scheduling.
     pub(crate) fn at_transition_boundary(&self) -> bool {
-        matches!(self.phase, Phase::Elect)
+        self.phase == Phase::Elect
     }
 
     /// The restore failure that quarantined this wrapper, if any.
@@ -414,8 +463,8 @@ impl<M: DomainModel> ChannelWrapper<M> {
     /// own [`Snapshot`]), the committed trace (outside the model snapshot by
     /// contract), the carried next-cycle actuals, the adaptive run-ahead
     /// depth, and the statistics. Transient transition state (LOB, rollback
-    /// snapshot, in-flight entries, head actuals) is empty at a boundary by
-    /// construction and is reset on restore instead of serialized.
+    /// snapshot, in-flight entries) is empty at a boundary by construction
+    /// and is reset on restore instead of serialized.
     pub(crate) fn checkpoint_save(&self, w: &mut StateWriter<'_>) {
         debug_assert!(
             self.at_transition_boundary(),
@@ -426,12 +475,12 @@ impl<M: DomainModel> ChannelWrapper<M> {
         w.section("trace");
         self.model.trace().save(w);
         w.section("wrapper");
-        match &self.pending_actuals {
+        match self.pending_cycle {
             None => {
                 w.bool(false);
             }
-            Some((cycle, actuals)) => {
-                w.bool(true).word(*cycle).slice_u32(actuals);
+            Some(cycle) => {
+                w.bool(true).word(cycle).slice_u32(&self.pending_actuals);
             }
         }
         w.usize(self.cur_depth);
@@ -456,40 +505,19 @@ impl<M: DomainModel> ChannelWrapper<M> {
     fn checkpoint_restore_inner(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         self.model.restore(r)?;
         self.model.trace_mut().restore(r)?;
-        self.pending_actuals = if r.bool()? {
-            Some((r.word()?, r.slice_u32()?))
-        } else {
-            None
-        };
+        self.pending_cycle = None;
+        if r.bool()? {
+            let cycle = r.word()?;
+            r.slice_u32_into(&mut self.pending_actuals)?;
+            self.pending_cycle = Some(cycle);
+        }
         self.cur_depth = r.usize()?;
         self.stats.restore(r)?;
         self.phase = Phase::Elect;
-        let _ = self.lob.drain();
+        self.lob.clear();
         self.snapshot_mark = None;
         self.inflight.clear();
-        self.head_actuals = None;
         Ok(())
-    }
-
-    fn send<T: Transport>(
-        &self,
-        channel: &mut CostedChannel<T>,
-        ledger: &mut TimeLedger,
-        msg: &Message,
-        obs: &mut dyn EmuObserver,
-    ) {
-        let pkt = msg.encode(self.model.local_width(), self.model.remote_width());
-        let words = pkt.wire_words();
-        let cost = channel.send(self.side, pkt);
-        ledger.charge(CostCategory::Channel, cost);
-        obs.on_event(
-            self.side,
-            &EmuEvent::ChannelSend {
-                direction: self.side.outbound(),
-                words,
-                cost,
-            },
-        );
     }
 
     fn bill_cycle(&self, ledger: &mut TimeLedger, costs: &DomainCosts) {
@@ -508,6 +536,26 @@ impl<M: DomainModel> ChannelWrapper<M> {
         self.snapshot_mark = Some(self.model.trace_mark());
     }
 
+    /// The gate every peer-supplied output vector passes before the model
+    /// sees it: `what` names its position in the message for the error.
+    fn check_remote(&self, remote: &[u32], what: &str) -> Result<(), SimError> {
+        if self.model.check_remote(remote) {
+            Ok(())
+        } else {
+            Err(SimError::Config(format!(
+                "protocol: malformed signal word in {what}"
+            )))
+        }
+    }
+
+    /// Keeps `next` — checked peer outputs for cycle `self.model.cycle()` —
+    /// as head actuals for a transition this domain may lead.
+    fn carry(&mut self, next: &[u32]) {
+        self.pending_actuals.clear();
+        self.pending_actuals.extend_from_slice(next);
+        self.pending_cycle = Some(self.model.cycle());
+    }
+
     /// Runs one scheduling quantum. Returns [`Progress::Blocked`] when waiting
     /// for a message that has not arrived.
     ///
@@ -524,40 +572,14 @@ impl<M: DomainModel> ChannelWrapper<M> {
         if let Some(err) = &self.poisoned {
             return Err(SimError::StatePoisoned(err.clone()));
         }
-        match &self.phase {
+        match self.phase {
             Phase::HandshakeSend => {
                 let msg = Message::Handshake {
                     local_width: self.model.local_width(),
                     remote_width: self.model.remote_width(),
                 };
-                self.send(channel, ledger, &msg, obs);
+                self.outbox.send(channel, ledger, &msg, obs);
                 self.phase = Phase::HandshakeAwait;
-                Ok(Progress::Worked)
-            }
-            Phase::HandshakeAwait => {
-                let Some(pkt) = channel.recv(self.side) else {
-                    return Ok(Progress::Blocked);
-                };
-                let msg = self.decode(&pkt)?;
-                let Message::Handshake {
-                    local_width,
-                    remote_width,
-                } = msg
-                else {
-                    return Err(SimError::Config("expected handshake".into()));
-                };
-                if local_width != self.model.remote_width()
-                    || remote_width != self.model.local_width()
-                {
-                    return Err(SimError::Config(format!(
-                        "width disagreement: peer {local_width}/{remote_width}, \
-                         local {}/{}",
-                        self.model.local_width(),
-                        self.model.remote_width()
-                    )));
-                }
-                obs.on_event(self.side, &EmuEvent::HandshakeComplete);
-                self.phase = Phase::Elect;
                 Ok(Progress::Worked)
             }
             Phase::Elect => {
@@ -575,9 +597,12 @@ impl<M: DomainModel> ChannelWrapper<M> {
                             optimistic: false,
                         },
                     );
-                    self.pending_actuals = None;
-                    let outputs = self.model.local_outputs();
-                    self.send(channel, ledger, &Message::CycleOutputs { outputs }, obs);
+                    self.pending_cycle = None;
+                    refill_outputs(&self.model, &mut self.outputs);
+                    let msg = Message::CycleOutputs {
+                        outputs: &self.outputs,
+                    };
+                    self.outbox.send(channel, ledger, &msg, obs);
                     self.phase = Phase::ConsAwaitReply;
                     return Ok(Progress::Worked);
                 }
@@ -591,22 +616,15 @@ impl<M: DomainModel> ChannelWrapper<M> {
                 // Start a transition: optional head cycle on actuals (the
                 // conventional first P-path cycle, P-5/P-6), then snapshot.
                 self.inflight.clear();
-                self.head_actuals = None;
-                if let Some((cycle, actuals)) = self.pending_actuals.take() {
-                    if self.carry_actuals && cycle == self.model.cycle() {
-                        let local = self.model.local_outputs();
-                        self.model.tick(&actuals, TickKind::Actual);
-                        self.bill_cycle(ledger, costs);
-                        self.stats.head_cycles += 1;
-                        self.stats.bump(PaperPath::P);
-                        self.lob
-                            .push(LobEntry {
-                                local,
-                                predicted: None,
-                            })
-                            .expect("head entry always fits");
-                        self.head_actuals = Some(actuals);
-                    }
+                if self.pending_cycle.take() == Some(self.model.cycle()) && self.carry_actuals {
+                    let model = &self.model;
+                    self.lob
+                        .push_with(false, |entry| model.local_outputs_into(entry))
+                        .expect("head entry always fits");
+                    self.model.tick(&self.pending_actuals, TickKind::Actual);
+                    self.bill_cycle(ledger, costs);
+                    self.stats.head_cycles += 1;
+                    self.stats.bump(PaperPath::P);
                 }
                 self.take_snapshot(ledger, costs);
                 self.phase = Phase::LeadPredict;
@@ -617,25 +635,23 @@ impl<M: DomainModel> ChannelWrapper<M> {
                     || (self.model.needs_sync() && !self.lob.is_empty())
                 {
                     // S-path: flush the LOB as one burst.
-                    let entries = self.lob.drain();
                     obs.on_event(
                         self.side,
                         &EmuEvent::LobFlush {
-                            entries: entries.len(),
-                            predictions: entries.iter().filter(|e| e.predicted.is_some()).count(),
+                            entries: self.lob.len(),
+                            predictions: self.lob.predictions(),
                         },
                     );
-                    self.inflight = entries.clone();
-                    let leader_next = self.model.local_outputs();
-                    self.send(
-                        channel,
-                        ledger,
-                        &Message::Burst {
-                            entries,
-                            leader_next,
-                        },
-                        obs,
-                    );
+                    refill_outputs(&self.model, &mut self.outputs);
+                    let msg = Message::Burst {
+                        entries: self.lob.entries(),
+                        leader_next: &self.outputs,
+                    };
+                    self.outbox.send(channel, ledger, &msg, obs);
+                    // What was flushed is now in flight; the buffer that was
+                    // in flight last time takes the next run-ahead.
+                    std::mem::swap(&mut self.lob, &mut self.inflight);
+                    self.lob.clear();
                     self.stats.flushes += 1;
                     self.stats.bump(PaperPath::S);
                     // Strategy-coordination words (adaptive suites) piggyback
@@ -652,178 +668,218 @@ impl<M: DomainModel> ChannelWrapper<M> {
                     !self.model.needs_sync(),
                     "sync need with an empty LOB must be handled in Elect"
                 );
-                // P-path: one optimistic cycle.
-                let local = self.model.local_outputs();
-                let predicted = self.model.predict_remote();
-                self.lob
-                    .push(LobEntry {
-                        local,
-                        predicted: Some(predicted.clone()),
+                // P-path: one optimistic cycle, its entry written in place
+                // and the model ticked from the prediction as buffered.
+                let model = &mut self.model;
+                let entry = self
+                    .lob
+                    .push_with(true, |entry| {
+                        model.local_outputs_into(entry);
+                        model.predict_remote_into(entry);
                     })
                     .expect("checked is_full above");
-                self.model.tick(&predicted, TickKind::Predicted);
+                let predicted = entry.predicted.expect("pushed with a prediction");
+                self.model.tick(predicted, TickKind::Predicted);
                 self.bill_cycle(ledger, costs);
                 self.stats.predicted_cycles += 1;
                 self.stats.bump(PaperPath::P);
                 Ok(Progress::Worked)
             }
-            Phase::LeadAwaitReport => {
+            Phase::HandshakeAwait
+            | Phase::LeadAwaitReport
+            | Phase::ConsAwaitReply
+            | Phase::FollowAwait => {
                 let Some(pkt) = channel.recv(self.side) else {
                     return Ok(Progress::Blocked);
                 };
-                match self.decode(&pkt)? {
-                    Message::ReportSuccess { next } => {
-                        obs.on_event(
-                            self.side,
-                            &EmuEvent::ReportReceived {
-                                success: true,
-                                failed_index: None,
-                            },
-                        );
-                        self.stats.transitions += 1;
-                        self.stats.clean_transitions += 1;
-                        if self.adaptive_depth {
-                            self.cur_depth = (self.cur_depth * 2).min(self.depth_cap);
-                        }
-                        self.pending_actuals = Some((self.model.cycle(), next));
-                        self.snapshot_mark = None;
-                        self.inflight.clear();
-                        self.head_actuals = None;
-                        self.phase = Phase::Elect;
-                        Ok(Progress::Worked)
-                    }
-                    Message::ReportFailure {
-                        failed_index,
-                        actual,
-                        next,
-                    } => {
-                        obs.on_event(
-                            self.side,
-                            &EmuEvent::ReportReceived {
-                                success: false,
-                                failed_index: Some(failed_index),
-                            },
-                        );
-                        self.stats.transitions += 1;
-                        self.stats.rollbacks += 1;
-                        if self.adaptive_depth {
-                            // Aim the next run-ahead at the run length that was
-                            // actually achievable this time.
-                            self.cur_depth =
-                                failed_index.max(ADAPTIVE_MIN_DEPTH).min(self.depth_cap);
-                        }
-                        self.roll_back_and_forth(failed_index, &actual, ledger, costs, obs)?;
-                        self.pending_actuals = Some((self.model.cycle(), next));
-                        self.phase = Phase::Elect;
-                        Ok(Progress::Worked)
-                    }
-                    other => Err(SimError::Config(format!(
-                        "leader expected a report, got {other:?}"
-                    ))),
-                }
-            }
-            Phase::ConsAwaitReply => {
-                let Some(pkt) = channel.recv(self.side) else {
-                    return Ok(Progress::Blocked);
-                };
-                let Message::CycleOutputs { outputs } = self.decode(&pkt)? else {
-                    return Err(SimError::Config("expected cycle outputs".into()));
-                };
-                self.model.tick(&outputs, TickKind::Actual);
-                self.bill_cycle(ledger, costs);
-                self.stats.conservative_cycles += 1;
-                self.stats.bump(PaperPath::C);
-                obs.on_event(self.side, &EmuEvent::ConservativeCycle);
-                self.phase = Phase::Elect;
-                Ok(Progress::Worked)
-            }
-            Phase::FollowAwait => {
-                let Some(pkt) = channel.recv(self.side) else {
-                    return Ok(Progress::Blocked);
-                };
-                match self.decode(&pkt)? {
-                    Message::CycleOutputs { outputs } => {
-                        // C-path responder: reply with our outputs, then tick.
-                        let mine = self.model.local_outputs();
-                        self.send(
-                            channel,
-                            ledger,
-                            &Message::CycleOutputs { outputs: mine },
-                            obs,
-                        );
-                        self.model.tick(&outputs, TickKind::Actual);
-                        self.bill_cycle(ledger, costs);
-                        self.stats.conservative_cycles += 1;
-                        self.stats.bump(PaperPath::C);
-                        obs.on_event(self.side, &EmuEvent::ConservativeCycle);
-                        self.phase = Phase::Elect;
-                        Ok(Progress::Worked)
-                    }
-                    Message::Burst {
-                        entries,
-                        leader_next,
-                    } => {
-                        self.follow_burst(entries, leader_next, channel, ledger, costs, obs);
-                        self.phase = Phase::Elect;
-                        Ok(Progress::Worked)
-                    }
-                    other => Err(SimError::Config(format!(
-                        "responder expected outputs or burst, got {other:?}"
-                    ))),
-                }
+                // The message lends the packet and (a burst) the decode
+                // buffer, which leaves `self` for the duration so the handler
+                // may borrow the rest of it.
+                let mut burst = std::mem::take(&mut self.burst);
+                let (local_width, remote_width) =
+                    (self.model.local_width(), self.model.remote_width());
+                let handled = Message::decode(&pkt, local_width, remote_width, &mut burst)
+                    .map_err(|e| SimError::Config(format!("protocol: {e}")))
+                    .and_then(|msg| self.receive(msg, channel, ledger, costs, obs));
+                self.burst = burst;
+                self.outbox.pool.release(pkt.into_payload());
+                handled.map(|()| Progress::Worked)
             }
         }
+    }
+
+    /// Handles the message a receiving phase was blocked on.
+    fn receive<T: Transport>(
+        &mut self,
+        msg: Message<'_>,
+        channel: &mut CostedChannel<T>,
+        ledger: &mut TimeLedger,
+        costs: &DomainCosts,
+        obs: &mut dyn EmuObserver,
+    ) -> Result<(), SimError> {
+        match (self.phase, msg) {
+            (
+                Phase::HandshakeAwait,
+                Message::Handshake {
+                    local_width,
+                    remote_width,
+                },
+            ) => {
+                if local_width != self.model.remote_width()
+                    || remote_width != self.model.local_width()
+                {
+                    return Err(SimError::Config(format!(
+                        "width disagreement: peer {local_width}/{remote_width}, \
+                         local {}/{}",
+                        self.model.local_width(),
+                        self.model.remote_width()
+                    )));
+                }
+                obs.on_event(self.side, &EmuEvent::HandshakeComplete);
+            }
+            (Phase::LeadAwaitReport, Message::ReportSuccess { next }) => {
+                self.check_remote(next, "a report's next-cycle outputs")?;
+                obs.on_event(
+                    self.side,
+                    &EmuEvent::ReportReceived {
+                        success: true,
+                        failed_index: None,
+                    },
+                );
+                self.stats.transitions += 1;
+                self.stats.clean_transitions += 1;
+                if self.adaptive_depth {
+                    self.cur_depth = (self.cur_depth * 2).min(self.depth_cap);
+                }
+                self.carry(next);
+                self.snapshot_mark = None;
+                self.inflight.clear();
+            }
+            (
+                Phase::LeadAwaitReport,
+                Message::ReportFailure {
+                    failed_index,
+                    actual,
+                    next,
+                },
+            ) => {
+                self.check_remote(actual, "a report's actual outputs")?;
+                self.check_remote(next, "a report's next-cycle outputs")?;
+                obs.on_event(
+                    self.side,
+                    &EmuEvent::ReportReceived {
+                        success: false,
+                        failed_index: Some(failed_index),
+                    },
+                );
+                self.stats.transitions += 1;
+                self.stats.rollbacks += 1;
+                if self.adaptive_depth {
+                    // Aim the next run-ahead at the run length that was
+                    // actually achievable this time.
+                    self.cur_depth = failed_index.max(ADAPTIVE_MIN_DEPTH).min(self.depth_cap);
+                }
+                self.roll_back_and_forth(failed_index, actual, ledger, costs, obs)?;
+                self.carry(next);
+            }
+            (Phase::ConsAwaitReply, Message::CycleOutputs { outputs }) => {
+                self.check_remote(outputs, "cycle outputs")?;
+                self.conservative_tick(outputs, ledger, costs, obs);
+            }
+            (Phase::FollowAwait, Message::CycleOutputs { outputs }) => {
+                // C-path responder: reply with our outputs, then tick.
+                self.check_remote(outputs, "cycle outputs")?;
+                refill_outputs(&self.model, &mut self.outputs);
+                let mine = Message::CycleOutputs {
+                    outputs: &self.outputs,
+                };
+                self.outbox.send(channel, ledger, &mine, obs);
+                self.conservative_tick(outputs, ledger, costs, obs);
+            }
+            (
+                Phase::FollowAwait,
+                Message::Burst {
+                    entries,
+                    leader_next,
+                },
+            ) => {
+                self.check_remote(leader_next, "a burst's leader-next outputs")?;
+                self.follow_burst(entries, leader_next, channel, ledger, costs, obs)?;
+            }
+            (phase, other) => {
+                return Err(SimError::Config(format!(
+                    "protocol: {phase:?} did not expect {other:?}"
+                )));
+            }
+        }
+        self.phase = Phase::Elect;
+        Ok(())
+    }
+
+    /// One conservative cycle on the peer's exchanged outputs (either role).
+    fn conservative_tick(
+        &mut self,
+        outputs: &[u32],
+        ledger: &mut TimeLedger,
+        costs: &DomainCosts,
+        obs: &mut dyn EmuObserver,
+    ) {
+        self.model.tick(outputs, TickKind::Actual);
+        self.bill_cycle(ledger, costs);
+        self.stats.conservative_cycles += 1;
+        self.stats.bump(PaperPath::C);
+        obs.on_event(self.side, &EmuEvent::ConservativeCycle);
     }
 
     /// L/R-paths: consume a burst, checking one prediction per entry.
     fn follow_burst<T: Transport>(
         &mut self,
-        entries: Vec<LobEntry>,
-        leader_next: Vec<u32>,
+        entries: LobEntries<'_>,
+        leader_next: &[u32],
         channel: &mut CostedChannel<T>,
         ledger: &mut TimeLedger,
         costs: &DomainCosts,
         obs: &mut dyn EmuObserver,
-    ) {
+    ) -> Result<(), SimError> {
         for (idx, entry) in entries.iter().enumerate() {
-            if let Some(predicted) = &entry.predicted {
+            // Entries past a failed prediction are never looked at, so each
+            // is checked as it is reached.
+            self.check_remote(entry.local, "a burst entry's outputs")?;
+            if let Some(predicted) = entry.predicted {
                 self.stats.checked_predictions += 1;
-                let ok = self.model.verify_prediction(&entry.local, predicted);
-                if !ok {
+                if !self.model.verify_prediction(entry.local, predicted) {
                     // L-5: the failing cycle itself still commits (the leader's
                     // outputs for it depend only on verified predictions), then
                     // report and invalidate the rest.
                     self.stats.failed_predictions += 1;
-                    let actual = self.model.local_outputs();
-                    self.model.tick(&entry.local, TickKind::Actual);
+                    refill_outputs(&self.model, &mut self.outputs);
+                    self.model.tick(entry.local, TickKind::Actual);
                     self.bill_cycle(ledger, costs);
                     self.stats.bump(PaperPath::L);
-                    let next = self.model.local_outputs();
-                    self.send(
-                        channel,
-                        ledger,
-                        &Message::ReportFailure {
-                            failed_index: idx,
-                            actual,
-                            next,
-                        },
-                        obs,
-                    );
-                    self.pending_actuals = None;
-                    return;
+                    refill_outputs(&self.model, &mut self.next);
+                    let report = Message::ReportFailure {
+                        failed_index: idx,
+                        actual: &self.outputs,
+                        next: &self.next,
+                    };
+                    self.outbox.send(channel, ledger, &report, obs);
+                    self.pending_cycle = None;
+                    return Ok(());
                 }
             }
-            self.model.tick(&entry.local, TickKind::Actual);
+            self.model.tick(entry.local, TickKind::Actual);
             self.bill_cycle(ledger, costs);
             self.stats.bump(PaperPath::L);
         }
         // R-path: all predictions correct.
-        let next = self.model.local_outputs();
-        self.send(channel, ledger, &Message::ReportSuccess { next }, obs);
+        refill_outputs(&self.model, &mut self.next);
+        let report = Message::ReportSuccess { next: &self.next };
+        self.outbox.send(channel, ledger, &report, obs);
         self.stats.bump(PaperPath::R);
         // The burst carried the leader's next outputs: valid head actuals if we
         // lead the next transition.
-        self.pending_actuals = Some((self.model.cycle(), leader_next));
+        self.carry(leader_next);
+        Ok(())
     }
 
     /// RB + RF: restore the snapshot and replay the verified prefix (F-path).
@@ -853,8 +909,7 @@ impl<M: DomainModel> ChannelWrapper<M> {
         // (projection-verified, so state evolution matches the lagger), then
         // the failing cycle with the reported actuals. Head entries executed on
         // actual values are *inside* the snapshot and must not be replayed.
-        let inflight = std::mem::take(&mut self.inflight);
-        self.head_actuals = None;
+        let inflight = self.inflight.entries();
         let head_count = inflight
             .iter()
             .take_while(|e| e.predicted.is_none())
@@ -868,15 +923,13 @@ impl<M: DomainModel> ChannelWrapper<M> {
             .skip(head_count)
             .take(failed_index - head_count)
         {
-            let values = entry
-                .predicted
-                .as_deref()
-                .expect("prefix entries carry predictions");
+            let values = entry.predicted.expect("prefix entries carry predictions");
             self.model.tick(values, TickKind::Actual);
             self.bill_cycle(ledger, costs);
             self.stats.replayed_cycles += 1;
             self.stats.bump(PaperPath::F);
         }
+        self.inflight.clear();
         self.model.tick(actual, TickKind::Actual);
         self.bill_cycle(ledger, costs);
         self.stats.replayed_cycles += 1;
@@ -889,11 +942,6 @@ impl<M: DomainModel> ChannelWrapper<M> {
             },
         );
         Ok(())
-    }
-
-    fn decode(&self, pkt: &predpkt_channel::Packet) -> Result<Message, SimError> {
-        Message::decode(pkt, self.model.local_width(), self.model.remote_width())
-            .map_err(|e| SimError::Config(format!("protocol: {e}")))
     }
 }
 

@@ -1,0 +1,116 @@
+//! The allocation budget of a committed cycle, pinned.
+//!
+//! The paper's argument is that per-access start-up overhead, not payload, is
+//! what a co-emulated cycle pays for; the host pays the same kind of overhead
+//! once per heap allocation. The wrapper ↔ model path (`ChannelWrapper::step`
+//! → `DomainModel` → `Trace` → `Message` / delta codec → `Packet`) keeps every
+//! buffer it needs across cycles, so after warm-up a committed cycle allocates
+//! (almost) nothing: what is left is amortised growth of the traces and the
+//! bus components' own transfer bookkeeping.
+//!
+//! This file is a test target of its own with a single `#[test]`, so its
+//! `#[global_allocator]` counts nothing else. When the assertion trips, a
+//! site on the per-cycle path allocates again: run the test with
+//! `-- --nocapture` for the measured counts, then bisect with a breakpoint on
+//! `CountingAlloc::alloc` inside the measured window.
+//!
+//! `AdaptiveSuite` allocates ~11 times per cycle on the hotspot mesh (three
+//! shadow predictors cloned and stepped per component) — that is ROADMAP
+//! item (c), not this budget: nothing is asserted about it here.
+
+use predpkt_core::{CoEmuConfig, EmuSession, ModePolicy, TransportSelect};
+use predpkt_workloads::{figure2_soc, SyntheticSoc};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Counts every allocation and reallocation the process makes.
+struct CountingAlloc;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: pure delegation — every method forwards its arguments unchanged to
+// `System`, which upholds the `GlobalAlloc` contract; the only addition is a
+// relaxed counter increment, which neither allocates nor touches the blocks.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` and `layout` are the caller's, from `alloc`/`realloc` above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr`, `layout` and `new_size` are passed through as received.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+const WARM_UP: u64 = 1_000;
+const MEASURED: u64 = 5_000;
+
+/// Allocations per committed cycle over `MEASURED` cycles after `WARM_UP`.
+fn allocations_per_cycle<M: predpkt_core::DomainModel + Send + 'static>(
+    name: &str,
+    mut session: EmuSession<M>,
+) -> f64 {
+    session.run_until_committed(WARM_UP).expect("warm-up runs");
+    let from_cycle = session.committed_cycles();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    session
+        .run_until_committed(from_cycle + MEASURED)
+        .expect("measured window runs");
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let cycles = session.committed_cycles() - from_cycle;
+    let per_cycle = allocations as f64 / cycles as f64;
+    println!("{name}: {allocations} allocations over {cycles} committed cycles = {per_cycle:.3} per cycle");
+    per_cycle
+}
+
+#[test]
+fn a_committed_cycle_stays_within_the_allocation_budget() {
+    // What `benchmark/` runs as `soc-queue`: Fig. 2 SoC, leader elected per
+    // transition, real snapshot sizes, head-actuals carry, adaptive depth.
+    let bench_config = CoEmuConfig::paper_defaults()
+        .policy(ModePolicy::Auto)
+        .rollback_vars(None)
+        .carry(true)
+        .adaptive(true);
+    let soc = EmuSession::from_blueprint(&figure2_soc(7))
+        .config(bench_config)
+        .transport(TransportSelect::Queue)
+        .build()
+        .expect("the Fig. 2 session builds");
+    let soc = allocations_per_cycle("figure2_soc / queue / bench config", soc);
+
+    // What `benchmark/` runs as `synth-p60-queue`: Table 2's configuration,
+    // forced ALS at the fixed LOB depth, prediction accuracy 0.6 — most of a
+    // burst is discarded and the in-flight entries are replayed.
+    let paper_config = CoEmuConfig::paper_defaults().policy(ModePolicy::ForcedAls);
+    let synth = SyntheticSoc::als(0.6, 7)
+        .session()
+        .config(paper_config)
+        .transport(TransportSelect::Queue)
+        .build()
+        .expect("the synthetic session builds");
+    let synth = allocations_per_cycle("SyntheticSoc::als(0.6) / queue / paper config", synth);
+
+    assert!(soc <= 1.0, "figure2_soc: {soc:.3} allocations per cycle");
+    assert!(
+        synth <= 1.0,
+        "synthetic p=0.6: {synth:.3} allocations per cycle"
+    );
+}

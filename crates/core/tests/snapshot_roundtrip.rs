@@ -254,24 +254,24 @@ fn predictor_components_roundtrip() {
     }
     assert_roundtrip("WaitPredictor", &wait, &mut WaitPredictor::new());
 
-    let mut lob = Lob::new(8);
+    let mut lob = Lob::new(8, 2, 1);
     for i in 0..5u32 {
         lob.push(LobEntry {
-            local: vec![i, i + 1],
-            predicted: (i % 2 == 0).then(|| vec![i * 10]),
+            local: &[i, i + 1],
+            predicted: (i % 2 == 0).then_some(&[i * 10]),
         })
         .expect("LOB has room");
     }
-    let mut fuller = Lob::new(8);
+    let mut fuller = Lob::new(8, 2, 1);
     for i in 0..8u32 {
         fuller
             .push(LobEntry {
-                local: vec![i; 3],
-                predicted: Some(vec![i, i]),
+                local: &[i; 2],
+                predicted: Some(&[i]),
             })
             .expect("LOB has room");
     }
-    assert_roundtrip_over_dirty("Lob", &lob, &mut Lob::new(8), &mut fuller);
+    assert_roundtrip_over_dirty("Lob", &lob, &mut Lob::new(8, 2, 1), &mut fuller);
 
     let mut paper_master = PaperMasterPredictor::new();
     let mut sig = MasterSignals::default();

@@ -17,6 +17,50 @@
 use std::error::Error;
 use std::fmt;
 
+/// The one encoder: `count` entries of `width` words each, handed over as
+/// slices, appended to `out` in the wire format of the module docs.
+fn encode_entries<'a>(
+    count: usize,
+    width: usize,
+    entries: impl Iterator<Item = &'a [u32]>,
+    out: &mut Vec<u32>,
+) {
+    out.push(count as u32);
+    out.push(width as u32);
+    let mask_words = width.div_ceil(32);
+    let mut prev: Option<&[u32]> = None;
+    for entry in entries {
+        assert_eq!(entry.len(), width, "entries must share a width");
+        match prev {
+            None => out.extend_from_slice(entry),
+            Some(before) => {
+                let mask_at = out.len();
+                out.resize(mask_at + mask_words, 0);
+                for (i, (&now, &was)) in entry.iter().zip(before).enumerate() {
+                    if now != was {
+                        out[mask_at + i / 32] |= 1 << (i % 32);
+                        out.push(now);
+                    }
+                }
+            }
+        }
+        prev = Some(entry);
+    }
+}
+
+/// Encodes `count` entries of `width` words laid end to end in `flat`,
+/// appending the wire words to `out` — the per-flush form: one pass, no
+/// allocation once `out` has grown.
+///
+/// # Panics
+///
+/// Panics if `flat` is not `count * width` words long.
+pub fn encode_flat_into(flat: &[u32], count: usize, width: usize, out: &mut Vec<u32>) {
+    assert_eq!(flat.len(), count * width, "entries must share a width");
+    let entries = (0..count).map(|i| &flat[i * width..(i + 1) * width]);
+    encode_entries(count, width, entries, out);
+}
+
 /// Encodes a block of equal-width entries. Returns the wire words.
 ///
 /// # Panics
@@ -34,27 +78,9 @@ use std::fmt;
 /// ```
 pub fn encode_block(entries: &[Vec<u32>]) -> Vec<u32> {
     let mut out = Vec::new();
-    out.push(entries.len() as u32);
     let width = entries.first().map_or(0, Vec::len);
-    out.push(width as u32);
-    let Some((first, rest)) = entries.split_first() else {
-        return out;
-    };
-    out.extend_from_slice(first);
-    let mask_words = width.div_ceil(32);
-    let mut prev = first;
-    for entry in rest {
-        assert_eq!(entry.len(), width, "entries must share a width");
-        let mask_at = out.len();
-        out.resize(out.len() + mask_words, 0);
-        for (i, (&now, &before)) in entry.iter().zip(prev).enumerate() {
-            if now != before {
-                out[mask_at + i / 32] |= 1 << (i % 32);
-                out.push(now);
-            }
-        }
-        prev = entry;
-    }
+    let slices = entries.iter().map(Vec::as_slice);
+    encode_entries(entries.len(), width, slices, &mut out);
     out
 }
 
@@ -65,6 +91,8 @@ pub enum DeltaDecodeError {
     Truncated,
     /// Trailing words after the last entry.
     TrailingWords,
+    /// The entries are not of the width the receiver expects.
+    Width,
 }
 
 impl fmt::Display for DeltaDecodeError {
@@ -72,11 +100,79 @@ impl fmt::Display for DeltaDecodeError {
         match self {
             DeltaDecodeError::Truncated => write!(f, "delta block truncated"),
             DeltaDecodeError::TrailingWords => write!(f, "delta block has trailing words"),
+            DeltaDecodeError::Width => write!(f, "delta block entries have the wrong width"),
         }
     }
 }
 
 impl Error for DeltaDecodeError {}
+
+/// Decodes a block into `out`, replacing its contents with the entries laid
+/// end to end and reusing its allocation; returns `(count, width)`. Zero-width
+/// entries occupy no words, so only the returned count tells how many there
+/// were.
+///
+/// `count` and `width` are the peer's words, not facts: the block is refused
+/// before anything is sized by them unless the words that follow could
+/// describe that many entries (the first costs `width` words, every later one
+/// at least its mask words), so `out` never reserves more than
+/// `wire.len() * width` words for a block, good or bad.
+///
+/// # Errors
+///
+/// Returns [`DeltaDecodeError`] on truncated or oversized input; `out` then
+/// holds nothing meaningful.
+pub fn decode_flat_into(
+    wire: &[u32],
+    out: &mut Vec<u32>,
+) -> Result<(usize, usize), DeltaDecodeError> {
+    out.clear();
+    let [count, width, body @ ..] = wire else {
+        return Err(DeltaDecodeError::Truncated);
+    };
+    let (count, width) = (*count as usize, *width as usize);
+    let mut rest = body;
+    if count > 0 && width > 0 {
+        let mask_words = width.div_ceil(32);
+        if rest.len() < width || count - 1 > (rest.len() - width) / mask_words {
+            return Err(DeltaDecodeError::Truncated);
+        }
+        out.reserve_exact(count * width);
+        let (first, after) = rest.split_at(width);
+        out.extend_from_slice(first);
+        rest = after;
+        for _ in 1..count {
+            // Promised by the count check only while earlier entries took no
+            // changed words from the same pool.
+            if rest.len() < mask_words {
+                return Err(DeltaDecodeError::Truncated);
+            }
+            let (mask, after) = rest.split_at(mask_words);
+            rest = after;
+            let at = out.len();
+            out.extend_from_within(at - width..at);
+            for (w, &bits) in mask.iter().enumerate() {
+                let mut bits = bits;
+                while bits != 0 {
+                    let i = w * 32 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    // Mask bits past the width select nothing.
+                    if i >= width {
+                        break;
+                    }
+                    let (&now, after) = rest.split_first().ok_or(DeltaDecodeError::Truncated)?;
+                    out[at + i] = now;
+                    rest = after;
+                }
+            }
+        }
+    }
+    if rest.is_empty() {
+        Ok((count, width))
+    } else {
+        Err(DeltaDecodeError::TrailingWords)
+    }
+}
 
 /// Decodes a block produced by [`encode_block`].
 ///
@@ -84,40 +180,11 @@ impl Error for DeltaDecodeError {}
 ///
 /// Returns [`DeltaDecodeError`] on truncated or oversized input.
 pub fn decode_block(wire: &[u32]) -> Result<Vec<Vec<u32>>, DeltaDecodeError> {
-    let mut it = wire.iter().copied();
-    let mut next = || it.next().ok_or(DeltaDecodeError::Truncated);
-    let count = next()? as usize;
-    let width = next()? as usize;
-    let mask_words = width.div_ceil(32);
-    // `count` is the peer's word, not a fact: reserve only what the words
-    // that follow could describe. Every entry after the first costs at least
-    // its mask words; zero-width entries cost nothing, so their count bounds
-    // nothing and nothing is reserved for them up front.
-    let rest = wire.len().saturating_sub(2).saturating_sub(width);
-    let describable = rest.checked_div(mask_words).map_or(0, |more| more + 1);
-    let mut entries = Vec::with_capacity(count.min(describable));
-    if count == 0 {
-        return if it.next().is_none() {
-            Ok(entries)
-        } else {
-            Err(DeltaDecodeError::TrailingWords)
-        };
-    }
-    let mut current: Vec<u32> = (0..width).map(|_| next()).collect::<Result<_, _>>()?;
-    entries.push(current.clone());
-    for _ in 1..count {
-        let mask: Vec<u32> = (0..mask_words).map(|_| next()).collect::<Result<_, _>>()?;
-        for i in 0..width {
-            if mask[i / 32] & (1 << (i % 32)) != 0 {
-                current[i] = next()?;
-            }
-        }
-        entries.push(current.clone());
-    }
-    if it.next().is_some() {
-        return Err(DeltaDecodeError::TrailingWords);
-    }
-    Ok(entries)
+    let mut flat = Vec::new();
+    let (count, width) = decode_flat_into(wire, &mut flat)?;
+    Ok((0..count)
+        .map(|i| flat[i * width..(i + 1) * width].to_vec())
+        .collect())
 }
 
 #[cfg(test)]
@@ -222,5 +289,81 @@ mod tests {
             wire.len()
         );
         assert_eq!(decode_block(&wire).unwrap(), entries);
+    }
+
+    #[test]
+    fn flat_forms_are_the_same_codec() {
+        let entries: Vec<Vec<u32>> = (0..9u32)
+            .map(|i| (0..40).map(|w| if w % 7 == 0 { i } else { w }).collect())
+            .collect();
+        let flat = entries.concat();
+        let mut wire = vec![0xfeed]; // appended to, not overwritten
+        encode_flat_into(&flat, 9, 40, &mut wire);
+        assert_eq!(wire[0], 0xfeed);
+        assert_eq!(wire[1..], encode_block(&entries)[..]);
+        let mut back = vec![1, 2, 3]; // replaced, not appended to
+        assert_eq!(decode_flat_into(&wire[1..], &mut back), Ok((9, 40)));
+        assert_eq!(back, flat);
+        // Zero-width entries occupy no words: only the count comes back.
+        let mut wire = Vec::new();
+        encode_flat_into(&[], 5, 0, &mut wire);
+        assert_eq!(wire, [5, 0]);
+        assert_eq!(decode_flat_into(&wire, &mut back), Ok((5, 0)));
+        assert!(back.is_empty());
+    }
+
+    #[test]
+    fn stray_mask_bits_select_nothing() {
+        // Width 3: bits 3.. of the mask word are outside the entry.
+        let wire = [2, 3, 10, 20, 30, 0xffff_fff8 | 0b010, 21];
+        let mut flat = Vec::new();
+        assert_eq!(decode_flat_into(&wire, &mut flat), Ok((2, 3)));
+        assert_eq!(flat, [10, 20, 30, 10, 21, 30]);
+    }
+
+    /// A reused buffer is never sized by what a block claims, only by what
+    /// its words could describe: `wire.len() * width` at most, good or bad.
+    #[test]
+    fn hostile_blocks_do_not_size_the_reused_buffer() {
+        let entries: Vec<Vec<u32>> = (0..6u32).map(|i| vec![i, 7, i / 2, 9]).collect();
+        let good = encode_block(&entries);
+        let mut flat = Vec::new();
+        let mut check = |wire: &[u32], want: Result<(usize, usize), DeltaDecodeError>| {
+            let before = flat.capacity();
+            let width = wire.get(1).map_or(0, |&w| w as usize);
+            assert_eq!(decode_flat_into(wire, &mut flat), want, "{wire:?}");
+            assert!(
+                flat.capacity() <= before.max(wire.len().saturating_mul(width)),
+                "{wire:?}: capacity {} from {before}",
+                flat.capacity()
+            );
+        };
+        let truncated = Err(DeltaDecodeError::Truncated);
+        // Counts and widths no three words can back.
+        check(&[u32::MAX, 1, 0], truncated);
+        check(&[u32::MAX, u32::MAX, 0], truncated);
+        check(&[2, u32::MAX, 0], truncated);
+        check(&[u32::MAX, 33, 0], truncated);
+        // Zero-width entries: any count, no words, nothing reserved.
+        check(&[u32::MAX, 0], Ok((u32::MAX as usize, 0)));
+        check(&[u32::MAX, 0, 1], Err(DeltaDecodeError::TrailingWords));
+        // An empty block of any announced width.
+        check(&[0, u32::MAX], Ok((0, u32::MAX as usize)));
+        check(&[0, 4, 1], Err(DeltaDecodeError::TrailingWords));
+        // Cut at every length, then one word too many.
+        for cut in 0..good.len() {
+            check(&good[..cut], truncated);
+        }
+        check(
+            &[&good[..], &[1]].concat(),
+            Err(DeltaDecodeError::TrailingWords),
+        );
+        // A count one higher than the words describe: the changed words of
+        // earlier entries leave no mask for the last.
+        let mut over = good.clone();
+        over[0] += 1;
+        check(&over, truncated);
+        check(&good, Ok((6, 4)));
+        assert_eq!(flat, entries.concat());
     }
 }

@@ -5,11 +5,13 @@
 //! * [`Lob`] — the **Leader Output Buffer**: per-cycle records of the leader's
 //!   own outputs plus the prediction it used, buffered during run-ahead and
 //!   flushed as one burst. Its depth bounds the number of predictions per
-//!   transition (the paper evaluates depths 8 and 64).
+//!   transition (the paper evaluates depths 8 and 64). The entries lie end
+//!   to end in one buffer, read through [`LobEntries`].
 //! * [`encode_block`] / [`decode_block`] — the packetizer: consecutive cycles
 //!   differ in few signals, so entries are encoded as change-mask + changed
 //!   words, shrinking flush payloads (the paper's dynamic packetizing
-//!   decision #3).
+//!   decision #3). [`encode_flat_into`] / [`decode_flat_into`] are the same
+//!   codec over entries laid end to end in a caller-kept buffer.
 //! * Predictors for each signal class of the paper's §3 analysis:
 //!   [`BurstFollower`] (address/control: linear within a burst),
 //!   [`WaitPredictor`] (slave responses: producer–consumer wait patterns),
@@ -93,8 +95,8 @@ pub use adaptive::{
     AdaptiveConfig, AdaptiveMasterPredictor, AdaptiveSlavePredictor, AdaptiveSuite,
 };
 pub use context::{ContextMasterPredictor, ContextSlavePredictor, ContextTable, MarkovSuite};
-pub use delta::{decode_block, encode_block, DeltaDecodeError};
-pub use lob::{Lob, LobEntry, LobFullError};
+pub use delta::{decode_block, decode_flat_into, encode_block, encode_flat_into, DeltaDecodeError};
+pub use lob::{Lob, LobEntries, LobEntry, LobFullError};
 pub use predictors::{BurstFollower, LastValuePredictor, WaitPredictor};
 pub use suite::{
     LastValueMasterPredictor, LastValueSlavePredictor, LastValueSuite, MasterPredictor,

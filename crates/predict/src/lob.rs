@@ -1,5 +1,13 @@
 //! The Leader Output Buffer.
+//!
+//! The buffer keeps its entries end to end in one `Vec<u32>`, each already in
+//! the block layout the delta packetizer sends
+//! (`[has_prediction, local…, prediction-or-zeros…]`), so a flush is one
+//! [`encode_into`](LobEntries::encode_into) pass over it and the lagger's
+//! decode of the same block ([`LobEntries::decode_into`]) is read through the
+//! same borrowed [`LobEntries`] view — no per-entry vector on either side.
 
+use crate::delta::{decode_flat_into, encode_flat_into, DeltaDecodeError};
 use predpkt_sim::{Snapshot, SnapshotError, StateReader, StateWriter};
 use std::error::Error;
 use std::fmt;
@@ -9,13 +17,13 @@ use std::fmt;
 /// actual values carry no prediction — the paper's footnote 7: "the last
 /// leader-to-lagger data does not contain prediction" marks the conventional
 /// read; here the headless entry marks the conventional head).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LobEntry {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LobEntry<'a> {
     /// The leader's local outputs for the cycle (packed words).
-    pub local: Vec<u32>,
+    pub local: &'a [u32],
     /// The predicted lagger outputs consumed this cycle; `None` when the cycle
     /// ran on actual values and needs no check.
-    pub predicted: Option<Vec<u32>>,
+    pub predicted: Option<&'a [u32]>,
 }
 
 /// Error returned when pushing into a full LOB.
@@ -33,6 +41,90 @@ impl fmt::Display for LobFullError {
 
 impl Error for LobFullError {}
 
+/// A borrowed run of LOB entries in block layout: what [`Lob::entries`] lends
+/// and what a received burst decodes to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LobEntries<'a> {
+    /// `len * (1 + local_width + prediction_width)` words.
+    words: &'a [u32],
+    local_width: usize,
+    prediction_width: usize,
+}
+
+impl<'a> LobEntries<'a> {
+    fn entry_words(&self) -> usize {
+        1 + self.local_width + self.prediction_width
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.words.len() / self.entry_words()
+    }
+
+    /// `true` when there are no entries.
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+
+    /// Reads one entry out of its block `[has_prediction, local…, prediction…]`.
+    fn entry(block: &'a [u32], local_width: usize) -> LobEntry<'a> {
+        let (local, predicted) = block[1..].split_at(local_width);
+        LobEntry {
+            local,
+            predicted: (block[0] != 0).then_some(predicted),
+        }
+    }
+
+    /// Entry `index`, in push order.
+    pub fn get(&self, index: usize) -> Option<LobEntry<'a>> {
+        let start = index.checked_mul(self.entry_words())?;
+        let block = self.words.get(start..start + self.entry_words())?;
+        Some(Self::entry(block, self.local_width))
+    }
+
+    /// The entries in push order.
+    pub fn iter(&self) -> impl Iterator<Item = LobEntry<'a>> + 'a {
+        let local_width = self.local_width;
+        self.words
+            .chunks_exact(self.entry_words())
+            .map(move |block| Self::entry(block, local_width))
+    }
+
+    /// Appends the delta-packetized block of these entries to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u32>) {
+        encode_flat_into(self.words, self.len(), self.entry_words(), out);
+    }
+
+    /// Decodes a delta block of entries whose locals are `local_width` words
+    /// and whose predictions are `prediction_width` words into `buf`
+    /// (replacing its contents, reusing its allocation) and lends them back.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeltaDecodeError`] for a block the delta decoder refuses, and
+    /// [`DeltaDecodeError::Width`] for entries of any other width.
+    pub fn decode_into(
+        block: &[u32],
+        local_width: usize,
+        prediction_width: usize,
+        buf: &'a mut Vec<u32>,
+    ) -> Result<LobEntries<'a>, DeltaDecodeError> {
+        let entry_words = 1 + local_width + prediction_width;
+        // A non-empty block of any other width is refused on its header,
+        // before the peer's count word drives the parse (zero-width entries
+        // cost no wire words, so nothing else bounds how many a block claims).
+        if matches!(block, [count, width, ..] if *count != 0 && *width as usize != entry_words) {
+            return Err(DeltaDecodeError::Width);
+        }
+        decode_flat_into(block, buf)?;
+        Ok(LobEntries {
+            words: buf,
+            local_width,
+            prediction_width,
+        })
+    }
+}
+
 /// The Leader Output Buffer: bounded, flushed as one burst.
 ///
 /// Depth counts *predicted* entries only; the optional head entry (executed on
@@ -43,31 +135,39 @@ impl Error for LobFullError {}
 ///
 /// ```
 /// use predpkt_predict::{Lob, LobEntry};
-/// let mut lob = Lob::new(2);
-/// lob.push(LobEntry { local: vec![1], predicted: None }).unwrap(); // head
-/// lob.push(LobEntry { local: vec![2], predicted: Some(vec![9]) }).unwrap();
-/// lob.push(LobEntry { local: vec![3], predicted: Some(vec![9]) }).unwrap();
+/// let mut lob = Lob::new(2, 1, 1);
+/// lob.push(LobEntry { local: &[1], predicted: None }).unwrap(); // head
+/// lob.push(LobEntry { local: &[2], predicted: Some(&[9]) }).unwrap();
+/// lob.push(LobEntry { local: &[3], predicted: Some(&[9]) }).unwrap();
 /// assert!(lob.is_full());
-/// assert_eq!(lob.drain().len(), 3);
+/// assert_eq!(lob.entries().len(), 3);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Lob {
     depth: usize,
-    entries: Vec<LobEntry>,
+    local_width: usize,
+    prediction_width: usize,
+    /// The buffered entries end to end, each
+    /// `[has_prediction, local…, prediction-or-zeros…]`; the allocation is
+    /// kept across flushes.
+    words: Vec<u32>,
     predictions: usize,
 }
 
 impl Lob {
-    /// Creates a LOB holding up to `depth` predicted entries.
+    /// Creates a LOB holding up to `depth` predicted entries whose locals are
+    /// `local_width` words and whose predictions are `prediction_width` words.
     ///
     /// # Panics
     ///
     /// Panics if `depth` is zero.
-    pub fn new(depth: usize) -> Self {
+    pub fn new(depth: usize, local_width: usize, prediction_width: usize) -> Self {
         assert!(depth > 0, "LOB depth must be non-zero");
         Lob {
             depth,
-            entries: Vec::with_capacity(depth + 1),
+            local_width,
+            prediction_width,
+            words: Vec::new(),
             predictions: 0,
         }
     }
@@ -79,12 +179,12 @@ impl Lob {
 
     /// Buffered entries (head + predicted).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries().len()
     }
 
     /// `true` when nothing is buffered.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.words.is_empty()
     }
 
     /// Number of buffered *predicted* entries.
@@ -97,47 +197,82 @@ impl Lob {
         self.predictions >= self.depth
     }
 
-    /// Buffers one entry.
+    /// Buffers one entry that `fill` writes in place: it is handed the buffer
+    /// and must append the entry's local outputs, then — when `predicted` —
+    /// the prediction, and nothing else. Returns the entry as buffered.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LobFullError`] (without calling `fill`) if the entry carries
+    /// a prediction and the prediction budget is exhausted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fill` appended any other number of words.
+    pub fn push_with(
+        &mut self,
+        predicted: bool,
+        fill: impl FnOnce(&mut Vec<u32>),
+    ) -> Result<LobEntry<'_>, LobFullError> {
+        if predicted && self.is_full() {
+            return Err(LobFullError { depth: self.depth });
+        }
+        let start = self.words.len();
+        self.words.push(predicted as u32);
+        fill(&mut self.words);
+        let filled = self.local_width + if predicted { self.prediction_width } else { 0 };
+        assert_eq!(
+            self.words.len() - start - 1,
+            filled,
+            "LOB entry filled with the wrong number of words"
+        );
+        let end = start + 1 + self.local_width + self.prediction_width;
+        self.words.resize(end, 0);
+        self.predictions += predicted as usize;
+        Ok(LobEntries::entry(&self.words[start..], self.local_width))
+    }
+
+    /// Buffers a copy of `entry`.
     ///
     /// # Errors
     ///
     /// Returns [`LobFullError`] if the entry carries a prediction and the
     /// prediction budget is exhausted.
-    pub fn push(&mut self, entry: LobEntry) -> Result<(), LobFullError> {
-        if entry.predicted.is_some() {
-            if self.is_full() {
-                return Err(LobFullError { depth: self.depth });
-            }
-            self.predictions += 1;
+    ///
+    /// # Panics
+    ///
+    /// Panics if the entry's widths are not this buffer's.
+    pub fn push(&mut self, entry: LobEntry<'_>) -> Result<(), LobFullError> {
+        self.push_with(entry.predicted.is_some(), |words| {
+            words.extend_from_slice(entry.local);
+            words.extend_from_slice(entry.predicted.unwrap_or_default());
+        })
+        .map(|_| ())
+    }
+
+    /// Borrows the buffered entries in push order (the flush encodes them,
+    /// roll-forth replays them).
+    pub fn entries(&self) -> LobEntries<'_> {
+        LobEntries {
+            words: &self.words,
+            local_width: self.local_width,
+            prediction_width: self.prediction_width,
         }
-        self.entries.push(entry);
-        Ok(())
     }
 
-    /// Empties the buffer, returning all entries in push order (the flush).
-    pub fn drain(&mut self) -> Vec<LobEntry> {
-        self.predictions = 0;
-        std::mem::take(&mut self.entries)
-    }
-
-    /// Borrows the buffered entries (replay after rollback).
-    pub fn entries(&self) -> &[LobEntry] {
-        &self.entries
-    }
-
-    /// Discards everything (rollback of an unflushed run-ahead).
+    /// Discards everything, keeping the allocation.
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.words.clear();
         self.predictions = 0;
     }
 }
 
 impl Snapshot for Lob {
     fn save(&self, w: &mut StateWriter<'_>) {
-        w.usize(self.entries.len());
-        for e in &self.entries {
-            w.slice_u32(&e.local);
-            match &e.predicted {
+        w.usize(self.len());
+        for e in self.entries().iter() {
+            w.slice_u32(e.local);
+            match e.predicted {
                 Some(p) => {
                     w.bool(true).slice_u32(p);
                 }
@@ -150,19 +285,27 @@ impl Snapshot for Lob {
 
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         let n = r.usize()?;
-        self.entries.clear();
-        self.predictions = 0;
+        self.clear();
+        let (mut local, mut predicted) = (Vec::new(), Vec::new());
         for _ in 0..n {
-            let local = r.slice_u32()?;
-            let predicted = if r.bool()? {
-                Some(r.slice_u32()?)
-            } else {
-                None
-            };
-            if predicted.is_some() {
-                self.predictions += 1;
+            let at = r.position();
+            r.slice_u32_into(&mut local)?;
+            let has_prediction = r.bool()?;
+            if has_prediction {
+                r.slice_u32_into(&mut predicted)?;
             }
-            self.entries.push(LobEntry { local, predicted });
+            // Widths are fixed at construction; a blob of another shape is
+            // not this buffer's.
+            if local.len() != self.local_width
+                || (has_prediction && predicted.len() != self.prediction_width)
+            {
+                return Err(r.corrupt_at(at));
+            }
+            self.push(LobEntry {
+                local: &local,
+                predicted: has_prediction.then_some(&predicted[..]),
+            })
+            .map_err(|_| r.corrupt_at(at))?;
         }
         Ok(())
     }
@@ -173,78 +316,124 @@ mod tests {
     use super::*;
     use predpkt_sim::{restore_from_vec, save_to_vec};
 
-    fn head(v: u32) -> LobEntry {
-        LobEntry {
-            local: vec![v],
-            predicted: None,
-        }
+    fn head(v: u32) -> [u32; 1] {
+        [v]
     }
 
-    fn pred(v: u32, p: u32) -> LobEntry {
-        LobEntry {
-            local: vec![v],
-            predicted: Some(vec![p]),
-        }
+    fn push_head(lob: &mut Lob, v: u32) -> Result<(), LobFullError> {
+        lob.push(LobEntry {
+            local: &head(v),
+            predicted: None,
+        })
+    }
+
+    fn push_pred(lob: &mut Lob, v: u32, p: u32) -> Result<(), LobFullError> {
+        lob.push(LobEntry {
+            local: &[v],
+            predicted: Some(&[p]),
+        })
     }
 
     #[test]
     fn depth_counts_predictions_only() {
-        let mut lob = Lob::new(2);
-        lob.push(head(1)).unwrap();
+        let mut lob = Lob::new(2, 1, 1);
+        push_head(&mut lob, 1).unwrap();
         assert!(!lob.is_full());
-        lob.push(pred(2, 0)).unwrap();
-        lob.push(pred(3, 0)).unwrap();
+        push_pred(&mut lob, 2, 0).unwrap();
+        push_pred(&mut lob, 3, 0).unwrap();
         assert!(lob.is_full());
         assert_eq!(lob.len(), 3);
         assert_eq!(lob.predictions(), 2);
-        assert_eq!(lob.push(pred(4, 0)), Err(LobFullError { depth: 2 }));
+        assert_eq!(push_pred(&mut lob, 4, 0), Err(LobFullError { depth: 2 }));
         // Heads still fit.
-        lob.push(head(5)).unwrap();
+        push_head(&mut lob, 5).unwrap();
         assert_eq!(lob.len(), 4);
     }
 
     #[test]
-    fn drain_resets_and_preserves_order() {
-        let mut lob = Lob::new(8);
-        lob.push(head(1)).unwrap();
-        lob.push(pred(2, 9)).unwrap();
-        let flushed = lob.drain();
+    fn entries_keep_push_order_and_clear_restores_the_budget() {
+        let mut lob = Lob::new(8, 1, 1);
+        push_head(&mut lob, 1).unwrap();
+        push_pred(&mut lob, 2, 9).unwrap();
+        let flushed = lob.entries();
         assert_eq!(flushed.len(), 2);
-        assert_eq!(flushed[0].local, vec![1]);
-        assert_eq!(flushed[1].predicted, Some(vec![9]));
+        assert_eq!(flushed.get(0).unwrap().local, &[1]);
+        assert_eq!(flushed.get(0).unwrap().predicted, None);
+        assert_eq!(flushed.get(1).unwrap().predicted, Some(&[9][..]));
+        assert_eq!(flushed.get(2), None);
+        assert_eq!(flushed.iter().count(), 2);
+        lob.clear();
         assert!(lob.is_empty());
         assert_eq!(lob.predictions(), 0);
         // Budget fully restored.
         for i in 0..8 {
-            lob.push(pred(i, i)).unwrap();
+            push_pred(&mut lob, i, i).unwrap();
         }
         assert!(lob.is_full());
     }
 
     #[test]
     fn clear_discards() {
-        let mut lob = Lob::new(4);
-        lob.push(pred(1, 1)).unwrap();
+        let mut lob = Lob::new(4, 1, 1);
+        push_pred(&mut lob, 1, 1).unwrap();
         lob.clear();
         assert!(lob.is_empty());
         assert_eq!(lob.predictions(), 0);
     }
 
     #[test]
+    fn push_with_fills_in_place_and_pads_heads() {
+        let mut lob = Lob::new(4, 2, 3);
+        let head = lob
+            .push_with(false, |w| w.extend_from_slice(&[7, 8]))
+            .unwrap();
+        assert_eq!(head.local, &[7, 8]);
+        assert_eq!(head.predicted, None);
+        let entry = lob
+            .push_with(true, |w| w.extend_from_slice(&[1, 2, 3, 4, 5]))
+            .unwrap();
+        assert_eq!(entry.local, &[1, 2]);
+        assert_eq!(entry.predicted, Some(&[3, 4, 5][..]));
+        // The block layout the packetizer sends: a head's prediction is zeros.
+        let mut wire = Vec::new();
+        lob.entries().encode_into(&mut wire);
+        assert_eq!(
+            crate::decode_block(&wire).unwrap(),
+            vec![vec![0, 7, 8, 0, 0, 0], vec![1, 1, 2, 3, 4, 5]]
+        );
+        let mut buf = vec![99; 40];
+        let back = LobEntries::decode_into(&wire, 2, 3, &mut buf).unwrap();
+        assert_eq!(back, lob.entries());
+    }
+
+    #[test]
+    #[should_panic(expected = "wrong number of words")]
+    fn push_with_rejects_a_short_fill() {
+        let mut lob = Lob::new(4, 2, 1);
+        let _ = lob.push_with(true, |w| w.extend_from_slice(&[1, 2]));
+    }
+
+    #[test]
     fn snapshot_roundtrip() {
-        let mut lob = Lob::new(4);
-        lob.push(head(7)).unwrap();
-        lob.push(pred(8, 1)).unwrap();
+        let mut lob = Lob::new(4, 1, 1);
+        push_head(&mut lob, 7).unwrap();
+        push_pred(&mut lob, 8, 1).unwrap();
         let state = save_to_vec(&lob);
-        let mut copy = Lob::new(4);
+        let mut copy = Lob::new(4, 1, 1);
         restore_from_vec(&mut copy, &state).unwrap();
         assert_eq!(copy, lob);
+        // Entries of another shape are not this buffer's.
+        let mut wider = Lob::new(4, 2, 1);
+        assert!(matches!(
+            restore_from_vec(&mut wider, &state),
+            Err(SnapshotError::Corrupt { at: 1 })
+        ));
     }
 
     #[test]
     #[should_panic(expected = "depth must be non-zero")]
     fn zero_depth_rejected() {
-        let _ = Lob::new(0);
+        let _ = Lob::new(0, 1, 1);
     }
 
     #[test]

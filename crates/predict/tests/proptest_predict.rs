@@ -93,10 +93,10 @@ fn lob_budget_counts_predictions_only() {
         let heads = rng.below(4) as usize;
         let preds = rng.below(20) as usize;
         let depth = 1 + rng.below(15) as usize;
-        let mut lob = Lob::new(depth);
+        let mut lob = Lob::new(depth, 1, 1);
         for i in 0..heads {
             lob.push(LobEntry {
-                local: vec![i as u32],
+                local: &[i as u32],
                 predicted: None,
             })
             .unwrap();
@@ -104,8 +104,8 @@ fn lob_budget_counts_predictions_only() {
         let mut accepted = 0;
         for i in 0..preds {
             let entry = LobEntry {
-                local: vec![i as u32],
-                predicted: Some(vec![0]),
+                local: &[i as u32],
+                predicted: Some(&[0]),
             };
             if lob.push(entry).is_ok() {
                 accepted += 1;
@@ -113,9 +113,14 @@ fn lob_budget_counts_predictions_only() {
         }
         assert_eq!(accepted, preds.min(depth), "case {case}");
         assert_eq!(lob.len(), heads + accepted, "case {case}");
-        // Drain restores the full budget.
-        let drained = lob.drain();
-        assert_eq!(drained.len(), heads + accepted, "case {case}");
+        assert_eq!(
+            lob.entries().iter().count(),
+            heads + accepted,
+            "case {case}"
+        );
+        // Clearing (the flush) restores the full budget.
+        lob.clear();
         assert!(lob.is_empty(), "case {case}");
+        assert_eq!(lob.predictions(), 0, "case {case}");
     }
 }

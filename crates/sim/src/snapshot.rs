@@ -256,7 +256,7 @@ impl<'a> StateReader<'a> {
     /// blob), so it is compared with the words remaining before anything is
     /// sized by it; an overrun consumes the rest of the vector, as reading
     /// word by word would.
-    fn prefixed(&mut self) -> Result<&'a [u64], SnapshotError> {
+    pub(crate) fn prefixed(&mut self) -> Result<&'a [u64], SnapshotError> {
         let n = self.usize()?;
         if n > self.remaining() {
             self.pos = self.words.len();

@@ -67,6 +67,15 @@ impl SyntheticModel {
         self.side != self.leader_side
     }
 
+    /// This domain's packed outputs. Both sides expose their current value
+    /// in word 0 and stable zeros elsewhere: consecutive cycles differ only
+    /// when the value changes, so the delta packetizer compresses flushes to
+    /// ≈1 word per cycle — the payload regime the paper's Tch row assumes
+    /// (mostly-stable MSABS signals within a burst).
+    fn output_words(&self) -> impl Iterator<Item = u32> {
+        std::iter::once(self.value).chain(std::iter::repeat(0).take(self.local_width - 1))
+    }
+
     /// The stream value for a given cycle is a pure function of (seed, cycle):
     /// each cycle keeps the previous value with probability `p`, else draws a
     /// fresh non-equal value.
@@ -102,14 +111,13 @@ impl DomainModel for SyntheticModel {
     }
 
     fn local_outputs(&self) -> Vec<u32> {
-        // Both sides expose their current value in word 0 and stable zeros
-        // elsewhere: consecutive cycles differ only when the value changes, so
-        // the delta packetizer compresses flushes to ≈1 word per cycle — the
-        // payload regime the paper's Tch row assumes (mostly-stable MSABS
-        // signals within a burst).
-        let mut out = vec![0u32; self.local_width];
-        out[0] = self.value;
+        let mut out = Vec::with_capacity(self.local_width);
+        self.local_outputs_into(&mut out);
         out
+    }
+
+    fn local_outputs_into(&self, out: &mut Vec<u32>) {
+        out.extend(self.output_words());
     }
 
     fn needs_sync(&self) -> bool {
@@ -121,17 +129,22 @@ impl DomainModel for SyntheticModel {
     }
 
     fn predict_remote(&mut self) -> Vec<u32> {
+        self.last_remote.clone()
+    }
+
+    fn predict_remote_into(&mut self, out: &mut Vec<u32>) {
         // Last-value prediction of the peer's outputs — correct with
         // probability exactly `p` against the stream host.
-        self.last_remote.clone()
+        out.extend_from_slice(&self.last_remote);
     }
 
     fn tick(&mut self, remote: &[u32], kind: TickKind) {
         debug_assert_eq!(remote.len(), self.remote_width);
-        self.trace
-            .record(self.local_outputs().iter().map(|&w| w as u64).collect());
+        let outputs = self.output_words().map(u64::from);
+        self.trace.record_words(outputs);
         if kind == TickKind::Actual {
-            self.last_remote = remote.to_vec();
+            self.last_remote.clear();
+            self.last_remote.extend_from_slice(remote);
         } else {
             // Speculative timeline: the last-value predictor assumes stability,
             // so the reference stays as-is.
@@ -149,7 +162,7 @@ impl DomainModel for SyntheticModel {
     }
 
     fn verify_prediction(&self, _leader_outputs: &[u32], predicted_me: &[u32]) -> bool {
-        predicted_me == self.local_outputs()
+        predicted_me.iter().copied().eq(self.output_words())
     }
 
     fn trace(&self) -> &Trace {
