@@ -13,24 +13,27 @@ use crate::{AhbMaster, AhbSlave};
 use predpkt_sim::{Snapshot, SnapshotError, StateReader, StateWriter, Trace};
 use std::fmt;
 
-/// The words of one cycle's canonical trace record: every master's packed
-/// signals, then every slave's.
+/// Packs one cycle's canonical trace record into `out`, replacing its
+/// contents: every master's packed signals, then every slave's.
 ///
 /// Both the golden bus and the split co-emulation use this encoding, so traces
 /// compare directly.
-fn cycle_record_words<'a>(
-    masters: &'a [MasterSignals],
-    slaves: &'a [SlaveSignals],
-) -> impl Iterator<Item = u64> + 'a {
-    let masters = masters.iter().flat_map(|m| m.pack());
-    let slaves = slaves.iter().flat_map(|s| s.pack());
-    masters.chain(slaves).map(u64::from)
+fn pack_cycle_words(masters: &[MasterSignals], slaves: &[SlaveSignals], out: &mut Vec<u32>) {
+    out.clear();
+    for m in masters {
+        out.extend_from_slice(&m.pack());
+    }
+    for s in slaves {
+        out.extend_from_slice(&s.pack());
+    }
 }
 
 /// Packs one cycle's Moore outputs into a canonical trace record (the owned
 /// form of what [`AhbBus::tick`] records).
 pub fn pack_cycle_record(masters: &[MasterSignals], slaves: &[SlaveSignals]) -> Vec<u64> {
-    cycle_record_words(masters, slaves).collect()
+    let mut words = Vec::new();
+    pack_cycle_words(masters, slaves, &mut words);
+    words.into_iter().map(u64::from).collect()
 }
 
 /// Bus construction failure.
@@ -156,6 +159,7 @@ impl AhbBusBuilder {
         Ok(AhbBus {
             m_out: Vec::with_capacity(self.masters.len()),
             s_out: Vec::with_capacity(self.slaves.len()),
+            record: Vec::with_capacity(3 * self.masters.len() + 2 * self.slaves.len()),
             masters: self.masters,
             slaves: self.slaves,
             fabric: Fabric::new(arbiter, decoder),
@@ -193,6 +197,8 @@ pub struct AhbBus {
     m_out: Vec<MasterSignals>,
     /// Every slave's Moore outputs, as `m_out`.
     s_out: Vec<SlaveSignals>,
+    /// The cycle's packed trace record, as `m_out`.
+    record: Vec<u32>,
     fabric: Fabric,
     trace: Trace,
     checker: Option<ProtocolChecker>,
@@ -217,7 +223,9 @@ impl AhbBus {
         if let Some(checker) = &mut self.checker {
             checker.check(self.cycle, &view, m_out, s_out);
         }
-        self.trace.record_words(cycle_record_words(m_out, s_out));
+        pack_cycle_words(m_out, s_out, &mut self.record);
+        self.trace
+            .record_words(self.record.iter().map(|&w| u64::from(w)));
 
         for (i, m) in self.masters.iter_mut().enumerate() {
             m.tick(&self.fabric.master_view(&view, MasterId(i)));

@@ -548,12 +548,23 @@ impl Snapshot for MasterEngine {
             .take()
             .map(|op| (op.addrs, op.wdata))
             .unwrap_or_default();
+        // `outputs` indexes the payload with the beat counters, so state whose
+        // counters point outside it — or an operation of no beats — is
+        // refused here, at the word that says so.
         self.op = if r.bool()? {
             let write = r.bool()?;
             let size = read_decoded(r, Hsize::decode)?;
             let burst = read_decoded(r, Hburst::decode)?;
+            let at = r.position();
             r.slice_u32_into(&mut addrs)?;
+            if addrs.is_empty() {
+                return Err(r.corrupt_at(at));
+            }
+            let at = r.position();
             r.slice_u32_into(&mut wdata)?;
+            if write && wdata.len() != addrs.len() {
+                return Err(r.corrupt_at(at));
+            }
             let lock = r.bool()?;
             let prot = r.u32()? as u8;
             Some(BusOp {
@@ -568,9 +579,24 @@ impl Snapshot for MasterEngine {
         } else {
             None
         };
+        let beats = self.op.as_ref().map(BusOp::beats);
+        let outside = |beat: u32| beats.is_some_and(|beats| beat >= beats);
         self.state = read_decoded(r, MState::decode)?;
+        let at = r.position();
         self.addr_beat = r.u32()?;
-        self.dp_beat = if r.bool()? { Some(r.u32()?) } else { None };
+        if matches!(self.state, MState::Drive { .. }) && outside(self.addr_beat) {
+            return Err(r.corrupt_at(at));
+        }
+        self.dp_beat = if r.bool()? {
+            let at = r.position();
+            let beat = r.u32()?;
+            if outside(beat) {
+                return Err(r.corrupt_at(at));
+            }
+            Some(beat)
+        } else {
+            None
+        };
         self.done_beats = r.u32()?;
         r.slice_u32_into(&mut self.rdata)?;
         self.restart_singles = r.bool()?;
@@ -894,7 +920,9 @@ impl Snapshot for SlaveEngine {
         let code = r.u32()?;
         self.state = match code & 0b111 {
             0 => SState::Idle,
-            1 => SState::Pending,
+            // `Pending` (1) is resolved by `plan` within the tick that
+            // enters it: it is never live at a clock edge, and `outputs`
+            // panics on it.
             2 => SState::Wait { left: code >> 3 },
             3 => SState::RespondOkay,
             4 => SState::ErrFirst,
@@ -936,6 +964,7 @@ impl Snapshot for SlaveEngine {
 mod tests {
     use super::*;
     use crate::signals::{MasterId, SlaveId};
+    use crate::test_util::assert_refused_at;
     use predpkt_sim::{restore_from_vec, save_to_vec};
 
     fn phase(write: bool, addr: u32) -> AddrPhase {
@@ -1240,7 +1269,52 @@ mod tests {
         assert_eq!(copy, e);
     }
 
+    #[test]
+    fn master_engine_restore_refuses_state_its_outputs_would_index_out_of() {
+        // A one-beat write driving its address phase. Words: op present,
+        // write, size, burst, [4] address count, address, [6] data count,
+        // data, lock, prot, state, [11] address beat, data beat present.
+        let mut single = MasterEngine::new();
+        single.submit(BusOp::write_single(0x100, 0xabcd));
+        run(&mut single, &[granted_ready()]);
+        assert_eq!(single.outputs().trans, Htrans::Nonseq);
+        assert_refused_at(&single, 11, 7); // address beat past the payload
+        assert_refused_at(&single, 11, 1);
+        assert_refused_at(&single, 4, 0); // an operation of no beats
+        assert_refused_at(&single, 6, 0); // a write with no data for its beat
+
+        // Three beats, the first in its data phase. Words: ..., [4] = 3 and
+        // three addresses, [8] = 3 and three data words, lock, prot, state,
+        // address beat, data beat present, [17] data beat.
+        let mut burst = MasterEngine::new();
+        burst.submit(BusOp::write_incr(0x0, Hsize::Word, vec![1, 2, 3]));
+        run(&mut burst, &[granted_ready(), granted_ready()]);
+        assert_eq!(burst.dp_beat, Some(0));
+        assert_refused_at(&burst, 17, 3);
+        assert_refused_at(&burst, 8, 2); // fewer data words than beats
+
+        // Past its address phases the address beat equals the beat count.
+        run(&mut burst, &[granted_ready(), granted_ready()]);
+        assert_eq!((burst.state, burst.addr_beat), (MState::Drain, 3));
+        let mut copy = MasterEngine::new();
+        restore_from_vec(&mut copy, &save_to_vec(&burst)).unwrap();
+        assert_eq!(copy, burst);
+    }
+
     // ---- SlaveEngine ---------------------------------------------------------
+
+    #[test]
+    fn slave_engine_restore_refuses_an_unplanned_transfer() {
+        // `Pending` lives only inside one slave tick (accept, then plan); a
+        // vector that holds it would panic in the next `outputs`.
+        let mut e = SlaveEngine::new();
+        e.tick(&SlaveView {
+            addr_phase: Some(phase(false, 0x8)),
+            ..SlaveView::quiet()
+        });
+        e.plan(PlannedResponse::okay(2, 0x55));
+        assert_refused_at(&e, 0, 1);
+    }
 
     #[test]
     fn slave_okay_zero_wait() {

@@ -485,9 +485,22 @@ impl Snapshot for Fabric {
         self.arbiter.restore(r)?;
         self.default_err2 = r.bool()?;
         self.dp = if r.bool()? {
+            // `view`, the arbiter and the domain model index the signal
+            // vectors with the phase's owner and target, so both must name
+            // components of this bus: a master the arbiter knows and a slave
+            // the decoder maps.
+            let at = r.position();
             let master = MasterId(r.usize()?);
+            if master.0 >= self.arbiter.num_masters {
+                return Err(r.corrupt_at(at));
+            }
             let slave = if r.bool()? {
-                Some(SlaveId(r.usize()?))
+                let at = r.position();
+                let slave = SlaveId(r.usize()?);
+                if !self.decoder.regions().iter().any(|g| g.slave == slave) {
+                    return Err(r.corrupt_at(at));
+                }
+                Some(slave)
             } else {
                 None
             };
@@ -516,6 +529,7 @@ impl Snapshot for Fabric {
 mod tests {
     use super::*;
     use crate::signals::{Hburst, Hsize, Htrans};
+    use crate::test_util::assert_refused_at;
     use predpkt_sim::{restore_from_vec, save_to_vec};
 
     fn decoder_two_slaves() -> Decoder {
@@ -842,6 +856,29 @@ mod tests {
         let mut copy = Fabric::new(Arbiter::new(2, MasterId(0)), decoder_two_slaves());
         restore_from_vec(&mut copy, &state).unwrap();
         assert_eq!(copy, f);
+    }
+
+    /// `view` indexes both signal vectors with the data phase, so a phase
+    /// naming a master or slave this bus does not have is refused at the word
+    /// that names it.
+    #[test]
+    fn restore_refuses_a_data_phase_outside_the_bus() {
+        let mut f = Fabric::new(Arbiter::new(2, MasterId(0)), decoder_two_slaves());
+        let mut masters = idle_masters(2);
+        let slaves = idle_slaves(2);
+        masters[0].trans = Htrans::Nonseq;
+        masters[0].busreq = true;
+        masters[0].addr = 0x1020;
+        let v = f.view(&masters, &slaves);
+        f.tick(&v, &masters, &slaves);
+        let state = save_to_vec(&f);
+        // Arbiter: grant, split mask, no burst; default-slave flag; phase
+        // present, its master, slave present, its slave.
+        let (master_at, slave_at) = (5, 7);
+        assert_eq!(state.words()[4..8], [1, 0, 1, 1]);
+        for (at, bad) in [(master_at, 2), (slave_at, 2), (slave_at, u64::MAX >> 1)] {
+            assert_refused_at(&f, at, bad);
+        }
     }
 
     #[test]

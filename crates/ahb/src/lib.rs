@@ -88,9 +88,6 @@ pub trait AhbMaster: Snapshot + Any + Send {
 
     /// Upcast for concrete-type inspection (see [`AhbBus::master_as`]).
     fn as_any(&self) -> &dyn Any;
-
-    /// Mutable upcast for concrete-type inspection.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// A bus slave: responds to selected transfers with ready/response/read data.
@@ -106,7 +103,30 @@ pub trait AhbSlave: Snapshot + Any + Send {
 
     /// Upcast for concrete-type inspection (see [`AhbBus::slave_as`]).
     fn as_any(&self) -> &dyn Any;
+}
 
-    /// Mutable upcast for concrete-type inspection.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
+/// Helpers shared by the crate's unit tests.
+#[cfg(test)]
+pub(crate) mod test_util {
+    use predpkt_sim::{restore_from_vec, save_to_vec, Snapshot, SnapshotError, StateVec};
+
+    /// `good`'s saved words with word `at` replaced by `bad` are refused as
+    /// corrupt at `at` — not taken and left to panic in the next `outputs` or
+    /// `view` — and the refusing component still restores the good words.
+    pub(crate) fn assert_refused_at<C>(good: &C, at: usize, bad: u64)
+    where
+        C: Snapshot + Clone + PartialEq + std::fmt::Debug,
+    {
+        let saved = save_to_vec(good);
+        let mut words = saved.words().to_vec();
+        words[at] = bad;
+        let mut target = good.clone();
+        assert_eq!(
+            restore_from_vec(&mut target, &StateVec::from(words)),
+            Err(SnapshotError::Corrupt { at }),
+            "word {at} = {bad}"
+        );
+        restore_from_vec(&mut target, &saved).expect("the good words still restore");
+        assert_eq!(&target, good);
+    }
 }

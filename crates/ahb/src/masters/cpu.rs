@@ -132,9 +132,6 @@ impl AhbMaster for CpuMaster {
         self
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
     fn outputs(&self) -> MasterSignals {
         self.engine.outputs()
     }

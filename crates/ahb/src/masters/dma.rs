@@ -124,9 +124,6 @@ impl AhbMaster for DmaMaster {
         self
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
     fn outputs(&self) -> MasterSignals {
         self.engine.outputs()
     }

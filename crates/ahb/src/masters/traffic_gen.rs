@@ -77,9 +77,6 @@ impl AhbMaster for TrafficGenMaster {
         self
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
     fn outputs(&self) -> MasterSignals {
         self.engine.outputs()
     }

@@ -34,9 +34,6 @@ impl AhbSlave for DefaultSlave {
         self
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
     fn outputs(&self) -> SlaveSignals {
         self.engine.outputs()
     }

@@ -108,9 +108,6 @@ impl AhbSlave for FifoSlave {
         self
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
     fn outputs(&self) -> SlaveSignals {
         self.engine.outputs()
     }

@@ -110,9 +110,6 @@ impl AhbSlave for MemorySlave {
         self
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
     fn outputs(&self) -> SlaveSignals {
         self.engine.outputs()
     }

@@ -119,9 +119,6 @@ impl AhbSlave for PeripheralSlave {
         self
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
     fn outputs(&self) -> SlaveSignals {
         let mut sig = self.engine.outputs();
         sig.irq = self.irq_asserted();

@@ -82,9 +82,6 @@ impl AhbSlave for SplitSlave {
         self
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
     fn outputs(&self) -> SlaveSignals {
         let mut sig = self.engine.outputs();
         sig.split_unmask = self.unmask_pulse;

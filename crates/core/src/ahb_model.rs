@@ -15,6 +15,27 @@
 //! data only when a leader-side master consumes it; the data-phase slave's
 //! ready/response; HSPLIT and IRQ always. Inactive positions are free — a
 //! mispredicted idle address bus costs nothing.
+//!
+//! ## Latched outputs
+//!
+//! Every component is a Moore machine, so its outputs for the upcoming cycle
+//! are fixed from the clock edge that ended the last one. The model keeps one
+//! pair of full signal vectors — a local slot holds its component's outputs, a
+//! remote slot the proxy value — and the local slots' packed words, refreshed
+//! by one `latch()` at the three places component state changes: the end of
+//! [`AhbDomainModel::new`], of [`tick`](DomainModel::tick) and of a successful
+//! [`restore`](Snapshot::restore). Nothing else can mutate a component
+//! ([`master_as`](AhbDomainModel::master_as) and
+//! [`slave_as`](AhbDomainModel::slave_as) lend `&T`, and the component traits
+//! have no mutable upcast), so between edges `local_outputs_into`, the trace
+//! record, `verify_prediction` and `tick` read the slots and dispatch nothing:
+//! `outputs()` runs once per component per cycle. A debug build checks the
+//! slots against a fresh `outputs()` at the top of every `tick`.
+//!
+//! The latched values are derived state and are never part of a snapshot:
+//! `save` writes the idle value for every local slot (where the proxy vectors
+//! of earlier versions always held idle) and the proxy for every remote slot,
+//! so the rollback-variable count and every checkpoint byte are unchanged.
 
 use crate::blueprint::Placement;
 use crate::model::{DomainModel, TickKind};
@@ -32,10 +53,17 @@ pub struct AhbDomainModel {
     masters: Vec<Option<Box<dyn AhbMaster>>>,
     slaves: Vec<Option<Box<dyn AhbSlave>>>,
     fabric: Fabric,
-    /// Proxy values for remote masters (last exchanged or predicted).
-    remote_m: Vec<MasterSignals>,
-    /// Proxy values for remote slaves.
-    remote_s: Vec<SlaveSignals>,
+    /// The upcoming cycle's full master vector in the leading `masters.len()`
+    /// slots: the latched outputs of a local master, the proxy value (last
+    /// exchanged or predicted) of a remote one. See "Latched outputs".
+    full_m: [MasterSignals; MAX_COMPONENTS],
+    /// The full slave vector, as `full_m`.
+    full_s: [SlaveSignals; MAX_COMPONENTS],
+    /// The local slots packed in canonical order (masters ascending, then
+    /// slaves): the cycle's LOB words and its trace record.
+    packed: Vec<u32>,
+    /// Width of the peer's packed outputs.
+    remote_width: usize,
     m_pred: Vec<Option<Box<dyn MasterPredictor>>>,
     s_pred: Vec<Option<Box<dyn SlavePredictor>>>,
     trace: Trace,
@@ -44,7 +72,7 @@ pub struct AhbDomainModel {
 
 /// The bus carries at most this many masters and this many slaves (HSPLIT
 /// and the IRQ vector are 16 bits), so one cycle's full signal vectors fit
-/// two stack arrays.
+/// two fixed arrays.
 const MAX_COMPONENTS: usize = 16;
 
 /// Splits the first `N` words off `words`.
@@ -54,10 +82,43 @@ fn take_chunk<const N: usize>(words: &mut &[u32]) -> Option<[u32; N]> {
     Some(chunk)
 }
 
-/// Unpacks a peer's packed outputs (`words`: its masters ascending, then its
-/// slaves) over the slots of `m` and `s` that `placement` puts on the peer's
-/// side. A malformed chunk leaves its slot as it was; returns whether every
-/// chunk was well formed and `words` had exactly the peer's width.
+/// Walks a peer's packed outputs (`words`: its masters ascending, then its
+/// slaves), handing each component's chunk and bus index to `master` /
+/// `slave`, which say whether the chunk was well formed. Returns whether
+/// every chunk was and `words` had exactly the peer's width.
+fn walk_remote(
+    placement: &Placement,
+    side: Side,
+    words: &[u32],
+    mut master: impl FnMut(usize, &[u32; 3]) -> bool,
+    mut slave: impl FnMut(usize, &[u32; 2]) -> bool,
+) -> bool {
+    let mut ok = true;
+    let mut rest = words;
+    for (i, &domain) in placement.masters.iter().enumerate() {
+        if domain == side {
+            continue;
+        }
+        let Some(chunk) = take_chunk::<3>(&mut rest) else {
+            return false;
+        };
+        ok &= master(i, &chunk);
+    }
+    for (j, &domain) in placement.slaves.iter().enumerate() {
+        if domain == side {
+            continue;
+        }
+        let Some(chunk) = take_chunk::<2>(&mut rest) else {
+            return false;
+        };
+        ok &= slave(j, &chunk);
+    }
+    ok && rest.is_empty()
+}
+
+/// Unpacks a peer's packed outputs over the slots of `m` and `s` that
+/// `placement` puts on the peer's side. A malformed chunk leaves its slot as
+/// it was; returns what [`walk_remote`] returns.
 fn unpack_remote(
     placement: &Placement,
     side: Side,
@@ -65,33 +126,13 @@ fn unpack_remote(
     m: &mut [MasterSignals],
     s: &mut [SlaveSignals],
 ) -> bool {
-    let mut ok = true;
-    let mut rest = words;
-    for (slot, &domain) in m.iter_mut().zip(&placement.masters) {
-        if domain == side {
-            continue;
-        }
-        let Some(chunk) = take_chunk::<3>(&mut rest) else {
-            return false;
-        };
-        match MasterSignals::unpack(&chunk) {
-            Some(sig) => *slot = sig,
-            None => ok = false,
-        }
-    }
-    for (slot, &domain) in s.iter_mut().zip(&placement.slaves) {
-        if domain == side {
-            continue;
-        }
-        let Some(chunk) = take_chunk::<2>(&mut rest) else {
-            return false;
-        };
-        match SlaveSignals::unpack(&chunk) {
-            Some(sig) => *slot = sig,
-            None => ok = false,
-        }
-    }
-    ok && rest.is_empty()
+    walk_remote(
+        placement,
+        side,
+        words,
+        |i, chunk| MasterSignals::unpack(chunk).map(|sig| m[i] = sig).is_some(),
+        |j, chunk| SlaveSignals::unpack(chunk).map(|sig| s[j] = sig).is_some(),
+    )
 }
 
 impl AhbDomainModel {
@@ -142,10 +183,12 @@ impl AhbDomainModel {
             .enumerate()
             .map(|(j, &d)| (d != side).then(|| suite.slave_predictor(j)))
             .collect();
-        AhbDomainModel {
+        let mut model = AhbDomainModel {
             side,
-            remote_m: vec![MasterSignals::idle(); masters.len()],
-            remote_s: vec![SlaveSignals::idle(); slaves.len()],
+            full_m: [MasterSignals::idle(); MAX_COMPONENTS],
+            full_s: [SlaveSignals::idle(); MAX_COMPONENTS],
+            packed: Vec::with_capacity(placement.local_width(side)),
+            remote_width: placement.local_width(side.peer()),
             masters,
             slaves,
             placement,
@@ -154,27 +197,46 @@ impl AhbDomainModel {
             s_pred,
             trace: Trace::new(),
             cycle: 0,
+        };
+        model.latch();
+        model
+    }
+
+    /// Latches every local component's Moore outputs for the upcoming cycle
+    /// into its slot and repacks them. Runs wherever component state can have
+    /// changed (see "Latched outputs" in the module docs) and nowhere else.
+    fn latch(&mut self) {
+        self.packed.clear();
+        for (slot, c) in self.full_m.iter_mut().zip(&self.masters) {
+            if let Some(c) = c {
+                *slot = c.outputs();
+                self.packed.extend_from_slice(&slot.pack());
+            }
+        }
+        for (slot, c) in self.full_s.iter_mut().zip(&self.slaves) {
+            if let Some(c) = c {
+                *slot = c.outputs();
+                self.packed.extend_from_slice(&slot.pack());
+            }
         }
     }
 
-    /// One cycle's full signal vectors — local Moore outputs where a
-    /// component is placed here, the proxy values elsewhere — in the leading
-    /// `masters.len()` / `slaves.len()` slots of two stack arrays.
-    fn full_vectors(
-        &self,
-    ) -> (
-        [MasterSignals; MAX_COMPONENTS],
-        [SlaveSignals; MAX_COMPONENTS],
-    ) {
-        let mut full_m = [MasterSignals::idle(); MAX_COMPONENTS];
-        let mut full_s = [SlaveSignals::idle(); MAX_COMPONENTS];
-        for ((full, slot), proxy) in full_m.iter_mut().zip(&self.masters).zip(&self.remote_m) {
-            *full = slot.as_ref().map_or(*proxy, |c| c.outputs());
-        }
-        for ((full, slot), proxy) in full_s.iter_mut().zip(&self.slaves).zip(&self.remote_s) {
-            *full = slot.as_ref().map_or(*proxy, |c| c.outputs());
-        }
-        (full_m, full_s)
+    /// Whether every local slot and the packed words are what a fresh
+    /// `outputs()` / `pack()` of the component would give — the invariant
+    /// `latch` maintains, asked by `tick`'s debug assertion.
+    fn latch_is_current(&self) -> bool {
+        let mut rest = &self.packed[..];
+        let masters = self.masters.iter().zip(&self.full_m).all(|(c, slot)| {
+            c.as_ref().map_or(true, |c| {
+                c.outputs() == *slot && take_chunk(&mut rest) == Some(slot.pack())
+            })
+        });
+        let slaves = self.slaves.iter().zip(&self.full_s).all(|(c, slot)| {
+            c.as_ref().map_or(true, |c| {
+                c.outputs() == *slot && take_chunk(&mut rest) == Some(slot.pack())
+            })
+        });
+        masters && slaves && rest.is_empty()
     }
 
     /// `true` where the MSABS active projections (see the module docs) of
@@ -246,45 +308,6 @@ impl AhbDomainModel {
         true
     }
 
-    /// Tick the fabric and local components one cycle given assembled vectors.
-    fn advance(&mut self, full_m: &[MasterSignals], full_s: &[SlaveSignals], view: &CycleView) {
-        // Record the committed local outputs before state changes.
-        let local_m = full_m
-            .iter()
-            .zip(&self.masters)
-            .filter(|(_, c)| c.is_some());
-        let local_s = full_s.iter().zip(&self.slaves).filter(|(_, c)| c.is_some());
-        self.trace.record_words(
-            local_m
-                .flat_map(|(sig, _)| sig.pack())
-                .chain(local_s.flat_map(|(sig, _)| sig.pack()))
-                .map(u64::from),
-        );
-
-        for (i, slot) in self.masters.iter_mut().enumerate() {
-            if let Some(c) = slot {
-                c.tick(&self.fabric.master_view(view, MasterId(i)));
-            }
-        }
-        for (j, slot) in self.slaves.iter_mut().enumerate() {
-            if let Some(c) = slot {
-                c.tick(&self.fabric.slave_view(view, SlaveId(j)));
-            }
-        }
-        self.fabric.tick(view, full_m, full_s);
-
-        // Prime wait predictors: an accepted address phase at a remote slave
-        // opens a data phase there next cycle.
-        if view.hready && view.addr_phase.trans.is_active() {
-            if let Some(s) = view.addr_phase.slave {
-                if let Some(p) = &mut self.s_pred[s.0] {
-                    p.begin_phase(view.addr_phase.trans == predpkt_ahb::signals::Htrans::Nonseq);
-                }
-            }
-        }
-        self.cycle += 1;
-    }
-
     /// Downcast access to a local master.
     pub fn master_as<T: AhbMaster>(&self, id: MasterId) -> Option<&T> {
         self.masters
@@ -319,27 +342,20 @@ impl DomainModel for AhbDomainModel {
     }
 
     fn local_width(&self) -> usize {
-        self.placement.local_width(self.side)
+        self.packed.len()
     }
 
     fn remote_width(&self) -> usize {
-        self.placement.local_width(self.side.peer())
+        self.remote_width
     }
 
     fn local_outputs(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.local_width());
-        self.local_outputs_into(&mut out);
-        out
+        self.packed.clone()
     }
 
     /// Canonical order: masters ascending, then slaves ascending.
     fn local_outputs_into(&self, out: &mut Vec<u32>) {
-        for m in self.masters.iter().flatten() {
-            out.extend_from_slice(&m.outputs().pack());
-        }
-        for s in self.slaves.iter().flatten() {
-            out.extend_from_slice(&s.outputs().pack());
-        }
+        out.extend_from_slice(&self.packed);
     }
 
     fn needs_sync(&self) -> bool {
@@ -384,13 +400,13 @@ impl DomainModel for AhbDomainModel {
         // Predict each remote component's signals, updating proxy slots so the
         // subsequent tick sees them.
         let dp_slave = self.fabric.data_phase().and_then(|dp| dp.slave);
-        for (proxy, pred) in self.remote_m.iter_mut().zip(&mut self.m_pred) {
+        for (proxy, pred) in self.full_m.iter_mut().zip(&mut self.m_pred) {
             if let Some(p) = pred {
                 *proxy = p.predict();
                 out.extend_from_slice(&proxy.pack());
             }
         }
-        for (j, (proxy, pred)) in self.remote_s.iter_mut().zip(&mut self.s_pred).enumerate() {
+        for (j, (proxy, pred)) in self.full_s.iter_mut().zip(&mut self.s_pred).enumerate() {
             if let Some(p) = pred {
                 *proxy = p.predict(dp_slave == Some(SlaveId(j)));
                 out.extend_from_slice(&proxy.pack());
@@ -399,9 +415,13 @@ impl DomainModel for AhbDomainModel {
     }
 
     fn check_remote(&self, remote: &[u32]) -> bool {
-        let mut m = [MasterSignals::idle(); MAX_COMPONENTS];
-        let mut s = [SlaveSignals::idle(); MAX_COMPONENTS];
-        unpack_remote(&self.placement, self.side, remote, &mut m, &mut s)
+        walk_remote(
+            &self.placement,
+            self.side,
+            remote,
+            |_, chunk| MasterSignals::unpack(chunk).is_some(),
+            |_, chunk| SlaveSignals::unpack(chunk).is_some(),
+        )
     }
 
     fn take_control_words(&mut self) -> u64 {
@@ -416,20 +436,23 @@ impl DomainModel for AhbDomainModel {
     }
 
     fn tick(&mut self, remote: &[u32], kind: TickKind) {
+        debug_assert!(
+            self.latch_is_current(),
+            "a component changed state since the last latch"
+        );
         let well_formed = unpack_remote(
             &self.placement,
             self.side,
             remote,
-            &mut self.remote_m,
-            &mut self.remote_s,
+            &mut self.full_m,
+            &mut self.full_s,
         );
         assert!(
             well_formed,
             "malformed remote signals: the wrapper passes peer vectors through check_remote first"
         );
-        let (full_m, full_s) = self.full_vectors();
-        let full_m = &full_m[..self.masters.len()];
-        let full_s = &full_s[..self.slaves.len()];
+        let full_m = &self.full_m[..self.masters.len()];
+        let full_s = &self.full_s[..self.slaves.len()];
         let view = self.fabric.view(full_m, full_s);
 
         if kind == TickKind::Actual {
@@ -450,15 +473,42 @@ impl DomainModel for AhbDomainModel {
                 }
             }
         }
-        self.advance(full_m, full_s, &view);
+
+        // Record the committed local outputs before state changes.
+        self.trace
+            .record_words(self.packed.iter().map(|&w| u64::from(w)));
+
+        for (i, slot) in self.masters.iter_mut().enumerate() {
+            if let Some(c) = slot {
+                c.tick(&self.fabric.master_view(&view, MasterId(i)));
+            }
+        }
+        for (j, slot) in self.slaves.iter_mut().enumerate() {
+            if let Some(c) = slot {
+                c.tick(&self.fabric.slave_view(&view, SlaveId(j)));
+            }
+        }
+        self.fabric.tick(&view, full_m, full_s);
+
+        // Prime wait predictors: an accepted address phase at a remote slave
+        // opens a data phase there next cycle.
+        if view.hready && view.addr_phase.trans.is_active() {
+            if let Some(s) = view.addr_phase.slave {
+                if let Some(p) = &mut self.s_pred[s.0] {
+                    p.begin_phase(view.addr_phase.trans == predpkt_ahb::signals::Htrans::Nonseq);
+                }
+            }
+        }
+        self.cycle += 1;
+        self.latch();
     }
 
     fn verify_prediction(&self, leader_outputs: &[u32], predicted_me: &[u32]) -> bool {
-        // Build the cycle view from actual values: our own outputs, and the
-        // leader's over the proxies. The wrapper checked `leader_outputs`;
-        // for a caller that did not, a malformed chunk leaves the proxy
-        // value in its slot.
-        let (mut full_m, mut full_s) = self.full_vectors();
+        // Build the cycle view from actual values: our own latched outputs,
+        // and the leader's over a copy of the proxies. The wrapper checked
+        // `leader_outputs`; for a caller that did not, a malformed chunk
+        // leaves the proxy value in its slot.
+        let (mut full_m, mut full_s) = (self.full_m, self.full_s);
         unpack_remote(
             &self.placement,
             self.side,
@@ -499,11 +549,13 @@ impl Snapshot for AhbDomainModel {
         for s in self.slaves.iter().flatten() {
             s.save(w);
         }
-        for sig in &self.remote_m {
-            sig.save(w);
+        // A local slot is derived state and is written as idle; see
+        // "Latched outputs".
+        for (sig, c) in self.full_m.iter().zip(&self.masters) {
+            c.as_ref().map_or(*sig, |_| MasterSignals::idle()).save(w);
         }
-        for sig in &self.remote_s {
-            sig.save(w);
+        for (sig, c) in self.full_s.iter().zip(&self.slaves) {
+            c.as_ref().map_or(*sig, |_| SlaveSignals::idle()).save(w);
         }
         for p in self.m_pred.iter().flatten() {
             p.save(w);
@@ -522,10 +574,10 @@ impl Snapshot for AhbDomainModel {
         for s in self.slaves.iter_mut().flatten() {
             s.restore(r)?;
         }
-        for sig in &mut self.remote_m {
+        for sig in &mut self.full_m[..self.masters.len()] {
             sig.restore(r)?;
         }
-        for sig in &mut self.remote_s {
+        for sig in &mut self.full_s[..self.slaves.len()] {
             sig.restore(r)?;
         }
         for p in self.m_pred.iter_mut().flatten() {
@@ -534,6 +586,7 @@ impl Snapshot for AhbDomainModel {
         for p in self.s_pred.iter_mut().flatten() {
             p.restore(r)?;
         }
+        self.latch();
         Ok(())
     }
 }

@@ -26,7 +26,13 @@ pub enum TickKind {
 ///
 /// * The model is a Moore machine: [`local_outputs`](DomainModel::local_outputs)
 ///   is a pure function of state, [`tick`](DomainModel::tick) advances one
-///   cycle given the remote domain's outputs for that cycle.
+///   cycle given the remote domain's outputs for that cycle. The wrapper may
+///   ask for the outputs any number of times between two ticks (a LOB entry,
+///   a conservative exchange, a replay) and gets the same words each time, so
+///   a model whose outputs cost something to evaluate computes them once per
+///   state change and makes
+///   [`local_outputs_into`](DomainModel::local_outputs_into) a copy, as
+///   [`AhbDomainModel`](crate::AhbDomainModel) does.
 /// * Output widths are constant for the lifetime of the model and mirror the
 ///   peer's (`self.local_width() == peer.remote_width()`).
 /// * `tick` must append the cycle's local outputs to [`trace`](DomainModel::trace)

@@ -24,8 +24,9 @@ mod common;
 use common::figure2_soc;
 use predpkt_ahb::engine::BusOp;
 use predpkt_ahb::masters::{CpuMaster, CpuProfile, DmaDescriptor, DmaMaster, TrafficGenMaster};
-use predpkt_ahb::signals::{Hburst, Hsize};
+use predpkt_ahb::signals::{Hburst, Hsize, MasterId, SlaveId};
 use predpkt_ahb::slaves::{FifoSlave, MemorySlave, PeripheralSlave, SplitSlave};
+use predpkt_ahb::AhbMaster;
 use predpkt_channel::{
     ChannelCostModel, ChannelStats, CostedChannel, FaultSpec, LossyTransport, Packet, PacketTag,
     QueueTransport, ReliableConfig, ReliableTransport, ShmTransport, TcpTransport,
@@ -97,6 +98,26 @@ fn assert_roundtrip_over_dirty<T: Snapshot + ?Sized>(
         saved,
         "{name}: restoring over a dirty instance left some of its state behind"
     );
+}
+
+/// [`assert_roundtrip_over_dirty`] for a domain model, whose latched outputs
+/// are derived state no vector carries: after every restore — into the fresh
+/// model, and over the dirty one and whatever it had latched — the model
+/// presents the donor's outputs for the upcoming cycle.
+fn assert_model_roundtrip_over_dirty(
+    name: &str,
+    seeded: &AhbDomainModel,
+    fresh: &mut AhbDomainModel,
+    dirty: &mut AhbDomainModel,
+) {
+    assert_roundtrip_over_dirty(name, seeded, fresh, dirty);
+    for (target, restored) in [("fresh", fresh), ("dirty", dirty)] {
+        assert_eq!(
+            restored.local_outputs(),
+            seeded.local_outputs(),
+            "{name}: the {target} target does not present the restored components' outputs"
+        );
+    }
 }
 
 #[test]
@@ -474,12 +495,17 @@ fn driven_pair(
 ) -> (AhbDomainModel, AhbDomainModel) {
     let (mut sim, mut acc) = blueprint.build_pair_with(suite).expect("pair builds");
     for _ in 0..cycles {
-        let sim_out = sim.local_outputs();
-        let acc_out = acc.local_outputs();
-        sim.tick(&acc_out, TickKind::Actual);
-        acc.tick(&sim_out, TickKind::Actual);
+        step_pair(&mut sim, &mut acc);
     }
     (sim, acc)
+}
+
+/// One cycle of lockstep conservative execution.
+fn step_pair(sim: &mut AhbDomainModel, acc: &mut AhbDomainModel) {
+    let sim_out = sim.local_outputs();
+    let acc_out = acc.local_outputs();
+    sim.tick(&acc_out, TickKind::Actual);
+    acc.tick(&sim_out, TickKind::Actual);
 }
 
 /// The big aggregate: one seeded [`AhbDomainModel`] vector covers the bus
@@ -493,13 +519,13 @@ fn domain_models_roundtrip() {
 
     let (mut fresh_sim, mut fresh_acc) = blueprint.build_pair().expect("pair builds");
     let (mut dirty_sim, mut dirty_acc) = driven_pair(&blueprint, &PaperSuite, 211);
-    assert_roundtrip_over_dirty(
+    assert_model_roundtrip_over_dirty(
         "AhbDomainModel (simulator)",
         &sim,
         &mut fresh_sim,
         &mut dirty_sim,
     );
-    assert_roundtrip_over_dirty(
+    assert_model_roundtrip_over_dirty(
         "AhbDomainModel (accelerator)",
         &acc,
         &mut fresh_acc,
@@ -531,12 +557,13 @@ fn domain_models_roundtrip() {
 /// variable length (FIFO levels, split jobs in flight, accumulated results,
 /// burst payloads, DMA chunks) sits in one SoC under the adaptive suite, and
 /// cuts taken at unrelated moments are restored over each other in both
-/// directions — shorter over longer and longer over shorter.
+/// directions — shorter over longer and longer over shorter. The Fig. 2 SoC
+/// under the paper suite takes the same walk.
 #[test]
 fn domain_models_restore_over_each_other() {
     // The CPU's data region is the split slave, so jobs are in flight at
     // most cuts, often several at once with the other two masters'.
-    let blueprint = SocBlueprint::new()
+    let mesh = SocBlueprint::new()
         .master(Side::Simulator, || {
             Box::new(CpuMaster::new(0x51de, CpuProfile::default()))
         })
@@ -569,34 +596,100 @@ fn domain_models_restore_over_each_other() {
         .slave(Side::Simulator, 0x3000, 0x1000, || {
             Box::new(PeripheralSlave::new(1))
         });
-    let suite = AdaptiveSuite::default();
+    let socs: [(&str, SocBlueprint, &dyn PredictorSuite); 2] = [
+        ("mesh", mesh, &AdaptiveSuite::default()),
+        ("fig. 2", figure2_soc(), &PaperSuite),
+    ];
     let cuts = [7, 23, 41, 64, 90, 133, 211, 340];
-    let mut lengths = std::collections::BTreeSet::new();
-    for &seeded_at in &cuts {
-        let (sim, acc) = driven_pair(&blueprint, &suite, seeded_at);
-        lengths.insert((save_to_vec(&sim).len(), save_to_vec(&acc).len()));
-        for &dirty_at in cuts.iter().filter(|&&at| at != seeded_at) {
-            let (mut fresh_sim, mut fresh_acc) =
-                blueprint.build_pair_with(&suite).expect("pair builds");
-            let (mut dirty_sim, mut dirty_acc) = driven_pair(&blueprint, &suite, dirty_at);
-            let name = format!("cut at {seeded_at} over cut at {dirty_at}");
-            assert_roundtrip_over_dirty(
-                &format!("simulator, {name}"),
-                &sim,
-                &mut fresh_sim,
-                &mut dirty_sim,
-            );
-            assert_roundtrip_over_dirty(
-                &format!("accelerator, {name}"),
-                &acc,
-                &mut fresh_acc,
-                &mut dirty_acc,
-            );
+    for (soc, blueprint, suite) in socs {
+        let mut lengths = std::collections::BTreeSet::new();
+        for &seeded_at in &cuts {
+            let (sim, acc) = driven_pair(&blueprint, suite, seeded_at);
+            lengths.insert((save_to_vec(&sim).len(), save_to_vec(&acc).len()));
+            for &dirty_at in cuts.iter().filter(|&&at| at != seeded_at) {
+                let (mut fresh_sim, mut fresh_acc) =
+                    blueprint.build_pair_with(suite).expect("pair builds");
+                let (mut dirty_sim, mut dirty_acc) = driven_pair(&blueprint, suite, dirty_at);
+                let name = format!("{soc}, cut at {seeded_at} over cut at {dirty_at}");
+                assert_model_roundtrip_over_dirty(
+                    &format!("simulator, {name}"),
+                    &sim,
+                    &mut fresh_sim,
+                    &mut dirty_sim,
+                );
+                assert_model_roundtrip_over_dirty(
+                    &format!("accelerator, {name}"),
+                    &acc,
+                    &mut fresh_acc,
+                    &mut dirty_acc,
+                );
+            }
         }
+        assert!(
+            lengths.len() > cuts.len() / 2,
+            "{soc}: the cuts must differ in size for the dirty leg to mean anything: {lengths:?}"
+        );
     }
-    assert!(
-        lengths.len() > cuts.len() / 2,
-        "the cuts must differ in size for the dirty leg to mean anything: {lengths:?}"
+}
+
+/// Where [`labeled`] opens its section.
+const SECTION_START: usize = 5;
+
+/// `saved` laid out as a checkpoint lays a model out — behind other words,
+/// under the label `acc.model` — with the word at absolute index
+/// `damaged.0`, if any, replaced by `damaged.1`.
+fn labeled(saved: &StateVec, damaged: Option<(usize, u64)>) -> StateVec {
+    let mut state = StateVec::new();
+    let mut w = StateWriter::new(&mut state);
+    w.slice(&[0; 4]).section("acc.model");
+    for (i, &word) in saved.words().iter().enumerate() {
+        w.word(match damaged {
+            Some((at, bad)) if at == SECTION_START + i => bad,
+            _ => word,
+        });
+    }
+    state
+}
+
+/// Walks the fabric's words of a [`labeled`] model with a data phase in
+/// flight — the arbiter (grant, split mask, optional burst tracker), the
+/// default-slave flag, then the phase — to the absolute indices of the
+/// phase's master, its slave and its HTRANS.
+fn data_phase_words(state: &StateVec) -> (usize, usize, usize) {
+    let mut r = StateReader::new(state);
+    r.slice().unwrap();
+    assert_eq!(r.position(), SECTION_START);
+    r.usize().unwrap();
+    r.u32().unwrap();
+    if r.bool().unwrap() {
+        r.u32().unwrap();
+        r.u32().unwrap();
+    }
+    r.bool().unwrap();
+    assert!(r.bool().unwrap(), "the cut was chosen with a data phase");
+    let master = r.position();
+    r.usize().unwrap();
+    assert!(r.bool().unwrap(), "the cut was chosen with a decoded slave");
+    let slave = r.position();
+    r.usize().unwrap();
+    (master, slave, r.position())
+}
+
+/// Restoring `state` into a fresh accelerator model fails as corrupt at `at`
+/// under the section's label.
+fn assert_corrupt_in_section(target: &mut AhbDomainModel, state: &StateVec, at: usize) {
+    let mut r = StateReader::new(state);
+    r.slice().unwrap();
+    let err = target
+        .restore(&mut r)
+        .expect_err("a word the model cannot take is rejected");
+    assert_eq!(
+        err,
+        SnapshotError::InSection {
+            section: "acc.model",
+            offset: at - SECTION_START,
+            source: Box::new(SnapshotError::Corrupt { at }),
+        }
     );
 }
 
@@ -607,64 +700,105 @@ fn corrupt_signal_word_names_its_index_and_section() {
     let blueprint = figure2_soc();
     let (_, acc) = (1..200)
         .map(|cycles| driven_pair(&blueprint, &PaperSuite, cycles))
-        .find(|(_, acc)| acc.fabric().data_phase().is_some())
+        .find(|(_, acc)| matches!(acc.fabric().data_phase(), Some(dp) if dp.slave.is_some()))
         .expect("some cut has a data phase in flight");
-    // Laid out as a checkpoint lays it out: behind other words, labeled.
     let saved = save_to_vec(&acc);
-    let section_start = 5;
-    let labeled = |damaged: Option<usize>| {
-        let mut state = StateVec::new();
-        let mut w = StateWriter::new(&mut state);
-        w.slice(&[0; 4]).section("acc.model");
-        for (i, &word) in saved.words().iter().enumerate() {
-            w.word(if damaged == Some(section_start + i) {
-                0xffff
-            } else {
-                word
-            });
-        }
-        state
-    };
-
-    // Walk the fabric's words up to the data phase's HTRANS: the arbiter
-    // (grant, split mask, optional burst tracker), the default-slave flag,
-    // then the phase's master and optional slave.
-    let clean = labeled(None);
-    let mut r = StateReader::new(&clean);
-    r.slice().unwrap();
-    assert_eq!(r.position(), section_start);
-    r.usize().unwrap();
-    r.u32().unwrap();
-    if r.bool().unwrap() {
-        r.u32().unwrap();
-        r.u32().unwrap();
-    }
-    r.bool().unwrap();
-    assert!(r.bool().unwrap(), "the cut was chosen with a data phase");
-    r.usize().unwrap();
-    if r.bool().unwrap() {
-        r.usize().unwrap();
-    }
-    let htrans = r.position();
+    let (_, _, htrans) = data_phase_words(&labeled(&saved, None));
     let hsize = htrans + 3; // HTRANS, HADDR, HWRITE, HSIZE
 
     for at in [htrans, hsize] {
         let (_, mut target) = blueprint.build_pair().expect("pair builds");
-        let state = labeled(Some(at));
-        let mut r = StateReader::new(&state);
-        r.slice().unwrap();
-        let err = target
-            .restore(&mut r)
-            .expect_err("a bad encoding is rejected");
-        assert_eq!(err.section(), Some("acc.model"));
-        assert_eq!(
-            err,
-            SnapshotError::InSection {
-                section: "acc.model",
-                offset: at - section_start,
-                source: Box::new(SnapshotError::Corrupt { at }),
-            }
+        assert_corrupt_in_section(&mut target, &labeled(&saved, Some((at, 0xffff))), at);
+    }
+}
+
+/// Well-encoded words that describe state no component can be in at a clock
+/// edge — and on which its `outputs()` would index out of a payload or
+/// panic, now inside `restore`, where the model latches them — are refused
+/// at their own index like any other corrupt word: a beat counter past the
+/// operation's payload, an operation of no beats, a slave with a transfer
+/// accepted and no response planned, a data phase owned by or aimed at a
+/// component the bus does not have. The refusing model still takes the good
+/// vector.
+#[test]
+fn state_a_component_cannot_drive_is_refused_at_its_word() {
+    let blueprint = figure2_soc();
+    let generator = |acc: &AhbDomainModel| -> TrafficGenMaster {
+        acc.master_as::<TrafficGenMaster>(MasterId(2))
+            .expect("M2 is the accelerator's traffic generator")
+            .clone()
+    };
+    // The generator has the lowest priority and starves until the DMA
+    // engine's descriptors are done, several hundred cycles in.
+    let (mut sim, mut acc) = blueprint.build_pair().expect("pair builds");
+    while !(generator(&acc).outputs().trans.is_active()
+        && matches!(acc.fabric().data_phase(), Some(dp) if dp.slave.is_some()))
+    {
+        assert!(
+            acc.cycle() < 2_000,
+            "the generator never drove an address phase behind a data phase"
         );
+        step_pair(&mut sim, &mut acc);
+    }
+    let saved = save_to_vec(&acc);
+    let words = saved.words();
+    // Where a component's own words lie among the model's, as an absolute
+    // index into the labeled vector.
+    let start_of = |component: &StateVec| {
+        let mut hits = words
+            .windows(component.len())
+            .enumerate()
+            .filter(|(_, window)| *window == component.words());
+        let (at, _) = hits
+            .next()
+            .expect("the component's words are in the model's");
+        assert!(hits.next().is_none(), "and only once");
+        SECTION_START + at
+    };
+    let word = |at: usize| words[at - SECTION_START];
+
+    // The generator saves its script cursor and idle count, then its engine:
+    // operation present, write, size, burst, the addresses (prefixed), the
+    // write data (prefixed), lock, prot, state, address beat.
+    let generator_words = save_to_vec(&generator(&acc));
+    let generator_at = start_of(&generator_words);
+    let engine = generator_at + 2;
+    let beats_at = engine + 4;
+    let wdata_at = beats_at + 1 + word(beats_at) as usize;
+    let addr_beat_at = wdata_at + 1 + word(wdata_at) as usize + 3;
+    // The accelerator's one slave follows its last master. The peripheral
+    // saves four registers and its mailbox (prefixed), then its engine,
+    // state code first.
+    let peripheral_at = generator_at + generator_words.len();
+    let peripheral = acc
+        .slave_as::<PeripheralSlave>(SlaveId(2))
+        .expect("S2 is the accelerator's peripheral");
+    let peripheral_words = save_to_vec(peripheral);
+    assert_eq!(
+        words[peripheral_at - SECTION_START..][..peripheral_words.len()],
+        *peripheral_words.words()
+    );
+    let mailbox_at = peripheral_at + 4;
+    let slave_state_at = mailbox_at + 1 + word(mailbox_at) as usize;
+    let (dp_master_at, dp_slave_at, _) = data_phase_words(&labeled(&saved, None));
+
+    let (_, mut target) = blueprint.build_pair().expect("pair builds");
+    for (at, bad) in [
+        (addr_beat_at, word(beats_at)),
+        (beats_at, 0),
+        (slave_state_at, 1),
+        (dp_master_at, 3),
+        (dp_slave_at, 3),
+    ] {
+        assert_corrupt_in_section(&mut target, &labeled(&saved, Some((at, bad))), at);
+        let good = labeled(&saved, None);
+        let mut r = StateReader::new(&good);
+        r.slice().unwrap();
+        target
+            .restore(&mut r)
+            .expect("the good vector restores after a refused one");
+        assert_eq!(save_to_vec(&target), saved);
+        assert_eq!(target.local_outputs(), acc.local_outputs());
     }
 }
 
