@@ -167,11 +167,6 @@ impl BusOp {
     pub fn beats(&self) -> u32 {
         self.addrs.len() as u32
     }
-
-    /// The first beat's address.
-    pub fn start_addr(&self) -> u32 {
-        self.addrs[0]
-    }
 }
 
 /// Outcome of one completed [`BusOp`].

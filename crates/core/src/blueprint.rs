@@ -179,15 +179,6 @@ impl SocBlueprint {
         b.build()
     }
 
-    /// Builds one verification domain with the paper's predictor wiring.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`BusConfigError`] for broken address maps.
-    pub fn build_domain(&self, side: Side) -> Result<AhbDomainModel, BusConfigError> {
-        self.build_domain_with(side, &PaperSuite)
-    }
-
     /// Builds one verification domain, taking remote-component predictors from
     /// `suite`.
     ///

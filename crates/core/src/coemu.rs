@@ -1,16 +1,15 @@
 //! The co-emulation orchestrator.
 
 use crate::blueprint::SocBlueprint;
-use crate::checkpoint::{restore_section, save_section, CheckpointError, SessionCheckpoint};
+use crate::checkpoint::{CheckpointError, SessionCheckpoint};
+use crate::engine::Engine;
 use crate::model::DomainModel;
-use crate::observer::{EmuObserver, NoopObserver};
+use crate::observer::EmuObserver;
 use crate::report::PerfReport;
-use crate::wrapper::{ChannelWrapper, CwStats, DomainCosts, ModePolicy, Progress};
+use crate::wrapper::{CwStats, DomainCosts, ModePolicy};
 use crate::AhbDomainModel;
 use predpkt_ahb::bus::BusConfigError;
-use predpkt_channel::{
-    ChannelCostModel, ChannelStats, CostedChannel, QueueTransport, Side, Transport,
-};
+use predpkt_channel::{ChannelCostModel, ChannelStats, QueueTransport, Side, Transport};
 use predpkt_sim::{CostCategory, Frequency, SimError, Snapshot, TimeLedger, Trace, VirtualTime};
 use std::error::Error;
 use std::fmt;
@@ -99,30 +98,6 @@ impl fmt::Display for ConfigError {
 }
 
 impl Error for ConfigError {}
-
-/// Builds the two channel wrappers from a model pair and a configuration —
-/// the single place wrapper knobs are wired, shared by the reference engine
-/// and the port engine so the backends can never drift.
-///
-/// # Panics
-///
-/// Panics if the models' sides or widths disagree.
-pub(crate) fn build_wrapper_pair<M: DomainModel>(
-    sim_model: M,
-    acc_model: M,
-    config: &CoEmuConfig,
-) -> (ChannelWrapper<M>, ChannelWrapper<M>) {
-    assert_eq!(sim_model.side(), Side::Simulator);
-    assert_eq!(acc_model.side(), Side::Accelerator);
-    assert_eq!(sim_model.local_width(), acc_model.remote_width());
-    assert_eq!(acc_model.local_width(), sim_model.remote_width());
-    let build = |model: M| {
-        ChannelWrapper::new(model, config.lob_depth, config.policy)
-            .with_carry_actuals(config.carry_actuals)
-            .with_adaptive_depth(config.adaptive_depth)
-    };
-    (build(sim_model), build(acc_model))
-}
 
 /// Configuration of a co-emulation run: domain speeds, LOB depth, operating
 /// mode, channel and rollback cost models.
@@ -294,27 +269,28 @@ pub enum SliceStatus {
     Idle,
 }
 
-/// The co-emulator: two channel wrappers, one costed channel, one ledger.
+/// The co-emulator: the shared-medium layout of the engine over a
+/// caller-supplied [`Transport`] — two channel wrappers on one costed channel
+/// and one ledger.
 ///
-/// Domains are scheduled co-operatively: each scheduling round steps both
-/// wrappers; a wrapper blocked on a read yields. Virtual time follows the
-/// paper's serialized model (the Table 2 `Perform.` arithmetic), so the ledger
-/// total *is* the emulation wall time.
+/// Domains are scheduled co-operatively on the calling thread; a wrapper
+/// blocked on a read yields. Virtual time follows the paper's serialized
+/// model (the Table 2 `Perform.` arithmetic), so the ledger total *is* the
+/// emulation wall time.
 ///
-/// The channel is generic over any [`Transport`] backend (deterministic
-/// [`QueueTransport`] by default; see
+/// There is one engine, and this is a name for one of its two layouts: both
+/// domains over one in-process medium that holds both directions, so a run
+/// is exactly reproducible. The channel is generic over any [`Transport`]
+/// backend (deterministic [`QueueTransport`] by default; see
 /// [`LossyTransport`](predpkt_channel::LossyTransport) for fault injection).
-/// This is the **reference engine**: both domains share one in-process
-/// medium, so a run is exactly reproducible, and every other backend is
-/// conformance-checked against it. [`EmuSession`](crate::EmuSession) runs its
-/// queue-backed backends on it and everything else on per-side link ends.
+/// [`EmuSession`](crate::EmuSession) runs the same engine — in this layout
+/// for its queue-backed backends, with a channel and a ledger per side for
+/// the others — so the run loop, the halt rule, the deadlock rule, the
+/// report, and the checkpoint sections are not written here: every method
+/// below forwards. Prefer `EmuSession` unless the transport is one the
+/// session builder cannot take.
 pub struct CoEmulator<M: DomainModel, T: Transport = QueueTransport> {
-    sim: ChannelWrapper<M>,
-    acc: ChannelWrapper<M>,
-    channel: CostedChannel<T>,
-    ledger: TimeLedger,
-    config: CoEmuConfig,
-    observer: Box<dyn EmuObserver>,
+    engine: Engine<M, T>,
 }
 
 impl CoEmulator<AhbDomainModel> {
@@ -354,81 +330,47 @@ impl<M: DomainModel, T: Transport> CoEmulator<M, T> {
     ///
     /// Panics if the models' sides or widths disagree.
     pub fn with_transport(sim_model: M, acc_model: M, config: CoEmuConfig, transport: T) -> Self {
-        let (sim, acc) = build_wrapper_pair(sim_model, acc_model, &config);
         CoEmulator {
-            sim,
-            acc,
-            channel: CostedChannel::with_transport(transport, config.channel),
-            ledger: TimeLedger::new(),
-            config,
-            observer: Box::new(NoopObserver),
+            engine: Engine::shared(sim_model, acc_model, config, transport),
         }
     }
 
     /// Installs an [`EmuObserver`] receiving every protocol event from both
     /// wrappers (builder style).
     pub fn with_observer(mut self, observer: Box<dyn EmuObserver>) -> Self {
-        self.observer = observer;
+        self.engine.set_observer(observer);
         self
     }
 
     /// Dismantles the co-emulator, salvaging the domain models, the
     /// configuration, and the observer — everything a fresh session built on
-    /// a *new* transport needs. Used by
-    /// [`EmuSession::resume_from`](crate::EmuSession::resume_from): wrapper,
-    /// channel, and ledger state are deliberately dropped, because a
-    /// checkpoint restore rebuilds all of it.
+    /// a *new* transport needs. Wrapper, channel, and ledger state are
+    /// deliberately dropped, because a checkpoint restore rebuilds all of
+    /// it.
     pub fn into_parts(self) -> (M, M, CoEmuConfig, Box<dyn EmuObserver>) {
-        (
-            self.sim.into_model(),
-            self.acc.into_model(),
-            self.config,
-            self.observer,
-        )
-    }
-
-    /// The two protocol engines, simulator side first.
-    pub(crate) fn wrappers(&self) -> (&ChannelWrapper<M>, &ChannelWrapper<M>) {
-        (&self.sim, &self.acc)
+        self.engine.into_parts()
     }
 
     /// Cycles both domains have committed (the lagger's progress during
     /// speculation).
     pub fn committed_cycles(&self) -> u64 {
-        self.sim.cycle().min(self.acc.cycle())
+        self.engine.committed_cycles(None)
     }
 
     /// Runs until at least `cycles` cycles are committed, stopping
-    /// immediately (possibly mid-transition).
+    /// immediately (possibly mid-transition): one step per domain at a time,
+    /// checked after each pair — the one run that is not made of whole
+    /// [rounds](Self::run_slice).
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Deadlock`] if both domains block with no message in
     /// flight, or any protocol/snapshot error.
     pub fn run_until_committed(&mut self, cycles: u64) -> Result<(), SimError> {
-        let sim_costs = self.config.costs_for(Side::Simulator);
-        let acc_costs = self.config.costs_for(Side::Accelerator);
         while self.committed_cycles() < cycles {
-            let a = self.sim.step(
-                &mut self.channel,
-                &mut self.ledger,
-                &sim_costs,
-                self.observer.as_mut(),
-            )?;
-            let b = self.acc.step(
-                &mut self.channel,
-                &mut self.ledger,
-                &acc_costs,
-                self.observer.as_mut(),
-            )?;
-            if a == Progress::Blocked && b == Progress::Blocked {
-                let pending =
-                    self.channel.pending(Side::Simulator) + self.channel.pending(Side::Accelerator);
-                if pending == 0 {
-                    return Err(SimError::Deadlock {
-                        cycle: self.committed_cycles(),
-                    });
-                }
+            // No halt target: neither domain stops at a boundary on the way.
+            if !self.engine.round(u64::MAX, 1)? && self.engine.deliverable(u64::MAX) == 0 {
+                return Err(self.engine.deadlock());
             }
         }
         Ok(())
@@ -457,134 +399,83 @@ impl<M: DomainModel, T: Transport> CoEmulator<M, T> {
     /// Runs at most `max_steps` scheduling rounds toward the
     /// [`run_until_synchronized`](Self::run_until_synchronized) halt — the
     /// budgeted form a session server interleaves with thousands of other
-    /// sessions on one worker thread, and the loop the blocking form is a
-    /// wrapper around: a run driven to [`SliceStatus::Done`] through any
-    /// sequence of slices commits exactly what one uninterrupted call
-    /// commits.
+    /// sessions on one worker thread: a run driven to [`SliceStatus::Done`]
+    /// through any sequence of slices commits exactly what one
+    /// uninterrupted call commits.
     ///
-    /// Never returns [`SliceStatus::Idle`]: both ends of the queue transport
-    /// live in this object, so "blocked with deliverable traffic" resolves
-    /// within the same slice and "blocked without" is an immediate
+    /// A round is what
+    /// [`SlicedSession::run_slice`](crate::SlicedSession::run_slice) defines
+    /// — this is the same loop — so the transport is asked what is
+    /// [`pending`](Transport::pending) only after a round in which neither
+    /// domain worked.
+    ///
+    /// Never returns [`SliceStatus::Idle`]: both ends of the transport live
+    /// in this object, so "blocked with deliverable traffic" resolves within
+    /// the same slice and "blocked without" is an immediate
     /// [`SimError::Deadlock`] — there is no external medium to wait on.
     ///
     /// # Errors
     ///
     /// Exactly those of [`run_until_synchronized`](Self::run_until_synchronized).
     pub fn run_slice(&mut self, cycles: u64, max_steps: u32) -> Result<SliceStatus, SimError> {
-        let sim_costs = self.config.costs_for(Side::Simulator);
-        let acc_costs = self.config.costs_for(Side::Accelerator);
-        for _ in 0..max_steps {
-            let sim_halted = self.sim.at_transition_boundary() && self.sim.cycle() >= cycles;
-            let acc_halted = self.acc.at_transition_boundary() && self.acc.cycle() >= cycles;
-            if sim_halted && acc_halted {
-                return Ok(SliceStatus::Done);
-            }
-            let a = if sim_halted {
-                Progress::Blocked
-            } else {
-                self.sim.step(
-                    &mut self.channel,
-                    &mut self.ledger,
-                    &sim_costs,
-                    self.observer.as_mut(),
-                )?
-            };
-            let b = if acc_halted {
-                Progress::Blocked
-            } else {
-                self.acc.step(
-                    &mut self.channel,
-                    &mut self.ledger,
-                    &acc_costs,
-                    self.observer.as_mut(),
-                )?
-            };
-            if a == Progress::Blocked && b == Progress::Blocked {
-                // Packets addressed to a halted domain can never be consumed,
-                // so only messages toward a still-running side count as
-                // potential progress.
-                let toward = |halted: bool, side: Side| {
-                    if halted {
-                        0
-                    } else {
-                        self.channel.pending(side)
-                    }
-                };
-                let deliverable =
-                    toward(sim_halted, Side::Simulator) + toward(acc_halted, Side::Accelerator);
-                if deliverable == 0 {
-                    return Err(SimError::Deadlock {
-                        cycle: self.committed_cycles(),
-                    });
-                }
-            }
-        }
-        // Re-check the halt condition before yielding: the budget may have
-        // run out on exactly the round that finished the run.
-        if self.sim.at_transition_boundary()
-            && self.sim.cycle() >= cycles
-            && self.acc.at_transition_boundary()
-            && self.acc.cycle() >= cycles
-        {
-            return Ok(SliceStatus::Done);
-        }
-        Ok(SliceStatus::Working)
+        self.engine.run_slice(cycles, max_steps)
     }
 
     /// Shared access to the transport backend (e.g. to read
     /// [`LossyTransport`](predpkt_channel::LossyTransport) fault counters).
     pub fn transport(&self) -> &T {
-        self.channel.transport()
+        self.engine.shared_slot().0.transport()
     }
 
     /// The virtual-time ledger.
     pub fn ledger(&self) -> &TimeLedger {
-        &self.ledger
+        self.engine.shared_slot().1
     }
 
     /// Channel statistics.
     pub fn channel_stats(&self) -> &ChannelStats {
-        self.channel.stats()
+        self.engine.shared_slot().0.stats()
     }
 
     /// Simulator-side wrapper statistics.
     pub fn sim_stats(&self) -> &CwStats {
-        self.sim.stats()
+        self.engine.edge_wrappers(0).0.stats()
     }
 
     /// Accelerator-side wrapper statistics.
     pub fn acc_stats(&self) -> &CwStats {
-        self.acc.stats()
+        self.engine.edge_wrappers(0).1.stats()
     }
 
     /// The simulator-side model.
     pub fn sim_model(&self) -> &M {
-        self.sim.model()
+        self.engine.edge_wrappers(0).0.model()
     }
 
     /// The accelerator-side model.
     pub fn acc_model(&self) -> &M {
-        self.acc.model()
+        self.engine.edge_wrappers(0).1.model()
     }
 
     /// The configuration in force.
     pub fn config(&self) -> &CoEmuConfig {
-        &self.config
+        self.engine.config()
     }
 
-    /// Builds the performance report over the committed cycles.
+    /// Builds the performance report over the committed cycles, including
+    /// the recovery bill and the frame-coalescing counters of a transport
+    /// that reports them.
     ///
     /// # Panics
     ///
-    /// Panics if no cycle has committed yet.
+    /// Panics if no cycle has committed yet — a freshly built engine, or one
+    /// whose transport died in the handshake: every row of the report is per
+    /// committed cycle. [`EmuSession::report`](crate::EmuSession::report) and
+    /// [`FabricSession::domain_report`](crate::FabricSession::domain_report)
+    /// are the same method and panic alike; check
+    /// [`committed_cycles`](Self::committed_cycles) first.
     pub fn report(&self) -> PerfReport {
-        PerfReport::new(
-            self.ledger.clone(),
-            self.committed_cycles(),
-            self.channel.stats().clone(),
-            self.sim.stats().clone(),
-            self.acc.stats().clone(),
-        )
+        self.engine.report(None)
     }
 
     /// Merges the two domains' committed local-output traces into full-bus
@@ -594,71 +485,12 @@ impl<M: DomainModel, T: Transport> CoEmulator<M, T> {
     /// `merge` receives (sim record, acc record) per cycle and must interleave
     /// them into the golden record layout.
     pub fn merged_trace(&self, merge: impl Fn(&[u64], &[u64]) -> Vec<u64>) -> Trace {
-        crate::wrapper::merge_committed_traces(&self.sim, &self.acc, merge)
+        let (sim, acc) = self.engine.edge_wrappers(0);
+        crate::wrapper::merge_committed_traces(sim, acc, merge)
     }
 }
 
-/// The labels a co-operative (single-channel) checkpoint serializes under,
-/// in restore order.
-const COOP_SECTIONS: [&str; 4] = ["wrapper.sim", "wrapper.acc", "channel", "ledger"];
-
 impl<M: DomainModel, T: Transport + Snapshot> CoEmulator<M, T> {
-    /// Whether both domains stand at a committed transition boundary — the
-    /// only cut at which a checkpoint is consistent.
-    fn at_checkpoint_boundary(&self) -> bool {
-        self.sim.at_transition_boundary() && self.acc.at_transition_boundary()
-    }
-
-    /// Fills `ckpt` with this engine's component sections (see
-    /// [`checkpoint`](Self::checkpoint) for the public form).
-    pub(crate) fn checkpoint_into(
-        &self,
-        ckpt: &mut SessionCheckpoint,
-    ) -> Result<(), CheckpointError> {
-        if let Some(err) = self.sim.poisoned().or_else(|| self.acc.poisoned()) {
-            return Err(CheckpointError::Poisoned(err.clone()));
-        }
-        if !self.at_checkpoint_boundary() {
-            return Err(CheckpointError::NotAtBoundary);
-        }
-        ckpt.push_section("wrapper.sim", save_section(|w| self.sim.checkpoint_save(w)));
-        ckpt.push_section("wrapper.acc", save_section(|w| self.acc.checkpoint_save(w)));
-        ckpt.push_section("channel", save_section(|w| self.channel.save(w)));
-        ckpt.push_section("ledger", save_section(|w| self.ledger.save(w)));
-        Ok(())
-    }
-
-    /// Restores this engine from a checkpoint's component sections (see
-    /// [`restore`](Self::restore) for the public form).
-    pub(crate) fn restore_from(&mut self, ckpt: &SessionCheckpoint) -> Result<(), CheckpointError> {
-        // Pre-flight the section table before touching anything, so a
-        // checkpoint with the wrong shape is rejected without mutation.
-        for label in COOP_SECTIONS {
-            ckpt.section(label)?;
-        }
-        let result = (|| {
-            let CoEmulator {
-                sim,
-                acc,
-                channel,
-                ledger,
-                ..
-            } = self;
-            restore_section(ckpt, "wrapper.sim", |r| sim.checkpoint_restore(r))?;
-            restore_section(ckpt, "wrapper.acc", |r| acc.checkpoint_restore(r))?;
-            restore_section(ckpt, "channel", |r| channel.restore(r))?;
-            restore_section(ckpt, "ledger", |r| ledger.restore(r))
-        })();
-        if let Err(CheckpointError::Snapshot { source, .. }) = &result {
-            // A failed section leaves the pair inconsistent: poison both
-            // wrappers so the session refuses to step until a full restore
-            // succeeds.
-            self.sim.poison(source.clone());
-            self.acc.poison(source.clone());
-        }
-        result
-    }
-
     /// Takes a whole-session checkpoint at the current committed transition
     /// boundary: both wrappers (model, predictors, trace, statistics), the
     /// channel — including any frames a cooperative backend holds in flight
@@ -677,7 +509,7 @@ impl<M: DomainModel, T: Transport + Snapshot> CoEmulator<M, T> {
     /// [`CheckpointError::Poisoned`] after a failed restore.
     pub fn checkpoint(&self) -> Result<SessionCheckpoint, CheckpointError> {
         let mut ckpt = SessionCheckpoint::new("coemulator", self.committed_cycles());
-        self.checkpoint_into(&mut ckpt)?;
+        self.engine.checkpoint_into(&mut ckpt)?;
         Ok(ckpt)
     }
 
@@ -693,7 +525,7 @@ impl<M: DomainModel, T: Transport + Snapshot> CoEmulator<M, T> {
     /// [`CheckpointError::Snapshot`] if a component rejects its words — the
     /// engine is then **poisoned** and refuses further steps.
     pub fn restore(&mut self, ckpt: &SessionCheckpoint) -> Result<(), CheckpointError> {
-        self.restore_from(ckpt)
+        self.engine.restore_from(ckpt)
     }
 }
 
@@ -701,7 +533,7 @@ impl<M: DomainModel + fmt::Debug, T: Transport> fmt::Debug for CoEmulator<M, T> 
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CoEmulator")
             .field("committed", &self.committed_cycles())
-            .field("total_time", &self.ledger.total())
+            .field("total_time", &self.ledger().total())
             .finish()
     }
 }

@@ -1,57 +1,71 @@
-//! The port engine: the boundary-halt runner over per-side link ends, for
-//! any number of domains.
+//! The engine: the one boundary-halt runner, for any number of domains and
+//! either channel layout.
 //!
 //! Every pair of domains that exchanges traffic shares one **edge**, and each
-//! end of an edge is a **port**: one protocol engine, its costed channel over
-//! that end of the link, and its share of the domain's virtual-time ledger. A
-//! domain owns one port per peer. A two-domain
-//! [`EmuSession`](crate::EmuSession) over a threaded, socket, or ring backend
-//! is the one-edge case — two domains, one port each — and an N-domain
-//! [`FabricSession`](crate::FabricSession) the general one; both are this
-//! engine, so the run loops, the halt rule, and the statistics folds below
-//! exist once.
+//! end of an edge is a **port**: one protocol engine playing one role, which
+//! reaches the costed channel it sends on and the virtual-time ledger it
+//! bills through an index. A domain owns one port per peer. Which ports
+//! share a channel is the **layout**, and it is data, not a second engine:
+//!
+//! * **shared medium** — one edge whose two ports use *one* channel and
+//!   *one* ledger: both domains over a single in-process transport that
+//!   holds both directions. A two-domain [`EmuSession`](crate::EmuSession)
+//!   over the queue (bare, lossy, or under the reliable layer) is this, and
+//!   so is a [`CoEmulator`](crate::CoEmulator) over whatever
+//!   [`Transport`] its caller supplies.
+//! * **per-side ends** — every port has its own channel over its own end of
+//!   the edge's link, and its own ledger. A session over mpsc, a socket, or a
+//!   ring is the one-edge case; an N-domain
+//!   [`FabricSession`](crate::FabricSession) the general one.
+//!
+//! The run loop, the halt rule, the deadlock rule, the statistics folds, the
+//! report, and the checkpoint sections below exist once and serve both.
 //!
 //! A domain halts only when *every one of its ports* stands at a transition
 //! boundary with the target cycle count committed — a deterministic protocol
 //! event per edge, not a scheduling artifact, which is what keeps committed
-//! results bit-identical across backends. A halted domain **lingers**,
-//! pumping acknowledgements on all of its links until every other domain has
-//! halted too, so per-link reliability layers can finish retransmissions and
-//! no peer is stranded mid-recovery.
+//! results bit-identical across backends. Over per-side ends a halted domain
+//! **lingers**, pumping acknowledgements on all of its links until every
+//! other domain has halted too, so per-link reliability layers can finish
+//! retransmissions and no peer is stranded mid-recovery. Over a shared medium
+//! it does not: the one reliability layer there serves both directions and
+//! is pumped by the port that still runs.
 //!
-//! One schedule drives the ports: a budgeted slice on the calling thread
-//! ([`PortEngine::run_slice`]). The protocol is strictly alternating — a
-//! leader blocks in *Get response* exactly while its lagger follows the
-//! burst — so inside one session both domains never have work at once, and
-//! which medium joins them (mpsc, socket, ring) changes nothing about who
-//! steps them. A session farm interleaves slices of thousands of sessions;
-//! [`PortEngine::run_until_synchronized`] is the same slice in a blocking
-//! loop.
+//! One schedule drives the ports: a budgeted slice of **rounds** on the
+//! calling thread ([`Engine::run_slice`]). The protocol is strictly
+//! alternating — a leader blocks in *Get response* exactly while its lagger
+//! follows the burst — so inside one session both domains never have work at
+//! once, and which medium joins them (queue, mpsc, socket, ring) changes
+//! nothing about who steps them. A session farm interleaves slices of
+//! thousands of sessions; [`Engine::run_until_synchronized`] is the same
+//! slice in a blocking loop.
 
 use crate::checkpoint::{restore_section, save_section, CheckpointError, SessionCheckpoint};
-use crate::coemu::{build_wrapper_pair, CoEmuConfig, SliceStatus};
-use crate::link::{Link, LinkSpec, ThreadedOpts};
+use crate::coemu::{CoEmuConfig, SliceStatus};
+use crate::link::ThreadedOpts;
 use crate::model::DomainModel;
 use crate::observer::{EmuObserver, NoopObserver};
+use crate::report::PerfReport;
 use crate::wrapper::{ChannelWrapper, CwStats, DomainCosts, Progress};
 use predpkt_channel::{
-    ChannelStats, CostedChannel, Fabric, FabricEdge, PollReady, PollSet, Readiness, RetryExhausted,
-    Side, Transport,
+    BatchStats, ChannelStats, CostedChannel, Fabric, FabricEdge, PollReady, PollSet, Readiness,
+    RecoveryStats, RetryExhausted, Side, Transport, TransportDead,
 };
 use predpkt_sim::{SimError, Snapshot, TimeLedger};
 use std::time::Instant;
 
-/// One domain-side terminus of an edge: the protocol engine for that edge,
-/// its costed channel over the edge's link end, and its share of the
-/// domain's virtual-time ledger.
+/// One domain-side terminus of an edge: the protocol engine for that edge
+/// and the role it plays, plus where it sends and bills.
 struct Port<M: DomainModel> {
     edge: usize,
     role: Side,
     /// The virtual-time costs of the role this port plays.
     costs: DomainCosts,
     wrapper: ChannelWrapper<M>,
-    ch: CostedChannel<Box<dyn Link>>,
-    ledger: TimeLedger,
+    /// The engine's channel this port sends and receives on, and the ledger
+    /// (same index) it bills. Two ports name the same slot exactly when they
+    /// share a medium.
+    slot: usize,
 }
 
 impl<M: DomainModel> Port<M> {
@@ -60,83 +74,92 @@ impl<M: DomainModel> Port<M> {
     }
 }
 
-/// Per-domain port lists over the edge list, plus the run knobs.
-pub(crate) struct PortEngine<M: DomainModel> {
+/// Per-domain port lists over the edge list, and the channels and ledgers
+/// the ports index into.
+pub(crate) struct Engine<M: DomainModel, T: Transport> {
     /// `ports[d]` are domain `d`'s ports in edge order.
     ports: Vec<Vec<Port<M>>>,
+    /// One channel for the shared layout; per edge its simulator-side end,
+    /// then its accelerator-side end, for the per-side layout.
+    channels: Vec<CostedChannel<T>>,
+    /// `ledgers[slot]` is billed by the ports that send on `channels[slot]`.
+    ledgers: Vec<TimeLedger>,
+    /// The non-blocking question "could waiting on this link end help?" —
+    /// and the layout: `None` is the shared medium, which has no far end to
+    /// wait on, so it is never probed, never idle, and never lingers.
+    probe: Option<fn(&mut T) -> Readiness>,
     edges: Vec<FabricEdge>,
     config: CoEmuConfig,
-    opts: ThreadedOpts,
     observer: Box<dyn EmuObserver>,
 }
 
-fn all_halted<M: DomainModel>(ports: &[Vec<Port<M>>], target: u64) -> bool {
-    ports.iter().flatten().all(|p| p.halted(target))
-}
-
-fn min_cycle<'a, M: DomainModel + 'a>(ports: impl Iterator<Item = &'a Port<M>>) -> u64 {
-    ports.map(|p| p.wrapper.cycle()).min().unwrap_or(0)
-}
-
-/// Non-blocking readiness over every link end: data anywhere wins, then
-/// death, then idleness.
-fn probe<M: DomainModel>(ports: &mut [Vec<Port<M>>]) -> Readiness {
-    ports.iter_mut().flatten().fold(Readiness::Idle, |all, p| {
-        all.combine(p.ch.transport_mut().readiness())
-    })
-}
-
-impl<M: DomainModel> PortEngine<M> {
-    /// Builds one protocol engine pair per edge (`models[e]` is edge `e`'s
-    /// simulator-role and accelerator-role model) over `mesh`'s link ends
-    /// and distributes the resulting ports to their domains.
+impl<M: DomainModel, T: Transport> Engine<M, T> {
+    /// The shared-medium layout: one edge, both of its ports on one channel
+    /// over `medium` and on one ledger.
     ///
     /// # Panics
     ///
-    /// Panics if a model pair's sides or widths disagree.
-    pub(crate) fn new(
+    /// Panics if the models' sides or widths disagree.
+    pub(crate) fn shared(sim: M, acc: M, config: CoEmuConfig, medium: T) -> Self {
+        // Unbatched: the channel's outbox bookkeeping is part of its
+        // checkpoint words, and one medium holding both directions has no
+        // physical write to coalesce.
+        let channel = CostedChannel::with_transport(medium, config.channel);
+        let edges = vec![FabricEdge::new(0, 1)];
+        Self::assemble(2, edges, vec![(sim, acc)], vec![channel], None, config)
+    }
+
+    /// Builds one protocol engine pair per edge (`models[e]` is edge `e`'s
+    /// simulator-role and accelerator-role model), distributes the ports to
+    /// their domains, and points each at its slot. The single place wrapper
+    /// knobs are wired, so the layouts can never drift.
+    fn assemble(
+        domains: usize,
+        edges: Vec<FabricEdge>,
         models: Vec<(M, M)>,
-        mesh: Fabric<Box<dyn Link>>,
+        channels: Vec<CostedChannel<T>>,
+        probe: Option<fn(&mut T) -> Readiness>,
         config: CoEmuConfig,
-        link: &LinkSpec,
-        observer: Option<Box<dyn EmuObserver>>,
     ) -> Self {
-        let (domains, edges, links) = mesh.into_parts();
         let mut ports: Vec<Vec<Port<M>>> = (0..domains).map(|_| Vec::new()).collect();
-        for (edge, ((sim_model, acc_model), (sim_end, acc_end))) in
-            models.into_iter().zip(links).enumerate()
-        {
-            let (sim, acc) = build_wrapper_pair(sim_model, acc_model, &config);
-            let port = |role: Side, wrapper, end| {
-                let mut ch = CostedChannel::with_transport(end, config.channel);
-                // Per-scheduling-slice batching: a domain's sends are parked
-                // in the channel outbox and flushed when the domain next
-                // reads the channel or blocks — consecutive messages (a
-                // report followed by the next transition's opener) coalesce
-                // into one physical write. Billing is identical to the
-                // unbatched path, so traces, statistics, and ledgers stay
-                // bit-identical to the queue baseline (the conformance
-                // harness asserts exactly that).
-                ch.set_batching(true);
-                Port {
+        for (edge, (sim, acc)) in models.into_iter().enumerate() {
+            assert_eq!(sim.side(), Side::Simulator);
+            assert_eq!(acc.side(), Side::Accelerator);
+            assert_eq!(sim.local_width(), acc.remote_width());
+            assert_eq!(acc.local_width(), sim.remote_width());
+            let mut port = |role: Side, domain: usize, model: M| {
+                let wrapper = ChannelWrapper::new(model, config.lob_depth, config.policy)
+                    .with_carry_actuals(config.carry_actuals)
+                    .with_adaptive_depth(config.adaptive_depth);
+                let slot = match probe {
+                    None => 0,
+                    Some(_) => 2 * edge + usize::from(role == Side::Accelerator),
+                };
+                ports[domain].push(Port {
                     edge,
                     role,
                     costs: config.costs_for(role),
                     wrapper,
-                    ch,
-                    ledger: TimeLedger::new(),
-                }
+                    slot,
+                });
             };
-            ports[edges[edge].a()].push(port(Side::Simulator, sim, sim_end));
-            ports[edges[edge].b()].push(port(Side::Accelerator, acc, acc_end));
+            port(Side::Simulator, edges[edge].a(), sim);
+            port(Side::Accelerator, edges[edge].b(), acc);
         }
-        PortEngine {
+        Engine {
             ports,
+            ledgers: channels.iter().map(|_| TimeLedger::new()).collect(),
+            channels,
+            probe,
             edges,
             config,
-            opts: link.opts(),
-            observer: observer.unwrap_or_else(|| Box::new(NoopObserver)),
+            observer: Box::new(NoopObserver),
         }
+    }
+
+    /// Installs the observer receiving every protocol event from every port.
+    pub(crate) fn set_observer(&mut self, observer: Box<dyn EmuObserver>) {
+        self.observer = observer;
     }
 
     pub(crate) fn domains(&self) -> usize {
@@ -151,6 +174,12 @@ impl<M: DomainModel> PortEngine<M> {
         &self.config
     }
 
+    /// The one channel and the one ledger of the shared layout.
+    pub(crate) fn shared_slot(&self) -> (&CostedChannel<T>, &TimeLedger) {
+        debug_assert!(self.probe.is_none(), "per-side ends have no shared slot");
+        (&self.channels[0], &self.ledgers[0])
+    }
+
     /// Every port of `domain` in edge order, or of every domain (in domain
     /// order) with `None`.
     fn ports_of(&self, domain: Option<usize>) -> impl Iterator<Item = &Port<M>> {
@@ -161,33 +190,44 @@ impl<M: DomainModel> PortEngine<M> {
         domains.iter().flatten()
     }
 
-    /// Cycles committed on every port of `domain` (or of the whole engine).
-    pub(crate) fn committed_cycles(&self, domain: Option<usize>) -> u64 {
-        min_cycle(self.ports_of(domain))
+    /// The slots `domain`'s ports use (or every slot), ascending, each once
+    /// — also where two ports share one.
+    fn slots_of(&self, domain: Option<usize>) -> impl Iterator<Item = usize> + '_ {
+        (0..self.channels.len()).filter(move |&slot| {
+            domain.map_or(true, |d| self.ports[d].iter().any(|p| p.slot == slot))
+        })
     }
 
-    /// The ledgers of `domain`'s ports (or of every port) merged.
+    /// Cycles committed on every port of `domain` (or of the whole engine).
+    pub(crate) fn committed_cycles(&self, domain: Option<usize>) -> u64 {
+        self.ports_of(domain)
+            .map(|p| p.wrapper.cycle())
+            .min()
+            .unwrap_or(0)
+    }
+
+    /// The ledgers of `domain`'s ports (or every ledger) merged.
     pub(crate) fn ledger(&self, domain: Option<usize>) -> TimeLedger {
         let mut out = TimeLedger::new();
-        for p in self.ports_of(domain) {
-            out.merge(&p.ledger);
+        for slot in self.slots_of(domain) {
+            out.merge(&self.ledgers[slot]);
         }
         out
     }
 
-    /// The channel statistics of `domain`'s links (or of every link, each
-    /// counted once per side) merged.
+    /// The channel statistics of `domain`'s links (or of every link: a
+    /// shared channel once, per-side ends once per side) merged.
     pub(crate) fn channel_stats(&self, domain: Option<usize>) -> ChannelStats {
         let mut out = ChannelStats::default();
-        for p in self.ports_of(domain) {
-            out.merge(p.ch.stats());
+        for slot in self.slots_of(domain) {
+            out.merge(self.channels[slot].stats());
         }
         out
     }
 
     /// `domain`'s wrapper statistics (or everyone's), split by the role the
     /// ports play: leader-side engines first, lagger-side engines second.
-    pub(crate) fn cw_stats(&self, domain: Option<usize>) -> (CwStats, CwStats) {
+    fn cw_stats(&self, domain: Option<usize>) -> (CwStats, CwStats) {
         let mut sim = CwStats::default();
         let mut acc = CwStats::default();
         for p in self.ports_of(domain) {
@@ -200,20 +240,47 @@ impl<M: DomainModel> PortEngine<M> {
     }
 
     /// One optional counter block of the link stacks — batch, fault, or
-    /// recovery statistics, picked by `hook` — merged over `domain`'s ports
-    /// (or every port); `None` when no port reports any.
+    /// recovery statistics, picked by `hook` — merged over `domain`'s links
+    /// (or every link); `None` when no link reports any.
     pub(crate) fn link_stats<S>(
         &self,
         domain: Option<usize>,
-        hook: fn(&dyn Link) -> Option<S>,
+        hook: fn(&T) -> Option<S>,
         merge: fn(&mut S, &S),
     ) -> Option<S> {
-        self.ports_of(domain)
-            .filter_map(|p| hook(p.ch.transport().as_ref()))
+        self.slots_of(domain)
+            .filter_map(|slot| hook(self.channels[slot].transport()))
             .reduce(|mut acc, part| {
                 merge(&mut acc, &part);
                 acc
             })
+    }
+
+    /// `domain`'s performance report (or the whole engine's): merged ledger
+    /// and channel statistics over the committed cycles, wrapper counters
+    /// split by port role, and — where the links report them — the recovery
+    /// bill and the frame-coalescing counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no cycle has committed yet: every row is per committed
+    /// cycle.
+    pub(crate) fn report(&self, domain: Option<usize>) -> PerfReport {
+        let (sim, acc) = self.cw_stats(domain);
+        let mut report = PerfReport::new(
+            self.ledger(domain),
+            self.committed_cycles(domain),
+            self.channel_stats(domain),
+            sim,
+            acc,
+        );
+        if let Some(recovery) = self.link_stats(domain, T::recovery_stats, RecoveryStats::merge) {
+            report = report.with_recovery(recovery);
+        }
+        if let Some(batch) = self.link_stats(domain, T::batch_stats, BatchStats::merge) {
+            report = report.with_batch(batch);
+        }
+        report
     }
 
     /// The two engines of edge `edge` (simulator-role first), wherever their
@@ -229,28 +296,65 @@ impl<M: DomainModel> PortEngine<M> {
         (&find(e.a()).wrapper, &find(e.b()).wrapper)
     }
 
-    /// First recorded frame abandonment across every link's two reliability
-    /// layers, in deterministic (edge, side) order.
-    pub(crate) fn failure(&self) -> Option<RetryExhausted> {
-        self.ports_of(None)
-            .filter_map(|p| {
-                let at = (p.edge, p.role == Side::Accelerator);
-                Some((at, p.ch.transport().failure()?))
-            })
-            .min_by_key(|(at, _)| *at)
-            .map(|(_, failure)| failure)
+    /// First recorded frame abandonment across every reliability layer, in
+    /// deterministic (edge, side) order — which is slot order.
+    fn failure(&self) -> Option<RetryExhausted> {
+        self.channels.iter().find_map(|ch| ch.transport().failure())
     }
 
-    /// Non-blocking readiness over every link end (the farm's parking
-    /// probe).
+    /// Converts a run's outcome on a reliable backend (a no-op on every
+    /// other, which records no failure). A recorded [`RetryExhausted`]
+    /// failure takes precedence over the raw engine error (typically the
+    /// deadlock the abandonment surfaced as). An *idle* slice with an
+    /// abandoned frame recorded is hopeless too — the abandoned data can
+    /// never arrive, so the exhaustion surfaces immediately instead of
+    /// letting a scheduler park the session until its deadlock window
+    /// expires. A run that reached its target ([`SliceStatus::Done`]) is
+    /// reported as success even if a failure was recorded along the way —
+    /// over a socket or a region file, late kernel delivery can burn the
+    /// retry budget spuriously, and a completed run proves every abandoned
+    /// frame had in fact been delivered. `seed` is the fault plan's replay
+    /// seed the error reports.
+    pub(crate) fn reliable_outcome(
+        &self,
+        result: Result<SliceStatus, SimError>,
+        seed: u64,
+    ) -> Result<SliceStatus, SimError> {
+        match (result, self.failure()) {
+            (Err(_) | Ok(SliceStatus::Idle), Some(f)) => Err(SimError::RetryBudgetExhausted {
+                seed,
+                seq: f.seq as u64,
+                retries: f.retries,
+                cycle: self.committed_cycles(None),
+                idle_picos: f.idle.as_picos(),
+                peer_gone: f.cause == TransportDead::PeerGone,
+            }),
+            (result, _) => result,
+        }
+    }
+
+    /// Non-blocking readiness over every link end: data anywhere wins, then
+    /// death, then idleness. `None` for the shared medium, which has no end
+    /// to ask.
+    fn probe_ends(&mut self) -> Option<Readiness> {
+        let probe = self.probe?;
+        let ends = self.channels.iter_mut();
+        Some(ends.fold(Readiness::Idle, |all, ch| {
+            all.combine(probe(ch.transport_mut()))
+        }))
+    }
+
+    /// The farm's parking probe. A shared-medium engine is always `Ready`:
+    /// both ends of its transport live in it, so stepping always makes
+    /// progress or fails deterministically.
     pub(crate) fn readiness(&mut self) -> Readiness {
-        probe(&mut self.ports)
+        self.probe_ends().unwrap_or(Readiness::Ready)
     }
 
     /// Dismantles a one-edge engine, salvaging the two models, the
     /// configuration, and the observer for a rebuild on a fresh transport
-    /// (link ends, channels, and ledgers are transport-scoped or restored
-    /// from the checkpoint).
+    /// (wrapper, channel, and ledger state are deliberately dropped: they
+    /// are transport-scoped or restored from the checkpoint).
     pub(crate) fn into_parts(mut self) -> (M, M, CoEmuConfig, Box<dyn EmuObserver>) {
         let mut model = |domain: usize| {
             let port = self.ports[domain].pop().expect("a session has one edge");
@@ -259,100 +363,164 @@ impl<M: DomainModel> PortEngine<M> {
         (model(0), model(1), self.config, self.observer)
     }
 
-    /// Runs at most `max_steps` scheduling rounds toward `target` on the
-    /// calling thread. A round visits every port of every domain once and
-    /// steps it until it blocks on its link or halts — at most one
-    /// transition (LOB depth + flush + await), because every transition needs
-    /// an answer from the peer. Stepping order cannot reorder packets within
-    /// a link, the halt condition is a deterministic protocol event, and the
-    /// final outbox flush happens at the same point on every backend — so
-    /// traces, statistics, and ledgers are bit-identical whatever the medium
-    /// and however a run is cut into slices.
+    fn all_halted(&self, target: u64) -> bool {
+        self.ports_of(None).all(|p| p.halted(target))
+    }
+
+    /// Packets a running port could still consume — on a reliable link also
+    /// the frames it is still owed. Packets addressed to a halted port can
+    /// never be consumed, so they do not count.
+    pub(crate) fn deliverable(&self, target: u64) -> usize {
+        self.ports_of(None)
+            .filter(|p| !p.halted(target))
+            .map(|p| self.channels[p.slot].pending(p.role))
+            .sum()
+    }
+
+    pub(crate) fn deadlock(&self) -> SimError {
+        SimError::Deadlock {
+            cycle: self.committed_cycles(None),
+        }
+    }
+
+    /// One **round**: every port of every domain is visited once, in domain
+    /// order, and a running one is stepped until it blocks on its link or
+    /// halts at `target`, but at most `steps` times — at most one transition
+    /// (LOB depth + flush + await) however large `steps` is, because every
+    /// transition needs an answer from the peer. Returns whether any port
+    /// worked.
     ///
-    /// When every running port is blocked and no link end has anything,
-    /// this returns [`SliceStatus::Idle`] so the caller can multiplex the
-    /// wait over many sessions. Starvation detection therefore belongs to
-    /// the caller too — with one exception: a *dead* medium (peer gone,
-    /// everything drained) with nothing deliverable fails fast with
-    /// [`SimError::Deadlock`] instead of waiting out a timeout.
+    /// Until the port blocks, not one step per visit: a blocked peer would
+    /// otherwise be re-polled once per cycle this port predicts, and over a
+    /// socket each poll is a syscall. (`steps = 1` is for the one caller
+    /// that must be able to stop between any two steps,
+    /// [`CoEmulator::run_until_committed`](crate::CoEmulator::run_until_committed).)
+    pub(crate) fn round(&mut self, target: u64, steps: u32) -> Result<bool, SimError> {
+        let linger = self.probe.is_some();
+        let obs = self.observer.as_mut();
+        let mut any_worked = false;
+        for p in self.ports.iter_mut().flatten() {
+            let (ch, ledger) = (&mut self.channels[p.slot], &mut self.ledgers[p.slot]);
+            if p.halted(target) {
+                if linger {
+                    // The final message of the run may still sit in the
+                    // batching outbox (recv flushes it), and a per-side
+                    // reliability layer may owe the peer retransmissions
+                    // and must keep consuming acknowledgements until every
+                    // port has halted. Anything drained here is
+                    // recovery-layer chatter — protocol traffic stops at
+                    // the boundary.
+                    let _ = ch.recv(p.role);
+                }
+                continue;
+            }
+            for _ in 0..steps {
+                match p.wrapper.step(ch, ledger, &p.costs, obs)? {
+                    Progress::Worked => any_worked = true,
+                    Progress::Blocked => break,
+                }
+                if p.halted(target) {
+                    break;
+                }
+            }
+        }
+        Ok(any_worked)
+    }
+
+    /// Runs at most `max_steps` [rounds](Self::round) toward `target` on the
+    /// calling thread. Stepping order cannot reorder packets within a link,
+    /// the halt condition is a deterministic protocol event, and the final
+    /// outbox flush happens at the same point on every backend — so traces,
+    /// statistics, and ledgers are bit-identical whatever the medium and
+    /// however a run is cut into slices.
+    ///
+    /// The links are asked what they hold only after a round in which no
+    /// port worked. If every running port is then blocked with nothing
+    /// deliverable and nothing owed, the layout decides. A shared medium is
+    /// self-contained — nothing else can put a packet into it — so that is
+    /// [`SimError::Deadlock`] at once. Per-side ends may have frames in
+    /// flight inside the medium (kernel socket buffer, ring): every end is
+    /// probed without blocking, and if all are quiet this returns
+    /// [`SliceStatus::Idle`] so the caller can multiplex the wait over many
+    /// sessions. Starvation detection therefore belongs to the caller too —
+    /// with one exception: a *dead* medium (peer gone, everything drained)
+    /// fails fast with [`SimError::Deadlock`] instead of waiting out a
+    /// timeout.
     pub(crate) fn run_slice(
         &mut self,
         target: u64,
         max_steps: u32,
     ) -> Result<SliceStatus, SimError> {
-        let ports = &mut self.ports[..];
-        let obs = self.observer.as_mut();
         for _ in 0..max_steps {
-            if all_halted(ports, target) {
+            if self.all_halted(target) {
                 break;
             }
-            let mut any_worked = false;
-            let mut deliverable = 0;
-            for p in ports.iter_mut().flatten() {
-                if p.halted(target) {
-                    // The halt-linger: the final message of the run may
-                    // still sit in the batching outbox (recv flushes it),
-                    // and a per-side reliability layer may owe the peer
-                    // retransmissions and must keep consuming
-                    // acknowledgements until every port has halted. Anything
-                    // drained here is recovery-layer chatter — protocol
-                    // traffic stops at the boundary.
-                    let _ = p.ch.recv(p.role);
-                    continue;
-                }
-                // Until the port blocks or halts, not one step per round: a
-                // blocked peer would otherwise be re-polled once per cycle
-                // this port predicts, and over a socket each poll is a
-                // syscall.
-                while !p.halted(target) {
-                    match p.wrapper.step(&mut p.ch, &mut p.ledger, &p.costs, obs)? {
-                        Progress::Worked => any_worked = true,
-                        Progress::Blocked => {
-                            // Packets addressed to a halted port can never
-                            // be consumed, so only the running ports' count.
-                            deliverable += p.ch.pending(p.role);
-                            break;
-                        }
-                    }
-                }
-            }
-            if any_worked || deliverable > 0 {
+            if self.round(target, u32::MAX)? || self.deliverable(target) > 0 {
                 continue;
             }
-            // Nothing stepped and nothing locally decoded — but frames may be
-            // in flight inside the medium (kernel socket buffer, ring). Probe
-            // every link end without blocking.
-            match probe(ports) {
+            match self.probe_ends() {
                 // Data just landed (or a reliability layer owes a repair
                 // that only polling advances): keep stepping.
-                Readiness::Ready => {}
-                Readiness::Idle => return Ok(SliceStatus::Idle),
-                Readiness::Dead => {
-                    let cycle = min_cycle(ports.iter().flatten());
-                    return Err(SimError::Deadlock { cycle });
-                }
+                Some(Readiness::Ready) => {}
+                Some(Readiness::Idle) => return Ok(SliceStatus::Idle),
+                Some(Readiness::Dead) | None => return Err(self.deadlock()),
             }
         }
         // Also reached when the budget ran out on exactly the round that
         // finished the run.
-        if all_halted(ports, target) {
-            // No-ops where the linger branch already pushed the final outbox
-            // out.
-            for p in ports.iter_mut().flatten() {
-                p.ch.flush();
+        if self.all_halted(target) {
+            // No-ops where the linger already pushed the final outbox out,
+            // and where nothing is batched.
+            for ch in &mut self.channels {
+                ch.flush();
             }
             return Ok(SliceStatus::Done);
         }
         Ok(SliceStatus::Working)
     }
+}
+
+impl<M: DomainModel, T: Transport + PollReady> Engine<M, T> {
+    /// The per-side layout over `mesh`'s link ends: one protocol engine pair
+    /// per edge (`models[e]` is edge `e`'s simulator-role and
+    /// accelerator-role model), every port on its own channel and ledger.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a model pair's sides or widths disagree.
+    pub(crate) fn per_side(models: Vec<(M, M)>, mesh: Fabric<T>, config: CoEmuConfig) -> Self {
+        let (domains, edges, links) = mesh.into_parts();
+        let channels = links
+            .into_iter()
+            .flat_map(|(sim_end, acc_end)| [sim_end, acc_end])
+            .map(|end| {
+                let mut ch = CostedChannel::with_transport(end, config.channel);
+                // Per-scheduling-slice batching: a domain's sends are parked
+                // in the channel outbox and flushed when the domain next
+                // reads the channel or blocks — consecutive messages (a
+                // report followed by the next transition's opener) coalesce
+                // into one physical write. Billing is identical to the
+                // unbatched path, so traces, statistics, and ledgers stay
+                // bit-identical to the queue baseline (the conformance
+                // harness asserts exactly that).
+                ch.set_batching(true);
+                ch
+            })
+            .collect();
+        Self::assemble(domains, edges, models, channels, Some(T::readiness), config)
+    }
 
     /// Runs until every domain stands halted at a transition boundary with
     /// at least `target` cycles committed on each of its ports: slices until
-    /// done, waiting on the link ends through idle rounds. A reliability
-    /// layer needs fruitless polls to advance its retransmission clock, so
-    /// an idle round is not yet a deadlock — only a full starvation window
-    /// of them is.
-    pub(crate) fn run_until_synchronized(&mut self, target: u64) -> Result<(), SimError> {
+    /// done, waiting on the link ends through idle rounds (never, over a
+    /// shared medium). A reliability layer needs fruitless polls to advance
+    /// its retransmission clock, so an idle round is not yet a deadlock —
+    /// only a full starvation window of them (`opts.deadlock_timeout`) is.
+    pub(crate) fn run_until_synchronized(
+        &mut self,
+        target: u64,
+        opts: ThreadedOpts,
+    ) -> Result<(), SimError> {
         let mut idle_since: Option<Instant> = None;
         loop {
             // One round per slice, so `Working` means *this* round moved
@@ -362,101 +530,111 @@ impl<M: DomainModel> PortEngine<M> {
                 SliceStatus::Working => idle_since = None,
                 SliceStatus::Idle => {
                     if idle_since.get_or_insert_with(Instant::now).elapsed()
-                        >= self.opts.deadlock_timeout
+                        >= opts.deadlock_timeout
                     {
-                        return Err(SimError::Deadlock {
-                            cycle: self.committed_cycles(None),
-                        });
+                        return Err(self.deadlock());
                     }
                     // Halted ports are left out: what arrives for them is
                     // never consumed, so it must not cut the wait short.
-                    let mut ends: Vec<_> = self
-                        .ports
+                    let Engine {
+                        ports, channels, ..
+                    } = self;
+                    let running = |slot: usize| {
+                        let mut ports = ports.iter().flatten();
+                        ports.any(|p| p.slot == slot && !p.halted(target))
+                    };
+                    let mut ends: Vec<_> = channels
                         .iter_mut()
-                        .flatten()
-                        .filter(|p| !p.halted(target))
-                        .map(|p| p.ch.transport_mut())
+                        .enumerate()
+                        .filter(|(slot, _)| running(*slot))
+                        .map(|(_, ch)| ch.transport_mut())
                         .collect();
-                    PollSet::syscall_probes().wait_any(&mut ends, self.opts.poll_interval);
+                    PollSet::syscall_probes().wait_any(&mut ends, opts.poll_interval);
                 }
             }
         }
     }
 }
 
-/// The labels a one-edge (per-side-channel) checkpoint serializes under, in
-/// restore order.
-const SECTIONS: [&str; 6] = [
-    "wrapper.sim",
-    "wrapper.acc",
-    "channel.sim",
-    "channel.acc",
-    "ledger.sim",
-    "ledger.acc",
-];
-
 /// Checkpointing, for the one-edge engine a two-domain session runs on.
-impl<M: DomainModel> PortEngine<M> {
-    /// The two ports of edge 0, simulator side first.
-    fn pair(&self) -> [&Port<M>; 2] {
-        [&self.ports[0][0], &self.ports[1][0]]
+impl<M: DomainModel, T: Transport + Snapshot> Engine<M, T> {
+    /// The labels this layout's channel sections and ledger sections
+    /// serialize under, in slot order (wire format: never rename).
+    fn section_labels(&self) -> [&'static [&'static str]; 2] {
+        match self.probe {
+            None => [&["channel"], &["ledger"]],
+            Some(_) => [
+                &["channel.sim", "channel.acc"],
+                &["ledger.sim", "ledger.acc"],
+            ],
+        }
     }
 
-    fn pair_mut(&mut self) -> [&mut Port<M>; 2] {
-        let (sim, acc) = self.ports.split_at_mut(1);
-        [&mut sim[0][0], &mut acc[0][0]]
-    }
-
-    /// Fills `ckpt` with the per-side component sections. Endpoint
-    /// transports serialize nothing — in-flight frames in an external medium
-    /// are healed on resume by a reliability layer's re-armed window.
+    /// Fills `ckpt` with the component sections: both wrappers (model,
+    /// predictors, trace, statistics), then every channel, then every
+    /// ledger. A shared in-process medium is part of its channel's words,
+    /// frames in flight included; endpoint transports serialize nothing —
+    /// in-flight frames in an external medium are healed on resume by a
+    /// reliability layer's re-armed window.
     pub(crate) fn checkpoint_into(
         &self,
         ckpt: &mut SessionCheckpoint,
     ) -> Result<(), CheckpointError> {
-        let [sim, acc] = self.pair();
-        if let Some(err) = sim.wrapper.poisoned().or_else(|| acc.wrapper.poisoned()) {
+        let (sim, acc) = self.edge_wrappers(0);
+        if let Some(err) = sim.poisoned().or_else(|| acc.poisoned()) {
             return Err(CheckpointError::Poisoned(err.clone()));
         }
-        if !(sim.wrapper.at_transition_boundary() && acc.wrapper.at_transition_boundary()) {
+        if !(sim.at_transition_boundary() && acc.at_transition_boundary()) {
             return Err(CheckpointError::NotAtBoundary);
         }
-        ckpt.push_section(
-            "wrapper.sim",
-            save_section(|w| sim.wrapper.checkpoint_save(w)),
-        );
-        ckpt.push_section(
-            "wrapper.acc",
-            save_section(|w| acc.wrapper.checkpoint_save(w)),
-        );
-        ckpt.push_section("channel.sim", save_section(|w| sim.ch.save(w)));
-        ckpt.push_section("channel.acc", save_section(|w| acc.ch.save(w)));
-        ckpt.push_section("ledger.sim", save_section(|w| sim.ledger.save(w)));
-        ckpt.push_section("ledger.acc", save_section(|w| acc.ledger.save(w)));
+        ckpt.push_section("wrapper.sim", save_section(|w| sim.checkpoint_save(w)));
+        ckpt.push_section("wrapper.acc", save_section(|w| acc.checkpoint_save(w)));
+        let [channel_labels, ledger_labels] = self.section_labels();
+        for (label, ch) in channel_labels.iter().zip(&self.channels) {
+            ckpt.push_section(label, save_section(|w| ch.save(w)));
+        }
+        for (label, ledger) in ledger_labels.iter().zip(&self.ledgers) {
+            ckpt.push_section(label, save_section(|w| ledger.save(w)));
+        }
         Ok(())
     }
 
     pub(crate) fn restore_from(&mut self, ckpt: &SessionCheckpoint) -> Result<(), CheckpointError> {
+        let [channel_labels, ledger_labels] = self.section_labels();
         // Pre-flight the section table before touching anything, so a
         // checkpoint with the wrong shape is rejected without mutation.
-        for label in SECTIONS {
+        for label in ["wrapper.sim", "wrapper.acc"]
+            .iter()
+            .chain(channel_labels)
+            .chain(ledger_labels)
+        {
             ckpt.section(label)?;
         }
-        let [sim, acc] = self.pair_mut();
+        let Engine {
+            ports,
+            channels,
+            ledgers,
+            ..
+        } = self;
+        let (sim, acc) = ports.split_at_mut(1);
+        let (sim, acc) = (&mut sim[0][0].wrapper, &mut acc[0][0].wrapper);
         let result = (|| {
-            restore_section(ckpt, "wrapper.sim", |r| sim.wrapper.checkpoint_restore(r))?;
-            restore_section(ckpt, "wrapper.acc", |r| acc.wrapper.checkpoint_restore(r))?;
-            restore_section(ckpt, "channel.sim", |r| sim.ch.restore(r))?;
-            restore_section(ckpt, "channel.acc", |r| acc.ch.restore(r))?;
-            restore_section(ckpt, "ledger.sim", |r| sim.ledger.restore(r))?;
-            restore_section(ckpt, "ledger.acc", |r| acc.ledger.restore(r))
+            restore_section(ckpt, "wrapper.sim", |r| sim.checkpoint_restore(r))?;
+            restore_section(ckpt, "wrapper.acc", |r| acc.checkpoint_restore(r))?;
+            for (label, ch) in channel_labels.iter().zip(channels) {
+                restore_section(ckpt, label, |r| ch.restore(r))?;
+            }
+            for (label, ledger) in ledger_labels.iter().zip(ledgers) {
+                restore_section(ckpt, label, |r| ledger.restore(r))?;
+            }
+            Ok(())
         })();
         if let Err(CheckpointError::Snapshot { source, .. }) = &result {
             // A failed section leaves the pair inconsistent: poison both
             // wrappers so the session refuses to step until a full restore
             // succeeds.
-            sim.wrapper.poison(source.clone());
-            acc.wrapper.poison(source.clone());
+            sim.poison(source.clone());
+            acc.poison(source.clone());
         }
         result
     }

@@ -1,4 +1,4 @@
-//! N-domain fabric sessions: the port engine past two domains.
+//! N-domain fabric sessions: the engine past two domains.
 //!
 //! A [`FabricSession`] joins `N ≥ 2` domains over a full-mesh
 //! [`Fabric`](predpkt_channel::Fabric) of links. Routing is structural and
@@ -20,9 +20,10 @@
 //! per edge — and a fully halted domain keeps pumping acknowledgements on
 //! **all** of its links until every other domain has halted too, so per-link
 //! reliability layers can finish retransmissions and no peer is ever
-//! stranded mid-recovery. The engine is the one that runs the two-domain
-//! session's per-side-endpoint backends, where `N = 2` is one edge and one port per
-//! domain; the conformance suite pins the two to each other bit-for-bit.
+//! stranded mid-recovery. The engine is the one every two-domain session
+//! runs, in the layout of its per-side-endpoint backends, where `N = 2` is
+//! one edge and one port per domain; the conformance suite pins the two to
+//! each other bit-for-bit.
 //!
 //! ## Backends and determinism
 //!
@@ -40,13 +41,13 @@
 
 use crate::blueprint::SocBlueprint;
 use crate::coemu::{CoEmuConfig, ConfigError, SliceStatus};
-use crate::engine::PortEngine;
-use crate::link::{LinkSpec, TransportSelect};
+use crate::engine::Engine;
+use crate::link::{Link, LinkSpec, TransportSelect};
 use crate::report::PerfReport;
-use crate::session::{map_reliable_outcome, SessionError};
+use crate::session::SessionError;
 use crate::wrapper::merge_committed_traces;
 use crate::AhbDomainModel;
-use predpkt_channel::{BatchStats, ChannelStats, FabricEdge, FaultStats, RecoveryStats};
+use predpkt_channel::{ChannelStats, FabricEdge, FaultStats, RecoveryStats, Transport};
 use predpkt_predict::PaperSuite;
 use predpkt_sim::{SimError, TimeLedger, Trace};
 use std::fmt;
@@ -104,7 +105,7 @@ impl FabricSessionBuilder<'_> {
             .map(|_| self.blueprint.build_pair_with(&PaperSuite))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(FabricSession {
-            engine: PortEngine::new(models, mesh, self.config, &link, None),
+            engine: Engine::per_side(models, mesh, self.config),
             link,
         })
     }
@@ -135,7 +136,7 @@ impl FabricSessionBuilder<'_> {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct FabricSession {
-    engine: PortEngine<AhbDomainModel>,
+    engine: Engine<AhbDomainModel, Box<dyn Link>>,
     link: LinkSpec,
 }
 
@@ -179,14 +180,10 @@ impl FabricSession {
     /// [`EmuSession::run_until_committed`](crate::EmuSession::run_until_committed),
     /// surfaced from whichever domain hit them first.
     pub fn run_until_committed(&mut self, cycles: u64) -> Result<(), SimError> {
-        let result = self.engine.run_until_synchronized(cycles);
-        map_reliable_outcome(
-            result.map(|()| SliceStatus::Done),
-            self.engine.failure(),
-            self.link.failure_seed(),
-            self.committed_cycles(),
-        )
-        .map(|_| ())
+        let result = self.engine.run_until_synchronized(cycles, self.link.opts());
+        self.engine
+            .reliable_outcome(result.map(|()| SliceStatus::Done), self.link.failure_seed())
+            .map(|_| ())
     }
 
     /// Cycles every domain has committed (the minimum over all ports).
@@ -224,26 +221,18 @@ impl FabricSession {
     /// Domain `domain`'s performance report: its merged ledger and channel
     /// statistics, its wrapper counters split by port role, and — on
     /// reliable backends — its share of the recovery bill.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `domain` has not committed a cycle on every one of its
+    /// ports yet — a freshly built fabric, or one with a link that died in
+    /// the handshake: every row of the report is per committed cycle.
+    /// [`EmuSession::report`](crate::EmuSession::report) and
+    /// [`CoEmulator::report`](crate::CoEmulator::report) are the same method
+    /// and panic alike; check [`domain_committed`](Self::domain_committed)
+    /// first.
     pub fn domain_report(&self, domain: usize) -> PerfReport {
-        let (sim, acc) = self.engine.cw_stats(Some(domain));
-        let report = PerfReport::new(
-            self.domain_ledger(domain),
-            self.domain_committed(domain),
-            self.domain_channel_stats(domain),
-            sim,
-            acc,
-        );
-        let report = match self.domain_recovery_stats(domain) {
-            Some(recovery) => report.with_recovery(recovery),
-            None => report,
-        };
-        let batch =
-            self.engine
-                .link_stats(Some(domain), |link| link.batch_stats(), BatchStats::merge);
-        match batch {
-            Some(batch) => report.with_batch(batch),
-            None => report,
-        }
+        self.engine.report(Some(domain))
     }
 
     /// Domain `domain`'s merged recovery counters, when the fabric runs

@@ -31,16 +31,17 @@
 //!   reliability layer) that validates the knobs, names the backend, derives
 //!   the per-link fault seeds, and builds the layers by stacking them — for
 //!   sessions and fabrics alike.
-//! * Two engines drive the protocol. [`CoEmulator`] is the **reference
-//!   engine**: both domains over one shared in-process medium on the calling
-//!   thread, generic over any [`Transport`](predpkt_channel::Transport); the
-//!   queue-backed sessions run on it, and every other backend is
-//!   conformance-checked against it. The **port engine** gives each domain
-//!   its own end of every link it touches and runs both the
-//!   per-side-endpoint backends of an [`EmuSession`] (the one-edge,
-//!   two-domain case) and every [`FabricSession`]. Both step their domains
-//!   on the calling thread — to completion, or in bounded slices for a
-//!   session farm — so backends differ in the medium, never in the schedule.
+//! * One engine drives the protocol, in one of two channel layouts. Over a
+//!   **shared medium** both domains use one channel and one ledger on one
+//!   in-process transport: the queue-backed sessions, against which every
+//!   other backend is conformance-checked, and [`CoEmulator`], the name for
+//!   this layout over any [`Transport`](predpkt_channel::Transport) the
+//!   caller supplies. Over **per-side ends** each domain has its own end of
+//!   every link it touches, with a channel and a ledger per end: the other
+//!   backends of an [`EmuSession`] (the one-edge, two-domain case) and every
+//!   [`FabricSession`]. Either way the domains are stepped on the calling
+//!   thread — to completion, or in bounded slices for a session farm — so
+//!   backends differ in the medium, never in the schedule.
 //! * [`DomainModel`] abstracts the domain content so the same protocol engine
 //!   drives both the real AHB SoC and the controlled-accuracy synthetic
 //!   workloads used to regenerate the paper's parametric evaluation.

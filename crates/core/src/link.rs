@@ -9,7 +9,7 @@
 //! layer ([`ReliableTransport`]). Communication layers stack independently
 //! of behaviour (the layered-TLM point), so validation, the backend's stable
 //! name, seed derivation, and construction each exist exactly once here, and
-//! the engines only ever see a type-erased [`Link`]. What distinguishes the
+//! the engine only ever sees a type-erased [`Link`]. What distinguishes the
 //! backends is the medium, never the schedule: every session and fabric is
 //! stepped on the thread that calls its run method.
 
@@ -362,9 +362,11 @@ impl LinkSpec {
         self.names().1
     }
 
-    /// Whether a two-domain session over this link shares one in-process
-    /// medium between its domains — the reference engine's shape — instead
-    /// of giving each domain its own link end.
+    /// Which of the engine's two layouts a two-domain session over this
+    /// link takes: one in-process medium shared by both domains (one channel,
+    /// one ledger; built by [`shared_medium`](Self::shared_medium)) when
+    /// true, a link end per domain (built by [`mesh`](Self::mesh), as every
+    /// fabric is) otherwise.
     pub(crate) fn shares_medium(&self) -> bool {
         self.base == LinkBase::Queue
     }

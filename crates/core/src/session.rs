@@ -29,14 +29,18 @@
 //!   ledgers to a clean run, with the repair traffic billed into
 //!   [`RecoveryStats`] (see [`EmuSession::recovery_stats`]).
 //!
-//! Underneath there are two engines. The in-process backends (queue, lossy,
-//! and the reliable layer over either) run on the **reference engine**,
-//! [`CoEmulator`]: both domains over one shared medium on the calling
-//! thread, exactly reproducible. Every other backend gives each domain its
-//! own end of a link and runs on the **port engine** — the same engine that
-//! drives an N-domain [`FabricSession`](crate::FabricSession), of which a
-//! session is the one-edge, two-domain case. Both engines step their domains
-//! on the calling thread: backends differ in the medium, not the schedule.
+//! Underneath there is one engine with two channel layouts. The in-process
+//! backends (queue, lossy, and the reliable layer over either) put both
+//! domains on **one shared medium**: one channel and one ledger, exactly
+//! reproducible — the layout [`CoEmulator`](crate::CoEmulator) names, for
+//! callers that bring their own [`Transport`](predpkt_channel::Transport).
+//! Every other backend gives each domain **its own end** of a link, with a
+//! channel and a ledger per side — the layout of an N-domain
+//! [`FabricSession`](crate::FabricSession), of which a session is the
+//! one-edge, two-domain case. The run loop, the halt rule, the deadlock rule,
+//! the report, and the checkpoint sections are the same code for both, and
+//! every domain is stepped on the calling thread: backends differ in the
+//! medium, not the schedule.
 //!
 //! Sessions halt at **transition boundaries**: a domain stops only when it is
 //! synchronized with its peer and has committed at least the target cycle
@@ -71,8 +75,8 @@
 
 use crate::blueprint::SocBlueprint;
 use crate::checkpoint::{CheckpointError, SessionCheckpoint};
-use crate::coemu::{CoEmuConfig, CoEmulator, ConfigError, SliceStatus};
-use crate::engine::PortEngine;
+use crate::coemu::{CoEmuConfig, ConfigError, SliceStatus};
+use crate::engine::Engine;
 use crate::link::{Link, LinkSpec, TransportSelect};
 use crate::model::DomainModel;
 use crate::observer::EmuObserver;
@@ -81,8 +85,7 @@ use crate::wrapper::{merge_committed_traces, ChannelWrapper, CwStats, ModePolicy
 use crate::AhbDomainModel;
 use predpkt_ahb::bus::BusConfigError;
 use predpkt_channel::{
-    BatchStats, ChannelStats, FaultStats, PollReady, Readiness, RecoveryStats, RetryExhausted,
-    Transport,
+    BatchStats, ChannelStats, FaultStats, PollReady, Readiness, RecoveryStats, Transport,
 };
 use predpkt_predict::{PaperSuite, PredictorSuite};
 use predpkt_sim::{SimError, TimeLedger, Trace};
@@ -208,27 +211,17 @@ impl<M: DomainModel + Send + 'static> EmuSessionBuilder<M> {
         self.config.validate()?;
         let link = self.transport.lower()?;
         let cost_model = self.config.channel;
-        let inner = if link.shares_medium() {
-            let engine = CoEmulator::with_transport(
-                self.sim,
-                self.acc,
-                self.config,
-                link.shared_medium(cost_model),
-            );
-            SessionInner::Reference(Box::new(match self.observer {
-                Some(observer) => engine.with_observer(observer),
-                None => engine,
-            }))
+        let mut engine = if link.shares_medium() {
+            let medium = link.shared_medium(cost_model);
+            Engine::shared(self.sim, self.acc, self.config, medium)
         } else {
-            SessionInner::Ports(PortEngine::new(
-                vec![(self.sim, self.acc)],
-                link.mesh(2, cost_model)?,
-                self.config,
-                &link,
-                self.observer,
-            ))
+            let mesh = link.mesh(2, cost_model)?;
+            Engine::per_side(vec![(self.sim, self.acc)], mesh, self.config)
         };
-        Ok(EmuSession { inner, link })
+        if let Some(observer) = self.observer {
+            engine.set_observer(observer);
+        }
+        Ok(EmuSession { engine, link })
     }
 }
 
@@ -305,19 +298,10 @@ impl<'bp> BlueprintSessionBuilder<'bp> {
 /// See the crate-level docs for the backend catalogue ([`TransportSelect`])
 /// and the boundary-halt semantics shared by every backend.
 pub struct EmuSession<M: DomainModel + Send + 'static> {
-    inner: SessionInner<M>,
+    /// One edge: two ports on one shared channel, or on one channel each —
+    /// whichever [`LinkSpec::shares_medium`] says of `link`.
+    engine: Engine<M, Box<dyn Link>>,
     link: LinkSpec,
-}
-
-enum SessionInner<M: DomainModel + Send + 'static> {
-    /// The reference engine: both domains over one shared in-process medium,
-    /// stepped on the calling thread. (Boxed: it holds its wrappers inline
-    /// and would otherwise make every session five times the port engine's
-    /// size.)
-    Reference(Box<CoEmulator<M, Box<dyn Link>>>),
-    /// The port engine with one edge: each domain on its own end of a real
-    /// link.
-    Ports(PortEngine<M>),
 }
 
 impl EmuSession<AhbDomainModel> {
@@ -365,48 +349,22 @@ impl<M: DomainModel + Send + 'static> EmuSession<M> {
     /// a frame, or any protocol/snapshot error — including decode failures
     /// for corrupted packets.
     pub fn run_until_committed(&mut self, cycles: u64) -> Result<(), SimError> {
-        let result = match &mut self.inner {
-            SessionInner::Reference(c) => c.run_until_synchronized(cycles),
-            SessionInner::Ports(p) => p.run_until_synchronized(cycles),
-        };
+        let result = self.engine.run_until_synchronized(cycles, self.link.opts());
         // A blocking run that returned is a sliced run that reached `Done`.
-        self.reliable_outcome(result.map(|()| SliceStatus::Done))
+        self.engine
+            .reliable_outcome(result.map(|()| SliceStatus::Done), self.link.failure_seed())
             .map(|_| ())
-    }
-
-    /// Maps a run's outcome through the reliable backends' failure rule
-    /// (see [`map_reliable_outcome`]); a no-op on every other backend.
-    fn reliable_outcome(
-        &self,
-        result: Result<SliceStatus, SimError>,
-    ) -> Result<SliceStatus, SimError> {
-        let failure = match &self.inner {
-            SessionInner::Reference(c) => c.transport().failure(),
-            SessionInner::Ports(p) => p.failure(),
-        };
-        map_reliable_outcome(
-            result,
-            failure,
-            self.link.failure_seed(),
-            self.committed_cycles(),
-        )
     }
 
     /// Cycles both domains have committed.
     pub fn committed_cycles(&self) -> u64 {
-        match &self.inner {
-            SessionInner::Reference(c) => c.committed_cycles(),
-            SessionInner::Ports(p) => p.committed_cycles(None),
-        }
+        self.engine.committed_cycles(None)
     }
 
     /// The virtual-time ledger (merged across the two per-side ledgers for
     /// the per-side backends).
     pub fn ledger(&self) -> TimeLedger {
-        match &self.inner {
-            SessionInner::Reference(c) => c.ledger().clone(),
-            SessionInner::Ports(p) => p.ledger(None),
-        }
+        self.engine.ledger(None)
     }
 
     /// Channel statistics (merged across the two per-side channels for the
@@ -414,19 +372,7 @@ impl<M: DomainModel + Send + 'static> EmuSession<M> {
     /// included — see [`recovery_stats`](Self::recovery_stats) — so these
     /// figures stay comparable with a clean run.
     pub fn channel_stats(&self) -> ChannelStats {
-        match &self.inner {
-            SessionInner::Reference(c) => c.channel_stats().clone(),
-            SessionInner::Ports(p) => p.channel_stats(None),
-        }
-    }
-
-    /// One optional counter block of the link stack, merged across both
-    /// sides where each has its own.
-    fn link_stats<S>(&self, hook: fn(&dyn Link) -> Option<S>, merge: fn(&mut S, &S)) -> Option<S> {
-        match &self.inner {
-            SessionInner::Reference(c) => hook(c.transport().as_ref()),
-            SessionInner::Ports(p) => p.link_stats(None, hook, merge),
-        }
+        self.engine.channel_stats(None)
     }
 
     /// Fault counters, when the session injects faults (the lossy backend,
@@ -438,13 +384,15 @@ impl<M: DomainModel + Send + 'static> EmuSession<M> {
         if !self.link.reports_faults() {
             return None;
         }
-        self.link_stats(|link| link.fault_stats(), FaultStats::merge)
+        self.engine
+            .link_stats(None, |link| link.fault_stats(), FaultStats::merge)
     }
 
     /// Recovery counters, when the session runs over a reliable backend
     /// (merged across the two per-side layers where each side has its own).
     pub fn recovery_stats(&self) -> Option<RecoveryStats> {
-        self.link_stats(|link| link.recovery_stats(), RecoveryStats::merge)
+        self.engine
+            .link_stats(None, |link| link.recovery_stats(), RecoveryStats::merge)
     }
 
     /// Physical-write efficiency counters (frames per socket write / ring
@@ -453,15 +401,13 @@ impl<M: DomainModel + Send + 'static> EmuSession<M> {
     /// lossy/reliable wrappers. `None` for backends with no physical write
     /// concept (queue, lossy-over-queue, mpsc).
     pub fn batch_stats(&self) -> Option<BatchStats> {
-        self.link_stats(|link| link.batch_stats(), BatchStats::merge)
+        self.engine
+            .link_stats(None, |link| link.batch_stats(), BatchStats::merge)
     }
 
     /// The two protocol engines, simulator side first.
     fn wrappers(&self) -> (&ChannelWrapper<M>, &ChannelWrapper<M>) {
-        match &self.inner {
-            SessionInner::Reference(c) => c.wrappers(),
-            SessionInner::Ports(p) => p.edge_wrappers(0),
-        }
+        self.engine.edge_wrappers(0)
     }
 
     /// Simulator-side wrapper statistics.
@@ -486,35 +432,27 @@ impl<M: DomainModel + Send + 'static> EmuSession<M> {
 
     /// The configuration in force.
     pub fn config(&self) -> &CoEmuConfig {
-        match &self.inner {
-            SessionInner::Reference(c) => c.config(),
-            SessionInner::Ports(p) => p.config(),
-        }
+        self.engine.config()
     }
 
     /// Builds the performance report over the committed cycles, including
-    /// the recovery bill for reliable backends.
+    /// the recovery bill for reliable backends and the frame-coalescing
+    /// counters for the batching ones.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no cycle has committed yet — a freshly built session, or
+    /// one whose link died in the handshake: every row of the report is per
+    /// committed cycle. [`CoEmulator::report`](crate::CoEmulator::report) and
+    /// [`FabricSession::domain_report`](crate::FabricSession::domain_report)
+    /// are the same method and panic alike; check
+    /// [`committed_cycles`](Self::committed_cycles) first.
     pub fn report(&self) -> PerfReport {
-        let (sim, acc) = self.wrappers();
-        let report = PerfReport::new(
-            self.ledger(),
-            self.committed_cycles(),
-            self.channel_stats(),
-            sim.stats().clone(),
-            acc.stats().clone(),
-        );
-        let report = match self.recovery_stats() {
-            Some(recovery) => report.with_recovery(recovery),
-            None => report,
-        };
-        match self.batch_stats() {
-            Some(batch) => report.with_batch(batch),
-            None => report,
-        }
+        self.engine.report(None)
     }
 
     /// Merges the two domains' committed local-output traces into full-bus
-    /// records (see [`CoEmulator::merged_trace`]).
+    /// records (see [`CoEmulator::merged_trace`](crate::CoEmulator::merged_trace)).
     pub fn merged_trace(&self, merge: impl Fn(&[u64], &[u64]) -> Vec<u64>) -> Trace {
         let (sim, acc) = self.wrappers();
         merge_committed_traces(sim, acc, merge)
@@ -549,10 +487,7 @@ impl<M: DomainModel + Send + 'static> EmuSession<M> {
     /// after a failed restore.
     pub fn checkpoint(&self) -> Result<SessionCheckpoint, CheckpointError> {
         let mut ckpt = SessionCheckpoint::new(self.backend(), self.committed_cycles());
-        match &self.inner {
-            SessionInner::Reference(c) => c.checkpoint_into(&mut ckpt),
-            SessionInner::Ports(p) => p.checkpoint_into(&mut ckpt),
-        }?;
+        self.engine.checkpoint_into(&mut ckpt)?;
         Ok(ckpt)
     }
 
@@ -575,10 +510,7 @@ impl<M: DomainModel + Send + 'static> EmuSession<M> {
                 found: ckpt.backend().to_string(),
             });
         }
-        match &mut self.inner {
-            SessionInner::Reference(c) => c.restore_from(ckpt),
-            SessionInner::Ports(p) => p.restore_from(ckpt),
-        }
+        self.engine.restore_from(ckpt)
     }
 
     /// Rebuilds this session on a **fresh transport** and rewinds it onto
@@ -610,10 +542,7 @@ impl<M: DomainModel + Send + 'static> EmuSession<M> {
         ckpt: &SessionCheckpoint,
         transport: TransportSelect,
     ) -> Result<EmuSession<M>, SessionError> {
-        let (sim, acc, config, observer) = match self.inner {
-            SessionInner::Reference(c) => c.into_parts(),
-            SessionInner::Ports(p) => p.into_parts(),
-        };
+        let (sim, acc, config, observer) = self.engine.into_parts();
         let mut session = EmuSession::builder(sim, acc)
             .config(config)
             .transport(transport)
@@ -621,36 +550,6 @@ impl<M: DomainModel + Send + 'static> EmuSession<M> {
             .build()?;
         session.restore(ckpt)?;
         Ok(session)
-    }
-}
-
-/// Converts a run's outcome on a reliable backend. A recorded
-/// [`RetryExhausted`] failure takes precedence over the raw engine error
-/// (typically the deadlock the abandonment surfaced as). An *idle* slice with
-/// an abandoned frame recorded is hopeless too — the abandoned data can never
-/// arrive, so the exhaustion surfaces immediately instead of letting a
-/// scheduler park the session until its deadlock window expires. A run that
-/// reached its target ([`SliceStatus::Done`]; a blocking run that returned)
-/// is reported as success even if a failure was recorded along the way — over
-/// a socket or a region file, late kernel delivery can burn the retry budget
-/// spuriously, and a completed run proves every abandoned frame had in fact
-/// been delivered.
-pub(crate) fn map_reliable_outcome(
-    result: Result<SliceStatus, SimError>,
-    failure: Option<RetryExhausted>,
-    seed: u64,
-    cycle: u64,
-) -> Result<SliceStatus, SimError> {
-    match (result, failure) {
-        (Err(_) | Ok(SliceStatus::Idle), Some(f)) => Err(SimError::RetryBudgetExhausted {
-            seed,
-            seq: f.seq as u64,
-            retries: f.retries,
-            cycle,
-            idle_picos: f.idle.as_picos(),
-            peer_gone: f.cause == predpkt_channel::TransportDead::PeerGone,
-        }),
-        (result, _) => result,
     }
 }
 
@@ -668,10 +567,10 @@ impl<M: DomainModel + Send + fmt::Debug + 'static> fmt::Debug for EmuSession<M> 
 /// farm](https://docs.rs/predpkt-farm) multiplexes over a fixed worker pool.
 ///
 /// Every backend the session layer offers runs sliced, with the same
-/// committed results: the reference engine never waits on a medium, and the
-/// port engine (mpsc, TCP, shm — bare or under the reliable layer) hands the
-/// waits its blocking run would make out to the caller as
-/// [`SliceStatus::Idle`] + [`readiness`](Self::readiness).
+/// committed results: a session over the shared in-process medium never
+/// waits on it, and one over per-side link ends (mpsc, TCP, shm — bare or
+/// under the reliable layer) hands the waits its blocking run would make out
+/// to the caller as [`SliceStatus::Idle`] + [`readiness`](Self::readiness).
 /// The cross-transport conformance property carries over: driving a session
 /// to [`SliceStatus::Done`] through *any* interleaving of slices commits
 /// bit-identical traces, channel statistics, and ledgers to one
@@ -740,6 +639,12 @@ impl<M: DomainModel + Send + 'static> EmuSession<M> {
 impl<M: DomainModel + Send + 'static> SlicedSession<M> {
     /// Runs at most `max_steps` scheduling rounds toward the target.
     ///
+    /// A **round** is the unit of every slice budget, and it is the same on
+    /// every backend: every running port stepped until it blocks or halts —
+    /// at most one transition (LOB depth + flush + await), because every
+    /// transition needs an answer from the peer. A link is asked what it
+    /// holds only after a round in which no port worked.
+    ///
     /// Returns [`SliceStatus::Done`] once both domains stand halted at the
     /// target boundary (further calls are no-ops returning `Done` again),
     /// [`SliceStatus::Working`] when the budget ran out mid-flight, and
@@ -787,11 +692,9 @@ impl<M: DomainModel + Send + 'static> SlicedSession<M> {
     /// One bounded run of the backend engine toward `target`, with no
     /// checkpoint capture.
     fn dispatch_slice(&mut self, target: u64, max_steps: u32) -> Result<SliceStatus, SimError> {
-        let result = match &mut self.session.inner {
-            SessionInner::Reference(c) => c.run_slice(target, max_steps),
-            SessionInner::Ports(p) => p.run_slice(target, max_steps),
-        };
-        self.session.reliable_outcome(result)
+        let EmuSession { engine, link } = &mut self.session;
+        let result = engine.run_slice(target, max_steps);
+        engine.reliable_outcome(result, link.failure_seed())
     }
 
     /// Stashes a checkpoint if the session stands at a committed boundary
@@ -896,10 +799,7 @@ impl<M: DomainModel + Send + 'static> PollReady for SlicedSession<M> {
     /// actionable too: scheduling the session lets it discover the loss and
     /// fail fast, freeing its slot.
     fn readiness(&mut self) -> Readiness {
-        match &mut self.session.inner {
-            SessionInner::Reference(_) => Readiness::Ready,
-            SessionInner::Ports(p) => p.readiness(),
-        }
+        self.session.engine.readiness()
     }
 }
 

@@ -224,7 +224,7 @@ pub(crate) struct DomainCosts {
 const ADAPTIVE_MIN_DEPTH: usize = 2;
 
 /// Merges the committed prefix of two wrappers' local-output traces into
-/// full-bus records (shared by the reference and port engines).
+/// full-bus records.
 pub(crate) fn merge_committed_traces<M: DomainModel>(
     sim: &ChannelWrapper<M>,
     acc: &ChannelWrapper<M>,

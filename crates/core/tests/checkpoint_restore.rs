@@ -105,29 +105,56 @@ fn restore_then_run_matches_straight_through_on_every_backend() {
     }
 }
 
-/// The blob is what crosses the wire on eviction and migration, and its size
-/// is deterministic for a fixed cut — so it is pinned exactly, per engine
-/// layout (the cooperative queue engine's sections, the endpoint-backed TCP
-/// engine's per-side sections). Any drift is a real format or state change:
-/// update the numbers on purpose, in the PR that explains why.
+/// FNV-1a-64 over a blob's bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The blob is what crosses the wire on eviction and migration, and it is
+/// deterministic for a fixed cut — so it is pinned exactly, per layout (one
+/// shared channel and ledger under `channel` / `ledger`; one per side under
+/// `channel.sim` … `ledger.acc`): by size at a short cut, and by content at
+/// a longer one for the backends whose blob is a function of the committed
+/// cut alone — the shared queue is in the blob, bare or under an inactive
+/// fault plan, and an mpsc end adds nothing to it. The reliable backends are
+/// left out on purpose: their retransmission clock counts fruitless polls,
+/// which a schedule may change without changing what is committed. Any
+/// other drift is a real format or state change: update the numbers on
+/// purpose, in the PR that explains why.
 #[test]
 fn checkpoint_blob_size_is_pinned_per_engine_layout() {
-    for (name, bytes) in [("queue", 46_644), ("tcp", 46_904)] {
+    let checkpoint_at = |name: &str, config: CoEmuConfig, cycles: u64| {
         let mut session = EmuSession::from_blueprint(&figure2_soc_seeded(11))
-            .config(
-                CoEmuConfig::paper_defaults()
-                    .policy(ModePolicy::Auto)
-                    .rollback_vars(None),
-            )
+            .config(config)
             .transport(backend_for(name))
             .build()
             .expect("session builds");
         session
-            .run_until_committed(200)
+            .run_until_committed(cycles)
             .expect("run reaches the cut");
-        let ckpt = session.checkpoint().expect("checkpoint at the boundary");
+        session.checkpoint().expect("checkpoint at the boundary")
+    };
+    let short = CoEmuConfig::paper_defaults()
+        .policy(ModePolicy::Auto)
+        .rollback_vars(None);
+    for (name, bytes) in [("queue", 46_644), ("tcp", 46_904)] {
+        let ckpt = checkpoint_at(name, short, 200);
         assert_eq!(ckpt.committed_cycles(), 203, "{name}: the halt boundary");
         assert_eq!(ckpt.to_bytes().len(), bytes, "{name}: blob bytes");
+    }
+    let long = workload_config(&workload_for(ModePolicy::Auto));
+    for (name, bytes, hash) in [
+        ("queue", 113_804, 0xb9aa_e195_1d53_0804_u64),
+        ("lossy", 113_852, 0xf38c_cda0_7aa8_d5fb),
+        ("threaded", 113_972, 0x7074_7f90_b57a_0e7b),
+    ] {
+        let ckpt = checkpoint_at(name, long, 700);
+        assert_eq!(ckpt.committed_cycles(), 701, "{name}: the halt boundary");
+        let blob = ckpt.to_bytes();
+        assert_eq!(blob.len(), bytes, "{name}: blob bytes");
+        assert_eq!(fnv1a(&blob), hash, "{name}: blob content (FNV-1a)");
     }
 }
 

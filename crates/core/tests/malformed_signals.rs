@@ -114,7 +114,7 @@ impl<T: Transport> Transport for Tamper<T> {
 }
 
 /// Both ends of one loopback TCP connection as a shared medium, so the
-/// reference engine steps both domains over a real socket.
+/// shared-medium layout steps both domains over a real socket.
 struct SocketPair(RefCell<[TcpEndpoint; 2]>);
 
 impl SocketPair {

@@ -11,7 +11,8 @@ use predpkt_ahb::masters::TrafficGenMaster;
 use predpkt_ahb::slaves::MemorySlave;
 use predpkt_channel::FaultSpec;
 use predpkt_core::{
-    CoEmuConfig, ConfigError, EmuSession, EventLog, ModePolicy, SessionError, Side, SocBlueprint,
+    CoEmuConfig, CoEmulator, ConfigError, EmuSession, EventLog, FabricSession, ModePolicy,
+    PerfReport, SessionError, Side, SocBlueprint,
 };
 use predpkt_sim::SimError;
 
@@ -197,4 +198,39 @@ fn try_lob_depth_validates_and_sets() {
     let config = CoEmuConfig::paper_defaults().try_lob_depth(16).unwrap();
     assert_eq!(config.lob_depth, 16);
     assert!(config.validate().is_ok());
+}
+
+/// A report is per committed cycle, so asking for one before the first cycle
+/// commits panics — documented on all three entry points, which are one
+/// engine method: a fresh session, a fresh fabric domain and a fresh bare
+/// co-emulator say the same thing, and the session stays usable.
+#[test]
+fn a_report_before_the_first_committed_cycle_panics_on_every_entry_point() {
+    fn panic_message(report: impl FnOnce() -> PerfReport) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(report))
+            .expect_err("a zero-cycle report panics");
+        let message = payload.downcast_ref::<String>().cloned();
+        message.unwrap_or_else(|| payload.downcast_ref::<&str>().unwrap().to_string())
+    }
+    const WHY: &str = "report requires at least one committed cycle";
+
+    let blueprint = small_soc();
+    let mut session = EmuSession::from_blueprint(&blueprint)
+        .build()
+        .expect("session builds");
+    assert_eq!(session.committed_cycles(), 0);
+    assert!(panic_message(|| session.report()).contains(WHY));
+
+    let fabric = FabricSession::from_blueprint(&blueprint, 3)
+        .build()
+        .expect("fabric builds");
+    assert_eq!(fabric.domain_committed(1), 0);
+    assert!(panic_message(|| fabric.domain_report(1)).contains(WHY));
+
+    let bare = CoEmulator::from_blueprint(&blueprint, CoEmuConfig::paper_defaults())
+        .expect("blueprint builds");
+    assert!(panic_message(|| bare.report()).contains(WHY));
+
+    session.run_until_committed(20).expect("the session runs");
+    assert!(session.report().committed_cycles() >= 20);
 }

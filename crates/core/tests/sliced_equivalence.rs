@@ -20,20 +20,22 @@ use common::conformance::{
 };
 use common::figure2_soc;
 use predpkt_channel::{PollReady, PollSet};
-use predpkt_core::{EmuSession, SliceStatus, SlicedSession, TransportSelect};
+use predpkt_core::{
+    CoEmulator, EmuObserver, EmuSession, EventLog, SliceStatus, SlicedSession, TransportSelect,
+};
 
 /// Drives `sliced` to `Done`, parking on the readiness poll-set whenever the
 /// slice reports `Idle` — the same wait discipline the farm's poller uses,
-/// over a single session.
-fn drive<M>(sliced: &mut SlicedSession<M>, slice_steps: u32)
+/// over a single session. Returns how many slices the run took.
+fn drive<M>(sliced: &mut SlicedSession<M>, slice_steps: u32) -> usize
 where
     M: predpkt_core::DomainModel + Send + 'static,
 {
     let poll = PollSet::syscall_probes();
     let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
+    for slices in 1.. {
         match sliced.run_slice(slice_steps).expect("sliced run completes") {
-            SliceStatus::Done => return,
+            SliceStatus::Done => return slices,
             SliceStatus::Working => {}
             SliceStatus::Idle => {
                 let mut sources = [&mut *sliced];
@@ -46,6 +48,7 @@ where
             sliced.backend()
         );
     }
+    unreachable!("the loop returns at `Done`")
 }
 
 /// Runs `workload` over `backend` in slices of `slice_steps` rounds.
@@ -54,16 +57,30 @@ fn run_workload_sliced(
     workload: &Workload,
     slice_steps: u32,
 ) -> Observed {
+    run_workload_sliced_observed(backend, workload, slice_steps, None).0
+}
+
+/// [`run_workload_sliced`] with an optional observer on the session; also
+/// returns how many slices the run took.
+fn run_workload_sliced_observed(
+    backend: TransportSelect,
+    workload: &Workload,
+    slice_steps: u32,
+    observer: Option<Box<dyn EmuObserver>>,
+) -> (Observed, usize) {
     let blueprint = figure2_soc();
-    let session = EmuSession::from_blueprint(&blueprint)
+    let mut builder = EmuSession::from_blueprint(&blueprint)
         .config(workload_config(workload))
-        .transport(backend)
+        .transport(backend);
+    if let Some(observer) = observer {
+        builder = builder.observer(observer);
+    }
+    let mut sliced = builder
         .build()
-        .expect("session builds");
-    let mut sliced = session.into_sliced(workload.cycles);
-    drive(&mut sliced, slice_steps);
-    let session = sliced.into_session();
-    observe(&session, &blueprint)
+        .expect("session builds")
+        .into_sliced(workload.cycles);
+    let slices = drive(&mut sliced, slice_steps);
+    (observe(&sliced.into_session(), &blueprint), slices)
 }
 
 /// Every backend, every workload, a mid-sized slice budget: sliced == direct.
@@ -80,11 +97,19 @@ fn sliced_runs_match_queue_baseline_across_backends() {
 
 /// The slice budget is scheduling policy, not semantics: pathological budgets
 /// (single-round slices, one giant slice) commit the same results.
+///
+/// And the budget counts the same thing everywhere, because one loop runs
+/// every backend: a round is a round whether the two ports share one channel
+/// (`queue`, and a bare [`CoEmulator`]) or have one each (`threaded`, whose
+/// mpsc medium is as prompt as the queue), so those runs take the same number
+/// of slices and emit the same observer events in the same order — the whole
+/// stream, which is more than each domain's own.
 #[test]
 fn slice_budget_does_not_change_committed_results() {
     let workload = workload_matrix().remove(0);
     let expect = baseline(&workload);
     for slice_steps in [1, 7, 1 << 20] {
+        let mut schedules = Vec::new();
         for (name, backend) in [
             ("queue", TransportSelect::Queue),
             (
@@ -93,14 +118,48 @@ fn slice_budget_does_not_change_committed_results() {
             ),
             ("shm", TransportSelect::Shm(common::conformance::shm_opts())),
         ] {
-            let observed = run_workload_sliced(backend, &workload, slice_steps);
-            assert_matches_baseline(
-                &workload,
-                &format!("sliced[{slice_steps}]+{name}"),
-                &expect,
-                &observed,
-            );
+            let log = EventLog::new();
+            let observer: Box<dyn EmuObserver> = Box::new(log.clone());
+            let (observed, slices) =
+                run_workload_sliced_observed(backend, &workload, slice_steps, Some(observer));
+            let name = format!("sliced[{slice_steps}]+{name}");
+            assert_matches_baseline(&workload, &name, &expect, &observed);
+            schedules.push((name, slices, log.events()));
         }
+        let (queue, threaded) = (&schedules[0], &schedules[1]);
+        // Up to one more round where the ends are per side: the halting
+        // port's last message leaves its batching outbox in the next round's
+        // linger.
+        assert!(
+            threaded.1.abs_diff(queue.1) <= 1,
+            "{}: {} slices, {}: {}",
+            queue.0,
+            queue.1,
+            threaded.0,
+            threaded.1
+        );
+        assert!(
+            queue.2 == threaded.2,
+            "{} vs {}: observer events differ",
+            queue.0,
+            threaded.0
+        );
+
+        let blueprint = figure2_soc();
+        let (sim, acc) = blueprint.build_pair().expect("Fig. 2 builds");
+        let mut bare = CoEmulator::new(sim, acc, workload_config(&workload));
+        let mut slices = 1;
+        while bare.run_slice(workload.cycles, slice_steps).expect("runs") != SliceStatus::Done {
+            slices += 1;
+        }
+        let name = format!("sliced[{slice_steps}]+coemulator");
+        assert_eq!(slices, queue.1, "{name}: slices");
+        assert_eq!(bare.committed_cycles(), expect.committed, "{name}");
+        let placement = blueprint.placement();
+        let trace = bare.merged_trace(|s, a| placement.merge_records(s, a));
+        assert_eq!(trace.hash(), expect.trace_hash, "{name}: trace");
+        assert_eq!(*bare.channel_stats(), expect.channel, "{name}: channel");
+        assert_eq!(bare.ledger().total(), expect.ledger_total, "{name}: ledger");
     }
 }
 

@@ -165,8 +165,10 @@ impl FarmConfig {
     }
 
     /// Scheduling rounds a session may consume per slice before it yields the
-    /// worker — the farm's time-slice, in the same granularity the sliced
-    /// runner steps (one round ≈ one step of each domain).
+    /// worker — the farm's time-slice, in the unit
+    /// [`SlicedSession::run_slice`](predpkt_core::SlicedSession::run_slice)
+    /// defines: a round is every running port stepped until it blocks or
+    /// halts, at most one transition, on every backend.
     pub fn slice_steps(mut self, steps: u32) -> Self {
         self.slice_steps = steps;
         self

@@ -200,13 +200,6 @@ impl<M: DomainModel + Send + 'static> SessionFarm<M> {
         self.admit(JobState::Unbuilt(Box::new(build)), None)
     }
 
-    /// Admits an already-built session. Prefer [`submit`](Self::submit) when
-    /// queueing many: an unbuilt session holds no transport resources while
-    /// it waits.
-    pub fn submit_session(&self, session: SlicedSession<M>) -> Result<SessionId, FarmError> {
-        self.admit(JobState::Built(Box::new(session)), None)
-    }
-
     /// Admits a **self-healing** session: `respawn` builds a fresh
     /// incarnation (fresh transport — new sockets, new rings, new injector
     /// state) every time it is called, and the farm calls it again after

@@ -397,13 +397,6 @@ pub struct AdaptiveSuite {
     pub cfg: AdaptiveConfig,
 }
 
-impl AdaptiveSuite {
-    /// Creates the suite with explicit tuning.
-    pub fn with_config(cfg: AdaptiveConfig) -> Self {
-        AdaptiveSuite { cfg }
-    }
-}
-
 impl PredictorSuite for AdaptiveSuite {
     fn master_predictor(&self, _index: usize) -> Box<dyn MasterPredictor> {
         Box::new(AdaptiveMasterPredictor::new(self.cfg))

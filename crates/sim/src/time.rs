@@ -74,11 +74,6 @@ impl VirtualTime {
         self.0 as f64 * 1e-12
     }
 
-    /// The span in microseconds as a float (reporting only).
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 * 1e-6
-    }
-
     /// `true` if the span is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
