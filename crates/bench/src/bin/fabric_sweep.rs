@@ -6,8 +6,9 @@
 //! wall time, per-domain committed
 //! cycles, and aggregate channel traffic — the cost curve of going from the
 //! paper's two domains to a wider fabric. Before the timed sweep, a
-//! bit-identity probe checks that a 3-domain fabric over the `Threaded`
-//! backend commits exactly what the queue-fabric baseline commits, per domain and per
+//! bit-identity probe checks that a 3-domain session over shared-memory
+//! rings commits exactly what it commits over the queue backend — whose
+//! 3-domain links are mpsc pairs, a different medium — per domain and per
 //! edge.
 //!
 //! Run: `cargo run -p predpkt-bench --release --bin fabric_sweep [cycles]`
@@ -15,7 +16,9 @@
 use std::time::Instant;
 
 use predpkt_bench::{bench_opts, cycles_arg};
-use predpkt_core::{CoEmuConfig, FabricSession, ModePolicy, SocBlueprint, TransportSelect};
+use predpkt_core::{
+    AhbDomainModel, CoEmuConfig, EmuSession, ModePolicy, ShmOptions, SocBlueprint, TransportSelect,
+};
 use predpkt_workloads::figure2_soc;
 
 /// Domain counts swept (the full mesh grows quadratically in links: 1, 6,
@@ -36,10 +39,11 @@ fn run_fabric(
     domains: usize,
     link: TransportSelect,
     cycles: u64,
-) -> (std::time::Duration, FabricSession) {
-    let mut session = FabricSession::from_blueprint(blueprint, domains)
+) -> (std::time::Duration, EmuSession<AhbDomainModel>) {
+    let mut session = EmuSession::from_blueprint(blueprint)
+        .domains(domains)
         .config(config())
-        .link(link)
+        .transport(link)
         .build()
         .expect("fabric session builds");
     let t0 = Instant::now();
@@ -51,7 +55,7 @@ fn run_fabric(
 
 /// Per-domain and per-edge results of a probe run, for bit-identity
 /// comparison across runners.
-fn probe_fingerprint(session: &FabricSession, blueprint: &SocBlueprint) -> Vec<u64> {
+fn probe_fingerprint(session: &EmuSession<AhbDomainModel>, blueprint: &SocBlueprint) -> Vec<u64> {
     let placement = blueprint.placement();
     let mut out = Vec::new();
     for d in 0..session.domains() {
@@ -69,8 +73,9 @@ fn probe_fingerprint(session: &FabricSession, blueprint: &SocBlueprint) -> Vec<u
     out
 }
 
-/// The bit-identity probe: a 3-domain fabric over the `Threaded` backend
-/// against the queue-fabric baseline.
+/// The bit-identity probe: a 3-domain session over shm rings against the
+/// queue baseline. (`Threaded` would not do: past two domains it builds the
+/// very mpsc mesh `Queue` builds, and the probe could never fail.)
 fn probe_bit_identity() -> bool {
     let blueprint = figure2_soc(0);
     let (_, baseline) = run_fabric(
@@ -79,14 +84,14 @@ fn probe_bit_identity() -> bool {
         TransportSelect::Queue,
         PROBE_CYCLES,
     );
-    let (_, threaded) = run_fabric(
+    let (_, rings) = run_fabric(
         &blueprint,
         PROBE_DOMAINS,
-        TransportSelect::Threaded(bench_opts()),
+        TransportSelect::Shm(ShmOptions::default().threaded(bench_opts())),
         PROBE_CYCLES,
     );
     let identical =
-        probe_fingerprint(&baseline, &blueprint) == probe_fingerprint(&threaded, &blueprint);
+        probe_fingerprint(&baseline, &blueprint) == probe_fingerprint(&rings, &blueprint);
     println!(
         "  bit-identity fabric n={PROBE_DOMAINS} {}",
         if identical {
@@ -142,5 +147,5 @@ fn main() {
          the sweep measures fabric overhead, not protocol divergence."
     );
 
-    assert!(identical, "threaded fabric diverged from queue baseline");
+    assert!(identical, "shm fabric diverged from queue baseline");
 }

@@ -349,12 +349,12 @@
 //! assert_eq!(acc.recv(Side::Accelerator).unwrap().payload(), &[9]);
 //! ```
 //!
-//! `predpkt-core` builds the full runner on top: a `FabricSession` hosts one
-//! protocol engine pair per edge, runs boundary-halt across all domains (a
-//! halted domain keeps pumping acks on every link until *every* peer halts),
-//! and reports per-domain ledgers — bit-identical across queue, threaded,
-//! TCP, shm, and reliable link backends, with `N = 2` degenerating exactly
-//! to the two-domain session.
+//! `predpkt-core` builds the full runner on top: an `EmuSession` of more than
+//! two domains hosts one protocol engine pair per edge, runs boundary-halt
+//! across all domains (a halted domain keeps pumping acks on every link until
+//! *every* peer halts), and reports per-domain ledgers — bit-identical across
+//! queue, threaded, TCP, shm, and reliable link backends; a two-domain
+//! session is the one-edge case of the same engine.
 //!
 //! # Hot-path performance notes
 //!

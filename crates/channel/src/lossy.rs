@@ -284,11 +284,6 @@ impl<T: Transport> LossyTransport<T> {
     pub fn link_down(&self) -> bool {
         self.disconnected() || self.hung()
     }
-
-    /// Consumes the wrapper, returning the inner transport.
-    pub fn into_inner(self) -> T {
-        self.inner
-    }
 }
 
 /// One send's fault decisions, drawn in a fixed order so the seeded stream

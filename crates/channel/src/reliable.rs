@@ -468,11 +468,6 @@ impl<T: Transport> ReliableTransport<T> {
         &self.inner
     }
 
-    /// Consumes the wrapper, returning the inner transport.
-    pub fn into_inner(self) -> T {
-        self.inner
-    }
-
     /// The pool's hit/miss counters — the steady-state zero-allocation
     /// property, observable (and asserted by tests/benches).
     pub fn pool_stats(&self) -> PoolStats {

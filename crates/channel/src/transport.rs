@@ -418,11 +418,6 @@ impl<T: Transport> CostedChannel<T> {
     pub fn transport_mut(&mut self) -> &mut T {
         &mut self.transport
     }
-
-    /// Consumes the channel, returning the inner transport.
-    pub fn into_inner(self) -> T {
-        self.transport
-    }
 }
 
 /// Statistics, the parked outbox, and the inner transport — everything that

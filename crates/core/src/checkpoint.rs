@@ -1,7 +1,7 @@
 //! Whole-session checkpoints: one consistent cut of a co-emulation session.
 //!
 //! A [`SessionCheckpoint`] captures everything a session needs to resume
-//! bit-identically at a **committed transition boundary**: both domains'
+//! bit-identically at a **committed transition boundary**: every domain's
 //! model and predictor state, the committed traces, the wrapper statistics,
 //! the channel (including any in-flight frames a cooperative backend holds
 //! and the re-armable windows of a
@@ -31,6 +31,26 @@
 //! [`CheckpointError`] naming the damaged section — never a panic, and never
 //! a half-restored session (a restore that fails mid-way poisons the target,
 //! which then refuses to step).
+//!
+//! ## Section labels
+//!
+//! A session writes, in this order, a section per protocol engine
+//! (`wrapper.sim`, `wrapper.acc` — model, predictors, trace, statistics), then
+//! a section per channel, then one per virtual-time ledger. Two domains on a
+//! shared in-process medium have one channel and one ledger (`channel`,
+//! `ledger`); link ends of their own have one each (`channel.sim`,
+//! `channel.acc`, `ledger.sim`, `ledger.acc`). Those bare names are edge 0's
+//! and are wire format. A session of more domains writes the same six names
+//! for every further edge `e` of its mesh behind an `edge{e}.` prefix
+//! (`edge1.wrapper.sim` … `edge2.ledger.acc` at three domains: all wrappers
+//! first, then all channels, then all ledgers — 18 sections), so a cut grows
+//! with the edge count: about 3× a two-domain blob at three domains, 6× at
+//! four. Where cuts are taken automatically — a farmed session's eviction
+//! insurance —
+//! [`set_checkpoint_interval`](crate::SlicedSession::set_checkpoint_interval)
+//! is the lever. A restore insists on the exact table, in order: the backend
+//! name does not carry the domain count, and the cut of a wider mesh holds
+//! every label a narrower one would ask for.
 //!
 //! Because a checkpoint is just bytes framed like any other packet stream, it
 //! can ride the same media sessions use: write it to a socket with
@@ -101,6 +121,13 @@ pub enum CheckpointError {
         /// The absent component label.
         section: String,
     },
+    /// The checkpoint carries a section the restoring session has no
+    /// component for — the cut of a session with more domains, say, whose
+    /// backend name is the same.
+    UnexpectedSection {
+        /// The surplus component label.
+        section: String,
+    },
     /// A component rejected its section's words during restore. The target
     /// session is poisoned and will refuse further steps.
     Snapshot {
@@ -140,6 +167,9 @@ impl fmt::Display for CheckpointError {
             }
             CheckpointError::MissingSection { section } => {
                 write!(f, "checkpoint is missing section {section:?}")
+            }
+            CheckpointError::UnexpectedSection { section } => {
+                write!(f, "checkpoint carries an unexpected section {section:?}")
             }
             CheckpointError::Snapshot { section, source } => {
                 write!(f, "restore of section {section:?} failed: {source}")
@@ -188,7 +218,7 @@ impl SessionCheckpoint {
         &self.backend
     }
 
-    /// Cycles both domains had committed at the cut.
+    /// Cycles every domain had committed at the cut.
     pub fn committed_cycles(&self) -> u64 {
         self.committed
     }
@@ -205,8 +235,8 @@ impl SessionCheckpoint {
         self.sections.iter().map(|(_, s)| s.len()).sum()
     }
 
-    pub(crate) fn push_section(&mut self, label: &str, state: StateVec) {
-        self.sections.push((label.to_string(), state));
+    pub(crate) fn push_section(&mut self, label: impl Into<String>, state: StateVec) {
+        self.sections.push((label.into(), state));
     }
 
     pub(crate) fn section(&self, label: &str) -> Result<&StateVec, CheckpointError> {
@@ -332,7 +362,7 @@ impl SessionCheckpoint {
                     });
                 }
             }
-            ckpt.push_section(&label, StateVec::from(words));
+            ckpt.push_section(label, StateVec::from(words));
         }
         if !cursor.is_empty() {
             return Err(CheckpointError::Malformed {

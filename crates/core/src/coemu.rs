@@ -39,8 +39,8 @@ pub enum ConfigError {
         /// Why the value was rejected.
         detail: String,
     },
-    /// A fabric session was asked for fewer than two domains — there is no
-    /// channel to co-emulate over.
+    /// A session was asked for fewer than two domains — there is no channel
+    /// to co-emulate over.
     TooFewDomains {
         /// The rejected domain count.
         domains: usize,
@@ -91,7 +91,7 @@ impl fmt::Display for ConfigError {
                 write!(f, "invalid reliable transport config: {field}: {detail}")
             }
             ConfigError::TooFewDomains { domains } => {
-                write!(f, "a fabric needs at least two domains (got {domains})")
+                write!(f, "a session needs at least two domains (got {domains})")
             }
         }
     }
@@ -335,20 +335,15 @@ impl<M: DomainModel, T: Transport> CoEmulator<M, T> {
         }
     }
 
-    /// Installs an [`EmuObserver`] receiving every protocol event from both
-    /// wrappers (builder style).
-    pub fn with_observer(mut self, observer: Box<dyn EmuObserver>) -> Self {
-        self.engine.set_observer(observer);
-        self
-    }
-
     /// Dismantles the co-emulator, salvaging the domain models, the
     /// configuration, and the observer — everything a fresh session built on
     /// a *new* transport needs. Wrapper, channel, and ledger state are
     /// deliberately dropped, because a checkpoint restore rebuilds all of
     /// it.
     pub fn into_parts(self) -> (M, M, CoEmuConfig, Box<dyn EmuObserver>) {
-        self.engine.into_parts()
+        let (mut models, config, observer) = self.engine.into_parts();
+        let (sim, acc) = models.pop().expect("a co-emulator has one edge");
+        (sim, acc, config, observer)
     }
 
     /// Cycles both domains have committed (the lagger's progress during
@@ -471,7 +466,7 @@ impl<M: DomainModel, T: Transport> CoEmulator<M, T> {
     /// Panics if no cycle has committed yet — a freshly built engine, or one
     /// whose transport died in the handshake: every row of the report is per
     /// committed cycle. [`EmuSession::report`](crate::EmuSession::report) and
-    /// [`FabricSession::domain_report`](crate::FabricSession::domain_report)
+    /// [`EmuSession::domain_report`](crate::EmuSession::domain_report)
     /// are the same method and panic alike; check
     /// [`committed_cycles`](Self::committed_cycles) first.
     pub fn report(&self) -> PerfReport {
@@ -520,8 +515,9 @@ impl<M: DomainModel, T: Transport + Snapshot> CoEmulator<M, T> {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::MissingSection`] if the checkpoint's shape does
-    /// not match (rejected before any state is touched), and
+    /// [`CheckpointError::MissingSection`] or
+    /// [`CheckpointError::UnexpectedSection`] if the checkpoint's section
+    /// table is not this engine's (rejected before any state is touched), and
     /// [`CheckpointError::Snapshot`] if a component rejects its words — the
     /// engine is then **poisoned** and refuses further steps.
     pub fn restore(&mut self, ckpt: &SessionCheckpoint) -> Result<(), CheckpointError> {

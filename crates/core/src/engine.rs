@@ -14,9 +14,9 @@
 //!   so is a [`CoEmulator`](crate::CoEmulator) over whatever
 //!   [`Transport`] its caller supplies.
 //! * **per-side ends** — every port has its own channel over its own end of
-//!   the edge's link, and its own ledger. A session over mpsc, a socket, or a
-//!   ring is the one-edge case; an N-domain
-//!   [`FabricSession`](crate::FabricSession) the general one.
+//!   the edge's link, and its own ledger. A two-domain session over mpsc, a
+//!   socket, or a ring is the one-edge case; a session of more domains (a
+//!   full mesh, one edge per pair) the general one.
 //!
 //! The run loop, the halt rule, the deadlock rule, the statistics folds, the
 //! report, and the checkpoint sections below exist once and serve both.
@@ -283,17 +283,26 @@ impl<M: DomainModel, T: Transport> Engine<M, T> {
         report
     }
 
+    /// Where `domain` keeps its port of edge `edge`.
+    fn port_index(&self, domain: usize, edge: usize) -> usize {
+        let mut ports = self.ports[domain].iter();
+        let index = ports.position(|p| p.edge == edge);
+        index.expect("every edge has a port at both ends")
+    }
+
     /// The two engines of edge `edge` (simulator-role first), wherever their
     /// domains keep them.
     pub(crate) fn edge_wrappers(&self, edge: usize) -> (&ChannelWrapper<M>, &ChannelWrapper<M>) {
         let e = self.edges[edge];
-        let find = |domain: usize| {
-            self.ports[domain]
-                .iter()
-                .find(|p| p.edge == edge)
-                .expect("every edge has a port at both ends")
-        };
-        (&find(e.a()).wrapper, &find(e.b()).wrapper)
+        let at = |domain: usize| &self.ports[domain][self.port_index(domain, edge)].wrapper;
+        (at(e.a()), at(e.b()))
+    }
+
+    /// Whether every port stands at a committed transition boundary — the
+    /// only cut at which a checkpoint is consistent.
+    pub(crate) fn at_boundary(&self) -> bool {
+        self.ports_of(None)
+            .all(|p| p.wrapper.at_transition_boundary())
     }
 
     /// First recorded frame abandonment across every reliability layer, in
@@ -351,16 +360,21 @@ impl<M: DomainModel, T: Transport> Engine<M, T> {
         self.probe_ends().unwrap_or(Readiness::Ready)
     }
 
-    /// Dismantles a one-edge engine, salvaging the two models, the
-    /// configuration, and the observer for a rebuild on a fresh transport
-    /// (wrapper, channel, and ledger state are deliberately dropped: they
-    /// are transport-scoped or restored from the checkpoint).
-    pub(crate) fn into_parts(mut self) -> (M, M, CoEmuConfig, Box<dyn EmuObserver>) {
+    /// Dismantles the engine, salvaging every edge's model pair (edge order,
+    /// simulator-role first), the configuration, and the observer for a
+    /// rebuild on a fresh transport (wrapper, channel, and ledger state are
+    /// deliberately dropped: they are transport-scoped or restored from the
+    /// checkpoint).
+    pub(crate) fn into_parts(self) -> (Vec<(M, M)>, CoEmuConfig, Box<dyn EmuObserver>) {
+        // A domain keeps its ports in edge order, so walking the edge list
+        // takes each domain's ports front to back.
+        let mut ports: Vec<_> = self.ports.into_iter().map(Vec::into_iter).collect();
         let mut model = |domain: usize| {
-            let port = self.ports[domain].pop().expect("a session has one edge");
+            let port = ports[domain].next().expect("a port per edge end");
             port.wrapper.into_model()
         };
-        (model(0), model(1), self.config, self.observer)
+        let models = self.edges.iter().map(|e| (model(e.a()), model(e.b())));
+        (models.collect(), self.config, self.observer)
     }
 
     fn all_halted(&self, target: u64) -> bool {
@@ -556,85 +570,123 @@ impl<M: DomainModel, T: Transport + PollReady> Engine<M, T> {
     }
 }
 
-/// Checkpointing, for the one-edge engine a two-domain session runs on.
+/// One entry of the checkpoint section table: where the component a label
+/// names lives in the engine.
+#[derive(Clone, Copy)]
+enum Part {
+    /// `ports[domain][index].wrapper`.
+    Wrapper(usize, usize),
+    /// `channels[slot]`.
+    Channel(usize),
+    /// `ledgers[slot]`.
+    Ledger(usize),
+}
+
+/// The label of one of edge `edge`'s sections. Edge 0 keeps the bare names a
+/// two-domain session has always written (wire format: never rename); every
+/// further edge prefixes them.
+fn edge_label(edge: usize, name: &str) -> String {
+    match edge {
+        0 => name.to_string(),
+        _ => format!("edge{edge}.{name}"),
+    }
+}
+
+/// Checkpointing, for every layout and any number of edges.
 impl<M: DomainModel, T: Transport + Snapshot> Engine<M, T> {
-    /// The labels this layout's channel sections and ledger sections
-    /// serialize under, in slot order (wire format: never rename).
-    fn section_labels(&self) -> [&'static [&'static str]; 2] {
-        match self.probe {
-            None => [&["channel"], &["ledger"]],
-            Some(_) => [
-                &["channel.sim", "channel.acc"],
-                &["ledger.sim", "ledger.acc"],
-            ],
+    /// The section table — labels in serialization order, each with the
+    /// component it names: every edge's two wrappers in edge order, then
+    /// every channel, then every ledger, both in slot order. The one slot of
+    /// the shared layout goes by the bare `channel` / `ledger`; a per-side
+    /// end by its edge's label with the side appended.
+    fn section_table(&self) -> Vec<(String, Part)> {
+        let mut table = Vec::new();
+        for (e, edge) in self.edges.iter().enumerate() {
+            for (domain, name) in [(edge.a(), "wrapper.sim"), (edge.b(), "wrapper.acc")] {
+                let part = Part::Wrapper(domain, self.port_index(domain, e));
+                table.push((edge_label(e, name), part));
+            }
         }
+        let label = |what: &str, slot: usize| match self.probe {
+            None => what.to_string(),
+            Some(_) => edge_label(slot / 2, &format!("{what}.{}", ["sim", "acc"][slot % 2])),
+        };
+        for slot in 0..self.channels.len() {
+            table.push((label("channel", slot), Part::Channel(slot)));
+        }
+        for slot in 0..self.ledgers.len() {
+            table.push((label("ledger", slot), Part::Ledger(slot)));
+        }
+        table
     }
 
-    /// Fills `ckpt` with the component sections: both wrappers (model,
-    /// predictors, trace, statistics), then every channel, then every
-    /// ledger. A shared in-process medium is part of its channel's words,
-    /// frames in flight included; endpoint transports serialize nothing —
-    /// in-flight frames in an external medium are healed on resume by a
-    /// reliability layer's re-armed window.
+    /// Fills `ckpt` with the component sections: wrappers (model,
+    /// predictors, trace, statistics), channels, ledgers. A shared
+    /// in-process medium is part of its channel's words, frames in flight
+    /// included; endpoint transports serialize nothing — in-flight frames in
+    /// an external medium are healed on resume by a reliability layer's
+    /// re-armed window.
     pub(crate) fn checkpoint_into(
         &self,
         ckpt: &mut SessionCheckpoint,
     ) -> Result<(), CheckpointError> {
-        let (sim, acc) = self.edge_wrappers(0);
-        if let Some(err) = sim.poisoned().or_else(|| acc.poisoned()) {
+        if let Some(err) = self.ports_of(None).find_map(|p| p.wrapper.poisoned()) {
             return Err(CheckpointError::Poisoned(err.clone()));
         }
-        if !(sim.at_transition_boundary() && acc.at_transition_boundary()) {
+        if !self.at_boundary() {
             return Err(CheckpointError::NotAtBoundary);
         }
-        ckpt.push_section("wrapper.sim", save_section(|w| sim.checkpoint_save(w)));
-        ckpt.push_section("wrapper.acc", save_section(|w| acc.checkpoint_save(w)));
-        let [channel_labels, ledger_labels] = self.section_labels();
-        for (label, ch) in channel_labels.iter().zip(&self.channels) {
-            ckpt.push_section(label, save_section(|w| ch.save(w)));
-        }
-        for (label, ledger) in ledger_labels.iter().zip(&self.ledgers) {
-            ckpt.push_section(label, save_section(|w| ledger.save(w)));
+        for (label, part) in self.section_table() {
+            let state = save_section(|w| match part {
+                Part::Wrapper(domain, index) => {
+                    self.ports[domain][index].wrapper.checkpoint_save(w)
+                }
+                Part::Channel(slot) => self.channels[slot].save(w),
+                Part::Ledger(slot) => self.ledgers[slot].save(w),
+            });
+            ckpt.push_section(label, state);
         }
         Ok(())
     }
 
+    /// Restores every section of `ckpt`, whose section table must be exactly
+    /// this engine's: the same labels in the same order, nothing missing and
+    /// nothing left over. Asking only for the labels this engine needs would
+    /// let the cut of a wider mesh — which holds them all, for edges that
+    /// join other domains — restore into a narrower one.
     pub(crate) fn restore_from(&mut self, ckpt: &SessionCheckpoint) -> Result<(), CheckpointError> {
-        let [channel_labels, ledger_labels] = self.section_labels();
-        // Pre-flight the section table before touching anything, so a
-        // checkpoint with the wrong shape is rejected without mutation.
-        for label in ["wrapper.sim", "wrapper.acc"]
-            .iter()
-            .chain(channel_labels)
-            .chain(ledger_labels)
-        {
-            ckpt.section(label)?;
+        let table = self.section_table();
+        // Pre-flight before touching anything, so a checkpoint with the
+        // wrong shape is rejected without mutation.
+        let wanted = table.iter().map(|(label, _)| Some(label.as_str()));
+        let mut found = ckpt.sections().map(|(label, _)| label);
+        for want in wanted.chain([None]) {
+            let have = found.next();
+            if have != want {
+                if let Some(want) = want {
+                    ckpt.section(want)?; // nowhere in the blob: missing
+                }
+                // `want` is further on (or the table is over): `have` is not
+                // this engine's, or not in its place.
+                let section = have.unwrap_or_default().to_string();
+                return Err(CheckpointError::UnexpectedSection { section });
+            }
         }
-        let Engine {
-            ports,
-            channels,
-            ledgers,
-            ..
-        } = self;
-        let (sim, acc) = ports.split_at_mut(1);
-        let (sim, acc) = (&mut sim[0][0].wrapper, &mut acc[0][0].wrapper);
-        let result = (|| {
-            restore_section(ckpt, "wrapper.sim", |r| sim.checkpoint_restore(r))?;
-            restore_section(ckpt, "wrapper.acc", |r| acc.checkpoint_restore(r))?;
-            for (label, ch) in channel_labels.iter().zip(channels) {
-                restore_section(ckpt, label, |r| ch.restore(r))?;
-            }
-            for (label, ledger) in ledger_labels.iter().zip(ledgers) {
-                restore_section(ckpt, label, |r| ledger.restore(r))?;
-            }
-            Ok(())
-        })();
+        let result = table.iter().try_for_each(|(label, part)| {
+            restore_section(ckpt, label, |r| match *part {
+                Part::Wrapper(domain, index) => {
+                    self.ports[domain][index].wrapper.checkpoint_restore(r)
+                }
+                Part::Channel(slot) => self.channels[slot].restore(r),
+                Part::Ledger(slot) => self.ledgers[slot].restore(r),
+            })
+        });
         if let Err(CheckpointError::Snapshot { source, .. }) = &result {
-            // A failed section leaves the pair inconsistent: poison both
-            // wrappers so the session refuses to step until a full restore
-            // succeeds.
-            sim.poison(source.clone());
-            acc.poison(source.clone());
+            // A failed section leaves the session inconsistent: poison every
+            // wrapper so it refuses to step until a full restore succeeds.
+            for p in self.ports.iter_mut().flatten() {
+                p.wrapper.poison(source.clone());
+            }
         }
         result
     }

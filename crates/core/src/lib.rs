@@ -24,22 +24,24 @@
 //!   ack-and-retransmit reliable layer over any of them), a predictor suite,
 //!   and [`EmuObserver`] hooks that stream every protocol
 //!   event (mode switches, rollbacks, LOB flushes, channel accesses).
-//!   [`FabricSession`] is the same front door for `N ≥ 2` domains over a
-//!   full mesh of links, each running the same [`TransportSelect`].
+//!   [`domains(n)`](BlueprintSessionBuilder::domains) on the same builder
+//!   joins `n ≥ 2` domains over a full mesh of links, each running the same
+//!   [`TransportSelect`] — one session type at any width.
 //! * A backend is described **once**: a [`TransportSelect`] lowers to one
 //!   internal link description (base medium, optional fault plan, optional
 //!   reliability layer) that validates the knobs, names the backend, derives
 //!   the per-link fault seeds, and builds the layers by stacking them — for
-//!   sessions and fabrics alike.
+//!   every link of a session, however many domains it joins.
 //! * One engine drives the protocol, in one of two channel layouts. Over a
 //!   **shared medium** both domains use one channel and one ledger on one
-//!   in-process transport: the queue-backed sessions, against which every
-//!   other backend is conformance-checked, and [`CoEmulator`], the name for
-//!   this layout over any [`Transport`](predpkt_channel::Transport) the
-//!   caller supplies. Over **per-side ends** each domain has its own end of
-//!   every link it touches, with a channel and a ledger per end: the other
-//!   backends of an [`EmuSession`] (the one-edge, two-domain case) and every
-//!   [`FabricSession`]. Either way the domains are stepped on the calling
+//!   in-process transport: the two-domain queue-backed sessions, against
+//!   which every other backend is conformance-checked, and [`CoEmulator`],
+//!   the name for this layout over any
+//!   [`Transport`](predpkt_channel::Transport) the caller supplies. Over
+//!   **per-side ends** each domain has its own end of every link it touches,
+//!   with a channel and a ledger per end: the other backends of a two-domain
+//!   [`EmuSession`] (the one-edge case) and every session of more domains.
+//!   Either way the domains are stepped on the calling
 //!   thread — to completion, or in bounded slices for a session farm — so
 //!   backends differ in the medium, never in the schedule.
 //! * [`DomainModel`] abstracts the domain content so the same protocol engine
@@ -169,7 +171,6 @@ mod blueprint;
 mod checkpoint;
 mod coemu;
 mod engine;
-mod fabric;
 mod link;
 mod model;
 mod observer;
@@ -182,7 +183,6 @@ pub use ahb_model::AhbDomainModel;
 pub use blueprint::{Placement, SocBlueprint};
 pub use checkpoint::{CheckpointError, SessionCheckpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 pub use coemu::{CoEmuConfig, CoEmulator, ConfigError, SliceStatus};
-pub use fabric::{FabricSession, FabricSessionBuilder};
 pub use link::{ReliableInner, ShmOptions, TcpOptions, ThreadedOpts, TransportSelect};
 pub use model::{DomainModel, TickKind};
 pub use observer::{EmuEvent, EmuObserver, EventCounters, EventCounts, EventLog, NoopObserver};

@@ -1,8 +1,8 @@
 //! One description of a link, and the one place links are built.
 //!
-//! Users pick a backend with [`TransportSelect`] — for a two-domain
-//! [`EmuSession`](crate::EmuSession) and for every edge of a
-//! [`FabricSession`](crate::FabricSession) alike. The selection lowers to an
+//! Users pick a backend with [`TransportSelect`] — for the one link of a
+//! two-domain [`EmuSession`](crate::EmuSession) and for every edge of a wider
+//! one alike. The selection lowers to an
 //! internal [`LinkSpec`]: a **base** medium (in-process queue, mpsc channel
 //! pair, TCP socket, shared-memory ring) plus two optional layers stacked on top of
 //! it, a seeded fault plan ([`LossyTransport`]) and an ack-and-retransmit
@@ -10,8 +10,8 @@
 //! of behaviour (the layered-TLM point), so validation, the backend's stable
 //! name, seed derivation, and construction each exist exactly once here, and
 //! the engine only ever sees a type-erased [`Link`]. What distinguishes the
-//! backends is the medium, never the schedule: every session and fabric is
-//! stepped on the thread that calls its run method.
+//! backends is the medium, never the schedule: every session is stepped on
+//! the thread that calls its run method.
 
 use crate::coemu::ConfigError;
 use crate::session::SessionError;
@@ -142,7 +142,8 @@ impl ShmOptions {
     }
 }
 
-/// The transport backend a session — or every link of a fabric — runs over.
+/// The transport backend a session runs over — every one of its links, past
+/// two domains.
 #[derive(Debug, Clone, Copy, Default)]
 pub enum TransportSelect {
     /// Deterministic in-process FIFOs shared by both domains (the default,
@@ -158,7 +159,8 @@ pub enum TransportSelect {
     Tcp(TcpOptions),
     /// Per-side endpoints over shared-memory rings — the
     /// multi-process-on-one-host configuration (and the lowest-latency
-    /// channel the crate models). A fabric packs every link into one region.
+    /// channel the crate models). Past two domains every link is packed into
+    /// one region.
     Shm(ShmOptions),
     /// An ack-and-retransmit
     /// [`ReliableTransport`](predpkt_channel::ReliableTransport) over one of
@@ -223,8 +225,8 @@ impl<T: Transport + PollReady + Snapshot + Send> Link for T {}
 /// The medium at the bottom of a link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LinkBase {
-    /// In-process FIFOs: one [`QueueTransport`] shared by both domains
-    /// under a two-domain session, mpsc endpoint pairs under a fabric.
+    /// In-process FIFOs: one [`QueueTransport`] shared by both domains of a
+    /// two-domain session, mpsc endpoint pairs past two.
     Queue,
     Threaded,
     Tcp,
@@ -319,8 +321,8 @@ impl TransportSelect {
     }
 }
 
-/// Every backend's stable name, bare and as a fabric's — telemetry, and the
-/// stamp a checkpoint is matched against on restore (wire format: never
+/// Every backend's stable name, at two domains and past two — telemetry, and
+/// the stamp a checkpoint is matched against on restore (wire format: never
 /// rename). Indexed `[reliable][medium]`.
 const BACKEND_NAMES: [[(&str, &str); 5]; 2] = {
     macro_rules! named {
@@ -339,8 +341,9 @@ const BACKEND_NAMES: [[(&str, &str); 5]; 2] = {
 };
 
 impl LinkSpec {
-    /// The `(session, fabric)` pair of stable backend names.
-    fn names(&self) -> (&'static str, &'static str) {
+    /// The stable name of a session of `domains` domains over this link: the
+    /// link's own name at two, `"fabric+"` + it past two.
+    pub(crate) fn backend_name(&self, domains: usize) -> &'static str {
         let medium = match (self.base, self.fault) {
             (LinkBase::Queue, None) => 0,
             (LinkBase::Queue, Some(_)) => 1,
@@ -348,25 +351,19 @@ impl LinkSpec {
             (LinkBase::Tcp, _) => 3,
             (LinkBase::Shm { .. }, _) => 4,
         };
-        BACKEND_NAMES[usize::from(self.reliable.is_some())][medium]
-    }
-
-    /// The stable name of a two-domain session over this link.
-    pub(crate) fn session_name(&self) -> &'static str {
-        self.names().0
-    }
-
-    /// The stable name of a fabric over this link: `"fabric+"` + the
-    /// session name.
-    pub(crate) fn fabric_name(&self) -> &'static str {
-        self.names().1
+        let (two, wider) = BACKEND_NAMES[usize::from(self.reliable.is_some())][medium];
+        if domains == 2 {
+            two
+        } else {
+            wider
+        }
     }
 
     /// Which of the engine's two layouts a two-domain session over this
     /// link takes: one in-process medium shared by both domains (one channel,
     /// one ledger; built by [`shared_medium`](Self::shared_medium)) when
     /// true, a link end per domain (built by [`mesh`](Self::mesh), as every
-    /// fabric is) otherwise.
+    /// wider session is) otherwise.
     pub(crate) fn shares_medium(&self) -> bool {
         self.base == LinkBase::Queue
     }
@@ -390,9 +387,9 @@ impl LinkSpec {
     /// The fault plan of one link end. The simulator side of edge 0 (and a
     /// shared medium, `scope = None`) uses the configured seed as given; the
     /// accelerator side a decorrelated one, so the two directions see
-    /// independent fault streams; and each further edge of a fabric
-    /// decorrelates again — edge 0 unchanged, which is what makes a one-edge
-    /// fabric reproduce the two-domain session's fault stream exactly.
+    /// independent fault streams; and each further edge of a mesh
+    /// decorrelates again — edge 0 unchanged, so a two-domain session and
+    /// edge 0 of a mesh draw the same fault stream.
     ///
     /// Socket and ring ends always carry a plan, a transparent
     /// [`FaultSpec::none`] when none is active: their checkpoints have

@@ -29,18 +29,16 @@
 //!   ledgers to a clean run, with the repair traffic billed into
 //!   [`RecoveryStats`] (see [`EmuSession::recovery_stats`]).
 //!
-//! Underneath there is one engine with two channel layouts. The in-process
-//! backends (queue, lossy, and the reliable layer over either) put both
-//! domains on **one shared medium**: one channel and one ledger, exactly
+//! Underneath there is one engine with two channel layouts. Two domains over
+//! an in-process backend (queue, lossy, and the reliable layer over either)
+//! sit on **one shared medium**: one channel and one ledger, exactly
 //! reproducible — the layout [`CoEmulator`](crate::CoEmulator) names, for
 //! callers that bring their own [`Transport`](predpkt_channel::Transport).
-//! Every other backend gives each domain **its own end** of a link, with a
-//! channel and a ledger per side — the layout of an N-domain
-//! [`FabricSession`](crate::FabricSession), of which a session is the
-//! one-edge, two-domain case. The run loop, the halt rule, the deadlock rule,
-//! the report, and the checkpoint sections are the same code for both, and
-//! every domain is stepped on the calling thread: backends differ in the
-//! medium, not the schedule.
+//! Every other session gives each domain **its own end** of every link it
+//! touches, with a channel and a ledger per end. The run loop, the halt rule,
+//! the deadlock rule, the report, and the checkpoint sections are the same
+//! code for both, and every domain is stepped on the calling thread: backends
+//! differ in the medium, not the schedule.
 //!
 //! Sessions halt at **transition boundaries**: a domain stops only when it is
 //! synchronized with its peer and has committed at least the target cycle
@@ -48,6 +46,34 @@
 //! artifact — a queue run and a socket run of the same blueprint commit
 //! bit-identical traces and exchange exactly the same packets, which the
 //! transport-equivalence suite asserts.
+//!
+//! ## More than two domains
+//!
+//! [`domains(n)`](BlueprintSessionBuilder::domains) joins `n ≥ 2` domains
+//! over a full mesh of links ([`full_mesh`](predpkt_channel::full_mesh)),
+//! every one over the selected backend. Routing is structural and single-hop:
+//! every pair of domains owns a dedicated link — one **edge** — so no domain
+//! ever forwards another pair's traffic. On each edge the lower-numbered
+//! domain plays [`Side::Simulator`](predpkt_channel::Side) and the
+//! higher-numbered one `Side::Accelerator`
+//! ([`FabricEdge::role_of`](predpkt_channel::FabricEdge::role_of)), and the
+//! pair runs the paper's protocol between them over the blueprint's traffic —
+//! a domain hosts one protocol engine per peer, leading toward some and
+//! lagging toward others. Past two domains the queue and lossy backends run
+//! over mpsc ends, a socket backend opens one socket per edge, the ring
+//! backend packs every edge into one region, and a fault plan fires on every
+//! link with per-edge decorrelated seeds (edge 0's are the two-domain
+//! session's).
+//!
+//! The halt is the same event per edge: a domain halts only when *every one
+//! of its ports* stands at a transition boundary with the target committed,
+//! and a halted domain keeps pumping acknowledgements on all of its links
+//! until every other domain has halted too, so per-link reliability layers
+//! finish their retransmissions and no peer is stranded mid-recovery.
+//! Per-domain ledgers, per-edge traces, and channel statistics are therefore
+//! bit-identical across backends at any `n`, and everything a session can do
+//! — checkpoint, restore, [`resume_from`](EmuSession::resume_from), sliced
+//! runs, observers, a session farm — it does at any `n`.
 //!
 //! ## Example
 //!
@@ -85,7 +111,8 @@ use crate::wrapper::{merge_committed_traces, ChannelWrapper, CwStats, ModePolicy
 use crate::AhbDomainModel;
 use predpkt_ahb::bus::BusConfigError;
 use predpkt_channel::{
-    BatchStats, ChannelStats, FaultStats, PollReady, Readiness, RecoveryStats, Transport,
+    full_mesh, BatchStats, ChannelStats, FabricEdge, FaultStats, PollReady, Readiness,
+    RecoveryStats, Transport,
 };
 use predpkt_predict::{PaperSuite, PredictorSuite};
 use predpkt_sim::{SimError, TimeLedger, Trace};
@@ -208,20 +235,8 @@ impl<M: DomainModel + Send + 'static> EmuSessionBuilder<M> {
     ///
     /// Panics if the two models' sides or widths disagree.
     pub fn build(self) -> Result<EmuSession<M>, SessionError> {
-        self.config.validate()?;
-        let link = self.transport.lower()?;
-        let cost_model = self.config.channel;
-        let mut engine = if link.shares_medium() {
-            let medium = link.shared_medium(cost_model);
-            Engine::shared(self.sim, self.acc, self.config, medium)
-        } else {
-            let mesh = link.mesh(2, cost_model)?;
-            Engine::per_side(vec![(self.sim, self.acc)], mesh, self.config)
-        };
-        if let Some(observer) = self.observer {
-            engine.set_observer(observer);
-        }
-        Ok(EmuSession { engine, link })
+        let models = vec![(self.sim, self.acc)];
+        EmuSession::assemble(models, 2, self.config, self.transport, self.observer)
     }
 }
 
@@ -230,12 +245,57 @@ impl<M: DomainModel + Send + 'static> EmuSessionBuilder<M> {
 pub struct BlueprintSessionBuilder<'bp> {
     blueprint: &'bp SocBlueprint,
     suite: Box<dyn PredictorSuite>,
+    domains: usize,
     config: CoEmuConfig,
     transport: TransportSelect,
     observer: Option<Box<dyn EmuObserver>>,
 }
 
 impl<'bp> BlueprintSessionBuilder<'bp> {
+    /// Joins `domains` domains instead of two, over a full mesh of links
+    /// that each run the blueprint's traffic between their two ends over the
+    /// selected transport. On every edge the lower-numbered domain plays the
+    /// simulator role, and everything a two-domain session does — checkpoint,
+    /// restore, [`resume_from`](EmuSession::resume_from), sliced runs,
+    /// observers — the mesh does as one session.
+    ///
+    /// ```
+    /// use predpkt_core::{EmuSession, Side, SocBlueprint, ThreadedOpts, TransportSelect};
+    /// use predpkt_ahb::engine::BusOp;
+    /// use predpkt_ahb::masters::TrafficGenMaster;
+    /// use predpkt_ahb::slaves::MemorySlave;
+    ///
+    /// let blueprint = SocBlueprint::new()
+    ///     .master(Side::Accelerator, || {
+    ///         Box::new(TrafficGenMaster::from_ops(vec![BusOp::write_single(0x40, 7)]).looping())
+    ///     })
+    ///     .slave(Side::Simulator, 0x0, 0x1000, || Box::new(MemorySlave::new(0x1000, 0)));
+    /// let build = || {
+    ///     EmuSession::from_blueprint(&blueprint)
+    ///         .domains(3)
+    ///         .transport(TransportSelect::Threaded(ThreadedOpts::default()))
+    ///         .build()
+    /// };
+    /// let mut session = build()?;
+    /// session.run_until_committed(60)?;
+    /// let cut = session.checkpoint()?;
+    /// session.run_until_committed(120)?;
+    /// for d in 0..session.domains() {
+    ///     assert!(session.domain_report(d).committed_cycles() >= 120);
+    /// }
+    ///
+    /// // A cut spans the whole mesh, and restores into a twin of the same shape.
+    /// let mut twin = build()?;
+    /// twin.restore(&cut)?;
+    /// twin.run_until_committed(120)?;
+    /// assert_eq!(twin.committed_cycles(), session.committed_cycles());
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    pub fn domains(mut self, domains: usize) -> Self {
+        self.domains = domains;
+        self
+    }
+
     /// Overrides the configuration (defaults to
     /// [`CoEmuConfig::paper_defaults`]).
     pub fn config(mut self, config: CoEmuConfig) -> Self {
@@ -275,21 +335,27 @@ impl<'bp> BlueprintSessionBuilder<'bp> {
         self
     }
 
-    /// Builds the two half-bus domain models and the session around them.
+    /// Builds a pair of half-bus domain models per edge (one pair, at two
+    /// domains) and the session around them.
     ///
     /// # Errors
     ///
-    /// Returns [`SessionError::Bus`] for broken blueprints and
-    /// [`SessionError::Config`] for invalid configurations.
+    /// Returns [`SessionError::Bus`] for broken blueprints,
+    /// [`SessionError::Config`] for invalid configurations (fewer than two
+    /// domains included), and [`SessionError::Io`] when a socket or region
+    /// file cannot be set up.
     pub fn build(self) -> Result<EmuSession<AhbDomainModel>, SessionError> {
-        let (sim, acc) = self.blueprint.build_pair_with(self.suite.as_ref())?;
-        let mut builder = EmuSession::builder(sim, acc)
-            .config(self.config)
-            .transport(self.transport);
-        if let Some(obs) = self.observer {
-            builder = builder.observer(obs);
-        }
-        builder.build()
+        let models = full_mesh(self.domains)
+            .iter()
+            .map(|_| self.blueprint.build_pair_with(self.suite.as_ref()))
+            .collect::<Result<Vec<_>, _>>()?;
+        EmuSession::assemble(
+            models,
+            self.domains,
+            self.config,
+            self.transport,
+            self.observer,
+        )
     }
 }
 
@@ -298,19 +364,22 @@ impl<'bp> BlueprintSessionBuilder<'bp> {
 /// See the crate-level docs for the backend catalogue ([`TransportSelect`])
 /// and the boundary-halt semantics shared by every backend.
 pub struct EmuSession<M: DomainModel + Send + 'static> {
-    /// One edge: two ports on one shared channel, or on one channel each —
-    /// whichever [`LinkSpec::shares_medium`] says of `link`.
+    /// Two domains over a link that [shares its
+    /// medium](LinkSpec::shares_medium): one edge, two ports on one channel.
+    /// Anything else: a full mesh, every port on its own end.
     engine: Engine<M, Box<dyn Link>>,
     link: LinkSpec,
 }
 
 impl EmuSession<AhbDomainModel> {
     /// Starts a builder over an AHB blueprint with the paper's predictor
-    /// wiring, paper-default configuration, and the queue transport.
+    /// wiring, paper-default configuration, the queue transport, and two
+    /// domains.
     pub fn from_blueprint(blueprint: &SocBlueprint) -> BlueprintSessionBuilder<'_> {
         BlueprintSessionBuilder {
             blueprint,
             suite: Box::new(PaperSuite),
+            domains: 2,
             config: CoEmuConfig::paper_defaults(),
             transport: TransportSelect::Queue,
             observer: None,
@@ -331,15 +400,55 @@ impl<M: DomainModel + Send + 'static> EmuSession<M> {
         }
     }
 
-    /// A stable name for the backend in force (telemetry).
-    pub fn backend(&self) -> &'static str {
-        self.link.session_name()
+    /// The one place a session is put together: `models[e]` is edge `e`'s
+    /// simulator-role and accelerator-role model, one pair per edge of the
+    /// full mesh over `domains` domains.
+    fn assemble(
+        mut models: Vec<(M, M)>,
+        domains: usize,
+        config: CoEmuConfig,
+        transport: TransportSelect,
+        observer: Option<Box<dyn EmuObserver>>,
+    ) -> Result<Self, SessionError> {
+        config.validate()?;
+        if domains < 2 {
+            return Err(ConfigError::TooFewDomains { domains }.into());
+        }
+        let link = transport.lower()?;
+        let mut engine = if domains == 2 && link.shares_medium() {
+            let (sim, acc) = models.pop().expect("two domains share one edge");
+            Engine::shared(sim, acc, config, link.shared_medium(config.channel))
+        } else {
+            Engine::per_side(models, link.mesh(domains, config.channel)?, config)
+        };
+        if let Some(observer) = observer {
+            engine.set_observer(observer);
+        }
+        Ok(EmuSession { engine, link })
     }
 
-    /// Runs until both domains have committed at least `cycles` cycles and
-    /// stand synchronized at a transition boundary (a deterministic protocol
-    /// event — identical across backends; the run may overshoot `cycles` by
-    /// up to one transition).
+    /// A stable name for the backend in force (telemetry, and the stamp a
+    /// checkpoint is matched by): the link's name at two domains, `"fabric+"`
+    /// followed by it past two.
+    pub fn backend(&self) -> &'static str {
+        self.link.backend_name(self.domains())
+    }
+
+    /// How many domains the session joins.
+    pub fn domains(&self) -> usize {
+        self.engine.domains()
+    }
+
+    /// The edge list: one entry per pair of domains, lexicographic (see
+    /// [`full_mesh`]).
+    pub fn edges(&self) -> &[FabricEdge] {
+        self.engine.edges()
+    }
+
+    /// Runs until every domain stands halted at a transition boundary with
+    /// at least `cycles` cycles committed on each of its ports (a
+    /// deterministic protocol event — identical across backends; the run may
+    /// overshoot `cycles` by up to one transition).
     ///
     /// # Errors
     ///
@@ -356,30 +465,71 @@ impl<M: DomainModel + Send + 'static> EmuSession<M> {
             .map(|_| ())
     }
 
-    /// Cycles both domains have committed.
+    /// Cycles every domain has committed (the minimum over all ports).
     pub fn committed_cycles(&self) -> u64 {
         self.engine.committed_cycles(None)
     }
 
-    /// The virtual-time ledger (merged across the two per-side ledgers for
-    /// the per-side backends).
+    /// The virtual-time ledger (every per-side ledger merged, where the
+    /// link ends have their own).
     pub fn ledger(&self) -> TimeLedger {
         self.engine.ledger(None)
     }
 
-    /// Channel statistics (merged across the two per-side channels for the
-    /// per-side backends). Recovery overhead of a reliable backend is *not*
-    /// included — see [`recovery_stats`](Self::recovery_stats) — so these
-    /// figures stay comparable with a clean run.
+    /// Channel statistics (every link counted once per side, where the link
+    /// ends have their own channels). Recovery overhead of a reliable
+    /// backend is *not* included — see
+    /// [`recovery_stats`](Self::recovery_stats) — so these figures stay
+    /// comparable with a clean run.
     pub fn channel_stats(&self) -> ChannelStats {
         self.engine.channel_stats(None)
+    }
+
+    /// `Some(domain)`, checked: the argument of the per-domain reads.
+    fn domain(&self, domain: usize) -> Option<usize> {
+        let domains = self.domains();
+        assert!(
+            domain < domains,
+            "domain {domain} is out of range: domains() is {domains}"
+        );
+        Some(domain)
+    }
+
+    /// Cycles domain `domain` has committed on every one of its ports.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `domain` is not below [`domains`](Self::domains).
+    pub fn domain_committed(&self, domain: usize) -> u64 {
+        self.engine.committed_cycles(self.domain(domain))
+    }
+
+    /// Domain `domain`'s virtual-time ledger (its ports merged in edge
+    /// order). Two domains on a shared in-process medium bill one ledger, so
+    /// either reads the whole session's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `domain` is not below [`domains`](Self::domains).
+    pub fn domain_ledger(&self, domain: usize) -> TimeLedger {
+        self.engine.ledger(self.domain(domain))
+    }
+
+    /// Domain `domain`'s channel statistics, merged over its links (the
+    /// whole session's, for two domains on a shared in-process medium).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `domain` is not below [`domains`](Self::domains).
+    pub fn domain_channel_stats(&self, domain: usize) -> ChannelStats {
+        self.engine.channel_stats(self.domain(domain))
     }
 
     /// Fault counters, when the session injects faults (the lossy backend,
     /// directly or under the reliability layer; the TCP and shm backends
     /// when an active [`TcpOptions::fault`](crate::TcpOptions::fault) /
     /// [`ShmOptions::fault`](crate::ShmOptions::fault) plan is in force,
-    /// merged across the two per-side wrappers).
+    /// merged across every per-side wrapper).
     pub fn fault_stats(&self) -> Option<FaultStats> {
         if !self.link.reports_faults() {
             return None;
@@ -389,7 +539,7 @@ impl<M: DomainModel + Send + 'static> EmuSession<M> {
     }
 
     /// Recovery counters, when the session runs over a reliable backend
-    /// (merged across the two per-side layers where each side has its own).
+    /// (merged across the per-side layers where each link end has its own).
     pub fn recovery_stats(&self) -> Option<RecoveryStats> {
         self.engine
             .link_stats(None, |link| link.recovery_stats(), RecoveryStats::merge)
@@ -397,35 +547,37 @@ impl<M: DomainModel + Send + 'static> EmuSession<M> {
 
     /// Physical-write efficiency counters (frames per socket write / ring
     /// publication), when the backend coalesces frames — the two-endpoint
-    /// backends (TCP, shm), merged across both sides, directly or under the
-    /// lossy/reliable wrappers. `None` for backends with no physical write
-    /// concept (queue, lossy-over-queue, mpsc).
+    /// backends (TCP, shm), merged across every link end, directly or under
+    /// the lossy/reliable wrappers. `None` for backends with no physical
+    /// write concept (queue, lossy-over-queue, mpsc).
     pub fn batch_stats(&self) -> Option<BatchStats> {
         self.engine
             .link_stats(None, |link| link.batch_stats(), BatchStats::merge)
     }
 
-    /// The two protocol engines, simulator side first.
+    /// Edge 0's two protocol engines, simulator side first — the only edge
+    /// of a two-domain session.
     fn wrappers(&self) -> (&ChannelWrapper<M>, &ChannelWrapper<M>) {
         self.engine.edge_wrappers(0)
     }
 
-    /// Simulator-side wrapper statistics.
+    /// Simulator-side wrapper statistics (edge 0's, past two domains; a
+    /// [`domain_report`](Self::domain_report) merges a domain's by role).
     pub fn sim_stats(&self) -> &CwStats {
         self.wrappers().0.stats()
     }
 
-    /// Accelerator-side wrapper statistics.
+    /// Accelerator-side wrapper statistics (edge 0's, past two domains).
     pub fn acc_stats(&self) -> &CwStats {
         self.wrappers().1.stats()
     }
 
-    /// The simulator-side model.
+    /// The simulator-side model (edge 0's, past two domains).
     pub fn sim_model(&self) -> &M {
         self.wrappers().0.model()
     }
 
-    /// The accelerator-side model.
+    /// The accelerator-side model (edge 0's, past two domains).
     pub fn acc_model(&self) -> &M {
         self.wrappers().1.model()
     }
@@ -443,35 +595,66 @@ impl<M: DomainModel + Send + 'static> EmuSession<M> {
     ///
     /// Panics if no cycle has committed yet — a freshly built session, or
     /// one whose link died in the handshake: every row of the report is per
-    /// committed cycle. [`CoEmulator::report`](crate::CoEmulator::report) and
-    /// [`FabricSession::domain_report`](crate::FabricSession::domain_report)
-    /// are the same method and panic alike; check
-    /// [`committed_cycles`](Self::committed_cycles) first.
+    /// committed cycle. [`domain_report`](Self::domain_report) and
+    /// [`CoEmulator::report`](crate::CoEmulator::report) are the same method
+    /// and panic alike; check [`committed_cycles`](Self::committed_cycles)
+    /// first.
     pub fn report(&self) -> PerfReport {
         self.engine.report(None)
     }
 
-    /// Merges the two domains' committed local-output traces into full-bus
-    /// records (see [`CoEmulator::merged_trace`](crate::CoEmulator::merged_trace)).
-    pub fn merged_trace(&self, merge: impl Fn(&[u64], &[u64]) -> Vec<u64>) -> Trace {
-        let (sim, acc) = self.wrappers();
+    /// Domain `domain`'s performance report: its merged ledger and channel
+    /// statistics, its wrapper counters split by port role, and — on
+    /// reliable backends — its share of the recovery bill.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `domain` is not below [`domains`](Self::domains), or — like
+    /// [`report`](Self::report) — if it has not committed a cycle on every
+    /// one of its ports yet; check
+    /// [`domain_committed`](Self::domain_committed) first.
+    pub fn domain_report(&self, domain: usize) -> PerfReport {
+        self.engine.report(self.domain(domain))
+    }
+
+    /// Merges edge `edge`'s two committed local-output traces into full-bus
+    /// records comparable with a golden [`AhbBus`](predpkt_ahb::bus::AhbBus)
+    /// trace: `merge` receives (simulator-role record, accelerator-role
+    /// record) per cycle and must interleave them into the golden layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `edge` is not below [`edges`](Self::edges)`.len()`.
+    pub fn edge_trace(&self, edge: usize, merge: impl Fn(&[u64], &[u64]) -> Vec<u64>) -> Trace {
+        let edges = self.edges().len();
+        assert!(
+            edge < edges,
+            "edge {edge} is out of range: edges().len() is {edges}"
+        );
+        let (sim, acc) = self.engine.edge_wrappers(edge);
         merge_committed_traces(sim, acc, merge)
     }
 
-    /// Whether both domains stand at a committed transition boundary — the
-    /// only cut at which [`checkpoint`](Self::checkpoint) succeeds. True
-    /// after every [`run_until_committed`](Self::run_until_committed) call
-    /// (the halt condition *is* the boundary).
-    pub fn at_checkpoint_boundary(&self) -> bool {
-        let (sim, acc) = self.wrappers();
-        sim.at_transition_boundary() && acc.at_transition_boundary()
+    /// [`edge_trace`](Self::edge_trace) of edge 0 — the one edge of a
+    /// two-domain session.
+    pub fn merged_trace(&self, merge: impl Fn(&[u64], &[u64]) -> Vec<u64>) -> Trace {
+        self.edge_trace(0, merge)
     }
 
-    /// Takes a whole-session checkpoint: both domains' model, predictor,
-    /// trace, and statistics state, the channel (in-flight frames of the
-    /// shared in-process medium; the reliability layer's windows, clock, and
-    /// recovery counters where one is installed), and the virtual-time
-    /// ledgers — one consistent cut, stamped with the
+    /// Whether every domain stands at a committed transition boundary on
+    /// every one of its ports — the only cut at which
+    /// [`checkpoint`](Self::checkpoint) succeeds. True after every
+    /// [`run_until_committed`](Self::run_until_committed) call (the halt
+    /// condition *is* the boundary).
+    pub fn at_checkpoint_boundary(&self) -> bool {
+        self.engine.at_boundary()
+    }
+
+    /// Takes a whole-session checkpoint: every domain's model, predictor,
+    /// trace, and statistics state on every edge, the channels (in-flight
+    /// frames of the shared in-process medium; the reliability layers'
+    /// windows, clocks, and recovery counters where installed), and the
+    /// virtual-time ledgers — one consistent cut, stamped with the
     /// [`backend`](Self::backend) name and the committed cycle count.
     ///
     /// Restoring the checkpoint into a freshly built session of the same
@@ -483,8 +666,8 @@ impl<M: DomainModel + Send + 'static> EmuSession<M> {
     /// # Errors
     ///
     /// [`CheckpointError::NotAtBoundary`] unless the session is halted at a
-    /// committed transition boundary, and [`CheckpointError::Poisoned`]
-    /// after a failed restore.
+    /// committed transition boundary (a single port mid-transition refuses
+    /// the cut), and [`CheckpointError::Poisoned`] after a failed restore.
     pub fn checkpoint(&self) -> Result<SessionCheckpoint, CheckpointError> {
         let mut ckpt = SessionCheckpoint::new(self.backend(), self.committed_cycles());
         self.engine.checkpoint_into(&mut ckpt)?;
@@ -492,14 +675,17 @@ impl<M: DomainModel + Send + 'static> EmuSession<M> {
     }
 
     /// Restores this session to a checkpoint's cut. The session must run
-    /// the same [`backend`](Self::backend) and be built from the same
-    /// models and configuration as the one the checkpoint was taken on.
+    /// the same [`backend`](Self::backend), join as many domains, and be
+    /// built from the same models and configuration as the one the
+    /// checkpoint was taken on.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::BackendMismatch`] or
-    /// [`CheckpointError::MissingSection`] for a checkpoint of the wrong
-    /// shape (rejected before any state is touched), and
+    /// [`CheckpointError::BackendMismatch`],
+    /// [`CheckpointError::MissingSection`] or
+    /// [`CheckpointError::UnexpectedSection`] for a checkpoint of the wrong
+    /// shape — its section table must be exactly this session's — rejected
+    /// before any state is touched, and
     /// [`CheckpointError::Snapshot`] when a component rejects its words —
     /// the session is then **poisoned**: every subsequent step fails with
     /// [`SimError::StatePoisoned`] until a full restore succeeds.
@@ -542,12 +728,9 @@ impl<M: DomainModel + Send + 'static> EmuSession<M> {
         ckpt: &SessionCheckpoint,
         transport: TransportSelect,
     ) -> Result<EmuSession<M>, SessionError> {
-        let (sim, acc, config, observer) = self.engine.into_parts();
-        let mut session = EmuSession::builder(sim, acc)
-            .config(config)
-            .transport(transport)
-            .observer(observer)
-            .build()?;
+        let domains = self.domains();
+        let (models, config, observer) = self.engine.into_parts();
+        let mut session = Self::assemble(models, domains, config, transport, Some(observer))?;
         session.restore(ckpt)?;
         Ok(session)
     }
@@ -557,6 +740,7 @@ impl<M: DomainModel + Send + fmt::Debug + 'static> fmt::Debug for EmuSession<M> 
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EmuSession")
             .field("backend", &self.backend())
+            .field("domains", &self.domains())
             .field("committed", &self.committed_cycles())
             .finish()
     }
@@ -645,7 +829,7 @@ impl<M: DomainModel + Send + 'static> SlicedSession<M> {
     /// transition needs an answer from the peer. A link is asked what it
     /// holds only after a round in which no port worked.
     ///
-    /// Returns [`SliceStatus::Done`] once both domains stand halted at the
+    /// Returns [`SliceStatus::Done`] once every domain stands halted at the
     /// target boundary (further calls are no-ops returning `Done` again),
     /// [`SliceStatus::Working`] when the budget ran out mid-flight, and
     /// [`SliceStatus::Idle`] when progress now depends on the transport
@@ -666,7 +850,7 @@ impl<M: DomainModel + Send + 'static> SlicedSession<M> {
         if !self.auto_checkpoint {
             return self.dispatch_slice(self.target, max_steps);
         }
-        // Checkpoints are only consistent with both domains halted at the
+        // Checkpoints are only consistent with every domain halted at the
         // same committed boundary, and free-running domains pipeline past
         // each other — they almost never align on their own. So aim the
         // engine at the next interval cut instead of the final target: it
@@ -768,7 +952,7 @@ impl<M: DomainModel + Send + 'static> SlicedSession<M> {
         self.target
     }
 
-    /// Cycles both domains have committed so far.
+    /// Cycles every domain has committed so far.
     pub fn committed_cycles(&self) -> u64 {
         self.session.committed_cycles()
     }
@@ -795,7 +979,7 @@ impl<M: DomainModel + Send + 'static> PollReady for SlicedSession<M> {
     /// The probe a parked session is woken by. Queue-backed sessions are
     /// always `Ready` (both transport ends live in the session object, so
     /// stepping always makes progress or fails deterministically); the
-    /// endpoint-backed ones fold both endpoints' probes. `Dead` is
+    /// endpoint-backed ones fold every endpoint's probe. `Dead` is
     /// actionable too: scheduling the session lets it discover the loss and
     /// fail fast, freeing its slot.
     fn readiness(&mut self) -> Readiness {

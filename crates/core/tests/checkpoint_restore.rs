@@ -17,14 +17,14 @@
 mod common;
 
 use common::conformance::{
-    assert_matches_baseline, baseline, conformant_backends, observe, workload_config, workload_for,
-    Observed, Workload,
+    assert_matches_baseline, baseline, build_session, conformant_backends, observe,
+    workload_config, workload_for, Observed, Workload,
 };
 use common::{figure2_soc, figure2_soc_seeded};
 use predpkt_channel::{FaultSpec, RecoveryStats};
 use predpkt_core::{
-    AhbDomainModel, CheckpointError, CoEmuConfig, EmuSession, ModePolicy, ReliableInner,
-    SessionCheckpoint, Side, SliceStatus, SocBlueprint, TransportSelect,
+    CheckpointError, CoEmuConfig, EmuSession, ModePolicy, ReliableInner, SessionCheckpoint, Side,
+    SliceStatus, SocBlueprint, TransportSelect,
 };
 use predpkt_sim::SimError;
 
@@ -36,15 +36,6 @@ fn backend_for(name: &str) -> TransportSelect {
         .find(|(n, _)| *n == name)
         .unwrap_or_else(|| panic!("unknown backend {name}"))
         .1
-}
-
-/// Builds a fresh Fig. 2 session for `workload` over `backend`.
-fn build_session(backend: TransportSelect, workload: &Workload) -> EmuSession<AhbDomainModel> {
-    EmuSession::from_blueprint(&figure2_soc())
-        .config(workload_config(workload))
-        .transport(backend)
-        .build()
-        .expect("session builds")
 }
 
 /// Runs `workload` in two halves with a full byte-serialized
@@ -85,22 +76,29 @@ fn run_with_mid_checkpoint(name: &str, workload: &Workload) -> Observed {
 }
 
 /// The tentpole acceptance: restore-then-run is bit-identical to
-/// run-straight-through on every backend in the conformance matrix.
+/// run-straight-through on every backend in the conformance matrix, at two
+/// domains and over a three-domain mesh (one cut of all three edges).
 #[test]
 fn restore_then_run_matches_straight_through_on_every_backend() {
-    let workload = workload_for(ModePolicy::Auto);
-    let straight = baseline(&workload);
-    for (name, _) in conformant_backends() {
-        let observed = run_with_mid_checkpoint(name, &workload);
-        assert_matches_baseline(&workload, name, &straight, &observed);
-        // Cooperative reliable backends serialize their windows and clock in
-        // the cut, so the restored run repairs nothing on a clean link.
-        if name == "reliable+queue" || name == "reliable+lossy" {
-            let recovery = observed
-                .recovery
-                .expect("reliable backend reports recovery");
-            assert_eq!(recovery.retransmits, 0, "{name}: clean link, restored run");
-            assert_eq!(recovery.crc_rejects, 0, "{name}: clean link, restored run");
+    for domains in [2, 3] {
+        let workload = workload_for(ModePolicy::Auto).at(domains);
+        let straight = baseline(&workload);
+        for (name, _) in conformant_backends() {
+            let observed = run_with_mid_checkpoint(name, &workload);
+            assert_matches_baseline(&workload, name, &straight, &observed);
+            if domains > 2 {
+                // Every backend splits a mesh by link end alike.
+                assert_eq!(straight.domains, observed.domains, "{name}: per domain");
+            }
+            // Cooperative reliable backends serialize their windows and clock in
+            // the cut, so the restored run repairs nothing on a clean link.
+            if domains == 2 && (name == "reliable+queue" || name == "reliable+lossy") {
+                let recovery = observed
+                    .recovery
+                    .expect("reliable backend reports recovery");
+                assert_eq!(recovery.retransmits, 0, "{name}: clean link, restored run");
+                assert_eq!(recovery.crc_rejects, 0, "{name}: clean link, restored run");
+            }
         }
     }
 }
@@ -355,6 +353,58 @@ fn shape_mismatch_poisons_until_a_good_restore() {
     // A successful restore of its own checkpoint heals the session.
     victim.restore(&own).expect("well-shaped restore heals");
     victim.run_until_committed(60).expect("healed session runs");
+
+    // The backend name does not carry the domain count, and the cut of a
+    // wider mesh holds every label a narrower one asks for (its edge 2 joins
+    // other domains): only an exact section table restores. Refused either
+    // way round before anything changes, so the target still steps.
+    let cut_of = |domains: usize| {
+        let mut session = build_session(TransportSelect::Queue, &workload.at(domains));
+        session.run_until_committed(40).expect("mesh runs");
+        (session.checkpoint().expect("mesh checkpoint"), session)
+    };
+    let (narrow_cut, mut narrow) = cut_of(3);
+    let (wide_cut, mut wide) = cut_of(4);
+    assert_eq!(narrow_cut.backend(), wide_cut.backend());
+    assert_eq!(
+        (narrow_cut.sections().count(), wide_cut.sections().count()),
+        (18, 36)
+    );
+    assert_eq!(
+        narrow.restore(&wide_cut),
+        Err(CheckpointError::UnexpectedSection {
+            section: "edge3.wrapper.sim".to_string()
+        })
+    );
+    assert_eq!(
+        wide.restore(&narrow_cut),
+        Err(CheckpointError::MissingSection {
+            section: "edge3.wrapper.sim".to_string()
+        })
+    );
+    narrow
+        .run_until_committed(80)
+        .expect("refused, not touched");
+    wide.run_until_committed(80).expect("refused, not touched");
+
+    // A section that fails part-way poisons the whole mesh.
+    let mut mesh = EmuSession::from_blueprint(&tiny_soc())
+        .domains(3)
+        .config(workload_config(&workload))
+        .build()
+        .expect("tiny mesh builds");
+    mesh.run_until_committed(50).expect("tiny mesh runs");
+    let own = mesh.checkpoint().expect("tiny mesh checkpoint");
+    assert!(matches!(
+        mesh.restore(&narrow_cut),
+        Err(CheckpointError::Snapshot { .. })
+    ));
+    assert!(matches!(
+        mesh.run_until_committed(60),
+        Err(SimError::StatePoisoned(_))
+    ));
+    mesh.restore(&own).expect("well-shaped restore heals");
+    mesh.run_until_committed(60).expect("healed mesh runs");
 }
 
 /// Backends serialize different channel word streams, so a checkpoint only
@@ -421,22 +471,24 @@ fn sliced_auto_checkpoint_stashes_the_latest_boundary() {
 }
 
 /// A checkpoint mid-transition is refused: the cut is only defined at a
-/// committed boundary.
+/// committed boundary — of every edge, in a mesh.
 #[test]
 fn checkpoint_off_boundary_is_refused() {
-    let workload = workload_for(ModePolicy::Auto);
-    let mut sliced = build_session(TransportSelect::Queue, &workload).into_sliced(500);
-    // Step one scheduling round at a time until the session leaves the
-    // boundary mid-transition, then demand a checkpoint.
-    for _ in 0..10_000 {
-        if !sliced.session().at_checkpoint_boundary() {
-            let err = sliced.checkpoint().expect_err("mid-transition cut refused");
-            assert_eq!(err, CheckpointError::NotAtBoundary);
-            return;
+    'domains: for domains in [2, 3] {
+        let workload = workload_for(ModePolicy::Auto).at(domains);
+        let mut sliced = build_session(TransportSelect::Queue, &workload).into_sliced(500);
+        // Step one scheduling round at a time until the session leaves the
+        // boundary mid-transition, then demand a checkpoint.
+        for _ in 0..10_000 {
+            if !sliced.session().at_checkpoint_boundary() {
+                let err = sliced.checkpoint().expect_err("mid-transition cut refused");
+                assert_eq!(err, CheckpointError::NotAtBoundary);
+                continue 'domains;
+            }
+            if matches!(sliced.run_slice(1).expect("slice runs"), SliceStatus::Done) {
+                break;
+            }
         }
-        if matches!(sliced.run_slice(1).expect("slice runs"), SliceStatus::Done) {
-            break;
-        }
+        panic!("n={domains}: the run never left a checkpoint boundary mid-transition");
     }
-    panic!("the run never left a checkpoint boundary mid-transition");
 }

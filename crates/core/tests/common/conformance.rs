@@ -33,8 +33,8 @@ use std::time::Duration;
 
 use super::figure2_soc;
 
-/// One cell of the workload matrix: a mode policy and a target cycle count
-/// over the Fig. 2-shaped SoC.
+/// One cell of the workload matrix: a mode policy, a target cycle count and
+/// a domain count over the Fig. 2-shaped SoC.
 #[derive(Debug, Clone, Copy)]
 pub struct Workload {
     /// Stable name for assertion messages.
@@ -43,6 +43,15 @@ pub struct Workload {
     pub policy: ModePolicy,
     /// Cycles to commit before halting at a transition boundary.
     pub cycles: u64,
+    /// Domains joined (a full mesh of Fig. 2 links past two).
+    pub domains: usize,
+}
+
+impl Workload {
+    /// The same cell over `domains` domains.
+    pub fn at(self, domains: usize) -> Self {
+        Workload { domains, ..self }
+    }
 }
 
 /// The shared workload matrix: every mode policy the protocol distinguishes,
@@ -54,16 +63,19 @@ pub fn workload_matrix() -> Vec<Workload> {
             name: "auto",
             policy: ModePolicy::Auto,
             cycles: 500,
+            domains: 2,
         },
         Workload {
             name: "forced-als",
             policy: ModePolicy::ForcedAls,
             cycles: 500,
+            domains: 2,
         },
         Workload {
             name: "conservative",
             policy: ModePolicy::Conservative,
             cycles: 300,
+            domains: 2,
         },
     ]
 }
@@ -139,17 +151,23 @@ pub fn conformant_backends() -> Vec<(&'static str, TransportSelect)> {
 
 /// Everything a conformance run observes about a session.
 pub struct Observed {
-    /// Hash of the merged committed trace.
+    /// Hash of the merged committed trace (edge 0's, past two domains).
     pub trace_hash: u64,
+    /// Hash of every edge's merged committed trace, in edge order.
+    pub edge_hashes: Vec<u64>,
+    /// Per domain: cycles committed, channel statistics, and total virtual
+    /// time. Two domains on the shared in-process medium have one channel
+    /// and one ledger, so either reads the whole session's there.
+    pub domains: Vec<(u64, ChannelStats, VirtualTime)>,
     /// Cycles committed at the halt boundary.
     pub committed: u64,
     /// Protocol-level channel statistics (recovery excluded by design).
     pub channel: ChannelStats,
     /// Total virtual time across the merged ledger.
     pub ledger_total: VirtualTime,
-    /// Simulator-side rollbacks.
+    /// Simulator-side rollbacks (edge 0's).
     pub sim_rollbacks: u64,
-    /// Accelerator-side LOB flushes.
+    /// Accelerator-side LOB flushes (edge 0's).
     pub acc_flushes: u64,
     /// Recovery counters, for reliable backends.
     pub recovery: Option<RecoveryStats>,
@@ -174,10 +192,22 @@ pub fn workload_config(workload: &Workload) -> CoEmuConfig {
 /// session (built from `blueprint`, whose placement merges the traces).
 pub fn observe(session: &EmuSession<AhbDomainModel>, blueprint: &SocBlueprint) -> Observed {
     let placement = blueprint.placement();
-    let trace = session.merged_trace(|s, a| placement.merge_records(s, a));
+    let merge = |s: &[u64], a: &[u64]| placement.merge_records(s, a);
+    let edge_hashes: Vec<u64> = (0..session.edges().len())
+        .map(|e| session.edge_trace(e, merge).hash())
+        .collect();
+    let domains = (0..session.domains()).map(|d| {
+        (
+            session.domain_committed(d),
+            session.domain_channel_stats(d),
+            session.domain_ledger(d).total(),
+        )
+    });
     let report = session.report();
     Observed {
-        trace_hash: trace.hash(),
+        trace_hash: edge_hashes[0],
+        edge_hashes,
+        domains: domains.collect(),
         committed: session.committed_cycles(),
         channel: session.channel_stats(),
         ledger_total: session.ledger().total(),
@@ -206,6 +236,7 @@ pub fn run_workload_with_suite(
 ) -> Observed {
     let blueprint = figure2_soc();
     let mut session = EmuSession::from_blueprint(&blueprint)
+        .domains(workload.domains)
         .config(workload_config(workload))
         .transport(backend)
         .predictors(suite)
@@ -215,6 +246,16 @@ pub fn run_workload_with_suite(
         .run_until_committed(workload.cycles)
         .expect("session completes");
     observe(&session, &blueprint)
+}
+
+/// A fresh Fig. 2 session for `workload` over `backend`, paper suite.
+pub fn build_session(backend: TransportSelect, workload: &Workload) -> EmuSession<AhbDomainModel> {
+    EmuSession::from_blueprint(&figure2_soc())
+        .domains(workload.domains)
+        .config(workload_config(workload))
+        .transport(backend)
+        .build()
+        .expect("session builds")
 }
 
 /// The queue-transport baseline for `workload`.
@@ -232,10 +273,10 @@ pub fn assert_matches_baseline(
 ) {
     let ctx = |what: &str| format!("{}/{name}: {what}", workload.name);
     assert_eq!(
-        baseline.trace_hash,
-        observed.trace_hash,
+        baseline.edge_hashes,
+        observed.edge_hashes,
         "{}",
-        ctx("trace diverged from queue baseline")
+        ctx("an edge's trace diverged from queue baseline")
     );
     assert_eq!(
         baseline.committed,

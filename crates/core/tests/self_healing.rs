@@ -20,15 +20,12 @@
 mod common;
 
 use common::conformance::{
-    assert_matches_baseline, baseline, observe, shm_opts, tcp_opts, workload_config, workload_for,
+    assert_matches_baseline, baseline, build_session, observe, shm_opts, tcp_opts, workload_for,
     Observed, Workload,
 };
 use common::figure2_soc;
 use predpkt_channel::FaultSpec;
-use predpkt_core::{
-    AhbDomainModel, EmuSession, ModePolicy, ReliableInner, SessionCheckpoint, SliceStatus,
-    TransportSelect,
-};
+use predpkt_core::{ModePolicy, ReliableInner, SessionCheckpoint, SliceStatus, TransportSelect};
 use predpkt_sim::SimError;
 
 /// Seed for every terminal-fault plan in this suite (rates stay zero; the
@@ -54,6 +51,7 @@ fn doomed(name: &str, cut: u64) -> TransportSelect {
         "shm" => TransportSelect::Shm(shm_opts().fault(spec)),
         "reliable+lossy" => TransportSelect::reliable(ReliableInner::Lossy(spec)),
         "reliable+tcp" => TransportSelect::reliable(ReliableInner::Tcp(tcp_opts().fault(spec))),
+        "reliable+shm" => TransportSelect::reliable(ReliableInner::Shm(shm_opts().fault(spec))),
         other => panic!("unknown self-healing backend {other}"),
     }
 }
@@ -70,17 +68,9 @@ fn fresh(name: &str) -> TransportSelect {
         "shm" => TransportSelect::Shm(shm_opts()),
         "reliable+lossy" => TransportSelect::reliable(ReliableInner::Lossy(spec)),
         "reliable+tcp" => TransportSelect::reliable(ReliableInner::Tcp(tcp_opts())),
+        "reliable+shm" => TransportSelect::reliable(ReliableInner::Shm(shm_opts())),
         other => panic!("unknown self-healing backend {other}"),
     }
-}
-
-/// Builds a fresh Fig. 2 session for `workload` over `backend`.
-fn build_session(backend: TransportSelect, workload: &Workload) -> EmuSession<AhbDomainModel> {
-    EmuSession::from_blueprint(&figure2_soc())
-        .config(workload_config(workload))
-        .transport(backend)
-        .build()
-        .expect("session builds")
 }
 
 /// How a kill-and-heal run ended.
@@ -195,6 +185,21 @@ fn severed_link_heals_bit_identically_on_every_backend() {
             resumed > 0,
             "{name}: no cut point left a checkpoint behind — the resume path \
              was never exercised"
+        );
+    }
+    // A three-domain mesh heals the same way: every link of it is doomed
+    // (per-edge plans off one spec), the first to sever kills the run, and
+    // `resume_from` rebuilds all three edges on fresh links under the cut.
+    let mesh = workload.at(3);
+    let straight = baseline(&mesh);
+    for name in ["reliable+tcp", "reliable+shm"] {
+        // A sixth of the mesh's traffic is half of one edge's.
+        let cut = default_cuts(&straight)[0];
+        let (observed, path) = kill_and_heal(name, cut, &mesh);
+        assert_matches_baseline(&mesh, name, &straight, &observed);
+        assert!(
+            matches!(path, HealPath::Resumed { boundary } if boundary > 0),
+            "{name}/n=3/cut={cut}: {path:?}"
         );
     }
 }

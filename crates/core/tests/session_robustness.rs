@@ -11,8 +11,8 @@ use predpkt_ahb::masters::TrafficGenMaster;
 use predpkt_ahb::slaves::MemorySlave;
 use predpkt_channel::FaultSpec;
 use predpkt_core::{
-    CoEmuConfig, CoEmulator, ConfigError, EmuSession, EventLog, FabricSession, ModePolicy,
-    PerfReport, SessionError, Side, SocBlueprint,
+    CoEmuConfig, CoEmulator, ConfigError, EmuSession, EventLog, ModePolicy, SessionError, Side,
+    SocBlueprint,
 };
 use predpkt_sim::SimError;
 
@@ -202,13 +202,14 @@ fn try_lob_depth_validates_and_sets() {
 
 /// A report is per committed cycle, so asking for one before the first cycle
 /// commits panics — documented on all three entry points, which are one
-/// engine method: a fresh session, a fresh fabric domain and a fresh bare
+/// engine method: a fresh session, a fresh mesh's domain and a fresh bare
 /// co-emulator say the same thing, and the session stays usable.
 #[test]
 fn a_report_before_the_first_committed_cycle_panics_on_every_entry_point() {
-    fn panic_message(report: impl FnOnce() -> PerfReport) -> String {
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(report))
-            .expect_err("a zero-cycle report panics");
+    fn panic_message<R>(read: impl FnOnce() -> R) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(read))
+            .err()
+            .expect("the read panics");
         let message = payload.downcast_ref::<String>().cloned();
         message.unwrap_or_else(|| payload.downcast_ref::<&str>().unwrap().to_string())
     }
@@ -221,11 +222,21 @@ fn a_report_before_the_first_committed_cycle_panics_on_every_entry_point() {
     assert_eq!(session.committed_cycles(), 0);
     assert!(panic_message(|| session.report()).contains(WHY));
 
-    let fabric = FabricSession::from_blueprint(&blueprint, 3)
+    let mesh = EmuSession::from_blueprint(&blueprint)
+        .domains(3)
         .build()
-        .expect("fabric builds");
-    assert_eq!(fabric.domain_committed(1), 0);
-    assert!(panic_message(|| fabric.domain_report(1)).contains(WHY));
+        .expect("mesh builds");
+    assert_eq!(mesh.domain_committed(1), 0);
+    assert!(panic_message(|| mesh.domain_report(1)).contains(WHY));
+    // A domain or an edge the session does not have is named as such, with
+    // the bound, not left to a slice index.
+    let out_of_range = panic_message(|| mesh.domain_report(3));
+    assert!(out_of_range.contains("domains() is 3"), "{out_of_range}");
+    let out_of_range = panic_message(|| mesh.edge_trace(3, |s, _| s.to_vec()));
+    assert!(
+        out_of_range.contains("edges().len() is 3"),
+        "{out_of_range}"
+    );
 
     let bare = CoEmulator::from_blueprint(&blueprint, CoEmuConfig::paper_defaults())
         .expect("blueprint builds");

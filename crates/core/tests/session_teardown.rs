@@ -365,8 +365,6 @@ fn a_sliced_session_on_a_dead_medium_fails_fast_not_forever() {
 // N-domain fabric teardown: the same contract, three domains at a time.
 // ---------------------------------------------------------------------------
 
-use predpkt_core::FabricSession;
-
 fn fabric_backends() -> Vec<(&'static str, TransportSelect)> {
     vec![
         ("fabric+threaded", TransportSelect::Threaded(snappy())),
@@ -389,9 +387,10 @@ fn fabric_backends() -> Vec<(&'static str, TransportSelect)> {
 fn dropping_an_unused_fabric_session_is_immediate() {
     for (name, link) in fabric_backends() {
         within(name, Duration::from_secs(10), move || {
-            let session = FabricSession::from_blueprint(&figure2_soc(), 3)
+            let session = EmuSession::from_blueprint(&figure2_soc())
+                .domains(3)
                 .config(config())
-                .link(link)
+                .transport(link)
                 .build()
                 .expect("fabric session builds");
             drop(session);
@@ -406,9 +405,10 @@ fn dropping_a_partially_run_fabric_session_joins_all_domains() {
     // must end when the last port halts, not keep the run call spinning.
     for (name, link) in fabric_backends() {
         within(name, Duration::from_secs(30), move || {
-            let mut session = FabricSession::from_blueprint(&figure2_soc(), 3)
+            let mut session = EmuSession::from_blueprint(&figure2_soc())
+                .domains(3)
                 .config(config())
-                .link(link)
+                .transport(link)
                 .build()
                 .expect("fabric session builds");
             session.run_until_committed(120).expect("partial run");
@@ -425,9 +425,10 @@ fn a_fabric_with_one_wedged_link_wakes_every_blocked_domain() {
     // window must expire over the idle waits on six silent link ends, and the
     // dead session must still tear down within the watchdog.
     within("fabric tcp+drops", Duration::from_secs(30), || {
-        let mut session = FabricSession::from_blueprint(&figure2_soc(), 3)
+        let mut session = EmuSession::from_blueprint(&figure2_soc())
+            .domains(3)
             .config(config())
-            .link(TransportSelect::Tcp(
+            .transport(TransportSelect::Tcp(
                 TcpOptions::default()
                     .threaded(snappy())
                     .fault(FaultSpec::drops(0xdead, 1.0)),
@@ -450,9 +451,10 @@ fn repeated_fabric_shm_sessions_release_their_region_files() {
     // of the loop.
     within("fabric shm region churn", Duration::from_secs(60), || {
         for i in 0..32 {
-            let mut session = FabricSession::from_blueprint(&figure2_soc(), 3)
+            let mut session = EmuSession::from_blueprint(&figure2_soc())
+                .domains(3)
                 .config(config())
-                .link(TransportSelect::Shm(
+                .transport(TransportSelect::Shm(
                     ShmOptions::default().threaded(snappy()).file_backed(),
                 ))
                 .build()
@@ -475,9 +477,10 @@ fn repeated_fabric_socket_sessions_release_their_descriptors() {
         Duration::from_secs(60),
         || {
             for i in 0..32 {
-                let mut session = FabricSession::from_blueprint(&figure2_soc(), 3)
+                let mut session = EmuSession::from_blueprint(&figure2_soc())
+                    .domains(3)
                     .config(config())
-                    .link(TransportSelect::Tcp(
+                    .transport(TransportSelect::Tcp(
                         TcpOptions::default().threaded(snappy()),
                     ))
                     .build()

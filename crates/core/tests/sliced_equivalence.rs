@@ -70,6 +70,7 @@ fn run_workload_sliced_observed(
 ) -> (Observed, usize) {
     let blueprint = figure2_soc();
     let mut builder = EmuSession::from_blueprint(&blueprint)
+        .domains(workload.domains)
         .config(workload_config(workload))
         .transport(backend);
     if let Some(observer) = observer {
@@ -104,11 +105,17 @@ fn sliced_runs_match_queue_baseline_across_backends() {
 /// mpsc medium is as prompt as the queue), so those runs take the same number
 /// of slices and emit the same observer events in the same order — the whole
 /// stream, which is more than each domain's own.
+///
+/// A three-domain mesh takes the same budgets: six ports a round instead of
+/// two, the same committed results.
 #[test]
 fn slice_budget_does_not_change_committed_results() {
-    let workload = workload_matrix().remove(0);
-    let expect = baseline(&workload);
-    for slice_steps in [1, 7, 1 << 20] {
+    for (domains, slice_steps) in [2, 3]
+        .into_iter()
+        .flat_map(|n| [1, 7, 1 << 20].map(|s| (n, s)))
+    {
+        let workload = workload_matrix().remove(0).at(domains);
+        let expect = baseline(&workload);
         let mut schedules = Vec::new();
         for (name, backend) in [
             ("queue", TransportSelect::Queue),
@@ -122,8 +129,12 @@ fn slice_budget_does_not_change_committed_results() {
             let observer: Box<dyn EmuObserver> = Box::new(log.clone());
             let (observed, slices) =
                 run_workload_sliced_observed(backend, &workload, slice_steps, Some(observer));
-            let name = format!("sliced[{slice_steps}]+{name}");
+            let name = format!("n={domains} sliced[{slice_steps}]+{name}");
             assert_matches_baseline(&workload, &name, &expect, &observed);
+            if domains > 2 {
+                // Every backend splits a mesh by link end alike.
+                assert_eq!(expect.domains, observed.domains, "{name}: per domain");
+            }
             schedules.push((name, slices, log.events()));
         }
         let (queue, threaded) = (&schedules[0], &schedules[1]);
@@ -144,6 +155,9 @@ fn slice_budget_does_not_change_committed_results() {
             queue.0,
             threaded.0
         );
+        if domains > 2 {
+            continue; // a bare co-emulator is two domains
+        }
 
         let blueprint = figure2_soc();
         let (sim, acc) = blueprint.build_pair().expect("Fig. 2 builds");

@@ -66,6 +66,7 @@ fn threaded_runs_are_reproducible() {
         name: "auto-repro",
         policy: ModePolicy::Auto,
         cycles: 400,
+        domains: 2,
     };
     let a = run_workload(TransportSelect::Threaded(test_opts()), &w);
     let b = run_workload(TransportSelect::Threaded(test_opts()), &w);
@@ -82,6 +83,7 @@ fn tcp_runs_are_reproducible() {
         name: "auto-repro",
         policy: ModePolicy::Auto,
         cycles: 400,
+        domains: 2,
     };
     let a = run_workload(TransportSelect::Tcp(tcp_opts()), &w);
     let b = run_workload(TransportSelect::Tcp(tcp_opts()), &w);
@@ -99,6 +101,7 @@ fn shm_runs_are_reproducible() {
         name: "auto-repro",
         policy: ModePolicy::Auto,
         cycles: 400,
+        domains: 2,
     };
     for backend in [
         TransportSelect::Shm(shm_opts()),
@@ -193,20 +196,24 @@ fn every_suite_commits_the_paper_suite_trace() {
     }
 }
 
+/// One observer hears every port: at three domains the counts are the
+/// role-merged wrapper statistics of all six.
 #[test]
 fn observer_counts_match_wrapper_statistics_across_backends() {
-    for backend in [
+    let backends = [
         TransportSelect::Queue,
         TransportSelect::Threaded(test_opts()),
         TransportSelect::Tcp(tcp_opts()),
         TransportSelect::Shm(shm_opts()),
-    ] {
+    ];
+    for (domains, backend) in [2, 3].into_iter().flat_map(|n| backends.map(|b| (n, b))) {
         let blueprint = figure2_soc();
         let config = CoEmuConfig::paper_defaults()
             .policy(ModePolicy::Auto)
             .rollback_vars(None);
         let counters = EventCounters::new();
         let mut session = EmuSession::from_blueprint(&blueprint)
+            .domains(domains)
             .config(config)
             .transport(backend)
             .observer(Box::new(counters.clone()))
@@ -216,7 +223,8 @@ fn observer_counts_match_wrapper_statistics_across_backends() {
         let events = counters.snapshot();
         let report = session.report();
 
-        assert_eq!(events.handshakes, 2, "one handshake per side");
+        let ports = 2 * session.edges().len() as u64;
+        assert_eq!(events.handshakes, ports, "one handshake per port");
         assert_eq!(
             events.lob_flushes,
             report.sim_stats().flushes + report.acc_stats().flushes,

@@ -52,7 +52,8 @@ fn transport_for(i: usize) -> TransportSelect {
 /// The conformance ledger fields a farm run is compared on.
 #[derive(Debug, PartialEq)]
 struct Observed {
-    trace_hash: u64,
+    /// Every edge's merged-trace hash (one edge, at two domains).
+    edge_hashes: Vec<u64>,
     committed: u64,
     channel: ChannelStats,
     ledger_total: VirtualTime,
@@ -62,9 +63,12 @@ struct Observed {
 fn observe(session: &EmuSession<AhbDomainModel>, seed: u64) -> Observed {
     let blueprint = figure2_soc(seed);
     let placement = blueprint.placement();
-    let trace = session.merged_trace(|s, a| placement.merge_records(s, a));
+    let edge_hash = |e| {
+        let trace = session.edge_trace(e, |s, a| placement.merge_records(s, a));
+        trace.hash()
+    };
     Observed {
-        trace_hash: trace.hash(),
+        edge_hashes: (0..session.edges().len()).map(edge_hash).collect(),
         committed: session.committed_cycles(),
         channel: session.channel_stats(),
         ledger_total: session.ledger().total(),
@@ -75,7 +79,13 @@ fn observe(session: &EmuSession<AhbDomainModel>, seed: u64) -> Observed {
 /// The direct (unfarmed) baseline for one seed, over the deterministic queue
 /// transport — what *every* transport must commit, farm or no farm.
 fn direct_baseline(seed: u64) -> Observed {
+    direct_mesh_baseline(seed, 2)
+}
+
+/// [`direct_baseline`] for a session of `domains` domains.
+fn direct_mesh_baseline(seed: u64, domains: usize) -> Observed {
     let mut session = EmuSession::from_blueprint(&figure2_soc(seed))
+        .domains(domains)
         .config(config())
         .transport(TransportSelect::Queue)
         .build()
@@ -133,12 +143,17 @@ fn thousand_mixed_sessions_match_direct_runs() {
     )
     .expect("farm builds");
     let mut seed_of = HashMap::new();
+    // One of the thousand is a three-domain mesh (over the ring): to the farm
+    // a session like any other.
+    const MESH: usize = 1;
     for i in 0..SESSIONS {
         let seed = i as u64 % SEEDS;
         let transport = transport_for(i);
+        let domains = if i == MESH { 3 } else { 2 };
         let id = farm
             .submit(move || {
                 Ok(EmuSession::from_blueprint(&figure2_soc(seed))
+                    .domains(domains)
                     .config(config())
                     .transport(transport)
                     .build()?
@@ -165,13 +180,19 @@ fn thousand_mixed_sessions_match_direct_runs() {
         );
         let seed = seed_of[&result.id];
         let session = result.session.as_ref().expect("keep_sessions retains it");
+        let mesh = (session.domains() > 2).then(|| direct_mesh_baseline(seed, 3));
         assert_eq!(
-            baselines[seed as usize],
-            observe(session, seed),
+            mesh.as_ref().unwrap_or(&baselines[seed as usize]),
+            &observe(session, seed),
             "session {} (seed {seed}) diverged from its direct run",
             result.id
         );
     }
+    let meshes = report.results.iter().filter(|r| {
+        let session = r.session.as_ref().expect("keep_sessions retains it");
+        session.domains() == 3 && session.backend() == "fabric+shm"
+    });
+    assert_eq!(meshes.count(), 1, "the mesh ran in the farm");
     assert!(report.stats.sessions_per_sec > 0.0);
     let p50 = report
         .stats
@@ -648,9 +669,12 @@ fn wedged_link_session_heals_through_the_eviction_path() {
             ),
     )
     .expect("farm builds");
-    let mut incarnation = 0u32;
-    let healable = farm
-        .submit_healable(move || {
+    // Two domains, and a three-domain mesh in the same pool: every one of its
+    // links hangs, the cut spans all three edges, and the re-admission
+    // rebuilds the whole mesh under it.
+    let healables = [2usize, 3].map(|domains| {
+        let mut incarnation = 0u32;
+        let id = farm.submit_healable(move || {
             incarnation += 1;
             let opts = TcpOptions::default().threaded(snappy());
             let opts = if incarnation == 1 {
@@ -659,29 +683,42 @@ fn wedged_link_session_heals_through_the_eviction_path() {
                 opts
             };
             Ok(EmuSession::from_blueprint(&figure2_soc(SEED))
+                .domains(domains)
                 .config(config())
                 .transport(TransportSelect::Tcp(opts))
                 .build()?
                 .into_sliced(CYCLES))
-        })
-        .expect("healable admitted");
+        });
+        (domains, id.expect("healable admitted"))
+    });
     let report = farm.join();
-    let healed = report.result(healable).expect("healable reported");
-    assert!(
-        healed.outcome.is_completed(),
-        "the healed session must complete, ended {}",
-        healed.outcome
+    for (domains, healable) in healables {
+        let healed = report.result(healable).expect("healable reported");
+        assert!(
+            healed.outcome.is_completed(),
+            "n={domains}: the healed session must complete, ended {}",
+            healed.outcome
+        );
+        let session = healed.session.as_ref().expect("keep_sessions retains it");
+        assert_eq!(session.domains(), domains);
+        assert_eq!(
+            observe(session, SEED),
+            direct_mesh_baseline(SEED, domains),
+            "n={domains}: the healed run diverged from its direct run"
+        );
+    }
+    assert_eq!(
+        report.stats.readmitted, 2,
+        "one heal each: {}",
+        report.stats
     );
-    let session = healed.session.as_ref().expect("keep_sessions retains it");
-    assert_eq!(observe(session, SEED), direct_baseline(SEED));
-    assert_eq!(report.stats.readmitted, 1, "one heal: {}", report.stats);
     assert_eq!(
         report.stats.evicted, 0,
-        "the eviction was healed, not recorded"
+        "the evictions were healed, not recorded"
     );
     assert!(
         report.stats.parked_events > 0,
-        "the hung link must have parked before evicting"
+        "the hung links must have parked before evicting"
     );
 }
 
