@@ -3,7 +3,7 @@
 use crate::engine::{PlannedResponse, SlaveEngine};
 use crate::signals::{Hsize, Htrans, SlaveSignals, SlaveView};
 use crate::AhbSlave;
-use predpkt_sim::{Snapshot, SnapshotError, StateReader, StateWriter};
+use predpkt_sim::{Journaled, Snapshot, SnapshotError, StateReader, StateWriter};
 
 /// A RAM slave.
 ///
@@ -23,7 +23,8 @@ use predpkt_sim::{Snapshot, SnapshotError, StateReader, StateWriter};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemorySlave {
-    words: Vec<u32>,
+    /// The backing store: rolls back by undo log (see [`Journaled`]).
+    words: Journaled,
     first_wait: u32,
     seq_wait: u32,
     engine: SlaveEngine,
@@ -50,9 +51,8 @@ impl MemorySlave {
     /// Panics if `size_bytes` is zero.
     pub fn with_waits(size_bytes: u32, first_wait: u32, seq_wait: u32) -> Self {
         assert!(size_bytes > 0, "memory must not be empty");
-        let words = vec![0u32; size_bytes.div_ceil(4) as usize];
         MemorySlave {
-            words,
+            words: Journaled::new(size_bytes.div_ceil(4) as usize),
             first_wait,
             seq_wait,
             engine: SlaveEngine::new(),
@@ -73,7 +73,7 @@ impl MemorySlave {
     /// Writes a word directly (test access, no bus semantics).
     pub fn poke_word(&mut self, addr: u32, value: u32) {
         let i = self.index(addr);
-        self.words[i] = value;
+        self.words.set(i, value);
     }
 
     /// Number of completed read beats.
@@ -121,8 +121,10 @@ impl AhbSlave for MemorySlave {
         if let Some(done) = events.completed {
             if let Some(wdata) = done.wdata {
                 let i = self.index(done.phase.addr);
-                self.words[i] =
-                    Self::merge_lanes(self.words[i], wdata, done.phase.addr, done.phase.size);
+                self.words.set(
+                    i,
+                    Self::merge_lanes(self.words[i], wdata, done.phase.addr, done.phase.size),
+                );
                 self.writes += 1;
             } else {
                 self.reads += 1;
@@ -144,19 +146,46 @@ impl AhbSlave for MemorySlave {
     }
 }
 
-impl Snapshot for MemorySlave {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        w.slice_u32(&self.words);
+impl MemorySlave {
+    /// The words after the backing store, which `save` and `mark` share.
+    fn save_registers(&self, w: &mut StateWriter<'_>) {
         self.engine.save(w);
         w.word(self.reads).word(self.writes);
     }
 
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        r.slice_u32_into(&mut self.words)?;
+    fn restore_registers(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         self.engine.restore(r)?;
         self.reads = r.word()?;
         self.writes = r.word()?;
         Ok(())
+    }
+}
+
+/// The backing store is refused at its length prefix unless it has the size
+/// the slave was built with; a mark journals the store and copies the rest.
+impl Snapshot for MemorySlave {
+    fn save(&self, w: &mut StateWriter<'_>) {
+        self.words.save(w);
+        self.save_registers(w);
+    }
+
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        self.words.restore(r)?;
+        self.restore_registers(r)
+    }
+
+    fn mark(&mut self, w: &mut StateWriter<'_>) {
+        self.words.mark(w);
+        self.save_registers(w);
+    }
+
+    fn rewind(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        self.words.rewind(r)?;
+        self.restore_registers(r)
+    }
+
+    fn release(&mut self) {
+        self.words.release();
     }
 }
 
@@ -291,6 +320,17 @@ mod tests {
         let mut copy = MemorySlave::with_waits(0x40, 2, 1);
         restore_from_vec(&mut copy, &state).unwrap();
         assert_eq!(copy, mem);
+    }
+
+    /// A store of another size would change the mirror mapping, or (empty)
+    /// divide by zero on the next access.
+    #[test]
+    fn a_store_of_another_size_is_refused_at_its_prefix() {
+        let mut mem = MemorySlave::new(0x40, 0);
+        mem.poke_word(0x8, 5);
+        for bad in [0, 15, 17] {
+            crate::test_util::assert_refused_at(&mem, 0, bad);
+        }
     }
 
     #[test]

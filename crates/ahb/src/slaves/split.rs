@@ -11,7 +11,7 @@
 use crate::engine::{PlannedResponse, SlaveEngine};
 use crate::signals::{MasterId, SlaveSignals, SlaveView};
 use crate::AhbSlave;
-use predpkt_sim::{Snapshot, SnapshotError, StateReader, StateWriter};
+use predpkt_sim::{Journaled, Snapshot, SnapshotError, StateReader, StateWriter};
 
 /// One split job in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,7 +25,8 @@ struct Job {
 /// A slave that SPLITs first accesses and serves retried ones.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SplitSlave {
-    words: Vec<u32>,
+    /// The backing store: rolls back by undo log (see [`Journaled`]).
+    words: Journaled,
     latency: u32,
     jobs: Vec<Job>,
     /// Masters whose job finished and whose retry will be served.
@@ -46,7 +47,7 @@ impl SplitSlave {
     pub fn new(size_bytes: u32, latency: u32) -> Self {
         assert!(size_bytes > 0, "backing store must not be empty");
         SplitSlave {
-            words: vec![0; size_bytes.div_ceil(4) as usize],
+            words: Journaled::new(size_bytes.div_ceil(4) as usize),
             latency,
             jobs: Vec::new(),
             ready_masters: 0,
@@ -68,7 +69,7 @@ impl SplitSlave {
     /// Direct word write (test access).
     pub fn poke_word(&mut self, addr: u32, value: u32) {
         let i = self.index(addr);
-        self.words[i] = value;
+        self.words.set(i, value);
     }
 
     /// Total SPLIT responses issued.
@@ -120,7 +121,7 @@ impl AhbSlave for SplitSlave {
                 }
             } else if let Some(wdata) = done.wdata {
                 let i = self.index(done.phase.addr);
-                self.words[i] = wdata;
+                self.words.set(i, wdata);
             }
         }
         if let Some(phase) = events.accepted {
@@ -151,9 +152,9 @@ impl AhbSlave for SplitSlave {
     }
 }
 
-impl Snapshot for SplitSlave {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        w.slice_u32(&self.words);
+impl SplitSlave {
+    /// The words after the backing store, which `save` and `mark` share.
+    fn save_registers(&self, w: &mut StateWriter<'_>) {
         w.usize(self.jobs.len());
         for j in &self.jobs {
             w.usize(j.master.0).u32(j.cycles_left).bool(j.armed);
@@ -164,21 +165,61 @@ impl Snapshot for SplitSlave {
         w.word(self.splits_issued);
     }
 
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        r.slice_u32_into(&mut self.words)?;
+    /// Refuses, at its word, a job for a master HSPLIT has no bit for and a
+    /// master mask wider than HSPLIT.
+    fn restore_registers(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         self.jobs.clear();
         for _ in 0..r.usize()? {
+            let at = r.position();
+            let master = r.usize()?;
+            if master >= u16::BITS as usize {
+                return Err(r.corrupt_at(at));
+            }
             self.jobs.push(Job {
-                master: MasterId(r.usize()?),
+                master: MasterId(master),
                 cycles_left: r.u32()?,
                 armed: r.bool()?,
             });
         }
-        self.ready_masters = r.u32()? as u16;
-        self.unmask_pulse = r.u32()? as u16;
+        self.ready_masters = read_mask(r)?;
+        self.unmask_pulse = read_mask(r)?;
         self.engine.restore(r)?;
         self.splits_issued = r.word()?;
         Ok(())
+    }
+}
+
+/// Reads one 16-bit master mask, refusing a wider word at its index.
+fn read_mask(r: &mut StateReader<'_>) -> Result<u16, SnapshotError> {
+    let at = r.position();
+    u16::try_from(r.u32()?).map_err(|_| r.corrupt_at(at))
+}
+
+/// The backing store is refused at its length prefix unless it has the size
+/// the slave was built with; a mark journals the store and copies the rest.
+impl Snapshot for SplitSlave {
+    fn save(&self, w: &mut StateWriter<'_>) {
+        self.words.save(w);
+        self.save_registers(w);
+    }
+
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        self.words.restore(r)?;
+        self.restore_registers(r)
+    }
+
+    fn mark(&mut self, w: &mut StateWriter<'_>) {
+        self.words.mark(w);
+        self.save_registers(w);
+    }
+
+    fn rewind(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        self.words.rewind(r)?;
+        self.restore_registers(r)
+    }
+
+    fn release(&mut self) {
+        self.words.release();
     }
 }
 
@@ -376,5 +417,30 @@ mod tests {
         let mut copy = SplitSlave::new(0x40, 5);
         restore_from_vec(&mut copy, &state).unwrap();
         assert_eq!(copy, s);
+    }
+
+    /// A store of another size, a job for a master HSPLIT has no bit for
+    /// (which would shift past the mask on completion) and a mask wider than
+    /// HSPLIT (which re-saving would truncate) are refused at their words.
+    #[test]
+    fn state_the_slave_cannot_have_made_is_refused_at_its_word() {
+        let mut s = SplitSlave::new(0x40, 5);
+        s.tick(&SlaveView {
+            addr_phase: Some(phase(3, false, 0xc)),
+            ..SlaveView::quiet()
+        });
+        // Store prefix and 16 words, job count, then the job's master.
+        let job_master = 1 + 16 + 1;
+        let ready_masters = job_master + 3;
+        for (at, bad) in [
+            (0, 0),
+            (0, 17),
+            (job_master, 16),
+            (job_master, 40),
+            (ready_masters, 0x1_0000),
+            (ready_masters + 1, 0x1_0000),
+        ] {
+            crate::test_util::assert_refused_at(&s, at, bad);
+        }
     }
 }

@@ -22,10 +22,10 @@
 //! are fixed from the clock edge that ended the last one. The model keeps one
 //! pair of full signal vectors — a local slot holds its component's outputs, a
 //! remote slot the proxy value — and the local slots' packed words, refreshed
-//! by one `latch()` at the three places component state changes: the end of
+//! by one `latch()` at the places component state changes: the end of
 //! [`AhbDomainModel::new`], of [`tick`](DomainModel::tick) and of a successful
-//! [`restore`](Snapshot::restore). Nothing else can mutate a component
-//! ([`master_as`](AhbDomainModel::master_as) and
+//! [`restore`](Snapshot::restore) or [`rewind`](Snapshot::rewind). Nothing
+//! else can mutate a component ([`master_as`](AhbDomainModel::master_as) and
 //! [`slave_as`](AhbDomainModel::slave_as) lend `&T`, and the component traits
 //! have no mutable upcast), so between edges `local_outputs_into`, the trace
 //! record, `verify_prediction` and `tick` read the slots and dispatch nothing:
@@ -539,16 +539,24 @@ impl DomainModel for AhbDomainModel {
     }
 }
 
-impl Snapshot for AhbDomainModel {
-    fn save(&self, w: &mut StateWriter<'_>) {
+/// The state layout, shared by both paths: the fabric replica and the cycle,
+/// then the local components, then the proxy slots and the predictors.
+/// `save` / `restore` move the components in full; `mark` / `rewind` /
+/// `release` forward to them, so a journaled memory copies only what it
+/// logged. Both reading legs latch.
+impl AhbDomainModel {
+    fn save_fabric(&self, w: &mut StateWriter<'_>) {
         self.fabric.save(w);
         w.word(self.cycle);
-        for m in self.masters.iter().flatten() {
-            m.save(w);
-        }
-        for s in self.slaves.iter().flatten() {
-            s.save(w);
-        }
+    }
+
+    fn restore_fabric(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        self.fabric.restore(r)?;
+        self.cycle = r.word()?;
+        Ok(())
+    }
+
+    fn save_proxies_and_predictors(&self, w: &mut StateWriter<'_>) {
         // A local slot is derived state and is written as idle; see
         // "Latched outputs".
         for (sig, c) in self.full_m.iter().zip(&self.masters) {
@@ -565,15 +573,12 @@ impl Snapshot for AhbDomainModel {
         }
     }
 
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.fabric.restore(r)?;
-        self.cycle = r.word()?;
-        for m in self.masters.iter_mut().flatten() {
-            m.restore(r)?;
-        }
-        for s in self.slaves.iter_mut().flatten() {
-            s.restore(r)?;
-        }
+    /// Reads what [`save_proxies_and_predictors`](Self::save_proxies_and_predictors)
+    /// wrote, then latches: every component has its state back.
+    fn restore_proxies_and_predictors(
+        &mut self,
+        r: &mut StateReader<'_>,
+    ) -> Result<(), SnapshotError> {
         for sig in &mut self.full_m[..self.masters.len()] {
             sig.restore(r)?;
         }
@@ -588,6 +593,61 @@ impl Snapshot for AhbDomainModel {
         }
         self.latch();
         Ok(())
+    }
+}
+
+impl Snapshot for AhbDomainModel {
+    fn save(&self, w: &mut StateWriter<'_>) {
+        self.save_fabric(w);
+        for m in self.masters.iter().flatten() {
+            m.save(w);
+        }
+        for s in self.slaves.iter().flatten() {
+            s.save(w);
+        }
+        self.save_proxies_and_predictors(w);
+    }
+
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        self.restore_fabric(r)?;
+        for m in self.masters.iter_mut().flatten() {
+            m.restore(r)?;
+        }
+        for s in self.slaves.iter_mut().flatten() {
+            s.restore(r)?;
+        }
+        self.restore_proxies_and_predictors(r)
+    }
+
+    fn mark(&mut self, w: &mut StateWriter<'_>) {
+        self.save_fabric(w);
+        for m in self.masters.iter_mut().flatten() {
+            m.mark(w);
+        }
+        for s in self.slaves.iter_mut().flatten() {
+            s.mark(w);
+        }
+        self.save_proxies_and_predictors(w);
+    }
+
+    fn rewind(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        self.restore_fabric(r)?;
+        for m in self.masters.iter_mut().flatten() {
+            m.rewind(r)?;
+        }
+        for s in self.slaves.iter_mut().flatten() {
+            s.rewind(r)?;
+        }
+        self.restore_proxies_and_predictors(r)
+    }
+
+    fn release(&mut self) {
+        for m in self.masters.iter_mut().flatten() {
+            m.release();
+        }
+        for s in self.slaves.iter_mut().flatten() {
+            s.release();
+        }
     }
 }
 

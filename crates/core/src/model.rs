@@ -40,6 +40,10 @@ pub enum TickKind {
 /// * [`Snapshot`] must capture everything `tick` depends on — components,
 ///   fabric replica, predictors, proxy values — but **not** the trace (the
 ///   wrapper truncates it with marks on rollback).
+/// * The leader [`mark`](Snapshot::mark)s at a transition start, then
+///   [`release`](Snapshot::release)s on a clean report or
+///   [`rewind`](Snapshot::rewind)s on a rollback; a model overrides all three
+///   or none (see the cost contract in `predpkt_sim`'s snapshot module).
 ///
 /// # The per-cycle path
 ///

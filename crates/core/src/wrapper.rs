@@ -24,7 +24,7 @@ use crate::protocol::Message;
 use predpkt_channel::{BufferPool, CostedChannel, Packet, Side, Transport};
 use predpkt_predict::{Lob, LobEntries};
 use predpkt_sim::{
-    restore_from_vec, save_into, CostCategory, SimError, Snapshot, SnapshotError, StateReader,
+    mark_into, rewind_from_vec, CostCategory, SimError, Snapshot, SnapshotError, StateReader,
     StateVec, StateWriter, TimeLedger, TraceMark, VirtualTime,
 };
 use std::fmt;
@@ -324,9 +324,9 @@ pub struct ChannelWrapper<M: DomainModel> {
     /// packetizer's block layout, filled in place by the model's `_into`
     /// methods and delta-encoded straight into the burst payload.
     lob: Lob,
-    /// The leader's rollback state: one buffer for the wrapper's lifetime,
-    /// refilled at every transition start and left in place by a clean
-    /// report and a rollback alike.
+    /// The leader's rollback mark: one buffer for the wrapper's lifetime,
+    /// refilled at every transition start. A clean report releases the mark
+    /// and a rollback rewinds to it; either leaves the buffer in place.
     snapshot: StateVec,
     /// The trace mark taken with `snapshot`; `None` while no transition's
     /// snapshot is live, so whatever `snapshot` holds is stale.
@@ -524,13 +524,16 @@ impl<M: DomainModel> ChannelWrapper<M> {
         ledger.charge(costs.category, costs.cycle);
     }
 
-    /// The rollback variables one store or restore of `snapshot` bills.
+    /// The rollback variables one store or restore of `snapshot` bills: the
+    /// model's declared state, whatever part of it the mark copied.
     fn rollback_vars(&self, costs: &DomainCosts) -> u64 {
-        costs.rollback_vars_override.unwrap_or(self.snapshot.len()) as u64
+        costs
+            .rollback_vars_override
+            .unwrap_or(self.snapshot.billed_len()) as u64
     }
 
     fn take_snapshot(&mut self, ledger: &mut TimeLedger, costs: &DomainCosts) {
-        save_into(&self.model, &mut self.snapshot);
+        mark_into(&mut self.model, &mut self.snapshot);
         let vars = self.rollback_vars(costs);
         ledger.charge(CostCategory::StateStore, costs.store_per_var * vars);
         self.snapshot_mark = Some(self.model.trace_mark());
@@ -752,6 +755,7 @@ impl<M: DomainModel> ChannelWrapper<M> {
                     self.cur_depth = (self.cur_depth * 2).min(self.depth_cap);
                 }
                 self.carry(next);
+                self.model.release();
                 self.snapshot_mark = None;
                 self.inflight.clear();
             }
@@ -882,7 +886,7 @@ impl<M: DomainModel> ChannelWrapper<M> {
         Ok(())
     }
 
-    /// RB + RF: restore the snapshot and replay the verified prefix (F-path).
+    /// RB + RF: rewind to the mark and replay the verified prefix (F-path).
     fn roll_back_and_forth(
         &mut self,
         failed_index: usize,
@@ -897,7 +901,7 @@ impl<M: DomainModel> ChannelWrapper<M> {
             .ok_or_else(|| SimError::Config("rollback without a snapshot".into()))?;
         let vars = self.rollback_vars(costs);
         ledger.charge(CostCategory::StateRestore, costs.restore_per_var * vars);
-        if let Err(err) = restore_from_vec(&mut self.model, &self.snapshot) {
+        if let Err(err) = rewind_from_vec(&mut self.model, &self.snapshot) {
             // The model now holds an undefined mixture of pre- and
             // post-rollback state: quarantine it so no further step can run.
             self.poisoned = Some(err.clone());

@@ -12,6 +12,11 @@
 //! differently, so its queues, lists and tables have other sizes and
 //! contents — must leave nothing of the dirty state behind.
 //!
+//! Every impl also takes the rollback path's law: a mark bills what a save
+//! stores, and a rewind to it returns the saved state. The domain models and
+//! the two journaled slaves take it after driving cycles that write their
+//! stores, since only then does a rewind have a log to undo.
+//!
 //! The aggregate impls pull their members in recursively: the
 //! [`AhbDomainModel`] case covers the bus, fabric, arbiter, master/slave
 //! engines, signal codecs, and the paper predictor suite in one vector; the
@@ -24,9 +29,9 @@ mod common;
 use common::figure2_soc;
 use predpkt_ahb::engine::BusOp;
 use predpkt_ahb::masters::{CpuMaster, CpuProfile, DmaDescriptor, DmaMaster, TrafficGenMaster};
-use predpkt_ahb::signals::{Hburst, Hsize, MasterId, SlaveId};
+use predpkt_ahb::signals::{AddrPhase, Hburst, Hresp, Hsize, Htrans, MasterId, SlaveId, SlaveView};
 use predpkt_ahb::slaves::{FifoSlave, MemorySlave, PeripheralSlave, SplitSlave};
-use predpkt_ahb::AhbMaster;
+use predpkt_ahb::{AhbMaster, AhbSlave};
 use predpkt_channel::{
     ChannelCostModel, ChannelStats, CostedChannel, FaultSpec, LossyTransport, Packet, PacketTag,
     QueueTransport, ReliableConfig, ReliableTransport, ShmTransport, TcpTransport,
@@ -41,12 +46,13 @@ use predpkt_predict::{
     SlaveSignals, WaitPredictor,
 };
 use predpkt_sim::{
-    restore_from_vec, save_to_vec, CostCategory, Snapshot, SnapshotError, SplitMix64, StateReader,
-    StateVec, StateWriter, TimeLedger, Trace, VirtualTime,
+    mark_into, restore_from_vec, rewind_from_vec, save_to_vec, CostCategory, Snapshot,
+    SnapshotError, SplitMix64, StateReader, StateVec, StateWriter, TimeLedger, Trace, VirtualTime,
 };
 
 /// The law: seeded → save → restore-into-fresh → save is a fixed point, a
-/// truncated vector is rejected typed, and the rejection is recoverable.
+/// mark bills what the save stored and rewinds to it, a truncated vector is
+/// rejected typed, and the rejection is recoverable.
 fn assert_roundtrip<T: Snapshot + ?Sized>(name: &str, seeded: &T, fresh: &mut T) {
     let saved = save_to_vec(seeded);
     restore_from_vec(fresh, &saved)
@@ -55,6 +61,21 @@ fn assert_roundtrip<T: Snapshot + ?Sized>(name: &str, seeded: &T, fresh: &mut T)
     assert_eq!(
         saved, resaved,
         "{name}: save → restore → save is not a fixed point"
+    );
+
+    let mut marked = StateVec::new();
+    mark_into(fresh, &mut marked);
+    assert_eq!(
+        marked.billed_len(),
+        saved.len(),
+        "{name}: a mark must bill what a save stores"
+    );
+    rewind_from_vec(fresh, &marked)
+        .unwrap_or_else(|e| panic!("{name}: rewind to an untouched mark failed: {e}"));
+    assert_eq!(
+        save_to_vec(fresh),
+        saved,
+        "{name}: a rewind to an untouched mark moved the state"
     );
 
     if saved.is_empty() {
@@ -553,17 +574,12 @@ fn domain_models_roundtrip() {
     assert_eq!(sim.trace().hash(), fresh_sim.trace().hash());
 }
 
-/// The rollback case at full size: every component whose state has a
-/// variable length (FIFO levels, split jobs in flight, accumulated results,
-/// burst payloads, DMA chunks) sits in one SoC under the adaptive suite, and
-/// cuts taken at unrelated moments are restored over each other in both
-/// directions — shorter over longer and longer over shorter. The Fig. 2 SoC
-/// under the paper suite takes the same walk.
-#[test]
-fn domain_models_restore_over_each_other() {
-    // The CPU's data region is the split slave, so jobs are in flight at
-    // most cuts, often several at once with the other two masters'.
-    let mesh = SocBlueprint::new()
+/// Every component whose state has a variable length in one SoC, with a
+/// journaled store on each side. The CPU's data region is the split slave,
+/// so jobs are in flight at most cuts, often several at once with the other
+/// two masters'.
+fn mesh_soc() -> SocBlueprint {
+    SocBlueprint::new()
         .master(Side::Simulator, || {
             Box::new(CpuMaster::new(0x51de, CpuProfile::default()))
         })
@@ -595,9 +611,19 @@ fn domain_models_restore_over_each_other() {
         })
         .slave(Side::Simulator, 0x3000, 0x1000, || {
             Box::new(PeripheralSlave::new(1))
-        });
+        })
+}
+
+/// The rollback case at full size: every component whose state has a
+/// variable length (FIFO levels, split jobs in flight, accumulated results,
+/// burst payloads, DMA chunks) sits in one SoC under the adaptive suite, and
+/// cuts taken at unrelated moments are restored over each other in both
+/// directions — shorter over longer and longer over shorter. The Fig. 2 SoC
+/// under the paper suite takes the same walk.
+#[test]
+fn domain_models_restore_over_each_other() {
     let socs: [(&str, SocBlueprint, &dyn PredictorSuite); 2] = [
-        ("mesh", mesh, &AdaptiveSuite::default()),
+        ("mesh", mesh_soc(), &AdaptiveSuite::default()),
         ("fig. 2", figure2_soc(), &PaperSuite),
     ];
     let cuts = [7, 23, 41, 64, 90, 133, 211, 340];
@@ -629,6 +655,184 @@ fn domain_models_restore_over_each_other() {
             lengths.len() > cuts.len() / 2,
             "{soc}: the cuts must differ in size for the dirty leg to mean anything: {lengths:?}"
         );
+    }
+}
+
+/// The saved words of every journaled store (memory or split slave) in
+/// `model`, in slave order.
+fn journaled_stores(model: &AhbDomainModel) -> Vec<StateVec> {
+    (0..16)
+        .map(SlaveId)
+        .filter_map(|id| {
+            let memory = model.slave_as::<MemorySlave>(id).map(save_to_vec);
+            memory.or_else(|| model.slave_as::<SplitSlave>(id).map(save_to_vec))
+        })
+        .collect()
+}
+
+/// The rollback path a leader takes: both domain models marked at a cut,
+/// driven `k` cycles — the DMA, the CPU and the split jobs writing the
+/// journaled stores — and rewound, save what they saved at the cut and
+/// present the outputs they presented there.
+#[test]
+fn domain_models_rewind_to_their_mark() {
+    let socs: [(&str, SocBlueprint); 2] = [("fig. 2", figure2_soc()), ("mesh", mesh_soc())];
+    for (soc, blueprint) in socs {
+        let mut dirtied = 0;
+        for cut in [7, 64, 211, 600] {
+            for k in [1, 7, 40] {
+                let (mut sim, mut acc) = driven_pair(&blueprint, &PaperSuite, cut);
+                let saved = [save_to_vec(&sim), save_to_vec(&acc)];
+                let outputs = [sim.local_outputs(), acc.local_outputs()];
+                let stores = [journaled_stores(&sim), journaled_stores(&acc)];
+                let mut marks = [StateVec::new(), StateVec::new()];
+                mark_into(&mut sim, &mut marks[0]);
+                mark_into(&mut acc, &mut marks[1]);
+                for _ in 0..k {
+                    step_pair(&mut sim, &mut acc);
+                }
+                if [journaled_stores(&sim), journaled_stores(&acc)] != stores {
+                    dirtied += 1;
+                }
+                rewind_from_vec(&mut sim, &marks[0]).expect("the simulator rewinds");
+                rewind_from_vec(&mut acc, &marks[1]).expect("the accelerator rewinds");
+                let name = format!("{soc}, {k} cycles after a mark at {cut}");
+                assert_eq!([save_to_vec(&sim), save_to_vec(&acc)], saved, "{name}");
+                assert_eq!(
+                    [sim.local_outputs(), acc.local_outputs()],
+                    outputs,
+                    "{name}"
+                );
+            }
+        }
+        assert!(
+            dirtied >= 3,
+            "{soc}: too few windows wrote a journaled store ({dirtied})"
+        );
+    }
+}
+
+/// What a mark of the Fig. 2 simulator side copies: its registers, not its
+/// two 1 024-word memories, which it bills in full. The journal's host cost
+/// is read from this count (the benchmark's traced spans time a decorator
+/// that rolls back by full copy).
+#[test]
+fn a_mark_copies_the_registers_and_bills_the_memories() {
+    let (mut sim, _) = driven_pair(&figure2_soc(), &PaperSuite, 400);
+    let saved = save_to_vec(&sim);
+    let mut marked = StateVec::new();
+    mark_into(&mut sim, &mut marked);
+    assert!(
+        marked.len() <= 100,
+        "the mark copied {} words",
+        marked.len()
+    );
+    assert_eq!(marked.billed_len(), saved.len());
+    assert!(saved.len() > 2 * 1_025, "both stores are billed");
+}
+
+/// Master 1's word writes through a lone slave, one after another (retried
+/// after a SPLIT once HSPLIT releases it) with an idle edge after each, until
+/// at least one has completed and `cycles` clock edges have passed.
+fn drive_writes(slave: &mut dyn AhbSlave, cycles: usize, rng: &mut SplitMix64) {
+    let mut elapsed = 0;
+    let mut tick = |slave: &mut dyn AhbSlave, view: SlaveView| {
+        slave.tick(&view);
+        elapsed += 1;
+        elapsed
+    };
+    loop {
+        let phase = AddrPhase {
+            master: MasterId(1),
+            slave: Some(SlaveId(0)),
+            trans: Htrans::Nonseq,
+            addr: (rng.below(0x40) as u32) * 4,
+            write: true,
+            size: Hsize::Word,
+            burst: Hburst::Single,
+        };
+        let wdata = rng.next_u64() as u32;
+        loop {
+            let address = SlaveView {
+                addr_phase: Some(phase),
+                ..SlaveView::quiet()
+            };
+            tick(slave, address);
+            let resp = loop {
+                let out = slave.outputs();
+                let data = SlaveView {
+                    dp_active: true,
+                    dp: Some(phase),
+                    hready: out.ready,
+                    wdata,
+                    ..SlaveView::quiet()
+                };
+                tick(slave, data);
+                if out.ready {
+                    break out.resp;
+                }
+            };
+            if resp != Hresp::Split {
+                break;
+            }
+            while slave.outputs().split_unmask & 0b10 == 0 {
+                tick(slave, SlaveView::quiet());
+            }
+        }
+        if tick(slave, SlaveView::quiet()) >= cycles {
+            return;
+        }
+    }
+}
+
+/// The journaled slaves alone: a rewind undoes `k` cycles of writes, and a
+/// released mark keeps none of its log — rewinding to it afterwards restores
+/// the registers it copied and undoes no store write.
+#[test]
+fn journaled_slaves_rewind_and_release() {
+    let mut rng = SplitMix64::new(0x10c_0ff5);
+    for k in [1, 7, 40] {
+        let slaves: [(&str, Box<dyn AhbSlave>); 2] = [
+            (
+                "MemorySlave",
+                Box::new(MemorySlave::with_waits(0x100, 2, 1)),
+            ),
+            ("SplitSlave", Box::new(SplitSlave::new(0x100, 9))),
+        ];
+        for (name, mut slave) in slaves {
+            drive_writes(slave.as_mut(), 30, &mut rng);
+            let saved = save_to_vec(&slave);
+            let mut mark = StateVec::new();
+            mark_into(&mut slave, &mut mark);
+            assert_eq!(mark.billed_len(), saved.len(), "{name}");
+            assert!(
+                mark.len() < saved.len() / 4,
+                "{name}: the store is not copied"
+            );
+            drive_writes(slave.as_mut(), k, &mut rng);
+            assert_ne!(
+                save_to_vec(&slave),
+                saved,
+                "{name}: {k} cycles wrote nothing"
+            );
+            rewind_from_vec(&mut slave, &mark).expect("rewinds");
+            assert_eq!(
+                save_to_vec(&slave),
+                saved,
+                "{name}: rewind after {k} cycles"
+            );
+
+            mark_into(&mut slave, &mut mark);
+            slave.release();
+            drive_writes(slave.as_mut(), k, &mut rng);
+            let written = save_to_vec(&slave).words()[..=0x40].to_vec();
+            rewind_from_vec(&mut slave, &mark).expect("rewinds");
+            assert_eq!(
+                save_to_vec(&slave).words()[..=0x40],
+                written,
+                "{name}: a write after release was logged"
+            );
+        }
     }
 }
 
@@ -675,8 +879,8 @@ fn data_phase_words(state: &StateVec) -> (usize, usize, usize) {
     (master, slave, r.position())
 }
 
-/// Restoring `state` into a fresh accelerator model fails as corrupt at `at`
-/// under the section's label.
+/// Restoring `state` into `target` fails as corrupt at `at` under the
+/// section's label.
 fn assert_corrupt_in_section(target: &mut AhbDomainModel, state: &StateVec, at: usize) {
     let mut r = StateReader::new(state);
     r.slice().unwrap();
@@ -712,14 +916,54 @@ fn corrupt_signal_word_names_its_index_and_section() {
     }
 }
 
+/// Where `component`'s saved words lie among `model`'s, as an absolute
+/// index into the [`labeled`] vector.
+fn start_in(model: &StateVec, component: &StateVec) -> usize {
+    let mut hits = model
+        .words()
+        .windows(component.len())
+        .enumerate()
+        .filter(|(_, window)| *window == component.words());
+    let (at, _) = hits
+        .next()
+        .expect("the component's words are in the model's");
+    assert!(hits.next().is_none(), "and only once");
+    SECTION_START + at
+}
+
+/// For each `(at, bad)`: `donor`'s words with word `at` replaced by `bad` are
+/// refused by `target` as corrupt at `at`, and `target` then still takes the
+/// good words and presents the donor's outputs.
+fn assert_each_refused(
+    target: &mut AhbDomainModel,
+    donor: &AhbDomainModel,
+    cases: &[(usize, u64)],
+) {
+    let saved = save_to_vec(donor);
+    for &(at, bad) in cases {
+        assert_corrupt_in_section(target, &labeled(&saved, Some((at, bad))), at);
+        let good = labeled(&saved, None);
+        let mut r = StateReader::new(&good);
+        r.slice().unwrap();
+        target
+            .restore(&mut r)
+            .expect("the good vector restores after a refused one");
+        assert_eq!(save_to_vec(target), saved);
+        assert_eq!(target.local_outputs(), donor.local_outputs());
+    }
+}
+
 /// Well-encoded words that describe state no component can be in at a clock
 /// edge — and on which its `outputs()` would index out of a payload or
 /// panic, now inside `restore`, where the model latches them — are refused
 /// at their own index like any other corrupt word: a beat counter past the
 /// operation's payload, an operation of no beats, a slave with a transfer
 /// accepted and no response planned, a data phase owned by or aimed at a
-/// component the bus does not have. The refusing model still takes the good
-/// vector.
+/// component the bus does not have, a backing store of another size than
+/// its slave was built with (refused at the length prefix, before anything
+/// is copied), a split job for a master HSPLIT has no bit for, and a split
+/// slave's master mask wider than HSPLIT. The refusing model still takes the
+/// good vector.
 #[test]
 fn state_a_component_cannot_drive_is_refused_at_its_word() {
     let blueprint = figure2_soc();
@@ -742,19 +986,7 @@ fn state_a_component_cannot_drive_is_refused_at_its_word() {
     }
     let saved = save_to_vec(&acc);
     let words = saved.words();
-    // Where a component's own words lie among the model's, as an absolute
-    // index into the labeled vector.
-    let start_of = |component: &StateVec| {
-        let mut hits = words
-            .windows(component.len())
-            .enumerate()
-            .filter(|(_, window)| *window == component.words());
-        let (at, _) = hits
-            .next()
-            .expect("the component's words are in the model's");
-        assert!(hits.next().is_none(), "and only once");
-        SECTION_START + at
-    };
+    let start_of = |component: &StateVec| start_in(&saved, component);
     let word = |at: usize| words[at - SECTION_START];
 
     // The generator saves its script cursor and idle count, then its engine:
@@ -782,24 +1014,62 @@ fn state_a_component_cannot_drive_is_refused_at_its_word() {
     let slave_state_at = mailbox_at + 1 + word(mailbox_at) as usize;
     let (dp_master_at, dp_slave_at, _) = data_phase_words(&labeled(&saved, None));
 
-    let (_, mut target) = blueprint.build_pair().expect("pair builds");
-    for (at, bad) in [
-        (addr_beat_at, word(beats_at)),
-        (beats_at, 0),
-        (slave_state_at, 1),
-        (dp_master_at, 3),
-        (dp_slave_at, 3),
-    ] {
-        assert_corrupt_in_section(&mut target, &labeled(&saved, Some((at, bad))), at);
-        let good = labeled(&saved, None);
-        let mut r = StateReader::new(&good);
-        r.slice().unwrap();
-        target
-            .restore(&mut r)
-            .expect("the good vector restores after a refused one");
-        assert_eq!(save_to_vec(&target), saved);
-        assert_eq!(target.local_outputs(), acc.local_outputs());
+    let (mut sim_target, mut acc_target) = blueprint.build_pair().expect("pair builds");
+    assert_each_refused(
+        &mut acc_target,
+        &acc,
+        &[
+            (addr_beat_at, word(beats_at)),
+            (beats_at, 0),
+            (slave_state_at, 1),
+            (dp_master_at, 3),
+            (dp_slave_at, 3),
+        ],
+    );
+
+    // The simulator's two 1 024-word memories, with a store of no words, one
+    // word short and one word long.
+    let sim_saved = save_to_vec(&sim);
+    let mut memory_cases = Vec::new();
+    for id in [SlaveId(0), SlaveId(1)] {
+        let memory = sim
+            .slave_as::<MemorySlave>(id)
+            .expect("S0 and S1 are the simulator's memories");
+        let prefix_at = start_in(&sim_saved, &save_to_vec(memory));
+        memory_cases.extend([(prefix_at, 0), (prefix_at, 1_023), (prefix_at, 1_025)]);
     }
+    assert_each_refused(&mut sim_target, &sim, &memory_cases);
+
+    // The mesh's 64-word split slave with a job in flight. It saves its
+    // store (prefixed), the job count, each job's master, cycles left and
+    // armed flag, then the ready and pulse masks.
+    let mesh = mesh_soc();
+    let split_words = |acc: &AhbDomainModel| {
+        let split = acc.slave_as::<SplitSlave>(SlaveId(1));
+        save_to_vec(split.expect("S1 is the mesh's split slave"))
+    };
+    let (mut sim, mut acc) = mesh.build_pair().expect("pair builds");
+    while split_words(&acc).words()[65] == 0 {
+        assert!(acc.cycle() < 2_000, "the split slave never took a job");
+        step_pair(&mut sim, &mut acc);
+    }
+    let split = split_words(&acc);
+    let store_at = start_in(&save_to_vec(&acc), &split);
+    let job_master_at = store_at + 66;
+    let ready_at = job_master_at + 3 * split.words()[65] as usize;
+    let (_, mut target) = mesh.build_pair().expect("pair builds");
+    assert_each_refused(
+        &mut target,
+        &acc,
+        &[
+            (store_at, 0),
+            (store_at, 65),
+            (job_master_at, 16),
+            (job_master_at, 40),
+            (ready_at, 0x1_0000),
+            (ready_at + 1, 0x1_0000),
+        ],
+    );
 }
 
 #[test]

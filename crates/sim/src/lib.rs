@@ -9,7 +9,9 @@
 //!   Table 2 rows (`Tsim`, `Tacc`, `Tstore`, `Trestore`, `Tch`).
 //! * [`Snapshot`] / [`StateVec`] — the rollback framework: any component can be
 //!   checkpointed into a flat word vector and restored bit-exactly, which is what
-//!   the leader domain does before each optimistic run-ahead.
+//!   the leader domain does before each optimistic run-ahead; a [`Journaled`]
+//!   store rolls back by undo log, paying per word written instead of per
+//!   word held.
 //! * [`Trace`] — an append-only, hashable, *rollback-aware* record of per-cycle
 //!   values used to prove that optimistic execution commits exactly the same bus
 //!   behaviour as a monolithic golden simulation.
@@ -31,6 +33,7 @@
 #![warn(missing_docs)]
 
 mod error;
+mod journal;
 mod ledger;
 mod rng;
 mod snapshot;
@@ -39,11 +42,12 @@ mod time;
 mod trace;
 
 pub use error::SimError;
+pub use journal::Journaled;
 pub use ledger::{CostCategory, LedgerReport, TimeLedger};
 pub use rng::{splitmix64_mix, SplitMix64};
 pub use snapshot::{
-    restore_from_vec, save_into, save_to_vec, Snapshot, SnapshotError, StateReader, StateVec,
-    StateWriter,
+    mark_into, restore_from_vec, rewind_from_vec, save_into, save_to_vec, Snapshot, SnapshotError,
+    StateReader, StateVec, StateWriter,
 };
 pub use stats::{Counter, RunningStats};
 pub use time::{CycleCount, Frequency, VirtualTime};

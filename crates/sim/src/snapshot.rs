@@ -12,20 +12,48 @@
 //!
 //! # Cost contract
 //!
-//! Rollback state is saved before every optimistic transition and restored on
-//! every misprediction, so both directions are on the hot path:
+//! Rollback state is stored before every optimistic transition and brought
+//! back on every misprediction, so both directions are on the hot path. One
+//! store has two sizes, and they differ on purpose:
 //!
-//! * **A save is one pass into a buffer the caller keeps.** [`save_into`]
-//!   clears and refills a [`StateVec`] whose allocation survives from one
-//!   snapshot to the next; the slice writers append in bulk.
-//! * **A restore reuses the target's allocations.** Components read
-//!   variable-length state with [`StateReader::slice_into`] /
-//!   [`StateReader::slice_u32_into`] into the vector they already own
-//!   instead of building a new one.
-//! * **[`StateVec::len`] is what the ledger bills** (`store_per_var ×
-//!   len()`), so no optimisation may change which words a component writes,
-//!   or their order: a cheaper host copy must leave the virtual-time
-//!   statistics identical.
+//! * **Billed words** are the rollback variables a component *declares*,
+//!   [`StateVec::billed_len`]. The ledger charges them (`store_per_var ×
+//!   billed_len()`), as the paper prices Tstore / Trest per declared
+//!   variable because hardware shadows every one. A component's full save
+//!   and its rollback store bill the same count, so no optimisation may
+//!   change which words a component declares, or their order: a cheaper host
+//!   copy must leave the virtual-time statistics identical.
+//! * **Copied words** are the words the host moves, [`StateVec::len`]. A
+//!   [`save`](Snapshot::save) copies every word it bills. A
+//!   [`mark`](Snapshot::mark) may copy fewer: a [`Journaled`](crate::Journaled)
+//!   store declares its `len + 1` words through [`StateWriter::journaled`],
+//!   copies none, and logs the old value of each word written until the mark
+//!   closes.
+//!
+//! # Two paths
+//!
+//! * **Checkpoint:** [`save`](Snapshot::save) / [`restore`](Snapshot::restore)
+//!   write and read the complete layout, which a blob carries from one
+//!   session to another.
+//! * **Rollback:** [`mark`](Snapshot::mark) before a run-ahead, then exactly
+//!   one of [`rewind`](Snapshot::rewind) (a misprediction: back to the mark)
+//!   or [`release`](Snapshot::release) (a clean report: keep what ran). Both
+//!   close the mark. A `mark` while one is open supersedes it, and a
+//!   `restore` closes it. `rewind` reads the vector its `mark` wrote and no
+//!   other. The provided bodies are `save`, `restore` and nothing, so a
+//!   component without a journal rolls back by full copy.
+//!
+//! A decorator forwards all three of `mark` / `rewind` / `release`, or none.
+//! Forwarding `mark` without `rewind` would have the provided `rewind` — a
+//! full `restore` — read a short vector as a full one. Forwarding none keeps
+//! the wrapped component on the full-copy path: correct, only slower.
+//!
+//! Both paths write into a buffer the caller keeps ([`save_into`] /
+//! [`mark_into`] clear and refill a [`StateVec`] whose allocation survives
+//! from one store to the next), and both read into the target's own
+//! allocations: components take variable-length state with
+//! [`StateReader::slice_into`] / [`StateReader::slice_u32_into`] into the
+//! vector they already own instead of building a new one.
 
 use std::error::Error;
 use std::fmt;
@@ -38,13 +66,16 @@ use std::fmt;
 /// Alongside the words it carries an optional table of *labeled sections*
 /// (component name → starting word offset), written by
 /// [`StateWriter::section`]. Sections are pure bookkeeping: they do not add
-/// words, so [`len`](Self::len) — the rollback-variable count that drives the
-/// store/restore cost model — is unaffected, and two state vectors compare
-/// equal iff their **words** are equal.
+/// words, so [`billed_len`](Self::billed_len) — the rollback-variable count
+/// that drives the store/restore cost model — is unaffected, and two state
+/// vectors compare equal iff their **words** are equal.
 #[derive(Debug, Clone, Default)]
 pub struct StateVec {
     words: Vec<u64>,
     sections: Vec<(&'static str, usize)>,
+    /// Rollback variables declared through [`StateWriter::journaled`]: billed,
+    /// never written.
+    journaled: usize,
 }
 
 impl StateVec {
@@ -53,19 +84,39 @@ impl StateVec {
         Self::default()
     }
 
-    /// The number of stored words (= rollback variables).
+    /// The number of stored words: what the host copies. For a vector
+    /// [`save`](Snapshot::save) wrote, also the rollback-variable count.
+    #[inline]
     pub fn len(&self) -> usize {
         self.words.len()
     }
 
+    /// The rollback variables this vector stands for: the stored words plus
+    /// those declared through [`StateWriter::journaled`]. What the ledger
+    /// bills; a [`mark`](Snapshot::mark) bills what a full save of the same
+    /// state stores.
+    #[inline]
+    pub fn billed_len(&self) -> usize {
+        self.words.len() + self.journaled
+    }
+
     /// `true` if no words are stored.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.words.is_empty()
     }
 
     /// Borrows the raw words.
+    #[inline]
     pub fn words(&self) -> &[u64] {
         &self.words
+    }
+
+    /// Empties the vector for a new store, keeping its allocations.
+    fn clear(&mut self) {
+        self.words.clear();
+        self.sections.clear();
+        self.journaled = 0;
     }
 
     /// The labeled sections, as `(name, starting word offset)` pairs in
@@ -98,7 +149,7 @@ impl From<Vec<u64>> for StateVec {
     fn from(words: Vec<u64>) -> Self {
         StateVec {
             words,
-            sections: Vec::new(),
+            ..StateVec::default()
         }
     }
 }
@@ -111,32 +162,48 @@ pub struct StateWriter<'a> {
 
 impl<'a> StateWriter<'a> {
     /// Creates a writer appending to `out`.
+    #[inline]
     pub fn new(out: &'a mut StateVec) -> Self {
         StateWriter { out }
     }
 
     /// Appends one raw word.
+    #[inline]
     pub fn word(&mut self, w: u64) -> &mut Self {
         self.out.words.push(w);
         self
     }
 
     /// Appends a `u32` (zero-extended).
+    #[inline]
     pub fn u32(&mut self, v: u32) -> &mut Self {
         self.word(v as u64)
     }
 
     /// Appends a `usize` (zero-extended).
+    #[inline]
     pub fn usize(&mut self, v: usize) -> &mut Self {
         self.word(v as u64)
     }
 
     /// Appends a `bool` as 0/1.
+    #[inline]
     pub fn bool(&mut self, v: bool) -> &mut Self {
         self.word(v as u64)
     }
 
+    /// Declares `n` rollback variables that a [`mark`](Snapshot::mark)
+    /// leaves where they are instead of writing them (a
+    /// [`Journaled`](crate::Journaled) store keeps its own undo log). Writes
+    /// no words; adds `n` to [`StateVec::billed_len`].
+    #[inline]
+    pub fn journaled(&mut self, n: usize) -> &mut Self {
+        self.out.journaled += n;
+        self
+    }
+
     /// Appends a length-prefixed slice of words.
+    #[inline]
     pub fn slice(&mut self, v: &[u64]) -> &mut Self {
         self.out.words.reserve(v.len() + 1);
         self.usize(v.len());
@@ -146,6 +213,7 @@ impl<'a> StateWriter<'a> {
 
     /// Appends a length-prefixed slice of `u32` words (each zero-extended to
     /// one word).
+    #[inline]
     pub fn slice_u32(&mut self, v: &[u32]) -> &mut Self {
         self.out.words.reserve(v.len() + 1);
         self.usize(v.len());
@@ -157,6 +225,7 @@ impl<'a> StateWriter<'a> {
     /// words — it only records `(name, offset)` in the [`StateVec`]'s section
     /// table, so a restore failure anywhere past this point (until the next
     /// section) is reported against `name` instead of a bare word index.
+    #[inline]
     pub fn section(&mut self, name: &'static str) -> &mut Self {
         self.out.sections.push((name, self.out.words.len()));
         self
@@ -179,6 +248,7 @@ pub struct StateReader<'a> {
 
 impl<'a> StateReader<'a> {
     /// Creates a reader over `state`.
+    #[inline]
     pub fn new(state: &'a StateVec) -> Self {
         StateReader {
             words: &state.words,
@@ -189,6 +259,7 @@ impl<'a> StateReader<'a> {
 
     /// Wraps `err` (anchored at absolute word `at`) with the covering
     /// section's label, if any.
+    #[cold]
     fn label(&self, at: usize, err: SnapshotError) -> SnapshotError {
         match self.sections.iter().rev().find(|(_, start)| *start <= at) {
             Some((name, start)) => SnapshotError::InSection {
@@ -205,6 +276,7 @@ impl<'a> StateReader<'a> {
     /// # Errors
     ///
     /// Returns [`SnapshotError::Exhausted`] if the vector is consumed.
+    #[inline]
     pub fn word(&mut self) -> Result<u64, SnapshotError> {
         let w = self
             .words
@@ -221,6 +293,7 @@ impl<'a> StateReader<'a> {
     ///
     /// Returns [`SnapshotError::Exhausted`] on underrun or
     /// [`SnapshotError::Corrupt`] if the word does not fit.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, SnapshotError> {
         let w = self.word()?;
         u32::try_from(w)
@@ -232,6 +305,7 @@ impl<'a> StateReader<'a> {
     /// # Errors
     ///
     /// Same conditions as [`StateReader::u32`].
+    #[inline]
     pub fn usize(&mut self) -> Result<usize, SnapshotError> {
         let w = self.word()?;
         usize::try_from(w)
@@ -243,6 +317,7 @@ impl<'a> StateReader<'a> {
     /// # Errors
     ///
     /// Returns [`SnapshotError::Corrupt`] unless the word is 0 or 1.
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, SnapshotError> {
         match self.word()? {
             0 => Ok(false),
@@ -256,8 +331,16 @@ impl<'a> StateReader<'a> {
     /// blob), so it is compared with the words remaining before anything is
     /// sized by it; an overrun consumes the rest of the vector, as reading
     /// word by word would.
+    #[inline]
     pub(crate) fn prefixed(&mut self) -> Result<&'a [u64], SnapshotError> {
         let n = self.usize()?;
+        self.body(n)
+    }
+
+    /// Borrows the next `n` words, advancing past them; `n` is checked
+    /// against the words remaining first (see [`prefixed`](Self::prefixed)).
+    #[inline]
+    fn body(&mut self, n: usize) -> Result<&'a [u64], SnapshotError> {
         if n > self.remaining() {
             self.pos = self.words.len();
             return Err(self.label(self.pos, SnapshotError::Exhausted { at: self.pos }));
@@ -267,12 +350,27 @@ impl<'a> StateReader<'a> {
         Ok(body)
     }
 
+    /// The error for `body` — the words just read — once a narrowing copy
+    /// saw a word above `u32::MAX` in it: corrupt at the first such word,
+    /// with the cursor just past it.
+    #[cold]
+    fn too_wide(&mut self, body: &[u64]) -> SnapshotError {
+        let bad = body
+            .iter()
+            .position(|&w| w > u64::from(u32::MAX))
+            .expect("a word above u32::MAX set the high bits");
+        let at = self.pos - body.len() + bad;
+        self.pos = at + 1;
+        self.corrupt_at(at)
+    }
+
     /// Reads a length-prefixed slice of words into `out`, replacing its
     /// contents and reusing its allocation.
     ///
     /// # Errors
     ///
     /// Returns [`SnapshotError::Exhausted`] on underrun.
+    #[inline]
     pub fn slice_into(&mut self, out: &mut Vec<u64>) -> Result<(), SnapshotError> {
         out.clear();
         out.extend_from_slice(self.prefixed()?);
@@ -287,6 +385,7 @@ impl<'a> StateReader<'a> {
     /// Same conditions as [`StateReader::u32`], except that a length prefix
     /// beyond the words remaining is [`SnapshotError::Exhausted`] whatever
     /// those words hold. On error `out` holds no meaningful contents.
+    #[inline]
     pub fn slice_u32_into(&mut self, out: &mut Vec<u32>) -> Result<(), SnapshotError> {
         out.clear();
         let body = self.prefixed()?;
@@ -298,13 +397,28 @@ impl<'a> StateReader<'a> {
             w as u32
         }));
         if seen > u64::from(u32::MAX) {
-            let bad = body
-                .iter()
-                .position(|&w| w > u64::from(u32::MAX))
-                .expect("a word above u32::MAX set the high bits");
-            let at = self.pos - body.len() + bad;
-            self.pos = at + 1;
+            return Err(self.too_wide(body));
+        }
+        Ok(())
+    }
+
+    /// [`slice_u32_into`](Self::slice_u32_into) for a store of fixed size:
+    /// a length prefix other than `out.len()` is [`SnapshotError::Corrupt`]
+    /// at the prefix, refused before any word is copied, so `out` keeps its
+    /// size whatever the vector held.
+    pub(crate) fn slice_u32_exact(&mut self, out: &mut [u32]) -> Result<(), SnapshotError> {
+        let at = self.pos;
+        if self.usize()? != out.len() {
             return Err(self.corrupt_at(at));
+        }
+        let body = self.body(out.len())?;
+        let mut seen = 0;
+        for (slot, &w) in out.iter_mut().zip(body) {
+            seen |= w;
+            *slot = w as u32;
+        }
+        if seen > u64::from(u32::MAX) {
+            return Err(self.too_wide(body));
         }
         Ok(())
     }
@@ -332,12 +446,14 @@ impl<'a> StateReader<'a> {
     }
 
     /// The absolute index of the next word to be read.
+    #[inline]
     pub fn position(&self) -> usize {
         self.pos
     }
 
     /// The number of words not yet read — the bound on any count or length
     /// the remaining words can honestly announce.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.words.len() - self.pos
     }
@@ -354,6 +470,7 @@ impl<'a> StateReader<'a> {
     /// # Errors
     ///
     /// Returns [`SnapshotError::TrailingWords`] if words remain.
+    #[inline]
     pub fn finish(self) -> Result<(), SnapshotError> {
         if self.pos == self.words.len() {
             Ok(())
@@ -464,10 +581,35 @@ pub trait Snapshot {
     /// [`SimError::StatePoisoned`](crate::SimError) instead of silently
     /// diverging).
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError>;
+
+    /// Opens a rollback mark: writes what [`rewind`](Snapshot::rewind) needs
+    /// to return here, declaring through [`StateWriter::journaled`] whatever
+    /// state is journaled instead of written, so the vector bills exactly what
+    /// [`save`](Snapshot::save) would store. Supersedes an open mark. See
+    /// "Two paths" in the module docs; the provided body is a full `save`.
+    fn mark(&mut self, w: &mut StateWriter<'_>) {
+        self.save(w);
+    }
+
+    /// Returns to the state at the open mark, reading the vector
+    /// [`mark`](Snapshot::mark) wrote, and closes the mark. The provided body
+    /// is a full `restore`.
+    ///
+    /// # Errors
+    ///
+    /// As [`restore`](Snapshot::restore), with the same duty to quarantine.
+    fn rewind(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        self.restore(r)
+    }
+
+    /// Closes the open mark and keeps the current state. The provided body
+    /// has nothing to close.
+    fn release(&mut self) {}
 }
 
-/// A boxed component checkpoints as the component it holds, so type-erased
-/// state (`Box<dyn Snapshot>`) serializes exactly like the concrete type.
+/// A boxed component checkpoints and rolls back as the component it holds,
+/// so type-erased state (`Box<dyn Snapshot>`) behaves exactly like the
+/// concrete type.
 impl<S: Snapshot + ?Sized> Snapshot for Box<S> {
     fn save(&self, w: &mut StateWriter<'_>) {
         (**self).save(w);
@@ -476,15 +618,50 @@ impl<S: Snapshot + ?Sized> Snapshot for Box<S> {
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         (**self).restore(r)
     }
+
+    fn mark(&mut self, w: &mut StateWriter<'_>) {
+        (**self).mark(w);
+    }
+
+    fn rewind(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        (**self).rewind(r)
+    }
+
+    fn release(&mut self) {
+        (**self).release();
+    }
 }
 
 /// Saves any [`Snapshot`] component into `state`, replacing its words and
 /// section labels and reusing its allocations — the form for a caller that
 /// snapshots repeatedly.
 pub fn save_into<S: Snapshot + ?Sized>(component: &S, state: &mut StateVec) {
-    state.words.clear();
-    state.sections.clear();
+    state.clear();
     component.save(&mut StateWriter::new(state));
+}
+
+/// Opens a rollback [`mark`](Snapshot::mark) on `component`, replacing
+/// `state`'s contents and reusing its allocations. `state` then bills
+/// ([`StateVec::billed_len`]) what a full save would store, and holds only
+/// the words the component copied.
+pub fn mark_into<S: Snapshot + ?Sized>(component: &mut S, state: &mut StateVec) {
+    state.clear();
+    component.mark(&mut StateWriter::new(state));
+}
+
+/// [`Rewinds`](Snapshot::rewind) `component` to the mark that wrote `state`
+/// ([`mark_into`]), asserting full consumption.
+///
+/// # Errors
+///
+/// Propagates any [`SnapshotError`] from the component or from trailing words.
+pub fn rewind_from_vec<S: Snapshot + ?Sized>(
+    component: &mut S,
+    state: &StateVec,
+) -> Result<(), SnapshotError> {
+    let mut reader = StateReader::new(state);
+    component.rewind(&mut reader)?;
+    reader.finish()
 }
 
 /// Convenience: saves any [`Snapshot`] component into a fresh [`StateVec`].
@@ -763,6 +940,35 @@ mod tests {
         r.slice_into(&mut wide).unwrap();
         assert_eq!(wide, [u64::MAX]);
         r.finish().unwrap();
+    }
+
+    /// Without a journal a mark is a full save and a rewind a full restore,
+    /// and a mark's vector bills what it holds plus what it declares.
+    #[test]
+    fn provided_mark_and_rewind_copy_in_full() {
+        let mut widget = Widget {
+            counter: 7,
+            armed: true,
+            fifo: vec![1, 2],
+        };
+        let saved = save_to_vec(&widget);
+        let mut mark = StateVec::new();
+        StateWriter::new(&mut mark)
+            .section("stale")
+            .journaled(40)
+            .u32(1);
+        mark_into(&mut widget, &mut mark);
+        assert_eq!(mark, saved);
+        assert_eq!(mark.billed_len(), saved.len());
+        assert!(mark.sections().is_empty());
+        widget.fifo.push(3);
+        widget.release();
+        rewind_from_vec(&mut widget, &mark).unwrap();
+        assert_eq!(save_to_vec(&widget), saved);
+
+        let mut declared = StateVec::new();
+        StateWriter::new(&mut declared).u32(1).journaled(5).u32(2);
+        assert_eq!((declared.len(), declared.billed_len()), (2, 7));
     }
 
     #[test]

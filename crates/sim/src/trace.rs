@@ -132,6 +132,7 @@ impl Trace {
 
     /// Appends one per-cycle record, taking its words from `values` — the
     /// per-cycle form: nothing is allocated once the trace has grown.
+    #[inline]
     pub fn record_words(&mut self, values: impl IntoIterator<Item = u64>) {
         self.words.extend(values);
         self.ends.push(self.words.len());
@@ -153,6 +154,7 @@ impl Trace {
     }
 
     /// Captures the current length as a rollback mark.
+    #[inline]
     pub fn mark(&self) -> TraceMark {
         TraceMark(self.ends.len())
     }
