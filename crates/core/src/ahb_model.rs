@@ -540,10 +540,10 @@ impl DomainModel for AhbDomainModel {
 }
 
 /// The state layout, shared by both paths: the fabric replica and the cycle,
-/// then the local components, then the proxy slots and the predictors.
-/// `save` / `restore` move the components in full; `mark` / `rewind` /
-/// `release` forward to them, so a journaled memory copies only what it
-/// logged. Both reading legs latch.
+/// then the local components, then the proxy slots, then the predictors.
+/// `save` / `restore` move the components and predictors in full; `mark` /
+/// `rewind` / `release` forward to them, so a journaled memory or context
+/// table copies only what it logged. Both reading legs latch.
 impl AhbDomainModel {
     fn save_fabric(&self, w: &mut StateWriter<'_>) {
         self.fabric.save(w);
@@ -556,7 +556,7 @@ impl AhbDomainModel {
         Ok(())
     }
 
-    fn save_proxies_and_predictors(&self, w: &mut StateWriter<'_>) {
+    fn save_proxies(&self, w: &mut StateWriter<'_>) {
         // A local slot is derived state and is written as idle; see
         // "Latched outputs".
         for (sig, c) in self.full_m.iter().zip(&self.masters) {
@@ -565,33 +565,15 @@ impl AhbDomainModel {
         for (sig, c) in self.full_s.iter().zip(&self.slaves) {
             c.as_ref().map_or(*sig, |_| SlaveSignals::idle()).save(w);
         }
-        for p in self.m_pred.iter().flatten() {
-            p.save(w);
-        }
-        for p in self.s_pred.iter().flatten() {
-            p.save(w);
-        }
     }
 
-    /// Reads what [`save_proxies_and_predictors`](Self::save_proxies_and_predictors)
-    /// wrote, then latches: every component has its state back.
-    fn restore_proxies_and_predictors(
-        &mut self,
-        r: &mut StateReader<'_>,
-    ) -> Result<(), SnapshotError> {
+    fn restore_proxies(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         for sig in &mut self.full_m[..self.masters.len()] {
             sig.restore(r)?;
         }
         for sig in &mut self.full_s[..self.slaves.len()] {
             sig.restore(r)?;
         }
-        for p in self.m_pred.iter_mut().flatten() {
-            p.restore(r)?;
-        }
-        for p in self.s_pred.iter_mut().flatten() {
-            p.restore(r)?;
-        }
-        self.latch();
         Ok(())
     }
 }
@@ -605,7 +587,13 @@ impl Snapshot for AhbDomainModel {
         for s in self.slaves.iter().flatten() {
             s.save(w);
         }
-        self.save_proxies_and_predictors(w);
+        self.save_proxies(w);
+        for p in self.m_pred.iter().flatten() {
+            p.save(w);
+        }
+        for p in self.s_pred.iter().flatten() {
+            p.save(w);
+        }
     }
 
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
@@ -616,7 +604,15 @@ impl Snapshot for AhbDomainModel {
         for s in self.slaves.iter_mut().flatten() {
             s.restore(r)?;
         }
-        self.restore_proxies_and_predictors(r)
+        self.restore_proxies(r)?;
+        for p in self.m_pred.iter_mut().flatten() {
+            p.restore(r)?;
+        }
+        for p in self.s_pred.iter_mut().flatten() {
+            p.restore(r)?;
+        }
+        self.latch();
+        Ok(())
     }
 
     fn mark(&mut self, w: &mut StateWriter<'_>) {
@@ -627,7 +623,13 @@ impl Snapshot for AhbDomainModel {
         for s in self.slaves.iter_mut().flatten() {
             s.mark(w);
         }
-        self.save_proxies_and_predictors(w);
+        self.save_proxies(w);
+        for p in self.m_pred.iter_mut().flatten() {
+            p.mark(w);
+        }
+        for p in self.s_pred.iter_mut().flatten() {
+            p.mark(w);
+        }
     }
 
     fn rewind(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
@@ -638,7 +640,15 @@ impl Snapshot for AhbDomainModel {
         for s in self.slaves.iter_mut().flatten() {
             s.rewind(r)?;
         }
-        self.restore_proxies_and_predictors(r)
+        self.restore_proxies(r)?;
+        for p in self.m_pred.iter_mut().flatten() {
+            p.rewind(r)?;
+        }
+        for p in self.s_pred.iter_mut().flatten() {
+            p.rewind(r)?;
+        }
+        self.latch();
+        Ok(())
     }
 
     fn release(&mut self) {
@@ -647,6 +657,12 @@ impl Snapshot for AhbDomainModel {
         }
         for s in self.slaves.iter_mut().flatten() {
             s.release();
+        }
+        for p in self.m_pred.iter_mut().flatten() {
+            p.release();
+        }
+        for p in self.s_pred.iter_mut().flatten() {
+            p.release();
         }
     }
 }

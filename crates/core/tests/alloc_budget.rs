@@ -13,13 +13,10 @@
 //! site on the per-cycle path allocates again: run the test with
 //! `-- --nocapture` for the measured counts, then bisect with a breakpoint on
 //! `CountingAlloc::alloc` inside the measured window.
-//!
-//! `AdaptiveSuite` allocates ~11 times per cycle on the hotspot mesh (three
-//! shadow predictors cloned and stepped per component) — that is ROADMAP
-//! item (c), not this budget: nothing is asserted about it here.
 
 use predpkt_core::{CoEmuConfig, EmuSession, ModePolicy, TransportSelect};
-use predpkt_workloads::{figure2_soc, SyntheticSoc};
+use predpkt_predict::AdaptiveSuite;
+use predpkt_workloads::{figure2_soc, mesh_hotspot_soc, MeshConfig, SyntheticSoc};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -96,6 +93,20 @@ fn a_committed_cycle_stays_within_the_allocation_budget() {
         .expect("the Fig. 2 session builds");
     let soc = allocations_per_cycle("figure2_soc / queue / bench config", soc);
 
+    // What `benchmark/` runs as `mesh-adaptive-queue`: the hotspot mesh under
+    // the adaptive suite, which scores three candidates per remote component
+    // every cycle and rolls their context tables back by journal.
+    let mesh = EmuSession::from_blueprint(&mesh_hotspot_soc(MeshConfig {
+        seed: 7,
+        ..MeshConfig::default()
+    }))
+    .config(bench_config)
+    .predictors(AdaptiveSuite::default())
+    .transport(TransportSelect::Queue)
+    .build()
+    .expect("the mesh session builds");
+    let mesh = allocations_per_cycle("mesh_hotspot_soc / queue / adaptive / bench config", mesh);
+
     // What `benchmark/` runs as `synth-p60-queue`: Table 2's configuration,
     // forced ALS at the fixed LOB depth, prediction accuracy 0.6 — most of a
     // burst is discarded and the in-flight entries are replayed.
@@ -109,6 +120,10 @@ fn a_committed_cycle_stays_within_the_allocation_budget() {
     let synth = allocations_per_cycle("SyntheticSoc::als(0.6) / queue / paper config", synth);
 
     assert!(soc <= 1.0, "figure2_soc: {soc:.3} allocations per cycle");
+    assert!(
+        mesh <= 1.0,
+        "mesh_hotspot_soc: {mesh:.3} allocations per cycle"
+    );
     assert!(
         synth <= 1.0,
         "synthetic p=0.6: {synth:.3} allocations per cycle"

@@ -15,7 +15,8 @@
 //! Every impl also takes the rollback path's law: a mark bills what a save
 //! stores, and a rewind to it returns the saved state. The domain models and
 //! the two journaled slaves take it after driving cycles that write their
-//! stores, since only then does a rewind have a log to undo.
+//! stores (and, under the adaptive suite, their context tables), since only
+//! then does a rewind have a log to undo.
 //!
 //! The aggregate impls pull their members in recursively: the
 //! [`AhbDomainModel`] case covers the bus, fabric, arbiter, master/slave
@@ -672,16 +673,21 @@ fn journaled_stores(model: &AhbDomainModel) -> Vec<StateVec> {
 
 /// The rollback path a leader takes: both domain models marked at a cut,
 /// driven `k` cycles — the DMA, the CPU and the split jobs writing the
-/// journaled stores — and rewound, save what they saved at the cut and
-/// present the outputs they presented there.
+/// journaled stores, the adaptive suite's Markov candidates their context
+/// tables — and rewound, save what they saved at the cut and present the
+/// outputs they presented there.
 #[test]
 fn domain_models_rewind_to_their_mark() {
-    let socs: [(&str, SocBlueprint); 2] = [("fig. 2", figure2_soc()), ("mesh", mesh_soc())];
-    for (soc, blueprint) in socs {
+    let socs: [(&str, SocBlueprint, &dyn PredictorSuite); 3] = [
+        ("fig. 2", figure2_soc(), &PaperSuite),
+        ("mesh", mesh_soc(), &PaperSuite),
+        ("mesh, adaptive", mesh_soc(), &AdaptiveSuite::default()),
+    ];
+    for (soc, blueprint, suite) in socs {
         let mut dirtied = 0;
         for cut in [7, 64, 211, 600] {
             for k in [1, 7, 40] {
-                let (mut sim, mut acc) = driven_pair(&blueprint, &PaperSuite, cut);
+                let (mut sim, mut acc) = driven_pair(&blueprint, suite, cut);
                 let saved = [save_to_vec(&sim), save_to_vec(&acc)];
                 let outputs = [sim.local_outputs(), acc.local_outputs()];
                 let stores = [journaled_stores(&sim), journaled_stores(&acc)];
@@ -712,10 +718,12 @@ fn domain_models_rewind_to_their_mark() {
     }
 }
 
-/// What a mark of the Fig. 2 simulator side copies: its registers, not its
-/// two 1 024-word memories, which it bills in full. The journal's host cost
-/// is read from this count (the benchmark's traced spans time a decorator
-/// that rolls back by full copy).
+/// What a mark copies: registers, not the journaled stores, which it bills
+/// in full. On the Fig. 2 simulator side those are its two 1 024-word
+/// memories; on the mesh under the adaptive suite, also the 768-word context
+/// table of every remote component's Markov candidate, on both sides. The
+/// journal's host cost is read from these counts (the benchmark's traced
+/// spans time decorators that roll back by full copy).
 #[test]
 fn a_mark_copies_the_registers_and_bills_the_memories() {
     let (mut sim, _) = driven_pair(&figure2_soc(), &PaperSuite, 400);
@@ -729,6 +737,23 @@ fn a_mark_copies_the_registers_and_bills_the_memories() {
     );
     assert_eq!(marked.billed_len(), saved.len());
     assert!(saved.len() > 2 * 1_025, "both stores are billed");
+
+    let (sim, acc) = driven_pair(&mesh_soc(), &AdaptiveSuite::default(), 400);
+    for (side, mut model) in [("simulator", sim), ("accelerator", acc)] {
+        let saved = save_to_vec(&model);
+        mark_into(&mut model, &mut marked);
+        println!(
+            "mesh, adaptive, {side}: a mark copies {} of {} billed words",
+            marked.len(),
+            marked.billed_len()
+        );
+        assert!(
+            marked.len() <= 400,
+            "mesh, adaptive, {side}: the mark copied {} words",
+            marked.len()
+        );
+        assert_eq!(marked.billed_len(), saved.len(), "mesh, adaptive, {side}");
+    }
 }
 
 /// Master 1's word writes through a lone slave, one after another (retried

@@ -6,7 +6,10 @@
 //! and last-value is unbeatable on a truly quiet component. The adaptive
 //! predictors here run all three candidates **in lockstep** — every candidate
 //! trains on every actual — score them with shadow predictions, and forward
-//! `predict` to whichever candidate is currently most accurate.
+//! `predict` to whichever candidate is currently most accurate. A shadow is
+//! taken without advancing its candidate: the Markov candidate peeks (its
+//! timeline is copied, its table only read), the two small ones predict on a
+//! clone, so scoring allocates nothing.
 //!
 //! Switching strategy is *free for correctness* (the lagger verifies the
 //! predicted vector it received, not the strategy that produced it) but not
@@ -61,11 +64,16 @@ impl Default for AdaptiveConfig {
     }
 }
 
-/// Shared scoreboard: lockstep hit counters with decay, hysteresis and
-/// cooldown. Pure bookkeeping, deterministic by construction.
+/// Shared scoreboard: the candidates' shadow predictions of the next actual
+/// (signal bundles of type `S`), and lockstep hit counters with decay,
+/// hysteresis and cooldown. Pure bookkeeping, deterministic by construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct Scoreboard {
+struct Scoreboard<S> {
     cfg: AdaptiveConfig,
+    /// Each candidate's prediction for the next actual.
+    shadow: [S; CANDIDATES],
+    /// `false` until the first observation has taken shadows.
+    shadow_valid: bool,
     hits: [u32; CANDIDATES],
     samples: u32,
     active: u32,
@@ -74,24 +82,29 @@ struct Scoreboard {
     switches: u64,
 }
 
-impl Scoreboard {
-    fn new(cfg: AdaptiveConfig, active: u32) -> Self {
+impl<S: Copy> Scoreboard<S> {
+    fn new(cfg: AdaptiveConfig, idle: S) -> Self {
         Scoreboard {
             cfg,
+            shadow: [idle; CANDIDATES],
+            shadow_valid: false,
             hits: [0; CANDIDATES],
             samples: 0,
-            active,
+            active: 0,
             cooldown: 0,
             pending_words: 0,
             switches: 0,
         }
     }
 
-    /// Records one scored observation: `hit[i]` says whether candidate `i`'s
-    /// shadow prediction matched the actual.
-    fn score(&mut self, hit: [bool; CANDIDATES]) {
-        for (h, was_hit) in self.hits.iter_mut().zip(hit) {
-            *h += was_hit as u32;
+    /// Scores the shadows against the actual now observed, if any were
+    /// taken: `hit(s)` says whether shadow `s` matched it.
+    fn score(&mut self, hit: impl Fn(&S) -> bool) {
+        if !self.shadow_valid {
+            return;
+        }
+        for (h, s) in self.hits.iter_mut().zip(&self.shadow) {
+            *h += hit(s) as u32;
         }
         self.samples += 1;
         if self.samples >= self.cfg.window {
@@ -101,6 +114,12 @@ impl Scoreboard {
             self.samples /= 2;
         }
         self.cooldown = self.cooldown.saturating_sub(1);
+    }
+
+    /// Records the candidates' predictions for the next actual.
+    fn set_shadows(&mut self, shadow: [S; CANDIDATES]) {
+        self.shadow = shadow;
+        self.shadow_valid = true;
     }
 
     /// Possibly switches the active candidate; called from `predict` only, so
@@ -128,8 +147,15 @@ impl Scoreboard {
     fn take_control_words(&mut self) -> u32 {
         std::mem::take(&mut self.pending_words)
     }
+}
 
+/// The shadows, their flag, then the counters.
+impl<S: Snapshot> Snapshot for Scoreboard<S> {
     fn save(&self, w: &mut StateWriter<'_>) {
+        for s in &self.shadow {
+            s.save(w);
+        }
+        w.bool(self.shadow_valid);
         w.slice_u32(&self.hits);
         w.u32(self.samples)
             .u32(self.active)
@@ -138,9 +164,24 @@ impl Scoreboard {
             .word(self.switches);
     }
 
+    /// Refuses a board scoring cannot build: `score` halves at the window,
+    /// so `samples` stays below it (or at 0 for a window of 0), and a
+    /// candidate hits at most once per sample.
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        for s in &mut self.shadow {
+            s.restore(r)?;
+        }
+        self.shadow_valid = r.bool()?;
+        let hits_at = r.position() + 1;
         restore_array(r, &mut self.hits)?;
+        let samples_at = r.position();
         self.samples = r.u32()?;
+        if self.samples >= self.cfg.window.max(1) {
+            return Err(r.corrupt_at(samples_at));
+        }
+        if let Some(i) = self.hits.iter().position(|&h| h > self.samples) {
+            return Err(r.corrupt_at(hits_at + i));
+        }
         let at = r.position();
         self.active = r.u32()?;
         if self.active as usize >= CANDIDATES {
@@ -174,19 +215,24 @@ fn slave_hit(predicted: &SlaveSignals, actual: &SlaveSignals) -> bool {
 /// [`LastValueMasterPredictor`] and [`ContextMasterPredictor`], forwarding
 /// `predict` to the current leader of the scoreboard.
 ///
-/// Scoring uses **shadow clones**: after each observation, every candidate is
-/// cloned and the clone's prediction for the next cycle is stored; the next
-/// actual is compared against those shadows. Predicting on a clone keeps the
-/// candidates' internal timelines (burst trackers, run counters) untouched by
-/// scoring, so each candidate behaves exactly as it would running alone.
+/// Scoring uses **shadow predictions**: after each observation, every
+/// candidate's prediction for the next cycle is taken without advancing the
+/// candidate and stored; the next actual is compared against those shadows.
+/// The paper and last-value candidates hold no heap state and predict on a
+/// clone; the Markov candidate [`peek`](ContextMasterPredictor::peek)s, which
+/// predicts on a copy of its timeline and reads its table in place. Either way
+/// the candidates' internal timelines (burst trackers, run counters) are
+/// untouched by scoring, so each candidate behaves exactly as it would
+/// running alone.
+///
+/// A rollback mark copies the paper and last-value candidates and the
+/// scoreboard, and marks the Markov candidate, whose table is journaled.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdaptiveMasterPredictor {
     paper: PaperMasterPredictor,
     naive: LastValueMasterPredictor,
     markov: ContextMasterPredictor,
-    shadow: [MasterSignals; CANDIDATES],
-    shadow_valid: bool,
-    board: Scoreboard,
+    board: Scoreboard<MasterSignals>,
 }
 
 impl Default for AdaptiveMasterPredictor {
@@ -202,9 +248,7 @@ impl AdaptiveMasterPredictor {
             paper: PaperMasterPredictor::new(),
             naive: LastValueMasterPredictor::new(),
             markov: ContextMasterPredictor::new(),
-            shadow: [MasterSignals::idle(); CANDIDATES],
-            shadow_valid: false,
-            board: Scoreboard::new(cfg, 0),
+            board: Scoreboard::new(cfg, MasterSignals::idle()),
         }
     }
 
@@ -222,22 +266,15 @@ impl AdaptiveMasterPredictor {
 
 impl MasterPredictor for AdaptiveMasterPredictor {
     fn observe(&mut self, actual: &MasterSignals, accepted: bool) {
-        if self.shadow_valid {
-            self.board.score([
-                master_hit(&self.shadow[0], actual),
-                master_hit(&self.shadow[1], actual),
-                master_hit(&self.shadow[2], actual),
-            ]);
-        }
+        self.board.score(|s| master_hit(s, actual));
         self.paper.observe(actual, accepted);
         self.naive.observe(actual, accepted);
         self.markov.observe(actual, accepted);
-        self.shadow = [
+        self.board.set_shadows([
             self.paper.clone().predict(),
             self.naive.clone().predict(),
-            self.markov.clone().predict(),
-        ];
-        self.shadow_valid = true;
+            self.markov.peek(),
+        ]);
     }
 
     fn predict(&mut self) -> MasterSignals {
@@ -256,15 +293,12 @@ impl MasterPredictor for AdaptiveMasterPredictor {
     }
 }
 
+/// The three candidates, then the scoreboard.
 impl Snapshot for AdaptiveMasterPredictor {
     fn save(&self, w: &mut StateWriter<'_>) {
         self.paper.save(w);
         self.naive.save(w);
         self.markov.save(w);
-        for s in &self.shadow {
-            s.save(w);
-        }
-        w.bool(self.shadow_valid);
         self.board.save(w);
     }
 
@@ -272,25 +306,38 @@ impl Snapshot for AdaptiveMasterPredictor {
         self.paper.restore(r)?;
         self.naive.restore(r)?;
         self.markov.restore(r)?;
-        for s in &mut self.shadow {
-            s.restore(r)?;
-        }
-        self.shadow_valid = r.bool()?;
         self.board.restore(r)
+    }
+
+    fn mark(&mut self, w: &mut StateWriter<'_>) {
+        self.paper.save(w);
+        self.naive.save(w);
+        self.markov.mark(w);
+        self.board.save(w);
+    }
+
+    fn rewind(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        self.paper.restore(r)?;
+        self.naive.restore(r)?;
+        self.markov.rewind(r)?;
+        self.board.restore(r)
+    }
+
+    fn release(&mut self) {
+        self.markov.release();
     }
 }
 
 /// Adaptive slave predictor: races [`PaperSlavePredictor`],
 /// [`LastValueSlavePredictor`] and [`ContextSlavePredictor`] with the same
-/// shadow-clone scoreboard as [`AdaptiveMasterPredictor`].
+/// shadow-prediction scoreboard and rollback split as
+/// [`AdaptiveMasterPredictor`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdaptiveSlavePredictor {
     paper: PaperSlavePredictor,
     naive: LastValueSlavePredictor,
     markov: ContextSlavePredictor,
-    shadow: [SlaveSignals; CANDIDATES],
-    shadow_valid: bool,
-    board: Scoreboard,
+    board: Scoreboard<SlaveSignals>,
 }
 
 impl Default for AdaptiveSlavePredictor {
@@ -306,9 +353,7 @@ impl AdaptiveSlavePredictor {
             paper: PaperSlavePredictor::new(),
             naive: LastValueSlavePredictor::new(),
             markov: ContextSlavePredictor::new(),
-            shadow: [SlaveSignals::idle(); CANDIDATES],
-            shadow_valid: false,
-            board: Scoreboard::new(cfg, 0),
+            board: Scoreboard::new(cfg, SlaveSignals::idle()),
         }
     }
 
@@ -326,23 +371,16 @@ impl AdaptiveSlavePredictor {
 
 impl SlavePredictor for AdaptiveSlavePredictor {
     fn observe(&mut self, actual: &SlaveSignals, data_phase_first: Option<bool>) {
-        if self.shadow_valid {
-            self.board.score([
-                slave_hit(&self.shadow[0], actual),
-                slave_hit(&self.shadow[1], actual),
-                slave_hit(&self.shadow[2], actual),
-            ]);
-        }
+        self.board.score(|s| slave_hit(s, actual));
         self.paper.observe(actual, data_phase_first);
         self.naive.observe(actual, data_phase_first);
         self.markov.observe(actual, data_phase_first);
         let in_dp = data_phase_first.is_some();
-        self.shadow = [
+        self.board.set_shadows([
             self.paper.clone().predict(in_dp),
             self.naive.clone().predict(in_dp),
-            self.markov.clone().predict(in_dp),
-        ];
-        self.shadow_valid = true;
+            self.markov.peek(in_dp),
+        ]);
     }
 
     fn begin_phase(&mut self, first_beat: bool) {
@@ -365,15 +403,12 @@ impl SlavePredictor for AdaptiveSlavePredictor {
     }
 }
 
+/// The three candidates, then the scoreboard.
 impl Snapshot for AdaptiveSlavePredictor {
     fn save(&self, w: &mut StateWriter<'_>) {
         self.paper.save(w);
         self.naive.save(w);
         self.markov.save(w);
-        for s in &self.shadow {
-            s.save(w);
-        }
-        w.bool(self.shadow_valid);
         self.board.save(w);
     }
 
@@ -381,11 +416,25 @@ impl Snapshot for AdaptiveSlavePredictor {
         self.paper.restore(r)?;
         self.naive.restore(r)?;
         self.markov.restore(r)?;
-        for s in &mut self.shadow {
-            s.restore(r)?;
-        }
-        self.shadow_valid = r.bool()?;
         self.board.restore(r)
+    }
+
+    fn mark(&mut self, w: &mut StateWriter<'_>) {
+        self.paper.save(w);
+        self.naive.save(w);
+        self.markov.mark(w);
+        self.board.save(w);
+    }
+
+    fn rewind(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        self.paper.restore(r)?;
+        self.naive.restore(r)?;
+        self.markov.rewind(r)?;
+        self.board.restore(r)
+    }
+
+    fn release(&mut self) {
+        self.markov.release();
     }
 }
 
@@ -415,7 +464,7 @@ impl PredictorSuite for AdaptiveSuite {
 mod tests {
     use super::*;
     use predpkt_ahb::signals::Htrans;
-    use predpkt_sim::{restore_from_vec, save_to_vec};
+    use predpkt_sim::{restore_from_vec, save_to_vec, StateVec};
 
     /// A switch-friendly config for short unit-test streams.
     fn fast_cfg() -> AdaptiveConfig {
@@ -487,8 +536,9 @@ mod tests {
         assert!(p.board.hits.iter().all(|&h| h <= p.board.samples));
     }
 
-    #[test]
-    fn adaptive_predictors_snapshot_roundtrip() {
+    /// Both predictors after 50 scored observations, with a prediction (a
+    /// switch opportunity) every sixth.
+    fn driven() -> (AdaptiveMasterPredictor, AdaptiveSlavePredictor) {
         let mut m = AdaptiveMasterPredictor::new(fast_cfg());
         let mut s = AdaptiveSlavePredictor::new(fast_cfg());
         for i in 0..50u32 {
@@ -519,6 +569,12 @@ mod tests {
                 s.predict(true);
             }
         }
+        (m, s)
+    }
+
+    #[test]
+    fn adaptive_predictors_snapshot_roundtrip() {
+        let (mut m, mut s) = driven();
         let mw = save_to_vec(&m);
         let sw = save_to_vec(&s);
         let mut m2 = AdaptiveMasterPredictor::new(fast_cfg());
@@ -531,9 +587,51 @@ mod tests {
         assert_eq!(s2.predict(false), s.predict(false));
     }
 
+    /// `donor`'s saved words with one scoreboard word replaced are refused as
+    /// corrupt at that word, for a sample count at or past the window and a
+    /// hit count above the samples (the words on which `score` overflowed);
+    /// `target` then still takes the good words.
+    fn assert_impossible_boards_refused<P>(donor: &P, target: &mut P)
+    where
+        P: Snapshot + PartialEq + std::fmt::Debug,
+    {
+        let saved = save_to_vec(donor);
+        // The board ends the vector: hits (length-prefixed), samples,
+        // active, cooldown, pending words, switches.
+        let hits = saved.len() - 8;
+        let samples_at = hits + 3;
+        let samples = saved.words()[samples_at];
+        assert!(samples > 0, "the donor has scored");
+        let max = u64::from(u32::MAX);
+        let window = u64::from(fast_cfg().window);
+        for (at, bad) in [
+            (hits, max),
+            (hits + 2, samples + 1),
+            (samples_at, max),
+            (samples_at, window),
+        ] {
+            let mut words = saved.words().to_vec();
+            words[at] = bad;
+            assert_eq!(
+                restore_from_vec(target, &StateVec::from(words)),
+                Err(SnapshotError::Corrupt { at }),
+                "word {at} = {bad}"
+            );
+            restore_from_vec(target, &saved).expect("the good words restore");
+            assert_eq!(target, donor);
+        }
+    }
+
+    #[test]
+    fn a_board_scoring_cannot_build_is_refused() {
+        let (m, s) = driven();
+        assert_impossible_boards_refused(&m, &mut AdaptiveMasterPredictor::new(fast_cfg()));
+        assert_impossible_boards_refused(&s, &mut AdaptiveSlavePredictor::new(fast_cfg()));
+    }
+
     #[test]
     fn scoreboard_respects_hysteresis_and_cooldown() {
-        let mut b = Scoreboard::new(fast_cfg(), 0);
+        let mut b = Scoreboard::new(fast_cfg(), MasterSignals::idle());
         // Candidate 2 leads but below the margin: no switch.
         b.hits = [2, 0, 5];
         b.maybe_switch();

@@ -14,12 +14,14 @@
 //! eviction** — a slot is reclaimed only when its confidence decays to zero,
 //! so the same observation stream always produces the same table. Bounded
 //! memory and determinism are load-bearing: predictor state is part of the
-//! leader's rollback snapshot and of whole-session checkpoints.
+//! leader's rollback snapshot and of whole-session checkpoints. Only
+//! observations write the table, so it rolls back by journal; the rest of a
+//! predictor is a small `Copy` timeline.
 
 use crate::predictors::{BurstFollower, LastValuePredictor};
 use crate::suite::{MasterPredictor, PredictorSuite, SlavePredictor};
 use predpkt_ahb::signals::{Hresp, Htrans, MasterSignals, SlaveSignals};
-use predpkt_sim::{Snapshot, SnapshotError, StateReader, StateWriter};
+use predpkt_sim::{Journaled, Snapshot, SnapshotError, StateReader, StateWriter};
 
 /// Context order: predictions condition on this many recent history items.
 const HISTORY: usize = 3;
@@ -28,8 +30,9 @@ const HISTORY: usize = 3;
 /// learned state at 3 KiB regardless of run length.
 const TABLE_SLOTS: usize = 256;
 
-/// Confidence ceiling for a table slot.
+/// Confidence ceiling for a table slot: all ones (see `ContextTable::restore`).
 const CONF_MAX: u32 = 3;
+const _: () = assert!(CONF_MAX.wrapping_add(1).is_power_of_two());
 
 // Key salts: one learned quantity per salt, all sharing one table.
 const SALT_QUIET: u32 = 1;
@@ -58,6 +61,13 @@ fn context_key(salt: u32, context: &[u32]) -> u64 {
 /// randomness, no clocks: the same observation sequence always yields the
 /// same table, which keeps rollback and checkpoint/restore bit-exact.
 ///
+/// The three columns (tags, values, confidences) are [`Journaled`] stores,
+/// so the table rolls back by undo log: a [`mark`](Snapshot::mark) copies
+/// none of its 768 words and bills all of them (with the three length
+/// prefixes), and a [`rewind`](Snapshot::rewind) costs the slots written
+/// since. [`save`](Snapshot::save) / [`restore`](Snapshot::restore) move the
+/// three length-prefixed columns in full.
+///
 /// # Example
 ///
 /// ```
@@ -69,9 +79,9 @@ fn context_key(salt: u32, context: &[u32]) -> u64 {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ContextTable {
-    tags: Vec<u32>,
-    values: Vec<u32>,
-    conf: Vec<u32>,
+    tags: Journaled,
+    values: Journaled,
+    conf: Journaled,
 }
 
 impl Default for ContextTable {
@@ -84,35 +94,35 @@ impl ContextTable {
     /// Creates an empty table of `TABLE_SLOTS` slots.
     pub fn new() -> Self {
         ContextTable {
-            tags: vec![0; TABLE_SLOTS],
-            values: vec![0; TABLE_SLOTS],
-            conf: vec![0; TABLE_SLOTS],
+            tags: Journaled::new(TABLE_SLOTS),
+            values: Journaled::new(TABLE_SLOTS),
+            conf: Journaled::new(TABLE_SLOTS),
         }
     }
 
     fn slot(&self, key: u64) -> (usize, u32) {
-        ((key as usize) & (self.tags.len() - 1), (key >> 32) as u32)
+        ((key as usize) & (TABLE_SLOTS - 1), (key >> 32) as u32)
     }
 
     /// Trains the table: `key` was followed by `value`.
     pub fn observe(&mut self, key: u64, value: u32) {
         let (i, tag) = self.slot(key);
-        if self.conf[i] > 0 && self.tags[i] == tag {
+        let conf = self.conf[i];
+        if conf > 0 && self.tags[i] == tag {
             if self.values[i] == value {
-                self.conf[i] = (self.conf[i] + 1).min(CONF_MAX);
+                self.conf.set(i, (conf + 1).min(CONF_MAX));
+            } else if conf == 1 {
+                // Decayed to zero and re-learned at once.
+                self.values.set(i, value);
             } else {
-                self.conf[i] -= 1;
-                if self.conf[i] == 0 {
-                    self.values[i] = value;
-                    self.conf[i] = 1;
-                }
+                self.conf.set(i, conf - 1);
             }
-        } else if self.conf[i] == 0 {
-            self.tags[i] = tag;
-            self.values[i] = value;
-            self.conf[i] = 1;
+        } else if conf == 0 {
+            self.tags.set(i, tag);
+            self.values.set(i, value);
+            self.conf.set(i, 1);
         } else {
-            self.conf[i] -= 1;
+            self.conf.set(i, conf - 1);
         }
     }
 
@@ -135,20 +145,44 @@ impl ContextTable {
 
 impl Snapshot for ContextTable {
     fn save(&self, w: &mut StateWriter<'_>) {
-        w.slice_u32(&self.tags);
-        w.slice_u32(&self.values);
-        w.slice_u32(&self.conf);
+        self.tags.save(w);
+        self.values.save(w);
+        self.conf.save(w);
     }
 
+    /// Refuses a column of another size than `TABLE_SLOTS` at its length
+    /// prefix, and a confidence above `CONF_MAX` (which `observe` never
+    /// makes) at its word.
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        for column in [&mut self.tags, &mut self.values, &mut self.conf] {
-            let at = r.position();
-            r.slice_u32_into(column)?;
-            if column.len() != TABLE_SLOTS {
-                return Err(r.corrupt_at(at));
-            }
+        self.tags.restore(r)?;
+        self.values.restore(r)?;
+        let conf_at = r.position() + 1;
+        self.conf.restore(r)?;
+        // CONF_MAX is all ones, so a confidence above it sets a higher bit
+        // of the column's OR: one branch-free pass on the restore path.
+        if self.conf.iter().fold(0, |bits, &c| bits | c) > CONF_MAX {
+            let i = self.conf.iter().position(|&c| c > CONF_MAX);
+            return Err(r.corrupt_at(conf_at + i.expect("a slot set the high bits")));
         }
         Ok(())
+    }
+
+    fn mark(&mut self, w: &mut StateWriter<'_>) {
+        self.tags.mark(w);
+        self.values.mark(w);
+        self.conf.mark(w);
+    }
+
+    fn rewind(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        self.tags.rewind(r)?;
+        self.values.rewind(r)?;
+        self.conf.rewind(r)
+    }
+
+    fn release(&mut self) {
+        self.tags.release();
+        self.values.release();
+        self.conf.release();
     }
 }
 
@@ -192,9 +226,20 @@ const PH_ACTIVE: u32 = 2;
 /// eat a rollback per request. The same state machine advances on observed
 /// actuals and on its own predictions, so a verified speculation leaves the
 /// predictor consistent without re-observation.
+///
+/// Everything but the learned [`ContextTable`] is one small `Copy` timeline,
+/// and `predict` only reads the table: [`peek`](Self::peek) predicts on a
+/// copy of the timeline, and a rollback mark copies the timeline and
+/// journals the table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ContextMasterPredictor {
     table: ContextTable,
+    timeline: MasterTimeline,
+}
+
+/// The state of a [`ContextMasterPredictor`] beside its table, in save order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct MasterTimeline {
     follower: BurstFollower,
     lock: LastValuePredictor,
     wdata: LastValuePredictor,
@@ -221,17 +266,29 @@ impl ContextMasterPredictor {
     pub fn new() -> Self {
         ContextMasterPredictor {
             table: ContextTable::new(),
-            follower: BurstFollower::new(),
-            lock: LastValuePredictor::new(0),
-            wdata: LastValuePredictor::new(0),
-            hist: [0; HISTORY],
-            last_addr: 0,
-            proto: MasterSignals::idle(),
-            phase: PH_QUIET,
-            run: 0,
+            timeline: MasterTimeline {
+                follower: BurstFollower::new(),
+                lock: LastValuePredictor::new(0),
+                wdata: LastValuePredictor::new(0),
+                hist: [0; HISTORY],
+                last_addr: 0,
+                proto: MasterSignals::idle(),
+                phase: PH_QUIET,
+                run: 0,
+            },
         }
     }
 
+    /// What [`predict`](MasterPredictor::predict) would return, leaving the
+    /// predictor as it is: `self.clone().predict()` without the clone. It
+    /// allocates nothing, because a prediction only reads the table.
+    pub fn peek(&self) -> MasterSignals {
+        let mut timeline = self.timeline;
+        timeline.predict(&self.table)
+    }
+}
+
+impl MasterTimeline {
     fn key(&self, salt: u32) -> u64 {
         context_key(salt, &self.hist)
     }
@@ -251,18 +308,16 @@ impl ContextMasterPredictor {
             ..MasterSignals::idle()
         }
     }
-}
 
-impl MasterPredictor for ContextMasterPredictor {
-    fn observe(&mut self, actual: &MasterSignals, accepted: bool) {
+    fn observe(&mut self, table: &mut ContextTable, actual: &MasterSignals, accepted: bool) {
         self.lock.observe(actual.lock as u32);
         self.wdata.observe(actual.wdata);
         self.follower.observe(actual, accepted);
         if accepted && actual.trans == Htrans::Nonseq {
             let stride = actual.addr.wrapping_sub(self.last_addr);
-            self.table.observe(self.key(SALT_STRIDE), stride);
+            table.observe(self.key(SALT_STRIDE), stride);
             if self.phase == PH_REQ {
-                self.table.observe(self.key(SALT_REQ), self.run);
+                table.observe(self.key(SALT_REQ), self.run);
             }
             self.push_stride(stride);
             self.last_addr = actual.addr;
@@ -272,7 +327,7 @@ impl MasterPredictor for ContextMasterPredictor {
         } else if actual.busreq {
             if self.phase == PH_QUIET {
                 if self.run > 0 {
-                    self.table.observe(self.key(SALT_QUIET), self.run);
+                    table.observe(self.key(SALT_QUIET), self.run);
                 }
                 self.phase = PH_REQ;
                 self.run = 1;
@@ -283,14 +338,14 @@ impl MasterPredictor for ContextMasterPredictor {
             self.run += 1;
         } else {
             if self.phase == PH_ACTIVE {
-                self.table.observe(self.key(SALT_BUSY), self.run);
+                table.observe(self.key(SALT_BUSY), self.run);
             }
             self.phase = PH_QUIET;
             self.run = 1;
         }
     }
 
-    fn predict(&mut self) -> MasterSignals {
+    fn predict(&mut self, table: &ContextTable) -> MasterSignals {
         // Inside a burst the structural follower is exact: let it drive.
         let cont = self.follower.predict_and_advance();
         if cont.trans == Htrans::Seq {
@@ -304,7 +359,7 @@ impl MasterPredictor for ContextMasterPredictor {
             };
         }
         match self.phase {
-            PH_ACTIVE => match self.table.predict_confident(self.key(SALT_BUSY)) {
+            PH_ACTIVE => match table.predict_confident(self.key(SALT_BUSY)) {
                 Some(busy) if self.run >= busy => {
                     self.phase = PH_QUIET;
                     self.run = 1;
@@ -315,7 +370,7 @@ impl MasterPredictor for ContextMasterPredictor {
                     self.idle_sig(true)
                 }
             },
-            PH_QUIET => match self.table.predict_confident(self.key(SALT_QUIET)) {
+            PH_QUIET => match table.predict_confident(self.key(SALT_QUIET)) {
                 Some(quiet) if self.run >= quiet => {
                     self.phase = PH_REQ;
                     self.run = 1;
@@ -328,10 +383,10 @@ impl MasterPredictor for ContextMasterPredictor {
             },
             _ => {
                 let due = matches!(
-                    self.table.predict_confident(self.key(SALT_REQ)),
+                    table.predict_confident(self.key(SALT_REQ)),
                     Some(req) if self.run >= req
                 );
-                match self.table.predict_confident(self.key(SALT_STRIDE)) {
+                match table.predict_confident(self.key(SALT_STRIDE)) {
                     Some(stride) if due => {
                         // Issue the predicted first beat and advance the
                         // modelled timeline exactly as an observation would.
@@ -361,9 +416,18 @@ impl MasterPredictor for ContextMasterPredictor {
     }
 }
 
-impl Snapshot for ContextMasterPredictor {
+impl MasterPredictor for ContextMasterPredictor {
+    fn observe(&mut self, actual: &MasterSignals, accepted: bool) {
+        self.timeline.observe(&mut self.table, actual, accepted);
+    }
+
+    fn predict(&mut self) -> MasterSignals {
+        self.timeline.predict(&self.table)
+    }
+}
+
+impl Snapshot for MasterTimeline {
     fn save(&self, w: &mut StateWriter<'_>) {
-        self.table.save(w);
         self.follower.save(w);
         self.lock.save(w);
         self.wdata.save(w);
@@ -374,7 +438,6 @@ impl Snapshot for ContextMasterPredictor {
     }
 
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.table.restore(r)?;
         self.follower.restore(r)?;
         self.lock.restore(r)?;
         self.wdata.restore(r)?;
@@ -384,6 +447,34 @@ impl Snapshot for ContextMasterPredictor {
         self.phase = r.u32()?;
         self.run = r.u32()?;
         Ok(())
+    }
+}
+
+/// The table, then the timeline; a mark journals the table and copies the
+/// timeline.
+impl Snapshot for ContextMasterPredictor {
+    fn save(&self, w: &mut StateWriter<'_>) {
+        self.table.save(w);
+        self.timeline.save(w);
+    }
+
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        self.table.restore(r)?;
+        self.timeline.restore(r)
+    }
+
+    fn mark(&mut self, w: &mut StateWriter<'_>) {
+        self.table.mark(w);
+        self.timeline.save(w);
+    }
+
+    fn rewind(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        self.table.rewind(r)?;
+        self.timeline.restore(r)
+    }
+
+    fn release(&mut self) {
+        self.table.release();
     }
 }
 
@@ -399,9 +490,19 @@ impl Snapshot for ContextMasterPredictor {
 /// * Read data stays last-value (the paper's §3 verdict: data cannot be
 ///   effectively predicted), responses are predicted OKAY, and the SPLIT
 ///   mask is kept quiet (one-shot pulses are never worth predicting).
+///
+/// As in [`ContextMasterPredictor`], everything but the table is one `Copy`
+/// timeline: [`peek`](Self::peek) predicts on a copy of it, and a rollback
+/// mark copies it and journals the table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ContextSlavePredictor {
     table: ContextTable,
+    timeline: SlaveTimeline,
+}
+
+/// The state of a [`ContextSlavePredictor`] beside its table, in save order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SlaveTimeline {
     rdata: LastValuePredictor,
     /// Last `HISTORY` wait-run lengths, oldest first.
     whist: [u32; HISTORY],
@@ -426,15 +527,28 @@ impl ContextSlavePredictor {
     pub fn new() -> Self {
         ContextSlavePredictor {
             table: ContextTable::new(),
-            rdata: LastValuePredictor::new(0),
-            whist: [0; HISTORY],
-            observing: 0,
-            countdown: 0,
-            irq_level: false,
-            irq_run: 0,
+            timeline: SlaveTimeline {
+                rdata: LastValuePredictor::new(0),
+                whist: [0; HISTORY],
+                observing: 0,
+                countdown: 0,
+                irq_level: false,
+                irq_run: 0,
+            },
         }
     }
 
+    /// What [`predict`](SlavePredictor::predict) would return, leaving the
+    /// predictor as it is: `self.clone().predict(in_data_phase)` without the
+    /// clone. It allocates nothing, because a prediction only reads the
+    /// table.
+    pub fn peek(&self, in_data_phase: bool) -> SlaveSignals {
+        let mut timeline = self.timeline;
+        timeline.predict(&self.table, in_data_phase)
+    }
+}
+
+impl SlaveTimeline {
     fn wait_key(&self, first_beat: bool) -> u64 {
         let mut ctx = [0u32; HISTORY + 1];
         ctx[..HISTORY].copy_from_slice(&self.whist);
@@ -452,8 +566,8 @@ impl ContextSlavePredictor {
     }
 
     /// Advances the modelled IRQ one cycle, returning the level to predict.
-    fn irq_advance(&mut self) -> bool {
-        if let Some(dwell) = self.table.predict_confident(self.irq_key(self.irq_level)) {
+    fn irq_advance(&mut self, table: &ContextTable) -> bool {
+        if let Some(dwell) = table.predict_confident(self.irq_key(self.irq_level)) {
             if self.irq_run >= dwell {
                 self.irq_level = !self.irq_level;
                 self.irq_run = 1;
@@ -463,15 +577,17 @@ impl ContextSlavePredictor {
         self.irq_run += 1;
         self.irq_level
     }
-}
 
-impl SlavePredictor for ContextSlavePredictor {
-    fn observe(&mut self, actual: &SlaveSignals, data_phase_first: Option<bool>) {
+    fn observe(
+        &mut self,
+        table: &mut ContextTable,
+        actual: &SlaveSignals,
+        data_phase_first: Option<bool>,
+    ) {
         self.rdata.observe(actual.rdata);
         if let Some(first_beat) = data_phase_first {
             if actual.ready {
-                self.table
-                    .observe(self.wait_key(first_beat), self.observing);
+                table.observe(self.wait_key(first_beat), self.observing);
                 self.push_wait(self.observing);
                 self.observing = 0;
             } else {
@@ -482,19 +598,14 @@ impl SlavePredictor for ContextSlavePredictor {
             self.irq_run += 1;
         } else {
             if self.irq_run > 0 {
-                self.table
-                    .observe(self.irq_key(self.irq_level), self.irq_run);
+                table.observe(self.irq_key(self.irq_level), self.irq_run);
             }
             self.irq_level = actual.irq;
             self.irq_run = 1;
         }
     }
 
-    fn begin_phase(&mut self, first_beat: bool) {
-        self.countdown = self.table.predict(self.wait_key(first_beat)).unwrap_or(0);
-    }
-
-    fn predict(&mut self, in_data_phase: bool) -> SlaveSignals {
+    fn predict(&mut self, table: &ContextTable, in_data_phase: bool) -> SlaveSignals {
         let ready = if in_data_phase && self.countdown > 0 {
             self.countdown -= 1;
             false
@@ -506,14 +617,29 @@ impl SlavePredictor for ContextSlavePredictor {
             resp: Hresp::Okay,
             rdata: self.rdata.predict(),
             split_unmask: 0,
-            irq: self.irq_advance(),
+            irq: self.irq_advance(table),
         }
     }
 }
 
-impl Snapshot for ContextSlavePredictor {
+impl SlavePredictor for ContextSlavePredictor {
+    fn observe(&mut self, actual: &SlaveSignals, data_phase_first: Option<bool>) {
+        self.timeline
+            .observe(&mut self.table, actual, data_phase_first);
+    }
+
+    fn begin_phase(&mut self, first_beat: bool) {
+        let key = self.timeline.wait_key(first_beat);
+        self.timeline.countdown = self.table.predict(key).unwrap_or(0);
+    }
+
+    fn predict(&mut self, in_data_phase: bool) -> SlaveSignals {
+        self.timeline.predict(&self.table, in_data_phase)
+    }
+}
+
+impl Snapshot for SlaveTimeline {
     fn save(&self, w: &mut StateWriter<'_>) {
-        self.table.save(w);
         self.rdata.save(w);
         w.slice_u32(&self.whist);
         w.u32(self.observing)
@@ -523,7 +649,6 @@ impl Snapshot for ContextSlavePredictor {
     }
 
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.table.restore(r)?;
         self.rdata.restore(r)?;
         restore_array(r, &mut self.whist)?;
         self.observing = r.u32()?;
@@ -531,6 +656,34 @@ impl Snapshot for ContextSlavePredictor {
         self.irq_level = r.bool()?;
         self.irq_run = r.u32()?;
         Ok(())
+    }
+}
+
+/// The table, then the timeline; a mark journals the table and copies the
+/// timeline.
+impl Snapshot for ContextSlavePredictor {
+    fn save(&self, w: &mut StateWriter<'_>) {
+        self.table.save(w);
+        self.timeline.save(w);
+    }
+
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        self.table.restore(r)?;
+        self.timeline.restore(r)
+    }
+
+    fn mark(&mut self, w: &mut StateWriter<'_>) {
+        self.table.mark(w);
+        self.timeline.save(w);
+    }
+
+    fn rewind(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        self.table.rewind(r)?;
+        self.timeline.restore(r)
+    }
+
+    fn release(&mut self) {
+        self.table.release();
     }
 }
 
@@ -558,7 +711,7 @@ impl PredictorSuite for MarkovSuite {
 mod tests {
     use super::*;
     use predpkt_ahb::signals::{Hburst, Hsize};
-    use predpkt_sim::{restore_from_vec, save_to_vec};
+    use predpkt_sim::{mark_into, restore_from_vec, rewind_from_vec, save_to_vec, StateVec};
 
     #[test]
     fn table_learns_and_evicts_deterministically() {
@@ -591,6 +744,37 @@ mod tests {
         let state = save_to_vec(&t);
         let mut copy = ContextTable::new();
         restore_from_vec(&mut copy, &state).unwrap();
+        assert_eq!(copy, t);
+    }
+
+    #[test]
+    fn table_rolls_back_by_journal_and_refuses_a_confidence_it_cannot_make() {
+        let mut t = ContextTable::new();
+        for i in 0..300u64 {
+            t.observe(i.wrapping_mul(0x9e37), (i % 5) as u32);
+        }
+        let saved = save_to_vec(&t);
+        let mut mark = StateVec::new();
+        mark_into(&mut t, &mut mark);
+        assert_eq!((mark.len(), mark.billed_len()), (0, saved.len()));
+        for i in 0..40u64 {
+            t.observe(i * 3, 9);
+        }
+        assert_ne!(save_to_vec(&t), saved);
+        rewind_from_vec(&mut t, &mark).unwrap();
+        assert_eq!(save_to_vec(&t), saved);
+
+        // Slot 17 of the confidence column, behind two prefixed columns and
+        // its own prefix.
+        let at = 2 * (TABLE_SLOTS + 1) + 1 + 17;
+        let mut words = saved.words().to_vec();
+        words[at] = u64::from(CONF_MAX) + 1;
+        let mut copy = ContextTable::new();
+        assert_eq!(
+            restore_from_vec(&mut copy, &StateVec::from(words)),
+            Err(SnapshotError::Corrupt { at })
+        );
+        restore_from_vec(&mut copy, &saved).unwrap();
         assert_eq!(copy, t);
     }
 

@@ -66,7 +66,7 @@ impl Snapshot for LastValuePredictor {
 /// outside a burst the master is predicted to hold its last phase (IDLE stays
 /// IDLE, a completed burst returns to IDLE with the request held by the
 /// last-value portion).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BurstFollower {
     /// Last seen (or predicted) full signal bundle.
     last: MasterSignals,

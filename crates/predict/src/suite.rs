@@ -23,7 +23,9 @@ use predpkt_sim::{Snapshot, SnapshotError, StateReader, StateWriter};
 
 /// Strategy predicting one remote master's per-cycle signals.
 ///
-/// `Send` so the owning domain model can move to a worker thread.
+/// `Send` so the owning domain model can move to a worker thread. A predictor
+/// that wraps another forwards all three of [`Snapshot::mark`] /
+/// [`rewind`](Snapshot::rewind) / [`release`](Snapshot::release), or none.
 pub trait MasterPredictor: Snapshot + Send {
     /// Trains on the master's actual signals for a cycle; `accepted` marks a
     /// granted address phase with `hready` (the bus accepted the transfer).
@@ -43,6 +45,9 @@ pub trait MasterPredictor: Snapshot + Send {
 }
 
 /// Strategy predicting one remote slave's per-cycle signals.
+///
+/// A predictor that wraps another forwards all three of [`Snapshot::mark`] /
+/// [`rewind`](Snapshot::rewind) / [`release`](Snapshot::release), or none.
 pub trait SlavePredictor: Snapshot + Send {
     /// Trains on the slave's actual signals for a cycle. `data_phase_first` is
     /// `Some(is_first_beat)` exactly when this slave owns the cycle's data

@@ -2,8 +2,12 @@
 //! SplitMix64 generator so every case is reproducible without an external
 //! fuzzing framework.
 
-use predpkt_predict::{decode_block, encode_block, Lob, LobEntry};
-use predpkt_sim::SplitMix64;
+use predpkt_ahb::signals::Hburst;
+use predpkt_predict::{
+    decode_block, encode_block, ContextMasterPredictor, ContextSlavePredictor, Htrans, Lob,
+    LobEntry, MasterPredictor, MasterSignals, SlavePredictor, SlaveSignals,
+};
+use predpkt_sim::{save_to_vec, SplitMix64};
 
 /// Uniform random block set: `count` entries of exactly `width` words.
 fn uniform_blocks(rng: &mut SplitMix64, width: usize, count: usize) -> Vec<Vec<u32>> {
@@ -122,5 +126,62 @@ fn lob_budget_counts_predictions_only() {
         lob.clear();
         assert!(lob.is_empty(), "case {case}");
         assert_eq!(lob.predictions(), 0, "case {case}");
+    }
+}
+
+/// `peek` is `clone().predict()` without the clone: over random observe /
+/// predict streams it returns what a clone would predict and leaves the
+/// predictor's saved words as they were, for both Markov predictors.
+#[test]
+fn peek_predicts_like_a_clone_and_moves_nothing() {
+    for case in 0..60u64 {
+        let mut rng = SplitMix64::new(case ^ 0x5eed_0005);
+        let mut master = ContextMasterPredictor::new();
+        let mut slave = ContextSlavePredictor::new();
+        // A small address and run-length alphabet, so the tables learn and
+        // the predictors drive first beats, bursts and IRQ edges.
+        for step in 0..400 {
+            if rng.below(4) == 0 {
+                master.predict();
+                slave.predict(rng.flip());
+                continue;
+            }
+            let active = rng.below(3) == 0;
+            let sig = MasterSignals {
+                busreq: active || rng.flip(),
+                trans: if active { Htrans::Nonseq } else { Htrans::Idle },
+                addr: 0x100 + 0x10 * rng.below(4) as u32,
+                burst: if rng.flip() {
+                    Hburst::Incr4
+                } else {
+                    Hburst::Single
+                },
+                wdata: rng.next_u64() as u32,
+                ..MasterSignals::idle()
+            };
+            master.observe(&sig, active && rng.below(4) != 0);
+            let ssig = SlaveSignals {
+                ready: rng.below(3) != 0,
+                irq: rng.below(5) == 0,
+                rdata: step,
+                ..SlaveSignals::idle()
+            };
+            slave.observe(&ssig, rng.flip().then(|| rng.flip()));
+            if rng.below(3) == 0 {
+                slave.begin_phase(rng.flip());
+            }
+
+            let saved = save_to_vec(&master);
+            assert_eq!(master.peek(), master.clone().predict(), "case {case}");
+            assert_eq!(save_to_vec(&master), saved, "case {case}");
+            let in_dp = rng.flip();
+            let saved = save_to_vec(&slave);
+            assert_eq!(
+                slave.peek(in_dp),
+                slave.clone().predict(in_dp),
+                "case {case}"
+            );
+            assert_eq!(save_to_vec(&slave), saved, "case {case}");
+        }
     }
 }
