@@ -8,6 +8,7 @@
 //! `predpkt-predict`.
 
 use crate::signals::{Hburst, Hsize};
+use predpkt_sim::declare_state;
 
 /// AHB bursts must not cross this boundary (AHB spec §3.5: 1 kB).
 pub const BURST_BOUNDARY: u32 = 0x400;
@@ -95,8 +96,9 @@ pub fn plan_incr_burst(addr: u32, size: Hsize, remaining_beats: u32) -> (Hburst,
 /// address is, whether the burst is complete.
 ///
 /// Both the arbiter (to hold grants for defined-length bursts) and the
-/// address/control predictor (to extrapolate SEQ beats) use this.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// address/control predictor (to extrapolate SEQ beats) use this, and both
+/// save it as its [`pack`](BurstTracker::pack)ed words.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BurstTracker {
     size: Hsize,
     burst: Hburst,
@@ -167,6 +169,8 @@ impl BurstTracker {
         })
     }
 }
+
+declare_state! { impl BurstTracker: words(pack, unpack) }
 
 #[cfg(test)]
 mod tests {

@@ -10,7 +10,7 @@ use crate::checker::{ProtocolChecker, Violation};
 use crate::fabric::{Arbiter, CycleView, DecodeMapError, Decoder, Fabric, Region};
 use crate::signals::{MasterId, MasterSignals, SlaveId, SlaveSignals};
 use crate::{AhbMaster, AhbSlave};
-use predpkt_sim::{Snapshot, SnapshotError, StateReader, StateWriter, Trace};
+use predpkt_sim::{declare_state, Each, Trace};
 use std::fmt;
 
 /// Packs one cycle's canonical trace record into `out`, replacing its
@@ -300,28 +300,12 @@ impl AhbBus {
     }
 }
 
-impl Snapshot for AhbBus {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        self.fabric.save(w);
-        w.word(self.cycle);
-        for m in &self.masters {
-            m.save(w);
-        }
-        for s in &self.slaves {
-            s.save(w);
-        }
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.fabric.restore(r)?;
-        self.cycle = r.word()?;
-        for m in &mut self.masters {
-            m.restore(r)?;
-        }
-        for s in &mut self.slaves {
-            s.restore(r)?;
-        }
-        Ok(())
+declare_state! {
+    impl AhbBus {
+        fabric,
+        cycle,
+        masters: Each,
+        slaves: Each,
     }
 }
 

@@ -23,17 +23,19 @@
 
 use crate::burst::{beat_addr, fits_in_boundary};
 use crate::signals::{
-    read_decoded, AddrPhase, Hburst, Hresp, Hsize, Htrans, MasterSignals, MasterView, SlaveSignals,
-    SlaveView,
+    AddrPhase, Hburst, Hresp, Hsize, Htrans, MasterSignals, MasterView, SlaveSignals, SlaveView,
 };
-use predpkt_sim::{Snapshot, SnapshotError, StateReader, StateWriter};
+use predpkt_sim::declare_state;
 
 // ---------------------------------------------------------------------------
 // Master engine
 // ---------------------------------------------------------------------------
 
 /// One bus operation: a read or write of one or more beats.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The default is a read of no beats: a placeholder a restore fills, not an
+/// operation to submit.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BusOp {
     write: bool,
     size: Hsize,
@@ -170,7 +172,7 @@ impl BusOp {
 }
 
 /// Outcome of one completed [`BusOp`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct OpResult {
     /// `true` if the operation was a write.
     pub write: bool,
@@ -492,128 +494,57 @@ impl MasterEngine {
     }
 }
 
-impl Snapshot for MasterEngine {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        match &self.op {
-            Some(op) => {
-                w.bool(true)
-                    .bool(op.write)
-                    .u32(op.size.encode())
-                    .u32(op.burst.encode())
-                    .slice_u32(&op.addrs)
-                    .slice_u32(&op.wdata)
-                    .bool(op.lock)
-                    .u32(op.prot as u32);
-            }
-            None => {
-                w.bool(false);
-            }
-        }
-        w.u32(self.state.encode());
-        w.u32(self.addr_beat);
-        match self.dp_beat {
-            Some(b) => w.bool(true).u32(b),
-            None => w.bool(false),
-        };
-        w.u32(self.done_beats);
-        w.slice_u32(&self.rdata);
-        w.bool(self.restart_singles);
-        w.bool(self.error);
-        match &self.result {
-            Some(res) => {
-                w.bool(true)
-                    .bool(res.write)
-                    .u32(res.addr)
-                    .slice_u32(&res.rdata)
-                    .bool(res.error);
-            }
-            None => {
-                w.bool(false);
-            }
-        }
-        w.u32(self.busy_beats);
-        w.u32(self.busy_left);
+// An operation's payload is indexed by the engine's beat counters, so an
+// operation of no beats, or a write without a data word per beat, is
+// refused at the count that says so.
+declare_state! {
+    impl BusOp {
+        write,
+        size,
+        burst,
+        addrs => |op, _| !op.addrs.is_empty(),
+        wdata => |op, _| !op.write || op.wdata.len() == op.addrs.len(),
+        lock,
+        prot,
     }
+}
 
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        // The payload vectors of the operation and result being overwritten
-        // are refilled, not replaced.
-        let (mut addrs, mut wdata) = self
-            .op
-            .take()
-            .map(|op| (op.addrs, op.wdata))
-            .unwrap_or_default();
-        // `outputs` indexes the payload with the beat counters, so state whose
-        // counters point outside it — or an operation of no beats — is
-        // refused here, at the word that says so.
-        self.op = if r.bool()? {
-            let write = r.bool()?;
-            let size = read_decoded(r, Hsize::decode)?;
-            let burst = read_decoded(r, Hburst::decode)?;
-            let at = r.position();
-            r.slice_u32_into(&mut addrs)?;
-            if addrs.is_empty() {
-                return Err(r.corrupt_at(at));
-            }
-            let at = r.position();
-            r.slice_u32_into(&mut wdata)?;
-            if write && wdata.len() != addrs.len() {
-                return Err(r.corrupt_at(at));
-            }
-            let lock = r.bool()?;
-            let prot = r.u32()? as u8;
-            Some(BusOp {
-                write,
-                size,
-                burst,
-                addrs,
-                wdata,
-                lock,
-                prot,
-            })
-        } else {
-            None
-        };
-        let beats = self.op.as_ref().map(BusOp::beats);
-        let outside = |beat: u32| beats.is_some_and(|beats| beat >= beats);
-        self.state = read_decoded(r, MState::decode)?;
-        let at = r.position();
-        self.addr_beat = r.u32()?;
-        if matches!(self.state, MState::Drive { .. }) && outside(self.addr_beat) {
-            return Err(r.corrupt_at(at));
-        }
-        self.dp_beat = if r.bool()? {
-            let at = r.position();
-            let beat = r.u32()?;
-            if outside(beat) {
-                return Err(r.corrupt_at(at));
-            }
-            Some(beat)
-        } else {
-            None
-        };
-        self.done_beats = r.u32()?;
-        r.slice_u32_into(&mut self.rdata)?;
-        self.restart_singles = r.bool()?;
-        self.error = r.bool()?;
-        let mut rdata = self.result.take().map(|res| res.rdata).unwrap_or_default();
-        self.result = if r.bool()? {
-            let write = r.bool()?;
-            let addr = r.u32()?;
-            r.slice_u32_into(&mut rdata)?;
-            let error = r.bool()?;
-            Some(OpResult {
-                write,
-                addr,
-                rdata,
-                error,
-            })
-        } else {
-            None
-        };
-        self.busy_beats = r.u32()?;
-        self.busy_left = r.u32()?;
-        Ok(())
+declare_state! {
+    impl OpResult {
+        write,
+        addr,
+        rdata,
+        error,
+    }
+}
+
+declare_state! { impl MState: word(encode, decode) }
+
+// `outputs` indexes the payload with the beat counters, so a counter that
+// points outside it is refused at its word.
+declare_state! {
+    impl MasterEngine {
+        op,
+        state,
+        addr_beat => |e, _| !matches!(e.state, MState::Drive { .. }) || !e.outside(e.addr_beat),
+        dp_beat => |e, at| match e.dp_beat {
+            Some(beat) if e.outside(beat) => Err(at + 1),
+            _ => Ok(()),
+        },
+        done_beats,
+        rdata,
+        restart_singles,
+        error,
+        result,
+        busy_beats,
+        busy_left,
+    }
+}
+
+impl MasterEngine {
+    /// `true` if `beat` lies past the payload of the operation in flight.
+    fn outside(&self, beat: u32) -> bool {
+        self.op.as_ref().is_some_and(|op| beat >= op.beats())
     }
 }
 
@@ -711,6 +642,34 @@ enum SState {
     ErrFirst,
     /// Second cycle of a two-cycle error-class response.
     ErrSecond,
+}
+
+impl SState {
+    fn encode(self) -> u32 {
+        match self {
+            SState::Idle => 0,
+            SState::Pending => 1,
+            SState::Wait { left } => 2 | (left << 3),
+            SState::RespondOkay => 3,
+            SState::ErrFirst => 4,
+            SState::ErrSecond => 5,
+            SState::Stalled => 6,
+        }
+    }
+
+    /// `Pending` (1) is resolved by `plan` within the tick that enters it:
+    /// it is never live at a clock edge, and `outputs` panics on it.
+    fn decode(code: u32) -> Option<SState> {
+        Some(match code & 0b111 {
+            0 => SState::Idle,
+            2 => SState::Wait { left: code >> 3 },
+            3 => SState::RespondOkay,
+            4 => SState::ErrFirst,
+            5 => SState::ErrSecond,
+            6 => SState::Stalled,
+            _ => return None,
+        })
+    }
 }
 
 /// The slave-side protocol engine. See the module docs.
@@ -876,82 +835,14 @@ impl SlaveEngine {
     }
 }
 
-impl Snapshot for SlaveEngine {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        let state_code = match self.state {
-            SState::Idle => 0u32,
-            SState::Pending => 1,
-            SState::Wait { left } => 2 | (left << 3),
-            SState::RespondOkay => 3,
-            SState::ErrFirst => 4,
-            SState::ErrSecond => 5,
-            SState::Stalled => 6,
-        };
-        w.u32(state_code);
-        match &self.phase {
-            Some(p) => {
-                w.bool(true);
-                w.usize(p.master.0);
-                match p.slave {
-                    Some(s) => w.bool(true).usize(s.0),
-                    None => w.bool(false),
-                };
-                w.u32(p.trans.encode())
-                    .u32(p.addr)
-                    .bool(p.write)
-                    .u32(p.size.encode())
-                    .u32(p.burst.encode());
-            }
-            None => {
-                w.bool(false);
-            }
-        }
-        w.u32(self.resp.encode());
-        w.u32(self.rdata);
-    }
+declare_state! { impl SState: word(encode, decode) }
 
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let at = r.position();
-        let code = r.u32()?;
-        self.state = match code & 0b111 {
-            0 => SState::Idle,
-            // `Pending` (1) is resolved by `plan` within the tick that
-            // enters it: it is never live at a clock edge, and `outputs`
-            // panics on it.
-            2 => SState::Wait { left: code >> 3 },
-            3 => SState::RespondOkay,
-            4 => SState::ErrFirst,
-            5 => SState::ErrSecond,
-            6 => SState::Stalled,
-            _ => return Err(r.corrupt_at(at)),
-        };
-        self.phase = if r.bool()? {
-            let master = crate::signals::MasterId(r.usize()?);
-            let slave = if r.bool()? {
-                Some(crate::signals::SlaveId(r.usize()?))
-            } else {
-                None
-            };
-            let trans = read_decoded(r, Htrans::decode)?;
-            let addr = r.u32()?;
-            let write = r.bool()?;
-            let size = read_decoded(r, Hsize::decode)?;
-            let burst = read_decoded(r, Hburst::decode)?;
-            Some(AddrPhase {
-                master,
-                slave,
-                trans,
-                addr,
-                write,
-                size,
-                burst,
-            })
-        } else {
-            None
-        };
-        self.resp = read_decoded(r, Hresp::decode)?;
-        self.rdata = r.u32()?;
-        Ok(())
+declare_state! {
+    impl SlaveEngine {
+        state,
+        phase,
+        resp,
+        rdata,
     }
 }
 

@@ -14,10 +14,9 @@
 
 use crate::burst::BurstTracker;
 use crate::signals::{
-    read_decoded, AddrPhase, Hburst, Hresp, Hsize, Htrans, MasterId, MasterSignals, MasterView,
-    SlaveId, SlaveSignals, SlaveView,
+    AddrPhase, Hresp, MasterId, MasterSignals, MasterView, SlaveId, SlaveSignals, SlaveView,
 };
-use predpkt_sim::{Snapshot, SnapshotError, StateReader, StateWriter};
+use predpkt_sim::declare_state;
 
 /// One region of the static address map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -256,37 +255,11 @@ impl Arbiter {
     }
 }
 
-impl Snapshot for Arbiter {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        w.usize(self.granted.0);
-        w.u32(self.split_mask as u32);
-        match &self.burst {
-            Some(t) => {
-                let packed = t.pack();
-                w.bool(true).u32(packed[0]).u32(packed[1]);
-            }
-            None => {
-                w.bool(false);
-            }
-        }
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let at = r.position();
-        let granted = r.usize()?;
-        if granted >= self.num_masters {
-            return Err(r.corrupt_at(at));
-        }
-        self.granted = MasterId(granted);
-        self.split_mask = r.u32()? as u16;
-        self.burst = if r.bool()? {
-            let at = r.position();
-            let words = [r.u32()?, r.u32()?];
-            Some(BurstTracker::unpack(&words).ok_or_else(|| r.corrupt_at(at))?)
-        } else {
-            None
-        };
-        Ok(())
+declare_state! {
+    impl Arbiter {
+        granted => |a, _| a.granted.0 < a.num_masters,
+        split_mask,
+        burst,
     }
 }
 
@@ -457,71 +430,29 @@ impl Fabric {
     }
 }
 
-impl Snapshot for Fabric {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        self.arbiter.save(w);
-        w.bool(self.default_err2);
-        match &self.dp {
-            Some(d) => {
-                w.bool(true);
-                w.usize(d.master.0);
-                match d.slave {
-                    Some(s) => w.bool(true).usize(s.0),
-                    None => w.bool(false),
-                };
-                w.u32(d.trans.encode())
-                    .u32(d.addr)
-                    .bool(d.write)
-                    .u32(d.size.encode())
-                    .u32(d.burst.encode());
-            }
-            None => {
-                w.bool(false);
-            }
-        }
+declare_state! {
+    impl Fabric {
+        arbiter,
+        default_err2,
+        dp => Fabric::phase_on_bus,
     }
+}
 
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.arbiter.restore(r)?;
-        self.default_err2 = r.bool()?;
-        self.dp = if r.bool()? {
-            // `view`, the arbiter and the domain model index the signal
-            // vectors with the phase's owner and target, so both must name
-            // components of this bus: a master the arbiter knows and a slave
-            // the decoder maps.
-            let at = r.position();
-            let master = MasterId(r.usize()?);
-            if master.0 >= self.arbiter.num_masters {
-                return Err(r.corrupt_at(at));
-            }
-            let slave = if r.bool()? {
-                let at = r.position();
-                let slave = SlaveId(r.usize()?);
-                if !self.decoder.regions().iter().any(|g| g.slave == slave) {
-                    return Err(r.corrupt_at(at));
-                }
-                Some(slave)
-            } else {
-                None
-            };
-            let trans = read_decoded(r, Htrans::decode)?;
-            let addr = r.u32()?;
-            let write = r.bool()?;
-            let size = read_decoded(r, Hsize::decode)?;
-            let burst = read_decoded(r, Hburst::decode)?;
-            Some(AddrPhase {
-                master,
-                slave,
-                trans,
-                addr,
-                write,
-                size,
-                burst,
-            })
-        } else {
-            None
-        };
-        Ok(())
+impl Fabric {
+    /// `view`, the arbiter and the domain model index the signal vectors
+    /// with the data phase's owner and target, so both must name components
+    /// of this bus: a master the arbiter knows, refused at the phase's
+    /// master word (after its presence flag), and a slave the decoder maps,
+    /// refused at its slave word (after the master and the slave's flag).
+    fn phase_on_bus(&self, at: usize) -> Result<(), usize> {
+        let Some(dp) = &self.dp else { return Ok(()) };
+        if dp.master.0 >= self.arbiter.num_masters {
+            return Err(at + 1);
+        }
+        match dp.slave {
+            Some(s) if !self.decoder.regions().iter().any(|g| g.slave == s) => Err(at + 3),
+            _ => Ok(()),
+        }
     }
 }
 

@@ -9,7 +9,7 @@
 use crate::engine::{BusOp, MasterEngine};
 use crate::signals::{Hburst, Hsize, MasterSignals, MasterView};
 use crate::AhbMaster;
-use predpkt_sim::{Snapshot, SnapshotError, StateReader, StateWriter};
+use predpkt_sim::declare_state;
 
 /// Behaviour knobs for [`CpuMaster`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,26 +158,14 @@ impl AhbMaster for CpuMaster {
     }
 }
 
-impl Snapshot for CpuMaster {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        // The profile is static configuration.
-        w.word(self.rng);
-        w.u32(self.think_left);
-        match self.rmw_addr {
-            Some(a) => w.bool(true).u32(a),
-            None => w.bool(false),
-        };
-        self.engine.save(w);
-        w.word(self.ops_issued);
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.rng = r.word()?;
-        self.think_left = r.u32()?;
-        self.rmw_addr = if r.bool()? { Some(r.u32()?) } else { None };
-        self.engine.restore(r)?;
-        self.ops_issued = r.word()?;
-        Ok(())
+// The profile is static configuration.
+declare_state! {
+    impl CpuMaster {
+        rng,
+        think_left,
+        rmw_addr,
+        engine,
+        ops_issued,
     }
 }
 

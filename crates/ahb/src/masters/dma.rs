@@ -12,7 +12,7 @@ use crate::burst::plan_incr_burst;
 use crate::engine::{BusOp, MasterEngine};
 use crate::signals::{Hsize, MasterSignals, MasterView};
 use crate::AhbMaster;
-use predpkt_sim::{Snapshot, SnapshotError, StateReader, StateWriter};
+use predpkt_sim::declare_state;
 
 /// One DMA job: copy `words` 32-bit words from `src` to `dst`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,6 +48,20 @@ enum DmaPhase {
     Reading,
     /// Store the buffered chunk to the destination.
     Writing,
+}
+
+impl DmaPhase {
+    fn encode(self) -> u32 {
+        self as u32
+    }
+
+    fn decode(code: u32) -> Option<DmaPhase> {
+        match code {
+            0 => Some(DmaPhase::Reading),
+            1 => Some(DmaPhase::Writing),
+            _ => None,
+        }
+    }
 }
 
 /// The DMA master.
@@ -166,33 +180,22 @@ impl AhbMaster for DmaMaster {
     }
 }
 
-impl Snapshot for DmaMaster {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        // Descriptors are static configuration.
-        w.usize(self.job_idx);
-        w.u32(self.moved);
-        w.bool(matches!(self.phase, DmaPhase::Writing));
-        w.slice_u32(&self.chunk);
-        w.u32(self.inflight_words);
-        self.engine.save(w);
-        w.word(self.words_moved_total);
-        w.word(self.bus_errors);
-    }
+declare_state! { impl DmaPhase: word(encode, decode) }
 
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.job_idx = r.usize()?;
-        self.moved = r.u32()?;
-        self.phase = if r.bool()? {
-            DmaPhase::Writing
-        } else {
-            DmaPhase::Reading
-        };
-        r.slice_u32_into(&mut self.chunk)?;
-        self.inflight_words = r.u32()?;
-        self.engine.restore(r)?;
-        self.words_moved_total = r.word()?;
-        self.bus_errors = r.word()?;
-        Ok(())
+// The descriptors are static configuration. At a clock edge `moved` is below
+// the current job's word count (`tick` moves on to the next job when it
+// gets there), so a count at or past it is refused at its word: the next
+// launch would subtract past zero.
+declare_state! {
+    impl DmaMaster {
+        job_idx,
+        moved => |d, _| d.current_job().map_or(true, |job| d.moved < job.words),
+        phase,
+        chunk,
+        inflight_words,
+        engine,
+        words_moved_total,
+        bus_errors,
     }
 }
 
@@ -300,5 +303,17 @@ mod tests {
         let mut copy = DmaMaster::new(vec![DmaDescriptor::new(0x0, 0x200, 12)]);
         restore_from_vec(&mut copy, &state).unwrap();
         assert_eq!(copy, dma);
+    }
+
+    /// `moved` (the word after the job index) stays below the current job's
+    /// word count: the next launch subtracts it from that count.
+    #[test]
+    fn a_moved_count_past_the_job_is_refused_at_its_word() {
+        let mut dma = DmaMaster::new(vec![DmaDescriptor::new(0x0, 0x200, 8)]);
+        run_dma(&mut dma, 5);
+        assert!(!dma.done());
+        for bad in [8, 100] {
+            crate::test_util::assert_refused_at(&dma, 1, bad);
+        }
     }
 }

@@ -3,7 +3,7 @@
 use crate::engine::{BusOp, MasterEngine, OpResult};
 use crate::signals::{MasterSignals, MasterView};
 use crate::AhbMaster;
-use predpkt_sim::{Snapshot, SnapshotError, StateReader, StateWriter};
+use predpkt_sim::{declare_state, List};
 
 /// A master that executes a fixed list of operations, optionally separated by
 /// idle gaps and optionally looping forever.
@@ -108,45 +108,14 @@ impl AhbMaster for TrafficGenMaster {
     }
 }
 
-impl Snapshot for TrafficGenMaster {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        // The script is static configuration; only dynamic state is saved.
-        w.usize(self.next_op);
-        w.u32(self.idle_left);
-        self.engine.save(w);
-        w.usize(self.results.len());
-        for res in &self.results {
-            w.bool(res.write)
-                .u32(res.addr)
-                .slice_u32(&res.rdata)
-                .bool(res.error);
-        }
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.next_op = r.usize()?;
-        self.idle_left = r.u32()?;
-        self.engine.restore(r)?;
-        // Results only accumulate, so a rollback mostly truncates; the
-        // entries that stay are refilled where they are.
-        let n = r.usize()?;
-        self.results.truncate(n);
-        for i in 0..n {
-            if i == self.results.len() {
-                self.results.push(OpResult {
-                    write: false,
-                    addr: 0,
-                    rdata: Vec::new(),
-                    error: false,
-                });
-            }
-            let res = &mut self.results[i];
-            res.write = r.bool()?;
-            res.addr = r.u32()?;
-            r.slice_u32_into(&mut res.rdata)?;
-            res.error = r.bool()?;
-        }
-        Ok(())
+// The script is static configuration. Results only accumulate, so a
+// rollback mostly truncates them; the ones that stay are refilled in place.
+declare_state! {
+    impl TrafficGenMaster {
+        next_op,
+        idle_left,
+        engine,
+        results: List,
     }
 }
 

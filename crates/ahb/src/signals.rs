@@ -6,16 +6,19 @@
 //! read-data plus SPLIT unmask, and interrupt lines (treated like MSABS
 //! elements, as the paper prescribes).
 
-use predpkt_sim::{Snapshot, SnapshotError, StateReader, StateWriter};
+use predpkt_sim::declare_state;
 use std::fmt;
 
 /// Index of a bus master (0 = highest arbitration priority by convention).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct MasterId(pub usize);
 
 /// Index of a bus slave.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SlaveId(pub usize);
+
+declare_state! { impl MasterId { 0 } }
+declare_state! { impl SlaveId { 0 } }
 
 impl fmt::Display for MasterId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -364,7 +367,7 @@ impl Default for SlaveSignals {
 }
 
 /// An address phase as captured by the fabric: who requests what from whom.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AddrPhase {
     /// The master driving the phase.
     pub master: MasterId,
@@ -441,41 +444,17 @@ impl SlaveView {
     }
 }
 
-/// Reads one word and decodes it as an encoded signal, reporting a value
-/// outside the encoding as corrupt at that word's own index.
-pub(crate) fn read_decoded<T>(
-    r: &mut StateReader<'_>,
-    decode: impl FnOnce(u32) -> Option<T>,
-) -> Result<T, SnapshotError> {
-    let at = r.position();
-    decode(r.u32()?).ok_or_else(|| r.corrupt_at(at))
-}
-
-impl Snapshot for MasterSignals {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        let packed = self.pack();
-        w.u32(packed[0]).u32(packed[1]).u32(packed[2]);
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let at = r.position();
-        let words = [r.u32()?, r.u32()?, r.u32()?];
-        *self = MasterSignals::unpack(&words).ok_or_else(|| r.corrupt_at(at))?;
-        Ok(())
-    }
-}
-
-impl Snapshot for SlaveSignals {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        let packed = self.pack();
-        w.u32(packed[0]).u32(packed[1]);
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let at = r.position();
-        let words = [r.u32()?, r.u32()?];
-        *self = SlaveSignals::unpack(&words).ok_or_else(|| r.corrupt_at(at))?;
-        Ok(())
+declare_state! { impl Htrans, Hburst, Hsize, Hresp: word(encode, decode) }
+declare_state! { impl MasterSignals, SlaveSignals: words(pack, unpack) }
+declare_state! {
+    impl AddrPhase {
+        master,
+        slave,
+        trans,
+        addr,
+        write,
+        size,
+        burst,
     }
 }
 

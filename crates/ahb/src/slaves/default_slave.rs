@@ -8,7 +8,7 @@
 use crate::engine::{PlannedResponse, SlaveEngine};
 use crate::signals::{Hresp, SlaveSignals, SlaveView};
 use crate::AhbSlave;
-use predpkt_sim::{Snapshot, SnapshotError, StateReader, StateWriter};
+use predpkt_sim::declare_state;
 
 /// A slave that answers every transfer with a two-cycle ERROR.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -50,16 +50,10 @@ impl AhbSlave for DefaultSlave {
     }
 }
 
-impl Snapshot for DefaultSlave {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        self.engine.save(w);
-        w.word(self.errors);
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.engine.restore(r)?;
-        self.errors = r.word()?;
-        Ok(())
+declare_state! {
+    impl DefaultSlave {
+        engine,
+        errors,
     }
 }
 

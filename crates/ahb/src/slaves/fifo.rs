@@ -11,7 +11,7 @@
 use crate::engine::{PlannedResponse, SlaveEngine};
 use crate::signals::{SlaveSignals, SlaveView};
 use crate::AhbSlave;
-use predpkt_sim::{Snapshot, SnapshotError, StateReader, StateWriter};
+use predpkt_sim::declare_state;
 use std::collections::VecDeque;
 
 /// A streaming FIFO slave (UART/DSP-port archetype).
@@ -155,46 +155,16 @@ impl AhbSlave for FifoSlave {
     }
 }
 
-/// Writes a FIFO as the length-prefixed slice its contents form.
-fn save_deque(w: &mut StateWriter<'_>, fifo: &VecDeque<u32>) {
-    w.usize(fifo.len());
-    for &word in fifo {
-        w.u32(word);
-    }
-}
-
-/// Refills a FIFO from a length-prefixed slice, in the buffer it owns: a
-/// cleared deque and a vector trade their allocation without copying.
-fn restore_deque(r: &mut StateReader<'_>, fifo: &mut VecDeque<u32>) -> Result<(), SnapshotError> {
-    fifo.clear();
-    let mut words = Vec::from(std::mem::take(fifo));
-    let read = r.slice_u32_into(&mut words);
-    *fifo = words.into();
-    read
-}
-
-impl Snapshot for FifoSlave {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        w.u32(self.produce_phase)
-            .u32(self.next_produced)
-            .u32(self.consume_phase);
-        save_deque(w, &self.tx);
-        save_deque(w, &self.rx);
-        w.slice_u32(&self.consumed);
-        self.engine.save(w);
-        w.word(self.underflow_reads);
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.produce_phase = r.u32()?;
-        self.next_produced = r.u32()?;
-        self.consume_phase = r.u32()?;
-        restore_deque(r, &mut self.tx)?;
-        restore_deque(r, &mut self.rx)?;
-        r.slice_u32_into(&mut self.consumed)?;
-        self.engine.restore(r)?;
-        self.underflow_reads = r.word()?;
-        Ok(())
+declare_state! {
+    impl FifoSlave {
+        produce_phase,
+        next_produced,
+        consume_phase,
+        tx,
+        rx,
+        consumed,
+        engine,
+        underflow_reads,
     }
 }
 

@@ -3,7 +3,7 @@
 use crate::engine::{PlannedResponse, SlaveEngine};
 use crate::signals::{Hsize, Htrans, SlaveSignals, SlaveView};
 use crate::AhbSlave;
-use predpkt_sim::{Journaled, Snapshot, SnapshotError, StateReader, StateWriter};
+use predpkt_sim::{declare_state, Journaled};
 
 /// A RAM slave.
 ///
@@ -146,46 +146,14 @@ impl AhbSlave for MemorySlave {
     }
 }
 
-impl MemorySlave {
-    /// The words after the backing store, which `save` and `mark` share.
-    fn save_registers(&self, w: &mut StateWriter<'_>) {
-        self.engine.save(w);
-        w.word(self.reads).word(self.writes);
-    }
-
-    fn restore_registers(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.engine.restore(r)?;
-        self.reads = r.word()?;
-        self.writes = r.word()?;
-        Ok(())
-    }
-}
-
-/// The backing store is refused at its length prefix unless it has the size
-/// the slave was built with; a mark journals the store and copies the rest.
-impl Snapshot for MemorySlave {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        self.words.save(w);
-        self.save_registers(w);
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.words.restore(r)?;
-        self.restore_registers(r)
-    }
-
-    fn mark(&mut self, w: &mut StateWriter<'_>) {
-        self.words.mark(w);
-        self.save_registers(w);
-    }
-
-    fn rewind(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.words.rewind(r)?;
-        self.restore_registers(r)
-    }
-
-    fn release(&mut self) {
-        self.words.release();
+// The backing store is refused at its length prefix unless it has the size
+// the slave was built with; a mark journals the store and copies the rest.
+declare_state! {
+    impl MemorySlave {
+        words,
+        engine,
+        reads,
+        writes,
     }
 }
 

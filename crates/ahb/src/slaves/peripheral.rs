@@ -9,7 +9,7 @@
 use crate::engine::{PlannedResponse, SlaveEngine};
 use crate::signals::{SlaveSignals, SlaveView};
 use crate::AhbSlave;
-use predpkt_sim::{Snapshot, SnapshotError, StateReader, StateWriter};
+use predpkt_sim::declare_state;
 
 /// Control register offset: bit 0 = timer enable, bit 1 = IRQ enable.
 pub const REG_CTRL: u32 = 0x00;
@@ -153,23 +153,17 @@ impl AhbSlave for PeripheralSlave {
     }
 }
 
-impl Snapshot for PeripheralSlave {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        w.u32(self.ctrl)
-            .bool(self.irq_pending)
-            .u32(self.period)
-            .u32(self.count)
-            .slice_u32(&self.mailbox);
-        self.engine.save(w);
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.ctrl = r.u32()?;
-        self.irq_pending = r.bool()?;
-        self.period = r.u32()?;
-        self.count = r.u32()?;
-        r.slice_u32_into(&mut self.mailbox)?;
-        self.engine.restore(r)
+// Writing the period zeroes the count and `tick` wraps the count at the
+// period, so a count at or past a period is refused at its word: `tick`
+// would count it past `u32::MAX`.
+declare_state! {
+    impl PeripheralSlave {
+        ctrl,
+        irq_pending,
+        period,
+        count => |p, _| p.count == 0 || p.count < p.period,
+        mailbox,
+        engine,
     }
 }
 
@@ -304,5 +298,22 @@ mod tests {
         let mut copy = PeripheralSlave::new(2);
         restore_from_vec(&mut copy, &state).unwrap();
         assert_eq!(copy, p);
+    }
+
+    /// The timer's count (after the control, pending and period words) is
+    /// 0 or below the period: `tick` wraps it there, and would count a
+    /// larger one past `u32::MAX`.
+    #[test]
+    fn a_count_the_timer_never_reaches_is_refused_at_its_word() {
+        let mut p = PeripheralSlave::new(0);
+        bus_write(&mut p, REG_TIMER_PERIOD, 5);
+        bus_write(&mut p, REG_CTRL, CTRL_TIMER_EN);
+        for bad in [5, u64::from(u32::MAX)] {
+            crate::test_util::assert_refused_at(&p, 3, bad);
+        }
+        // Without a period the timer never counts.
+        for bad in [1, 4] {
+            crate::test_util::assert_refused_at(&PeripheralSlave::new(0), 3, bad);
+        }
     }
 }

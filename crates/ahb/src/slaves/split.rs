@@ -11,10 +11,10 @@
 use crate::engine::{PlannedResponse, SlaveEngine};
 use crate::signals::{MasterId, SlaveSignals, SlaveView};
 use crate::AhbSlave;
-use predpkt_sim::{Journaled, Snapshot, SnapshotError, StateReader, StateWriter};
+use predpkt_sim::{declare_state, Journaled, List};
 
 /// One split job in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct Job {
     master: MasterId,
     cycles_left: u32,
@@ -152,74 +152,26 @@ impl AhbSlave for SplitSlave {
     }
 }
 
-impl SplitSlave {
-    /// The words after the backing store, which `save` and `mark` share.
-    fn save_registers(&self, w: &mut StateWriter<'_>) {
-        w.usize(self.jobs.len());
-        for j in &self.jobs {
-            w.usize(j.master.0).u32(j.cycles_left).bool(j.armed);
-        }
-        w.u32(self.ready_masters as u32);
-        w.u32(self.unmask_pulse as u32);
-        self.engine.save(w);
-        w.word(self.splits_issued);
-    }
-
-    /// Refuses, at its word, a job for a master HSPLIT has no bit for and a
-    /// master mask wider than HSPLIT.
-    fn restore_registers(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.jobs.clear();
-        for _ in 0..r.usize()? {
-            let at = r.position();
-            let master = r.usize()?;
-            if master >= u16::BITS as usize {
-                return Err(r.corrupt_at(at));
-            }
-            self.jobs.push(Job {
-                master: MasterId(master),
-                cycles_left: r.u32()?,
-                armed: r.bool()?,
-            });
-        }
-        self.ready_masters = read_mask(r)?;
-        self.unmask_pulse = read_mask(r)?;
-        self.engine.restore(r)?;
-        self.splits_issued = r.word()?;
-        Ok(())
+// A job's master must have an HSPLIT bit (completion shifts by it), and the
+// masks are HSPLIT-wide: both are refused at their words. The backing store
+// is refused at its length prefix unless it has the size the slave was built
+// with; a mark journals the store and copies the rest.
+declare_state! {
+    impl Job {
+        master => |job, _| job.master.0 < u16::BITS as usize,
+        cycles_left,
+        armed,
     }
 }
 
-/// Reads one 16-bit master mask, refusing a wider word at its index.
-fn read_mask(r: &mut StateReader<'_>) -> Result<u16, SnapshotError> {
-    let at = r.position();
-    u16::try_from(r.u32()?).map_err(|_| r.corrupt_at(at))
-}
-
-/// The backing store is refused at its length prefix unless it has the size
-/// the slave was built with; a mark journals the store and copies the rest.
-impl Snapshot for SplitSlave {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        self.words.save(w);
-        self.save_registers(w);
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.words.restore(r)?;
-        self.restore_registers(r)
-    }
-
-    fn mark(&mut self, w: &mut StateWriter<'_>) {
-        self.words.mark(w);
-        self.save_registers(w);
-    }
-
-    fn rewind(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.words.rewind(r)?;
-        self.restore_registers(r)
-    }
-
-    fn release(&mut self) {
-        self.words.release();
+declare_state! {
+    impl SplitSlave {
+        words,
+        jobs: List,
+        ready_masters,
+        unmask_pulse,
+        engine,
+        splits_issued,
     }
 }
 

@@ -7,11 +7,9 @@
 //! hit rate, the billed channel traffic in words, and wall-clock time.
 //! The words column is fully deterministic (it depends only on the protocol
 //! event stream, which conformance pins across backends); the wall column is
-//! context only — host speed is read from `benchmark/`.
-//!
-//! The bin also self-checks the tentpole claim: on the hotspot-mesh workload
-//! the sequence-learning suites (markov, adaptive) must move strictly fewer
-//! words than `LastValueSuite`.
+//! context only — host speed is read from `benchmark/`. That the
+//! sequence-learning suites move fewer words than last-value on the hotspot
+//! mesh is a test (`tests/workspace_integration.rs`).
 //!
 //! Run: `cargo run -p predpkt-bench --release --bin accuracy_sweep [cycles]`
 
@@ -94,8 +92,6 @@ fn main() {
         "suite", "workload", "backend", "hit", "words", "wall"
     );
 
-    // lastvalue/markov/adaptive traffic on the self-check cell.
-    let mut mesh_queue_words: Vec<(String, u64)> = Vec::new();
     for (wname, blueprint) in &workloads {
         for (bname, backend) in &backends {
             for suite in SUITES {
@@ -113,35 +109,7 @@ fn main() {
                     words,
                     wall_us
                 );
-                if *wname == "mesh-hotspot" && *bname == "queue" {
-                    mesh_queue_words.push((suite.to_string(), words));
-                }
             }
         }
     }
-
-    // Self-check: on the hotspot mesh the sequence-learning suites must beat
-    // last-value prediction outright in billed traffic.
-    let words_of = |name: &str| {
-        mesh_queue_words
-            .iter()
-            .find(|(s, _)| s == name)
-            .map(|(_, w)| *w)
-            .expect("mesh/queue cell ran")
-    };
-    let (lv, mk, ad) = (
-        words_of("lastvalue"),
-        words_of("markov"),
-        words_of("adaptive"),
-    );
-    println!("\nself-check (mesh-hotspot/queue): lastvalue={lv} markov={mk} adaptive={ad}");
-    assert!(
-        mk < lv,
-        "markov ({mk} words) must move strictly less traffic than lastvalue ({lv})"
-    );
-    assert!(
-        ad < lv,
-        "adaptive ({ad} words) must move strictly less traffic than lastvalue ({lv})"
-    );
-    println!("self-check ok: sequence-learning suites beat last-value on the hotspot mesh");
 }

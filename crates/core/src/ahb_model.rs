@@ -35,7 +35,8 @@
 //! The latched values are derived state and are never part of a snapshot:
 //! `save` writes the idle value for every local slot (where the proxy vectors
 //! of earlier versions always held idle) and the proxy for every remote slot,
-//! so the rollback-variable count and every checkpoint byte are unchanged.
+//! so the rollback-variable count and every checkpoint byte are unchanged
+//! (see [`Slots`]).
 
 use crate::blueprint::Placement;
 use crate::model::{DomainModel, TickKind};
@@ -44,7 +45,10 @@ use predpkt_ahb::signals::{MasterId, MasterSignals, SlaveId, SlaveSignals};
 use predpkt_ahb::{AhbMaster, AhbSlave};
 use predpkt_channel::Side;
 use predpkt_predict::{MasterPredictor, PredictorSuite, SlavePredictor};
-use predpkt_sim::{Snapshot, SnapshotError, StateReader, StateWriter, Trace, TraceMark};
+use predpkt_sim::{
+    declare_state, Present, Snapshot, SnapshotError, StateReader, StateWriter, Trace, TraceMark,
+};
+use std::ops::{Deref, DerefMut};
 
 /// One verification domain of a split AHB SoC. See the module docs.
 pub struct AhbDomainModel {
@@ -53,12 +57,12 @@ pub struct AhbDomainModel {
     masters: Vec<Option<Box<dyn AhbMaster>>>,
     slaves: Vec<Option<Box<dyn AhbSlave>>>,
     fabric: Fabric,
-    /// The upcoming cycle's full master vector in the leading `masters.len()`
-    /// slots: the latched outputs of a local master, the proxy value (last
-    /// exchanged or predicted) of a remote one. See "Latched outputs".
-    full_m: [MasterSignals; MAX_COMPONENTS],
+    /// The upcoming cycle's full master vector: the latched outputs of a
+    /// local master, the proxy value (last exchanged or predicted) of a
+    /// remote one. See "Latched outputs".
+    full_m: Slots<MasterSignals>,
     /// The full slave vector, as `full_m`.
-    full_s: [SlaveSignals; MAX_COMPONENTS],
+    full_s: Slots<SlaveSignals>,
     /// The local slots packed in canonical order (masters ascending, then
     /// slaves): the cycle's LOB words and its trace record.
     packed: Vec<u32>,
@@ -74,6 +78,63 @@ pub struct AhbDomainModel {
 /// and the IRQ vector are 16 bits), so one cycle's full signal vectors fit
 /// two fixed arrays.
 const MAX_COMPONENTS: usize = 16;
+
+/// One cycle's full signal vector for the masters or for the slaves, one
+/// slot per component in bus order: a local component's latched outputs, a
+/// remote one's proxy. Only the proxies are rollback state: a local slot is
+/// saved as the idle value, and what a restore reads into it stands until
+/// the model's next `latch`.
+#[derive(Clone, Copy)]
+struct Slots<S> {
+    sig: [S; MAX_COMPONENTS],
+    len: usize,
+    /// Bit `i` set: slot `i` is local.
+    local: u16,
+}
+
+impl<S: Copy + Default> Slots<S> {
+    /// Idle slots, one per entry of `local`, which says whether the
+    /// component in that slot is hosted here.
+    fn new(local: impl ExactSizeIterator<Item = bool>) -> Self {
+        Slots {
+            sig: [S::default(); MAX_COMPONENTS],
+            len: local.len(),
+            local: local
+                .enumerate()
+                .fold(0, |mask, (i, here)| mask | (u16::from(here) << i)),
+        }
+    }
+}
+
+impl<S> Deref for Slots<S> {
+    type Target = [S];
+
+    fn deref(&self) -> &[S] {
+        &self.sig[..self.len]
+    }
+}
+
+impl<S> DerefMut for Slots<S> {
+    fn deref_mut(&mut self) -> &mut [S] {
+        &mut self.sig[..self.len]
+    }
+}
+
+impl<S: Snapshot + Copy + Default> Snapshot for Slots<S> {
+    fn save(&self, w: &mut StateWriter<'_>) {
+        for (i, sig) in self.iter().enumerate() {
+            if self.local >> i & 1 == 0 {
+                sig.save(w);
+            } else {
+                S::default().save(w);
+            }
+        }
+    }
+
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        self.iter_mut().try_for_each(|sig| sig.restore(r))
+    }
+}
 
 /// Splits the first `N` words off `words`.
 fn take_chunk<const N: usize>(words: &mut &[u32]) -> Option<[u32; N]> {
@@ -185,8 +246,8 @@ impl AhbDomainModel {
             .collect();
         let mut model = AhbDomainModel {
             side,
-            full_m: [MasterSignals::idle(); MAX_COMPONENTS],
-            full_s: [SlaveSignals::idle(); MAX_COMPONENTS],
+            full_m: Slots::new(masters.iter().map(Option::is_some)),
+            full_s: Slots::new(slaves.iter().map(Option::is_some)),
             packed: Vec::with_capacity(placement.local_width(side)),
             remote_width: placement.local_width(side.peer()),
             masters,
@@ -226,12 +287,16 @@ impl AhbDomainModel {
     /// `latch` maintains, asked by `tick`'s debug assertion.
     fn latch_is_current(&self) -> bool {
         let mut rest = &self.packed[..];
-        let masters = self.masters.iter().zip(&self.full_m).all(|(c, slot)| {
-            c.as_ref().map_or(true, |c| {
-                c.outputs() == *slot && take_chunk(&mut rest) == Some(slot.pack())
-            })
-        });
-        let slaves = self.slaves.iter().zip(&self.full_s).all(|(c, slot)| {
+        let masters = self
+            .masters
+            .iter()
+            .zip(self.full_m.iter())
+            .all(|(c, slot)| {
+                c.as_ref().map_or(true, |c| {
+                    c.outputs() == *slot && take_chunk(&mut rest) == Some(slot.pack())
+                })
+            });
+        let slaves = self.slaves.iter().zip(self.full_s.iter()).all(|(c, slot)| {
             c.as_ref().map_or(true, |c| {
                 c.outputs() == *slot && take_chunk(&mut rest) == Some(slot.pack())
             })
@@ -539,132 +604,21 @@ impl DomainModel for AhbDomainModel {
     }
 }
 
-/// The state layout, shared by both paths: the fabric replica and the cycle,
-/// then the local components, then the proxy slots, then the predictors.
-/// `save` / `restore` move the components and predictors in full; `mark` /
-/// `rewind` / `release` forward to them, so a journaled memory or context
-/// table copies only what it logged. Both reading legs latch.
-impl AhbDomainModel {
-    fn save_fabric(&self, w: &mut StateWriter<'_>) {
-        self.fabric.save(w);
-        w.word(self.cycle);
-    }
-
-    fn restore_fabric(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.fabric.restore(r)?;
-        self.cycle = r.word()?;
-        Ok(())
-    }
-
-    fn save_proxies(&self, w: &mut StateWriter<'_>) {
-        // A local slot is derived state and is written as idle; see
-        // "Latched outputs".
-        for (sig, c) in self.full_m.iter().zip(&self.masters) {
-            c.as_ref().map_or(*sig, |_| MasterSignals::idle()).save(w);
-        }
-        for (sig, c) in self.full_s.iter().zip(&self.slaves) {
-            c.as_ref().map_or(*sig, |_| SlaveSignals::idle()).save(w);
-        }
-    }
-
-    fn restore_proxies(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        for sig in &mut self.full_m[..self.masters.len()] {
-            sig.restore(r)?;
-        }
-        for sig in &mut self.full_s[..self.slaves.len()] {
-            sig.restore(r)?;
-        }
-        Ok(())
-    }
-}
-
-impl Snapshot for AhbDomainModel {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        self.save_fabric(w);
-        for m in self.masters.iter().flatten() {
-            m.save(w);
-        }
-        for s in self.slaves.iter().flatten() {
-            s.save(w);
-        }
-        self.save_proxies(w);
-        for p in self.m_pred.iter().flatten() {
-            p.save(w);
-        }
-        for p in self.s_pred.iter().flatten() {
-            p.save(w);
-        }
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.restore_fabric(r)?;
-        for m in self.masters.iter_mut().flatten() {
-            m.restore(r)?;
-        }
-        for s in self.slaves.iter_mut().flatten() {
-            s.restore(r)?;
-        }
-        self.restore_proxies(r)?;
-        for p in self.m_pred.iter_mut().flatten() {
-            p.restore(r)?;
-        }
-        for p in self.s_pred.iter_mut().flatten() {
-            p.restore(r)?;
-        }
-        self.latch();
-        Ok(())
-    }
-
-    fn mark(&mut self, w: &mut StateWriter<'_>) {
-        self.save_fabric(w);
-        for m in self.masters.iter_mut().flatten() {
-            m.mark(w);
-        }
-        for s in self.slaves.iter_mut().flatten() {
-            s.mark(w);
-        }
-        self.save_proxies(w);
-        for p in self.m_pred.iter_mut().flatten() {
-            p.mark(w);
-        }
-        for p in self.s_pred.iter_mut().flatten() {
-            p.mark(w);
-        }
-    }
-
-    fn rewind(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.restore_fabric(r)?;
-        for m in self.masters.iter_mut().flatten() {
-            m.rewind(r)?;
-        }
-        for s in self.slaves.iter_mut().flatten() {
-            s.rewind(r)?;
-        }
-        self.restore_proxies(r)?;
-        for p in self.m_pred.iter_mut().flatten() {
-            p.rewind(r)?;
-        }
-        for p in self.s_pred.iter_mut().flatten() {
-            p.rewind(r)?;
-        }
-        self.latch();
-        Ok(())
-    }
-
-    fn release(&mut self) {
-        for m in self.masters.iter_mut().flatten() {
-            m.release();
-        }
-        for s in self.slaves.iter_mut().flatten() {
-            s.release();
-        }
-        for p in self.m_pred.iter_mut().flatten() {
-            p.release();
-        }
-        for p in self.s_pred.iter_mut().flatten() {
-            p.release();
-        }
-    }
+// The fabric replica and the cycle, then the local components, then the
+// proxy slots, then the predictors. The components and predictors roll back
+// by their own `mark` / `rewind` / `release`, so a journaled memory or
+// context table copies only what it logged. Both reading legs latch.
+declare_state! {
+    impl AhbDomainModel {
+        fabric,
+        cycle,
+        masters: Present,
+        slaves: Present,
+        full_m,
+        full_s,
+        m_pred: Present,
+        s_pred: Present,
+    } then latch
 }
 
 impl std::fmt::Debug for AhbDomainModel {

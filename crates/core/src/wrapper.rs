@@ -24,8 +24,8 @@ use crate::protocol::Message;
 use predpkt_channel::{BufferPool, CostedChannel, Packet, Side, Transport};
 use predpkt_predict::{Lob, LobEntries};
 use predpkt_sim::{
-    mark_into, rewind_from_vec, CostCategory, SimError, Snapshot, SnapshotError, StateReader,
-    StateVec, StateWriter, TimeLedger, TraceMark, VirtualTime,
+    declare_state, mark_into, rewind_from_vec, CostCategory, Each, SimError, Snapshot,
+    SnapshotError, StateReader, StateVec, StateWriter, TimeLedger, TraceMark, VirtualTime,
 };
 use std::fmt;
 
@@ -157,40 +157,21 @@ impl CwStats {
     }
 }
 
-/// Sixteen words: the ten counters in declaration order, then the six
-/// per-path occupancy buckets (F, P, S, L, R, C).
-impl Snapshot for CwStats {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        w.word(self.transitions)
-            .word(self.clean_transitions)
-            .word(self.rollbacks)
-            .word(self.predicted_cycles)
-            .word(self.replayed_cycles)
-            .word(self.head_cycles)
-            .word(self.conservative_cycles)
-            .word(self.checked_predictions)
-            .word(self.failed_predictions)
-            .word(self.flushes);
-        for count in self.path_events {
-            w.word(count);
-        }
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.transitions = r.word()?;
-        self.clean_transitions = r.word()?;
-        self.rollbacks = r.word()?;
-        self.predicted_cycles = r.word()?;
-        self.replayed_cycles = r.word()?;
-        self.head_cycles = r.word()?;
-        self.conservative_cycles = r.word()?;
-        self.checked_predictions = r.word()?;
-        self.failed_predictions = r.word()?;
-        self.flushes = r.word()?;
-        for count in &mut self.path_events {
-            *count = r.word()?;
-        }
-        Ok(())
+// Sixteen words: the ten counters, then the six per-path occupancy buckets
+// (F, P, S, L, R, C).
+declare_state! {
+    impl CwStats {
+        transitions,
+        clean_transitions,
+        rollbacks,
+        predicted_cycles,
+        replayed_cycles,
+        head_cycles,
+        conservative_cycles,
+        checked_predictions,
+        failed_predictions,
+        flushes,
+        path_events: Each,
     }
 }
 

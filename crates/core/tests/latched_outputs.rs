@@ -10,13 +10,14 @@
 
 mod common;
 
-use common::figure2_soc_seeded;
+use common::{figure2_soc_seeded, mesh_soc};
 use predpkt_ahb::engine::BusOp;
 use predpkt_ahb::masters::{CpuMaster, CpuProfile, TrafficGenMaster};
 use predpkt_ahb::signals::{Hburst, Hsize, MasterSignals, MasterView, SlaveSignals, SlaveView};
 use predpkt_ahb::slaves::MemorySlave;
 use predpkt_ahb::{AhbMaster, AhbSlave};
 use predpkt_core::{CoEmuConfig, CoEmulator, ModePolicy, Side, SocBlueprint};
+use predpkt_predict::AdaptiveSuite;
 use predpkt_sim::{save_to_vec, Snapshot, SnapshotError, StateReader, StateWriter};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -161,32 +162,60 @@ fn hash_words(words: &[u64]) -> u64 {
     })
 }
 
-/// The words both Fig. 2 domain models save at four cuts, pinned to what the
-/// model wrote when it kept separate proxy vectors: a local slot saved as
-/// anything but idle, a slot out of order or a latched value written out
-/// fails here by cut and side, not as a drift in some blob's size.
+/// The words both domain models save at four cuts, pinned to what the model
+/// wrote when it kept separate proxy vectors: a local slot saved as anything
+/// but idle, a slot out of order or a latched value written out fails here
+/// by cut and side, not as a drift in some blob's size. Two runs: the Fig. 2
+/// SoC under the paper suite, and the mesh — FIFO, split jobs, DMA chunks,
+/// scripted results, journaled stores — under the adaptive suite, whose
+/// context tables, timelines and scoreboards the paper suite never saves.
 #[test]
 fn domain_model_snapshot_words_are_pinned() {
-    let mut coemu = CoEmulator::from_blueprint(&figure2_soc_seeded(11), bench_config())
+    let fig2 = CoEmulator::from_blueprint(&figure2_soc_seeded(11), bench_config())
         .expect("session builds");
-    let mut read = Vec::new();
-    for cut in [50, 400, 1_500, 4_000] {
-        coemu.run_until_committed(cut).expect("run reaches the cut");
-        let words = |model| {
-            let state = save_to_vec(model);
-            (state.len(), hash_words(state.words()))
-        };
-        read.push((
-            coemu.committed_cycles(),
-            [words(coemu.sim_model()), words(coemu.acc_model())],
-        ));
+    let (sim, acc) = mesh_soc()
+        .build_pair_with(&AdaptiveSuite::default())
+        .expect("pair builds");
+    let mesh = CoEmulator::new(sim, acc, bench_config());
+    for (soc, mut coemu, pinned) in [
+        ("fig. 2", fig2, PINNED_WORDS),
+        ("mesh, adaptive", mesh, PINNED_MESH_WORDS),
+    ] {
+        let mut read = Vec::new();
+        for cut in [50, 400, 1_500, 4_000] {
+            coemu.run_until_committed(cut).expect("run reaches the cut");
+            let words = |model| {
+                let state = save_to_vec(model);
+                (state.len(), hash_words(state.words()))
+            };
+            read.push((
+                coemu.committed_cycles(),
+                [words(coemu.sim_model()), words(coemu.acc_model())],
+            ));
+        }
+        assert_eq!(read, pinned, "{soc}: read {read:#x?}");
     }
-    assert_eq!(read, PINNED_WORDS, "read {read:#x?}");
 }
 
 /// The committed cycles at a cut, and the simulator's and the accelerator's
 /// `(words, hash)` there.
 type Cut = (u64, [(usize, u64); 2]);
+
+const PINNED_MESH_WORDS: [Cut; 4] = [
+    (50, [(4351, 0xa84b35c7d967259f), (2645, 0xa716c28b637fdac9)]),
+    (
+        402,
+        [(4336, 0x9fdb3e4e4fa51836), (2685, 0x4058d00065d37f2a)],
+    ),
+    (
+        1501,
+        [(4332, 0xe7dff131acff51cb), (2633, 0x71235801fdb59d75)],
+    ),
+    (
+        4000,
+        [(4356, 0x6345f92945ac7592), (2644, 0x3989452b21fe60aa)],
+    ),
+];
 
 const PINNED_WORDS: [Cut; 4] = [
     (55, [(2122, 0x15c7b194d285e829), (126, 0x5501a95fc46460f0)]),

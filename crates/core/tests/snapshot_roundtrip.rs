@@ -27,11 +27,10 @@
 
 mod common;
 
-use common::figure2_soc;
-use predpkt_ahb::engine::BusOp;
-use predpkt_ahb::masters::{CpuMaster, CpuProfile, DmaDescriptor, DmaMaster, TrafficGenMaster};
+use common::{figure2_soc, mesh_soc};
+use predpkt_ahb::masters::{DmaMaster, TrafficGenMaster};
 use predpkt_ahb::signals::{AddrPhase, Hburst, Hresp, Hsize, Htrans, MasterId, SlaveId, SlaveView};
-use predpkt_ahb::slaves::{FifoSlave, MemorySlave, PeripheralSlave, SplitSlave};
+use predpkt_ahb::slaves::{MemorySlave, PeripheralSlave, SplitSlave};
 use predpkt_ahb::{AhbMaster, AhbSlave};
 use predpkt_channel::{
     ChannelCostModel, ChannelStats, CostedChannel, FaultSpec, LossyTransport, Packet, PacketTag,
@@ -42,7 +41,7 @@ use predpkt_core::{AhbDomainModel, CwStats, DomainModel, Side, SocBlueprint, Tic
 use predpkt_predict::{
     AdaptiveConfig, AdaptiveMasterPredictor, AdaptiveSlavePredictor, AdaptiveSuite, BurstFollower,
     ContextMasterPredictor, ContextSlavePredictor, ContextTable, LastValueMasterPredictor,
-    LastValuePredictor, LastValueSlavePredictor, Lob, LobEntry, MasterPredictor, MasterSignals,
+    LastValuePredictor, LastValueSlavePredictor, MasterPredictor, MasterSignals,
     PaperMasterPredictor, PaperSlavePredictor, PaperSuite, PredictorSuite, SlavePredictor,
     SlaveSignals, WaitPredictor,
 };
@@ -296,25 +295,6 @@ fn predictor_components_roundtrip() {
         wait.predict_and_advance();
     }
     assert_roundtrip("WaitPredictor", &wait, &mut WaitPredictor::new());
-
-    let mut lob = Lob::new(8, 2, 1);
-    for i in 0..5u32 {
-        lob.push(LobEntry {
-            local: &[i, i + 1],
-            predicted: (i % 2 == 0).then_some(&[i * 10]),
-        })
-        .expect("LOB has room");
-    }
-    let mut fuller = Lob::new(8, 2, 1);
-    for i in 0..8u32 {
-        fuller
-            .push(LobEntry {
-                local: &[i; 2],
-                predicted: Some(&[i]),
-            })
-            .expect("LOB has room");
-    }
-    assert_roundtrip_over_dirty("Lob", &lob, &mut Lob::new(8, 2, 1), &mut fuller);
 
     let mut paper_master = PaperMasterPredictor::new();
     let mut sig = MasterSignals::default();
@@ -573,46 +553,6 @@ fn domain_models_roundtrip() {
         acc.tick(&a, TickKind::Actual);
     }
     assert_eq!(sim.trace().hash(), fresh_sim.trace().hash());
-}
-
-/// Every component whose state has a variable length in one SoC, with a
-/// journaled store on each side. The CPU's data region is the split slave,
-/// so jobs are in flight at most cuts, often several at once with the other
-/// two masters'.
-fn mesh_soc() -> SocBlueprint {
-    SocBlueprint::new()
-        .master(Side::Simulator, || {
-            Box::new(CpuMaster::new(0x51de, CpuProfile::default()))
-        })
-        .master(Side::Accelerator, || {
-            Box::new(TrafficGenMaster::from_ops(vec![
-                BusOp::read_incr(0x2000, Hsize::Word, 4),
-                BusOp::read_single(0x1004),
-                BusOp::write_burst(0x2000, Hsize::Word, Hburst::Incr4, vec![1, 2, 3, 4]),
-                BusOp::read_burst(0x0040, Hsize::Word, Hburst::Wrap8),
-                BusOp::write_single(0x3008, 0xabcd),
-                BusOp::read_incr(0x2000, Hsize::Word, 6),
-                BusOp::read_single(0x3008),
-            ]))
-        })
-        .master(Side::Accelerator, || {
-            Box::new(DmaMaster::new(vec![
-                DmaDescriptor::new(0x0100, 0x1010, 24),
-                DmaDescriptor::new(0x1010, 0x0200, 12),
-            ]))
-        })
-        .slave(Side::Simulator, 0x0000, 0x1000, || {
-            Box::new(MemorySlave::new(0x1000, 0))
-        })
-        .slave(Side::Accelerator, 0x1000, 0x1000, || {
-            Box::new(SplitSlave::new(0x100, 9))
-        })
-        .slave(Side::Accelerator, 0x2000, 0x1000, || {
-            Box::new(FifoSlave::new(8, 3, 5))
-        })
-        .slave(Side::Simulator, 0x3000, 0x1000, || {
-            Box::new(PeripheralSlave::new(1))
-        })
 }
 
 /// The rollback case at full size: every component whose state has a
@@ -1064,6 +1004,33 @@ fn state_a_component_cannot_drive_is_refused_at_its_word() {
         memory_cases.extend([(prefix_at, 0), (prefix_at, 1_023), (prefix_at, 1_025)]);
     }
     assert_each_refused(&mut sim_target, &sim, &memory_cases);
+
+    // Forty cycles in, the DMA engine is mid-copy: its moved count (after
+    // the job index) at or past the job's 24 words. Its traffic generator
+    // follows it, then the peripheral, whose timer has no period, so any
+    // count (after the control, pending and period words) but 0 is one the
+    // timer never reaches.
+    let (mut sim, mut acc) = blueprint.build_pair().expect("pair builds");
+    for _ in 0..40 {
+        step_pair(&mut sim, &mut acc);
+    }
+    let dma = acc
+        .master_as::<DmaMaster>(MasterId(1))
+        .expect("M1 is the accelerator's DMA engine");
+    assert!(!dma.done(), "the DMA engine is still copying");
+    let dma_words = save_to_vec(dma);
+    let dma_at = start_in(&save_to_vec(&acc), &dma_words);
+    let count_at = dma_at + dma_words.len() + save_to_vec(&generator(&acc)).len() + 3;
+    assert_each_refused(
+        &mut acc_target,
+        &acc,
+        &[
+            (dma_at + 1, 24),
+            (dma_at + 1, 100),
+            (count_at, 1),
+            (count_at, u64::from(u32::MAX)),
+        ],
+    );
 
     // The mesh's 64-word split slave with a job in flight. It saves its
     // store (prefixed), the job count, each job's master, cycles left and

@@ -23,13 +23,13 @@
 //!
 //! [`PaperSuite`]: crate::PaperSuite
 
-use crate::context::{restore_array, ContextMasterPredictor, ContextSlavePredictor};
+use crate::context::{ContextMasterPredictor, ContextSlavePredictor};
 use crate::suite::{
     LastValueMasterPredictor, LastValueSlavePredictor, MasterPredictor, PaperMasterPredictor,
     PaperSlavePredictor, PredictorSuite, SlavePredictor,
 };
 use predpkt_ahb::signals::{MasterSignals, SlaveSignals};
-use predpkt_sim::{Snapshot, SnapshotError, StateReader, StateWriter};
+use predpkt_sim::{declare_state, Each, Snapshot};
 
 /// Number of candidate strategies raced by each adaptive predictor.
 const CANDIDATES: usize = 3;
@@ -124,6 +124,8 @@ impl<S: Copy> Scoreboard<S> {
 
     /// Possibly switches the active candidate; called from `predict` only, so
     /// a lagger (which observes but never predicts) never accrues switches.
+    /// The bill saturates: its words drain at each flush, and nothing bounds
+    /// how many switches a restored board owes before the next one.
     fn maybe_switch(&mut self) {
         if self.cooldown > 0 {
             return;
@@ -138,8 +140,8 @@ impl<S: Copy> Scoreboard<S> {
             && self.hits[best] >= self.hits[self.active as usize] + self.cfg.margin
         {
             self.active = best as u32;
-            self.switches += 1;
-            self.pending_words += self.cfg.switch_words;
+            self.switches = self.switches.saturating_add(1);
+            self.pending_words = self.pending_words.saturating_add(self.cfg.switch_words);
             self.cooldown = self.cfg.cooldown;
         }
     }
@@ -149,48 +151,33 @@ impl<S: Copy> Scoreboard<S> {
     }
 }
 
-/// The shadows, their flag, then the counters.
-impl<S: Snapshot> Snapshot for Scoreboard<S> {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        for s in &self.shadow {
-            s.save(w);
-        }
-        w.bool(self.shadow_valid);
-        w.slice_u32(&self.hits);
-        w.u32(self.samples)
-            .u32(self.active)
-            .u32(self.cooldown)
-            .u32(self.pending_words)
-            .word(self.switches);
+// The shadows, their flag, then the counters.
+declare_state! {
+    impl<S: Snapshot> Scoreboard<S> {
+        shadow: Each,
+        shadow_valid,
+        hits,
+        samples => Scoreboard::scored,
+        active => |b, _| (b.active as usize) < CANDIDATES,
+        cooldown,
+        pending_words,
+        switches,
     }
+}
 
-    /// Refuses a board scoring cannot build: `score` halves at the window,
-    /// so `samples` stays below it (or at 0 for a window of 0), and a
-    /// candidate hits at most once per sample.
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        for s in &mut self.shadow {
-            s.restore(r)?;
-        }
-        self.shadow_valid = r.bool()?;
-        let hits_at = r.position() + 1;
-        restore_array(r, &mut self.hits)?;
-        let samples_at = r.position();
-        self.samples = r.u32()?;
+impl<S> Scoreboard<S> {
+    /// A board scoring can build: `score` halves at the window, so `samples`
+    /// (its first word at `at`) stays below it, or at 0 for a window of 0,
+    /// and a candidate hits at most once per sample, so a hit count above the
+    /// samples is refused at its own word, among the hits just before.
+    fn scored(&self, at: usize) -> Result<(), usize> {
         if self.samples >= self.cfg.window.max(1) {
-            return Err(r.corrupt_at(samples_at));
+            return Err(at);
         }
-        if let Some(i) = self.hits.iter().position(|&h| h > self.samples) {
-            return Err(r.corrupt_at(hits_at + i));
+        match self.hits.iter().position(|&h| h > self.samples) {
+            Some(i) => Err(at - CANDIDATES + i),
+            None => Ok(()),
         }
-        let at = r.position();
-        self.active = r.u32()?;
-        if self.active as usize >= CANDIDATES {
-            return Err(r.corrupt_at(at));
-        }
-        self.cooldown = r.u32()?;
-        self.pending_words = r.u32()?;
-        self.switches = r.word()?;
-        Ok(())
     }
 }
 
@@ -293,38 +280,13 @@ impl MasterPredictor for AdaptiveMasterPredictor {
     }
 }
 
-/// The three candidates, then the scoreboard.
-impl Snapshot for AdaptiveMasterPredictor {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        self.paper.save(w);
-        self.naive.save(w);
-        self.markov.save(w);
-        self.board.save(w);
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.paper.restore(r)?;
-        self.naive.restore(r)?;
-        self.markov.restore(r)?;
-        self.board.restore(r)
-    }
-
-    fn mark(&mut self, w: &mut StateWriter<'_>) {
-        self.paper.save(w);
-        self.naive.save(w);
-        self.markov.mark(w);
-        self.board.save(w);
-    }
-
-    fn rewind(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.paper.restore(r)?;
-        self.naive.restore(r)?;
-        self.markov.rewind(r)?;
-        self.board.restore(r)
-    }
-
-    fn release(&mut self) {
-        self.markov.release();
+// The three candidates, then the scoreboard.
+declare_state! {
+    impl AdaptiveMasterPredictor {
+        paper,
+        naive,
+        markov,
+        board,
     }
 }
 
@@ -403,38 +365,12 @@ impl SlavePredictor for AdaptiveSlavePredictor {
     }
 }
 
-/// The three candidates, then the scoreboard.
-impl Snapshot for AdaptiveSlavePredictor {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        self.paper.save(w);
-        self.naive.save(w);
-        self.markov.save(w);
-        self.board.save(w);
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.paper.restore(r)?;
-        self.naive.restore(r)?;
-        self.markov.restore(r)?;
-        self.board.restore(r)
-    }
-
-    fn mark(&mut self, w: &mut StateWriter<'_>) {
-        self.paper.save(w);
-        self.naive.save(w);
-        self.markov.mark(w);
-        self.board.save(w);
-    }
-
-    fn rewind(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.paper.restore(r)?;
-        self.naive.restore(r)?;
-        self.markov.rewind(r)?;
-        self.board.restore(r)
-    }
-
-    fn release(&mut self) {
-        self.markov.release();
+declare_state! {
+    impl AdaptiveSlavePredictor {
+        paper,
+        naive,
+        markov,
+        board,
     }
 }
 
@@ -464,7 +400,7 @@ impl PredictorSuite for AdaptiveSuite {
 mod tests {
     use super::*;
     use predpkt_ahb::signals::Htrans;
-    use predpkt_sim::{restore_from_vec, save_to_vec, StateVec};
+    use predpkt_sim::{restore_from_vec, save_to_vec, SnapshotError, StateVec};
 
     /// A switch-friendly config for short unit-test streams.
     fn fast_cfg() -> AdaptiveConfig {
@@ -627,6 +563,37 @@ mod tests {
         let (m, s) = driven();
         assert_impossible_boards_refused(&m, &mut AdaptiveMasterPredictor::new(fast_cfg()));
         assert_impossible_boards_refused(&s, &mut AdaptiveSlavePredictor::new(fast_cfg()));
+    }
+
+    /// `donor`'s words with a board that owes all the words and switches it
+    /// can count and has a switch due: hits `[0, 10, 0]` over 10 samples,
+    /// the paper candidate active, no cooldown.
+    fn owing_board<P: Snapshot>(donor: &P) -> StateVec {
+        let mut words = save_to_vec(donor).words().to_vec();
+        // The board ends the vector: hits (after their length word),
+        // samples, active, cooldown, pending words, switches.
+        let hits = words.len() - 8;
+        let owed = [0, 10, 0, 10, 0, 0, u64::from(u32::MAX), u64::MAX];
+        words[hits..].copy_from_slice(&owed);
+        StateVec::from(words)
+    }
+
+    /// The bill drains only at a flush, so a restored board may owe any
+    /// count: the switch it makes next saturates the bill instead of
+    /// overflowing it.
+    #[test]
+    fn a_switch_saturates_the_bill_of_a_restored_board() {
+        let (m, s) = driven();
+        let mut master = AdaptiveMasterPredictor::new(fast_cfg());
+        restore_from_vec(&mut master, &owing_board(&m)).expect("the board restores");
+        master.predict();
+        let mut slave = AdaptiveSlavePredictor::new(fast_cfg());
+        restore_from_vec(&mut slave, &owing_board(&s)).expect("the board restores");
+        slave.predict(false);
+        assert_eq!((master.active_strategy(), master.switches()), (1, u64::MAX));
+        assert_eq!(master.take_control_words(), u32::MAX);
+        assert_eq!((slave.active_strategy(), slave.switches()), (1, u64::MAX));
+        assert_eq!(slave.take_control_words(), u32::MAX);
     }
 
     #[test]

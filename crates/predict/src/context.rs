@@ -21,7 +21,7 @@
 use crate::predictors::{BurstFollower, LastValuePredictor};
 use crate::suite::{MasterPredictor, PredictorSuite, SlavePredictor};
 use predpkt_ahb::signals::{Hresp, Htrans, MasterSignals, SlaveSignals};
-use predpkt_sim::{Journaled, Snapshot, SnapshotError, StateReader, StateWriter};
+use predpkt_sim::{declare_state, Journaled};
 
 /// Context order: predictions condition on this many recent history items.
 const HISTORY: usize = 3;
@@ -30,7 +30,7 @@ const HISTORY: usize = 3;
 /// learned state at 3 KiB regardless of run length.
 const TABLE_SLOTS: usize = 256;
 
-/// Confidence ceiling for a table slot: all ones (see `ContextTable::restore`).
+/// Confidence ceiling for a table slot: all ones (see `ContextTable::confident`).
 const CONF_MAX: u32 = 3;
 const _: () = assert!(CONF_MAX.wrapping_add(1).is_power_of_two());
 
@@ -62,11 +62,15 @@ fn context_key(salt: u32, context: &[u32]) -> u64 {
 /// same table, which keeps rollback and checkpoint/restore bit-exact.
 ///
 /// The three columns (tags, values, confidences) are [`Journaled`] stores,
-/// so the table rolls back by undo log: a [`mark`](Snapshot::mark) copies
-/// none of its 768 words and bills all of them (with the three length
-/// prefixes), and a [`rewind`](Snapshot::rewind) costs the slots written
-/// since. [`save`](Snapshot::save) / [`restore`](Snapshot::restore) move the
+/// so the table rolls back by undo log: a [`mark`] copies none of its 768
+/// words and bills all of them (with the three length prefixes), and a
+/// [`rewind`] costs the slots written since. [`save`] / [`restore`] move the
 /// three length-prefixed columns in full.
+///
+/// [`mark`]: predpkt_sim::Snapshot::mark
+/// [`rewind`]: predpkt_sim::Snapshot::rewind
+/// [`save`]: predpkt_sim::Snapshot::save
+/// [`restore`]: predpkt_sim::Snapshot::restore
 ///
 /// # Example
 ///
@@ -143,63 +147,28 @@ impl ContextTable {
     }
 }
 
-impl Snapshot for ContextTable {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        self.tags.save(w);
-        self.values.save(w);
-        self.conf.save(w);
-    }
-
-    /// Refuses a column of another size than `TABLE_SLOTS` at its length
-    /// prefix, and a confidence above `CONF_MAX` (which `observe` never
-    /// makes) at its word.
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.tags.restore(r)?;
-        self.values.restore(r)?;
-        let conf_at = r.position() + 1;
-        self.conf.restore(r)?;
-        // CONF_MAX is all ones, so a confidence above it sets a higher bit
-        // of the column's OR: one branch-free pass on the restore path.
-        if self.conf.iter().fold(0, |bits, &c| bits | c) > CONF_MAX {
-            let i = self.conf.iter().position(|&c| c > CONF_MAX);
-            return Err(r.corrupt_at(conf_at + i.expect("a slot set the high bits")));
-        }
-        Ok(())
-    }
-
-    fn mark(&mut self, w: &mut StateWriter<'_>) {
-        self.tags.mark(w);
-        self.values.mark(w);
-        self.conf.mark(w);
-    }
-
-    fn rewind(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.tags.rewind(r)?;
-        self.values.rewind(r)?;
-        self.conf.rewind(r)
-    }
-
-    fn release(&mut self) {
-        self.tags.release();
-        self.values.release();
-        self.conf.release();
+// A column of another size than `TABLE_SLOTS` is refused at its length
+// prefix, and a confidence `observe` never makes at its word.
+declare_state! {
+    impl ContextTable {
+        tags,
+        values,
+        conf => ContextTable::confident,
     }
 }
 
-/// Restores a fixed array that [`StateWriter::slice_u32`] saved: the length
-/// word must announce exactly `N` entries, which are read into place.
-pub(crate) fn restore_array<const N: usize>(
-    r: &mut StateReader<'_>,
-    out: &mut [u32; N],
-) -> Result<(), SnapshotError> {
-    let at = r.position();
-    if r.usize()? != N {
-        return Err(r.corrupt_at(at));
+impl ContextTable {
+    /// Every confidence is at most `CONF_MAX`, or the first that is not is
+    /// refused at its word (behind the column's prefix at `at`). `CONF_MAX`
+    /// is all ones, so one above it sets a higher bit of the column's OR:
+    /// one branch-free pass on the restore path.
+    fn confident(&self, at: usize) -> Result<(), usize> {
+        if self.conf.iter().fold(0, |bits, &c| bits | c) <= CONF_MAX {
+            return Ok(());
+        }
+        let i = self.conf.iter().position(|&c| c > CONF_MAX);
+        Err(at + 1 + i.expect("a slot set the high bits"))
     }
-    for slot in out {
-        *slot = r.u32()?;
-    }
-    Ok(())
 }
 
 /// Request-cycle phase of the master being modelled (see
@@ -426,55 +395,25 @@ impl MasterPredictor for ContextMasterPredictor {
     }
 }
 
-impl Snapshot for MasterTimeline {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        self.follower.save(w);
-        self.lock.save(w);
-        self.wdata.save(w);
-        w.slice_u32(&self.hist);
-        w.u32(self.last_addr);
-        self.proto.save(w);
-        w.u32(self.phase).u32(self.run);
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.follower.restore(r)?;
-        self.lock.restore(r)?;
-        self.wdata.restore(r)?;
-        restore_array(r, &mut self.hist)?;
-        self.last_addr = r.u32()?;
-        self.proto.restore(r)?;
-        self.phase = r.u32()?;
-        self.run = r.u32()?;
-        Ok(())
+declare_state! {
+    impl MasterTimeline {
+        follower,
+        lock,
+        wdata,
+        hist,
+        last_addr,
+        proto,
+        phase,
+        run,
     }
 }
 
-/// The table, then the timeline; a mark journals the table and copies the
-/// timeline.
-impl Snapshot for ContextMasterPredictor {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        self.table.save(w);
-        self.timeline.save(w);
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.table.restore(r)?;
-        self.timeline.restore(r)
-    }
-
-    fn mark(&mut self, w: &mut StateWriter<'_>) {
-        self.table.mark(w);
-        self.timeline.save(w);
-    }
-
-    fn rewind(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.table.rewind(r)?;
-        self.timeline.restore(r)
-    }
-
-    fn release(&mut self) {
-        self.table.release();
+// The table, then the timeline: a mark journals the table and copies the
+// timeline.
+declare_state! {
+    impl ContextMasterPredictor {
+        table,
+        timeline,
     }
 }
 
@@ -638,52 +577,21 @@ impl SlavePredictor for ContextSlavePredictor {
     }
 }
 
-impl Snapshot for SlaveTimeline {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        self.rdata.save(w);
-        w.slice_u32(&self.whist);
-        w.u32(self.observing)
-            .u32(self.countdown)
-            .bool(self.irq_level)
-            .u32(self.irq_run);
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.rdata.restore(r)?;
-        restore_array(r, &mut self.whist)?;
-        self.observing = r.u32()?;
-        self.countdown = r.u32()?;
-        self.irq_level = r.bool()?;
-        self.irq_run = r.u32()?;
-        Ok(())
+declare_state! {
+    impl SlaveTimeline {
+        rdata,
+        whist,
+        observing,
+        countdown,
+        irq_level,
+        irq_run,
     }
 }
 
-/// The table, then the timeline; a mark journals the table and copies the
-/// timeline.
-impl Snapshot for ContextSlavePredictor {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        self.table.save(w);
-        self.timeline.save(w);
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.table.restore(r)?;
-        self.timeline.restore(r)
-    }
-
-    fn mark(&mut self, w: &mut StateWriter<'_>) {
-        self.table.mark(w);
-        self.timeline.save(w);
-    }
-
-    fn rewind(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.table.rewind(r)?;
-        self.timeline.restore(r)
-    }
-
-    fn release(&mut self) {
-        self.table.release();
+declare_state! {
+    impl ContextSlavePredictor {
+        table,
+        timeline,
     }
 }
 
@@ -711,7 +619,9 @@ impl PredictorSuite for MarkovSuite {
 mod tests {
     use super::*;
     use predpkt_ahb::signals::{Hburst, Hsize};
-    use predpkt_sim::{mark_into, restore_from_vec, rewind_from_vec, save_to_vec, StateVec};
+    use predpkt_sim::{
+        mark_into, restore_from_vec, rewind_from_vec, save_to_vec, SnapshotError, StateVec,
+    };
 
     #[test]
     fn table_learns_and_evicts_deterministically() {

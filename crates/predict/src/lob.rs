@@ -8,7 +8,6 @@
 //! same borrowed [`LobEntries`] view — no per-entry vector on either side.
 
 use crate::delta::{decode_flat_into, encode_flat_into, DeltaDecodeError};
-use predpkt_sim::{Snapshot, SnapshotError, StateReader, StateWriter};
 use std::error::Error;
 use std::fmt;
 
@@ -267,54 +266,9 @@ impl Lob {
     }
 }
 
-impl Snapshot for Lob {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        w.usize(self.len());
-        for e in self.entries().iter() {
-            w.slice_u32(e.local);
-            match e.predicted {
-                Some(p) => {
-                    w.bool(true).slice_u32(p);
-                }
-                None => {
-                    w.bool(false);
-                }
-            }
-        }
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let n = r.usize()?;
-        self.clear();
-        let (mut local, mut predicted) = (Vec::new(), Vec::new());
-        for _ in 0..n {
-            let at = r.position();
-            r.slice_u32_into(&mut local)?;
-            let has_prediction = r.bool()?;
-            if has_prediction {
-                r.slice_u32_into(&mut predicted)?;
-            }
-            // Widths are fixed at construction; a blob of another shape is
-            // not this buffer's.
-            if local.len() != self.local_width
-                || (has_prediction && predicted.len() != self.prediction_width)
-            {
-                return Err(r.corrupt_at(at));
-            }
-            self.push(LobEntry {
-                local: &local,
-                predicted: has_prediction.then_some(&predicted[..]),
-            })
-            .map_err(|_| r.corrupt_at(at))?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use predpkt_sim::{restore_from_vec, save_to_vec};
 
     fn head(v: u32) -> [u32; 1] {
         [v]
@@ -411,23 +365,6 @@ mod tests {
     fn push_with_rejects_a_short_fill() {
         let mut lob = Lob::new(4, 2, 1);
         let _ = lob.push_with(true, |w| w.extend_from_slice(&[1, 2]));
-    }
-
-    #[test]
-    fn snapshot_roundtrip() {
-        let mut lob = Lob::new(4, 1, 1);
-        push_head(&mut lob, 7).unwrap();
-        push_pred(&mut lob, 8, 1).unwrap();
-        let state = save_to_vec(&lob);
-        let mut copy = Lob::new(4, 1, 1);
-        restore_from_vec(&mut copy, &state).unwrap();
-        assert_eq!(copy, lob);
-        // Entries of another shape are not this buffer's.
-        let mut wider = Lob::new(4, 2, 1);
-        assert!(matches!(
-            restore_from_vec(&mut wider, &state),
-            Err(SnapshotError::Corrupt { at: 1 })
-        ));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use predpkt_ahb::burst::BurstTracker;
 use predpkt_ahb::signals::{Htrans, MasterSignals};
-use predpkt_sim::{Snapshot, SnapshotError, StateReader, StateWriter};
+use predpkt_sim::declare_state;
 
 /// Predicts the next value of a slowly-changing word: the last observed value.
 ///
@@ -48,16 +48,7 @@ impl LastValuePredictor {
     }
 }
 
-impl Snapshot for LastValuePredictor {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        w.u32(self.value);
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.value = r.u32()?;
-        Ok(())
-    }
-}
+declare_state! { impl LastValuePredictor { value } }
 
 /// Predicts a remote master's address/control signals by following its burst.
 ///
@@ -146,30 +137,10 @@ impl BurstFollower {
     }
 }
 
-impl Snapshot for BurstFollower {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        self.last.save(w);
-        match &self.burst {
-            Some(t) => {
-                let p = t.pack();
-                w.bool(true).u32(p[0]).u32(p[1]);
-            }
-            None => {
-                w.bool(false);
-            }
-        }
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.last.restore(r)?;
-        self.burst = if r.bool()? {
-            let at = r.position();
-            let words = [r.u32()?, r.u32()?];
-            Some(BurstTracker::unpack(&words).ok_or_else(|| r.corrupt_at(at))?)
-        } else {
-            None
-        };
-        Ok(())
+declare_state! {
+    impl BurstFollower {
+        last,
+        burst,
     }
 }
 
@@ -247,20 +218,12 @@ impl WaitPredictor {
     }
 }
 
-impl Snapshot for WaitPredictor {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        w.u32(self.learned_first)
-            .u32(self.learned_seq)
-            .u32(self.countdown)
-            .u32(self.observing);
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.learned_first = r.u32()?;
-        self.learned_seq = r.u32()?;
-        self.countdown = r.u32()?;
-        self.observing = r.u32()?;
-        Ok(())
+declare_state! {
+    impl WaitPredictor {
+        learned_first,
+        learned_seq,
+        countdown,
+        observing,
     }
 }
 

@@ -19,13 +19,14 @@
 
 use crate::predictors::{BurstFollower, LastValuePredictor, WaitPredictor};
 use predpkt_ahb::signals::{Hresp, MasterSignals, SlaveSignals};
-use predpkt_sim::{Snapshot, SnapshotError, StateReader, StateWriter};
+use predpkt_sim::{declare_state, Snapshot};
 
 /// Strategy predicting one remote master's per-cycle signals.
 ///
 /// `Send` so the owning domain model can move to a worker thread. A predictor
-/// that wraps another forwards all three of [`Snapshot::mark`] /
-/// [`rewind`](Snapshot::rewind) / [`release`](Snapshot::release), or none.
+/// that wraps another by hand forwards all three of [`Snapshot::mark`] /
+/// [`rewind`](Snapshot::rewind) / [`release`](Snapshot::release), or none;
+/// one whose state is declared ([`declare_state!`]) forwards all three.
 pub trait MasterPredictor: Snapshot + Send {
     /// Trains on the master's actual signals for a cycle; `accepted` marks a
     /// granted address phase with `hready` (the bus accepted the transfer).
@@ -46,8 +47,9 @@ pub trait MasterPredictor: Snapshot + Send {
 
 /// Strategy predicting one remote slave's per-cycle signals.
 ///
-/// A predictor that wraps another forwards all three of [`Snapshot::mark`] /
-/// [`rewind`](Snapshot::rewind) / [`release`](Snapshot::release), or none.
+/// A predictor that wraps another by hand forwards all three of
+/// [`Snapshot::mark`] / [`rewind`](Snapshot::rewind) /
+/// [`release`](Snapshot::release), or none, as [`MasterPredictor`] says.
 pub trait SlavePredictor: Snapshot + Send {
     /// Trains on the slave's actual signals for a cycle. `data_phase_first` is
     /// `Some(is_first_beat)` exactly when this slave owns the cycle's data
@@ -175,21 +177,13 @@ impl MasterPredictor for PaperMasterPredictor {
     }
 }
 
-impl Snapshot for PaperMasterPredictor {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        self.follower.save(w);
-        self.busreq.save(w);
-        self.lock.save(w);
-        self.wdata.save(w);
-        self.prot.save(w);
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.follower.restore(r)?;
-        self.busreq.restore(r)?;
-        self.lock.restore(r)?;
-        self.wdata.restore(r)?;
-        self.prot.restore(r)
+declare_state! {
+    impl PaperMasterPredictor {
+        follower,
+        busreq,
+        lock,
+        wdata,
+        prot,
     }
 }
 
@@ -249,17 +243,11 @@ impl SlavePredictor for PaperSlavePredictor {
     }
 }
 
-impl Snapshot for PaperSlavePredictor {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        self.wait.save(w);
-        self.irq.save(w);
-        self.rdata.save(w);
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.wait.restore(r)?;
-        self.irq.restore(r)?;
-        self.rdata.restore(r)
+declare_state! {
+    impl PaperSlavePredictor {
+        wait,
+        irq,
+        rdata,
     }
 }
 
@@ -294,15 +282,7 @@ impl MasterPredictor for LastValueMasterPredictor {
     }
 }
 
-impl Snapshot for LastValueMasterPredictor {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        self.last.save(w);
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.last.restore(r)
-    }
-}
+declare_state! { impl LastValueMasterPredictor { last } }
 
 /// Naive remote-slave predictor: repeats the last observed signal bundle
 /// (including its HREADY, so wait states are mispredicted at phase edges).
@@ -341,15 +321,7 @@ impl SlavePredictor for LastValueSlavePredictor {
     }
 }
 
-impl Snapshot for LastValueSlavePredictor {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        self.last.save(w);
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.last.restore(r)
-    }
-}
+declare_state! { impl LastValueSlavePredictor { last } }
 
 #[cfg(test)]
 mod tests {

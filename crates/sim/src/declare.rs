@@ -1,0 +1,582 @@
+//! Declared state: the leaf codecs, the field codecs and the
+//! [`declare_state!`](crate::declare_state) macro that builds a component's
+//! [`Snapshot`] from one field list. See "Declaring state" in the
+//! [`Snapshot`] module docs.
+
+use crate::snapshot::{Snapshot, SnapshotError, StateReader, StateWriter};
+use std::collections::VecDeque;
+
+/// One word each, through the typed reader of the same name.
+macro_rules! scalar {
+    ($($ty:ty => $op:ident),* $(,)?) => {$(
+        impl Snapshot for $ty {
+            #[inline]
+            fn save(&self, w: &mut StateWriter<'_>) {
+                w.$op(*self);
+            }
+
+            #[inline]
+            fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+                *self = r.$op()?;
+                Ok(())
+            }
+        }
+    )*};
+}
+
+scalar!(u32 => u32, u64 => word, usize => usize, bool => bool);
+
+/// One word each, refused at that word above the type's range.
+macro_rules! narrow {
+    ($($ty:ty),*) => {$(
+        impl Snapshot for $ty {
+            #[inline]
+            fn save(&self, w: &mut StateWriter<'_>) {
+                w.u32(u32::from(*self));
+            }
+
+            #[inline]
+            fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+                let at = r.position();
+                *self = <$ty>::try_from(r.u32()?).map_err(|_| r.corrupt_at(at))?;
+                Ok(())
+            }
+        }
+    )*};
+}
+
+narrow!(u8, u16);
+
+/// A presence flag, then the value. A restore over `Some` restores the value
+/// in place, so its own allocations are reused; over `None` it starts from
+/// `T::default()`.
+impl<T: Snapshot + Default> Snapshot for Option<T> {
+    #[inline]
+    fn save(&self, w: &mut StateWriter<'_>) {
+        w.bool(self.is_some());
+        if let Some(value) = self {
+            value.save(w);
+        }
+    }
+
+    #[inline]
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        if r.bool()? {
+            self.get_or_insert_with(T::default).restore(r)
+        } else {
+            *self = None;
+            Ok(())
+        }
+    }
+}
+
+/// The length-prefixed layout of [`StateWriter::slice_u32`], restored into
+/// the vector's own allocation.
+impl Snapshot for Vec<u32> {
+    #[inline]
+    fn save(&self, w: &mut StateWriter<'_>) {
+        w.slice_u32(self);
+    }
+
+    #[inline]
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        r.slice_u32_into(self)
+    }
+}
+
+/// The layout of the `Vec<u32>` its contents form. A cleared deque and a
+/// vector trade their allocation without copying, so the restore refills the
+/// deque's own buffer.
+impl Snapshot for VecDeque<u32> {
+    fn save(&self, w: &mut StateWriter<'_>) {
+        let (front, back) = self.as_slices();
+        w.usize(self.len());
+        for &word in front.iter().chain(back) {
+            w.u32(word);
+        }
+    }
+
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        self.clear();
+        let mut words = Vec::from(std::mem::take(self));
+        let read = r.slice_u32_into(&mut words);
+        *self = words.into();
+        read
+    }
+}
+
+/// The length-prefixed layout of [`StateWriter::slice_u32`]; a length word
+/// other than `N` is refused at that word, before anything is copied.
+impl<const N: usize> Snapshot for [u32; N] {
+    #[inline]
+    fn save(&self, w: &mut StateWriter<'_>) {
+        w.slice_u32(self);
+    }
+
+    #[inline]
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        r.slice_u32_exact(self)
+    }
+}
+
+/// A field layout other than its type's own [`Snapshot`], named after the
+/// field in [`declare_state!`](crate::declare_state): `field: Codec`. The
+/// provided rollback methods copy in full, as `Snapshot`'s do.
+pub trait Codec<T: ?Sized> {
+    /// Writes `field`, as [`Snapshot::save`].
+    fn save(field: &T, w: &mut StateWriter<'_>);
+
+    /// Reads `field` back, as [`Snapshot::restore`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Snapshot::restore`].
+    fn restore(field: &mut T, r: &mut StateReader<'_>) -> Result<(), SnapshotError>;
+
+    /// Opens a rollback mark on `field`, as [`Snapshot::mark`].
+    #[inline]
+    fn mark(field: &mut T, w: &mut StateWriter<'_>) {
+        Self::save(field, w);
+    }
+
+    /// Returns `field` to its mark, as [`Snapshot::rewind`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Snapshot::restore`].
+    #[inline]
+    fn rewind(field: &mut T, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        Self::restore(field, r)
+    }
+
+    /// Closes `field`'s mark, as [`Snapshot::release`].
+    #[inline]
+    fn release(_field: &mut T) {}
+}
+
+/// The field's own [`Snapshot`], all five methods: the codec of a field that
+/// names none.
+#[derive(Debug)]
+pub struct Own;
+
+impl<T: Snapshot + ?Sized> Codec<T> for Own {
+    #[inline]
+    fn save(field: &T, w: &mut StateWriter<'_>) {
+        field.save(w);
+    }
+
+    #[inline]
+    fn restore(field: &mut T, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        field.restore(r)
+    }
+
+    #[inline]
+    fn mark(field: &mut T, w: &mut StateWriter<'_>) {
+        field.mark(w);
+    }
+
+    #[inline]
+    fn rewind(field: &mut T, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        field.rewind(r)
+    }
+
+    #[inline]
+    fn release(field: &mut T) {
+        field.release();
+    }
+}
+
+/// The sequences [`Each`] walks: a vector or an array.
+pub trait Sequence {
+    /// The element type.
+    type Item;
+
+    /// The elements, in order.
+    fn items(&self) -> &[Self::Item];
+
+    /// The elements, in order, mutably.
+    fn items_mut(&mut self) -> &mut [Self::Item];
+}
+
+impl<T> Sequence for Vec<T> {
+    type Item = T;
+
+    fn items(&self) -> &[T] {
+        self
+    }
+
+    fn items_mut(&mut self) -> &mut [T] {
+        self
+    }
+}
+
+impl<T, const N: usize> Sequence for [T; N] {
+    type Item = T;
+
+    fn items(&self) -> &[T] {
+        self
+    }
+
+    fn items_mut(&mut self) -> &mut [T] {
+        self
+    }
+}
+
+/// Every element in order, with no length word: a sequence whose length is
+/// configuration (a bus's components, a fixed set of candidates). All five
+/// methods reach every element, so journaled elements stay journaled.
+#[derive(Debug)]
+pub struct Each;
+
+impl<S: Sequence + ?Sized> Codec<S> for Each
+where
+    S::Item: Snapshot,
+{
+    fn save(field: &S, w: &mut StateWriter<'_>) {
+        field.items().iter().for_each(|item| item.save(w));
+    }
+
+    fn restore(field: &mut S, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        field
+            .items_mut()
+            .iter_mut()
+            .try_for_each(|item| item.restore(r))
+    }
+
+    fn mark(field: &mut S, w: &mut StateWriter<'_>) {
+        field.items_mut().iter_mut().for_each(|item| item.mark(w));
+    }
+
+    fn rewind(field: &mut S, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        field
+            .items_mut()
+            .iter_mut()
+            .try_for_each(|item| item.rewind(r))
+    }
+
+    fn release(field: &mut S) {
+        field.items_mut().iter_mut().for_each(Snapshot::release);
+    }
+}
+
+/// [`Each`] over the present elements of a vector of slots, with no flags:
+/// which slots are filled is configuration (the components a domain hosts).
+#[derive(Debug)]
+pub struct Present;
+
+impl<T: Snapshot> Codec<Vec<Option<T>>> for Present {
+    fn save(field: &Vec<Option<T>>, w: &mut StateWriter<'_>) {
+        field.iter().flatten().for_each(|item| item.save(w));
+    }
+
+    fn restore(field: &mut Vec<Option<T>>, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        field
+            .iter_mut()
+            .flatten()
+            .try_for_each(|item| item.restore(r))
+    }
+
+    fn mark(field: &mut Vec<Option<T>>, w: &mut StateWriter<'_>) {
+        field.iter_mut().flatten().for_each(|item| item.mark(w));
+    }
+
+    fn rewind(field: &mut Vec<Option<T>>, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        field
+            .iter_mut()
+            .flatten()
+            .try_for_each(|item| item.rewind(r))
+    }
+
+    fn release(field: &mut Vec<Option<T>>) {
+        field.iter_mut().flatten().for_each(Snapshot::release);
+    }
+}
+
+/// A length word, then every element in order: a list that grows and
+/// shrinks (jobs in flight, results so far). A restore truncates the list to
+/// the announced length, restores the elements it keeps in place and
+/// appends `T::default()` for each one it lacks, so it allocates only what
+/// the list grew by. A rollback copies the list in full.
+#[derive(Debug)]
+pub struct List;
+
+impl<T: Snapshot + Default> Codec<Vec<T>> for List {
+    fn save(field: &Vec<T>, w: &mut StateWriter<'_>) {
+        w.usize(field.len());
+        field.iter().for_each(|item| item.save(w));
+    }
+
+    fn restore(field: &mut Vec<T>, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        let len = r.usize()?;
+        field.truncate(len);
+        for i in 0..len {
+            if i == field.len() {
+                field.push(T::default());
+            }
+            field[i].restore(r)?;
+        }
+        Ok(())
+    }
+}
+
+/// What a declared check returns: `true` or `Ok(())` to take the field,
+/// `false` to refuse it at its first word, `Err(at)` to refuse it at word
+/// `at` — one inside the field, or one of an earlier field the check
+/// compares it with.
+pub trait Verdict {
+    /// The word to refuse at, if any, for a field whose first word is
+    /// `field_at`.
+    fn refused_at(self, field_at: usize) -> Option<usize>;
+}
+
+impl Verdict for bool {
+    #[inline]
+    fn refused_at(self, field_at: usize) -> Option<usize> {
+        (!self).then_some(field_at)
+    }
+}
+
+impl Verdict for Result<(), usize> {
+    #[inline]
+    fn refused_at(self, _field_at: usize) -> Option<usize> {
+        self.err()
+    }
+}
+
+/// Runs a declared check on `this` right after its field, whose first word
+/// is `at`, was read: the check's refusal as [`SnapshotError::Corrupt`] at
+/// its word. The closure's argument types come from this signature.
+#[doc(hidden)]
+#[inline]
+pub fn check<T: ?Sized, V: Verdict>(
+    this: &T,
+    r: &StateReader<'_>,
+    at: usize,
+    verdict: impl FnOnce(&T, usize) -> V,
+) -> Result<(), SnapshotError> {
+    match verdict(this, at).refused_at(at) {
+        None => Ok(()),
+        Some(word) => Err(r.corrupt_at(word)),
+    }
+}
+
+/// Declares a type's rollback state once and generates its [`Snapshot`].
+///
+/// The field walk lists the fields that are state, in wire order; a field
+/// not listed is configuration and is never written.
+///
+/// ```text
+/// declare_state! {
+///     impl Type {
+///         field,                         // the field type's own Snapshot
+///         field: Codec,                  // another layout (Each, Present, List)
+///         field => |this, at| verdict,   // a check, run right after the field is read
+///     } then hook                        // optional: `self.hook()` after each reading leg
+/// }
+/// ```
+///
+/// Generics go after `impl`, as in an impl: `impl<S: Snapshot> Board<S> { … }`.
+/// `save` writes the fields in order; `restore` reads them in order and runs
+/// each field's check right after it, refusing at the word the check names
+/// (see [`Verdict`]; the check sees every field read so far); `mark`,
+/// `rewind` and `release` go to every field, so a [`Journaled`](crate::Journaled)
+/// field, or any field holding one, rolls back by journal with no forwarding
+/// written. A rewind runs none of the type's own checks: it reads the vector
+/// the component's own mark wrote (a field that rolls back by full copy still
+/// restores, with its own checks). The hook runs after a successful `restore`
+/// or `rewind`.
+///
+/// Two more forms declare a type stored as packed words, through a pair of
+/// its own methods: `impl A, B: word(encode, decode)` for one word
+/// (`encode(self) -> u32`, `decode(u32) -> Option<Self>`), and
+/// `impl C: words(pack, unpack)` for a fixed run of them
+/// (`pack(&self) -> [u32; N]`, `unpack(&[u32; N]) -> Option<Self>`). A
+/// value the decoder refuses is corrupt at the packed run's first word.
+///
+/// # Example
+///
+/// ```
+/// use predpkt_sim::{declare_state, restore_from_vec, save_to_vec, SnapshotError, StateVec};
+///
+/// #[derive(Debug, Default, PartialEq)]
+/// struct Counter {
+///     limit: u32, // configuration: not declared, never written
+///     count: u32,
+///     armed: bool,
+///     log: Vec<u32>,
+/// }
+///
+/// declare_state! {
+///     impl Counter {
+///         count => |c, _| c.count < c.limit,
+///         armed,
+///         log,
+///     }
+/// }
+///
+/// let c = Counter { limit: 10, count: 3, armed: true, log: vec![7, 8] };
+/// let saved = save_to_vec(&c);
+/// assert_eq!(saved.words(), &[3, 1, 2, 7, 8]);
+/// let mut copy = Counter { limit: 10, ..Counter::default() };
+/// restore_from_vec(&mut copy, &saved).unwrap();
+/// assert_eq!(copy, c);
+///
+/// let mut past_limit = saved.words().to_vec();
+/// past_limit[0] = 10;
+/// assert_eq!(
+///     restore_from_vec(&mut copy, &StateVec::from(past_limit)),
+///     Err(SnapshotError::Corrupt { at: 0 })
+/// );
+/// ```
+#[macro_export]
+macro_rules! declare_state {
+    (impl<$($param:ident $(: $bound:path)?),+> $ty:ty { $($fields:tt)* } $(then $hook:ident)?) => {
+        $crate::declare_state!(@walk [$($param $(: $bound)?),+] $ty { $($fields)* } [$($hook)?]);
+    };
+    (impl $($ty:ty),+ : word($encode:ident, $decode:ident)) => {$(
+        impl $crate::Snapshot for $ty {
+            #[inline]
+            fn save(&self, w: &mut $crate::StateWriter<'_>) {
+                w.u32(self.$encode());
+            }
+
+            #[inline]
+            fn restore(&mut self, r: &mut $crate::StateReader<'_>) -> Result<(), $crate::SnapshotError> {
+                let at = r.position();
+                *self = Self::$decode(r.u32()?).ok_or_else(|| r.corrupt_at(at))?;
+                Ok(())
+            }
+        }
+    )+};
+    (impl $($ty:ty),+ : words($pack:ident, $unpack:ident)) => {$(
+        impl $crate::Snapshot for $ty {
+            #[inline]
+            fn save(&self, w: &mut $crate::StateWriter<'_>) {
+                for word in self.$pack() {
+                    w.u32(word);
+                }
+            }
+
+            #[inline]
+            fn restore(&mut self, r: &mut $crate::StateReader<'_>) -> Result<(), $crate::SnapshotError> {
+                let at = r.position();
+                *self = Self::$unpack(&r.u32_array()?).ok_or_else(|| r.corrupt_at(at))?;
+                Ok(())
+            }
+        }
+    )+};
+    (impl $ty:ty { $($fields:tt)* } $(then $hook:ident)?) => {
+        $crate::declare_state!(@walk [] $ty { $($fields)* } [$($hook)?]);
+    };
+    (@walk [$($generics:tt)*] $ty:ty {
+        $($field:tt $(: $codec:ty)? $(=> $check:expr)?),* $(,)?
+    } [$($hook:ident)?]) => {
+        impl<$($generics)*> $crate::Snapshot for $ty {
+            #[inline]
+            fn save(&self, w: &mut $crate::StateWriter<'_>) {
+                $(<$crate::declare_state!(@codec $($codec)?) as $crate::Codec<_>>::save(&self.$field, w);)*
+            }
+
+            fn restore(&mut self, r: &mut $crate::StateReader<'_>) -> Result<(), $crate::SnapshotError> {
+                $(
+                    #[allow(unused_variables)]
+                    let at = r.position();
+                    <$crate::declare_state!(@codec $($codec)?) as $crate::Codec<_>>::restore(&mut self.$field, r)?;
+                    $($crate::__check(&*self, r, at, $check)?;)?
+                )*
+                $(self.$hook();)?
+                Ok(())
+            }
+
+            #[inline]
+            fn mark(&mut self, w: &mut $crate::StateWriter<'_>) {
+                $(<$crate::declare_state!(@codec $($codec)?) as $crate::Codec<_>>::mark(&mut self.$field, w);)*
+            }
+
+            fn rewind(&mut self, r: &mut $crate::StateReader<'_>) -> Result<(), $crate::SnapshotError> {
+                $(<$crate::declare_state!(@codec $($codec)?) as $crate::Codec<_>>::rewind(&mut self.$field, r)?;)*
+                $(self.$hook();)?
+                Ok(())
+            }
+
+            #[inline]
+            fn release(&mut self) {
+                $(<$crate::declare_state!(@codec $($codec)?) as $crate::Codec<_>>::release(&mut self.$field);)*
+            }
+        }
+    };
+    (@codec) => { $crate::Own };
+    (@codec $codec:ty) => { $codec };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{restore_from_vec, save_to_vec, StateVec};
+
+    fn words(words: &[u64]) -> StateVec {
+        StateVec::from(words.to_vec())
+    }
+
+    /// A narrow integer or a fixed array is refused at the word that does
+    /// not fit it, where it was once truncated.
+    #[test]
+    fn a_word_its_field_cannot_hold_is_refused_at_that_word() {
+        assert_eq!(save_to_vec(&0xbeef_u16).words(), [0xbeef]);
+        let mut byte = 0u8;
+        restore_from_vec(&mut byte, &words(&[0xff])).unwrap();
+        assert_eq!(byte, 0xff);
+        let corrupt = Err(SnapshotError::Corrupt { at: 0 });
+        assert_eq!(restore_from_vec(&mut byte, &words(&[0x100])), corrupt);
+        assert_eq!(restore_from_vec(&mut 0u16, &words(&[0x1_0000])), corrupt);
+        assert_eq!(
+            restore_from_vec(&mut [0u32; 3], &words(&[2, 1, 2])),
+            corrupt
+        );
+    }
+
+    #[derive(Debug, Default, PartialEq)]
+    struct Record {
+        tag: u32,
+        payload: Vec<u32>,
+    }
+
+    #[derive(Debug, Default, PartialEq)]
+    struct Holder {
+        list: Vec<Record>,
+        maybe: Option<Record>,
+    }
+
+    crate::declare_state! { impl Record { tag, payload } }
+    crate::declare_state! { impl Holder { list: List, maybe } }
+
+    /// A list keeps, refills and appends elements instead of rebuilding
+    /// itself, and an option over `Some` refills its value in place.
+    #[test]
+    fn lists_and_options_restore_in_place() {
+        let record = |tag, len| Record {
+            tag,
+            payload: vec![tag; len],
+        };
+        let long = Holder {
+            list: vec![record(1, 4), record(2, 1), record(3, 2)],
+            maybe: Some(record(4, 8)),
+        };
+        let short = Holder {
+            list: vec![record(5, 2)],
+            maybe: Some(record(6, 3)),
+        };
+        let mut target = Holder::default();
+        for donor in [&long, &short, &long] {
+            let kept = target.maybe.as_ref().map(|r| r.payload.as_ptr());
+            restore_from_vec(&mut target, &save_to_vec(donor)).unwrap();
+            assert_eq!(&target, donor);
+            if let Some(kept) = kept {
+                assert_eq!(target.maybe.as_ref().unwrap().payload.as_ptr(), kept);
+            }
+        }
+        let none = Holder::default();
+        restore_from_vec(&mut target, &save_to_vec(&none)).unwrap();
+        assert_eq!(target, none);
+    }
+}

@@ -11,7 +11,8 @@
 //!   checkpointed into a flat word vector and restored bit-exactly, which is what
 //!   the leader domain does before each optimistic run-ahead; a [`Journaled`]
 //!   store rolls back by undo log, paying per word written instead of per
-//!   word held.
+//!   word held; [`declare_state!`] builds a component's `Snapshot` from one
+//!   list of its state fields.
 //! * [`Trace`] — an append-only, hashable, *rollback-aware* record of per-cycle
 //!   values used to prove that optimistic execution commits exactly the same bus
 //!   behaviour as a monolithic golden simulation.
@@ -32,6 +33,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod declare;
 mod error;
 mod journal;
 mod ledger;
@@ -41,6 +43,9 @@ mod stats;
 mod time;
 mod trace;
 
+#[doc(hidden)]
+pub use declare::check as __check;
+pub use declare::{Codec, Each, List, Own, Present, Sequence, Verdict};
 pub use error::SimError;
 pub use journal::Journaled;
 pub use ledger::{CostCategory, LedgerReport, TimeLedger};

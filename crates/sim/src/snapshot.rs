@@ -43,17 +43,43 @@
 //!   other. The provided bodies are `save`, `restore` and nothing, so a
 //!   component without a journal rolls back by full copy.
 //!
-//! A decorator forwards all three of `mark` / `rewind` / `release`, or none.
-//! Forwarding `mark` without `rewind` would have the provided `rewind` — a
-//! full `restore` — read a short vector as a full one. Forwarding none keeps
-//! the wrapped component on the full-copy path: correct, only slower.
-//!
 //! Both paths write into a buffer the caller keeps ([`save_into`] /
 //! [`mark_into`] clear and refill a [`StateVec`] whose allocation survives
 //! from one store to the next), and both read into the target's own
 //! allocations: components take variable-length state with
 //! [`StateReader::slice_into`] / [`StateReader::slice_u32_into`] into the
 //! vector they already own instead of building a new one.
+//!
+//! # Declaring state
+//!
+//! A component declares its state once, as a list of its state fields given
+//! to [`declare_state!`](crate::declare_state), and all five methods are
+//! generated from that list:
+//!
+//! * **Field order is wire order.** Each field writes what its type's own
+//!   `Snapshot` writes, one field after another; a field not listed is
+//!   configuration and is never written. The leaf impls cover the shapes the
+//!   layouts use: `u32`, `u64`, `usize` and `bool`; `u8` and `u16`, one word
+//!   each, refused above their range; `Option<T>`, a flag and then `T`,
+//!   restored in place; `Vec<u32>`, `VecDeque<u32>` and `[u32; N]`,
+//!   length-prefixed, through the bulk readers.
+//! * **A field's codec overrides its type's layout**: `field: Each` (every
+//!   element, no length word), `field: Present` (the filled slots of a
+//!   `Vec<Option<T>>`), `field: List` (a length word, then each element), or
+//!   any other [`Codec`](crate::Codec).
+//! * **A check runs right after its field is read**: `field => |this, at|
+//!   …` sees every field read so far and refuses, as
+//!   [`SnapshotError::Corrupt`], at the exact word it names (see
+//!   [`Verdict`](crate::Verdict)), before a later word is read.
+//! * **Rollback reaches every field**: `mark` / `rewind` / `release` go to
+//!   each one, so a [`Journaled`](crate::Journaled) field, or a field that
+//!   holds one, rolls back by journal without a line of forwarding.
+//!
+//! A hand-written decorator — the `Box<S>` impl here, the benchmark's timing
+//! wrappers — forwards all three of `mark` / `rewind` / `release`, or none.
+//! Forwarding `mark` without `rewind` would have the provided `rewind` — a
+//! full `restore` — read a short vector as a full one. Forwarding none keeps
+//! the wrapped component on the full-copy path: correct, only slower.
 
 use std::error::Error;
 use std::fmt;
@@ -324,6 +350,20 @@ impl<'a> StateReader<'a> {
             1 => Ok(true),
             _ => Err(self.label(self.pos - 1, SnapshotError::Corrupt { at: self.pos - 1 })),
         }
+    }
+
+    /// Reads `N` words, each a `u32`: a packed value's run of words.
+    ///
+    /// # Errors
+    ///
+    /// As [`StateReader::u32`], at the first word that fails.
+    #[inline]
+    pub fn u32_array<const N: usize>(&mut self) -> Result<[u32; N], SnapshotError> {
+        let mut words = [0; N];
+        for word in &mut words {
+            *word = self.u32()?;
+        }
+        Ok(words)
     }
 
     /// Reads a length prefix and borrows the `n` words it announces,

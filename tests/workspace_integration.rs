@@ -1,9 +1,11 @@
 //! Workspace-level integration: the umbrella crate's public API drives every
 //! subsystem together — blueprints → co-emulation → reports → analytic model.
 
+use predpkt::predict::{AdaptiveSuite, MarkovSuite};
 use predpkt::prelude::*;
 use predpkt::workloads::{
-    dma_offload_soc, figure2_soc, irq_driven_soc, split_heavy_soc, stream_soc,
+    dma_offload_soc, figure2_soc, irq_driven_soc, mesh_hotspot_soc, split_heavy_soc, stream_soc,
+    MeshConfig,
 };
 
 fn golden_hash(blueprint: &SocBlueprint, cycles: u64) -> u64 {
@@ -114,4 +116,40 @@ fn virtual_time_accounting_is_exact_integers() {
         )
     };
     assert_eq!(run(), run(), "runs must be exactly reproducible");
+}
+
+/// The billed channel words of 600 committed cycles of the hotspot mesh over
+/// the queue backend under `suite`.
+fn mesh_words(suite: impl PredictorSuite + 'static) -> u64 {
+    let config = CoEmuConfig::paper_defaults()
+        .policy(ModePolicy::Auto)
+        .rollback_vars(None);
+    let mut session = EmuSession::from_blueprint(&mesh_hotspot_soc(MeshConfig::default()))
+        .config(config)
+        .predictors(suite)
+        .build()
+        .expect("session builds");
+    session.run_until_committed(600).expect("run completes");
+    session.channel_stats().total_words()
+}
+
+/// Where last-value prediction misses every request edge, the
+/// sequence-learning suites pay for themselves: on the hotspot mesh the
+/// Markov and adaptive suites each move strictly fewer billed words than
+/// last-value. 600 cycles is about what the adaptive suite needs to have
+/// switched to its Markov candidate.
+#[test]
+fn sequence_learning_suites_beat_last_value_on_the_hotspot_mesh() {
+    let last_value = mesh_words(LastValueSuite);
+    let markov = mesh_words(MarkovSuite);
+    let adaptive = mesh_words(AdaptiveSuite::default());
+    println!("hotspot mesh, 600 cycles: last-value {last_value}, markov {markov}, adaptive {adaptive} words");
+    assert!(
+        markov < last_value,
+        "markov {markov} vs last-value {last_value}"
+    );
+    assert!(
+        adaptive < last_value,
+        "adaptive {adaptive} vs last-value {last_value}"
+    );
 }
