@@ -8,11 +8,14 @@
 //! The farm's [`ReadmitPolicy`] then does the healing: the death (failure or
 //! eviction) carries the latest boundary checkpoint out, the respawn closure
 //! builds a clean transport, and the session resumes from its cut. The bin
-//! asserts every healed session commits **bit-identically** to an
-//! uninterrupted direct run — billed words included — and reports what the
-//! chaos cost: heals, backoff wall, and the recovered-session word count
-//! (bit-stable by construction — a change means the protocol stream moved,
-//! not the runner).
+//! reports what the chaos cost — heals, backoff wall, and the
+//! recovered-session word count (bit-stable by construction: a change means
+//! the protocol stream moved, not the runner) — and whether every session
+//! healed and committed **bit-identically** to an uninterrupted direct run,
+//! billed words included. It asserts nothing: each of its four cells (tcp or
+//! shm × disconnect or hang) is pinned by the farm stress suite's
+//! `severed_link_session_heals_in_place_without_stalling_live_sessions` and
+//! `wedged_link_session_heals_through_the_eviction_path`.
 //!
 //! Run: `cargo run -p predpkt-bench --release --bin chaos_recovery [sessions]`
 
@@ -180,24 +183,14 @@ fn run_cell(cell: Cell, sessions: usize, baselines: &[Fingerprint]) -> CellRow {
     let mut identical = true;
     for (seed, id) in ids {
         let result = report.result(id).expect("session reported");
-        assert!(
-            result.outcome.is_completed(),
-            "{}: session seed {seed} did not heal: {}",
-            cell.label,
-            result.outcome
-        );
-        let session = result.session.as_ref().expect("keep_sessions retains it");
-        let got = fingerprint(session, seed);
-        identical &= got == baselines[seed as usize];
-        recovered_words += got.billed_words;
+        let healed = result
+            .session
+            .as_ref()
+            .filter(|_| result.outcome.is_completed());
+        let got = healed.map(|session| fingerprint(session, seed));
+        identical &= got.as_ref() == Some(&baselines[seed as usize]);
+        recovered_words += got.map_or(0, |got| got.billed_words);
     }
-    assert!(
-        report.stats.readmitted >= sessions as u64,
-        "{}: every session was doomed, so every session must have healed \
-         at least once: {}",
-        cell.label,
-        report.stats
-    );
 
     CellRow {
         label: cell.label,
@@ -223,7 +216,6 @@ fn main() {
 
     let baselines: Vec<Fingerprint> = (0..sessions as u64).map(direct_baseline).collect();
 
-    let mut identical = true;
     println!(
         "{:>16} {:>8} {:>10} {:>8} {:>11} {:>11} {:>12} {:>9}",
         "fault", "sessions", "readmitted", "gave_up", "backoff", "wall", "recov words", "identical"
@@ -241,15 +233,12 @@ fn main() {
             row.recovered_words,
             if row.identical { "ok" } else { "DIVERGED" }
         );
-        identical &= row.identical;
     }
 
     println!(
         "\nevery session above was killed mid-run by a seeded terminal fault and\n\
-         resumed from its latest boundary checkpoint on a fresh link; the healed\n\
-         commits are bit-identical to uninterrupted runs, so the recovered word\n\
-         count is deterministic."
+         resumed from its latest boundary checkpoint on a fresh link; `identical`\n\
+         says every session completed and committed what an uninterrupted run\n\
+         commits, which makes the recovered word count deterministic."
     );
-
-    assert!(identical, "a healed run diverged from its direct baseline");
 }

@@ -1,10 +1,13 @@
 //! # predpkt-bench — evaluation harness
 //!
 //! Shared plumbing for the table/figure regeneration binaries (see
-//! `src/bin/`): each takes one optional positional `[cycles]`, prints a
-//! table and asserts its own bit-identity/ordering checks. Nothing parses
-//! their output and none of them is a speed measurement — host speed is read
-//! from the repo's one benchmark, `benchmark/` (see `BENCHMARK.json`).
+//! `src/bin/`): each takes one optional positional `[cycles]` and prints a
+//! table. No bin asserts anything: every bit-identity and ordering check
+//! they once made is a tier-1 test (the conformance matrix in
+//! `crates/core/tests`, the farm's heal tests, `tests/workspace_integration.rs`).
+//! Nothing parses their output and none of them is a speed measurement —
+//! host speed is read from the repo's one benchmark, `benchmark/` (see
+//! `BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -17,9 +20,9 @@ use predpkt_workloads::SyntheticSoc;
 use std::time::Duration;
 
 /// The committed-cycle count a bin runs: its one optional positional
-/// argument, else `default`. Anything that is not a count (a leftover flag,
-/// a second argument) ends the process with a usage line instead of being
-/// silently ignored.
+/// argument, else `default`. Anything that is not a positive count (a
+/// leftover flag, a second argument, `0`, which no report can be made of)
+/// ends the process with a usage line instead of being silently ignored.
 pub fn cycles_arg(default: u64) -> u64 {
     parse_cycles(std::env::args().skip(1), default).unwrap_or_else(|e| {
         eprintln!("usage: [cycles] — {e}");
@@ -34,9 +37,10 @@ fn parse_cycles(mut args: impl Iterator<Item = String>, default: u64) -> Result<
     if let Some(extra) = args.next() {
         return Err(format!("unexpected second argument {extra:?}"));
     }
-    first
-        .parse()
-        .map_err(|_| format!("{first:?} is not a count"))
+    match first.parse() {
+        Ok(0) | Err(_) => Err(format!("{first:?} is not a positive count")),
+        Ok(count) => Ok(count),
+    }
 }
 
 /// The Fig. 2-shaped SoC the recovery sweep runs: a DMA master and a
@@ -173,6 +177,7 @@ mod tests {
         assert_eq!(parse(&[]), Ok(1000));
         assert_eq!(parse(&["42"]), Ok(42));
         assert!(parse(&["--fast"]).is_err());
+        assert!(parse(&["0"]).is_err());
         assert!(parse(&["42", "7"]).is_err());
     }
 

@@ -17,90 +17,26 @@
 mod common;
 
 use common::conformance::{
-    assert_matches_baseline, baseline, build_session, conformant_backends, observe,
-    workload_config, workload_for, Observed, Workload,
+    backend, backends, build_session, for_each_cell, named, workload_config, workload_for,
+    Perturbation, Suite,
 };
-use common::{figure2_soc, figure2_soc_seeded};
-use predpkt_channel::{FaultSpec, RecoveryStats};
+use common::figure2_soc_seeded;
+use predpkt_channel::FaultSpec;
 use predpkt_core::{
-    CheckpointError, CoEmuConfig, EmuSession, ModePolicy, ReliableInner, SessionCheckpoint, Side,
-    SliceStatus, SocBlueprint, TransportSelect,
+    CheckpointError, CoEmuConfig, EmuSession, ModePolicy, SessionCheckpoint, Side, SliceStatus,
+    SocBlueprint, TransportSelect,
 };
 use predpkt_sim::SimError;
 
-/// A fresh `TransportSelect` for the named conformance backend (the selects
-/// hold endpoints, so each session needs its own).
-fn backend_for(name: &str) -> TransportSelect {
-    conformant_backends()
-        .into_iter()
-        .find(|(n, _)| *n == name)
-        .unwrap_or_else(|| panic!("unknown backend {name}"))
-        .1
-}
-
-/// Runs `workload` in two halves with a full byte-serialized
-/// checkpoint/restore into a *fresh* session between them, and captures what
-/// the second session committed.
-fn run_with_mid_checkpoint(name: &str, workload: &Workload) -> Observed {
-    let blueprint = figure2_soc();
-    let mut first = build_session(backend_for(name), workload);
-    first
-        .run_until_committed(workload.cycles / 2)
-        .expect("first half completes");
-    assert!(
-        first.at_checkpoint_boundary(),
-        "{name}: the halt after run_until_committed is a checkpoint boundary"
-    );
-    let ckpt = first.checkpoint().expect("checkpoint at the halt boundary");
-    assert!(
-        ckpt.committed_cycles() >= workload.cycles / 2,
-        "{name}: checkpoint records the halt boundary"
-    );
-    let bytes = ckpt.to_bytes();
-    drop(first);
-
-    // The round trip through bytes is the migration path: nothing but the
-    // blob crosses from the first session to the second.
-    let ckpt = SessionCheckpoint::from_bytes(&bytes).expect("blob round-trips");
-    let mut second = build_session(backend_for(name), workload);
-    second.restore(&ckpt).expect("restore into a fresh session");
-    assert_eq!(
-        second.committed_cycles(),
-        ckpt.committed_cycles(),
-        "{name}: the restored session stands at the checkpoint's boundary"
-    );
-    second
-        .run_until_committed(workload.cycles)
-        .expect("second half completes");
-    observe(&second, &blueprint)
-}
-
 /// The tentpole acceptance: restore-then-run is bit-identical to
-/// run-straight-through on every backend in the conformance matrix, at two
-/// domains and over a three-domain mesh (one cut of all three edges).
+/// run-straight-through on every backend, at two domains and over a
+/// three-domain mesh (one cut of all three edges). Reliable rows with a
+/// deterministic clock serialize their windows and clock in the cut, so the
+/// restored run repairs nothing on a clean link.
 #[test]
 fn restore_then_run_matches_straight_through_on_every_backend() {
-    for domains in [2, 3] {
-        let workload = workload_for(ModePolicy::Auto).at(domains);
-        let straight = baseline(&workload);
-        for (name, _) in conformant_backends() {
-            let observed = run_with_mid_checkpoint(name, &workload);
-            assert_matches_baseline(&workload, name, &straight, &observed);
-            if domains > 2 {
-                // Every backend splits a mesh by link end alike.
-                assert_eq!(straight.domains, observed.domains, "{name}: per domain");
-            }
-            // Cooperative reliable backends serialize their windows and clock in
-            // the cut, so the restored run repairs nothing on a clean link.
-            if domains == 2 && (name == "reliable+queue" || name == "reliable+lossy") {
-                let recovery = observed
-                    .recovery
-                    .expect("reliable backend reports recovery");
-                assert_eq!(recovery.retransmits, 0, "{name}: clean link, restored run");
-                assert_eq!(recovery.crc_rejects, 0, "{name}: clean link, restored run");
-            }
-        }
-    }
+    let workload = [workload_for(ModePolicy::Auto)];
+    for_each_cell(&workload, &[2, 3], &backends(), Perturbation::CutAndRestore);
 }
 
 /// FNV-1a-64 over a blob's bytes.
@@ -126,7 +62,7 @@ fn checkpoint_blob_size_is_pinned_per_engine_layout() {
     let checkpoint_at = |name: &str, config: CoEmuConfig, cycles: u64| {
         let mut session = EmuSession::from_blueprint(&figure2_soc_seeded(11))
             .config(config)
-            .transport(backend_for(name))
+            .transport(backend(name).select())
             .build()
             .expect("session builds");
         session
@@ -161,41 +97,12 @@ fn checkpoint_blob_size_is_pinned_per_engine_layout() {
 /// any un-billed switch words — checkpoints mid-run and restores into a
 /// fresh session bit-identically to never having stopped. A restored twin
 /// that re-learned from scratch (or forgot a pending switch bill) would
-/// diverge in channel statistics even though rollback keeps traces equal, so
-/// the full `Observed` comparison is the meaningful assertion here.
+/// diverge in channel statistics even though rollback keeps traces equal.
 #[test]
 fn adaptive_suite_checkpoint_restores_predictor_state() {
-    use common::conformance::run_workload_with_suite;
-    use predpkt_predict::AdaptiveSuite;
-
-    let workload = workload_for(ModePolicy::Auto);
-    let blueprint = figure2_soc();
-    let adaptive_session = |workload: &Workload| {
-        EmuSession::from_blueprint(&blueprint)
-            .config(workload_config(workload))
-            .predictors(AdaptiveSuite::default())
-            .build()
-            .expect("session builds")
-    };
-
-    let straight =
-        run_workload_with_suite(TransportSelect::Queue, &workload, AdaptiveSuite::default());
-
-    let mut first = adaptive_session(&workload);
-    first
-        .run_until_committed(workload.cycles / 2)
-        .expect("first half completes");
-    let bytes = first.checkpoint().expect("mid-run checkpoint").to_bytes();
-    drop(first);
-
-    let ckpt = SessionCheckpoint::from_bytes(&bytes).expect("blob round-trips");
-    let mut second = adaptive_session(&workload);
-    second.restore(&ckpt).expect("restore into a fresh session");
-    second
-        .run_until_committed(workload.cycles)
-        .expect("second half completes");
-    let observed = observe(&second, &blueprint);
-    assert_matches_baseline(&workload, "adaptive+checkpoint", &straight, &observed);
+    let adaptive = [workload_for(ModePolicy::Auto).with(Suite::Adaptive)];
+    let queue = named(&["queue"]);
+    for_each_cell(&adaptive, &[2], &queue, Perturbation::CutAndRestore);
 }
 
 /// Mid-run checkpoints under seeded faults: the lossy transport's RNG cursor
@@ -204,53 +111,14 @@ fn adaptive_suite_checkpoint_restores_predictor_state() {
 /// counters and fault counters included.
 #[test]
 fn mid_run_checkpoint_under_seeded_faults_is_bit_identical() {
-    let workload = workload_for(ModePolicy::Auto);
-    let specs = [
+    let workload = [workload_for(ModePolicy::Auto)];
+    for spec in [
         FaultSpec::drops(7, 0.15),
         FaultSpec::truncations(11, 0.15),
         FaultSpec::duplicates(13, 0.2),
-    ];
-    for spec in specs {
-        let faulty = |spec| TransportSelect::reliable(ReliableInner::Lossy(spec));
-        let mut straight = build_session(faulty(spec), &workload);
-        straight
-            .run_until_committed(workload.cycles)
-            .expect("straight run survives the faults");
-        let blueprint = figure2_soc();
-        let expected = observe(&straight, &blueprint);
-        let expected_recovery: RecoveryStats =
-            straight.recovery_stats().expect("recovery stats present");
-
-        let mut first = build_session(faulty(spec), &workload);
-        first
-            .run_until_committed(workload.cycles / 2)
-            .expect("first half survives the faults");
-        let bytes = first.checkpoint().expect("mid-run checkpoint").to_bytes();
-        let ckpt = SessionCheckpoint::from_bytes(&bytes).expect("blob round-trips");
-        let mut second = build_session(faulty(spec), &workload);
-        second.restore(&ckpt).expect("restore under seeded faults");
-        second
-            .run_until_committed(workload.cycles)
-            .expect("second half survives the faults");
-        let observed = observe(&second, &blueprint);
-
-        let ctx = format!("seeded faults {spec:?}");
-        assert_eq!(expected.trace_hash, observed.trace_hash, "{ctx}: trace");
-        assert_eq!(expected.committed, observed.committed, "{ctx}: boundary");
-        assert_eq!(expected.channel, observed.channel, "{ctx}: channel stats");
-        assert_eq!(
-            expected.ledger_total, observed.ledger_total,
-            "{ctx}: ledger"
-        );
-        assert_eq!(
-            expected.faults_injected, observed.faults_injected,
-            "{ctx}: the restored run replays the same fault plan"
-        );
-        assert_eq!(
-            expected_recovery,
-            second.recovery_stats().expect("recovery stats present"),
-            "{ctx}: the restored run performs the same repairs"
-        );
+    ] {
+        let faulted = [backend("reliable+lossy").with_fault(spec)];
+        for_each_cell(&workload, &[2], &faulted, Perturbation::CutAndRestore);
     }
 }
 
@@ -417,7 +285,7 @@ fn backend_mismatch_is_rejected_before_any_state_changes() {
     queue.run_until_committed(100).expect("queue run completes");
     let ckpt = queue.checkpoint().expect("queue checkpoint");
 
-    let mut reliable = build_session(TransportSelect::reliable(ReliableInner::Queue), &workload);
+    let mut reliable = build_session(backend("reliable+queue").select(), &workload);
     reliable.run_until_committed(40).expect("reliable run");
     let before = reliable.committed_cycles();
     let err = reliable

@@ -8,12 +8,12 @@ use predpkt_ahb::signals::{Hburst, Hsize};
 use predpkt_ahb::slaves::{FifoSlave, MemorySlave, PeripheralSlave, SplitSlave};
 use predpkt_core::{Side, SocBlueprint};
 
-/// The paper's Fig. 2 shape (see `equivalence.rs`): traffic irregular enough
-/// to exercise predictions, rollbacks, bursts, and conservative fallbacks, so
-/// every protocol packet kind crosses the channel. Both the
-/// transport-equivalence and the fault-recovery suites compare runs of this
-/// one blueprint, which is what makes their bit-identical assertions
-/// meaningful.
+/// The paper's Fig. 2 shape ([`predpkt_workloads::figure2_soc`] at CPU seed
+/// `0xbeef`): traffic irregular enough to exercise predictions, rollbacks,
+/// bursts, and conservative fallbacks, so every protocol packet kind crosses
+/// the channel. The golden-bus equivalence suite and every cell of the
+/// conformance matrix run this one blueprint, which is what makes their
+/// bit-identical assertions meaningful.
 pub fn figure2_soc() -> SocBlueprint {
     figure2_soc_seeded(0xbeef)
 }

@@ -5,44 +5,12 @@
 
 use predpkt_ahb::engine::BusOp;
 use predpkt_ahb::masters::{CpuMaster, CpuProfile, DmaDescriptor, DmaMaster, TrafficGenMaster};
-use predpkt_ahb::signals::{Hburst, Hsize};
+use predpkt_ahb::signals::Hsize;
 use predpkt_ahb::slaves::{FifoSlave, MemorySlave, PeripheralSlave, SplitSlave};
 use predpkt_core::{CoEmuConfig, CoEmulator, ModePolicy, Side, SocBlueprint};
 
-/// The paper's Fig. 2 shape: three masters and three slaves, mixed placement
-/// (master 1 + slaves 1,2 on the simulator side; masters 2,3 + slave 3 on the
-/// accelerator side).
-fn figure2_soc() -> SocBlueprint {
-    SocBlueprint::new()
-        .master(Side::Simulator, || {
-            Box::new(CpuMaster::new(0xbeef, CpuProfile::default()))
-        })
-        .master(Side::Accelerator, || {
-            Box::new(DmaMaster::new(vec![
-                DmaDescriptor::new(0x0000_0100, 0x0000_1100, 24),
-                DmaDescriptor::new(0x0000_1200, 0x0000_0200, 12),
-            ]))
-        })
-        .master(Side::Accelerator, || {
-            Box::new(
-                TrafficGenMaster::from_ops(vec![
-                    BusOp::read_burst(0x0000_0040, Hsize::Word, Hburst::Wrap8),
-                    BusOp::write_single(0x0000_2004, 0xabcd),
-                ])
-                .looping()
-                .with_idle_gap(11),
-            )
-        })
-        .slave(Side::Simulator, 0x0000_0000, 0x1000, || {
-            Box::new(MemorySlave::new(0x1000, 0))
-        })
-        .slave(Side::Simulator, 0x0000_1000, 0x1000, || {
-            Box::new(MemorySlave::with_waits(0x1000, 2, 1))
-        })
-        .slave(Side::Accelerator, 0x0000_2000, 0x1000, || {
-            Box::new(PeripheralSlave::new(1))
-        })
-}
+mod common;
+use common::figure2_soc;
 
 /// Runs the golden bus for `cycles` and returns its trace.
 fn golden_trace(blueprint: &SocBlueprint, cycles: u64) -> predpkt_sim::Trace {

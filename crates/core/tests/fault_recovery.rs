@@ -1,301 +1,109 @@
-//! Seeded fault-recovery sweeps: a session over `Reliable{Lossy}` — the
-//! ack-and-retransmit layer on top of a fault-injecting transport — must
-//! commit **bit-identical traces, channel statistics, virtual-time ledgers,
-//! and committed cycles** to the clean deterministic `QueueTransport`
-//! baseline, while `RecoveryStats` shows the repairs and the cost model bills
-//! strictly more wire words than the clean run. A retry budget too small for
-//! the fault rate must surface a typed `SimError::RetryBudgetExhausted`
-//! carrying the failing seed, never a hang.
+//! Seeded fault-recovery sweeps: a session over the ack-and-retransmit
+//! layer on top of a fault-injecting medium — in-process, a localhost
+//! socket, or a shared-memory ring — must commit **bit-identical traces,
+//! channel statistics, virtual-time ledgers, and committed cycles** to the
+//! clean queue baseline, while `RecoveryStats` shows the repairs of every
+//! injected kind and the cost model bills strictly more wire words than the
+//! clean run (the `Faults` perturbation of `common/conformance.rs`). A retry
+//! budget too small for the fault rate must surface a typed
+//! `SimError::RetryBudgetExhausted` carrying the failing seed, never a hang.
 
-use predpkt_channel::{ChannelStats, FaultSpec, RecoveryStats};
-use predpkt_core::{
-    CoEmuConfig, EmuSession, ModePolicy, PerfReport, ReliableInner, ShmOptions, TcpOptions,
-    TransportSelect,
-};
-use predpkt_sim::{SimError, VirtualTime};
+use predpkt_channel::FaultSpec;
+use predpkt_core::{ReliableInner, TransportSelect};
+use predpkt_sim::SimError;
 
 mod common;
-use common::conformance::test_opts;
-use common::figure2_soc as soc;
-
-struct Outcome {
-    trace_hash: u64,
-    committed: u64,
-    channel: ChannelStats,
-    ledger_total: VirtualTime,
-    recovery: Option<RecoveryStats>,
-    faults_injected: u64,
-    report: PerfReport,
-}
-
-fn run(backend: TransportSelect, cycles: u64) -> Outcome {
-    let blueprint = soc();
-    let config = CoEmuConfig::paper_defaults()
-        .policy(ModePolicy::Auto)
-        .rollback_vars(None)
-        .carry(true)
-        .adaptive(true);
-    let mut session = EmuSession::from_blueprint(&blueprint)
-        .config(config)
-        .transport(backend)
-        .build()
-        .expect("session builds");
-    session
-        .run_until_committed(cycles)
-        .expect("reliable session must survive the faults");
-    let placement = blueprint.placement();
-    let trace = session.merged_trace(|s, a| placement.merge_records(s, a));
-    Outcome {
-        trace_hash: trace.hash(),
-        committed: session.committed_cycles(),
-        channel: session.channel_stats(),
-        ledger_total: session.ledger().total(),
-        recovery: session.recovery_stats(),
-        faults_injected: session.fault_stats().map_or(0, |f| f.total()),
-        report: session.report(),
-    }
-}
-
-fn reliable_lossy(spec: FaultSpec) -> TransportSelect {
-    TransportSelect::Reliable {
-        inner: ReliableInner::Lossy(spec),
-        window: 8,
-        retry_budget: 16,
-    }
-}
-
-/// The reliability layer over a *real localhost socket pair*, with `spec`
-/// injecting seeded faults on the socket path of each side (the fine-grained
-/// test poll interval keeps the wall-clock-paced retransmission clock fast).
-fn reliable_tcp_lossy(spec: FaultSpec) -> TransportSelect {
-    TransportSelect::Reliable {
-        inner: ReliableInner::Tcp(TcpOptions::default().threaded(test_opts()).fault(spec)),
-        window: 8,
-        retry_budget: 16,
-    }
-}
-
-/// The reliability layer over a *shared-memory ring pair*, with `spec`
-/// injecting seeded faults on the ring path of each side.
-fn reliable_shm_lossy(spec: FaultSpec) -> TransportSelect {
-    TransportSelect::Reliable {
-        inner: ReliableInner::Shm(ShmOptions::default().threaded(test_opts()).fault(spec)),
-        window: 8,
-        retry_budget: 16,
-    }
-}
-
-/// Asserts the headline property: bit-identical commitment to the clean
-/// baseline, nonzero recovery work, strictly higher billed traffic.
-fn assert_recovered_bit_identical(label: &str, baseline: &Outcome, faulty: &Outcome) {
-    assert_eq!(
-        baseline.trace_hash, faulty.trace_hash,
-        "{label}: trace diverged from clean baseline"
-    );
-    assert_eq!(
-        baseline.committed, faulty.committed,
-        "{label}: stopped at a different boundary"
-    );
-    assert_eq!(
-        baseline.channel, faulty.channel,
-        "{label}: protocol channel statistics diverged"
-    );
-    assert_eq!(
-        baseline.ledger_total, faulty.ledger_total,
-        "{label}: virtual-time ledger diverged"
-    );
-    assert!(faulty.faults_injected > 0, "{label}: no faults fired");
-    let recovery = faulty.recovery.expect("reliable backend reports recovery");
-    assert!(
-        recovery.recovery_events() > 0,
-        "{label}: faults fired but no recovery recorded"
-    );
-    assert!(
-        faulty.report.billed_words() > baseline.report.billed_words(),
-        "{label}: recovery overhead must raise the billed traffic \
-         ({} vs clean {})",
-        faulty.report.billed_words(),
-        baseline.report.billed_words()
-    );
-}
+use common::conformance::{auto_400, build_session, for_each_cell, named, Perturbation};
 
 const SEEDS: [u64; 3] = [0xa11ce, 0xb0b5eed, 0xcafe42];
+const LOSSY: &[&str] = &["reliable+lossy"];
+
+/// Runs `rows` under `spec` at every seed of `seeds`.
+fn sweep(rows: &[&str], seeds: &[u64], spec: impl Fn(u64) -> FaultSpec) {
+    for &seed in seeds {
+        let faults = Perturbation::Faults(spec(seed));
+        for_each_cell(&[auto_400()], &[2], &named(rows), faults);
+    }
+}
+
+/// Drops, truncations and duplicates at once.
+fn mixed(seed: u64) -> FaultSpec {
+    FaultSpec {
+        drop_rate: 0.1,
+        truncate_rate: 0.08,
+        duplicate_rate: 0.1,
+        ..FaultSpec::none(seed)
+    }
+}
 
 #[test]
 fn seeded_drop_sweep_commits_bit_identical_results() {
-    let cycles = 400;
-    let baseline = run(TransportSelect::Queue, cycles);
-    for seed in SEEDS {
-        let faulty = run(reliable_lossy(FaultSpec::drops(seed, 0.15)), cycles);
-        assert_recovered_bit_identical(&format!("drops seed {seed:#x}"), &baseline, &faulty);
-        let recovery = faulty.recovery.unwrap();
-        assert!(
-            recovery.retransmits > 0,
-            "seed {seed:#x}: drops must cost retransmissions"
-        );
-    }
+    sweep(LOSSY, &SEEDS, |seed| FaultSpec::drops(seed, 0.15));
 }
 
 #[test]
 fn seeded_truncation_sweep_commits_bit_identical_results() {
-    let cycles = 400;
-    let baseline = run(TransportSelect::Queue, cycles);
-    for seed in SEEDS {
-        let faulty = run(reliable_lossy(FaultSpec::truncations(seed, 0.15)), cycles);
-        assert_recovered_bit_identical(&format!("truncations seed {seed:#x}"), &baseline, &faulty);
-        let recovery = faulty.recovery.unwrap();
-        assert!(
-            recovery.crc_rejects > 0,
-            "seed {seed:#x}: truncations must be caught by the CRC"
-        );
-    }
+    sweep(LOSSY, &SEEDS, |seed| FaultSpec::truncations(seed, 0.15));
 }
 
 #[test]
 fn seeded_duplicate_sweep_commits_bit_identical_results() {
-    let cycles = 400;
-    let baseline = run(TransportSelect::Queue, cycles);
-    for seed in SEEDS {
-        let faulty = run(reliable_lossy(FaultSpec::duplicates(seed, 0.2)), cycles);
-        assert_recovered_bit_identical(&format!("duplicates seed {seed:#x}"), &baseline, &faulty);
-        let recovery = faulty.recovery.unwrap();
-        assert!(
-            recovery.duplicates_suppressed > 0,
-            "seed {seed:#x}: duplicated frames must be suppressed"
-        );
-    }
+    sweep(LOSSY, &SEEDS, |seed| FaultSpec::duplicates(seed, 0.2));
 }
 
 #[test]
 fn mixed_fault_storm_commits_bit_identical_results() {
-    let cycles = 400;
-    let baseline = run(TransportSelect::Queue, cycles);
-    for seed in SEEDS {
-        let spec = FaultSpec {
-            drop_rate: 0.1,
-            truncate_rate: 0.08,
-            duplicate_rate: 0.1,
-            ..FaultSpec::none(seed)
-        };
-        let faulty = run(reliable_lossy(spec), cycles);
-        assert_recovered_bit_identical(&format!("mixed seed {seed:#x}"), &baseline, &faulty);
-    }
+    sweep(LOSSY, &SEEDS, mixed);
 }
 
+/// The same invariants with the faults firing on a *real TCP socket pair*.
 #[test]
 fn seeded_fault_sweep_over_localhost_socket_commits_bit_identical_results() {
-    // The same recovery invariants the in-process Reliable{Lossy} sweeps
-    // prove, now with the faults firing on a *real TCP socket pair*: the
-    // session still commits the clean baseline bit-for-bit, the repairs show
-    // up in RecoveryStats, and the billed traffic is strictly higher.
-    let cycles = 400;
-    let baseline = run(TransportSelect::Queue, cycles);
-    for seed in SEEDS {
-        let spec = FaultSpec {
-            drop_rate: 0.1,
-            truncate_rate: 0.08,
-            duplicate_rate: 0.1,
-            ..FaultSpec::none(seed)
-        };
-        let faulty = run(reliable_tcp_lossy(spec), cycles);
-        assert_recovered_bit_identical(&format!("tcp mixed seed {seed:#x}"), &baseline, &faulty);
-    }
+    sweep(&["reliable+tcp"], &SEEDS, mixed);
 }
 
+/// The same invariants with the faults firing on the *shared-memory ring
+/// path*: the per-side lossy wrappers around each ring endpoint drop,
+/// truncate and duplicate, and the per-side reliability layers heal them.
 #[test]
 fn seeded_fault_sweep_over_shared_memory_ring_commits_bit_identical_results() {
-    // The same recovery invariants again, now with the faults firing on the
-    // *shared-memory ring path*: seeded drops, truncations, and duplicates
-    // hit the per-side lossy wrappers around each ShmEndpoint, and the
-    // per-side reliability layers heal them — the session commits the clean
-    // baseline bit-for-bit with the repairs billed into RecoveryStats.
-    let cycles = 400;
-    let baseline = run(TransportSelect::Queue, cycles);
-    for seed in SEEDS {
-        let spec = FaultSpec {
-            drop_rate: 0.1,
-            truncate_rate: 0.08,
-            duplicate_rate: 0.1,
-            ..FaultSpec::none(seed)
-        };
-        let faulty = run(reliable_shm_lossy(spec), cycles);
-        assert_recovered_bit_identical(&format!("shm mixed seed {seed:#x}"), &baseline, &faulty);
-    }
+    sweep(&["reliable+shm"], &SEEDS, mixed);
 }
 
+/// `Reliable{Tcp over lossy}` and `Reliable{Lossy}` are different physical
+/// links under one reliability layer: both commit the baseline and both
+/// repair the drops, though their counters differ (the per-side socket
+/// instances draw from decorrelated fault streams).
 #[test]
 fn socket_recovery_billing_matches_in_process_invariants() {
-    // Reliable{Tcp over lossy} and Reliable{Lossy} are different physical
-    // links under the same reliability layer; the *invariants* of the
-    // recovery bill must agree: identical committed results, nonzero repair
-    // events of the injected kinds, strictly more billed words than clean.
-    // (The exact counters differ — the per-side socket instances draw from
-    // decorrelated fault streams — which is precisely why the assertions are
-    // on invariants, not numbers.)
-    let cycles = 400;
-    let seed = SEEDS[0];
-    let baseline = run(TransportSelect::Queue, cycles);
-    let spec = FaultSpec::drops(seed, 0.15);
-    let in_process = run(reliable_lossy(spec), cycles);
-    let socket = run(reliable_tcp_lossy(spec), cycles);
-    for (label, faulty) in [("in-process", &in_process), ("socket", &socket)] {
-        assert_recovered_bit_identical(&format!("{label} drops"), &baseline, faulty);
-        let recovery = faulty.recovery.unwrap();
-        assert!(
-            recovery.retransmits > 0,
-            "{label}: drops must cost retransmissions"
-        );
-    }
-    assert_eq!(in_process.trace_hash, socket.trace_hash);
-    assert_eq!(in_process.channel, socket.channel);
-    assert_eq!(in_process.ledger_total, socket.ledger_total);
+    let rows = ["reliable+lossy", "reliable+tcp"];
+    sweep(&rows, &SEEDS[..1], |seed| FaultSpec::drops(seed, 0.15));
 }
 
+/// A clean queue under the reliable layer commits the baseline and bills
+/// only headers and acks (the clean-link invariants of every reliable row).
 #[test]
 fn reliable_over_clean_queue_matches_baseline_with_ack_overhead_only() {
-    let cycles = 400;
-    let baseline = run(TransportSelect::Queue, cycles);
-    let reliable = run(TransportSelect::reliable(ReliableInner::Queue), cycles);
-    assert_eq!(baseline.trace_hash, reliable.trace_hash);
-    assert_eq!(baseline.committed, reliable.committed);
-    assert_eq!(baseline.channel, reliable.channel);
-    assert_eq!(baseline.ledger_total, reliable.ledger_total);
-    let recovery = reliable.recovery.unwrap();
-    assert_eq!(
-        recovery.retransmits, 0,
-        "clean link needs no retransmission"
-    );
-    assert_eq!(recovery.crc_rejects, 0);
-    assert!(recovery.acks_sent > 0, "every frame is still acknowledged");
-    assert!(
-        reliable.report.billed_words() > baseline.report.billed_words(),
-        "headers and acks are honest overhead even on a clean link"
-    );
-    assert!(reliable.report.billed_channel_time() > baseline.report.billed_channel_time());
-    assert!(reliable.report.recovery().is_some());
-    assert!(
-        reliable.report.to_string().contains("recovery:"),
-        "the report surfaces the recovery bill"
-    );
+    let row = named(&["reliable+queue"]);
+    for_each_cell(&[auto_400()], &[2], &row, Perturbation::None);
+}
+
+/// `Reliable{Lossy}` under `spec` with a small window and retry budget, run
+/// toward 2 000 cycles.
+fn starve(spec: FaultSpec, window: usize, retry_budget: u32) -> Result<(), SimError> {
+    let inner = ReliableInner::Lossy(spec);
+    let select = TransportSelect::Reliable {
+        inner,
+        window,
+        retry_budget,
+    };
+    build_session(select, &auto_400()).run_until_committed(2_000)
 }
 
 #[test]
 fn exhausted_retry_budget_surfaces_typed_error_with_seed() {
     let seed = 0x5eed_dead;
-    let blueprint = soc();
-    let config = CoEmuConfig::paper_defaults()
-        .policy(ModePolicy::Auto)
-        .rollback_vars(None);
-    let mut session = EmuSession::from_blueprint(&blueprint)
-        .config(config)
-        .transport(TransportSelect::Reliable {
-            inner: ReliableInner::Lossy(FaultSpec::drops(seed, 1.0)),
-            window: 4,
-            retry_budget: 2,
-        })
-        .build()
-        .expect("session builds");
-    match session.run_until_committed(2_000) {
+    match starve(FaultSpec::drops(seed, 1.0), 4, 2) {
         Err(SimError::RetryBudgetExhausted {
             seed: reported,
             retries,
@@ -321,62 +129,28 @@ fn exhausted_retry_budget_surfaces_typed_error_with_seed() {
 #[test]
 fn moderate_faults_with_small_budget_fail_typed_not_hang() {
     // A budget of 1 cannot absorb a 60% drop rate for long: the session must
-    // end with the typed error (or, improbably, survive) — never hang.
+    // end with the typed error — never hang.
     let seed = 0x1bad_cafe;
-    let blueprint = soc();
-    let config = CoEmuConfig::paper_defaults()
-        .policy(ModePolicy::Auto)
-        .rollback_vars(None);
-    let mut session = EmuSession::from_blueprint(&blueprint)
-        .config(config)
-        .transport(TransportSelect::Reliable {
-            inner: ReliableInner::Lossy(FaultSpec::drops(seed, 0.6)),
-            window: 8,
-            retry_budget: 1,
-        })
-        .build()
-        .expect("session builds");
-    match session.run_until_committed(2_000) {
+    match starve(FaultSpec::drops(seed, 0.6), 8, 1) {
         Err(SimError::RetryBudgetExhausted { seed: s, .. }) => assert_eq!(s, seed),
         other => panic!("expected typed exhaustion, got {other:?}"),
     }
 }
 
 /// Wider multi-seed, multi-rate sweep — slow, so it is `#[ignore]`d from the
-/// default `cargo test` and run by the CI slow-tests job via
-/// `-- --include-ignored`.
+/// default `cargo test` and run by the CI slow-tests job via `-- --ignored`.
 #[test]
-#[ignore = "multi-seed recovery sweep; run with --include-ignored"]
+#[ignore = "multi-seed recovery sweep; run with --ignored"]
 fn wide_seeded_recovery_sweep() {
-    let cycles = 400;
-    let baseline = run(TransportSelect::Queue, cycles);
-    for seed in [1u64, 2, 3, 0xdead, 0xbeef, 0x1234_5678] {
-        for (label, spec) in [
-            ("drops", FaultSpec::drops(seed, 0.25)),
-            ("truncations", FaultSpec::truncations(seed, 0.25)),
-            ("duplicates", FaultSpec::duplicates(seed, 0.35)),
-            (
-                "mixed",
-                FaultSpec {
-                    drop_rate: 0.15,
-                    truncate_rate: 0.12,
-                    duplicate_rate: 0.15,
-                    ..FaultSpec::none(seed)
-                },
-            ),
-        ] {
-            let faulty = run(reliable_lossy(spec), cycles);
-            assert_recovered_bit_identical(&format!("{label} seed {seed:#x}"), &baseline, &faulty);
-        }
-        let socket_spec = FaultSpec {
-            drop_rate: 0.1,
-            truncate_rate: 0.08,
-            duplicate_rate: 0.1,
-            ..FaultSpec::none(seed)
-        };
-        let faulty = run(reliable_tcp_lossy(socket_spec), cycles);
-        assert_recovered_bit_identical(&format!("tcp mixed seed {seed:#x}"), &baseline, &faulty);
-        let faulty = run(reliable_shm_lossy(socket_spec), cycles);
-        assert_recovered_bit_identical(&format!("shm mixed seed {seed:#x}"), &baseline, &faulty);
-    }
+    let seeds = [1u64, 2, 3, 0xdead, 0xbeef, 0x1234_5678];
+    sweep(LOSSY, &seeds, |seed| FaultSpec::drops(seed, 0.25));
+    sweep(LOSSY, &seeds, |seed| FaultSpec::truncations(seed, 0.25));
+    sweep(LOSSY, &seeds, |seed| FaultSpec::duplicates(seed, 0.35));
+    sweep(LOSSY, &seeds, |seed| FaultSpec {
+        drop_rate: 0.15,
+        truncate_rate: 0.12,
+        duplicate_rate: 0.15,
+        ..FaultSpec::none(seed)
+    });
+    sweep(&["reliable+tcp", "reliable+shm"], &seeds, mixed);
 }

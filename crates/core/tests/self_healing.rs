@@ -11,197 +11,80 @@
 //! shape. Cut points are derived from the baseline's own traffic volume, so
 //! the sweep tracks the workload instead of hard-coding frame counts.
 //!
-//! The default tests kill each backend once, early enough that at least one
-//! auto-checkpoint boundary has passed; the `#[ignore]`d sweep kills at a
-//! ladder of frame counts spanning the whole run — every checkpoint
-//! boundary falls between two ladder rungs — across every disconnectable
-//! backend. CI's slow-tests lane runs the ignored sweep.
+//! Every kill is a `KillAndHeal` cell of the conformance matrix
+//! (`common/conformance.rs`). The default tests kill each backend at two
+//! cuts, the early one after at least one auto-checkpoint boundary; the
+//! `#[ignore]`d sweep kills at a ladder of frame counts spanning the whole
+//! run — every checkpoint boundary falls between two ladder rungs — across
+//! every severable backend. CI's slow-tests lane runs the ignored sweep.
 
 mod common;
 
 use common::conformance::{
-    assert_matches_baseline, baseline, build_session, observe, shm_opts, tcp_opts, workload_for,
-    Observed, Workload,
+    backend, baseline, build_session, for_each_cell, named, workload_for, Heal, Observed,
+    Perturbation, CHECKPOINT_EVERY,
 };
-use common::figure2_soc;
 use predpkt_channel::FaultSpec;
-use predpkt_core::{ModePolicy, ReliableInner, SessionCheckpoint, SliceStatus, TransportSelect};
-use predpkt_sim::SimError;
+use predpkt_core::{ModePolicy, SliceStatus, TransportSelect};
 
-/// Seed for every terminal-fault plan in this suite (rates stay zero; the
-/// plan is transparent until the cut fires, so committed results can be
-/// compared against the clean queue baseline bit for bit).
-const SEED: u64 = 0x5e1f_4ea1;
-
-/// Committed cycles between auto-checkpoint cuts — small, so even an early
-/// kill usually has a boundary behind it.
-const CHECKPOINT_EVERY: u64 = 8;
-
-/// Every backend that can sever its link: the coop fault injector, the
-/// socket and ring paths (per-side injectors over real media), and the
-/// reliable layer over both a coop and a socket link.
-const BACKENDS: [&str; 5] = ["lossy", "tcp", "shm", "reliable+lossy", "reliable+tcp"];
-
-/// A `TransportSelect` for `name` whose link severs after `cut` frames.
-fn doomed(name: &str, cut: u64) -> TransportSelect {
-    let spec = FaultSpec::disconnect_after(SEED, cut);
-    match name {
-        "lossy" => TransportSelect::Lossy(spec),
-        "tcp" => TransportSelect::Tcp(tcp_opts().fault(spec)),
-        "shm" => TransportSelect::Shm(shm_opts().fault(spec)),
-        "reliable+lossy" => TransportSelect::reliable(ReliableInner::Lossy(spec)),
-        "reliable+tcp" => TransportSelect::reliable(ReliableInner::Tcp(tcp_opts().fault(spec))),
-        "reliable+shm" => TransportSelect::reliable(ReliableInner::Shm(shm_opts().fault(spec))),
-        other => panic!("unknown self-healing backend {other}"),
-    }
-}
-
-/// A *fresh, clean* `TransportSelect` of the same shape as [`doomed`]`(name)`
-/// — what the healed session is rebuilt on. The fault plan is inert
-/// (`FaultSpec::none`), so the backend name matches and the link never dies
-/// again.
-fn fresh(name: &str) -> TransportSelect {
-    let spec = FaultSpec::none(SEED);
-    match name {
-        "lossy" => TransportSelect::Lossy(spec),
-        "tcp" => TransportSelect::Tcp(tcp_opts()),
-        "shm" => TransportSelect::Shm(shm_opts()),
-        "reliable+lossy" => TransportSelect::reliable(ReliableInner::Lossy(spec)),
-        "reliable+tcp" => TransportSelect::reliable(ReliableInner::Tcp(tcp_opts())),
-        "reliable+shm" => TransportSelect::reliable(ReliableInner::Shm(shm_opts())),
-        other => panic!("unknown self-healing backend {other}"),
-    }
-}
-
-/// How a kill-and-heal run ended.
-#[derive(Debug, PartialEq, Eq)]
-enum HealPath {
-    /// The link died and the session resumed from its latest checkpoint at
-    /// this committed boundary.
-    Resumed { boundary: u64 },
-    /// The link died before the first checkpoint boundary: nothing to
-    /// resume, the run restarted from cycle zero on a fresh transport.
-    ColdRestart,
-    /// The cut landed beyond the run's traffic — the session finished
-    /// before the link could die.
-    Unharmed,
-}
-
-/// Runs `workload` over `name` with the link doomed to sever after `cut`
-/// frames, heals the wreck (resume from the latest auto-checkpoint onto a
-/// fresh transport, or cold-restart if no boundary passed), drives the
-/// healed session to the original target, and captures what it committed.
-fn kill_and_heal(name: &str, cut: u64, workload: &Workload) -> (Observed, HealPath) {
-    let blueprint = figure2_soc();
-    let mut sliced = build_session(doomed(name, cut), workload).into_sliced(workload.cycles);
-    sliced.set_auto_checkpoint(true);
-    sliced.set_checkpoint_interval(CHECKPOINT_EVERY);
-    let failure = loop {
-        // The sliced driver fails fast on a dead medium (no deadlock
-        // timeout to wait out); `Idle` on a live link only means frames are
-        // still in flight inside the medium.
-        match sliced.run_slice(256) {
-            Ok(SliceStatus::Done) => break None,
-            Ok(_) => continue,
-            Err(e) => break Some(e),
-        }
-    };
-    let Some(err) = failure else {
-        let session = sliced.into_session();
-        return (observe(&session, &blueprint), HealPath::Unharmed);
-    };
-    // The kill must surface as the typed death for this backend family:
-    // starvation-detected deadlock on bare links, an abandoned frame under
-    // the reliable layer.
-    match &err {
-        SimError::Deadlock { .. } if !name.starts_with("reliable") => {}
-        SimError::RetryBudgetExhausted { .. } if name.starts_with("reliable") => {}
-        other => panic!("{name}/cut={cut}: unexpected failure {other:?}"),
-    }
-    let checkpoint = sliced.take_latest_checkpoint();
-    let dead = sliced.into_session();
-    match checkpoint {
-        Some(ckpt) => {
-            // Round-trip through bytes: nothing but the blob needs to
-            // survive the dead session's teardown.
-            let ckpt = SessionCheckpoint::from_bytes(&ckpt.to_bytes()).expect("blob round-trips");
-            let boundary = ckpt.committed_cycles();
-            let mut healed = dead
-                .resume_from(&ckpt, fresh(name))
-                .expect("resume onto a fresh transport");
-            assert_eq!(
-                healed.committed_cycles(),
-                boundary,
-                "{name}/cut={cut}: healed session stands at the checkpoint boundary"
-            );
-            healed
-                .run_until_committed(workload.cycles)
-                .expect("healed run completes");
-            (observe(&healed, &blueprint), HealPath::Resumed { boundary })
-        }
-        None => {
-            drop(dead);
-            let mut restarted = build_session(fresh(name), workload);
-            restarted
-                .run_until_committed(workload.cycles)
-                .expect("restarted run completes");
-            (observe(&restarted, &blueprint), HealPath::ColdRestart)
-        }
-    }
-}
+/// Every backend that can sever its link: the in-process fault injector,
+/// the socket and ring paths, and the reliable layer over an in-process and
+/// a socket link.
+const SEVERABLE: [&str; 5] = ["lossy", "tcp", "shm", "reliable+lossy", "reliable+tcp"];
 
 /// Cut points derived from the baseline's own traffic volume: one early
 /// (a boundary or two in), one mid-run. `total_accesses` counts protocol
 /// sends, a lower bound on frames actually crossing any backend's link.
 fn default_cuts(straight: &Observed) -> [u64; 2] {
-    let frames = straight.channel.total_accesses().max(8);
+    let frames = straight.commit.channel.total_accesses().max(8);
     [frames / 6, frames / 2]
 }
 
-/// The tentpole acceptance: on every disconnectable backend, a session
-/// killed mid-run by a severed link resumes from its latest checkpoint onto
-/// a fresh transport and commits bit-identical results to the clean queue
-/// baseline.
-#[test]
-fn severed_link_heals_bit_identically_on_every_backend() {
-    let workload = workload_for(ModePolicy::Auto);
-    let straight = baseline(&workload);
-    for name in BACKENDS {
-        let mut resumed = 0;
-        for cut in default_cuts(&straight) {
-            let (observed, path) = kill_and_heal(name, cut, &workload);
-            assert_matches_baseline(&workload, name, &straight, &observed);
-            assert_ne!(
-                path,
-                HealPath::Unharmed,
-                "{name}/cut={cut}: the kill never fired — cut point too late"
-            );
-            if let HealPath::Resumed { boundary } = path {
-                assert!(boundary > 0, "{name}/cut={cut}: resumed from cycle zero?");
-                resumed += 1;
-            }
-        }
+/// Kills every row of `rows` at each of `cuts`, and asserts every row
+/// resumed from a checkpoint past cycle zero at least `resumes` times.
+fn kill_and_heal(n: usize, rows: &[&str], cuts: &[u64], resumes: usize) -> Vec<Heal> {
+    let (workload, rows) = ([workload_for(ModePolicy::Auto)], named(rows));
+    let heals: Vec<Vec<Heal>> = cuts
+        .iter()
+        .map(|&cut| for_each_cell(&workload, &[n], &rows, Perturbation::KillAndHeal(cut)))
+        .map(|cells| cells.into_iter().map(|(_, o)| o.heal.unwrap()).collect())
+        .collect();
+    for (r, row) in rows.iter().enumerate() {
+        let row_heals = heals.iter().map(|at_cut| at_cut[r]);
+        let boundaries: Vec<u64> = row_heals
+            .filter_map(|heal| match heal {
+                Heal::Resumed { boundary } => Some(boundary),
+                _ => None,
+            })
+            .collect();
+        let name = row.name;
+        assert!(!boundaries.contains(&0), "{name}/n={n}: resumed from zero");
         assert!(
-            resumed > 0,
-            "{name}: no cut point left a checkpoint behind — the resume path \
-             was never exercised"
+            boundaries.len() >= resumes,
+            "{name}/n={n}: resumed {boundaries:?} of {cuts:?} — the resume path \
+             was not exercised"
         );
     }
+    heals.concat()
+}
+
+/// The tentpole acceptance: on every severable backend, a session killed
+/// mid-run by a severed link resumes from its latest checkpoint onto a fresh
+/// transport and commits the clean queue baseline bit-identically.
+#[test]
+fn severed_link_heals_bit_identically_on_every_backend() {
+    let auto = workload_for(ModePolicy::Auto);
+    let heals = kill_and_heal(2, &SEVERABLE, &default_cuts(&baseline(&auto)), 1);
+    assert!(
+        !heals.contains(&Heal::Unharmed),
+        "a cut came too late: {heals:?}"
+    );
     // A three-domain mesh heals the same way: every link of it is doomed
     // (per-edge plans off one spec), the first to sever kills the run, and
     // `resume_from` rebuilds all three edges on fresh links under the cut.
-    let mesh = workload.at(3);
-    let straight = baseline(&mesh);
-    for name in ["reliable+tcp", "reliable+shm"] {
-        // A sixth of the mesh's traffic is half of one edge's.
-        let cut = default_cuts(&straight)[0];
-        let (observed, path) = kill_and_heal(name, cut, &mesh);
-        assert_matches_baseline(&mesh, name, &straight, &observed);
-        assert!(
-            matches!(path, HealPath::Resumed { boundary } if boundary > 0),
-            "{name}/n=3/cut={cut}: {path:?}"
-        );
-    }
+    // A sixth of the mesh's traffic is half of one edge's.
+    let cut = default_cuts(&baseline(&auto.at(3)))[0];
+    kill_and_heal(3, &["reliable+tcp", "reliable+shm"], &[cut], 1);
 }
 
 /// A kill before the first checkpoint boundary leaves nothing to resume:
@@ -209,16 +92,8 @@ fn severed_link_heals_bit_identically_on_every_backend() {
 /// transport still reaches the baseline.
 #[test]
 fn kill_before_first_boundary_cold_restarts() {
-    let workload = workload_for(ModePolicy::Auto);
-    let straight = baseline(&workload);
     // One frame: dead before the protocol can commit anything.
-    let (observed, path) = kill_and_heal("lossy", 1, &workload);
-    assert_eq!(
-        path,
-        HealPath::ColdRestart,
-        "no boundary can precede frame 1"
-    );
-    assert_matches_baseline(&workload, "lossy/cut=1", &straight, &observed);
+    assert_eq!(kill_and_heal(2, &["lossy"], &[1], 0), [Heal::ColdRestart]);
 }
 
 /// Resuming onto a transport of a *different* shape is rejected before any
@@ -226,7 +101,8 @@ fn kill_before_first_boundary_cold_restarts() {
 #[test]
 fn resume_onto_mismatched_backend_is_rejected() {
     let workload = workload_for(ModePolicy::Auto);
-    let mut sliced = build_session(doomed("lossy", u64::MAX), &workload).into_sliced(16);
+    let lossy = backend("lossy").with_fault(FaultSpec::disconnect_after(1, u64::MAX));
+    let mut sliced = build_session(lossy.select(), &workload).into_sliced(16);
     sliced.set_auto_checkpoint(true);
     sliced.set_checkpoint_interval(CHECKPOINT_EVERY);
     while !matches!(sliced.run_slice(256).expect("short run"), SliceStatus::Done) {}
@@ -245,33 +121,17 @@ fn resume_onto_mismatched_backend_is_rejected() {
 
 /// The full sweep (CI slow-tests): a ladder of kill points spanning the
 /// whole run — every auto-checkpoint boundary falls between two rungs — on
-/// every disconnectable backend. Each wreck heals bit-identically; the
-/// resume path must fire many times per backend.
+/// every severable backend. Each wreck heals bit-identically; the resume
+/// path must fire many times per backend.
 #[test]
 #[ignore = "minutes-long sweep; run by the CI slow-tests lane"]
 fn kill_at_every_boundary_sweep() {
     let workload = workload_for(ModePolicy::Auto);
-    let straight = baseline(&workload);
-    let frames = straight.channel.total_accesses().max(16);
+    let frames = baseline(&workload).commit.channel.total_accesses().max(16);
     // Rung spacing under half the traffic of a checkpoint interval: with
     // ~`frames / (cycles / CHECKPOINT_EVERY)` frames per interval, this
     // ladder brackets every boundary the run commits.
     let step = (frames * CHECKPOINT_EVERY / workload.cycles.max(1) / 2).max(1);
-    for name in BACKENDS {
-        let mut resumed = 0;
-        let mut cut = 1;
-        while cut < frames {
-            let (observed, path) = kill_and_heal(name, cut, &workload);
-            assert_matches_baseline(&workload, name, &straight, &observed);
-            if matches!(path, HealPath::Resumed { .. }) {
-                resumed += 1;
-            }
-            cut += step;
-        }
-        assert!(
-            resumed >= 4,
-            "{name}: the sweep resumed only {resumed} times — checkpoint \
-             cadence or kill plan is broken"
-        );
-    }
+    let cuts: Vec<u64> = (1..frames).step_by(step as usize).collect();
+    kill_and_heal(2, &SEVERABLE, &cuts, 4);
 }

@@ -9,8 +9,7 @@
 
 use predpkt_channel::{FaultSpec, ShmTransport, Side, Transport, WaitTransport};
 use predpkt_core::{
-    CoEmuConfig, EmuEvent, EmuObserver, EmuSession, ModePolicy, ReliableInner, ShmOptions,
-    TcpOptions, ThreadedOpts, TransportSelect,
+    CoEmuConfig, EmuEvent, EmuObserver, EmuSession, ModePolicy, ThreadedOpts, TransportSelect,
 };
 use predpkt_sim::SimError;
 use std::sync::{mpsc, Arc, Mutex};
@@ -18,6 +17,7 @@ use std::thread::{self, ThreadId};
 use std::time::Duration;
 
 mod common;
+use common::conformance::{backend_table, row, Backend};
 use common::figure2_soc;
 
 /// Watchdog: runs `f` on its own thread and fails loudly if it has not
@@ -44,39 +44,26 @@ fn config() -> CoEmuConfig {
         .rollback_vars(None)
 }
 
-/// Short waiting knobs so error paths surface in milliseconds, not the
-/// production 10-second deadlock window.
-fn snappy() -> ThreadedOpts {
-    ThreadedOpts {
+/// The backend table with short waiting knobs, so error paths surface in
+/// milliseconds, not the production 10-second deadlock window.
+fn table() -> Vec<Backend> {
+    backend_table(ThreadedOpts {
         poll_interval: Duration::from_micros(500),
         deadlock_timeout: Duration::from_millis(300),
-    }
+    })
 }
 
+/// Every row whose link ends are per side: the ones that own sockets,
+/// rings or channels a drop must release.
 fn backends() -> Vec<(&'static str, TransportSelect)> {
-    vec![
-        ("threaded", TransportSelect::Threaded(snappy())),
-        (
-            "tcp",
-            TransportSelect::Tcp(TcpOptions::default().threaded(snappy())),
-        ),
-        (
-            "shm",
-            TransportSelect::Shm(ShmOptions::default().threaded(snappy())),
-        ),
-        (
-            "shm+file",
-            TransportSelect::Shm(ShmOptions::default().threaded(snappy()).file_backed()),
-        ),
-        (
-            "reliable+tcp",
-            TransportSelect::reliable(ReliableInner::Tcp(TcpOptions::default().threaded(snappy()))),
-        ),
-        (
-            "reliable+shm",
-            TransportSelect::reliable(ReliableInner::Shm(ShmOptions::default().threaded(snappy()))),
-        ),
-    ]
+    let per_side = table().into_iter().filter(|b| !b.shares_medium);
+    per_side.map(|b| (b.name, b.select())).collect()
+}
+
+/// The short-knob row named `name`, under `fault` if given.
+fn select(name: &str, fault: Option<FaultSpec>) -> TransportSelect {
+    let clean = row(&table(), name);
+    fault.map_or(clean, |spec| clean.with_fault(spec)).select()
 }
 
 #[test]
@@ -120,11 +107,7 @@ fn dropping_a_session_that_died_mid_run_does_not_hang() {
     within("tcp+drops", Duration::from_secs(30), || {
         let mut session = EmuSession::from_blueprint(&figure2_soc())
             .config(config())
-            .transport(TransportSelect::Tcp(
-                TcpOptions::default()
-                    .threaded(snappy())
-                    .fault(FaultSpec::drops(0xdead, 1.0)),
-            ))
+            .transport(select("tcp", Some(FaultSpec::drops(0xdead, 1.0))))
             .build()
             .expect("session builds");
         match session.run_until_committed(1_000) {
@@ -201,9 +184,7 @@ fn repeated_shm_sessions_release_their_regions() {
         for i in 0..64 {
             let mut session = EmuSession::from_blueprint(&figure2_soc())
                 .config(config())
-                .transport(TransportSelect::Shm(
-                    ShmOptions::default().threaded(snappy()).file_backed(),
-                ))
+                .transport(select("shm+file", None))
                 .build()
                 .unwrap_or_else(|e| panic!("iteration {i}: build failed: {e}"));
             session
@@ -222,9 +203,7 @@ fn repeated_socket_sessions_release_their_descriptors() {
         for i in 0..64 {
             let mut session = EmuSession::from_blueprint(&figure2_soc())
                 .config(config())
-                .transport(TransportSelect::Tcp(
-                    TcpOptions::default().threaded(snappy()),
-                ))
+                .transport(select("tcp", None))
                 .build()
                 .unwrap_or_else(|e| panic!("iteration {i}: build failed: {e}"));
             session
@@ -249,9 +228,6 @@ fn every_observer_event_arrives_on_the_calling_thread() {
     // calls `run_until_committed`: an observer sees one thread, the
     // caller's, however many domains and whatever the medium.
     for (name, backend) in backends() {
-        if !matches!(name, "tcp" | "shm") {
-            continue;
-        }
         within(name, Duration::from_secs(30), move || {
             let seen = Arc::new(Mutex::new(Vec::new()));
             let mut session = EmuSession::from_blueprint(&figure2_soc())
@@ -318,9 +294,7 @@ fn repeated_sliced_socket_sessions_release_their_descriptors() {
         for i in 0..64 {
             let session = EmuSession::from_blueprint(&figure2_soc())
                 .config(config())
-                .transport(TransportSelect::Tcp(
-                    TcpOptions::default().threaded(snappy()),
-                ))
+                .transport(select("tcp", None))
                 .build()
                 .unwrap_or_else(|e| panic!("iteration {i}: build failed: {e}"));
             let mut sliced = session.into_sliced(40);
@@ -339,11 +313,7 @@ fn a_sliced_session_on_a_dead_medium_fails_fast_not_forever() {
     within("sliced tcp+drops", Duration::from_secs(30), || {
         let session = EmuSession::from_blueprint(&figure2_soc())
             .config(config())
-            .transport(TransportSelect::Tcp(
-                TcpOptions::default()
-                    .threaded(snappy())
-                    .fault(FaultSpec::drops(0xdead, 1.0)),
-            ))
+            .transport(select("tcp", Some(FaultSpec::drops(0xdead, 1.0))))
             .build()
             .expect("session builds");
         let mut sliced = session.into_sliced(1_000);
@@ -365,27 +335,9 @@ fn a_sliced_session_on_a_dead_medium_fails_fast_not_forever() {
 // N-domain fabric teardown: the same contract, three domains at a time.
 // ---------------------------------------------------------------------------
 
-fn fabric_backends() -> Vec<(&'static str, TransportSelect)> {
-    vec![
-        ("fabric+threaded", TransportSelect::Threaded(snappy())),
-        (
-            "fabric+tcp",
-            TransportSelect::Tcp(TcpOptions::default().threaded(snappy())),
-        ),
-        (
-            "fabric+shm",
-            TransportSelect::Shm(ShmOptions::default().threaded(snappy())),
-        ),
-        (
-            "fabric+reliable+tcp",
-            TransportSelect::reliable(ReliableInner::Tcp(TcpOptions::default().threaded(snappy()))),
-        ),
-    ]
-}
-
 #[test]
 fn dropping_an_unused_fabric_session_is_immediate() {
-    for (name, link) in fabric_backends() {
+    for (name, link) in backends() {
         within(name, Duration::from_secs(10), move || {
             let session = EmuSession::from_blueprint(&figure2_soc())
                 .domains(3)
@@ -403,7 +355,7 @@ fn dropping_a_partially_run_fabric_session_joins_all_domains() {
     // Three domains, three links: a mid-run halt must leave every socket
     // closable, exactly like the two-domain session — the N-way halt-linger
     // must end when the last port halts, not keep the run call spinning.
-    for (name, link) in fabric_backends() {
+    for (name, link) in backends() {
         within(name, Duration::from_secs(30), move || {
             let mut session = EmuSession::from_blueprint(&figure2_soc())
                 .domains(3)
@@ -428,11 +380,7 @@ fn a_fabric_with_one_wedged_link_wakes_every_blocked_domain() {
         let mut session = EmuSession::from_blueprint(&figure2_soc())
             .domains(3)
             .config(config())
-            .transport(TransportSelect::Tcp(
-                TcpOptions::default()
-                    .threaded(snappy())
-                    .fault(FaultSpec::drops(0xdead, 1.0)),
-            ))
+            .transport(select("tcp", Some(FaultSpec::drops(0xdead, 1.0))))
             .build()
             .expect("fabric session builds");
         match session.run_until_committed(1_000) {
@@ -454,9 +402,7 @@ fn repeated_fabric_shm_sessions_release_their_region_files() {
             let mut session = EmuSession::from_blueprint(&figure2_soc())
                 .domains(3)
                 .config(config())
-                .transport(TransportSelect::Shm(
-                    ShmOptions::default().threaded(snappy()).file_backed(),
-                ))
+                .transport(select("shm+file", None))
                 .build()
                 .unwrap_or_else(|e| panic!("iteration {i}: build failed: {e}"));
             session
@@ -480,9 +426,7 @@ fn repeated_fabric_socket_sessions_release_their_descriptors() {
                 let mut session = EmuSession::from_blueprint(&figure2_soc())
                     .domains(3)
                     .config(config())
-                    .transport(TransportSelect::Tcp(
-                        TcpOptions::default().threaded(snappy()),
-                    ))
+                    .transport(select("tcp", None))
                     .build()
                     .unwrap_or_else(|e| panic!("iteration {i}: build failed: {e}"));
                 session

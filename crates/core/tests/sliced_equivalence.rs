@@ -1,226 +1,133 @@
 //! Sliced scheduling conformance: driving a session to completion through
-//! [`SlicedSession::run_slice`] — any slice budget, with readiness-waited
-//! parking on `Idle` — commits exactly what one uninterrupted
-//! `run_until_committed` call commits, for every transport backend.
+//! [`SlicedSession::run_slice`](predpkt_core::SlicedSession::run_slice) —
+//! any slice budget, with readiness-waited parking on `Idle` — commits
+//! exactly what one uninterrupted `run_until_committed` commits, on every
+//! backend (the `Slice` perturbation of `common/conformance.rs`).
 //!
-//! This is the property the session farm stands on: a scheduler is free to
-//! preempt, park, and resume sessions at slice granularity without ever
-//! changing traces, channel statistics, or ledgers. The farm's own stress
-//! suite (`crates/farm/tests/farm_stress.rs`) re-checks it end-to-end through
-//! the worker pool; this suite pins the core mechanism in isolation, per
-//! backend and per slice budget, where a regression is easiest to localize.
+//! This is the property the session farm stands on: a scheduler may preempt,
+//! park and resume sessions at slice granularity without changing traces,
+//! channel statistics or ledgers. The farm's stress suite re-checks it
+//! through the worker pool; this suite pins the mechanism in isolation.
 
 mod common;
 
-use std::time::{Duration, Instant};
-
 use common::conformance::{
-    assert_matches_baseline, baseline, conformant_backends, observe, workload_config,
-    workload_matrix, Observed, Workload,
+    assert_same_commit, backends, baseline, build_session, for_each_cell, named, observe,
+    workload_config, workload_for, workload_matrix, Commit, Perturbation,
 };
 use common::figure2_soc;
-use predpkt_channel::{PollReady, PollSet};
-use predpkt_core::{
-    CoEmulator, EmuObserver, EmuSession, EventLog, SliceStatus, SlicedSession, TransportSelect,
-};
+use predpkt_channel::{PollReady, Readiness};
+use predpkt_core::{CoEmulator, ModePolicy, SliceStatus, TransportSelect};
 
-/// Drives `sliced` to `Done`, parking on the readiness poll-set whenever the
-/// slice reports `Idle` — the same wait discipline the farm's poller uses,
-/// over a single session. Returns how many slices the run took.
-fn drive<M>(sliced: &mut SlicedSession<M>, slice_steps: u32) -> usize
-where
-    M: predpkt_core::DomainModel + Send + 'static,
-{
-    let poll = PollSet::syscall_probes();
-    let deadline = Instant::now() + Duration::from_secs(60);
-    for slices in 1.. {
-        match sliced.run_slice(slice_steps).expect("sliced run completes") {
-            SliceStatus::Done => return slices,
-            SliceStatus::Working => {}
-            SliceStatus::Idle => {
-                let mut sources = [&mut *sliced];
-                poll.wait_any(&mut sources, Duration::from_millis(2));
-            }
-        }
-        assert!(
-            Instant::now() < deadline,
-            "sliced {} run wedged mid-flight",
-            sliced.backend()
-        );
-    }
-    unreachable!("the loop returns at `Done`")
-}
-
-/// Runs `workload` over `backend` in slices of `slice_steps` rounds.
-fn run_workload_sliced(
-    backend: TransportSelect,
-    workload: &Workload,
-    slice_steps: u32,
-) -> Observed {
-    run_workload_sliced_observed(backend, workload, slice_steps, None).0
-}
-
-/// [`run_workload_sliced`] with an optional observer on the session; also
-/// returns how many slices the run took.
-fn run_workload_sliced_observed(
-    backend: TransportSelect,
-    workload: &Workload,
-    slice_steps: u32,
-    observer: Option<Box<dyn EmuObserver>>,
-) -> (Observed, usize) {
-    let blueprint = figure2_soc();
-    let mut builder = EmuSession::from_blueprint(&blueprint)
-        .domains(workload.domains)
-        .config(workload_config(workload))
-        .transport(backend);
-    if let Some(observer) = observer {
-        builder = builder.observer(observer);
-    }
-    let mut sliced = builder
-        .build()
-        .expect("session builds")
-        .into_sliced(workload.cycles);
-    let slices = drive(&mut sliced, slice_steps);
-    (observe(&sliced.into_session(), &blueprint), slices)
-}
-
-/// Every backend, every workload, a mid-sized slice budget: sliced == direct.
+/// Every backend, every workload, a mid-sized slice budget.
 #[test]
 fn sliced_runs_match_queue_baseline_across_backends() {
-    for workload in workload_matrix() {
-        let expect = baseline(&workload);
-        for (name, backend) in conformant_backends() {
-            let observed = run_workload_sliced(backend, &workload, 64);
-            assert_matches_baseline(&workload, &format!("sliced+{name}"), &expect, &observed);
+    for_each_cell(
+        &workload_matrix(),
+        &[2],
+        &backends(),
+        Perturbation::Slice(64),
+    );
+}
+
+/// The slice budget is scheduling policy, not semantics: pathological
+/// budgets (single-round slices, one giant slice) commit the same results,
+/// over two domains and a three-domain mesh.
+///
+/// And the budget counts the same thing everywhere, because one loop runs
+/// every backend: a round is a round whether the ports share one channel
+/// (`queue`, and a bare [`CoEmulator`]) or have one each (`threaded`, whose
+/// mpsc medium is as prompt as the queue), so those runs take the same number
+/// of slices and emit the same observer events in the same order.
+#[test]
+fn slice_budget_does_not_change_committed_results() {
+    let workload = workload_for(ModePolicy::Auto);
+    let rows = named(&["queue", "threaded", "shm"]);
+    for n in [2, 3] {
+        for steps in [1, 7, 1 << 20] {
+            let cells = for_each_cell(&[workload], &[n], &rows, Perturbation::Slice(steps));
+            let (queue, threaded) = (&cells[0].1, &cells[1].1);
+            // Up to one more round where the ends are per side: the halting
+            // port's last message leaves its batching outbox in the next
+            // round's linger.
+            assert!(
+                threaded.slices.abs_diff(queue.slices) <= 1,
+                "n={n} budget {steps}: queue {} slices, threaded {}",
+                queue.slices,
+                threaded.slices
+            );
+            assert!(
+                queue.events == threaded.events,
+                "n={n} budget {steps}: observer events differ"
+            );
+            if n == 2 {
+                assert_bare_coemulator_slices_alike(steps, queue.slices);
+            }
         }
     }
 }
 
-/// The slice budget is scheduling policy, not semantics: pathological budgets
-/// (single-round slices, one giant slice) commit the same results.
-///
-/// And the budget counts the same thing everywhere, because one loop runs
-/// every backend: a round is a round whether the two ports share one channel
-/// (`queue`, and a bare [`CoEmulator`]) or have one each (`threaded`, whose
-/// mpsc medium is as prompt as the queue), so those runs take the same number
-/// of slices and emit the same observer events in the same order — the whole
-/// stream, which is more than each domain's own.
-///
-/// A three-domain mesh takes the same budgets: six ports a round instead of
-/// two, the same committed results.
-#[test]
-fn slice_budget_does_not_change_committed_results() {
-    for (domains, slice_steps) in [2, 3]
-        .into_iter()
-        .flat_map(|n| [1, 7, 1 << 20].map(|s| (n, s)))
-    {
-        let workload = workload_matrix().remove(0).at(domains);
-        let expect = baseline(&workload);
-        let mut schedules = Vec::new();
-        for (name, backend) in [
-            ("queue", TransportSelect::Queue),
-            (
-                "threaded",
-                TransportSelect::Threaded(common::conformance::test_opts()),
-            ),
-            ("shm", TransportSelect::Shm(common::conformance::shm_opts())),
-        ] {
-            let log = EventLog::new();
-            let observer: Box<dyn EmuObserver> = Box::new(log.clone());
-            let (observed, slices) =
-                run_workload_sliced_observed(backend, &workload, slice_steps, Some(observer));
-            let name = format!("n={domains} sliced[{slice_steps}]+{name}");
-            assert_matches_baseline(&workload, &name, &expect, &observed);
-            if domains > 2 {
-                // Every backend splits a mesh by link end alike.
-                assert_eq!(expect.domains, observed.domains, "{name}: per domain");
-            }
-            schedules.push((name, slices, log.events()));
-        }
-        let (queue, threaded) = (&schedules[0], &schedules[1]);
-        // Up to one more round where the ends are per side: the halting
-        // port's last message leaves its batching outbox in the next round's
-        // linger.
-        assert!(
-            threaded.1.abs_diff(queue.1) <= 1,
-            "{}: {} slices, {}: {}",
-            queue.0,
-            queue.1,
-            threaded.0,
-            threaded.1
-        );
-        assert!(
-            queue.2 == threaded.2,
-            "{} vs {}: observer events differ",
-            queue.0,
-            threaded.0
-        );
-        if domains > 2 {
-            continue; // a bare co-emulator is two domains
-        }
-
-        let blueprint = figure2_soc();
-        let (sim, acc) = blueprint.build_pair().expect("Fig. 2 builds");
-        let mut bare = CoEmulator::new(sim, acc, workload_config(&workload));
-        let mut slices = 1;
-        while bare.run_slice(workload.cycles, slice_steps).expect("runs") != SliceStatus::Done {
-            slices += 1;
-        }
-        let name = format!("sliced[{slice_steps}]+coemulator");
-        assert_eq!(slices, queue.1, "{name}: slices");
-        assert_eq!(bare.committed_cycles(), expect.committed, "{name}");
-        let placement = blueprint.placement();
-        let trace = bare.merged_trace(|s, a| placement.merge_records(s, a));
-        assert_eq!(trace.hash(), expect.trace_hash, "{name}: trace");
-        assert_eq!(*bare.channel_stats(), expect.channel, "{name}: channel");
-        assert_eq!(bare.ledger().total(), expect.ledger_total, "{name}: ledger");
+/// A bare [`CoEmulator`] driven by `run_slice` takes the queue session's
+/// slice count and commits its baseline.
+fn assert_bare_coemulator_slices_alike(steps: u32, queue_slices: usize) {
+    let workload = workload_for(ModePolicy::Auto);
+    let blueprint = figure2_soc();
+    let (sim, acc) = blueprint.build_pair().expect("Fig. 2 builds");
+    let mut bare = CoEmulator::new(sim, acc, workload_config(&workload));
+    let mut slices = 1;
+    while bare.run_slice(workload.cycles, steps).expect("runs") != SliceStatus::Done {
+        slices += 1;
     }
+    assert_eq!(
+        slices, queue_slices,
+        "budget {steps}: a bare co-emulator's slices"
+    );
+    let placement = blueprint.placement();
+    let trace = bare.merged_trace(|s, a| placement.merge_records(s, a));
+    let commit = Commit {
+        edge_hashes: vec![trace.hash()],
+        committed: bare.committed_cycles(),
+        channel: bare.channel_stats().clone(),
+        ledger_total: bare.ledger().total(),
+        sim_rollbacks: bare.sim_stats().rollbacks,
+        acc_flushes: bare.acc_stats().flushes,
+    };
+    assert_eq!(baseline(&workload).commit, commit, "budget {steps}: bare");
 }
 
 /// `Done` is sticky: re-slicing a finished session is a no-op, and the
 /// session unwraps with its results intact.
 #[test]
 fn done_is_idempotent() {
-    let workload = workload_matrix().remove(0);
-    let blueprint = figure2_soc();
-    let session = EmuSession::from_blueprint(&blueprint)
-        .config(workload_config(&workload))
-        .transport(TransportSelect::Queue)
-        .build()
-        .expect("session builds");
-    let mut sliced = session.into_sliced(workload.cycles);
-    drive(&mut sliced, 64);
+    let workload = workload_for(ModePolicy::Auto);
+    let mut sliced = build_session(TransportSelect::Queue, &workload).into_sliced(workload.cycles);
+    while sliced.run_slice(64).expect("runs") != SliceStatus::Done {}
     for _ in 0..3 {
         assert_eq!(sliced.run_slice(16).expect("still ok"), SliceStatus::Done);
     }
-    assert!(sliced.committed_cycles() >= workload.cycles);
-    let expect = baseline(&workload);
-    let observed = observe(&sliced.into_session(), &blueprint);
-    assert_matches_baseline(&workload, "sliced+idempotent", &expect, &observed);
+    let observed = observe(&sliced.into_session());
+    assert_same_commit("sliced+idempotent", &baseline(&workload), &observed);
 }
 
-/// A queue-backed sliced session is always `Ready` (its whole medium is
-/// in-object), so a scheduler never parks it.
+/// A sliced session over a shared medium is always `Ready` (its whole
+/// medium is in-object), so a scheduler never parks it.
 #[test]
 fn queue_backed_sessions_never_report_idle_readiness() {
-    let workload = workload_matrix().remove(0);
-    let blueprint = figure2_soc();
-    let session = EmuSession::from_blueprint(&blueprint)
-        .config(workload_config(&workload))
-        .transport(TransportSelect::Queue)
-        .build()
-        .expect("session builds");
-    let mut sliced = session.into_sliced(workload.cycles);
-    loop {
-        assert_eq!(
-            sliced.readiness(),
-            predpkt_channel::Readiness::Ready,
-            "queue-backed sessions are always schedulable"
-        );
-        match sliced.run_slice(32).expect("run ok") {
-            SliceStatus::Done => break,
-            SliceStatus::Working => {}
-            SliceStatus::Idle => panic!("queue-backed session reported Idle"),
+    let workload = workload_for(ModePolicy::Auto);
+    for backend in backends().into_iter().filter(|b| b.shares_medium) {
+        let mut sliced = build_session(backend.select(), &workload).into_sliced(workload.cycles);
+        loop {
+            let name = backend.name;
+            assert_eq!(
+                sliced.readiness(),
+                Readiness::Ready,
+                "{name}: a shared medium is always schedulable"
+            );
+            match sliced.run_slice(32).expect("run ok") {
+                SliceStatus::Done => break,
+                SliceStatus::Working => {}
+                SliceStatus::Idle => panic!("{name}: a shared-medium session reported Idle"),
+            }
         }
     }
 }

@@ -49,6 +49,20 @@ fn transport_for(i: usize) -> TransportSelect {
     }
 }
 
+/// A healable session's link: a socket or a ring, its first incarnation
+/// armed with `doom`, every respawn clean.
+fn doomed_link(shm: bool, incarnation: u32, doom: FaultSpec) -> TransportSelect {
+    let fault = (incarnation == 1).then_some(doom);
+    let tcp = TcpOptions::default().threaded(snappy());
+    let ring = ShmOptions::default().threaded(snappy());
+    match (shm, fault) {
+        (false, None) => TransportSelect::Tcp(tcp),
+        (false, Some(spec)) => TransportSelect::Tcp(tcp.fault(spec)),
+        (true, None) => TransportSelect::Shm(ring),
+        (true, Some(spec)) => TransportSelect::Shm(ring.fault(spec)),
+    }
+}
+
 /// The conformance ledger fields a farm run is compared on.
 #[derive(Debug, PartialEq)]
 struct Observed {
@@ -550,8 +564,8 @@ fn failed_session_carries_its_last_cut() {
 }
 
 /// The self-healing tentpole, failure path: a healable session whose socket
-/// link severs mid-run is auto-readmitted — rebuilt on a fresh transport
-/// after its backoff, resumed from its last cut — and completes
+/// or ring link severs mid-run is auto-readmitted — rebuilt on a fresh
+/// transport after its backoff, resumed from its last cut — and completes
 /// bit-identically to its direct run, while a dozen live sessions sharing
 /// the pool are untouched. The death never shows in the final outcomes;
 /// only the `readmitted` counter records the heal.
@@ -574,24 +588,19 @@ fn severed_link_session_heals_in_place_without_stalling_live_sessions() {
             ),
     )
     .expect("farm builds");
-    let mut incarnation = 0u32;
-    let healable = farm
-        .submit_healable(move || {
+    let healables = [false, true].map(|shm| {
+        let mut incarnation = 0u32;
+        let id = farm.submit_healable(move || {
             incarnation += 1;
-            // First incarnation is doomed; every respawn gets a clean link.
-            let opts = TcpOptions::default().threaded(snappy());
-            let opts = if incarnation == 1 {
-                opts.fault(FaultSpec::disconnect_after(9, CUT))
-            } else {
-                opts
-            };
+            let doom = FaultSpec::disconnect_after(9, CUT);
             Ok(EmuSession::from_blueprint(&figure2_soc(SEED))
                 .config(config())
-                .transport(TransportSelect::Tcp(opts))
+                .transport(doomed_link(shm, incarnation, doom))
                 .build()?
                 .into_sliced(CYCLES))
-        })
-        .expect("healable admitted");
+        });
+        (shm, id.expect("healable admitted"))
+    });
     let mut live = Vec::new();
     for i in 0..12 {
         let seed = i as u64;
@@ -608,25 +617,30 @@ fn severed_link_session_heals_in_place_without_stalling_live_sessions() {
         );
     }
     let report = farm.join();
-    let healed = report.result(healable).expect("healable reported");
-    assert!(
-        healed.outcome.is_completed(),
-        "the healed session must complete, ended {}",
-        healed.outcome
-    );
-    let session = healed.session.as_ref().expect("keep_sessions retains it");
+    for (shm, healable) in healables {
+        let healed = report.result(healable).expect("healable reported");
+        assert!(
+            healed.outcome.is_completed(),
+            "shm={shm}: the healed session must complete, ended {}",
+            healed.outcome
+        );
+        let session = healed.session.as_ref().expect("keep_sessions retains it");
+        assert_eq!(
+            observe(session, SEED),
+            direct_baseline(SEED),
+            "shm={shm}: the healed run diverged from its direct run"
+        );
+    }
     assert_eq!(
-        observe(session, SEED),
-        direct_baseline(SEED),
-        "the healed run diverged from its direct run"
-    );
-    assert_eq!(
-        report.stats.readmitted, 1,
-        "exactly one heal: {}",
+        report.stats.readmitted, 2,
+        "exactly one heal each: {}",
         report.stats
     );
     assert_eq!(report.stats.gave_up, 0);
-    assert_eq!(report.stats.failed, 0, "the death was healed, not recorded");
+    assert_eq!(
+        report.stats.failed, 0,
+        "the deaths were healed, not recorded"
+    );
     assert!(report.stats.backoff >= Duration::from_millis(1));
     for (i, id) in live.into_iter().enumerate() {
         let r = report.result(id).expect("live session reported");
@@ -649,7 +663,8 @@ fn severed_link_session_heals_in_place_without_stalling_live_sessions() {
 /// swallowed, link looks alive) wedges its session into the parked set; the
 /// eviction sweep pulls it with its cut, the re-admission policy heals it on
 /// a fresh link, and the final outcomes show a completed session — zero
-/// evictions — with the heal visible only in the counters.
+/// evictions — with the heal visible only in the counters. Over sockets and
+/// rings alike.
 #[test]
 fn wedged_link_session_heals_through_the_eviction_path() {
     const SEED: u64 = 11;
@@ -672,31 +687,31 @@ fn wedged_link_session_heals_through_the_eviction_path() {
     // Two domains, and a three-domain mesh in the same pool: every one of its
     // links hangs, the cut spans all three edges, and the re-admission
     // rebuilds the whole mesh under it.
-    let healables = [2usize, 3].map(|domains| {
-        let mut incarnation = 0u32;
-        let id = farm.submit_healable(move || {
-            incarnation += 1;
-            let opts = TcpOptions::default().threaded(snappy());
-            let opts = if incarnation == 1 {
-                opts.fault(FaultSpec::hang_after(13, CUT))
-            } else {
-                opts
-            };
-            Ok(EmuSession::from_blueprint(&figure2_soc(SEED))
-                .domains(domains)
-                .config(config())
-                .transport(TransportSelect::Tcp(opts))
-                .build()?
-                .into_sliced(CYCLES))
-        });
-        (domains, id.expect("healable admitted"))
-    });
+    let shapes = [false, true]
+        .into_iter()
+        .flat_map(|shm| [(shm, 2), (shm, 3)]);
+    let healables: Vec<_> = shapes
+        .map(|(shm, domains)| {
+            let mut incarnation = 0u32;
+            let id = farm.submit_healable(move || {
+                incarnation += 1;
+                let doom = FaultSpec::hang_after(13, CUT);
+                Ok(EmuSession::from_blueprint(&figure2_soc(SEED))
+                    .domains(domains)
+                    .config(config())
+                    .transport(doomed_link(shm, incarnation, doom))
+                    .build()?
+                    .into_sliced(CYCLES))
+            });
+            (shm, domains, id.expect("healable admitted"))
+        })
+        .collect();
     let report = farm.join();
-    for (domains, healable) in healables {
+    for &(shm, domains, healable) in &healables {
         let healed = report.result(healable).expect("healable reported");
         assert!(
             healed.outcome.is_completed(),
-            "n={domains}: the healed session must complete, ended {}",
+            "shm={shm} n={domains}: the healed session must complete, ended {}",
             healed.outcome
         );
         let session = healed.session.as_ref().expect("keep_sessions retains it");
@@ -704,11 +719,12 @@ fn wedged_link_session_heals_through_the_eviction_path() {
         assert_eq!(
             observe(session, SEED),
             direct_mesh_baseline(SEED, domains),
-            "n={domains}: the healed run diverged from its direct run"
+            "shm={shm} n={domains}: the healed run diverged from its direct run"
         );
     }
     assert_eq!(
-        report.stats.readmitted, 2,
+        report.stats.readmitted,
+        healables.len() as u64,
         "one heal each: {}",
         report.stats
     );
