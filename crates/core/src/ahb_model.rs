@@ -21,22 +21,36 @@
 //! Every component is a Moore machine, so its outputs for the upcoming cycle
 //! are fixed from the clock edge that ended the last one. The model keeps one
 //! pair of full signal vectors — a local slot holds its component's outputs, a
-//! remote slot the proxy value — and the local slots' packed words, refreshed
-//! by one `latch()` at the places component state changes: the end of
-//! [`AhbDomainModel::new`], of [`tick`](DomainModel::tick) and of a successful
-//! [`restore`](Snapshot::restore) or [`rewind`](Snapshot::rewind). Nothing
-//! else can mutate a component ([`master_as`](AhbDomainModel::master_as) and
+//! remote slot the proxy value — and the local slots' packed words, each slot
+//! at a fixed offset, refreshed at the places component state changes. The
+//! end of every [`tick`](DomainModel::tick) runs `latch()`, which calls
+//! `outputs()` once per local component and repacks only the slots whose
+//! value changed; the end of [`AhbDomainModel::new`] and of a successful
+//! [`restore`](Snapshot::restore) or [`rewind`](Snapshot::rewind) runs
+//! `relatch()`, which repacks every slot. Nothing else can mutate a
+//! component ([`master_as`](AhbDomainModel::master_as) and
 //! [`slave_as`](AhbDomainModel::slave_as) lend `&T`, and the component traits
 //! have no mutable upcast), so between edges `local_outputs_into`, the trace
-//! record, `verify_prediction` and `tick` read the slots and dispatch nothing:
+//! record, the lagger's check and `tick` read the slots and dispatch nothing:
 //! `outputs()` runs once per component per cycle. A debug build checks the
-//! slots against a fresh `outputs()` at the top of every `tick`.
+//! slots against a fresh `outputs()` at the top of every tick.
 //!
-//! The latched values are derived state and are never part of a snapshot:
-//! `save` writes the idle value for every local slot (where the proxy vectors
-//! of earlier versions always held idle) and the proxy for every remote slot,
-//! so the rollback-variable count and every checkpoint byte are unchanged
-//! (see [`Slots`]).
+//! The proxies are kept packed too, in the peer's order: the words the peer
+//! would send for them.
+//! [`predict_remote_into`](DomainModel::predict_remote_into) writes them with
+//! the prediction (HPROT masked to the four bits the wire carries, so a
+//! proxy is what a pack/unpack round trip would give) and copies them into
+//! the LOB entry, and a tick unpacks only the peer chunks that differ from
+//! them: a tick on the prediction just made unpacks nothing. The lagger's
+//! [`verify_and_tick`](DomainModel::verify_and_tick) takes the leader's
+//! words once and checks the prediction and ticks on one `CycleView`.
+//!
+//! The latched values and the proxies' words are derived state and are
+//! never part of a snapshot: `save` writes the idle value for every local
+//! slot (where the proxy vectors of earlier versions always held idle) and
+//! the proxy for every remote slot, so the rollback-variable count and every
+//! checkpoint byte are unchanged, and `relatch()` rebuilds the proxies'
+//! words from what a restore or rewind read (see [`Slots`]).
 
 use crate::blueprint::Placement;
 use crate::model::{DomainModel, TickKind};
@@ -64,10 +78,15 @@ pub struct AhbDomainModel {
     /// The full slave vector, as `full_m`.
     full_s: Slots<SlaveSignals>,
     /// The local slots packed in canonical order (masters ascending, then
-    /// slaves): the cycle's LOB words and its trace record.
+    /// slaves), each at a fixed offset: the cycle's LOB words and its trace
+    /// record.
     packed: Vec<u32>,
-    /// Width of the peer's packed outputs.
-    remote_width: usize,
+    /// The proxies packed as the peer packs its outputs, kept equal to what
+    /// the remote slots hold: a peer chunk equal to its run here is not
+    /// unpacked again. Derived state, rebuilt by every restore and rewind.
+    remote: Vec<u32>,
+    /// Where the peer's slaves start in `remote`.
+    remote_slaves_at: usize,
     m_pred: Vec<Option<Box<dyn MasterPredictor>>>,
     s_pred: Vec<Option<Box<dyn SlavePredictor>>>,
     trace: Trace,
@@ -83,7 +102,7 @@ const MAX_COMPONENTS: usize = 16;
 /// slot per component in bus order: a local component's latched outputs, a
 /// remote one's proxy. Only the proxies are rollback state: a local slot is
 /// saved as the idle value, and what a restore reads into it stands until
-/// the model's next `latch`.
+/// the model relatches.
 #[derive(Clone, Copy)]
 struct Slots<S> {
     sig: [S; MAX_COMPONENTS],
@@ -134,6 +153,26 @@ impl<S: Snapshot + Copy + Default> Snapshot for Slots<S> {
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         self.iter_mut().try_for_each(|sig| sig.restore(r))
     }
+}
+
+/// Takes `chunk`, a peer's words for one component, into `proxy`, unpacking
+/// them only if they differ from `held`, the proxy's words. Returns `false`,
+/// leaving both as they were, if they do not unpack.
+fn take<S, const W: usize>(
+    proxy: &mut S,
+    held: &mut [u32],
+    chunk: &[u32; W],
+    unpack: fn(&[u32; W]) -> Option<S>,
+) -> bool {
+    if held == chunk {
+        return true;
+    }
+    let Some(sig) = unpack(chunk) else {
+        return false;
+    };
+    *proxy = sig;
+    held.copy_from_slice(chunk);
+    true
 }
 
 /// Splits the first `N` words off `words`.
@@ -248,8 +287,9 @@ impl AhbDomainModel {
             side,
             full_m: Slots::new(masters.iter().map(Option::is_some)),
             full_s: Slots::new(slaves.iter().map(Option::is_some)),
-            packed: Vec::with_capacity(placement.local_width(side)),
-            remote_width: placement.local_width(side.peer()),
+            packed: vec![0; placement.local_width(side)],
+            remote: vec![0; placement.local_width(side.peer())],
+            remote_slaves_at: 3 * placement.masters.iter().filter(|&&d| d != side).count(),
             masters,
             slaves,
             placement,
@@ -259,25 +299,63 @@ impl AhbDomainModel {
             trace: Trace::new(),
             cycle: 0,
         };
-        model.latch();
+        model.relatch();
         model
     }
 
     /// Latches every local component's Moore outputs for the upcoming cycle
-    /// into its slot and repacks them. Runs wherever component state can have
-    /// changed (see "Latched outputs" in the module docs) and nowhere else.
+    /// into its slot and repacks those that changed. Runs at the end of
+    /// every tick (see "Latched outputs" in the module docs) and nowhere
+    /// else.
     fn latch(&mut self) {
-        self.packed.clear();
+        self.latch_slots(false);
+    }
+
+    /// [`latch`](Self::latch), repacking every local slot, and repacks the
+    /// proxies: where nothing packed what the slots hold — at construction,
+    /// and after a restore or rewind, which read the saved idle values into
+    /// the local slots and the saved proxies into the remote ones.
+    fn relatch(&mut self) {
+        self.latch_slots(true);
+        let mut at = 0;
+        for (sig, &domain) in self.full_m.iter().zip(&self.placement.masters) {
+            if domain != self.side {
+                self.remote[at..at + 3].copy_from_slice(&sig.pack());
+                at += 3;
+            }
+        }
+        for (sig, &domain) in self.full_s.iter().zip(&self.placement.slaves) {
+            if domain != self.side {
+                self.remote[at..at + 2].copy_from_slice(&sig.pack());
+                at += 2;
+            }
+        }
+    }
+
+    /// Latches the local slots, packing those that changed, or all of them
+    /// if `all` is set. A component's outputs are compared before they are
+    /// copied: a value a call just returned is read field by field, not
+    /// reloaded whole, unless it changed.
+    fn latch_slots(&mut self, all: bool) {
+        let mut at = 0;
         for (slot, c) in self.full_m.iter_mut().zip(&self.masters) {
             if let Some(c) = c {
-                *slot = c.outputs();
-                self.packed.extend_from_slice(&slot.pack());
+                let sig = c.outputs();
+                if all || *slot != sig {
+                    *slot = sig;
+                    self.packed[at..at + 3].copy_from_slice(&sig.pack());
+                }
+                at += 3;
             }
         }
         for (slot, c) in self.full_s.iter_mut().zip(&self.slaves) {
             if let Some(c) = c {
-                *slot = c.outputs();
-                self.packed.extend_from_slice(&slot.pack());
+                let sig = c.outputs();
+                if all || *slot != sig {
+                    *slot = sig;
+                    self.packed[at..at + 2].copy_from_slice(&sig.pack());
+                }
+                at += 2;
             }
         }
     }
@@ -304,6 +382,93 @@ impl AhbDomainModel {
         masters && slaves && rest.is_empty()
     }
 
+    /// The upcoming cycle's view, with `remote`, the peer's packed outputs
+    /// for it, taken into the proxy slots: only the chunks that differ from
+    /// the proxies' words are unpacked, so a tick on the prediction just
+    /// made unpacks nothing.
+    fn cycle_view(&mut self, remote: &[u32]) -> CycleView {
+        debug_assert!(
+            self.latch_is_current(),
+            "a component changed state since the last latch"
+        );
+        if remote != self.remote {
+            let (m, s) = (&mut self.full_m, &mut self.full_s);
+            let (m_held, s_held) = self.remote.split_at_mut(self.remote_slaves_at);
+            let (mut m_held, mut s_held) = (m_held.chunks_exact_mut(3), s_held.chunks_exact_mut(2));
+            let well_formed = walk_remote(
+                &self.placement,
+                self.side,
+                remote,
+                |i, chunk| {
+                    let held = m_held.next().expect("a run per remote master");
+                    take(&mut m[i], held, chunk, MasterSignals::unpack)
+                },
+                |j, chunk| {
+                    let held = s_held.next().expect("a run per remote slave");
+                    take(&mut s[j], held, chunk, SlaveSignals::unpack)
+                },
+            );
+            assert!(
+                well_formed,
+                "malformed remote signals: the wrapper passes peer vectors through check_remote first"
+            );
+        }
+        self.fabric.view(&self.full_m, &self.full_s)
+    }
+
+    /// Advances one cycle on `view`, built by [`cycle_view`](Self::cycle_view)
+    /// from the slots as they are.
+    fn advance(&mut self, view: &CycleView, kind: TickKind) {
+        let full_m = &self.full_m[..];
+        let full_s = &self.full_s[..];
+        if kind == TickKind::Actual {
+            // Train predictors on the observed remote values.
+            for (i, pred) in self.m_pred.iter_mut().enumerate() {
+                if let Some(p) = pred {
+                    let accepted = view.grant == MasterId(i) && view.hready;
+                    p.observe(&full_m[i], accepted);
+                }
+            }
+            for (j, pred) in self.s_pred.iter_mut().enumerate() {
+                if let Some(p) = pred {
+                    let dp_first = view.dp.as_ref().and_then(|dp| {
+                        (dp.slave == Some(SlaveId(j)))
+                            .then(|| dp.trans == predpkt_ahb::signals::Htrans::Nonseq)
+                    });
+                    p.observe(&full_s[j], dp_first);
+                }
+            }
+        }
+
+        // Record the committed local outputs before state changes.
+        self.trace
+            .record_words(self.packed.iter().map(|&w| u64::from(w)));
+
+        for (i, slot) in self.masters.iter_mut().enumerate() {
+            if let Some(c) = slot {
+                c.tick(&self.fabric.master_view(view, MasterId(i)));
+            }
+        }
+        for (j, slot) in self.slaves.iter_mut().enumerate() {
+            if let Some(c) = slot {
+                c.tick(&self.fabric.slave_view(view, SlaveId(j)));
+            }
+        }
+        self.fabric.tick(view, full_m, full_s);
+
+        // Prime wait predictors: an accepted address phase at a remote slave
+        // opens a data phase there next cycle.
+        if view.hready && view.addr_phase.trans.is_active() {
+            if let Some(s) = view.addr_phase.slave {
+                if let Some(p) = &mut self.s_pred[s.0] {
+                    p.begin_phase(view.addr_phase.trans == predpkt_ahb::signals::Htrans::Nonseq);
+                }
+            }
+        }
+        self.cycle += 1;
+        self.latch();
+    }
+
     /// `true` where the MSABS active projections (see the module docs) of
     /// this domain's actual outputs — the local slots of `full_m` / `full_s`
     /// — and of `predicted`, a packed prediction of them, agree under `view`.
@@ -318,6 +483,10 @@ impl AhbDomainModel {
         view: &CycleView,
         leader: Side,
     ) -> bool {
+        // Our packed outputs agree with themselves in every position.
+        if predicted == self.packed {
+            return true;
+        }
         let mut rest = predicted;
         for (i, a) in full_m.iter().enumerate() {
             if self.placement.masters[i] != self.side {
@@ -411,7 +580,7 @@ impl DomainModel for AhbDomainModel {
     }
 
     fn remote_width(&self) -> usize {
-        self.remote_width
+        self.remote.len()
     }
 
     fn local_outputs(&self) -> Vec<u32> {
@@ -462,21 +631,35 @@ impl DomainModel for AhbDomainModel {
     }
 
     fn predict_remote_into(&mut self, out: &mut Vec<u32>) {
-        // Predict each remote component's signals, updating proxy slots so the
-        // subsequent tick sees them.
+        // Predict each remote component's signals, updating the proxies and
+        // their words so the subsequent tick sees them. A prediction is
+        // compared with its slot before it is copied, as in `latch_slots`.
         let dp_slave = self.fabric.data_phase().and_then(|dp| dp.slave);
+        let mut at = 0;
         for (proxy, pred) in self.full_m.iter_mut().zip(&mut self.m_pred) {
             if let Some(p) = pred {
-                *proxy = p.predict();
-                out.extend_from_slice(&proxy.pack());
+                let mut sig = p.predict();
+                // HPROT travels as four bits: the proxy holds what the peer
+                // would have sent.
+                sig.prot &= 0xf;
+                if *proxy != sig {
+                    *proxy = sig;
+                    self.remote[at..at + 3].copy_from_slice(&sig.pack());
+                }
+                at += 3;
             }
         }
         for (j, (proxy, pred)) in self.full_s.iter_mut().zip(&mut self.s_pred).enumerate() {
             if let Some(p) = pred {
-                *proxy = p.predict(dp_slave == Some(SlaveId(j)));
-                out.extend_from_slice(&proxy.pack());
+                let sig = p.predict(dp_slave == Some(SlaveId(j)));
+                if *proxy != sig {
+                    *proxy = sig;
+                    self.remote[at..at + 2].copy_from_slice(&sig.pack());
+                }
+                at += 2;
             }
         }
+        out.extend_from_slice(&self.remote);
     }
 
     fn check_remote(&self, remote: &[u32]) -> bool {
@@ -501,71 +684,28 @@ impl DomainModel for AhbDomainModel {
     }
 
     fn tick(&mut self, remote: &[u32], kind: TickKind) {
-        debug_assert!(
-            self.latch_is_current(),
-            "a component changed state since the last latch"
-        );
-        let well_formed = unpack_remote(
-            &self.placement,
-            self.side,
-            remote,
-            &mut self.full_m,
-            &mut self.full_s,
-        );
-        assert!(
-            well_formed,
-            "malformed remote signals: the wrapper passes peer vectors through check_remote first"
-        );
-        let full_m = &self.full_m[..self.masters.len()];
-        let full_s = &self.full_s[..self.slaves.len()];
-        let view = self.fabric.view(full_m, full_s);
+        let view = self.cycle_view(remote);
+        self.advance(&view, kind);
+    }
 
-        if kind == TickKind::Actual {
-            // Train predictors on the observed remote values.
-            for (i, pred) in self.m_pred.iter_mut().enumerate() {
-                if let Some(p) = pred {
-                    let accepted = view.grant == MasterId(i) && view.hready;
-                    p.observe(&full_m[i], accepted);
-                }
-            }
-            for (j, pred) in self.s_pred.iter_mut().enumerate() {
-                if let Some(p) = pred {
-                    let dp_first = view.dp.as_ref().and_then(|dp| {
-                        (dp.slave == Some(SlaveId(j)))
-                            .then(|| dp.trans == predpkt_ahb::signals::Htrans::Nonseq)
-                    });
-                    p.observe(&full_s[j], dp_first);
-                }
-            }
+    /// One unpack of `leader_outputs` and one `CycleView` serve both the
+    /// check and the tick.
+    fn verify_and_tick(
+        &mut self,
+        leader_outputs: &[u32],
+        predicted_me: &[u32],
+        before: &mut Vec<u32>,
+    ) -> bool {
+        let view = self.cycle_view(leader_outputs);
+        let leader = self.side.peer();
+        let verified =
+            self.projection_matches(&self.full_m, &self.full_s, predicted_me, &view, leader);
+        if !verified {
+            before.clear();
+            before.extend_from_slice(&self.packed);
         }
-
-        // Record the committed local outputs before state changes.
-        self.trace
-            .record_words(self.packed.iter().map(|&w| u64::from(w)));
-
-        for (i, slot) in self.masters.iter_mut().enumerate() {
-            if let Some(c) = slot {
-                c.tick(&self.fabric.master_view(&view, MasterId(i)));
-            }
-        }
-        for (j, slot) in self.slaves.iter_mut().enumerate() {
-            if let Some(c) = slot {
-                c.tick(&self.fabric.slave_view(&view, SlaveId(j)));
-            }
-        }
-        self.fabric.tick(&view, full_m, full_s);
-
-        // Prime wait predictors: an accepted address phase at a remote slave
-        // opens a data phase there next cycle.
-        if view.hready && view.addr_phase.trans.is_active() {
-            if let Some(s) = view.addr_phase.slave {
-                if let Some(p) = &mut self.s_pred[s.0] {
-                    p.begin_phase(view.addr_phase.trans == predpkt_ahb::signals::Htrans::Nonseq);
-                }
-            }
-        }
-        self.cycle += 1;
-        self.latch();
+        self.advance(&view, TickKind::Actual);
+        verified
     }
 
     fn verify_prediction(&self, leader_outputs: &[u32], predicted_me: &[u32]) -> bool {
@@ -607,7 +747,7 @@ impl DomainModel for AhbDomainModel {
 // The fabric replica and the cycle, then the local components, then the
 // proxy slots, then the predictors. The components and predictors roll back
 // by their own `mark` / `rewind` / `release`, so a journaled memory or
-// context table copies only what it logged. Both reading legs latch.
+// context table copies only what it logged. Both reading legs relatch.
 declare_state! {
     impl AhbDomainModel {
         fabric,
@@ -618,7 +758,7 @@ declare_state! {
         full_s,
         m_pred: Present,
         s_pred: Present,
-    } then latch
+    } then relatch
 }
 
 impl std::fmt::Debug for AhbDomainModel {

@@ -50,15 +50,16 @@ pub enum TickKind {
 /// Every committed cycle the wrapper calls
 /// [`local_outputs_into`](DomainModel::local_outputs_into),
 /// [`predict_remote_into`](DomainModel::predict_remote_into) (leader),
-/// [`verify_prediction`](DomainModel::verify_prediction) (lagger),
 /// [`check_remote`](DomainModel::check_remote) and
-/// [`tick`](DomainModel::tick), plus the cheap queries. The `_into` forms
-/// *append* to a buffer the wrapper keeps (a LOB entry, a pooled payload) and
-/// are what the wrapper calls; a model for which speed matters overrides them
-/// and allocates nothing in steady state — in them, in `tick` (record the
-/// trace with [`Trace::record_words`]) or in `verify_prediction`. The
-/// provided bodies go through the allocating required forms, so a model that
-/// implements only those behaves identically, one vector per call slower.
+/// [`tick`](DomainModel::tick) — or, for an entry whose prediction the
+/// lagger checks, [`verify_and_tick`](DomainModel::verify_and_tick) —
+/// plus the cheap queries. The `_into` forms *append* to a buffer the
+/// wrapper keeps (a LOB entry, a pooled payload) and are what the wrapper
+/// calls; a model for which speed matters overrides them and allocates
+/// nothing in steady state — in them, in `tick` (record the trace with
+/// [`Trace::record_words`]) or in the lagger's check. The provided bodies go
+/// through the allocating required forms, so a model that implements only
+/// those behaves identically, one vector per call slower.
 ///
 /// The required methods' signatures are frozen while
 /// `benchmark/src/timed.rs` implements this trait: new methods must be
@@ -132,6 +133,37 @@ pub trait DomainModel: Snapshot {
     /// every *active* signal position (the MSABS projection, §3) — given the
     /// leader's actual outputs `leader_outputs`?
     fn verify_prediction(&self, leader_outputs: &[u32], predicted_me: &[u32]) -> bool;
+
+    /// The lagger's step for one checked burst entry: whether the leader's
+    /// prediction `predicted_me` verifies against `leader_outputs`, as
+    /// [`verify_prediction`](DomainModel::verify_prediction) says, then one
+    /// [`tick`](DomainModel::tick) on `leader_outputs` as
+    /// [`TickKind::Actual`] — a failing cycle commits too. When the check
+    /// fails, `before` is replaced by this domain's outputs for the cycle
+    /// just ticked (the failure report's actuals); otherwise it is left as
+    /// it was.
+    ///
+    /// The provided body is those two calls. A model that can check and
+    /// tick on one evaluation of the cycle overrides it, as
+    /// [`AhbDomainModel`](crate::AhbDomainModel) does. A decorator that does
+    /// not forward it gets the provided body, so the wrapped model's
+    /// `verify_prediction` and `tick` still run as two calls: the traced
+    /// reps of `benchmark/src/timed.rs` time `ahb.verify` apart from
+    /// `ahb.tick` that way.
+    fn verify_and_tick(
+        &mut self,
+        leader_outputs: &[u32],
+        predicted_me: &[u32],
+        before: &mut Vec<u32>,
+    ) -> bool {
+        let verified = self.verify_prediction(leader_outputs, predicted_me);
+        if !verified {
+            before.clear();
+            self.local_outputs_into(before);
+        }
+        self.tick(leader_outputs, TickKind::Actual);
+        verified
+    }
 
     /// The committed local-outputs trace.
     fn trace(&self) -> &Trace;

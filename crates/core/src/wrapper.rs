@@ -489,10 +489,22 @@ impl<M: DomainModel> ChannelWrapper<M> {
         self.pending_cycle = None;
         if r.bool()? {
             let cycle = r.word()?;
+            // The carried actuals pass the gate every peer vector passes:
+            // refused at their length word if it is not the peer's width,
+            // else at their first word.
+            let at = r.position();
             r.slice_u32_into(&mut self.pending_actuals)?;
+            if !self.model.check_remote(&self.pending_actuals) {
+                let right_width = self.pending_actuals.len() == self.model.remote_width();
+                return Err(r.corrupt_at(at + usize::from(right_width)));
+            }
             self.pending_cycle = Some(cycle);
         }
+        let at = r.position();
         self.cur_depth = r.usize()?;
+        if !(1..=self.depth_cap).contains(&self.cur_depth) {
+            return Err(r.corrupt_at(at));
+        }
         self.stats.restore(r)?;
         self.phase = Phase::Elect;
         self.lob.clear();
@@ -830,31 +842,34 @@ impl<M: DomainModel> ChannelWrapper<M> {
             // Entries past a failed prediction are never looked at, so each
             // is checked as it is reached.
             self.check_remote(entry.local, "a burst entry's outputs")?;
-            if let Some(predicted) = entry.predicted {
-                self.stats.checked_predictions += 1;
-                if !self.model.verify_prediction(entry.local, predicted) {
-                    // L-5: the failing cycle itself still commits (the leader's
-                    // outputs for it depend only on verified predictions), then
-                    // report and invalidate the rest.
-                    self.stats.failed_predictions += 1;
-                    refill_outputs(&self.model, &mut self.outputs);
+            let verified = match entry.predicted {
+                None => {
                     self.model.tick(entry.local, TickKind::Actual);
-                    self.bill_cycle(ledger, costs);
-                    self.stats.bump(PaperPath::L);
-                    refill_outputs(&self.model, &mut self.next);
-                    let report = Message::ReportFailure {
-                        failed_index: idx,
-                        actual: &self.outputs,
-                        next: &self.next,
-                    };
-                    self.outbox.send(channel, ledger, &report, obs);
-                    self.pending_cycle = None;
-                    return Ok(());
+                    true
                 }
-            }
-            self.model.tick(entry.local, TickKind::Actual);
+                Some(predicted) => {
+                    self.stats.checked_predictions += 1;
+                    self.model
+                        .verify_and_tick(entry.local, predicted, &mut self.outputs)
+                }
+            };
             self.bill_cycle(ledger, costs);
             self.stats.bump(PaperPath::L);
+            if !verified {
+                // L-5: the failing cycle itself committed (the leader's
+                // outputs for it depend only on verified predictions), and
+                // `outputs` holds ours for it: report and invalidate the rest.
+                self.stats.failed_predictions += 1;
+                refill_outputs(&self.model, &mut self.next);
+                let report = Message::ReportFailure {
+                    failed_index: idx,
+                    actual: &self.outputs,
+                    next: &self.next,
+                };
+                self.outbox.send(channel, ledger, &report, obs);
+                self.pending_cycle = None;
+                return Ok(());
+            }
         }
         // R-path: all predictions correct.
         refill_outputs(&self.model, &mut self.next);

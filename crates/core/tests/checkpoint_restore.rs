@@ -20,13 +20,14 @@ use common::conformance::{
     backend, backends, build_session, for_each_cell, named, workload_config, workload_for,
     Perturbation, Suite,
 };
-use common::figure2_soc_seeded;
-use predpkt_channel::FaultSpec;
+use common::{figure2_soc, figure2_soc_seeded};
+use predpkt_channel::tcp::{encode_frame_into, read_frame};
+use predpkt_channel::{crc32, FaultSpec, Packet, PacketTag};
 use predpkt_core::{
     CheckpointError, CoEmuConfig, EmuSession, ModePolicy, SessionCheckpoint, Side, SliceStatus,
     SocBlueprint, TransportSelect,
 };
-use predpkt_sim::SimError;
+use predpkt_sim::{SimError, SnapshotError};
 
 /// The tentpole acceptance: restore-then-run is bit-identical to
 /// run-straight-through on every backend, at two domains and over a
@@ -157,6 +158,117 @@ fn corrupt_blobs_are_rejected_typed() {
     // The session the checkpoint came from is untouched by all of the above.
     assert!(session.at_checkpoint_boundary());
     session.run_until_committed(150).expect("still runs");
+
+    // Resealed blobs whose wrapper words no session can run on are refused
+    // at that word and poison the target until a good restore: carried
+    // next-cycle actuals that fail the peer-vector gate (a master's flags
+    // word with bits past HPROT set), and a run-ahead depth of 0 or past
+    // the LOB. Each used to restore, then panic or never commit again.
+    let lob_depth = workload_config(&workload).lob_depth as u64;
+    let (ckpt, side, actuals_at) = (100..3_000)
+        .step_by(37)
+        .find_map(|cut| {
+            session
+                .run_until_committed(cut)
+                .expect("run reaches the cut");
+            let ckpt = session.checkpoint().expect("checkpoint");
+            ["sim", "acc"].into_iter().find_map(|side| {
+                let words = section_words(&ckpt.to_bytes(), &format!("wrapper.{side}"));
+                carried_at(&words, side, ckpt.committed_cycles()).map(|at| (ckpt.clone(), side, at))
+            })
+        })
+        .expect("some cut carries next-cycle actuals");
+    let label = format!("wrapper.{side}");
+    let bytes = ckpt.to_bytes();
+    let depth_at = section_words(&bytes, &label).len() - 17;
+    for (at, bad) in [
+        (actuals_at, u64::from(u32::MAX)),
+        (depth_at, 0),
+        (depth_at, lob_depth + 1),
+    ] {
+        let hostile = edit_section(&bytes, &label, |words| words[at] = bad);
+        let mut target = build_session(TransportSelect::Queue, &workload);
+        let err = target.restore(&hostile).expect_err("hostile cut refused");
+        assert_eq!(
+            err,
+            CheckpointError::Snapshot {
+                section: label.clone(),
+                source: SnapshotError::Corrupt { at }
+            },
+            "word {at} = {bad}"
+        );
+        assert!(matches!(
+            target.run_until_committed(ckpt.committed_cycles() + 50),
+            Err(SimError::StatePoisoned(_))
+        ));
+        target.restore(&ckpt).expect("the good cut heals");
+        target
+            .run_until_committed(ckpt.committed_cycles() + 50)
+            .expect("healed session runs");
+    }
+}
+
+/// If `frame` opens section `label`: its payload without the seal, and
+/// where in it the section's word pairs start.
+fn section_frame(frame: &Packet, label: &str) -> Option<(Vec<u32>, usize)> {
+    let payload = frame.payload().split_last()?.1.to_vec();
+    let len = *payload.first()? as usize;
+    let head = 1 + len.div_ceil(4);
+    let bytes: Vec<u8> = payload
+        .get(1..head)?
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .collect();
+    (bytes.get(..len)? == label.as_bytes()).then_some((payload, head + 2))
+}
+
+/// The words of section `label` (one frame) of `blob`.
+fn section_words(blob: &[u8], label: &str) -> Vec<u64> {
+    let mut cursor = blob;
+    while !cursor.is_empty() {
+        let frame = read_frame(&mut cursor).expect("the blob's own frames");
+        if let Some((payload, data)) = section_frame(&frame, label) {
+            let pairs = payload[data..].chunks_exact(2);
+            return pairs
+                .map(|p| u64::from(p[0]) | u64::from(p[1]) << 32)
+                .collect();
+        }
+    }
+    panic!("no section {label}");
+}
+
+/// `blob` with `edit` applied to the words of its section `label`, resealed
+/// so that only the wrapper, not the codec, can refuse it.
+fn edit_section(blob: &[u8], label: &str, edit: impl FnOnce(&mut Vec<u64>)) -> SessionCheckpoint {
+    let mut words = section_words(blob, label);
+    edit(&mut words);
+    let (mut cursor, mut out) = (blob, Vec::new());
+    while !cursor.is_empty() {
+        let mut frame = read_frame(&mut cursor).expect("the blob's own frames");
+        if let Some((mut payload, data)) = section_frame(&frame, label) {
+            payload.truncate(data);
+            payload.extend(words.iter().flat_map(|&w| [w as u32, (w >> 32) as u32]));
+            payload.push(crc32(&payload));
+            frame = Packet::new(PacketTag::Checkpoint, payload);
+        }
+        encode_frame_into(&mut out, &frame);
+    }
+    SessionCheckpoint::from_bytes(&out).expect("a resealed blob parses")
+}
+
+/// Where the next-cycle actuals a `side` wrapper section carries start, if
+/// it carries any. The section ends with the carry flag, the cycle and the
+/// length-prefixed actuals (when carried), the run-ahead depth and the 16
+/// statistics words.
+fn carried_at(words: &[u64], side: &str, committed: u64) -> Option<usize> {
+    let peer = if side == "sim" {
+        Side::Accelerator
+    } else {
+        Side::Simulator
+    };
+    let width = figure2_soc().placement().local_width(peer);
+    let start = words.len() - 17 - width;
+    (words[start - 3..start] == [1, committed, width as u64]).then_some(start)
 }
 
 /// A minimal SoC with a different shape than Fig. 2 — its wrapper state

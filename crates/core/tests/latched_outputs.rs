@@ -6,19 +6,25 @@
 //! the lagger's prediction check and the tick itself read a slot. Two pins:
 //! the number of `outputs()` dispatches a component sees across a run with
 //! rollbacks, and the model's state-vector words at fixed cuts — the latched
-//! values are derived state and must never reach a snapshot.
+//! values are derived state and must never reach a snapshot. And one
+//! comparison: the lagger's fused check-and-tick and the proxies' cached
+//! words against the two-call path a decorator takes.
 
 mod common;
 
-use common::{figure2_soc_seeded, mesh_soc};
+use common::{figure2_soc, figure2_soc_seeded, mesh_soc};
 use predpkt_ahb::engine::BusOp;
 use predpkt_ahb::masters::{CpuMaster, CpuProfile, TrafficGenMaster};
 use predpkt_ahb::signals::{Hburst, Hsize, MasterSignals, MasterView, SlaveSignals, SlaveView};
 use predpkt_ahb::slaves::MemorySlave;
 use predpkt_ahb::{AhbMaster, AhbSlave};
-use predpkt_core::{CoEmuConfig, CoEmulator, ModePolicy, Side, SocBlueprint};
-use predpkt_predict::AdaptiveSuite;
-use predpkt_sim::{save_to_vec, Snapshot, SnapshotError, StateReader, StateWriter};
+use predpkt_core::{
+    CoEmuConfig, CoEmulator, DomainModel, ModePolicy, Side, SocBlueprint, TickKind,
+};
+use predpkt_predict::{AdaptiveSuite, PaperSuite, PredictorSuite};
+use predpkt_sim::{
+    save_to_vec, Snapshot, SnapshotError, StateReader, StateVec, StateWriter, Trace, TraceMark,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -229,3 +235,202 @@ const PINNED_WORDS: [Cut; 4] = [
         [(2146, 0x8159479b69394f2c), (121, 0x927fd68578f89641)],
     ),
 ];
+
+/// A model seen through the required `DomainModel` and `Snapshot` methods
+/// only (and `take_control_words`, which bills the channel): the wrapper
+/// gets the provided lagger step — `verify_prediction`, then `tick` — and
+/// the provided `_into` forms, and rolls back by full save / restore.
+struct TwoCall<M>(M);
+
+impl<M: DomainModel> DomainModel for TwoCall<M> {
+    fn side(&self) -> Side {
+        self.0.side()
+    }
+
+    fn cycle(&self) -> u64 {
+        self.0.cycle()
+    }
+
+    fn local_width(&self) -> usize {
+        self.0.local_width()
+    }
+
+    fn remote_width(&self) -> usize {
+        self.0.remote_width()
+    }
+
+    fn local_outputs(&self) -> Vec<u32> {
+        self.0.local_outputs()
+    }
+
+    fn needs_sync(&self) -> bool {
+        self.0.needs_sync()
+    }
+
+    fn elect_leader(&self) -> Side {
+        self.0.elect_leader()
+    }
+
+    fn predict_remote(&mut self) -> Vec<u32> {
+        self.0.predict_remote()
+    }
+
+    fn tick(&mut self, remote: &[u32], kind: TickKind) {
+        self.0.tick(remote, kind);
+    }
+
+    fn take_control_words(&mut self) -> u64 {
+        self.0.take_control_words()
+    }
+
+    fn verify_prediction(&self, leader_outputs: &[u32], predicted_me: &[u32]) -> bool {
+        self.0.verify_prediction(leader_outputs, predicted_me)
+    }
+
+    fn trace(&self) -> &Trace {
+        self.0.trace()
+    }
+
+    fn trace_mut(&mut self) -> &mut Trace {
+        self.0.trace_mut()
+    }
+
+    fn trace_mark(&self) -> TraceMark {
+        self.0.trace_mark()
+    }
+
+    fn trace_truncate(&mut self, mark: TraceMark) {
+        self.0.trace_truncate(mark);
+    }
+}
+
+impl<M: Snapshot> Snapshot for TwoCall<M> {
+    fn save(&self, w: &mut StateWriter<'_>) {
+        self.0.save(w);
+    }
+
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        self.0.restore(r)
+    }
+}
+
+/// What one leg of a run commits and counts by its end, and both models'
+/// saved words at every cut it was halted at.
+#[derive(PartialEq)]
+struct Leg {
+    trace_hash: u64,
+    channel: predpkt_channel::ChannelStats,
+    ledger: predpkt_sim::TimeLedger,
+    rollbacks: [u64; 2],
+    failed_predictions: [u64; 2],
+    cuts: Vec<(u64, [StateVec; 2])>,
+}
+
+/// Runs `coemu` on to `end`, halting at the first transition boundary
+/// every 37 cycles to save both models.
+fn leg<M: DomainModel>(coemu: &mut CoEmulator<M>, end: u64, blueprint: &SocBlueprint) -> Leg {
+    let mut cuts = Vec::new();
+    while coemu.committed_cycles() < end {
+        coemu
+            .run_until_synchronized(coemu.committed_cycles() + 37)
+            .expect("run reaches the cut");
+        let saved = [
+            save_to_vec(coemu.sim_model()),
+            save_to_vec(coemu.acc_model()),
+        ];
+        cuts.push((coemu.committed_cycles(), saved));
+    }
+    let placement = blueprint.placement();
+    let mut trace = coemu.merged_trace(|s, a| placement.merge_records(s, a));
+    trace.truncate_to_len(end as usize);
+    let (sim, acc) = (coemu.sim_stats(), coemu.acc_stats());
+    Leg {
+        trace_hash: trace.hash(),
+        channel: coemu.channel_stats().clone(),
+        ledger: coemu.ledger().clone(),
+        rollbacks: [sim.rollbacks, acc.rollbacks],
+        failed_predictions: [sim.failed_predictions, acc.failed_predictions],
+        cuts,
+    }
+}
+
+/// Where the cut in [`cut_and_restore`] is taken, and where its runs end.
+const CUT: u64 = 1_000;
+const END: u64 = 3_000;
+
+/// `coemu` run to [`CUT`] and on to [`END`], then `fresh` restored from its
+/// cut at `CUT` and run to `END`: the three legs.
+fn cut_and_restore<M: DomainModel>(
+    mut coemu: CoEmulator<M>,
+    mut fresh: CoEmulator<M>,
+    blueprint: &SocBlueprint,
+) -> [Leg; 3] {
+    let before = leg(&mut coemu, CUT, blueprint);
+    let ckpt = coemu.checkpoint().expect("checkpoint at a boundary");
+    let after = leg(&mut coemu, END, blueprint);
+    fresh.restore(&ckpt).expect("the cut restores");
+    let restored = leg(&mut fresh, END, blueprint);
+    [before, after, restored]
+}
+
+/// The lagger's fused step and the proxies' cached words against the slow
+/// path, on Fig. 2 under the paper suite and on the mesh under
+/// `AdaptiveSuite`. Each SoC runs directly and through [`TwoCall`], cut at
+/// [`CUT`] and restored into a fresh session of its kind. Every run commits
+/// the golden trace; the restored run agrees with the straight one, and the
+/// direct and the decorated run agree with each other, on channel
+/// statistics, ledger, rollbacks, failed predictions and both models' saved
+/// words at a cut every 37 cycles — many of them just after a rollback's
+/// rewind, some just after the restore. A fused step that skipped the
+/// projection, or a word cache a rewind or a restore left stale, diverges.
+#[test]
+fn the_fused_lagger_step_matches_the_two_call_path() {
+    let socs: [(&str, SocBlueprint, &dyn PredictorSuite); 2] = [
+        ("fig. 2", figure2_soc(), &PaperSuite),
+        ("mesh, adaptive", mesh_soc(), &AdaptiveSuite::default()),
+    ];
+    for (soc, blueprint, suite) in socs {
+        let mut golden = blueprint.build_golden().expect("golden bus builds");
+        golden.run(END);
+        let mut golden_at_cut = golden.trace().clone();
+        golden_at_cut.truncate_to_len(CUT as usize);
+        let golden = [
+            golden_at_cut.hash(),
+            golden.trace().hash(),
+            golden.trace().hash(),
+        ];
+
+        let pair = || blueprint.build_pair_with(suite).expect("pair builds");
+        let direct = || {
+            let (sim, acc) = pair();
+            CoEmulator::new(sim, acc, bench_config())
+        };
+        let two_call = || {
+            let (sim, acc) = pair();
+            CoEmulator::new(TwoCall(sim), TwoCall(acc), bench_config())
+        };
+        let direct = cut_and_restore(direct(), direct(), &blueprint);
+        let two_call = cut_and_restore(two_call(), two_call(), &blueprint);
+        let rollbacks = direct[1].rollbacks.iter().sum::<u64>();
+        assert!(rollbacks > 10, "{soc}: {rollbacks} rollbacks");
+        for (path, legs) in [("direct", &direct), ("two-call", &two_call)] {
+            let hashes: Vec<u64> = legs.iter().map(|leg| leg.trace_hash).collect();
+            assert_eq!(hashes, golden, "{soc}, {path}: the golden trace");
+            assert!(
+                legs[2] == legs[1],
+                "{soc}, {path}: the restored run differs"
+            );
+        }
+        for (n, (d, t)) in direct.iter().zip(&two_call).enumerate() {
+            let first_cut = d.cuts.iter().zip(&t.cuts).position(|(d, t)| d != t);
+            assert_eq!(
+                first_cut, None,
+                "{soc}, leg {n}: saved words differ at that cut"
+            );
+            assert!(
+                d == t,
+                "{soc}, leg {n}: the fused and the two-call run differ"
+            );
+        }
+    }
+}
