@@ -65,11 +65,14 @@ fn main() {
         );
     }
 
-    ascii_chart(
-        "Figure 4 (measured, log scale)",
-        &PAPER_ACCURACY_GRID,
-        &series,
-        16,
+    print!(
+        "{}",
+        ascii_chart(
+            "Figure 4 (measured, log scale)",
+            &PAPER_ACCURACY_GRID,
+            &series,
+            16,
+        )
     );
 
     // Analytic overlay for the two headline series.

@@ -10,166 +10,80 @@
 
 use predpkt_bench::{cycles_arg, fmt_kcps, fmt_sci, print_row, run_synthetic};
 use predpkt_channel::Side;
-use predpkt_core::{CoEmuConfig, ModePolicy};
-use predpkt_perfmodel::{AnalyticRow, ModelParams};
+use predpkt_core::{CoEmuConfig, ModePolicy, PerfReport};
+use predpkt_perfmodel::{AnalyticRow, ModelParams, PAPER_TABLE2};
 use predpkt_sim::CostCategory;
 
-const ACCURACIES: [f64; 8] = [1.0, 0.99, 0.96, 0.9, 0.8, 0.6, 0.3, 0.1];
+/// How a row formats one column.
+type Cell = fn(&AnalyticRow) -> String;
 
-/// Paper Table 2 rows, transcribed.
-const PAPER_T_ACC: [f64; 8] = [
-    1.0e-7, 1.6e-7, 2.9e-7, 4.9e-7, 8.1e-7, 1.5e-6, 2.4e-6, 3.0e-6,
+/// The seven rows of every block.
+const ROWS: [(&str, Cell); 7] = [
+    ("Tsim.", |c| fmt_sci(c.t_sim)),
+    ("Tacc.", |c| fmt_sci(c.t_acc)),
+    ("Tstore", |c| fmt_sci(c.t_store)),
+    ("Trest.", |c| fmt_sci(c.t_restore)),
+    ("Tch.", |c| fmt_sci(c.t_channel)),
+    ("Perform.", |c| fmt_kcps(c.performance)),
+    ("Ratio", |c| format!("{:.2}", c.ratio)),
 ];
-const PAPER_T_STORE: [f64; 8] = [
-    4.69e-10, 7.6e-10, 1.6e-9, 3.3e-9, 6.2e-9, 1.2e-8, 2.1e-8, 2.7e-8,
-];
-const PAPER_T_REST: [f64; 8] = [0.0, 2.9e-10, 1.2e-9, 2.9e-9, 5.7e-9, 1.2e-8, 2.0e-8, 2.6e-8];
-const PAPER_T_CH: [f64; 8] = [
-    4.3e-7, 6.8e-7, 1.5e-6, 2.9e-6, 5.4e-6, 1.1e-5, 1.8e-5, 2.3e-5,
-];
-const PAPER_PERF: [f64; 8] = [652e3, 543e3, 363e3, 226e3, 138e3, 76.7e3, 46.1e3, 36.7e3];
-const PAPER_RATIO: [f64; 8] = [16.75, 13.97, 9.33, 5.80, 3.56, 1.91, 1.19, 0.94];
+
+fn print_block(name: &str, columns: &[AnalyticRow]) {
+    println!("\n-- {name} --");
+    for (label, cell) in ROWS {
+        print_row(label, &columns.iter().map(cell).collect::<Vec<_>>());
+    }
+}
+
+/// A discrete-event measurement at accuracy `p`, in the table's column shape.
+fn measured(p: f64, report: &PerfReport, baseline: f64) -> AnalyticRow {
+    AnalyticRow {
+        accuracy: p,
+        t_sim: report.per_cycle(CostCategory::Simulator),
+        t_acc: report.per_cycle(CostCategory::Accelerator),
+        t_store: report.per_cycle(CostCategory::StateStore),
+        t_restore: report.per_cycle(CostCategory::StateRestore),
+        t_channel: report.per_cycle(CostCategory::Channel),
+        performance: report.performance_cps(),
+        ratio: report.ratio_vs(baseline),
+    }
+}
 
 fn main() {
     let cycles = cycles_arg(60_000);
+    let accuracies = PAPER_TABLE2.map(|c| c.accuracy);
 
     println!("== Table 2: Performance of ALS ==");
     println!("(sim 1,000 kcycles/s, acc 10 Mcycles/s, LOB 64, 1,000 rollback vars, iPROVE PCI)\n");
-
-    let header: Vec<String> = ACCURACIES.iter().map(|p| format!("{p:.3}")).collect();
-    print_row("Prob.", &header);
-
-    // --- Paper rows ----------------------------------------------------------
-    println!("\n-- paper (published) --");
-    print_row("Tsim.", ACCURACIES.map(|_| fmt_sci(1.0e-6)).as_ref());
-    print_row("Tacc.", PAPER_T_ACC.map(fmt_sci).as_ref());
-    print_row("Tstore", PAPER_T_STORE.map(fmt_sci).as_ref());
-    print_row("Trest.", PAPER_T_REST.map(fmt_sci).as_ref());
-    print_row("Tch.", PAPER_T_CH.map(fmt_sci).as_ref());
-    print_row("Perform.", PAPER_PERF.map(fmt_kcps).as_ref());
-    print_row("Ratio", PAPER_RATIO.map(|r| format!("{r:.2}")).as_ref());
+    print_row("Prob.", &accuracies.map(|p| format!("{p:.3}")));
+    print_block("paper (published)", &PAPER_TABLE2);
 
     let fixed = CoEmuConfig::paper_defaults().policy(ModePolicy::ForcedAls);
     let adaptive = fixed.adaptive(true);
     let params = ModelParams::from_config(&fixed, Side::Accelerator);
     let baseline = params.conventional_perf();
+    print_block(
+        "analytic, fixed depth",
+        &accuracies.map(|p| AnalyticRow::at(&params, p)),
+    );
+    print_block(
+        "analytic, adaptive",
+        &accuracies.map(|p| AnalyticRow::at_adaptive(&params, p)),
+    );
 
-    // --- Closed-form model ----------------------------------------------------
-    for (name, is_adaptive) in [
-        ("analytic, fixed depth", false),
-        ("analytic, adaptive", true),
-    ] {
-        println!("\n-- {name} --");
-        let rows: Vec<AnalyticRow> = ACCURACIES
-            .iter()
-            .map(|&p| {
-                if is_adaptive {
-                    AnalyticRow::at_adaptive(&params, p)
-                } else {
-                    AnalyticRow::at(&params, p)
-                }
-            })
-            .collect();
-        print_row(
-            "Tsim.",
-            &rows.iter().map(|r| fmt_sci(r.t_sim)).collect::<Vec<_>>(),
-        );
-        print_row(
-            "Tacc.",
-            &rows.iter().map(|r| fmt_sci(r.t_acc)).collect::<Vec<_>>(),
-        );
-        print_row(
-            "Tstore",
-            &rows.iter().map(|r| fmt_sci(r.t_store)).collect::<Vec<_>>(),
-        );
-        print_row(
-            "Trest.",
-            &rows
-                .iter()
-                .map(|r| fmt_sci(r.t_restore))
-                .collect::<Vec<_>>(),
-        );
-        print_row(
-            "Tch.",
-            &rows
-                .iter()
-                .map(|r| fmt_sci(r.t_channel))
-                .collect::<Vec<_>>(),
-        );
-        print_row(
-            "Perform.",
-            &rows
-                .iter()
-                .map(|r| fmt_kcps(r.performance))
-                .collect::<Vec<_>>(),
-        );
-        print_row(
-            "Ratio",
-            &rows
-                .iter()
-                .map(|r| format!("{:.2}", r.ratio))
-                .collect::<Vec<_>>(),
-        );
-    }
-
-    // --- Discrete-event measurement -------------------------------------------
     for (name, config) in [
         ("measured (DES), fixed depth", fixed),
         ("measured (DES), adaptive", adaptive),
     ] {
-        println!("\n-- {name}, {cycles} committed cycles per point --");
-        let reports: Vec<_> = ACCURACIES
+        let reports = accuracies.map(|p| run_synthetic(p, config, cycles));
+        let columns: Vec<_> = accuracies
             .iter()
-            .map(|&p| run_synthetic(p, config, cycles))
+            .zip(&reports)
+            .map(|(&p, report)| measured(p, report, baseline))
             .collect();
-        print_row(
-            "Tsim.",
-            &reports
-                .iter()
-                .map(|r| fmt_sci(r.per_cycle(CostCategory::Simulator)))
-                .collect::<Vec<_>>(),
-        );
-        print_row(
-            "Tacc.",
-            &reports
-                .iter()
-                .map(|r| fmt_sci(r.per_cycle(CostCategory::Accelerator)))
-                .collect::<Vec<_>>(),
-        );
-        print_row(
-            "Tstore",
-            &reports
-                .iter()
-                .map(|r| fmt_sci(r.per_cycle(CostCategory::StateStore)))
-                .collect::<Vec<_>>(),
-        );
-        print_row(
-            "Trest.",
-            &reports
-                .iter()
-                .map(|r| fmt_sci(r.per_cycle(CostCategory::StateRestore)))
-                .collect::<Vec<_>>(),
-        );
-        print_row(
-            "Tch.",
-            &reports
-                .iter()
-                .map(|r| fmt_sci(r.per_cycle(CostCategory::Channel)))
-                .collect::<Vec<_>>(),
-        );
-        print_row(
-            "Perform.",
-            &reports
-                .iter()
-                .map(|r| fmt_kcps(r.performance_cps()))
-                .collect::<Vec<_>>(),
-        );
-        print_row(
-            "Ratio",
-            &reports
-                .iter()
-                .map(|r| format!("{:.2}", r.ratio_vs(baseline)))
-                .collect::<Vec<_>>(),
+        print_block(
+            &format!("{name}, {cycles} committed cycles per point"),
+            &columns,
         );
         print_row(
             "observed p",

@@ -1,23 +1,20 @@
-//! # predpkt-bench — evaluation harness
+//! # predpkt-bench — the paper's Table 2 and Figure 4
 //!
-//! Shared plumbing for the table/figure regeneration binaries (see
-//! `src/bin/`): each takes one optional positional `[cycles]` and prints a
-//! table. No bin asserts anything: every bit-identity and ordering check
-//! they once made is a tier-1 test (the conformance matrix in
-//! `crates/core/tests`, the farm's heal tests, `tests/workspace_integration.rs`).
-//! Nothing parses their output and none of them is a speed measurement —
-//! host speed is read from the repo's one benchmark, `benchmark/` (see
-//! `BENCHMARK.json`).
+//! Shared plumbing for the two regeneration binaries in `src/bin/`: `table2`
+//! (the paper's Table 2, published beside modelled and measured) and
+//! `figure4` (performance vs accuracy for the four LOB/simulator-speed
+//! series). Each takes one optional positional `[cycles]` and prints; neither
+//! asserts anything. The paper's in-text numbers (conventional baselines, SLA
+//! gains and break-evens) are pinned by `predpkt-perfmodel` and
+//! `predpkt-workloads` tests, and host speed is read from the repo's one
+//! benchmark, `benchmark/` (see `BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use predpkt_ahb::engine::BusOp;
-use predpkt_ahb::masters::{DmaDescriptor, DmaMaster, TrafficGenMaster};
-use predpkt_ahb::slaves::{MemorySlave, PeripheralSlave};
-use predpkt_core::{CoEmuConfig, ModePolicy, PerfReport, Side, SocBlueprint, ThreadedOpts};
+use predpkt_core::{CoEmuConfig, ModePolicy, PerfReport};
 use predpkt_workloads::SyntheticSoc;
-use std::time::Duration;
+use std::fmt::Write;
 
 /// The committed-cycle count a bin runs: its one optional positional
 /// argument, else `default`. Anything that is not a positive count (a
@@ -40,41 +37,6 @@ fn parse_cycles(mut args: impl Iterator<Item = String>, default: u64) -> Result<
     match first.parse() {
         Ok(0) | Err(_) => Err(format!("{first:?} is not a positive count")),
         Ok(count) => Ok(count),
-    }
-}
-
-/// The Fig. 2-shaped SoC the recovery sweep runs: a DMA master and a
-/// looping traffic generator on the accelerator side against a memory slave
-/// on the simulator side and a peripheral on the accelerator side.
-pub fn fig2_soc() -> SocBlueprint {
-    SocBlueprint::new()
-        .master(Side::Accelerator, || {
-            Box::new(DmaMaster::new(vec![
-                DmaDescriptor::new(0x0000_0100, 0x0000_1100, 24),
-                DmaDescriptor::new(0x0000_1200, 0x0000_0200, 12),
-            ]))
-        })
-        .master(Side::Accelerator, || {
-            Box::new(
-                TrafficGenMaster::from_ops(vec![BusOp::write_single(0x0000_2004, 0xabcd)])
-                    .looping()
-                    .with_idle_gap(7),
-            )
-        })
-        .slave(Side::Simulator, 0x0000_0000, 0x2000, || {
-            Box::new(MemorySlave::new(0x2000, 0))
-        })
-        .slave(Side::Accelerator, 0x0000_2000, 0x1000, || {
-            Box::new(PeripheralSlave::new(1))
-        })
-}
-
-/// A fine idle-wait slice, so a wait on a quiet link end doesn't dominate
-/// the figure.
-pub fn bench_opts() -> ThreadedOpts {
-    ThreadedOpts {
-        poll_interval: Duration::from_micros(200),
-        deadlock_timeout: Duration::from_secs(10),
     }
 }
 
@@ -124,9 +86,10 @@ pub fn print_row(label: &str, cells: &[String]) {
 }
 
 /// Renders a crude ASCII chart of (x, y) series on a log-y scale — enough to
-/// eyeball the Figure 4 shape in a terminal.
-pub fn ascii_chart(title: &str, xs: &[f64], series: &[(&str, Vec<f64>)], height: usize) {
-    println!("\n{title}");
+/// eyeball the Figure 4 shape in a terminal. Every point lands on one of the
+/// `height` rows, the largest on the top one and the smallest on the bottom.
+pub fn ascii_chart(title: &str, xs: &[f64], series: &[(&str, Vec<f64>)], height: usize) -> String {
+    let mut out = format!("\n{title}\n");
     let all: Vec<f64> = series
         .iter()
         .flat_map(|(_, ys)| ys.iter().copied())
@@ -138,25 +101,31 @@ pub fn ascii_chart(title: &str, xs: &[f64], series: &[(&str, Vec<f64>)], height:
     let marks = ['A', 'B', 'C', 'D', 'E', 'F'];
     for row in (0..height).rev() {
         let y = (llo + (lhi - llo) * (row as f64 + 0.5) / height as f64).exp();
-        let mut line = vec![' '; xs.len() * 5];
+        let mut line = vec![' '; xs.len() * 6];
         for (si, (_, ys)) in series.iter().enumerate() {
             for (xi, &v) in ys.iter().enumerate() {
                 let level = ((v.ln() - llo) / (lhi - llo) * height as f64) as usize;
-                if level == row {
-                    line[xi * 5 + 2] = marks[si % marks.len()];
+                if level.min(height - 1) == row {
+                    line[xi * 6 + 3] = marks[si % marks.len()];
                 }
             }
         }
-        println!("{:>9} |{}", fmt_kcps(y), line.iter().collect::<String>());
+        let _ = writeln!(
+            out,
+            "{:>9} |{}",
+            fmt_kcps(y),
+            line.iter().collect::<String>()
+        );
     }
-    print!("{:>9}  ", "p =");
+    let _ = write!(out, "{:>9}  ", "p =");
     for &x in xs {
-        print!("{x:>5.2}");
+        let _ = write!(out, "{x:>6.3}");
     }
-    println!();
+    out.push('\n');
     for (si, (name, _)) in series.iter().enumerate() {
-        println!("          {} = {}", marks[si % marks.len()], name);
+        let _ = writeln!(out, "          {} = {}", marks[si % marks.len()], name);
     }
+    out
 }
 
 #[cfg(test)]
@@ -179,6 +148,39 @@ mod tests {
         assert!(parse(&["--fast"]).is_err());
         assert!(parse(&["0"]).is_err());
         assert!(parse(&["42", "7"]).is_err());
+    }
+
+    #[test]
+    fn every_series_plots_its_extremes() {
+        let xs = [1.0, 0.995, 0.5, 0.1];
+        let series = [
+            ("top", vec![632_800.0, 572_000.0, 52_000.0, 29_600.0]),
+            ("bottom", vec![94_500.0, 93_000.0, 35_400.0, 23_400.0]),
+        ];
+        let chart = ascii_chart("t", &xs, &series, 16);
+        let lines: Vec<&str> = chart.lines().collect();
+        let rows = &lines[2..18];
+        let mark_at = |row: &str, xi: usize| row.chars().nth(11 + xi * 6 + 3);
+        assert_eq!(mark_at(rows[0], 0), Some('A'), "the maximum tops the chart");
+        assert_eq!(mark_at(rows[15], 3), Some('B'), "the minimum ends it");
+        for (mark, (_, ys)) in ['A', 'B'].into_iter().zip(&series) {
+            let extreme = |pick: fn(f64, f64) -> f64| {
+                let v = ys.iter().copied().reduce(pick).unwrap();
+                ys.iter().position(|&y| y == v).unwrap()
+            };
+            for xi in [extreme(f64::max), extreme(f64::min)] {
+                assert!(
+                    rows.iter().any(|row| mark_at(row, xi) == Some(mark)),
+                    "{mark} lost its point at x = {}:\n{chart}",
+                    xs[xi]
+                );
+            }
+        }
+        assert!(
+            lines[18].ends_with(" 1.000 0.995 0.500 0.100"),
+            "{}",
+            lines[18]
+        );
     }
 
     #[test]

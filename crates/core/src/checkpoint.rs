@@ -263,9 +263,10 @@ impl SessionCheckpoint {
             let words = state.words();
             let mut first = true;
             let mut chunks = words.chunks(SECTION_CHUNK_WORDS);
-            loop {
-                // An empty section still needs its (empty) first frame.
-                let chunk = chunks.next().unwrap_or(&[]);
+            // An empty section still needs its (empty) first frame; a
+            // continuation frame follows only while words remain.
+            let mut next = Some(chunks.next().unwrap_or(&[]));
+            while let Some(chunk) = next {
                 let mut payload = Vec::with_capacity(2 * chunk.len() + 8);
                 if first {
                     push_str(&mut payload, label);
@@ -281,9 +282,7 @@ impl SessionCheckpoint {
                 }
                 seal_frame(&mut out, payload);
                 first = false;
-                if chunk.len() < SECTION_CHUNK_WORDS {
-                    break;
-                }
+                next = chunks.next();
             }
         }
         out
@@ -558,11 +557,30 @@ mod tests {
 
     #[test]
     fn oversized_sections_split_into_continuation_frames() {
-        let mut ckpt = SessionCheckpoint::new("queue", 7);
-        let big: Vec<u64> = (0..(SECTION_CHUNK_WORDS as u64 * 2 + 17)).collect();
-        ckpt.push_section("big", StateVec::from(big.clone()));
-        let back = SessionCheckpoint::from_bytes(&ckpt.to_bytes()).unwrap();
-        assert_eq!(back.section("big").unwrap().words(), big.as_slice());
+        // Exact multiples of the chunk fill their last frame; the big section
+        // goes first (another section follows it) and last.
+        let small = StateVec::from(vec![5, 6, 7]);
+        for len in [
+            SECTION_CHUNK_WORDS,
+            2 * SECTION_CHUNK_WORDS,
+            2 * SECTION_CHUNK_WORDS + 17,
+        ] {
+            let big: Vec<u64> = (0..len as u64).collect();
+            for big_first in [true, false] {
+                let mut ckpt = SessionCheckpoint::new("queue", 7);
+                if !big_first {
+                    ckpt.push_section("small", small.clone());
+                }
+                ckpt.push_section("big", StateVec::from(big.clone()));
+                if big_first {
+                    ckpt.push_section("small", small.clone());
+                }
+                let back = SessionCheckpoint::from_bytes(&ckpt.to_bytes())
+                    .unwrap_or_else(|e| panic!("{len} words, first {big_first}: {e}"));
+                assert_eq!(back.section("big").unwrap().words(), big.as_slice());
+                assert_eq!(back.section("small").unwrap().words(), small.words());
+            }
+        }
     }
 
     #[test]

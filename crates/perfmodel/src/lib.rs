@@ -31,4 +31,6 @@ mod model;
 mod sweep;
 
 pub use model::{AnalyticRow, ModelParams, TransitionStats};
-pub use sweep::{break_even_accuracy, figure4_series, Figure4Point, PAPER_ACCURACY_GRID};
+pub use sweep::{
+    break_even_accuracy, figure4_series, Figure4Point, PAPER_ACCURACY_GRID, PAPER_TABLE2,
+};

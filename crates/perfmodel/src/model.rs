@@ -220,7 +220,9 @@ impl TransitionStats {
     }
 }
 
-/// One analytic Table 2 column: the per-cycle cost rows and performance.
+/// One Table 2 column: the per-cycle cost rows and performance — modelled
+/// by [`at`](Self::at) or [`at_adaptive`](Self::at_adaptive), or as the
+/// paper published it ([`PAPER_TABLE2`](crate::PAPER_TABLE2)).
 #[derive(Debug, Clone, Copy)]
 pub struct AnalyticRow {
     /// Prediction accuracy.
@@ -308,6 +310,7 @@ impl AnalyticRow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PAPER_TABLE2;
 
     fn paper_als() -> ModelParams {
         ModelParams::from_config(&CoEmuConfig::paper_defaults(), Side::Accelerator)
@@ -365,34 +368,28 @@ mod tests {
     #[test]
     fn perfect_accuracy_row_matches_paper() {
         let row = AnalyticRow::at(&paper_als(), 1.0);
-        // Paper Table 2, p=1.0 column.
+        let paper = PAPER_TABLE2[0];
+        assert_eq!(paper.accuracy, 1.0);
+        let rel = |ours: f64, theirs: f64| (ours - theirs).abs() / theirs;
+        assert!(rel(row.t_sim, paper.t_sim) < 0.01, "Tsim {}", row.t_sim);
+        assert!(rel(row.t_acc, paper.t_acc) < 0.01, "Tacc {}", row.t_acc);
         assert!(
-            (row.t_sim - 1.0e-6).abs() / 1.0e-6 < 0.01,
-            "Tsim {}",
-            row.t_sim
-        );
-        assert!(
-            (row.t_acc - 1.0e-7).abs() / 1.0e-7 < 0.01,
-            "Tacc {}",
-            row.t_acc
-        );
-        assert!(
-            (row.t_store - 4.69e-10).abs() / 4.69e-10 < 0.02,
+            rel(row.t_store, paper.t_store) < 0.02,
             "Tstore {}",
             row.t_store
         );
-        assert!(row.t_restore == 0.0);
+        assert!(row.t_restore == paper.t_restore);
         assert!(
-            (row.t_channel - 4.3e-7).abs() / 4.3e-7 < 0.15,
+            rel(row.t_channel, paper.t_channel) < 0.15,
             "Tch {}",
             row.t_channel
         );
         assert!(
-            (row.performance - 652_000.0).abs() / 652_000.0 < 0.04,
+            rel(row.performance, paper.performance) < 0.04,
             "perf {}",
             row.performance
         );
-        assert!((row.ratio - 16.75).abs() < 0.8, "ratio {}", row.ratio);
+        assert!((row.ratio - paper.ratio).abs() < 0.8, "ratio {}", row.ratio);
     }
 
     #[test]
@@ -409,19 +406,9 @@ mod tests {
 
     #[test]
     fn paper_table2_shape_within_tolerance() {
-        // Paper rows (Perform.): p -> cycles/sec.
-        let paper = [
-            (1.0, 652_000.0),
-            (0.99, 543_000.0),
-            (0.96, 363_000.0),
-            (0.9, 226_000.0),
-            (0.8, 138_000.0),
-            (0.6, 76_700.0),
-            (0.3, 46_100.0),
-            (0.1, 36_700.0),
-        ];
         let m = paper_als();
-        for (p, paper_perf) in paper {
+        for paper in PAPER_TABLE2 {
+            let (p, paper_perf) = (paper.accuracy, paper.performance);
             let row = AnalyticRow::at(&m, p);
             let rel = (row.performance - paper_perf) / paper_perf;
             // Our mechanism differs in known ways (see the module docs'

@@ -7,6 +7,42 @@ pub const PAPER_ACCURACY_GRID: [f64; 13] = [
     1.0, 0.995, 0.99, 0.96, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1,
 ];
 
+/// The paper's published Table 2 (Performance of ALS: simulator 1,000
+/// kcycles/s, accelerator 10 Mcycles/s, LOB 64, 1,000 rollback variables,
+/// iPROVE PCI channel), transcribed one column per accuracy. `Tsim.` is
+/// 1.0e-6 in every column.
+pub const PAPER_TABLE2: [AnalyticRow; 8] = [
+    published(1.0, 1.0e-7, 4.69e-10, 0.0, 4.3e-7, 652e3, 16.75),
+    published(0.99, 1.6e-7, 7.6e-10, 2.9e-10, 6.8e-7, 543e3, 13.97),
+    published(0.96, 2.9e-7, 1.6e-9, 1.2e-9, 1.5e-6, 363e3, 9.33),
+    published(0.9, 4.9e-7, 3.3e-9, 2.9e-9, 2.9e-6, 226e3, 5.80),
+    published(0.8, 8.1e-7, 6.2e-9, 5.7e-9, 5.4e-6, 138e3, 3.56),
+    published(0.6, 1.5e-6, 1.2e-8, 1.2e-8, 1.1e-5, 76.7e3, 1.91),
+    published(0.3, 2.4e-6, 2.1e-8, 2.0e-8, 1.8e-5, 46.1e3, 1.19),
+    published(0.1, 3.0e-6, 2.7e-8, 2.6e-8, 2.3e-5, 36.7e3, 0.94),
+];
+
+const fn published(
+    accuracy: f64,
+    t_acc: f64,
+    t_store: f64,
+    t_restore: f64,
+    t_channel: f64,
+    performance: f64,
+    ratio: f64,
+) -> AnalyticRow {
+    AnalyticRow {
+        accuracy,
+        t_sim: 1.0e-6,
+        t_acc,
+        t_store,
+        t_restore,
+        t_channel,
+        performance,
+        ratio,
+    }
+}
+
 /// One point of a Figure 4 series.
 #[derive(Debug, Clone, Copy)]
 pub struct Figure4Point {

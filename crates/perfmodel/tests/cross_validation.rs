@@ -2,10 +2,12 @@
 //! measurement of the actual protocol engine on the synthetic harness.
 //!
 //! This is the strongest evidence the analytic Table 2 / Figure 4 generators
-//! describe the real mechanism rather than a convenient idealization.
+//! describe the real mechanism rather than a convenient idealization. Every
+//! measurement is a `SyntheticSoc::session()` halted at a transition
+//! boundary, the run `table2` and `figure4` measure.
 
 use predpkt_channel::Side;
-use predpkt_core::{CoEmuConfig, CoEmulator, ModePolicy};
+use predpkt_core::{CoEmuConfig, ModePolicy};
 use predpkt_perfmodel::{AnalyticRow, ModelParams};
 use predpkt_sim::CostCategory;
 use predpkt_workloads::SyntheticSoc;
@@ -15,10 +17,9 @@ fn measure(p: f64, config: CoEmuConfig, cycles: u64) -> predpkt_core::PerfReport
         ModePolicy::ForcedSla => SyntheticSoc::sla(p, 0xabcd),
         _ => SyntheticSoc::als(p, 0xabcd),
     };
-    let (sim, acc) = soc.build();
-    let mut coemu = CoEmulator::new(sim, acc, config);
-    coemu.run_until_committed(cycles).unwrap();
-    coemu.report()
+    let mut session = soc.session().config(config).build().unwrap();
+    session.run_until_committed(cycles).unwrap();
+    session.report()
 }
 
 /// Relative error helper.

@@ -1,18 +1,23 @@
 //! End-to-end validation of the parametric harness: the synthetic SoC driven
 //! through the full protocol engine must (a) exhibit the configured prediction
 //! accuracy, (b) reproduce the paper's headline Table 2 figures at the
-//! calibration points.
+//! calibration points. Every run is a `SyntheticSoc::session()` halted at a
+//! transition boundary, the run `table2` and `figure4` measure.
 
-use predpkt_core::{CoEmuConfig, CoEmulator, ModePolicy};
-use predpkt_sim::CostCategory;
+use predpkt_core::{CoEmuConfig, ModePolicy, PerfReport};
+use predpkt_perfmodel::PAPER_TABLE2;
+use predpkt_sim::{CostCategory, Frequency};
 use predpkt_workloads::SyntheticSoc;
 
-fn run_als(p: f64, cycles: u64) -> predpkt_core::PerfReport {
-    let (sim, acc) = SyntheticSoc::als(p, 0xfeed).build();
+fn run(soc: SyntheticSoc, config: CoEmuConfig, cycles: u64) -> PerfReport {
+    let mut session = soc.session().config(config).build().unwrap();
+    session.run_until_committed(cycles).unwrap();
+    session.report()
+}
+
+fn run_als(p: f64, cycles: u64) -> PerfReport {
     let config = CoEmuConfig::paper_defaults().policy(ModePolicy::ForcedAls);
-    let mut coemu = CoEmulator::new(sim, acc, config);
-    coemu.run_until_committed(cycles).unwrap();
-    coemu.report()
+    run(SyntheticSoc::als(p, 0xfeed), config, cycles)
 }
 
 #[test]
@@ -29,23 +34,24 @@ fn observed_accuracy_tracks_configured_p() {
 
 #[test]
 fn perfect_accuracy_reproduces_paper_performance() {
-    // Paper Table 2, p=1.0: Tacc=1.0e-7, Tstore=4.69e-10, Tch=4.3e-7,
-    // performance 652 kcycles/s (16.75x over the 38.9k conventional baseline).
+    // Paper Table 2, p=1.0 column (16.75x over the 38.9k conventional
+    // baseline).
+    let paper = PAPER_TABLE2[0];
+    assert_eq!(paper.accuracy, 1.0);
+    let rel = |ours: f64, theirs: f64| (ours - theirs).abs() / theirs;
     let report = run_als(1.0, 50_000);
     let perf = report.performance_cps();
     assert!(
-        (perf - 652_000.0).abs() / 652_000.0 < 0.05,
-        "perf {perf} vs paper 652k"
+        rel(perf, paper.performance) < 0.05,
+        "perf {perf} vs paper {}",
+        paper.performance
     );
     let tacc = report.per_cycle(CostCategory::Accelerator);
-    assert!((tacc - 1.0e-7).abs() / 1.0e-7 < 0.03, "Tacc {tacc}");
+    assert!(rel(tacc, paper.t_acc) < 0.03, "Tacc {tacc}");
     let tstore = report.per_cycle(CostCategory::StateStore);
-    assert!(
-        (tstore - 4.69e-10).abs() / 4.69e-10 < 0.05,
-        "Tstore {tstore}"
-    );
+    assert!(rel(tstore, paper.t_store) < 0.05, "Tstore {tstore}");
     let tch = report.per_cycle(CostCategory::Channel);
-    assert!((tch - 4.3e-7).abs() / 4.3e-7 < 0.15, "Tch {tch}");
+    assert!(rel(tch, paper.t_channel) < 0.15, "Tch {tch}");
     // No rollbacks at perfect accuracy.
     assert_eq!(
         report.sim_stats().rollbacks + report.acc_stats().rollbacks,
@@ -106,11 +112,8 @@ fn rollback_costs_appear_at_low_accuracy() {
 
 #[test]
 fn sla_mirrors_als_with_simulator_leading() {
-    let (sim, acc) = SyntheticSoc::sla(1.0, 7).build();
     let config = CoEmuConfig::paper_defaults().policy(ModePolicy::ForcedSla);
-    let mut coemu = CoEmulator::new(sim, acc, config);
-    coemu.run_until_committed(20_000).unwrap();
-    let report = coemu.report();
+    let report = run(SyntheticSoc::sla(1.0, 7), config, 20_000);
     // Simulator leads: its P-path is occupied, the accelerator follows.
     assert!(report.sim_stats().path(predpkt_core::PaperPath::P) > 0);
     assert!(report.acc_stats().path(predpkt_core::PaperPath::L) > 0);
@@ -126,18 +129,19 @@ fn sla_mirrors_als_with_simulator_leading() {
 #[test]
 fn conventional_baseline_reproduces_paper() {
     // Conservative mode on the synthetic payloads must land on the paper's
-    // 38.9 kcycles/s conventional figure.
-    let (sim, acc) = SyntheticSoc::als(1.0, 3).build();
-    let config = CoEmuConfig::paper_defaults().policy(ModePolicy::Conservative);
-    let mut coemu = CoEmulator::new(sim, acc, config);
-    coemu.run_until_committed(3_000).unwrap();
-    let report = coemu.report();
-    let perf = report.performance_cps();
-    assert!(
-        (perf - 38_900.0).abs() / 38_900.0 < 0.05,
-        "conventional perf {perf} vs paper 38.9k"
-    );
-    assert!((report.accesses_per_cycle() - 2.0).abs() < 0.01);
+    // conventional figures: 38.9 kcycles/s at sim=1000k, 28.8 at sim=100k.
+    for (sim_k, paper) in [(1_000, 38_900.0), (100, 28_800.0)] {
+        let config = CoEmuConfig::paper_defaults()
+            .policy(ModePolicy::Conservative)
+            .sim_speed(Frequency::from_kcycles_per_sec(sim_k));
+        let report = run(SyntheticSoc::als(1.0, 3), config, 3_000);
+        let perf = report.performance_cps();
+        assert!(
+            (perf - paper).abs() / paper < 0.05,
+            "sim={sim_k}k: conventional perf {perf} vs paper {paper}"
+        );
+        assert!((report.accesses_per_cycle() - 2.0).abs() < 0.01);
+    }
 }
 
 #[test]
@@ -145,13 +149,10 @@ fn carry_actuals_refinement_improves_low_accuracy() {
     // Our head-carry refinement adds one guaranteed-correct cycle per
     // transition; at low accuracy that nearly doubles progress per transition.
     let run = |carry: bool| {
-        let (sim, acc) = SyntheticSoc::als(0.1, 5).build();
         let config = CoEmuConfig::paper_defaults()
             .policy(ModePolicy::ForcedAls)
             .carry(carry);
-        let mut coemu = CoEmulator::new(sim, acc, config);
-        coemu.run_until_committed(5_000).unwrap();
-        coemu.report().performance_cps()
+        run(SyntheticSoc::als(0.1, 5), config, 5_000).performance_cps()
     };
     let faithful = run(false);
     let refined = run(true);
