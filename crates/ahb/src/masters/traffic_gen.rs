@@ -3,7 +3,7 @@
 use crate::engine::{BusOp, MasterEngine, OpResult};
 use crate::signals::{MasterSignals, MasterView};
 use crate::AhbMaster;
-use predpkt_sim::{declare_state, List};
+use predpkt_sim::{declare_state, GrowOnly};
 
 /// A master that executes a fixed list of operations, optionally separated by
 /// idle gaps and optionally looping forever.
@@ -109,13 +109,13 @@ impl AhbMaster for TrafficGenMaster {
 }
 
 // The script is static configuration. Results only accumulate, so a
-// rollback mostly truncates them; the ones that stay are refilled in place.
+// rollback truncates them to their length at the mark.
 declare_state! {
     impl TrafficGenMaster {
         next_op,
         idle_left,
         engine,
-        results: List,
+        results: GrowOnly,
     }
 }
 

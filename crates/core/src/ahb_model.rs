@@ -50,7 +50,8 @@
 //! slot (where the proxy vectors of earlier versions always held idle) and
 //! the proxy for every remote slot, so the rollback-variable count and every
 //! checkpoint byte are unchanged, and `relatch()` rebuilds the proxies'
-//! words from what a restore or rewind read (see [`Slots`]).
+//! words from what a restore or rewind read. A mark copies the proxies
+//! alone and only declares the local slots' idle words (see [`Slots`]).
 
 use crate::blueprint::Placement;
 use crate::model::{DomainModel, TickKind};
@@ -102,7 +103,9 @@ const MAX_COMPONENTS: usize = 16;
 /// slot per component in bus order: a local component's latched outputs, a
 /// remote one's proxy. Only the proxies are rollback state: a local slot is
 /// saved as the idle value, and what a restore reads into it stands until
-/// the model relatches.
+/// the model relatches. A mark copies the proxies only and declares the
+/// local slots' idle words, which a rewind skips: the relatch after it
+/// overwrites every local slot.
 #[derive(Clone, Copy)]
 struct Slots<S> {
     sig: [S; MAX_COMPONENTS],
@@ -152,6 +155,27 @@ impl<S: Snapshot + Copy + Default> Snapshot for Slots<S> {
 
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         self.iter_mut().try_for_each(|sig| sig.restore(r))
+    }
+
+    fn mark(&mut self, w: &mut StateWriter<'_>) {
+        let idle = S::default().saved_len();
+        let local = self.local;
+        for (i, sig) in self.iter_mut().enumerate() {
+            if local >> i & 1 == 0 {
+                sig.mark(w);
+            } else {
+                w.journaled(idle);
+            }
+        }
+    }
+
+    fn rewind(&mut self, r: &mut StateReader<'_>) {
+        let local = self.local;
+        for (i, sig) in self.iter_mut().enumerate() {
+            if local >> i & 1 == 0 {
+                sig.rewind(r);
+            }
+        }
     }
 }
 

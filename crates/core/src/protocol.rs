@@ -106,6 +106,17 @@ pub enum Message<'a> {
 }
 
 impl<'a> Message<'a> {
+    /// The tag the message travels under: its kind.
+    pub fn tag(&self) -> PacketTag {
+        match self {
+            Message::Handshake { .. } => PacketTag::Handshake,
+            Message::CycleOutputs { .. } => PacketTag::CycleOutputs,
+            Message::Burst { .. } => PacketTag::Burst,
+            Message::ReportSuccess { .. } => PacketTag::ReportSuccess,
+            Message::ReportFailure { .. } => PacketTag::ReportFailure,
+        }
+    }
+
     /// Appends the message's payload words to `payload` (a pooled buffer on
     /// the hot path) and returns the tag they travel under.
     pub fn encode_into(&self, payload: &mut Vec<u32>) -> PacketTag {
@@ -113,26 +124,16 @@ impl<'a> Message<'a> {
             Message::Handshake {
                 local_width,
                 remote_width,
-            } => {
-                payload.extend_from_slice(&[local_width as u32, remote_width as u32]);
-                PacketTag::Handshake
-            }
-            Message::CycleOutputs { outputs } => {
-                payload.extend_from_slice(outputs);
-                PacketTag::CycleOutputs
-            }
+            } => payload.extend_from_slice(&[local_width as u32, remote_width as u32]),
+            Message::CycleOutputs { outputs } => payload.extend_from_slice(outputs),
             Message::Burst {
                 entries,
                 leader_next,
             } => {
                 entries.encode_into(payload);
                 payload.extend_from_slice(leader_next);
-                PacketTag::Burst
             }
-            Message::ReportSuccess { next } => {
-                payload.extend_from_slice(next);
-                PacketTag::ReportSuccess
-            }
+            Message::ReportSuccess { next } => payload.extend_from_slice(next),
             Message::ReportFailure {
                 failed_index,
                 actual,
@@ -141,9 +142,9 @@ impl<'a> Message<'a> {
                 payload.push(failed_index as u32);
                 payload.extend_from_slice(actual);
                 payload.extend_from_slice(next);
-                PacketTag::ReportFailure
             }
         }
+        self.tag()
     }
 
     /// Serializes into a tagged packet with a payload of its own.

@@ -762,6 +762,14 @@ impl<M: DomainModel> ChannelWrapper<M> {
             ) => {
                 self.check_remote(actual, "a report's actual outputs")?;
                 self.check_remote(next, "a report's next-cycle outputs")?;
+                // Only an entry that carried a prediction can have failed.
+                let checked = self.head_count()..self.inflight.len();
+                if !checked.contains(&failed_index) {
+                    return Err(SimError::Config(format!(
+                        "protocol: failure report names entry {failed_index}, \
+                         outside the checked entries {checked:?} of its burst"
+                    )));
+                }
                 obs.on_event(
                     self.side,
                     &EmuEvent::ReportReceived {
@@ -805,7 +813,8 @@ impl<M: DomainModel> ChannelWrapper<M> {
             }
             (phase, other) => {
                 return Err(SimError::Config(format!(
-                    "protocol: {phase:?} did not expect {other:?}"
+                    "protocol: {phase:?} did not expect {:?}",
+                    other.tag()
                 )));
             }
         }
@@ -882,6 +891,17 @@ impl<M: DomainModel> ChannelWrapper<M> {
         Ok(())
     }
 
+    /// The in-flight entries a leader ran on carried actuals: the leading
+    /// ones, with no prediction. They are inside the mark, so a failure
+    /// report names an entry after them.
+    fn head_count(&self) -> usize {
+        self.inflight
+            .entries()
+            .iter()
+            .take_while(|e| e.predicted.is_none())
+            .count()
+    }
+
     /// RB + RF: rewind to the mark and replay the verified prefix (F-path).
     fn roll_back_and_forth(
         &mut self,
@@ -897,12 +917,7 @@ impl<M: DomainModel> ChannelWrapper<M> {
             .ok_or_else(|| SimError::Config("rollback without a snapshot".into()))?;
         let vars = self.rollback_vars(costs);
         ledger.charge(CostCategory::StateRestore, costs.restore_per_var * vars);
-        if let Err(err) = rewind_from_vec(&mut self.model, &self.snapshot) {
-            // The model now holds an undefined mixture of pre- and
-            // post-rollback state: quarantine it so no further step can run.
-            self.poisoned = Some(err.clone());
-            return Err(SimError::Snapshot(err));
-        }
+        rewind_from_vec(&mut self.model, &self.snapshot);
         self.model.trace_truncate(mark);
 
         // Roll-forth: replay the verified prefix with its recorded predictions
@@ -910,14 +925,7 @@ impl<M: DomainModel> ChannelWrapper<M> {
         // the failing cycle with the reported actuals. Head entries executed on
         // actual values are *inside* the snapshot and must not be replayed.
         let inflight = self.inflight.entries();
-        let head_count = inflight
-            .iter()
-            .take_while(|e| e.predicted.is_none())
-            .count();
-        debug_assert!(
-            failed_index >= head_count,
-            "lagger reported failure of an unchecked head entry"
-        );
+        let head_count = self.head_count();
         for entry in inflight
             .iter()
             .skip(head_count)

@@ -7,6 +7,10 @@
 //! travels in is damaged here in a live Fig. 2 session — over the in-process
 //! queue and over a real loopback socket pair — and the session must end
 //! with `SimError::Config("protocol: …")`.
+//!
+//! A failure report's index is the peer's word too: one outside the entries
+//! of its burst that carried a prediction is refused the same way, before
+//! the leader rewinds anything.
 
 mod common;
 
@@ -165,6 +169,109 @@ fn run_tampered<T: Transport>(position: Position, medium: T) -> Result<(), SimEr
     let outcome = emu.run_until_synchronized(4_000);
     assert!(emu.transport().hit, "{position:?}: no such packet was sent");
     outcome
+}
+
+/// What a damaged failure report names instead of the entry that failed.
+#[derive(Debug, Clone, Copy)]
+enum BadIndex {
+    /// An index no burst reaches.
+    Max,
+    /// One past the last entry of the burst the report answers.
+    Len,
+    /// The burst's head entry, which ran on carried actuals and was never
+    /// checked.
+    Head,
+}
+
+/// Rewrites the index of the first failure report that answers a burst
+/// `bad` applies to.
+struct IndexTamper<T> {
+    inner: T,
+    bad: BadIndex,
+    /// Per sender: the last burst's entry count, and whether its first
+    /// entry is a head entry.
+    bursts: [(u32, bool); 2],
+    hit: bool,
+}
+
+impl<T: Transport> Transport for IndexTamper<T> {
+    fn send(&mut self, from: Side, packet: Packet) {
+        let sender = (from == Side::Accelerator) as usize;
+        let packet = match packet.tag() {
+            PacketTag::Burst => {
+                // `[count, width, has_prediction, …]`: the first entry
+                // travels raw.
+                let words = packet.payload();
+                self.bursts[sender] = (words[0], words[0] > 0 && words[2] == 0);
+                packet
+            }
+            PacketTag::ReportFailure if !self.hit => {
+                let (len, head) = self.bursts[1 - sender];
+                let index = match self.bad {
+                    BadIndex::Max => Some(u32::MAX),
+                    BadIndex::Len => Some(len),
+                    BadIndex::Head => head.then_some(0),
+                };
+                match index {
+                    Some(index) => {
+                        self.hit = true;
+                        let mut words = packet.into_payload();
+                        words[0] = index;
+                        Packet::new(PacketTag::ReportFailure, words)
+                    }
+                    None => packet,
+                }
+            }
+            _ => packet,
+        };
+        self.inner.send(from, packet);
+    }
+
+    fn recv(&mut self, to: Side) -> Option<Packet> {
+        self.inner.recv(to)
+    }
+
+    fn pending(&self, to: Side) -> usize {
+        self.inner.pending(to)
+    }
+}
+
+fn run_misindexed<T: Transport>(bad: BadIndex, medium: T) -> Result<(), SimError> {
+    let (sim, acc) = common::figure2_soc().build_pair().expect("Fig. 2 builds");
+    let config = CoEmuConfig::paper_defaults()
+        .policy(ModePolicy::Auto)
+        .carry(true);
+    let tamper = IndexTamper {
+        inner: medium,
+        bad,
+        bursts: [(0, false); 2],
+        hit: false,
+    };
+    let mut emu = CoEmulator::with_transport(sim, acc, config, tamper);
+    let outcome = emu.run_until_synchronized(4_000);
+    assert!(
+        emu.transport().hit,
+        "{bad:?}: no such failure report was sent"
+    );
+    outcome
+}
+
+#[test]
+fn a_failure_index_outside_the_checked_entries_is_a_protocol_error() {
+    for bad in [BadIndex::Max, BadIndex::Len, BadIndex::Head] {
+        for (backend, outcome) in [
+            ("queue", run_misindexed(bad, QueueTransport::new())),
+            ("tcp", run_misindexed(bad, SocketPair::new())),
+        ] {
+            match outcome {
+                Err(SimError::Config(msg)) => assert!(
+                    msg.starts_with("protocol: failure report names entry"),
+                    "{bad:?} over {backend}: {msg}"
+                ),
+                other => panic!("{bad:?} over {backend}: expected a protocol error, got {other:?}"),
+            }
+        }
+    }
 }
 
 fn assert_typed_error(position: Position, backend: &str, outcome: Result<(), SimError>) {

@@ -671,7 +671,7 @@ mod tests {
             t.observe(i * 3, 9);
         }
         assert_ne!(save_to_vec(&t), saved);
-        rewind_from_vec(&mut t, &mark).unwrap();
+        rewind_from_vec(&mut t, &mark);
         assert_eq!(save_to_vec(&t), saved);
 
         // Slot 17 of the confidence column, behind two prefixed columns and

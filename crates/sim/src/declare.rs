@@ -6,7 +6,8 @@
 use crate::snapshot::{Snapshot, SnapshotError, StateReader, StateWriter};
 use std::collections::VecDeque;
 
-/// One word each, through the typed reader of the same name.
+/// One word each, through the typed reader of the same name; a rewind
+/// takes the word back as its own mark wrote it.
 macro_rules! scalar {
     ($($ty:ty => $op:ident),* $(,)?) => {$(
         impl Snapshot for $ty {
@@ -20,11 +21,45 @@ macro_rules! scalar {
                 *self = r.$op()?;
                 Ok(())
             }
+
+            #[inline]
+            fn saved_len(&self) -> usize {
+                1
+            }
+
+            #[inline]
+            fn rewind(&mut self, r: &mut StateReader<'_>) {
+                *self = r.marked_word() as $ty;
+            }
         }
     )*};
 }
 
-scalar!(u32 => u32, u64 => word, usize => usize, bool => bool);
+scalar!(u32 => u32, u64 => word, usize => usize);
+
+/// One word, 0 or 1.
+impl Snapshot for bool {
+    #[inline]
+    fn save(&self, w: &mut StateWriter<'_>) {
+        w.bool(*self);
+    }
+
+    #[inline]
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        *self = r.bool()?;
+        Ok(())
+    }
+
+    #[inline]
+    fn saved_len(&self) -> usize {
+        1
+    }
+
+    #[inline]
+    fn rewind(&mut self, r: &mut StateReader<'_>) {
+        *self = r.marked_word() != 0;
+    }
+}
 
 /// One word each, refused at that word above the type's range.
 macro_rules! narrow {
@@ -41,6 +76,16 @@ macro_rules! narrow {
                 *self = <$ty>::try_from(r.u32()?).map_err(|_| r.corrupt_at(at))?;
                 Ok(())
             }
+
+            #[inline]
+            fn saved_len(&self) -> usize {
+                1
+            }
+
+            #[inline]
+            fn rewind(&mut self, r: &mut StateReader<'_>) {
+                *self = r.marked_word() as $ty;
+            }
         }
     )*};
 }
@@ -49,7 +94,9 @@ narrow!(u8, u16);
 
 /// A presence flag, then the value. A restore over `Some` restores the value
 /// in place, so its own allocations are reused; over `None` it starts from
-/// `T::default()`.
+/// `T::default()`. A mark and a rewind reach the value through its own
+/// `mark` and `rewind`, in the same place: a value whose mark is its save
+/// (one built from leaves) rewinds from whatever the option holds.
 impl<T: Snapshot + Default> Snapshot for Option<T> {
     #[inline]
     fn save(&self, w: &mut StateWriter<'_>) {
@@ -68,6 +115,50 @@ impl<T: Snapshot + Default> Snapshot for Option<T> {
             Ok(())
         }
     }
+
+    #[inline]
+    fn saved_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, Snapshot::saved_len)
+    }
+
+    #[inline]
+    fn mark(&mut self, w: &mut StateWriter<'_>) {
+        w.bool(self.is_some());
+        if let Some(value) = self {
+            value.mark(w);
+        }
+    }
+
+    #[inline]
+    fn rewind(&mut self, r: &mut StateReader<'_>) {
+        if r.marked_word() != 0 {
+            self.get_or_insert_with(T::default).rewind(r);
+        } else {
+            *self = None;
+        }
+    }
+
+    #[inline]
+    fn release(&mut self) {
+        if let Some(value) = self {
+            value.release();
+        }
+    }
+}
+
+/// Copies a run of words a mark wrote, each a `u32`, into `out`.
+#[inline]
+fn narrow_into(out: &mut [u32], run: &[u64]) {
+    for (slot, &w) in out.iter_mut().zip(run) {
+        *slot = w as u32;
+    }
+}
+
+/// The words of a length-prefixed run a mark wrote, each a `u32`.
+#[inline]
+fn marked_slice<'a>(r: &mut StateReader<'a>) -> impl Iterator<Item = u32> + 'a {
+    let n = r.marked_word() as usize;
+    r.marked_words(n).iter().map(|&w| w as u32)
 }
 
 /// The length-prefixed layout of [`StateWriter::slice_u32`], restored into
@@ -81,6 +172,17 @@ impl Snapshot for Vec<u32> {
     #[inline]
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         r.slice_u32_into(self)
+    }
+
+    #[inline]
+    fn saved_len(&self) -> usize {
+        1 + self.len()
+    }
+
+    #[inline]
+    fn rewind(&mut self, r: &mut StateReader<'_>) {
+        self.clear();
+        self.extend(marked_slice(r));
     }
 }
 
@@ -103,6 +205,15 @@ impl Snapshot for VecDeque<u32> {
         *self = words.into();
         read
     }
+
+    fn saved_len(&self) -> usize {
+        1 + self.len()
+    }
+
+    fn rewind(&mut self, r: &mut StateReader<'_>) {
+        self.clear();
+        self.extend(marked_slice(r));
+    }
 }
 
 /// The length-prefixed layout of [`StateWriter::slice_u32`]; a length word
@@ -117,6 +228,33 @@ impl<const N: usize> Snapshot for [u32; N] {
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         r.slice_u32_exact(self)
     }
+
+    #[inline]
+    fn saved_len(&self) -> usize {
+        1 + N
+    }
+
+    #[inline]
+    fn rewind(&mut self, r: &mut StateReader<'_>) {
+        r.marked_word();
+        narrow_into(self, r.marked_words(N));
+    }
+}
+
+/// Reads the `N` words a packed value's mark wrote.
+#[doc(hidden)]
+#[inline]
+pub fn marked_array<const N: usize>(r: &mut StateReader<'_>) -> [u32; N] {
+    let mut words = [0; N];
+    narrow_into(&mut words, r.marked_words(N));
+    words
+}
+
+/// The length of the run of words `pack` returns.
+#[doc(hidden)]
+#[inline]
+pub fn packed_len<T: ?Sized, const N: usize>(_pack: fn(&T) -> [u32; N]) -> usize {
+    N
 }
 
 /// A field layout other than its type's own [`Snapshot`], named after the
@@ -133,6 +271,10 @@ pub trait Codec<T: ?Sized> {
     /// As [`Snapshot::restore`].
     fn restore(field: &mut T, r: &mut StateReader<'_>) -> Result<(), SnapshotError>;
 
+    /// The words [`save`](Codec::save) writes for `field`, as
+    /// [`Snapshot::saved_len`].
+    fn saved_len(field: &T) -> usize;
+
     /// Opens a rollback mark on `field`, as [`Snapshot::mark`].
     #[inline]
     fn mark(field: &mut T, w: &mut StateWriter<'_>) {
@@ -140,13 +282,9 @@ pub trait Codec<T: ?Sized> {
     }
 
     /// Returns `field` to its mark, as [`Snapshot::rewind`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Snapshot::restore`].
     #[inline]
-    fn rewind(field: &mut T, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        Self::restore(field, r)
+    fn rewind(field: &mut T, r: &mut StateReader<'_>) {
+        Self::restore(field, r).expect("a rewind reads its own mark");
     }
 
     /// Closes `field`'s mark, as [`Snapshot::release`].
@@ -171,13 +309,18 @@ impl<T: Snapshot + ?Sized> Codec<T> for Own {
     }
 
     #[inline]
+    fn saved_len(field: &T) -> usize {
+        field.saved_len()
+    }
+
+    #[inline]
     fn mark(field: &mut T, w: &mut StateWriter<'_>) {
         field.mark(w);
     }
 
     #[inline]
-    fn rewind(field: &mut T, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        field.rewind(r)
+    fn rewind(field: &mut T, r: &mut StateReader<'_>) {
+        field.rewind(r);
     }
 
     #[inline]
@@ -243,15 +386,16 @@ where
             .try_for_each(|item| item.restore(r))
     }
 
+    fn saved_len(field: &S) -> usize {
+        field.items().iter().map(Snapshot::saved_len).sum()
+    }
+
     fn mark(field: &mut S, w: &mut StateWriter<'_>) {
         field.items_mut().iter_mut().for_each(|item| item.mark(w));
     }
 
-    fn rewind(field: &mut S, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        field
-            .items_mut()
-            .iter_mut()
-            .try_for_each(|item| item.rewind(r))
+    fn rewind(field: &mut S, r: &mut StateReader<'_>) {
+        field.items_mut().iter_mut().for_each(|item| item.rewind(r));
     }
 
     fn release(field: &mut S) {
@@ -276,15 +420,16 @@ impl<T: Snapshot> Codec<Vec<Option<T>>> for Present {
             .try_for_each(|item| item.restore(r))
     }
 
+    fn saved_len(field: &Vec<Option<T>>) -> usize {
+        field.iter().flatten().map(Snapshot::saved_len).sum()
+    }
+
     fn mark(field: &mut Vec<Option<T>>, w: &mut StateWriter<'_>) {
         field.iter_mut().flatten().for_each(|item| item.mark(w));
     }
 
-    fn rewind(field: &mut Vec<Option<T>>, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        field
-            .iter_mut()
-            .flatten()
-            .try_for_each(|item| item.rewind(r))
+    fn rewind(field: &mut Vec<Option<T>>, r: &mut StateReader<'_>) {
+        field.iter_mut().flatten().for_each(|item| item.rewind(r));
     }
 
     fn release(field: &mut Vec<Option<T>>) {
@@ -293,10 +438,12 @@ impl<T: Snapshot> Codec<Vec<Option<T>>> for Present {
 }
 
 /// A length word, then every element in order: a list that grows and
-/// shrinks (jobs in flight, results so far). A restore truncates the list to
-/// the announced length, restores the elements it keeps in place and
-/// appends `T::default()` for each one it lacks, so it allocates only what
-/// the list grew by. A rollback copies the list in full.
+/// shrinks (jobs in flight). A restore truncates the list to the announced
+/// length, restores the elements it keeps in place and appends
+/// `T::default()` for each one it lacks, so it allocates only what the list
+/// grew by. A rollback walks the list the same way through the elements'
+/// own `mark` and `rewind`, by position, so it suits elements whose mark is
+/// their save (ones built from leaves).
 #[derive(Debug)]
 pub struct List;
 
@@ -316,6 +463,55 @@ impl<T: Snapshot + Default> Codec<Vec<T>> for List {
             field[i].restore(r)?;
         }
         Ok(())
+    }
+
+    fn saved_len(field: &Vec<T>) -> usize {
+        1 + field.iter().map(Snapshot::saved_len).sum::<usize>()
+    }
+
+    fn mark(field: &mut Vec<T>, w: &mut StateWriter<'_>) {
+        w.usize(field.len());
+        field.iter_mut().for_each(|item| item.mark(w));
+    }
+
+    fn rewind(field: &mut Vec<T>, r: &mut StateReader<'_>) {
+        field.resize_with(r.marked_word() as usize, T::default);
+        field.iter_mut().for_each(|item| item.rewind(r));
+    }
+
+    fn release(field: &mut Vec<T>) {
+        field.iter_mut().for_each(Snapshot::release);
+    }
+}
+
+/// [`List`]'s layout, word for word, for a list that only grows while a
+/// mark is open (results so far): its elements are never changed in place,
+/// and nothing but a restore takes one away. A mark writes the length word
+/// and declares the elements' words through [`StateWriter::journaled`]; a
+/// rewind truncates to that length. A restore is `List`'s.
+#[derive(Debug)]
+pub struct GrowOnly;
+
+impl<T: Snapshot + Default> Codec<Vec<T>> for GrowOnly {
+    fn save(field: &Vec<T>, w: &mut StateWriter<'_>) {
+        <List as Codec<Vec<T>>>::save(field, w);
+    }
+
+    fn restore(field: &mut Vec<T>, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        <List as Codec<Vec<T>>>::restore(field, r)
+    }
+
+    fn saved_len(field: &Vec<T>) -> usize {
+        <List as Codec<Vec<T>>>::saved_len(field)
+    }
+
+    fn mark(field: &mut Vec<T>, w: &mut StateWriter<'_>) {
+        w.usize(field.len())
+            .journaled(field.iter().map(Snapshot::saved_len).sum());
+    }
+
+    fn rewind(field: &mut Vec<T>, r: &mut StateReader<'_>) {
+        field.truncate(r.marked_word() as usize);
     }
 }
 
@@ -369,7 +565,7 @@ pub fn check<T: ?Sized, V: Verdict>(
 /// declare_state! {
 ///     impl Type {
 ///         field,                         // the field type's own Snapshot
-///         field: Codec,                  // another layout (Each, Present, List)
+///         field: Codec,                  // another layout (Each, Present, List, GrowOnly)
 ///         field => |this, at| verdict,   // a check, run right after the field is read
 ///     } then hook                        // optional: `self.hook()` after each reading leg
 /// }
@@ -378,20 +574,31 @@ pub fn check<T: ?Sized, V: Verdict>(
 /// Generics go after `impl`, as in an impl: `impl<S: Snapshot> Board<S> { … }`.
 /// `save` writes the fields in order; `restore` reads them in order and runs
 /// each field's check right after it, refusing at the word the check names
-/// (see [`Verdict`]; the check sees every field read so far); `mark`,
-/// `rewind` and `release` go to every field, so a [`Journaled`](crate::Journaled)
-/// field, or any field holding one, rolls back by journal with no forwarding
-/// written. A rewind runs none of the type's own checks: it reads the vector
-/// the component's own mark wrote (a field that rolls back by full copy still
-/// restores, with its own checks). The hook runs after a successful `restore`
-/// or `rewind`.
+/// (see [`Verdict`]; the check sees every field read so far); `saved_len`
+/// sums the fields' word counts; `mark`, `rewind` and `release` go to every
+/// field, so a [`Journaled`](crate::Journaled) field, or any field holding
+/// one, rolls back by journal with no forwarding written. No check runs on a
+/// rewind, the type's own or a leaf's: it reads the vector the component's
+/// own mark wrote, so every leaf reads its words unchecked
+/// ([`StateReader::marked_word`]) and a decoder that refuses one panics. A
+/// field of a hand-written type rolls back by its provided full `restore`,
+/// checks and all. The hook runs after a successful `restore` and after
+/// every `rewind`.
+///
+/// The field codecs: [`Each`] and [`Present`] reach every element (no
+/// length word); [`List`] writes a length word, then each element, and
+/// rolls back element by element; [`GrowOnly`] writes `List`'s words for a
+/// list that only grows while a mark is open, and rolls back by truncating
+/// to the length its mark copied, declaring the elements instead of
+/// copying them.
 ///
 /// Two more forms declare a type stored as packed words, through a pair of
 /// its own methods: `impl A, B: word(encode, decode)` for one word
 /// (`encode(self) -> u32`, `decode(u32) -> Option<Self>`), and
 /// `impl C: words(pack, unpack)` for a fixed run of them
 /// (`pack(&self) -> [u32; N]`, `unpack(&[u32; N]) -> Option<Self>`). A
-/// value the decoder refuses is corrupt at the packed run's first word.
+/// value the decoder refuses is corrupt at the packed run's first word on a
+/// restore, and a bug on a rewind.
 ///
 /// # Example
 ///
@@ -446,6 +653,16 @@ macro_rules! declare_state {
                 *self = Self::$decode(r.u32()?).ok_or_else(|| r.corrupt_at(at))?;
                 Ok(())
             }
+
+            #[inline]
+            fn saved_len(&self) -> usize {
+                1
+            }
+
+            #[inline]
+            fn rewind(&mut self, r: &mut $crate::StateReader<'_>) {
+                *self = Self::$decode(r.marked_word() as u32).expect("a rewind reads its own mark");
+            }
         }
     )+};
     (impl $($ty:ty),+ : words($pack:ident, $unpack:ident)) => {$(
@@ -462,6 +679,16 @@ macro_rules! declare_state {
                 let at = r.position();
                 *self = Self::$unpack(&r.u32_array()?).ok_or_else(|| r.corrupt_at(at))?;
                 Ok(())
+            }
+
+            #[inline]
+            fn saved_len(&self) -> usize {
+                $crate::__packed_len(Self::$pack)
+            }
+
+            #[inline]
+            fn rewind(&mut self, r: &mut $crate::StateReader<'_>) {
+                *self = Self::$unpack(&$crate::__marked_array(r)).expect("a rewind reads its own mark");
             }
         }
     )+};
@@ -489,14 +716,18 @@ macro_rules! declare_state {
             }
 
             #[inline]
+            fn saved_len(&self) -> usize {
+                0 $(+ <$crate::declare_state!(@codec $($codec)?) as $crate::Codec<_>>::saved_len(&self.$field))*
+            }
+
+            #[inline]
             fn mark(&mut self, w: &mut $crate::StateWriter<'_>) {
                 $(<$crate::declare_state!(@codec $($codec)?) as $crate::Codec<_>>::mark(&mut self.$field, w);)*
             }
 
-            fn rewind(&mut self, r: &mut $crate::StateReader<'_>) -> Result<(), $crate::SnapshotError> {
-                $(<$crate::declare_state!(@codec $($codec)?) as $crate::Codec<_>>::rewind(&mut self.$field, r)?;)*
+            fn rewind(&mut self, r: &mut $crate::StateReader<'_>) {
+                $(<$crate::declare_state!(@codec $($codec)?) as $crate::Codec<_>>::rewind(&mut self.$field, r);)*
                 $(self.$hook();)?
-                Ok(())
             }
 
             #[inline]
@@ -512,7 +743,7 @@ macro_rules! declare_state {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{restore_from_vec, save_to_vec, StateVec};
+    use crate::{mark_into, restore_from_vec, rewind_from_vec, save_to_vec, StateVec};
 
     fn words(words: &[u64]) -> StateVec {
         StateVec::from(words.to_vec())
@@ -578,5 +809,76 @@ mod tests {
         let none = Holder::default();
         restore_from_vec(&mut target, &save_to_vec(&none)).unwrap();
         assert_eq!(target, none);
+    }
+
+    #[derive(Debug, Default, PartialEq)]
+    struct Grown {
+        list: Vec<Record>,
+    }
+
+    #[derive(Debug, Default, PartialEq)]
+    struct Listed {
+        list: Vec<Record>,
+    }
+
+    crate::declare_state! { impl Grown { list: GrowOnly } }
+    crate::declare_state! { impl Listed { list: List } }
+
+    /// A grow-only list saves and restores `List`'s words, bills its
+    /// elements at a mark while copying only its length, and rolls back by
+    /// truncation: a rewind drops what was pushed since the mark, a release
+    /// keeps it, and a second mark supersedes the first.
+    #[test]
+    fn a_grow_only_list_rolls_back_by_its_length() {
+        let record = |tag: u32| Record {
+            tag,
+            payload: vec![tag; tag as usize % 4],
+        };
+        let mut grown = Grown {
+            list: (1..=3).map(record).collect(),
+        };
+        let saved = save_to_vec(&grown);
+        let listed = Listed {
+            list: (1..=3).map(record).collect(),
+        };
+        assert_eq!(saved.words(), save_to_vec(&listed).words());
+        assert_eq!(grown.saved_len(), saved.len());
+        let mut restored = Grown {
+            list: (7..12).map(record).collect(),
+        };
+        restore_from_vec(&mut restored, &saved).unwrap();
+        assert_eq!(restored, grown);
+        let mut short = saved.words().to_vec();
+        short.pop();
+        assert_eq!(
+            restore_from_vec(&mut restored, &StateVec::from(short.clone())),
+            restore_from_vec(&mut Listed::default(), &StateVec::from(short)),
+            "a restore refuses what List's refuses"
+        );
+
+        let mut mark = StateVec::new();
+        for k in [0, 1, 5] {
+            mark_into(&mut grown, &mut mark);
+            assert_eq!((mark.len(), mark.billed_len()), (1, saved.len()));
+            grown.list.extend((10..10 + k).map(record));
+            rewind_from_vec(&mut grown, &mark);
+            assert_eq!(save_to_vec(&grown), saved, "{k} pushes");
+        }
+
+        mark_into(&mut grown, &mut mark);
+        grown.list.push(record(20));
+        grown.release();
+        let released = save_to_vec(&grown);
+        assert_eq!(grown.list.len(), 4, "a release keeps the push");
+
+        mark_into(&mut grown, &mut mark);
+        grown.list.push(record(21));
+        mark_into(&mut grown, &mut mark);
+        assert_eq!(mark.billed_len(), grown.saved_len());
+        grown.list.push(record(22));
+        rewind_from_vec(&mut grown, &mark);
+        assert_eq!(grown.list.len(), 5, "the second mark superseded the first");
+        grown.list.pop();
+        assert_eq!(save_to_vec(&grown), released);
     }
 }

@@ -41,7 +41,7 @@ use std::ops::Deref;
 /// store.set(3, 8);
 /// store.set(900, 1);
 /// assert_eq!(store.logged(), 2);
-/// rewind_from_vec(&mut store, &mark).unwrap();
+/// rewind_from_vec(&mut store, &mark);
 /// assert_eq!(save_to_vec(&store), before);
 /// ```
 #[derive(Debug, Clone)]
@@ -118,18 +118,21 @@ impl Snapshot for Journaled {
         r.slice_u32_exact(&mut self.words)
     }
 
+    fn saved_len(&self) -> usize {
+        self.words.len() + 1
+    }
+
     fn mark(&mut self, w: &mut StateWriter<'_>) {
         self.log.clear();
         self.open = true;
-        w.journaled(self.words.len() + 1);
+        w.journaled(self.saved_len());
     }
 
-    fn rewind(&mut self, _r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+    fn rewind(&mut self, _r: &mut StateReader<'_>) {
         for &(index, old) in self.log.iter().rev() {
             self.words[index] = old;
         }
         self.close();
-        Ok(())
     }
 
     fn release(&mut self) {
@@ -178,7 +181,7 @@ mod tests {
         for (i, v) in [(4, 1), (9, 2), (4, 3), (15, 4)] {
             store.set(i, v);
         }
-        rewind_from_vec(&mut store, &mark).unwrap();
+        rewind_from_vec(&mut store, &mark);
         assert_eq!(save_to_vec(&store), before);
         store.set(0, 42);
         assert_eq!(store.logged(), 0, "the rewind closed the mark");
@@ -194,7 +197,7 @@ mod tests {
         mark_into(&mut store, &mut mark);
         store.set(1, 200);
         store.set(3, 300);
-        rewind_from_vec(&mut store, &mark).unwrap();
+        rewind_from_vec(&mut store, &mark);
         assert_eq!(save_to_vec(&store), at_second);
     }
 

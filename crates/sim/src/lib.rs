@@ -45,7 +45,11 @@ mod trace;
 
 #[doc(hidden)]
 pub use declare::check as __check;
-pub use declare::{Codec, Each, List, Own, Present, Sequence, Verdict};
+#[doc(hidden)]
+pub use declare::marked_array as __marked_array;
+#[doc(hidden)]
+pub use declare::packed_len as __packed_len;
+pub use declare::{Codec, Each, GrowOnly, List, Own, Present, Sequence, Verdict};
 pub use error::SimError;
 pub use journal::Journaled;
 pub use ledger::{CostCategory, LedgerReport, TimeLedger};

@@ -25,23 +25,33 @@
 //!   copy must leave the virtual-time statistics identical.
 //! * **Copied words** are the words the host moves, [`StateVec::len`]. A
 //!   [`save`](Snapshot::save) copies every word it bills. A
-//!   [`mark`](Snapshot::mark) may copy fewer: a [`Journaled`](crate::Journaled)
-//!   store declares its `len + 1` words through [`StateWriter::journaled`],
+//!   [`mark`](Snapshot::mark) copies only what its rewind needs and declares
+//!   the rest through [`StateWriter::journaled`]: a
+//!   [`Journaled`](crate::Journaled) store declares its `len + 1` words,
 //!   copies none, and logs the old value of each word written until the mark
-//!   closes.
+//!   closes; a list that only grows while a mark is open
+//!   ([`GrowOnly`](crate::GrowOnly)) copies its length and declares its
+//!   elements ([`Snapshot::saved_len`] counts them without writing them);
+//!   derived state a rewind rebuilds anyway (the AHB model's latched local
+//!   signal slots) is declared, not copied.
 //!
 //! # Two paths
 //!
 //! * **Checkpoint:** [`save`](Snapshot::save) / [`restore`](Snapshot::restore)
 //!   write and read the complete layout, which a blob carries from one
-//!   session to another.
+//!   session to another. A blob is hostile input, so `restore` checks every
+//!   word: range, length prefix, signal decode and each declared check.
 //! * **Rollback:** [`mark`](Snapshot::mark) before a run-ahead, then exactly
 //!   one of [`rewind`](Snapshot::rewind) (a misprediction: back to the mark)
 //!   or [`release`](Snapshot::release) (a clean report: keep what ran). Both
 //!   close the mark. A `mark` while one is open supersedes it, and a
 //!   `restore` closes it. `rewind` reads the vector its `mark` wrote and no
-//!   other. The provided bodies are `save`, `restore` and nothing, so a
-//!   component without a journal rolls back by full copy.
+//!   other, so it trusts it: the leaf rewinds read their words with
+//!   [`StateReader::marked_word`], with no range check, no error label and
+//!   no `Result`, and a rewind cannot fail (a layout mismatch is a bug, and
+//!   panics). The provided bodies are `save`, `restore` (which cannot fail
+//!   on its own save) and nothing, so a hand-written component rolls back by
+//!   a full, checked copy.
 //!
 //! Both paths write into a buffer the caller keeps ([`save_into`] /
 //! [`mark_into`] clear and refill a [`StateVec`] whose allocation survives
@@ -65,15 +75,20 @@
 //!   length-prefixed, through the bulk readers.
 //! * **A field's codec overrides its type's layout**: `field: Each` (every
 //!   element, no length word), `field: Present` (the filled slots of a
-//!   `Vec<Option<T>>`), `field: List` (a length word, then each element), or
-//!   any other [`Codec`](crate::Codec).
+//!   `Vec<Option<T>>`), `field: List` (a length word, then each element),
+//!   `field: GrowOnly` (`List`'s layout for a list that only grows while a
+//!   mark is open, rolled back by truncation), or any other
+//!   [`Codec`](crate::Codec).
 //! * **A check runs right after its field is read**: `field => |this, at|
 //!   …` sees every field read so far and refuses, as
 //!   [`SnapshotError::Corrupt`], at the exact word it names (see
 //!   [`Verdict`](crate::Verdict)), before a later word is read.
 //! * **Rollback reaches every field**: `mark` / `rewind` / `release` go to
 //!   each one, so a [`Journaled`](crate::Journaled) field, or a field that
-//!   holds one, rolls back by journal without a line of forwarding.
+//!   holds one, rolls back by journal without a line of forwarding, and no
+//!   check runs on a rewind.
+//! * **The declared word count** is generated too: `saved_len` is the sum of
+//!   the fields' counts, each leaf's without writing anything.
 //!
 //! A hand-written decorator — the `Box<S>` impl here, the benchmark's timing
 //! wrappers — forwards all three of `mark` / `rewind` / `release`, or none.
@@ -485,6 +500,26 @@ impl<'a> StateReader<'a> {
         Ok(out)
     }
 
+    /// Reads the next word of a vector its own component's
+    /// [`mark`](Snapshot::mark) wrote: the rewind's read, with no range
+    /// check, no label and no `Result`. The layout is the component's own,
+    /// so reading past the end is a bug, and panics.
+    #[inline]
+    pub fn marked_word(&mut self) -> u64 {
+        let w = self.words[self.pos];
+        self.pos += 1;
+        w
+    }
+
+    /// Borrows the next `n` words of a vector a mark wrote, advancing past
+    /// them, as [`marked_word`](Self::marked_word) reads one.
+    #[inline]
+    pub fn marked_words(&mut self, n: usize) -> &'a [u64] {
+        let run = &self.words[self.pos..self.pos + n];
+        self.pos += n;
+        run
+    }
+
     /// The absolute index of the next word to be read.
     #[inline]
     pub fn position(&self) -> usize {
@@ -622,6 +657,14 @@ pub trait Snapshot {
     /// diverging).
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError>;
 
+    /// The number of words [`save`](Snapshot::save) writes for the current
+    /// state, without writing them: what a [`mark`](Snapshot::mark) bills
+    /// for state it declares instead of copying. The provided body saves
+    /// into a scratch vector and counts.
+    fn saved_len(&self) -> usize {
+        save_to_vec(self).len()
+    }
+
     /// Opens a rollback mark: writes what [`rewind`](Snapshot::rewind) needs
     /// to return here, declaring through [`StateWriter::journaled`] whatever
     /// state is journaled instead of written, so the vector bills exactly what
@@ -632,14 +675,12 @@ pub trait Snapshot {
     }
 
     /// Returns to the state at the open mark, reading the vector
-    /// [`mark`](Snapshot::mark) wrote, and closes the mark. The provided body
-    /// is a full `restore`.
-    ///
-    /// # Errors
-    ///
-    /// As [`restore`](Snapshot::restore), with the same duty to quarantine.
-    fn rewind(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.restore(r)
+    /// [`mark`](Snapshot::mark) wrote, and closes the mark. That vector is
+    /// the component's own, so a rewind trusts it and checks nothing: a
+    /// layout mismatch is a bug and panics. The provided body is a full
+    /// `restore`, which cannot fail on a vector its own `save` wrote.
+    fn rewind(&mut self, r: &mut StateReader<'_>) {
+        self.restore(r).expect("a rewind reads its own mark");
     }
 
     /// Closes the open mark and keeps the current state. The provided body
@@ -663,8 +704,12 @@ impl<S: Snapshot + ?Sized> Snapshot for Box<S> {
         (**self).mark(w);
     }
 
-    fn rewind(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        (**self).rewind(r)
+    fn saved_len(&self) -> usize {
+        (**self).saved_len()
+    }
+
+    fn rewind(&mut self, r: &mut StateReader<'_>) {
+        (**self).rewind(r);
     }
 
     fn release(&mut self) {
@@ -690,18 +735,16 @@ pub fn mark_into<S: Snapshot + ?Sized>(component: &mut S, state: &mut StateVec) 
 }
 
 /// [`Rewinds`](Snapshot::rewind) `component` to the mark that wrote `state`
-/// ([`mark_into`]), asserting full consumption.
+/// ([`mark_into`]).
 ///
-/// # Errors
+/// # Panics
 ///
-/// Propagates any [`SnapshotError`] from the component or from trailing words.
-pub fn rewind_from_vec<S: Snapshot + ?Sized>(
-    component: &mut S,
-    state: &StateVec,
-) -> Result<(), SnapshotError> {
+/// Panics if the rewind did not read every word the mark wrote: the mark
+/// and its rewind disagree on the layout.
+pub fn rewind_from_vec<S: Snapshot + ?Sized>(component: &mut S, state: &StateVec) {
     let mut reader = StateReader::new(state);
-    component.rewind(&mut reader)?;
-    reader.finish()
+    component.rewind(&mut reader);
+    assert_eq!(reader.remaining(), 0, "a rewind reads all of its own mark");
 }
 
 /// Convenience: saves any [`Snapshot`] component into a fresh [`StateVec`].
@@ -1003,7 +1046,7 @@ mod tests {
         assert!(mark.sections().is_empty());
         widget.fifo.push(3);
         widget.release();
-        rewind_from_vec(&mut widget, &mark).unwrap();
+        rewind_from_vec(&mut widget, &mark);
         assert_eq!(save_to_vec(&widget), saved);
 
         let mut declared = StateVec::new();
