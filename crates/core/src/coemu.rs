@@ -335,6 +335,14 @@ impl<M: DomainModel, T: Transport> CoEmulator<M, T> {
         }
     }
 
+    /// Installs the observer receiving both wrappers' protocol events (none
+    /// by default), as [`EmuSessionBuilder::observer`](crate::EmuSessionBuilder::observer)
+    /// does for a session.
+    pub fn with_observer(mut self, observer: Box<dyn EmuObserver>) -> Self {
+        self.engine.set_observer(observer);
+        self
+    }
+
     /// Dismantles the co-emulator, salvaging the domain models, the
     /// configuration, and the observer — everything a fresh session built on
     /// a *new* transport needs. Wrapper, channel, and ledger state are
@@ -353,9 +361,11 @@ impl<M: DomainModel, T: Transport> CoEmulator<M, T> {
     }
 
     /// Runs until at least `cycles` cycles are committed, stopping
-    /// immediately (possibly mid-transition): one step per domain at a time,
-    /// checked after each pair — the one run that is not made of whole
-    /// [rounds](Self::run_slice).
+    /// immediately: one step per domain at a time, checked after each pair
+    /// — the one run that is not made of whole [rounds](Self::run_slice).
+    /// It may stop mid-transition, but a leader's head cycle, snapshot,
+    /// run-ahead and flush are one step, so at the finest it stops between a
+    /// flush and its report.
     ///
     /// # Errors
     ///

@@ -400,15 +400,18 @@ impl<M: DomainModel, T: Transport> Engine<M, T> {
     /// One **round**: every port of every domain is visited once, in domain
     /// order, and a running one is stepped until it blocks on its link or
     /// halts at `target`, but at most `steps` times — at most one transition
-    /// (LOB depth + flush + await) however large `steps` is, because every
-    /// transition needs an answer from the peer. Returns whether any port
-    /// worked.
+    /// however large `steps` is, because every transition needs an answer
+    /// from the peer. A leader's half of a transition (head cycle, snapshot,
+    /// run-ahead and flush) is one step, its wait for the report the next.
+    /// Returns whether any port worked.
     ///
     /// Until the port blocks, not one step per visit: a blocked peer would
-    /// otherwise be re-polled once per cycle this port predicts, and over a
-    /// socket each poll is a syscall. (`steps = 1` is for the one caller
+    /// otherwise be re-polled once per message this port handles, and over
+    /// a socket each poll is a syscall. (`steps = 1` is for the one caller
     /// that must be able to stop between any two steps,
-    /// [`CoEmulator::run_until_committed`](crate::CoEmulator::run_until_committed).)
+    /// [`CoEmulator::run_until_committed`](crate::CoEmulator::run_until_committed);
+    /// a leader's two steps put the finest such stop between a flush and
+    /// its report.)
     pub(crate) fn round(&mut self, target: u64, steps: u32) -> Result<bool, SimError> {
         let linger = self.probe.is_some();
         let obs = self.observer.as_mut();

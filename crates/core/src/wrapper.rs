@@ -6,8 +6,8 @@
 //! | Paper path | Here |
 //! |---|---|
 //! | **C** (conservative) | initiator sends `CycleOutputs`, awaits the reply, ticks; responder mirrors |
-//! | **P** (prediction) | leader predicts the lagger's outputs, ticks ahead, packetizes into the LOB |
-//! | **S** (synchronization) | leader flushes the LOB as one burst and blocks in *Get response* |
+//! | **P** (prediction) | leader predicts the lagger's outputs, ticks ahead, packetizes into the LOB — one loop, in the step that elects it |
+//! | **S** (synchronization) | leader flushes the LOB as one burst at the end of that step, then blocks in *Get response* |
 //! | **L** (lagger) | lagger checks one prediction per consumed entry, ticking on verified data |
 //! | **R** (report) | lagger reports success/failure plus its next-cycle outputs |
 //! | **F** (roll-forth) | leader replays the verified prefix after a rollback |
@@ -235,10 +235,11 @@ enum Phase {
     HandshakeSend,
     /// Await the peer's handshake.
     HandshakeAwait,
-    /// Synchronized: decide the next transition's roles.
+    /// Synchronized: decide the next transition's roles. An optimistic
+    /// leader runs its whole half of the transition in the one step that
+    /// leaves this phase — head cycle, snapshot, run-ahead (P-path) and
+    /// flush (S-path) — and then awaits the report.
     Elect,
-    /// Leader: optimistic run-ahead (P-path).
-    LeadPredict,
     /// Leader: flushed, awaiting the report (S-3 *Get response*).
     LeadAwaitReport,
     /// Initiator: conservative outputs sent, awaiting the reply (C-path).
@@ -609,8 +610,10 @@ impl<M: DomainModel> ChannelWrapper<M> {
                         optimistic: true,
                     },
                 );
-                // Start a transition: optional head cycle on actuals (the
-                // conventional first P-path cycle, P-5/P-6), then snapshot.
+                // The leader's whole half of the transition, in this one
+                // step: the optional head cycle on actuals (the conventional
+                // first P-path cycle, P-5/P-6), the snapshot, the run-ahead
+                // and its flush.
                 self.inflight.clear();
                 if self.pending_cycle.take() == Some(self.model.cycle()) && self.carry_actuals {
                     let model = &self.model;
@@ -623,62 +626,9 @@ impl<M: DomainModel> ChannelWrapper<M> {
                     self.stats.bump(PaperPath::P);
                 }
                 self.take_snapshot(ledger, costs);
-                self.phase = Phase::LeadPredict;
-                Ok(Progress::Worked)
-            }
-            Phase::LeadPredict => {
-                if self.lob.predictions() >= self.cur_depth
-                    || (self.model.needs_sync() && !self.lob.is_empty())
-                {
-                    // S-path: flush the LOB as one burst.
-                    obs.on_event(
-                        self.side,
-                        &EmuEvent::LobFlush {
-                            entries: self.lob.len(),
-                            predictions: self.lob.predictions(),
-                        },
-                    );
-                    refill_outputs(&self.model, &mut self.outputs);
-                    let msg = Message::Burst {
-                        entries: self.lob.entries(),
-                        leader_next: &self.outputs,
-                    };
-                    self.outbox.send(channel, ledger, &msg, obs);
-                    // What was flushed is now in flight; the buffer that was
-                    // in flight last time takes the next run-ahead.
-                    std::mem::swap(&mut self.lob, &mut self.inflight);
-                    self.lob.clear();
-                    self.stats.flushes += 1;
-                    self.stats.bump(PaperPath::S);
-                    // Strategy-coordination words (adaptive suites) piggyback
-                    // on the burst just sent: bill them per-word, no access.
-                    let control = self.model.take_control_words();
-                    if control > 0 {
-                        let cost = channel.bill_control(self.side, control);
-                        ledger.charge(CostCategory::Channel, cost);
-                    }
-                    self.phase = Phase::LeadAwaitReport;
-                    return Ok(Progress::Worked);
-                }
-                debug_assert!(
-                    !self.model.needs_sync(),
-                    "sync need with an empty LOB must be handled in Elect"
-                );
-                // P-path: one optimistic cycle, its entry written in place
-                // and the model ticked from the prediction as buffered.
-                let model = &mut self.model;
-                let entry = self
-                    .lob
-                    .push_with(true, |entry| {
-                        model.local_outputs_into(entry);
-                        model.predict_remote_into(entry);
-                    })
-                    .expect("checked is_full above");
-                let predicted = entry.predicted.expect("pushed with a prediction");
-                self.model.tick(predicted, TickKind::Predicted);
-                self.bill_cycle(ledger, costs);
-                self.stats.predicted_cycles += 1;
-                self.stats.bump(PaperPath::P);
+                self.run_ahead(ledger, costs);
+                self.flush(channel, ledger, obs);
+                self.phase = Phase::LeadAwaitReport;
                 Ok(Progress::Worked)
             }
             Phase::HandshakeAwait
@@ -701,6 +651,69 @@ impl<M: DomainModel> ChannelWrapper<M> {
                 self.outbox.pool.release(pkt.into_payload());
                 handled.map(|()| Progress::Worked)
             }
+        }
+    }
+
+    /// P-path: one optimistic cycle after another, each entry written in
+    /// place and the model ticked from the prediction as buffered, until
+    /// `cur_depth` predictions are buffered or the model needs a sync with
+    /// something to flush.
+    fn run_ahead(&mut self, ledger: &mut TimeLedger, costs: &DomainCosts) {
+        while self.lob.predictions() < self.cur_depth
+            && (self.lob.is_empty() || !self.model.needs_sync())
+        {
+            debug_assert!(
+                !self.model.needs_sync(),
+                "sync need with an empty LOB must be handled in Elect"
+            );
+            let model = &mut self.model;
+            let entry = self
+                .lob
+                .push_with(true, |entry| {
+                    model.local_outputs_into(entry);
+                    model.predict_remote_into(entry);
+                })
+                .expect("the run-ahead target is at most the LOB depth");
+            let predicted = entry.predicted.expect("pushed with a prediction");
+            self.model.tick(predicted, TickKind::Predicted);
+            self.bill_cycle(ledger, costs);
+            self.stats.predicted_cycles += 1;
+            self.stats.bump(PaperPath::P);
+        }
+    }
+
+    /// S-path: flushes the LOB as one burst, which is then in flight.
+    fn flush<T: Transport>(
+        &mut self,
+        channel: &mut CostedChannel<T>,
+        ledger: &mut TimeLedger,
+        obs: &mut dyn EmuObserver,
+    ) {
+        obs.on_event(
+            self.side,
+            &EmuEvent::LobFlush {
+                entries: self.lob.len(),
+                predictions: self.lob.predictions(),
+            },
+        );
+        refill_outputs(&self.model, &mut self.outputs);
+        let msg = Message::Burst {
+            entries: self.lob.entries(),
+            leader_next: &self.outputs,
+        };
+        self.outbox.send(channel, ledger, &msg, obs);
+        // What was flushed is now in flight; the buffer that was in flight
+        // last time takes the next run-ahead.
+        std::mem::swap(&mut self.lob, &mut self.inflight);
+        self.lob.clear();
+        self.stats.flushes += 1;
+        self.stats.bump(PaperPath::S);
+        // Strategy-coordination words (adaptive suites) piggyback on the
+        // burst just sent: bill them per-word, no access.
+        let control = self.model.take_control_words();
+        if control > 0 {
+            let cost = channel.bill_control(self.side, control);
+            ledger.charge(CostCategory::Channel, cost);
         }
     }
 
@@ -959,7 +972,7 @@ impl<M: DomainModel + fmt::Debug> fmt::Debug for ChannelWrapper<M> {
             .field("side", &self.side)
             .field("phase", &self.phase)
             .field("cycle", &self.model.cycle())
-            .field("lob_len", &self.lob.len())
+            .field("inflight", &self.inflight.len())
             .finish()
     }
 }

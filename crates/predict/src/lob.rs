@@ -66,6 +66,7 @@ impl<'a> LobEntries<'a> {
     }
 
     /// Reads one entry out of its block `[has_prediction, local…, prediction…]`.
+    #[inline]
     fn entry(block: &'a [u32], local_width: usize) -> LobEntry<'a> {
         let (local, predicted) = block[1..].split_at(local_width);
         LobEntry {
@@ -208,6 +209,7 @@ impl Lob {
     /// # Panics
     ///
     /// Panics if `fill` appended any other number of words.
+    #[inline]
     pub fn push_with(
         &mut self,
         predicted: bool,
@@ -217,6 +219,10 @@ impl Lob {
             return Err(LobFullError { depth: self.depth });
         }
         let start = self.words.len();
+        let end = start + 1 + self.local_width + self.prediction_width;
+        // The entry's words at once, so neither the flag nor `fill` grows
+        // the buffer word by word.
+        self.words.reserve(end - start);
         self.words.push(predicted as u32);
         fill(&mut self.words);
         let filled = self.local_width + if predicted { self.prediction_width } else { 0 };
@@ -225,7 +231,6 @@ impl Lob {
             filled,
             "LOB entry filled with the wrong number of words"
         );
-        let end = start + 1 + self.local_width + self.prediction_width;
         self.words.resize(end, 0);
         self.predictions += predicted as usize;
         Ok(LobEntries::entry(&self.words[start..], self.local_width))

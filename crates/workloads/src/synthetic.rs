@@ -13,9 +13,7 @@
 
 use predpkt_channel::Side;
 use predpkt_core::{DomainModel, EmuSession, EmuSessionBuilder, TickKind};
-use predpkt_sim::{
-    splitmix64_mix, Snapshot, SnapshotError, StateReader, StateWriter, Trace, TraceMark,
-};
+use predpkt_sim::{declare_state, splitmix64_mix, Trace, TraceMark};
 
 /// One synthetic domain. See the module docs.
 #[derive(Debug, Clone, PartialEq)]
@@ -182,18 +180,14 @@ impl DomainModel for SyntheticModel {
     }
 }
 
-impl Snapshot for SyntheticModel {
-    fn save(&self, w: &mut StateWriter<'_>) {
-        w.u32(self.value);
-        w.slice_u32(&self.last_remote);
-        w.word(self.cycle);
-    }
-
-    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.value = r.u32()?;
-        r.slice_u32_into(&mut self.last_remote)?;
-        self.cycle = r.word()?;
-        Ok(())
+// The last-value reference is refused at its length word unless it is one
+// peer vector wide: the prediction is copied from it, and a LOB entry takes
+// exactly that many words.
+declare_state! {
+    impl SyntheticModel {
+        value,
+        last_remote => |m, _| m.last_remote.len() == m.remote_width,
+        cycle,
     }
 }
 
@@ -322,10 +316,13 @@ mod tests {
     /// in `predpkt-core`'s `snapshot_roundtrip` suite; this crate sits above
     /// core in the dependency order, so its one impl is checked here): save a
     /// seeded instance, restore into a fresh one, save again — a fixed point;
-    /// truncated words are rejected and the rejection is recoverable.
+    /// truncated words are rejected and the rejection is recoverable; a
+    /// rewind returns to its mark.
     #[test]
     fn snapshot_roundtrip_law() {
-        use predpkt_sim::{restore_from_vec, save_to_vec, StateVec};
+        use predpkt_sim::{
+            mark_into, restore_from_vec, rewind_from_vec, save_to_vec, SnapshotError, StateVec,
+        };
         let (mut sim, mut acc) = SyntheticSoc::als(0.7, 0x5eed).build();
         for _ in 0..48 {
             let sim_out = sim.local_outputs();
@@ -352,6 +349,43 @@ mod tests {
         restore_from_vec(&mut fresh, &truncated).expect_err("truncated words rejected");
         restore_from_vec(&mut fresh, &saved).expect("recoverable after rejection");
         assert_eq!(saved, save_to_vec(&fresh), "recovery restore lost state");
+
+        // `[value, len, last_remote…, cycle]`: a last-value reference one
+        // word wider or narrower than the peer's outputs is refused at its
+        // length word — restored, it would make the next prediction the
+        // wrong width — and the rejection is recoverable.
+        assert_eq!(saved.words()[1], 1, "the simulator side hears one word");
+        let mut wider = saved.words().to_vec();
+        wider[1] = 2;
+        wider.insert(3, 0);
+        let mut narrower = saved.words().to_vec();
+        narrower[1] = 0;
+        narrower.remove(2);
+        for tampered in [wider, narrower] {
+            assert_eq!(
+                restore_from_vec(&mut fresh, &StateVec::from(tampered)),
+                Err(SnapshotError::Corrupt { at: 1 }),
+                "a reference of the wrong width"
+            );
+            restore_from_vec(&mut fresh, &saved).expect("recoverable after rejection");
+            assert_eq!(saved, save_to_vec(&fresh), "recovery restore lost state");
+        }
+
+        // The rollback leg: a mark bills what a save stores, and a rewind
+        // after a run-ahead on predictions returns to the saved state.
+        let mut mark = StateVec::new();
+        mark_into(&mut sim, &mut mark);
+        assert_eq!(
+            mark.billed_len(),
+            saved.len(),
+            "a mark bills the saved words"
+        );
+        for _ in 0..5 {
+            let predicted = sim.predict_remote();
+            sim.tick(&predicted, TickKind::Predicted);
+        }
+        rewind_from_vec(&mut sim, &mark);
+        assert_eq!(saved, save_to_vec(&sim), "rewind to the mark");
     }
 
     #[test]
