@@ -382,7 +382,13 @@
 //!   runner batches per scheduling slice; billing is identical either way,
 //!   so traces/statistics never depend on the batching mode.
 //!   [`BatchStats`] (via [`Transport::batch_stats`]) reports the achieved
-//!   frames-per-write.
+//!   frames-per-write, and the reads paid for them.
+//! * **One read per received frame.** A [`TcpEndpoint`] reads the socket
+//!   straight into its [`tcp::FrameDecoder`]'s buffer, stops draining after
+//!   a read that comes back short, and skips the read of a `recv` right
+//!   after its own write (the reply cannot be there yet). Both per-side
+//!   endpoints decode into the payloads of the packets they last sent, so
+//!   a ping-pong exchange receives without allocating.
 //! * **Ack piggybacking.** The reliable layer rides its cumulative ack in
 //!   every outgoing data frame (`RelData` header word 2) and emits a
 //!   standalone [`PacketTag::RelAck`] only on idle polls — when traffic is

@@ -34,8 +34,11 @@
 //! Frames are byte-for-byte the TCP codec's
 //! ([`tcp::write_frame`]): a `u32` little-endian
 //! length prefix counting the wire words, then the tag word and payload
-//! words. The receive side drains ring words into the shared
-//! [`FrameDecoder`], so malformed input — zero or
+//! words. The receive side copies published words out of the ring into one
+//! word buffer the endpoint keeps, and hands each copied run to the shared
+//! [`FrameDecoder`] in one call; the decoder fills payload buffers recycled
+//! from the packets this endpoint sent, so a ping-pong exchange receives
+//! without allocating. Malformed input — zero or
 //! oversized prefixes, unknown tags, a peer that died mid-frame — surfaces as
 //! a typed [`RingError`], never a panic.
 //!
@@ -51,7 +54,7 @@
 use crate::cost::Side;
 use crate::message::Packet;
 use crate::tcp::{self, FrameDecoder, FrameError};
-use crate::transport::{Transport, WaitTransport};
+use crate::transport::{BatchStats, Transport, WaitTransport};
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
@@ -92,6 +95,9 @@ pub const SEND_TIMEOUT: Duration = Duration::from_secs(10);
 /// transmissible at all: the producer reclaims the space the consumer frees
 /// chunk by chunk).
 const DEFAULT_CHUNK_WORDS: u32 = 256;
+
+/// Words a consumer copies out of the ring per tail-counter release.
+const DRAIN_CHUNK_WORDS: usize = 512;
 
 // The spin-then-park waiting ladder this ring's waiter pioneered now lives
 // in [`crate::poll`], where the session-farm poll-set generalizes it over N
@@ -823,9 +829,13 @@ pub struct ShmEndpoint {
     /// steady-state send path performs no heap allocation and a batch of
     /// frames shares its head-counter publications.
     out_scratch: Vec<u32>,
+    /// Reused drain buffer ([`DRAIN_CHUNK_WORDS`] long): a poll copies
+    /// published words out of the ring into it and hands them to the
+    /// decoder in one call.
+    in_scratch: Vec<u32>,
     /// Frames vs head-counter publications issued (the batching win,
-    /// measured).
-    io_stats: crate::transport::BatchStats,
+    /// measured), and the chunks and empty polls paid on the receive side.
+    io_stats: BatchStats,
 }
 
 impl fmt::Debug for ShmEndpoint {
@@ -860,7 +870,8 @@ impl ShmEndpoint {
             send_timeout: SEND_TIMEOUT,
             chunk_words: DEFAULT_CHUNK_WORDS,
             out_scratch: Vec::new(),
-            io_stats: crate::transport::BatchStats::default(),
+            in_scratch: vec![0; DRAIN_CHUNK_WORDS],
+            io_stats: BatchStats::default(),
         }
     }
 
@@ -1105,7 +1116,7 @@ impl ShmEndpoint {
         let ring = RingDir::outbound_from(self.side.peer());
         let capacity = self.backing.capacity();
         let mask = capacity - 1;
-        let mut scratch = [0u32; 512];
+        let mut drained = false;
         loop {
             let head = match self.backing.head(ring) {
                 Ok(h) => h,
@@ -1113,6 +1124,10 @@ impl ShmEndpoint {
             };
             let avail = head.wrapping_sub(self.in_tail);
             if avail == 0 {
+                if !drained {
+                    self.io_stats.physical_reads += 1;
+                    self.io_stats.empty_reads += 1;
+                }
                 // Quiescent: now (and only now) a cleared liveness flag
                 // means the peer is gone. Re-check the head afterwards — the
                 // peer clears the flag strictly after its last publication,
@@ -1133,17 +1148,18 @@ impl ShmEndpoint {
             let slot = self.in_tail & mask;
             let n = (avail as usize)
                 .min((capacity - slot) as usize)
-                .min(scratch.len());
-            if let Err(e) = self.backing.read_data(ring, slot, &mut scratch[..n]) {
+                .min(DRAIN_CHUNK_WORDS);
+            let words = &mut self.in_scratch[..n];
+            if let Err(e) = self.backing.read_data(ring, slot, words) {
                 return self.record_error(e);
             }
+            self.io_stats.physical_reads += 1;
+            drained = true;
             self.in_tail = self.in_tail.wrapping_add(n as u32);
             if let Err(e) = self.backing.set_tail(ring, self.in_tail) {
                 return self.record_error(e);
             }
-            for w in &scratch[..n] {
-                self.decoder.push(&w.to_le_bytes());
-            }
+            self.decoder.push_words(&self.in_scratch[..n]);
             loop {
                 match self.decoder.next_frame() {
                     Ok(Some(packet)) => self.ready.push_back(packet),
@@ -1176,6 +1192,7 @@ impl predpkt_sim::Snapshot for ShmEndpoint {
 impl Transport for ShmEndpoint {
     fn send(&mut self, from: Side, packet: Packet) {
         self.send_ref(from, &packet);
+        self.decoder.recycle(packet.into_payload());
     }
 
     /// A lone send is the one-element batch (single shared body — the
@@ -1185,9 +1202,13 @@ impl Transport for ShmEndpoint {
         self.send_batch_ref(from, &mut std::iter::once(packet));
     }
 
+    /// The sent payloads refill the decoder's pool: the next frames this
+    /// end receives decode into them.
     fn send_batch(&mut self, from: Side, packets: &mut Vec<Packet>) {
         self.send_batch_ref(from, &mut packets.iter());
-        packets.clear();
+        for packet in packets.drain(..) {
+            self.decoder.recycle(packet.into_payload());
+        }
     }
 
     /// Coalesces the whole batch into the scratch buffer and publishes it in
@@ -1233,7 +1254,7 @@ impl Transport for ShmEndpoint {
         self.ready.len()
     }
 
-    fn batch_stats(&self) -> Option<crate::transport::BatchStats> {
+    fn batch_stats(&self) -> Option<BatchStats> {
         Some(self.io_stats)
     }
 }

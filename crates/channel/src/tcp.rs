@@ -48,7 +48,8 @@
 
 use crate::cost::Side;
 use crate::message::{Packet, PacketTag};
-use crate::transport::{Transport, WaitTransport};
+use crate::pool::BufferPool;
+use crate::transport::{BatchStats, Transport, WaitTransport};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::error::Error;
@@ -203,7 +204,9 @@ pub fn read_frame(r: &mut impl Read) -> Result<Packet, FrameError> {
             Err(e) => return Err(e.into()),
         }
     }
-    decode_body(&body)
+    let mut payload = Vec::new();
+    let tag = decode_body(&body, &mut payload)?;
+    Ok(Packet::new(tag, payload))
 }
 
 /// Validates a length prefix and returns the frame body size in bytes.
@@ -217,19 +220,28 @@ fn frame_body_len(words: u32) -> Result<usize, FrameError> {
     Ok(words as usize * 4)
 }
 
-/// Decodes a complete frame body (tag word + payload words, little-endian).
-fn decode_body(body: &[u8]) -> Result<Packet, FrameError> {
+/// Decodes a complete frame body (tag word + payload words, little-endian):
+/// returns the tag and appends the payload words to `payload`.
+fn decode_body(body: &[u8], payload: &mut Vec<u32>) -> Result<PacketTag, FrameError> {
     debug_assert!(body.len() >= 4 && body.len() % 4 == 0);
-    let word_at = |i: usize| u32::from_le_bytes(body[4 * i..4 * i + 4].try_into().unwrap());
-    let tag_word = word_at(0);
+    let (tag_word, words) = body.split_at(4);
+    let tag_word = u32::from_le_bytes(tag_word.try_into().unwrap());
     let tag = PacketTag::decode(tag_word).ok_or(FrameError::UnknownTag { word: tag_word })?;
-    let payload = (1..body.len() / 4).map(word_at).collect();
-    Ok(Packet::new(tag, payload))
+    let word = |w: &[u8]| u32::from_le_bytes(w.try_into().unwrap());
+    payload.extend(words.chunks_exact(4).map(word));
+    Ok(tag)
 }
 
 /// Incremental frame decoder: feed it byte chunks as they arrive (in whatever
 /// sizes the socket delivers) and pull complete packets out. Partial frames
 /// stay buffered across calls, so non-blocking reads never lose data.
+///
+/// The receive buffer is the decoder's own and lives as long as it does: an
+/// endpoint reads the socket straight into its spare room, so a received
+/// byte is copied once, by the kernel. Each decoded payload is a buffer
+/// taken from the decoder's [`BufferPool`], which an endpoint refills with
+/// the payloads of the packets it has just sent, so a ping-pong exchange
+/// decodes without allocating.
 ///
 /// # Example
 ///
@@ -247,16 +259,20 @@ fn decode_body(body: &[u8]) -> Result<Packet, FrameError> {
 /// ```
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
-    /// Flat receive buffer; bytes before `pos` are already consumed. The
-    /// consumed prefix is compacted away opportunistically (cheap `memmove`
-    /// amortized over many frames) rather than per frame — the decode path
-    /// itself performs no per-frame buffer shuffling or intermediate copies.
+    /// Receive buffer, zeroed once when it grows and reused after that:
+    /// `pos..end` holds received bytes not yet decoded, `end..` is spare
+    /// room the next read fills in place. The decoded prefix is dropped by
+    /// rewinding both indices once everything is decoded, and moved away
+    /// only when the spare room runs short.
     buf: Vec<u8>,
     pos: usize,
+    end: usize,
+    /// Where decoded payloads come from.
+    pool: BufferPool,
 }
 
-/// Compact the decoder's consumed prefix once it exceeds this many bytes.
-const DECODER_COMPACT_BYTES: usize = 64 * 1024;
+/// Spare room a socket read is offered at least, in bytes.
+const READ_CHUNK: usize = 8 * 1024;
 
 impl FrameDecoder {
     /// An empty decoder.
@@ -266,25 +282,69 @@ impl FrameDecoder {
 
     /// Appends freshly received bytes.
     pub fn push(&mut self, bytes: &[u8]) {
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        } else if self.pos >= DECODER_COMPACT_BYTES {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
+        self.spare(bytes.len())[..bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
+    }
+
+    /// Appends received words as their little-endian bytes, in one pass —
+    /// the shared-memory ring's path into the codec.
+    pub(crate) fn push_words(&mut self, words: &[u32]) {
+        let room = self.spare(4 * words.len());
+        for (bytes, word) in room.chunks_exact_mut(4).zip(words) {
+            bytes.copy_from_slice(&word.to_le_bytes());
         }
-        self.buf.extend_from_slice(bytes);
+        self.end += 4 * words.len();
+    }
+
+    /// At least `min` bytes of spare room after the undecoded bytes: the
+    /// decoded prefix is dropped first, and the buffer grows only when that
+    /// is not enough.
+    fn spare(&mut self, min: usize) -> &mut [u8] {
+        if self.pos == self.end {
+            self.pos = 0;
+            self.end = 0;
+        }
+        if self.buf.len() - self.end < min {
+            if self.pos > 0 {
+                self.buf.copy_within(self.pos..self.end, 0);
+                self.end -= self.pos;
+                self.pos = 0;
+            }
+            if self.buf.len() - self.end < min {
+                let len = (self.end + min).max(2 * self.buf.len());
+                self.buf.resize(len, 0);
+            }
+        }
+        &mut self.buf[self.end..]
+    }
+
+    /// One read from `r` straight into the spare room. Returns what the read
+    /// returned and how many bytes it was offered; a read that returns fewer
+    /// has emptied the source.
+    fn read_from(&mut self, r: &mut impl Read) -> (io::Result<usize>, usize) {
+        let room = self.spare(READ_CHUNK);
+        let offered = room.len();
+        let got = r.read(room);
+        if let Ok(n) = got {
+            self.end += n;
+        }
+        (got, offered)
+    }
+
+    /// Hands a payload buffer back for a later decode to fill.
+    pub(crate) fn recycle(&mut self, payload: Vec<u32>) {
+        self.pool.release(payload);
     }
 
     /// The undecoded bytes.
     fn available(&self) -> &[u8] {
-        &self.buf[self.pos..]
+        &self.buf[self.pos..self.end]
     }
 
     /// True when buffered bytes form part of an unfinished frame — an EOF in
     /// this state is a truncation, not a clean close.
     pub fn is_mid_frame(&self) -> bool {
-        !self.available().is_empty()
+        self.pos < self.end
     }
 
     /// Bytes still owed before the partially buffered frame completes (0 at
@@ -306,8 +366,8 @@ impl FrameDecoder {
     }
 
     /// Decodes the next complete frame, `Ok(None)` when more bytes are
-    /// needed. The frame body is decoded straight out of the receive buffer —
-    /// no intermediate byte copy.
+    /// needed. The frame body is decoded straight out of the receive buffer
+    /// into a pooled payload — no intermediate byte copy.
     ///
     /// # Errors
     ///
@@ -319,7 +379,7 @@ impl FrameDecoder {
     /// the caller must treat the first error as fatal and tear the
     /// connection down.
     pub fn next_frame(&mut self) -> Result<Option<Packet>, FrameError> {
-        let avail = self.available();
+        let avail = &self.buf[self.pos..self.end];
         if avail.len() < 4 {
             return Ok(None);
         }
@@ -328,9 +388,17 @@ impl FrameDecoder {
         if avail.len() < 4 + body_len {
             return Ok(None);
         }
-        let packet = decode_body(&avail[4..4 + body_len])?;
-        self.pos += 4 + body_len;
-        Ok(Some(packet))
+        let mut payload = self.pool.acquire();
+        match decode_body(&avail[4..4 + body_len], &mut payload) {
+            Ok(tag) => {
+                self.pos += 4 + body_len;
+                Ok(Some(Packet::new(tag, payload)))
+            }
+            Err(e) => {
+                self.pool.release(payload);
+                Err(e)
+            }
+        }
     }
 }
 
@@ -410,8 +478,13 @@ pub struct TcpEndpoint {
     /// issue one `write_all`, so the steady-state send path performs no heap
     /// allocation and a batch of frames costs one syscall.
     wbuf: Vec<u8>,
-    /// Frames vs physical writes issued (the batching win, measured).
-    io_stats: crate::transport::BatchStats,
+    /// This end has written since it last read the socket. A reply to that
+    /// write cannot have arrived yet, so the next [`Transport::recv`] that
+    /// finds nothing decoded skips its read (and clears this).
+    wrote_since_poll: bool,
+    /// Frames vs physical writes issued (the batching win, measured), and
+    /// the reads paid on the receive side.
+    io_stats: BatchStats,
 }
 
 impl TcpEndpoint {
@@ -439,8 +512,13 @@ impl TcpEndpoint {
     /// Wraps an already-connected stream. `TCP_NODELAY` is enabled: the
     /// protocol exchanges small latency-sensitive frames, the workload
     /// Nagle's algorithm punishes hardest. The socket is kept
-    /// **non-blocking** for its whole life, so an empty poll is one `read`
-    /// and a write that fits the kernel buffer one `write`; it turns
+    /// **non-blocking** for its whole life, so a write that fits the kernel
+    /// buffer is one `write` and a received frame costs one `read`: a poll
+    /// reads until a read comes back short of the room it was offered, and
+    /// [`Transport::recv`] does not read at all right after this end's own
+    /// write (the reply cannot be there yet; the next call reads).
+    /// [`BatchStats::physical_reads`] and [`BatchStats::empty_reads`] count
+    /// what that costs. The socket turns
     /// blocking only for the timed read of a wait and for the rest of a
     /// write the kernel buffer refused. That blocking remainder carries a
     /// generous [`WRITE_TIMEOUT`]: a peer that keeps the connection open but
@@ -463,7 +541,8 @@ impl TcpEndpoint {
             error: None,
             peer_closed: false,
             wbuf: Vec::new(),
-            io_stats: crate::transport::BatchStats::default(),
+            wrote_since_poll: false,
+            io_stats: BatchStats::default(),
         })
     }
 
@@ -475,6 +554,7 @@ impl TcpEndpoint {
         }
         self.io_stats.frames += frames;
         self.io_stats.physical_writes += 1;
+        self.wrote_since_poll = true;
         if let Err(e) = self.write_all_wbuf() {
             self.error = Some(e.into());
         }
@@ -528,10 +608,9 @@ impl TcpEndpoint {
         self.peer_closed
     }
 
-    /// Feeds `bytes` through the decoder into the ready queue, recording the
-    /// first codec failure.
-    fn ingest(&mut self, bytes: &[u8]) {
-        self.decoder.push(bytes);
+    /// Moves every complete frame out of the decoder into the ready queue,
+    /// recording the first codec failure.
+    fn decode_ready(&mut self) {
         loop {
             match self.decoder.next_frame() {
                 Ok(Some(packet)) => self.ready.push_back(packet),
@@ -560,36 +639,20 @@ impl TcpEndpoint {
         self.error.is_some() || self.peer_closed
     }
 
-    /// Drains whatever the socket holds right now without blocking.
+    /// Drains whatever the socket holds right now without blocking: reads
+    /// until one comes back short of the room it was offered, which only
+    /// happens once the kernel buffer is empty.
     fn poll_nonblocking(&mut self) {
+        self.wrote_since_poll = false;
         if self.stream_dead() {
             return;
         }
-        let mut scratch = [0u8; 8192];
-        loop {
-            match self.stream.read(&mut scratch) {
-                Ok(0) => {
-                    self.on_eof();
-                    break;
-                }
-                Ok(n) => {
-                    self.ingest(&scratch[..n]);
-                    if self.error.is_some() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    self.error = Some(e.into());
-                    break;
-                }
-            }
-        }
+        while self.read_once() == Fill::Full {}
     }
 
     /// One blocking read with `timeout`; returns whether any bytes arrived.
     fn poll_blocking(&mut self, timeout: Duration) -> bool {
+        self.wrote_since_poll = false;
         if self.stream_dead() {
             return false;
         }
@@ -604,44 +667,66 @@ impl TcpEndpoint {
             self.error = Some(e.into());
             return false;
         }
-        let got = self.read_once();
+        let got = self.read_once() != Fill::Nothing;
         if let Err(e) = self.stream.set_nonblocking(true) {
             self.error.get_or_insert(e.into());
         }
         got
     }
 
-    /// One read on a socket in blocking mode; returns whether any bytes
-    /// arrived.
-    fn read_once(&mut self) -> bool {
-        let mut scratch = [0u8; 8192];
+    /// One read into the decoder's spare room, decoding what it completes.
+    fn read_once(&mut self) -> Fill {
         loop {
-            return match self.stream.read(&mut scratch) {
-                Ok(0) => {
+            self.io_stats.physical_reads += 1;
+            let outcome = match self.decoder.read_from(&mut self.stream) {
+                (Ok(0), _) => {
                     self.on_eof();
-                    false
+                    Fill::Nothing
                 }
-                Ok(n) => {
-                    self.ingest(&scratch[..n]);
-                    true
+                (Ok(n), offered) => {
+                    self.decode_ready();
+                    if n < offered || self.error.is_some() {
+                        Fill::Short
+                    } else {
+                        Fill::Full
+                    }
                 }
-                Err(e)
+                (Err(e), _)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut =>
                 {
                     // The platform reports a read timeout as either kind;
                     // both simply mean "nothing yet" (the same shape
                     // `TryRecvError::Empty` takes on the mpsc backend).
-                    false
+                    Fill::Nothing
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => {
+                (Err(e), _) if e.kind() == io::ErrorKind::Interrupted => {
+                    self.io_stats.empty_reads += 1;
+                    continue;
+                }
+                (Err(e), _) => {
                     self.error = Some(e.into());
-                    false
+                    Fill::Nothing
                 }
             };
+            if outcome == Fill::Nothing {
+                self.io_stats.empty_reads += 1;
+            }
+            return outcome;
         }
     }
+}
+
+/// What one socket read delivered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fill {
+    /// No bytes: nothing yet, end of stream, or a failure.
+    Nothing,
+    /// Fewer bytes than offered (or the decoder failed): the socket is
+    /// drained for now.
+    Short,
+    /// As many bytes as offered: more may be waiting.
+    Full,
 }
 
 /// A socket-like endpoint carries **no serializable session state**: its
@@ -665,6 +750,7 @@ impl predpkt_sim::Snapshot for TcpEndpoint {
 impl Transport for TcpEndpoint {
     fn send(&mut self, from: Side, packet: Packet) {
         self.send_ref(from, &packet);
+        self.decoder.recycle(packet.into_payload());
     }
 
     /// A lone send is the one-element batch (single shared body — the
@@ -673,9 +759,13 @@ impl Transport for TcpEndpoint {
         self.send_batch_ref(from, &mut std::iter::once(packet));
     }
 
+    /// The sent payloads refill the decoder's pool: the next frames this
+    /// end receives decode into them.
     fn send_batch(&mut self, from: Side, packets: &mut Vec<Packet>) {
         self.send_batch_ref(from, &mut packets.iter());
-        packets.clear();
+        for packet in packets.drain(..) {
+            self.decoder.recycle(packet.into_payload());
+        }
     }
 
     /// Coalesces the whole batch into the scratch buffer and issues **one**
@@ -696,9 +786,17 @@ impl Transport for TcpEndpoint {
         self.write_wbuf(frames);
     }
 
+    /// Reads the socket only when nothing is decoded, and not right after
+    /// this end's own write: a reply to it cannot be there yet, so that call
+    /// returns `None` without a syscall and the next one reads.
+    /// [`wait_for_packet`](WaitTransport::wait_for_packet) and the readiness
+    /// probe always read.
     fn recv(&mut self, to: Side) -> Option<Packet> {
         debug_assert_eq!(to, self.side, "endpoints receive for their own side");
         if self.ready.is_empty() {
+            if std::mem::take(&mut self.wrote_since_poll) {
+                return None;
+            }
             self.poll_nonblocking();
         }
         self.ready.pop_front()
@@ -713,7 +811,7 @@ impl Transport for TcpEndpoint {
         self.ready.len()
     }
 
-    fn batch_stats(&self) -> Option<crate::transport::BatchStats> {
+    fn batch_stats(&self) -> Option<BatchStats> {
         Some(self.io_stats)
     }
 }
@@ -936,6 +1034,147 @@ mod tests {
         let before = sim.batch_stats().unwrap();
         sim.send(Side::Simulator, mib_frame(0));
         assert_eq!(sim.batch_stats().unwrap(), before);
+    }
+
+    #[test]
+    fn a_recv_right_after_a_send_skips_the_read_and_the_next_one_reads() {
+        let (mut sim, mut acc) = pair();
+        acc.send(Side::Accelerator, Packet::new(PacketTag::Handshake, vec![]));
+        sim.send(
+            Side::Simulator,
+            Packet::new(PacketTag::CycleOutputs, vec![1]),
+        );
+        let before = sim.batch_stats().unwrap();
+        assert!(sim.recv(Side::Simulator).is_none(), "no read, no packet");
+        assert_eq!(sim.batch_stats().unwrap(), before, "not one read issued");
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let got = loop {
+            if let Some(p) = sim.recv(Side::Simulator) {
+                break p;
+            }
+            assert!(std::time::Instant::now() < deadline, "never delivered");
+            thread::sleep(Duration::from_millis(1));
+        };
+        assert_eq!(got.tag(), PacketTag::Handshake);
+        assert!(sim.batch_stats().unwrap().physical_reads > before.physical_reads);
+        // A wait still reads after a write: another thread may be replying.
+        sim.send(
+            Side::Simulator,
+            Packet::new(PacketTag::CycleOutputs, vec![2]),
+        );
+        acc.send(
+            Side::Accelerator,
+            Packet::new(PacketTag::ReportSuccess, vec![]),
+        );
+        assert!(sim.wait_for_packet(Duration::from_secs(5)));
+        assert_eq!(
+            sim.recv(Side::Simulator).unwrap().tag(),
+            PacketTag::ReportSuccess
+        );
+    }
+
+    /// Receives one packet by plain `recv` polls, returning it and how many
+    /// polls came back empty.
+    fn recv_polling(end: &mut TcpEndpoint) -> (Packet, u64) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let mut empty_polls = 0;
+        loop {
+            if let Some(p) = end.recv(end.side()) {
+                return (p, empty_polls);
+            }
+            empty_polls += 1;
+            assert!(std::time::Instant::now() < deadline, "never delivered");
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_short_read_ends_the_drain() {
+        let (mut sim, mut acc) = pair();
+        // One small frame, then one larger than a read is offered: the
+        // drain goes on after a full read and stops after a short one, so
+        // only polls that found nothing pay an empty read.
+        for payload in [vec![7; 2], vec![9; 5_000]] {
+            let sent = Packet::new(PacketTag::Burst, payload);
+            acc.send(Side::Accelerator, sent.clone());
+            let before = sim.batch_stats().unwrap();
+            let (got, empty_polls) = recv_polling(&mut sim);
+            assert!(got == sent, "the frame arrives whole");
+            let after = sim.batch_stats().unwrap();
+            assert!(
+                after.empty_reads - before.empty_reads <= empty_polls,
+                "a poll that delivered read on after its short read: {before:?} -> {after:?}"
+            );
+        }
+        assert_eq!(sim.pending(Side::Simulator), 0);
+    }
+
+    fn frame_mix() -> (Vec<Packet>, Vec<u8>) {
+        let packets = vec![
+            Packet::new(PacketTag::Handshake, vec![]),
+            Packet::new(PacketTag::Burst, vec![0x0102_0304, 5, 6]),
+            Packet::new(PacketTag::CycleOutputs, vec![u32::MAX]),
+        ];
+        let mut bytes = Vec::new();
+        for p in &packets {
+            encode_frame_into(&mut bytes, p);
+        }
+        (packets, bytes)
+    }
+
+    #[test]
+    fn frames_split_at_every_byte_offset_decode() {
+        let (packets, bytes) = frame_mix();
+        for cut in 0..=bytes.len() {
+            let mut dec = FrameDecoder::new();
+            let mut got = Vec::new();
+            for part in [&bytes[..cut], &bytes[cut..]] {
+                dec.push(part);
+                while let Some(p) = dec.next_frame().unwrap() {
+                    got.push(p);
+                }
+            }
+            assert_eq!(got, packets, "cut at byte {cut}");
+            assert!(!dec.is_mid_frame());
+        }
+    }
+
+    #[test]
+    fn frames_split_at_every_byte_offset_decode_off_the_socket() {
+        let (packets, bytes) = frame_mix();
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let mut raw = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let mut end = TcpEndpoint::from_stream(stream, Side::Accelerator).unwrap();
+        for cut in 0..=bytes.len() {
+            raw.write_all(&bytes[..cut]).unwrap();
+            // Read the first part on its own where it forms no packet.
+            let _ = end.wait_for_packet(Duration::from_millis(1));
+            raw.write_all(&bytes[cut..]).unwrap();
+            let got: Vec<Packet> = (0..packets.len())
+                .map(|_| {
+                    while !end.wait_for_packet(Duration::from_secs(5)) {
+                        assert!(end.last_error().is_none(), "{:?}", end.last_error());
+                    }
+                    end.recv(Side::Accelerator).unwrap()
+                })
+                .collect();
+            assert_eq!(got, packets, "cut at byte {cut}");
+        }
+    }
+
+    #[test]
+    fn decoded_payloads_reuse_recycled_buffers() {
+        let (_, bytes) = frame_mix();
+        let mut dec = FrameDecoder::new();
+        let recycled = Vec::with_capacity(64);
+        let at = recycled.as_ptr();
+        dec.recycle(recycled);
+        dec.push(&bytes);
+        // The pool is a stack: the first decode takes the recycled buffer.
+        let first = dec.next_frame().unwrap().unwrap().into_payload();
+        assert_eq!(first.as_ptr(), at);
+        assert!(first.capacity() >= 64);
     }
 
     #[test]

@@ -10,19 +10,28 @@ use predpkt_sim::{Snapshot, VirtualTime};
 use std::collections::VecDeque;
 use std::time::Duration;
 
-/// Physical-write efficiency counters of a batching transport.
+/// Physical-operation counters of a batching transport.
 ///
 /// Backends that coalesce frames — one socket write or one ring publication
 /// carrying several frames — report how many logical frames rode how many
 /// physical operations, so benches and the observer stream can show the
-/// batching win directly. Backends with no physical write concept (the
-/// in-process queues) report nothing.
+/// batching win directly, and how many physical reads the receive side
+/// paid for them. Backends with no physical medium (the in-process queues)
+/// report nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Logical frames handed to the physical medium.
     pub frames: u64,
     /// Physical operations issued (socket writes, ring head publications).
     pub physical_writes: u64,
+    /// Physical reads issued: socket `read`s; on a ring, chunks copied out
+    /// plus polls that found nothing published.
+    pub physical_reads: u64,
+    /// The physical reads that delivered nothing: a socket `read` that
+    /// returned `EAGAIN`, timed out or hit end of stream; a ring poll that
+    /// found nothing published. A ping-pong over a socket needs one read per
+    /// write and none of these.
+    pub empty_reads: u64,
 }
 
 impl BatchStats {
@@ -36,6 +45,8 @@ impl BatchStats {
     pub fn merge(&mut self, other: &BatchStats) {
         self.frames += other.frames;
         self.physical_writes += other.physical_writes;
+        self.physical_reads += other.physical_reads;
+        self.empty_reads += other.empty_reads;
     }
 }
 
@@ -444,13 +455,18 @@ impl<T: Transport + Snapshot> Snapshot for CostedChannel<T> {
     ) -> Result<(), predpkt_sim::SnapshotError> {
         self.stats.restore(r)?;
         let at = r.position();
-        self.outbox_from = match r.word()? {
+        let from = match r.word()? {
             0 => None,
             1 => Some(Side::Simulator),
             2 => Some(Side::Accelerator),
             _ => return Err(r.corrupt_at(at)),
         };
         let n = r.usize()?;
+        if n > 0 && from.is_none() {
+            // `flush` could never say whose packets these are.
+            return Err(r.corrupt_at(at));
+        }
+        self.outbox_from = from;
         let mut outbox = Vec::with_capacity(n.min(1 << 16));
         for _ in 0..n {
             let mut packet = Packet::new(crate::message::PacketTag::Handshake, Vec::new());
@@ -626,21 +642,54 @@ mod tests {
     }
 
     #[test]
+    fn restore_refuses_a_parked_outbox_with_no_sender() {
+        let mut ch = CostedChannel::new(ChannelCostModel::iprove_pci());
+        ch.set_batching(true);
+        ch.send(Side::Simulator, pkt(3));
+        let good = predpkt_sim::save_to_vec(&ch);
+        // Six statistics words, then the sender word (1 = simulator), then
+        // the parked count (1).
+        const SENDER: usize = 6;
+        assert_eq!(good.words()[SENDER..SENDER + 2], [1, 1]);
+        let mut words = good.words().to_vec();
+        words[SENDER] = 0;
+        let bad = predpkt_sim::StateVec::from(words);
+
+        let mut fresh = CostedChannel::new(ChannelCostModel::iprove_pci());
+        fresh.set_batching(true);
+        assert_eq!(
+            predpkt_sim::restore_from_vec(&mut fresh, &bad),
+            Err(predpkt_sim::SnapshotError::Corrupt { at: SENDER })
+        );
+        // A good blob still restores into the same channel, and the parked
+        // packet goes out on the next receive.
+        predpkt_sim::restore_from_vec(&mut fresh, &good).expect("good blob restores");
+        assert_eq!(fresh.stats(), ch.stats());
+        assert_eq!(fresh.recv(Side::Accelerator).unwrap().payload().len(), 3);
+    }
+
+    #[test]
     fn batch_stats_default_is_none() {
         assert_eq!(QueueTransport::new().batch_stats(), None);
         let merged = {
             let mut s = BatchStats {
                 frames: 3,
                 physical_writes: 1,
+                physical_reads: 2,
+                empty_reads: 1,
             };
             s.merge(&BatchStats {
                 frames: 5,
                 physical_writes: 1,
+                physical_reads: 1,
+                empty_reads: 0,
             });
             s
         };
         assert_eq!(merged.frames, 8);
         assert_eq!(merged.physical_writes, 2);
+        assert_eq!(merged.physical_reads, 3);
+        assert_eq!(merged.empty_reads, 1);
         assert_eq!(merged.frames_per_write(), Some(4.0));
         assert_eq!(BatchStats::default().frames_per_write(), None);
     }

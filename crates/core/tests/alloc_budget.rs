@@ -7,8 +7,10 @@
 //! buffer it needs across cycles, so after warm-up a committed cycle allocates
 //! (almost) nothing: what is left is amortised growth of the traces and the
 //! bus components' own transfer bookkeeping. The synthetic pair has no bus
-//! components and its traces grow into recycled buffers, so its two rows are
-//! pinned at exactly zero.
+//! components and its traces grow into recycled buffers, so its rows are
+//! pinned at exactly zero — over the queue, and over loopback TCP and the
+//! shm ring, whose endpoints decode each received frame into the payload of
+//! a packet they sent.
 //!
 //! This file is a test target of its own with a single `#[test]`, so its
 //! `#[global_allocator]` counts nothing else. When the assertion trips, a
@@ -16,7 +18,7 @@
 //! `-- --nocapture` for the measured counts, then bisect with a breakpoint on
 //! `CountingAlloc::alloc` inside the measured window.
 
-use predpkt_core::{CoEmuConfig, EmuSession, ModePolicy, TransportSelect};
+use predpkt_core::{CoEmuConfig, EmuSession, ModePolicy, ShmOptions, TcpOptions, TransportSelect};
 use predpkt_predict::AdaptiveSuite;
 use predpkt_workloads::{figure2_soc, mesh_hotspot_soc, MeshConfig, SyntheticSoc};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -131,6 +133,34 @@ fn a_committed_cycle_stays_within_the_allocation_budget() {
         .expect("the synthetic session builds");
     let ideal = allocations_per_cycle("SyntheticSoc::als(1.0) / queue / paper config", ideal);
 
+    // The per-side backends the farm runs: the same pair at p = 0.6 over
+    // loopback TCP and over the shm ring, and Fig. 2 over TCP. Each
+    // endpoint decodes into the payloads of the packets it last sent.
+    let tcp = || TransportSelect::Tcp(TcpOptions::default());
+    let shm = || TransportSelect::Shm(ShmOptions::default());
+    let per_side = |transport: TransportSelect| {
+        SyntheticSoc::als(0.6, 7)
+            .session()
+            .config(paper_config)
+            .transport(transport)
+            .build()
+            .expect("the synthetic session builds")
+    };
+    let synth_tcp = allocations_per_cycle(
+        "SyntheticSoc::als(0.6) / tcp / paper config",
+        per_side(tcp()),
+    );
+    let synth_shm = allocations_per_cycle(
+        "SyntheticSoc::als(0.6) / shm / paper config",
+        per_side(shm()),
+    );
+    let soc_tcp = EmuSession::from_blueprint(&figure2_soc(7))
+        .config(bench_config)
+        .transport(tcp())
+        .build()
+        .expect("the Fig. 2 session builds");
+    let soc_tcp = allocations_per_cycle("figure2_soc / tcp / bench config", soc_tcp);
+
     assert!(soc <= 1.0, "figure2_soc: {soc:.3} allocations per cycle");
     assert!(
         mesh <= 1.0,
@@ -142,4 +172,16 @@ fn a_committed_cycle_stays_within_the_allocation_budget() {
     // thread (`predpkt_sim::Trace`): not one allocation in the window.
     assert_eq!(synth, 0.0, "synthetic p=0.6: allocations per cycle");
     assert_eq!(ideal, 0.0, "synthetic p=1.0: allocations per cycle");
+    assert_eq!(
+        synth_tcp, 0.0,
+        "synthetic p=0.6 over tcp: allocations per cycle"
+    );
+    assert_eq!(
+        synth_shm, 0.0,
+        "synthetic p=0.6 over shm: allocations per cycle"
+    );
+    assert!(
+        soc_tcp <= 1.0,
+        "figure2_soc over tcp: {soc_tcp:.3} allocations per cycle"
+    );
 }

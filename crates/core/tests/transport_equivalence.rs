@@ -8,10 +8,14 @@
 //! than a scheduling artifact.
 //!
 //! The cross-cutting checks that ride on it live here too: reproducibility,
-//! predictor-suite neutrality, and observer consistency.
+//! predictor-suite neutrality, observer consistency, and the socket's read
+//! budget.
 
 use predpkt_channel::FaultSpec;
-use predpkt_core::{EmuObserver, EventCounters, ModePolicy};
+use predpkt_core::{
+    CoEmuConfig, EmuObserver, EmuSession, EventCounters, ModePolicy, TcpOptions, TransportSelect,
+};
+use predpkt_workloads::figure2_soc;
 
 mod common;
 use common::conformance::{
@@ -147,4 +151,40 @@ fn observer_counts_match_wrapper_statistics_across_backends() {
         assert_eq!(events.words_sent, channel.total_words(), "{name}");
         assert!(events.transitions > 0, "{name}");
     }
+}
+
+/// Reads the two socket ends of a run may pay beyond one per write: the
+/// first poll of each end before its peer has written, and polls that beat
+/// a write still crossing the loopback.
+const READ_SLACK: u64 = 16;
+
+/// Over a socket a frame costs one `read`: an end does not poll right after
+/// its own write (the reply cannot be there yet), and a drain stops after a
+/// short read, which can only be followed by `EAGAIN`.
+#[test]
+fn a_socket_session_reads_once_per_write() {
+    let bench_config = CoEmuConfig::paper_defaults()
+        .policy(ModePolicy::Auto)
+        .rollback_vars(None)
+        .carry(true)
+        .adaptive(true);
+    let mut session = EmuSession::from_blueprint(&figure2_soc(7))
+        .config(bench_config)
+        .transport(TransportSelect::Tcp(TcpOptions::default()))
+        .build()
+        .expect("the Fig. 2 session builds");
+    session.run_until_committed(2_000).expect("no deadlock");
+    let io = session
+        .batch_stats()
+        .expect("a socket counts its operations");
+    println!("{io:?}");
+    assert!(io.physical_writes > 100, "{io:?}");
+    assert!(
+        io.physical_reads <= io.physical_writes + READ_SLACK,
+        "more than one read per write: {io:?}"
+    );
+    assert!(
+        io.empty_reads <= READ_SLACK,
+        "reads that found nothing: {io:?}"
+    );
 }
