@@ -19,7 +19,7 @@ use predpkt_ahb::signals::{Hburst, Hsize, MasterSignals, MasterView, SlaveSignal
 use predpkt_ahb::slaves::MemorySlave;
 use predpkt_ahb::{AhbMaster, AhbSlave};
 use predpkt_core::{
-    CoEmuConfig, CoEmulator, DomainModel, ModePolicy, Side, SocBlueprint, TickKind,
+    AhbDomainModel, CoEmuConfig, CoEmulator, DomainModel, ModePolicy, Side, SocBlueprint, TickKind,
 };
 use predpkt_predict::{AdaptiveSuite, PaperSuite, PredictorSuite};
 use predpkt_sim::{
@@ -175,6 +175,9 @@ fn hash_words(words: &[u64]) -> u64 {
 /// SoC under the paper suite, and the mesh — FIFO, split jobs, DMA chunks,
 /// scripted results, journaled stores — under the adaptive suite, whose
 /// context tables, timelines and scoreboards the paper suite never saves.
+/// Each side's committed trace hash pins the packed signal layout too: the
+/// golden bus and both domains pack with the same code, so the conformance
+/// matrix cannot see a layout change.
 #[test]
 fn domain_model_snapshot_words_are_pinned() {
     let fig2 = CoEmulator::from_blueprint(&figure2_soc_seeded(11), bench_config())
@@ -190,12 +193,15 @@ fn domain_model_snapshot_words_are_pinned() {
         let mut read = Vec::new();
         for cut in [50, 400, 1_500, 4_000] {
             coemu.run_until_committed(cut).expect("run reaches the cut");
-            let words = |model| {
+            let committed = coemu.committed_cycles();
+            let words = |model: &AhbDomainModel| {
                 let state = save_to_vec(model);
-                (state.len(), hash_words(state.words()))
+                let mut trace = model.trace().clone();
+                trace.truncate_to_len(committed as usize);
+                (state.len(), hash_words(state.words()), trace.hash())
             };
             read.push((
-                coemu.committed_cycles(),
+                committed,
                 [words(coemu.sim_model()), words(coemu.acc_model())],
             ));
         }
@@ -204,35 +210,68 @@ fn domain_model_snapshot_words_are_pinned() {
 }
 
 /// The committed cycles at a cut, and the simulator's and the accelerator's
-/// `(words, hash)` there.
-type Cut = (u64, [(usize, u64); 2]);
+/// `(words, hash, committed trace hash)` there.
+type Cut = (u64, [(usize, u64, u64); 2]);
 
 const PINNED_MESH_WORDS: [Cut; 4] = [
-    (50, [(4351, 0xa84b35c7d967259f), (2645, 0xa716c28b637fdac9)]),
+    (
+        50,
+        [
+            (4351, 0xa84b35c7d967259f, 0x2a165964f2294416),
+            (2645, 0xa716c28b637fdac9, 0x9cdfbec9f74cb6fa),
+        ],
+    ),
     (
         402,
-        [(4336, 0x9fdb3e4e4fa51836), (2685, 0x4058d00065d37f2a)],
+        [
+            (4336, 0x9fdb3e4e4fa51836, 0xdc99797780e109d1),
+            (2685, 0x4058d00065d37f2a, 0x6496b5215ae1fd1d),
+        ],
     ),
     (
         1501,
-        [(4332, 0xe7dff131acff51cb), (2633, 0x71235801fdb59d75)],
+        [
+            (4332, 0xe7dff131acff51cb, 0x138ad251b65d2148),
+            (2633, 0x71235801fdb59d75, 0x5480bfdeca5b12b7),
+        ],
     ),
     (
         4000,
-        [(4356, 0x6345f92945ac7592), (2644, 0x3989452b21fe60aa)],
+        [
+            (4356, 0x6345f92945ac7592, 0xff1bca35cc259dbd),
+            (2644, 0x3989452b21fe60aa, 0x40af19d59aed906c),
+        ],
     ),
 ];
 
 const PINNED_WORDS: [Cut; 4] = [
-    (55, [(2122, 0x15c7b194d285e829), (126, 0x5501a95fc46460f0)]),
-    (400, [(2130, 0xcd0fa7367327a1f6), (120, 0xbdc8651861dd7a47)]),
+    (
+        55,
+        [
+            (2122, 0x15c7b194d285e829, 0x6104e33eed103a6d),
+            (126, 0x5501a95fc46460f0, 0x31dd2473a1e50f94),
+        ],
+    ),
+    (
+        400,
+        [
+            (2130, 0xcd0fa7367327a1f6, 0xe3212ba06d9604f0),
+            (120, 0xbdc8651861dd7a47, 0xac49bf8fd19fcabd),
+        ],
+    ),
     (
         1501,
-        [(2120, 0x4f05477350bc1692), (125, 0x3863628fbc12692e)],
+        [
+            (2120, 0x4f05477350bc1692, 0x755a494b3978cfb2),
+            (125, 0x3863628fbc12692e, 0x3a676947295a5755),
+        ],
     ),
     (
         4006,
-        [(2146, 0x8159479b69394f2c), (121, 0x927fd68578f89641)],
+        [
+            (2146, 0x8159479b69394f2c, 0x9ecd65a7123fc7fa),
+            (121, 0x927fd68578f89641, 0x2c71d094e082b394),
+        ],
     ),
 ];
 
