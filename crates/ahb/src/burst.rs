@@ -280,6 +280,27 @@ mod tests {
         assert_eq!(BurstTracker::unpack(&t.pack()), Some(t));
     }
 
+    /// Every HSIZE / HBURST code pair of the meta word, under a few beat
+    /// counts: taken exactly when HSIZE is a modelled width (every HBURST
+    /// code is legal), and then packed back bit for bit.
+    #[test]
+    fn tracker_meta_is_refused_exactly_where_illegal() {
+        for size in 0..8u32 {
+            for burst in 0..8u32 {
+                for issued in [0, 1, 5, (1 << 26) - 1] {
+                    let words = [size | burst << 3 | issued << 6, 0xabc0];
+                    match BurstTracker::unpack(&words) {
+                        Some(t) => {
+                            assert!(size < 3, "{words:#x?} taken");
+                            assert_eq!(t.pack(), words, "{words:#x?}");
+                        }
+                        None => assert!(size >= 3, "{words:#x?} refused"),
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn incr_address_can_wrap_u32() {
         // wrapping_add semantics at the top of the address space.

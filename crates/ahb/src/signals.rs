@@ -525,9 +525,23 @@ mod tests {
         assert_eq!(MasterSignals::unpack(&sig.pack()), Some(sig));
     }
 
+    /// Every master flags word below 2^16: taken exactly when bits 15 up
+    /// are clear and HSIZE (bits 5..8) is a modelled width, and then packed
+    /// back bit for bit.
     #[test]
-    fn master_signals_unpack_rejects_garbage() {
-        assert_eq!(MasterSignals::unpack(&[u32::MAX, 0, 0]), None);
+    fn master_flags_are_refused_exactly_where_reserved_or_illegal() {
+        let (addr, wdata) = (0x8000_1234, 0xcafe_f00d);
+        for flags in 0..1u32 << 16 {
+            let legal = flags >> 15 == 0 && (flags >> 5) & 0b111 < 3;
+            let words = [flags, addr, wdata];
+            match MasterSignals::unpack(&words) {
+                Some(sig) => {
+                    assert!(legal, "{flags:#x} taken");
+                    assert_eq!(sig.pack(), words, "{flags:#x}");
+                }
+                None => assert!(!legal, "{flags:#x} refused"),
+            }
+        }
     }
 
     #[test]
@@ -542,9 +556,22 @@ mod tests {
         assert_eq!(SlaveSignals::unpack(&sig.pack()), Some(sig));
     }
 
+    /// Every slave flags word below 2^21: taken exactly when bits 20 up are
+    /// clear (every HRESP code is legal), and then packed back bit for bit.
     #[test]
-    fn slave_signals_unpack_rejects_garbage() {
-        assert_eq!(SlaveSignals::unpack(&[u32::MAX, 0]), None);
+    fn slave_flags_are_refused_exactly_where_reserved() {
+        let rdata = 0x1122_3344;
+        for flags in 0..1u32 << 21 {
+            let legal = flags >> 20 == 0;
+            let words = [flags, rdata];
+            match SlaveSignals::unpack(&words) {
+                Some(sig) => {
+                    assert!(legal, "{flags:#x} taken");
+                    assert_eq!(sig.pack(), words, "{flags:#x}");
+                }
+                None => assert!(!legal, "{flags:#x} refused"),
+            }
+        }
     }
 
     #[test]
