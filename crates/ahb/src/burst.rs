@@ -8,7 +8,7 @@
 //! `predpkt-predict`.
 
 use crate::signals::{Hburst, Hsize};
-use predpkt_sim::declare_state;
+use predpkt_sim::declare_signals;
 
 /// AHB bursts must not cross this boundary (AHB spec §3.5: 1 kB).
 pub const BURST_BOUNDARY: u32 = 0x400;
@@ -97,7 +97,7 @@ pub fn plan_incr_burst(addr: u32, size: Hsize, remaining_beats: u32) -> (Hburst,
 ///
 /// Both the arbiter (to hold grants for defined-length bursts) and the
 /// address/control predictor (to extrapolate SEQ beats) use this, and both
-/// save it as its [`pack`](BurstTracker::pack)ed words.
+/// save it as its declared words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BurstTracker {
     size: Hsize,
@@ -151,26 +151,15 @@ impl BurstTracker {
             None => false,
         }
     }
-
-    /// Packs into two words for snapshots
-    /// (`[size|burst|issued, next]`).
-    pub fn pack(&self) -> [u32; 2] {
-        let meta = self.size.encode() | (self.burst.encode() << 3) | (self.issued << 6);
-        [meta, self.next]
-    }
-
-    /// Unpacks the [`pack`](BurstTracker::pack) encoding.
-    pub fn unpack(words: &[u32; 2]) -> Option<BurstTracker> {
-        Some(BurstTracker {
-            size: Hsize::decode(words[0] & 0b111)?,
-            burst: Hburst::decode((words[0] >> 3) & 0b111)?,
-            issued: words[0] >> 6,
-            next: words[1],
-        })
-    }
 }
 
-declare_state! { impl BurstTracker: words(pack, unpack) }
+// HSIZE, HBURST and the beats issued, then the next address.
+declare_signals! {
+    impl BurstTracker {
+        [size: 3, burst: 3, issued: 26],
+        [next: 32],
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -278,27 +267,6 @@ mod tests {
         t.advance();
         t.advance();
         assert_eq!(BurstTracker::unpack(&t.pack()), Some(t));
-    }
-
-    /// Every HSIZE / HBURST code pair of the meta word, under a few beat
-    /// counts: taken exactly when HSIZE is a modelled width (every HBURST
-    /// code is legal), and then packed back bit for bit.
-    #[test]
-    fn tracker_meta_is_refused_exactly_where_illegal() {
-        for size in 0..8u32 {
-            for burst in 0..8u32 {
-                for issued in [0, 1, 5, (1 << 26) - 1] {
-                    let words = [size | burst << 3 | issued << 6, 0xabc0];
-                    match BurstTracker::unpack(&words) {
-                        Some(t) => {
-                            assert!(size < 3, "{words:#x?} taken");
-                            assert_eq!(t.pack(), words, "{words:#x?}");
-                        }
-                        None => assert!(size >= 3, "{words:#x?} refused"),
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use crate::checker::{ProtocolChecker, Violation};
 use crate::fabric::{Arbiter, CycleView, DecodeMapError, Decoder, Fabric, Region};
+use crate::record;
 use crate::signals::{MasterId, MasterSignals, SlaveId, SlaveSignals};
 use crate::{AhbMaster, AhbSlave};
 use predpkt_sim::{declare_state, Each, Trace};
@@ -20,11 +21,9 @@ use std::fmt;
 /// compare directly.
 fn pack_cycle_words(masters: &[MasterSignals], slaves: &[SlaveSignals], out: &mut Vec<u32>) {
     out.clear();
-    for m in masters {
-        out.extend_from_slice(&m.pack());
-    }
-    for s in slaves {
-        out.extend_from_slice(&s.pack());
+    for chunk in record::every(masters.len(), slaves.len()) {
+        out.resize(chunk.words().end, 0);
+        chunk.port.pack(masters, slaves, &mut out[chunk.words()]);
     }
 }
 
@@ -159,7 +158,7 @@ impl AhbBusBuilder {
         Ok(AhbBus {
             m_out: Vec::with_capacity(self.masters.len()),
             s_out: Vec::with_capacity(self.slaves.len()),
-            record: Vec::with_capacity(3 * self.masters.len() + 2 * self.slaves.len()),
+            record: Vec::new(),
             masters: self.masters,
             slaves: self.slaves,
             fabric: Fabric::new(arbiter, decoder),

@@ -154,9 +154,11 @@ impl BusOp {
         self
     }
 
-    /// Overrides the HPROT value.
+    /// Overrides the HPROT value, kept to the bits the wire carries.
     pub fn with_prot(mut self, prot: u8) -> Self {
-        self.prot = prot & 0xf;
+        let mut wire = MasterSignals::idle();
+        wire.prot = prot;
+        self.prot = wire.normalized().prot;
         self
     }
 

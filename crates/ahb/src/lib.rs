@@ -52,6 +52,7 @@ pub mod checker;
 pub mod engine;
 pub mod fabric;
 pub mod masters;
+pub mod record;
 pub mod signals;
 pub mod slaves;
 pub mod txn;

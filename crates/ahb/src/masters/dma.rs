@@ -12,7 +12,7 @@ use crate::burst::plan_incr_burst;
 use crate::engine::{BusOp, MasterEngine};
 use crate::signals::{Hsize, MasterSignals, MasterView};
 use crate::AhbMaster;
-use predpkt_sim::declare_state;
+use predpkt_sim::{declare_signals, declare_state};
 
 /// One DMA job: copy `words` 32-bit words from `src` to `dst`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,25 +42,13 @@ impl DmaDescriptor {
 /// Maximum words buffered between the read and write halves of a chunk.
 const CHUNK_WORDS: u32 = 16;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DmaPhase {
-    /// Fetch the next chunk from the source.
-    Reading,
-    /// Store the buffered chunk to the destination.
-    Writing,
-}
-
-impl DmaPhase {
-    fn encode(self) -> u32 {
-        self as u32
-    }
-
-    fn decode(code: u32) -> Option<DmaPhase> {
-        match code {
-            0 => Some(DmaPhase::Reading),
-            1 => Some(DmaPhase::Writing),
-            _ => None,
-        }
+declare_signals! {
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum DmaPhase {
+        /// Fetch the next chunk from the source.
+        Reading = 0,
+        /// Store the buffered chunk to the destination.
+        Writing = 1,
     }
 }
 
@@ -179,8 +167,6 @@ impl AhbMaster for DmaMaster {
         self.job_idx >= self.jobs.len() && !self.engine.busy()
     }
 }
-
-declare_state! { impl DmaPhase: word(encode, decode) }
 
 // The descriptors are static configuration. At a clock edge `moved` is below
 // the current job's word count (`tick` moves on to the next job when it

@@ -6,7 +6,7 @@
 //! read-data plus SPLIT unmask, and interrupt lines (treated like MSABS
 //! elements, as the paper prescribes).
 
-use predpkt_sim::declare_state;
+use predpkt_sim::{declare_signals, declare_state};
 use std::fmt;
 
 /// Index of a bus master (0 = highest arbitration priority by convention).
@@ -32,100 +32,56 @@ impl fmt::Display for SlaveId {
     }
 }
 
-/// HTRANS — transfer type of the address phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Htrans {
-    /// No transfer this cycle.
-    #[default]
-    Idle,
-    /// Burst continues but the master needs a beat of pause.
-    Busy,
-    /// First transfer of a burst (or a single).
-    Nonseq,
-    /// Subsequent transfer of a burst.
-    Seq,
+declare_signals! {
+    /// HTRANS — transfer type of the address phase, as the 2-bit field of
+    /// the specification.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+    pub enum Htrans {
+        /// No transfer this cycle.
+        #[default]
+        Idle = 0b00,
+        /// Burst continues but the master needs a beat of pause.
+        Busy = 0b01,
+        /// First transfer of a burst (or a single).
+        Nonseq = 0b10,
+        /// Subsequent transfer of a burst.
+        Seq = 0b11,
+    }
 }
 
 impl Htrans {
-    /// Encodes as the 2-bit field of the specification.
-    pub fn encode(self) -> u32 {
-        match self {
-            Htrans::Idle => 0b00,
-            Htrans::Busy => 0b01,
-            Htrans::Nonseq => 0b10,
-            Htrans::Seq => 0b11,
-        }
-    }
-
-    /// Decodes the 2-bit field.
-    pub fn decode(bits: u32) -> Option<Htrans> {
-        match bits {
-            0b00 => Some(Htrans::Idle),
-            0b01 => Some(Htrans::Busy),
-            0b10 => Some(Htrans::Nonseq),
-            0b11 => Some(Htrans::Seq),
-            _ => None,
-        }
-    }
-
     /// `true` for NONSEQ/SEQ — phases that request an actual data transfer.
     pub fn is_active(self) -> bool {
         matches!(self, Htrans::Nonseq | Htrans::Seq)
     }
 }
 
-/// HBURST — burst kind of the address phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Hburst {
-    /// Single transfer.
-    #[default]
-    Single,
-    /// Incrementing burst of unspecified length.
-    Incr,
-    /// 4-beat wrapping burst.
-    Wrap4,
-    /// 4-beat incrementing burst.
-    Incr4,
-    /// 8-beat wrapping burst.
-    Wrap8,
-    /// 8-beat incrementing burst.
-    Incr8,
-    /// 16-beat wrapping burst.
-    Wrap16,
-    /// 16-beat incrementing burst.
-    Incr16,
+declare_signals! {
+    /// HBURST — burst kind of the address phase, as the 3-bit field of the
+    /// specification.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+    pub enum Hburst {
+        /// Single transfer.
+        #[default]
+        Single = 0b000,
+        /// Incrementing burst of unspecified length.
+        Incr = 0b001,
+        /// 4-beat wrapping burst.
+        Wrap4 = 0b010,
+        /// 4-beat incrementing burst.
+        Incr4 = 0b011,
+        /// 8-beat wrapping burst.
+        Wrap8 = 0b100,
+        /// 8-beat incrementing burst.
+        Incr8 = 0b101,
+        /// 16-beat wrapping burst.
+        Wrap16 = 0b110,
+        /// 16-beat incrementing burst.
+        Incr16 = 0b111,
+    }
 }
 
 impl Hburst {
-    /// Encodes as the 3-bit field of the specification.
-    pub fn encode(self) -> u32 {
-        match self {
-            Hburst::Single => 0b000,
-            Hburst::Incr => 0b001,
-            Hburst::Wrap4 => 0b010,
-            Hburst::Incr4 => 0b011,
-            Hburst::Wrap8 => 0b100,
-            Hburst::Incr8 => 0b101,
-            Hburst::Wrap16 => 0b110,
-            Hburst::Incr16 => 0b111,
-        }
-    }
-
-    /// Decodes the 3-bit field.
-    pub fn decode(bits: u32) -> Option<Hburst> {
-        match bits {
-            0b000 => Some(Hburst::Single),
-            0b001 => Some(Hburst::Incr),
-            0b010 => Some(Hburst::Wrap4),
-            0b011 => Some(Hburst::Incr4),
-            0b100 => Some(Hburst::Wrap8),
-            0b101 => Some(Hburst::Incr8),
-            0b110 => Some(Hburst::Wrap16),
-            0b111 => Some(Hburst::Incr16),
-            _ => None,
-        }
-    }
-
     /// Number of beats for defined-length bursts; `None` for [`Hburst::Incr`].
     pub fn beats(self) -> Option<u32> {
         match self {
@@ -141,98 +97,49 @@ impl Hburst {
     pub fn is_wrapping(self) -> bool {
         matches!(self, Hburst::Wrap4 | Hburst::Wrap8 | Hburst::Wrap16)
     }
-
-    /// All burst kinds (for exhaustive tests).
-    pub const ALL: [Hburst; 8] = [
-        Hburst::Single,
-        Hburst::Incr,
-        Hburst::Wrap4,
-        Hburst::Incr4,
-        Hburst::Wrap8,
-        Hburst::Incr8,
-        Hburst::Wrap16,
-        Hburst::Incr16,
-    ];
 }
 
-/// HSIZE — transfer width (the workspace models a 32-bit bus).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Hsize {
-    /// 8-bit transfer.
-    Byte,
-    /// 16-bit transfer.
-    Half,
-    /// 32-bit transfer.
-    #[default]
-    Word,
+declare_signals! {
+    /// HSIZE — transfer width, as the 3-bit field of the specification (the
+    /// workspace models a 32-bit bus).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+    pub enum Hsize {
+        /// 8-bit transfer.
+        Byte = 0b000,
+        /// 16-bit transfer.
+        Half = 0b001,
+        /// 32-bit transfer.
+        #[default]
+        Word = 0b010,
+    }
 }
 
 impl Hsize {
-    /// Encodes as the 3-bit field of the specification.
-    pub fn encode(self) -> u32 {
-        match self {
-            Hsize::Byte => 0b000,
-            Hsize::Half => 0b001,
-            Hsize::Word => 0b010,
-        }
-    }
-
-    /// Decodes the 3-bit field.
-    pub fn decode(bits: u32) -> Option<Hsize> {
-        match bits {
-            0b000 => Some(Hsize::Byte),
-            0b001 => Some(Hsize::Half),
-            0b010 => Some(Hsize::Word),
-            _ => None,
-        }
-    }
-
     /// Transfer width in bytes.
     pub fn bytes(self) -> u32 {
         1 << self.encode()
     }
-
-    /// All sizes (for exhaustive tests).
-    pub const ALL: [Hsize; 3] = [Hsize::Byte, Hsize::Half, Hsize::Word];
 }
 
-/// HRESP — slave response of the data phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Hresp {
-    /// Transfer progressing / completed normally.
-    #[default]
-    Okay,
-    /// Transfer failed (two-cycle response).
-    Error,
-    /// Master must retry the transfer (two-cycle response).
-    Retry,
-    /// Slave split the transfer; master is masked until un-split
-    /// (two-cycle response).
-    Split,
+declare_signals! {
+    /// HRESP — slave response of the data phase, as the 2-bit field of the
+    /// specification.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+    pub enum Hresp {
+        /// Transfer progressing / completed normally.
+        #[default]
+        Okay = 0b00,
+        /// Transfer failed (two-cycle response).
+        Error = 0b01,
+        /// Master must retry the transfer (two-cycle response).
+        Retry = 0b10,
+        /// Slave split the transfer; master is masked until un-split
+        /// (two-cycle response).
+        Split = 0b11,
+    }
 }
 
 impl Hresp {
-    /// Encodes as the 2-bit field of the specification.
-    pub fn encode(self) -> u32 {
-        match self {
-            Hresp::Okay => 0b00,
-            Hresp::Error => 0b01,
-            Hresp::Retry => 0b10,
-            Hresp::Split => 0b11,
-        }
-    }
-
-    /// Decodes the 2-bit field.
-    pub fn decode(bits: u32) -> Option<Hresp> {
-        match bits {
-            0b00 => Some(Hresp::Okay),
-            0b01 => Some(Hresp::Error),
-            0b10 => Some(Hresp::Retry),
-            0b11 => Some(Hresp::Split),
-            _ => None,
-        }
-    }
-
     /// `true` for ERROR/RETRY/SPLIT — the two-cycle responses.
     pub fn is_error_class(self) -> bool {
         !matches!(self, Hresp::Okay)
@@ -256,7 +163,8 @@ pub struct MasterSignals {
     pub size: Hsize,
     /// HBURST — burst kind of the driven address phase.
     pub burst: Hburst,
-    /// HPROT — protection control (opaque 4-bit value).
+    /// HPROT — protection control (opaque; the wire carries the bits its
+    /// declaration below gives it).
     pub prot: u8,
     /// HWDATA — write data for the master's current data phase.
     pub wdata: u32,
@@ -267,40 +175,15 @@ impl MasterSignals {
     pub fn idle() -> Self {
         Self::default()
     }
+}
 
-    /// Packs into words for traces and channel packets
-    /// (`[flags|trans|size|burst|prot, addr, wdata]`).
-    pub fn pack(&self) -> [u32; 3] {
-        let mut flags = 0u32;
-        flags |= self.busreq as u32;
-        flags |= (self.lock as u32) << 1;
-        flags |= (self.write as u32) << 2;
-        flags |= self.trans.encode() << 3;
-        flags |= self.size.encode() << 5;
-        flags |= self.burst.encode() << 8;
-        flags |= (self.prot as u32 & 0xf) << 11;
-        [flags, self.addr, self.wdata]
-    }
-
-    /// Unpacks the [`pack`](MasterSignals::pack) encoding.
-    ///
-    /// Returns `None` if a field fails validation.
-    pub fn unpack(words: &[u32; 3]) -> Option<MasterSignals> {
-        let flags = words[0];
-        if flags >> 15 != 0 {
-            return None;
-        }
-        Some(MasterSignals {
-            busreq: flags & 1 != 0,
-            lock: flags & 2 != 0,
-            write: flags & 4 != 0,
-            trans: Htrans::decode((flags >> 3) & 0b11)?,
-            size: Hsize::decode((flags >> 5) & 0b111)?,
-            burst: Hburst::decode((flags >> 8) & 0b111)?,
-            prot: ((flags >> 11) & 0xf) as u8,
-            addr: words[1],
-            wdata: words[2],
-        })
+// The MSABS words of one master: its flags and control, then HADDR, then
+// HWDATA. HPROT travels as four bits.
+declare_signals! {
+    impl MasterSignals {
+        [busreq: 1, lock: 1, write: 1, trans: 2, size: 3, burst: 3, prot: 4],
+        [addr: 32],
+        [wdata: 32],
     }
 }
 
@@ -330,33 +213,13 @@ impl SlaveSignals {
             irq: false,
         }
     }
+}
 
-    /// Packs into words for traces and channel packets
-    /// (`[flags|resp|split, rdata]`).
-    pub fn pack(&self) -> [u32; 2] {
-        let mut flags = 0u32;
-        flags |= self.ready as u32;
-        flags |= (self.irq as u32) << 1;
-        flags |= self.resp.encode() << 2;
-        flags |= (self.split_unmask as u32) << 4;
-        [flags, self.rdata]
-    }
-
-    /// Unpacks the [`pack`](SlaveSignals::pack) encoding.
-    ///
-    /// Returns `None` if a field fails validation.
-    pub fn unpack(words: &[u32; 2]) -> Option<SlaveSignals> {
-        let flags = words[0];
-        if flags >> 20 != 0 {
-            return None;
-        }
-        Some(SlaveSignals {
-            ready: flags & 1 != 0,
-            irq: flags & 2 != 0,
-            resp: Hresp::decode((flags >> 2) & 0b11)?,
-            split_unmask: ((flags >> 4) & 0xffff) as u16,
-            rdata: words[1],
-        })
+// The MSABS words of one slave: its flags, response and HSPLIT, then HRDATA.
+declare_signals! {
+    impl SlaveSignals {
+        [ready: 1, irq: 1, resp: 2, split_unmask: 16],
+        [rdata: 32],
     }
 }
 
@@ -444,8 +307,6 @@ impl SlaveView {
     }
 }
 
-declare_state! { impl Htrans, Hburst, Hsize, Hresp: word(encode, decode) }
-declare_state! { impl MasterSignals, SlaveSignals: words(pack, unpack) }
 declare_state! {
     impl AddrPhase {
         master,
@@ -525,25 +386,6 @@ mod tests {
         assert_eq!(MasterSignals::unpack(&sig.pack()), Some(sig));
     }
 
-    /// Every master flags word below 2^16: taken exactly when bits 15 up
-    /// are clear and HSIZE (bits 5..8) is a modelled width, and then packed
-    /// back bit for bit.
-    #[test]
-    fn master_flags_are_refused_exactly_where_reserved_or_illegal() {
-        let (addr, wdata) = (0x8000_1234, 0xcafe_f00d);
-        for flags in 0..1u32 << 16 {
-            let legal = flags >> 15 == 0 && (flags >> 5) & 0b111 < 3;
-            let words = [flags, addr, wdata];
-            match MasterSignals::unpack(&words) {
-                Some(sig) => {
-                    assert!(legal, "{flags:#x} taken");
-                    assert_eq!(sig.pack(), words, "{flags:#x}");
-                }
-                None => assert!(!legal, "{flags:#x} refused"),
-            }
-        }
-    }
-
     #[test]
     fn slave_signals_pack_roundtrip() {
         let sig = SlaveSignals {
@@ -554,24 +396,6 @@ mod tests {
             irq: true,
         };
         assert_eq!(SlaveSignals::unpack(&sig.pack()), Some(sig));
-    }
-
-    /// Every slave flags word below 2^21: taken exactly when bits 20 up are
-    /// clear (every HRESP code is legal), and then packed back bit for bit.
-    #[test]
-    fn slave_flags_are_refused_exactly_where_reserved() {
-        let rdata = 0x1122_3344;
-        for flags in 0..1u32 << 21 {
-            let legal = flags >> 20 == 0;
-            let words = [flags, rdata];
-            match SlaveSignals::unpack(&words) {
-                Some(sig) => {
-                    assert!(legal, "{flags:#x} taken");
-                    assert_eq!(sig.pack(), words, "{flags:#x}");
-                }
-                None => assert!(!legal, "{flags:#x} refused"),
-            }
-        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! end-to-end data movement and by examples to print TLM-style logs.
 
 use crate::fabric::Fabric;
+use crate::record;
 use crate::signals::{
     Hburst, Hresp, Hsize, Htrans, MasterId, MasterSignals, SlaveId, SlaveSignals,
 };
@@ -186,13 +187,18 @@ impl TxnExtractor {
     /// [`AhbBus`](crate::bus::AhbBus) /
     /// [`pack_cycle_record`](crate::bus::pack_cycle_record)).
     ///
-    /// Records that fail to unpack are skipped.
-    pub fn feed_trace(&mut self, trace: &Trace) {
-        for rec in trace.iter() {
-            if let Some((m, s)) = unpack_cycle_record(rec, self.num_masters, self.num_slaves) {
-                self.feed(&m, &s);
-            }
+    /// # Errors
+    ///
+    /// The index of the first record that does not unpack, after feeding
+    /// every record before it: a record skipped would leave the fabric
+    /// replica a cycle behind, and every later beat off by one.
+    pub fn feed_trace(&mut self, trace: &Trace) -> Result<(), usize> {
+        for (index, rec) in trace.iter().enumerate() {
+            let (m, s) =
+                unpack_cycle_record(rec, self.num_masters, self.num_slaves).ok_or(index)?;
+            self.feed(&m, &s);
         }
+        Ok(())
     }
 
     fn close_open(&mut self) {
@@ -210,33 +216,26 @@ impl TxnExtractor {
 
 /// Unpacks a [`pack_cycle_record`](crate::bus::pack_cycle_record) vector back into signal arrays.
 pub fn unpack_cycle_record(
-    record: &[u64],
+    rec: &[u64],
     num_masters: usize,
     num_slaves: usize,
 ) -> Option<(Vec<MasterSignals>, Vec<SlaveSignals>)> {
-    if record.len() != num_masters * 3 + num_slaves * 2 {
+    if rec.len() != record::width(record::every(num_masters, num_slaves)) {
         return None;
     }
-    let as_u32 = |w: u64| u32::try_from(w).ok();
-    let mut masters = Vec::with_capacity(num_masters);
-    for i in 0..num_masters {
-        let words = [
-            as_u32(record[i * 3])?,
-            as_u32(record[i * 3 + 1])?,
-            as_u32(record[i * 3 + 2])?,
-        ];
-        masters.push(MasterSignals::unpack(&words)?);
-    }
-    let base = num_masters * 3;
-    let mut slaves = Vec::with_capacity(num_slaves);
-    for j in 0..num_slaves {
-        let words = [
-            as_u32(record[base + j * 2])?,
-            as_u32(record[base + j * 2 + 1])?,
-        ];
-        slaves.push(SlaveSignals::unpack(&words)?);
-    }
-    Some((masters, slaves))
+    let words: Vec<u32> = rec
+        .iter()
+        .map(|&w| u32::try_from(w).ok())
+        .collect::<Option<_>>()?;
+    let mut masters = vec![MasterSignals::idle(); num_masters];
+    let mut slaves = vec![SlaveSignals::idle(); num_slaves];
+    record::every(num_masters, num_slaves)
+        .all(|chunk| {
+            chunk
+                .port
+                .unpack(&words[chunk.words()], &mut masters, &mut slaves)
+        })
+        .then_some((masters, slaves))
 }
 
 #[cfg(test)]
@@ -279,7 +278,7 @@ mod tests {
             Decoder::new(regions).unwrap(),
         );
         let mut x = TxnExtractor::new(fabric, nm, ns);
-        x.feed_trace(&trace);
+        x.feed_trace(&trace).expect("a golden trace unpacks");
         x.finish()
     }
 
@@ -372,7 +371,7 @@ mod tests {
             .unwrap();
         bus.run_until_done(100);
         let mut x = extractor_for(&bus);
-        x.feed_trace(bus.trace());
+        x.feed_trace(bus.trace()).expect("a golden trace unpacks");
         assert_eq!(x.finish().len(), 1);
     }
 }

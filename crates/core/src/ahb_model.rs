@@ -37,11 +37,15 @@
 //!
 //! The proxies are kept packed too, in the peer's order: the words the peer
 //! would send for them.
-//! [`predict_remote_into`](DomainModel::predict_remote_into) writes them with
-//! the prediction (HPROT masked to the four bits the wire carries, so a
-//! proxy is what a pack/unpack round trip would give) and copies them into
-//! the LOB entry, and a tick unpacks only the peer chunks that differ from
-//! them: a tick on the prediction just made unpacks nothing. The lagger's
+//! [`predict_remote_into`](DomainModel::predict_remote_into) packs the
+//! prediction into them and takes it back as the peer's words would be
+//! taken, so a proxy is what a pack/unpack round trip gives (a field keeps
+//! the bits its signal bundle's declaration gives it), and copies them into
+//! the LOB entry; a tick unpacks only the peer chunks that differ from
+//! them: a tick on the prediction just made unpacks nothing. Every run of
+//! words — the local slots' in `packed`, the proxies' in `remote` — is a
+//! walk of the cycle record ([`predpkt_ahb::record`]) over the components
+//! on one side, fixed at construction. The lagger's
 //! [`verify_and_tick`](DomainModel::verify_and_tick) takes the leader's
 //! words once and checks the prediction and ticks on one `CycleView`.
 //!
@@ -56,12 +60,14 @@
 use crate::blueprint::Placement;
 use crate::model::{DomainModel, TickKind};
 use predpkt_ahb::fabric::{CycleView, Fabric};
+use predpkt_ahb::record::{self, Chunk, Port};
 use predpkt_ahb::signals::{MasterId, MasterSignals, SlaveId, SlaveSignals};
 use predpkt_ahb::{AhbMaster, AhbSlave};
 use predpkt_channel::Side;
 use predpkt_predict::{MasterPredictor, PredictorSuite, SlavePredictor};
 use predpkt_sim::{
-    declare_state, Present, Snapshot, SnapshotError, StateReader, StateWriter, Trace, TraceMark,
+    declare_state, Bundle, Present, Snapshot, SnapshotError, StateReader, StateWriter, Trace,
+    TraceMark,
 };
 use std::ops::{Deref, DerefMut};
 
@@ -82,12 +88,14 @@ pub struct AhbDomainModel {
     /// slaves), each at a fixed offset: the cycle's LOB words and its trace
     /// record.
     packed: Vec<u32>,
+    /// Where each local component's run sits in `packed`.
+    locals: Vec<Chunk>,
     /// The proxies packed as the peer packs its outputs, kept equal to what
     /// the remote slots hold: a peer chunk equal to its run here is not
     /// unpacked again. Derived state, rebuilt by every restore and rewind.
     remote: Vec<u32>,
-    /// Where the peer's slaves start in `remote`.
-    remote_slaves_at: usize,
+    /// Where each remote component's run sits in `remote`.
+    remotes: Vec<Chunk>,
     m_pred: Vec<Option<Box<dyn MasterPredictor>>>,
     s_pred: Vec<Option<Box<dyn SlavePredictor>>>,
     trace: Trace,
@@ -179,84 +187,20 @@ impl<S: Snapshot + Copy + Default> Snapshot for Slots<S> {
     }
 }
 
-/// Takes `chunk`, a peer's words for one component, into `proxy`, unpacking
-/// them only if they differ from `held`, the proxy's words. Returns `false`,
-/// leaving both as they were, if they do not unpack.
-fn take<S, const W: usize>(
-    proxy: &mut S,
-    held: &mut [u32],
-    chunk: &[u32; W],
-    unpack: fn(&[u32; W]) -> Option<S>,
-) -> bool {
-    if held == chunk {
-        return true;
+/// Stores `sig`, a local component's fresh outputs, in `slot` and packs it
+/// into `words`, unless `all` is clear and the slot already holds it: the
+/// value a call just returned is compared field by field, not reloaded
+/// whole, unless it changed.
+fn latch<S: Bundle + Copy + PartialEq>(slot: &mut S, sig: S, words: &mut [u32], all: bool) {
+    if all || *slot != sig {
+        *slot = sig;
+        sig.pack_into(words);
     }
-    let Some(sig) = unpack(chunk) else {
-        return false;
-    };
-    *proxy = sig;
-    held.copy_from_slice(chunk);
-    true
 }
 
-/// Splits the first `N` words off `words`.
-fn take_chunk<const N: usize>(words: &mut &[u32]) -> Option<[u32; N]> {
-    let chunk = words.get(..N)?.try_into().ok()?;
-    *words = &words[N..];
-    Some(chunk)
-}
-
-/// Walks a peer's packed outputs (`words`: its masters ascending, then its
-/// slaves), handing each component's chunk and bus index to `master` /
-/// `slave`, which say whether the chunk was well formed. Returns whether
-/// every chunk was and `words` had exactly the peer's width.
-fn walk_remote(
-    placement: &Placement,
-    side: Side,
-    words: &[u32],
-    mut master: impl FnMut(usize, &[u32; 3]) -> bool,
-    mut slave: impl FnMut(usize, &[u32; 2]) -> bool,
-) -> bool {
-    let mut ok = true;
-    let mut rest = words;
-    for (i, &domain) in placement.masters.iter().enumerate() {
-        if domain == side {
-            continue;
-        }
-        let Some(chunk) = take_chunk::<3>(&mut rest) else {
-            return false;
-        };
-        ok &= master(i, &chunk);
-    }
-    for (j, &domain) in placement.slaves.iter().enumerate() {
-        if domain == side {
-            continue;
-        }
-        let Some(chunk) = take_chunk::<2>(&mut rest) else {
-            return false;
-        };
-        ok &= slave(j, &chunk);
-    }
-    ok && rest.is_empty()
-}
-
-/// Unpacks a peer's packed outputs over the slots of `m` and `s` that
-/// `placement` puts on the peer's side. A malformed chunk leaves its slot as
-/// it was; returns what [`walk_remote`] returns.
-fn unpack_remote(
-    placement: &Placement,
-    side: Side,
-    words: &[u32],
-    m: &mut [MasterSignals],
-    s: &mut [SlaveSignals],
-) -> bool {
-    walk_remote(
-        placement,
-        side,
-        words,
-        |i, chunk| MasterSignals::unpack(chunk).map(|sig| m[i] = sig).is_some(),
-        |j, chunk| SlaveSignals::unpack(chunk).map(|sig| s[j] = sig).is_some(),
-    )
+/// The component in a slot the walk says is filled.
+fn hosted<C: ?Sized>(slot: &Option<Box<C>>) -> &C {
+    slot.as_deref().expect("the walk visits the filled slots")
 }
 
 impl AhbDomainModel {
@@ -307,13 +251,24 @@ impl AhbDomainModel {
             .enumerate()
             .map(|(j, &d)| (d != side).then(|| suite.slave_predictor(j)))
             .collect();
+        let locals: Vec<Chunk> = record::chunks(
+            masters.iter().map(Option::is_some),
+            slaves.iter().map(Option::is_some),
+        )
+        .collect();
+        let remotes: Vec<Chunk> = record::chunks(
+            masters.iter().map(Option::is_none),
+            slaves.iter().map(Option::is_none),
+        )
+        .collect();
         let mut model = AhbDomainModel {
             side,
             full_m: Slots::new(masters.iter().map(Option::is_some)),
             full_s: Slots::new(slaves.iter().map(Option::is_some)),
-            packed: vec![0; placement.local_width(side)],
-            remote: vec![0; placement.local_width(side.peer())],
-            remote_slaves_at: 3 * placement.masters.iter().filter(|&&d| d != side).count(),
+            packed: vec![0; record::width(locals.iter().copied())],
+            locals,
+            remote: vec![0; record::width(remotes.iter().copied())],
+            remotes,
             masters,
             slaves,
             placement,
@@ -341,45 +296,26 @@ impl AhbDomainModel {
     /// the local slots and the saved proxies into the remote ones.
     fn relatch(&mut self) {
         self.latch_slots(true);
-        let mut at = 0;
-        for (sig, &domain) in self.full_m.iter().zip(&self.placement.masters) {
-            if domain != self.side {
-                self.remote[at..at + 3].copy_from_slice(&sig.pack());
-                at += 3;
-            }
-        }
-        for (sig, &domain) in self.full_s.iter().zip(&self.placement.slaves) {
-            if domain != self.side {
-                self.remote[at..at + 2].copy_from_slice(&sig.pack());
-                at += 2;
-            }
+        for c in &self.remotes {
+            c.port
+                .pack(&self.full_m, &self.full_s, &mut self.remote[c.words()]);
         }
     }
 
     /// Latches the local slots, packing those that changed, or all of them
-    /// if `all` is set. A component's outputs are compared before they are
-    /// copied: a value a call just returned is read field by field, not
-    /// reloaded whole, unless it changed.
+    /// if `all` is set (see [`latch`]).
     fn latch_slots(&mut self, all: bool) {
-        let mut at = 0;
-        for (slot, c) in self.full_m.iter_mut().zip(&self.masters) {
-            if let Some(c) = c {
-                let sig = c.outputs();
-                if all || *slot != sig {
-                    *slot = sig;
-                    self.packed[at..at + 3].copy_from_slice(&sig.pack());
+        for c in &self.locals {
+            let words = &mut self.packed[c.words()];
+            match c.port {
+                Port::Master(i) => {
+                    let sig = hosted(&self.masters[i]).outputs();
+                    latch(&mut self.full_m[i], sig, words, all);
                 }
-                at += 3;
-            }
-        }
-        for (slot, c) in self.full_s.iter_mut().zip(&self.slaves) {
-            if let Some(c) = c {
-                let sig = c.outputs();
-                if all || *slot != sig {
-                    *slot = sig;
-                    self.packed[at..at + 2].copy_from_slice(&sig.pack());
+                Port::Slave(j) => {
+                    let sig = hosted(&self.slaves[j]).outputs();
+                    latch(&mut self.full_s[j], sig, words, all);
                 }
-                at += 2;
             }
         }
     }
@@ -388,22 +324,35 @@ impl AhbDomainModel {
     /// `outputs()` / `pack()` of the component would give — the invariant
     /// `latch` maintains, asked by `tick`'s debug assertion.
     fn latch_is_current(&self) -> bool {
-        let mut rest = &self.packed[..];
-        let masters = self
-            .masters
-            .iter()
-            .zip(self.full_m.iter())
-            .all(|(c, slot)| {
-                c.as_ref().map_or(true, |c| {
-                    c.outputs() == *slot && take_chunk(&mut rest) == Some(slot.pack())
-                })
-            });
-        let slaves = self.slaves.iter().zip(self.full_s.iter()).all(|(c, slot)| {
-            c.as_ref().map_or(true, |c| {
-                c.outputs() == *slot && take_chunk(&mut rest) == Some(slot.pack())
-            })
-        });
-        masters && slaves && rest.is_empty()
+        self.locals.iter().all(|c| {
+            let words = &self.packed[c.words()];
+            match c.port {
+                Port::Master(i) => {
+                    let slot = self.full_m[i];
+                    hosted(&self.masters[i]).outputs() == slot && words == slot.pack()
+                }
+                Port::Slave(j) => {
+                    let slot = self.full_s[j];
+                    hosted(&self.slaves[j]).outputs() == slot && words == slot.pack()
+                }
+            }
+        })
+    }
+
+    /// Takes `words`, a peer's words for the remote component at `c`, into
+    /// the proxy's run of `remote` and its slot, unpacking them only if
+    /// they differ from that run. Returns `false`, leaving both as they
+    /// were, if they do not unpack.
+    fn take(&mut self, c: Chunk, words: &[u32]) -> bool {
+        let held = &mut self.remote[c.words()];
+        if held == words {
+            return true;
+        }
+        if !c.port.unpack(words, &mut self.full_m, &mut self.full_s) {
+            return false;
+        }
+        held.copy_from_slice(words);
+        true
     }
 
     /// The upcoming cycle's view, with `remote`, the peer's packed outputs
@@ -416,22 +365,11 @@ impl AhbDomainModel {
             "a component changed state since the last latch"
         );
         if remote != self.remote {
-            let (m, s) = (&mut self.full_m, &mut self.full_s);
-            let (m_held, s_held) = self.remote.split_at_mut(self.remote_slaves_at);
-            let (mut m_held, mut s_held) = (m_held.chunks_exact_mut(3), s_held.chunks_exact_mut(2));
-            let well_formed = walk_remote(
-                &self.placement,
-                self.side,
-                remote,
-                |i, chunk| {
-                    let held = m_held.next().expect("a run per remote master");
-                    take(&mut m[i], held, chunk, MasterSignals::unpack)
-                },
-                |j, chunk| {
-                    let held = s_held.next().expect("a run per remote slave");
-                    take(&mut s[j], held, chunk, SlaveSignals::unpack)
-                },
-            );
+            let well_formed = remote.len() == self.remote.len()
+                && (0..self.remotes.len()).all(|k| {
+                    let c = self.remotes[k];
+                    self.take(c, &remote[c.words()])
+                });
             assert!(
                 well_formed,
                 "malformed remote signals: the wrapper passes peer vectors through check_remote first"
@@ -511,55 +449,60 @@ impl AhbDomainModel {
         if predicted == self.packed {
             return true;
         }
-        let mut rest = predicted;
-        for (i, a) in full_m.iter().enumerate() {
-            if self.placement.masters[i] != self.side {
-                continue;
-            }
-            let Some(p) = take_chunk::<3>(&mut rest).and_then(|c| MasterSignals::unpack(&c)) else {
+        for c in &self.locals {
+            let Some(words) = predicted.get(c.words()) else {
                 return false;
             };
-            // Arbitration requests: always active.
-            if (a.busreq, a.lock) != (p.busreq, p.lock) {
-                return false;
-            }
-            // Address/control: only for the granted master (HPROT travels as
-            // four bits).
-            if view.grant == MasterId(i)
-                && (a.trans, a.addr, a.write, a.size, a.burst, a.prot & 0xf)
-                    != (p.trans, p.addr, p.write, p.size, p.burst, p.prot)
-            {
-                return false;
-            }
-            // Write data: only when this master's write data phase must be
-            // visible to the leader domain (slave local to the leader).
-            let wdata_visible = matches!(&view.dp, Some(dp) if dp.write
-                && dp.master == MasterId(i)
-                && matches!(dp.slave, Some(s) if self.placement.slaves[s.0] == leader));
-            if wdata_visible && a.wdata != p.wdata {
-                return false;
-            }
-        }
-        for (j, a) in full_s.iter().enumerate() {
-            if self.placement.slaves[j] != self.side {
-                continue;
-            }
-            let Some(p) = take_chunk::<2>(&mut rest).and_then(|c| SlaveSignals::unpack(&c)) else {
-                return false;
-            };
-            // HSPLIT and IRQ: always active.
-            if (a.split_unmask, a.irq) != (p.split_unmask, p.irq) {
-                return false;
-            }
-            // Ready/response: only for the data-phase slave.
-            if let Some(dp) = view.dp.as_ref().filter(|dp| dp.slave == Some(SlaveId(j))) {
-                if (a.ready, a.resp) != (p.ready, p.resp) {
-                    return false;
+            // Both sides as the wire carries them.
+            match c.port {
+                Port::Master(i) => {
+                    let Some(p) = <MasterSignals as Bundle>::unpack(words) else {
+                        return false;
+                    };
+                    let a = full_m[i].normalized();
+                    // Arbitration requests: always active.
+                    if (a.busreq, a.lock) != (p.busreq, p.lock) {
+                        return false;
+                    }
+                    // Address/control: only for the granted master.
+                    if view.grant == MasterId(i)
+                        && (a.trans, a.addr, a.write, a.size, a.burst, a.prot)
+                            != (p.trans, p.addr, p.write, p.size, p.burst, p.prot)
+                    {
+                        return false;
+                    }
+                    // Write data: only when this master's write data phase
+                    // must be visible to the leader domain (slave local to
+                    // the leader).
+                    let wdata_visible = matches!(&view.dp, Some(dp) if dp.write
+                        && dp.master == MasterId(i)
+                        && matches!(dp.slave, Some(s) if self.placement.slaves[s.0] == leader));
+                    if wdata_visible && a.wdata != p.wdata {
+                        return false;
+                    }
                 }
-                // Read data: only when a leader-side master consumes it.
-                if !dp.write && self.placement.masters[dp.master.0] == leader && a.rdata != p.rdata
-                {
-                    return false;
+                Port::Slave(j) => {
+                    let Some(p) = <SlaveSignals as Bundle>::unpack(words) else {
+                        return false;
+                    };
+                    let a = full_s[j].normalized();
+                    // HSPLIT and IRQ: always active.
+                    if (a.split_unmask, a.irq) != (p.split_unmask, p.irq) {
+                        return false;
+                    }
+                    // Ready/response: only for the data-phase slave.
+                    if let Some(dp) = view.dp.as_ref().filter(|dp| dp.slave == Some(SlaveId(j))) {
+                        if (a.ready, a.resp) != (p.ready, p.resp) {
+                            return false;
+                        }
+                        // Read data: only when a leader-side master consumes it.
+                        if !dp.write
+                            && self.placement.masters[dp.master.0] == leader
+                            && a.rdata != p.rdata
+                        {
+                            return false;
+                        }
+                    }
                 }
             }
         }
@@ -657,43 +600,36 @@ impl DomainModel for AhbDomainModel {
     fn predict_remote_into(&mut self, out: &mut Vec<u32>) {
         // Predict each remote component's signals, updating the proxies and
         // their words so the subsequent tick sees them. A prediction is
-        // compared with its slot before it is copied, as in `latch_slots`.
+        // packed and taken as the peer's words are: unpacked into its slot
+        // only if it differs from the proxy's words.
         let dp_slave = self.fabric.data_phase().and_then(|dp| dp.slave);
-        let mut at = 0;
-        for (proxy, pred) in self.full_m.iter_mut().zip(&mut self.m_pred) {
-            if let Some(p) = pred {
-                let mut sig = p.predict();
-                // HPROT travels as four bits: the proxy holds what the peer
-                // would have sent.
-                sig.prot &= 0xf;
-                if *proxy != sig {
-                    *proxy = sig;
-                    self.remote[at..at + 3].copy_from_slice(&sig.pack());
+        for k in 0..self.remotes.len() {
+            let c = self.remotes[k];
+            let taken = match c.port {
+                Port::Master(i) => {
+                    let p = self.m_pred[i]
+                        .as_mut()
+                        .expect("a remote master's predictor");
+                    let words = p.predict().pack();
+                    self.take(c, &words)
                 }
-                at += 3;
-            }
-        }
-        for (j, (proxy, pred)) in self.full_s.iter_mut().zip(&mut self.s_pred).enumerate() {
-            if let Some(p) = pred {
-                let sig = p.predict(dp_slave == Some(SlaveId(j)));
-                if *proxy != sig {
-                    *proxy = sig;
-                    self.remote[at..at + 2].copy_from_slice(&sig.pack());
+                Port::Slave(j) => {
+                    let p = self.s_pred[j].as_mut().expect("a remote slave's predictor");
+                    let words = p.predict(dp_slave == Some(SlaveId(j))).pack();
+                    self.take(c, &words)
                 }
-                at += 2;
-            }
+            };
+            assert!(taken, "a bundle unpacks its own packing");
         }
         out.extend_from_slice(&self.remote);
     }
 
     fn check_remote(&self, remote: &[u32]) -> bool {
-        walk_remote(
-            &self.placement,
-            self.side,
-            remote,
-            |_, chunk| MasterSignals::unpack(chunk).is_some(),
-            |_, chunk| SlaveSignals::unpack(chunk).is_some(),
-        )
+        remote.len() == self.remote.len()
+            && self
+                .remotes
+                .iter()
+                .all(|c| c.port.unpacks(&remote[c.words()]))
     }
 
     fn take_control_words(&mut self) -> u64 {
@@ -738,17 +674,13 @@ impl DomainModel for AhbDomainModel {
         // `leader_outputs`; for a caller that did not, a malformed chunk
         // leaves the proxy value in its slot.
         let (mut full_m, mut full_s) = (self.full_m, self.full_s);
-        unpack_remote(
-            &self.placement,
-            self.side,
-            leader_outputs,
-            &mut full_m,
-            &mut full_s,
-        );
-        let full_m = &full_m[..self.masters.len()];
-        let full_s = &full_s[..self.slaves.len()];
-        let view = self.fabric.view(full_m, full_s);
-        self.projection_matches(full_m, full_s, predicted_me, &view, self.side.peer())
+        for c in &self.remotes {
+            if let Some(words) = leader_outputs.get(c.words()) {
+                c.port.unpack(words, &mut full_m, &mut full_s);
+            }
+        }
+        let view = self.fabric.view(&full_m, &full_s);
+        self.projection_matches(&full_m, &full_s, predicted_me, &view, self.side.peer())
     }
 
     fn trace(&self) -> &Trace {

@@ -9,6 +9,7 @@
 use crate::ahb_model::AhbDomainModel;
 use predpkt_ahb::bus::{AhbBus, BusConfigError};
 use predpkt_ahb::fabric::{Arbiter, Decoder, Fabric, Region};
+use predpkt_ahb::record::{self, Port};
 use predpkt_ahb::signals::{MasterId, SlaveId};
 use predpkt_ahb::{AhbMaster, AhbSlave};
 use predpkt_channel::Side;
@@ -29,12 +30,15 @@ pub struct Placement {
 }
 
 impl Placement {
-    /// Packed output width (words) of the components living on `side`
-    /// (3 words per master, 2 per slave).
+    /// Packed output width (words) of the components living on `side`: the
+    /// width of their part of the cycle record, each as many words as its
+    /// signal bundle's declaration packs.
     pub fn local_width(&self, side: Side) -> usize {
-        let m = self.masters.iter().filter(|&&d| d == side).count();
-        let s = self.slaves.iter().filter(|&&d| d == side).count();
-        m * 3 + s * 2
+        let here = |&d: &Side| d == side;
+        record::width(record::chunks(
+            self.masters.iter().map(here),
+            self.slaves.iter().map(here),
+        ))
     }
 
     /// `true` if at least one component lives on each side.
@@ -52,25 +56,21 @@ impl Placement {
     /// Panics if the record widths disagree with the placement.
     pub fn merge_records(&self, sim: &[u64], acc: &[u64]) -> Vec<u64> {
         let mut out = Vec::with_capacity(sim.len() + acc.len());
-        let (mut si, mut ai) = (0, 0);
-        for &d in &self.masters {
-            let (src, at) = match d {
-                Side::Simulator => (sim, &mut si),
-                Side::Accelerator => (acc, &mut ai),
+        let (mut sim, mut acc) = (sim, acc);
+        for chunk in record::every(self.masters.len(), self.slaves.len()) {
+            let side = match chunk.port {
+                Port::Master(i) => self.masters[i],
+                Port::Slave(j) => self.slaves[j],
             };
-            out.extend_from_slice(&src[*at..*at + 3]);
-            *at += 3;
-        }
-        for &d in &self.slaves {
-            let (src, at) = match d {
-                Side::Simulator => (sim, &mut si),
-                Side::Accelerator => (acc, &mut ai),
+            let src = match side {
+                Side::Simulator => &mut sim,
+                Side::Accelerator => &mut acc,
             };
-            out.extend_from_slice(&src[*at..*at + 2]);
-            *at += 2;
+            let (run, rest) = src.split_at(chunk.port.width());
+            out.extend_from_slice(run);
+            *src = rest;
         }
-        assert_eq!(si, sim.len(), "sim record width mismatch");
-        assert_eq!(ai, acc.len(), "acc record width mismatch");
+        assert!(sim.is_empty() && acc.is_empty(), "record width mismatch");
         out
     }
 }

@@ -250,13 +250,6 @@ pub fn marked_array<const N: usize>(r: &mut StateReader<'_>) -> [u32; N] {
     words
 }
 
-/// The length of the run of words `pack` returns.
-#[doc(hidden)]
-#[inline]
-pub fn packed_len<T: ?Sized, const N: usize>(_pack: fn(&T) -> [u32; N]) -> usize {
-    N
-}
-
 /// A field layout other than its type's own [`Snapshot`], named after the
 /// field in [`declare_state!`](crate::declare_state): `field: Codec`. The
 /// provided rollback methods copy in full, as `Snapshot`'s do.
@@ -592,13 +585,13 @@ pub fn check<T: ?Sized, V: Verdict>(
 /// to the length its mark copied, declaring the elements instead of
 /// copying them.
 ///
-/// Two more forms declare a type stored as packed words, through a pair of
-/// its own methods: `impl A, B: word(encode, decode)` for one word
-/// (`encode(self) -> u32`, `decode(u32) -> Option<Self>`), and
-/// `impl C: words(pack, unpack)` for a fixed run of them
-/// (`pack(&self) -> [u32; N]`, `unpack(&[u32; N]) -> Option<Self>`). A
-/// value the decoder refuses is corrupt at the packed run's first word on a
-/// restore, and a bug on a rewind.
+/// One more form declares a type stored as one packed word, through a pair
+/// of its own methods: `impl A, B: word(encode, decode)` (`encode(self) ->
+/// u32`, `decode(u32) -> Option<Self>`). A value the decoder refuses is
+/// corrupt at that word on a restore, and a bug on a rewind. A type packed
+/// as a run of words from a list of fields and bit widths — a signal bundle
+/// — is declared by [`declare_signals!`](crate::declare_signals), which
+/// generates its `Snapshot` too.
 ///
 /// # Example
 ///
@@ -662,33 +655,6 @@ macro_rules! declare_state {
             #[inline]
             fn rewind(&mut self, r: &mut $crate::StateReader<'_>) {
                 *self = Self::$decode(r.marked_word() as u32).expect("a rewind reads its own mark");
-            }
-        }
-    )+};
-    (impl $($ty:ty),+ : words($pack:ident, $unpack:ident)) => {$(
-        impl $crate::Snapshot for $ty {
-            #[inline]
-            fn save(&self, w: &mut $crate::StateWriter<'_>) {
-                for word in self.$pack() {
-                    w.u32(word);
-                }
-            }
-
-            #[inline]
-            fn restore(&mut self, r: &mut $crate::StateReader<'_>) -> Result<(), $crate::SnapshotError> {
-                let at = r.position();
-                *self = Self::$unpack(&r.u32_array()?).ok_or_else(|| r.corrupt_at(at))?;
-                Ok(())
-            }
-
-            #[inline]
-            fn saved_len(&self) -> usize {
-                $crate::__packed_len(Self::$pack)
-            }
-
-            #[inline]
-            fn rewind(&mut self, r: &mut $crate::StateReader<'_>) {
-                *self = Self::$unpack(&$crate::__marked_array(r)).expect("a rewind reads its own mark");
             }
         }
     )+};

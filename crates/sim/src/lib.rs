@@ -12,7 +12,8 @@
 //!   the leader domain does before each optimistic run-ahead; a [`Journaled`]
 //!   store rolls back by undo log, paying per word written instead of per
 //!   word held; [`declare_state!`] builds a component's `Snapshot` from one
-//!   list of its state fields.
+//!   list of its state fields, and [`declare_signals!`] a signal bundle's
+//!   packed layout from one list of its fields and bit widths.
 //! * [`Trace`] — an append-only, hashable, *rollback-aware* record of per-cycle
 //!   values used to prove that optimistic execution commits exactly the same bus
 //!   behaviour as a monolithic golden simulation.
@@ -33,6 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bundle;
 mod declare;
 mod error;
 mod journal;
@@ -44,11 +46,12 @@ mod time;
 mod trace;
 
 #[doc(hidden)]
+pub use bundle::mask as __mask;
+pub use bundle::{Bundle, Field};
+#[doc(hidden)]
 pub use declare::check as __check;
 #[doc(hidden)]
 pub use declare::marked_array as __marked_array;
-#[doc(hidden)]
-pub use declare::packed_len as __packed_len;
 pub use declare::{Codec, Each, GrowOnly, List, Own, Present, Sequence, Verdict};
 pub use error::SimError;
 pub use journal::Journaled;

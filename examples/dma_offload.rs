@@ -47,7 +47,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Decoder::new(session.acc_model().fabric().decoder().regions().to_vec())?,
     );
     let mut extractor = TxnExtractor::new(fabric, blueprint.num_masters(), blueprint.num_slaves());
-    extractor.feed_trace(&merged);
+    extractor
+        .feed_trace(&merged)
+        .map_err(|cycle| format!("committed cycle {cycle} does not unpack as a bus record"))?;
     let txns = extractor.finish();
     println!("\nfirst transactions (TLM view of the committed cycle trace):");
     for t in txns.iter().take(10) {
