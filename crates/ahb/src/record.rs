@@ -22,6 +22,7 @@ pub enum Port {
 
 impl Port {
     /// The words the component's bundle packs into.
+    #[inline]
     pub fn width(self) -> usize {
         match self {
             Port::Master(_) => MasterSignals::WORDS,
@@ -31,6 +32,7 @@ impl Port {
 
     /// Packs the component's signals, from `masters` or `slaves`, into
     /// `out`, which is [`width`](Self::width) long.
+    #[inline]
     pub fn pack(self, masters: &[MasterSignals], slaves: &[SlaveSignals], out: &mut [u32]) {
         match self {
             Port::Master(i) => masters[i].pack_into(out),
@@ -40,6 +42,7 @@ impl Port {
 
     /// Unpacks `words` into the component's slot of `masters` or `slaves`.
     /// Returns `false`, leaving the slot as it was, if they do not unpack.
+    #[inline]
     pub fn unpack(
         self,
         words: &[u32],
@@ -53,6 +56,7 @@ impl Port {
     }
 
     /// Whether `words` unpack as the component's bundle.
+    #[inline]
     pub fn unpacks(self, words: &[u32]) -> bool {
         match self {
             Port::Master(_) => <MasterSignals as Bundle>::unpack(words).is_some(),
@@ -61,6 +65,7 @@ impl Port {
     }
 }
 
+#[inline]
 fn unpack_into<S: Bundle>(slot: &mut S, words: &[u32]) -> bool {
     S::unpack(words).map(|sig| *slot = sig).is_some()
 }
@@ -76,6 +81,7 @@ pub struct Chunk {
 
 impl Chunk {
     /// The run's words.
+    #[inline]
     pub fn words(self) -> Range<usize> {
         self.at..self.at + self.port.width()
     }

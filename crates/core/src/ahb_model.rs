@@ -39,8 +39,9 @@
 //! would send for them.
 //! [`predict_remote_into`](DomainModel::predict_remote_into) packs the
 //! prediction into them and takes it back as the peer's words would be
-//! taken, so a proxy is what a pack/unpack round trip gives (a field keeps
-//! the bits its signal bundle's declaration gives it), and copies them into
+//! taken, so a proxy is what a pack/unpack round trip gives (each field
+//! keeps the bits the [`MasterSignals`] or [`SlaveSignals`] declaration
+//! gives it), and copies them into
 //! the LOB entry; a tick unpacks only the peer chunks that differ from
 //! them: a tick on the prediction just made unpacks nothing. Every run of
 //! words — the local slots' in `packed`, the proxies' in `remote` — is a
@@ -188,13 +189,19 @@ impl<S: Snapshot + Copy + Default> Snapshot for Slots<S> {
 }
 
 /// Stores `sig`, a local component's fresh outputs, in `slot` and packs it
-/// into `words`, unless `all` is clear and the slot already holds it: the
+/// into its run `c` of `packed`, unless `all` is clear and the slot already holds it: the
 /// value a call just returned is compared field by field, not reloaded
 /// whole, unless it changed.
-fn latch<S: Bundle + Copy + PartialEq>(slot: &mut S, sig: S, words: &mut [u32], all: bool) {
+fn latch<S: Bundle + Copy + PartialEq>(
+    slot: &mut S,
+    sig: S,
+    c: Chunk,
+    packed: &mut [u32],
+    all: bool,
+) {
     if all || *slot != sig {
         *slot = sig;
-        sig.pack_into(words);
+        sig.pack_into(&mut packed[c.words()]);
     }
 }
 
@@ -305,16 +312,15 @@ impl AhbDomainModel {
     /// Latches the local slots, packing those that changed, or all of them
     /// if `all` is set (see [`latch`]).
     fn latch_slots(&mut self, all: bool) {
-        for c in &self.locals {
-            let words = &mut self.packed[c.words()];
+        for &c in &self.locals {
             match c.port {
                 Port::Master(i) => {
                     let sig = hosted(&self.masters[i]).outputs();
-                    latch(&mut self.full_m[i], sig, words, all);
+                    latch(&mut self.full_m[i], sig, c, &mut self.packed, all);
                 }
                 Port::Slave(j) => {
                     let sig = hosted(&self.slaves[j]).outputs();
-                    latch(&mut self.full_s[j], sig, words, all);
+                    latch(&mut self.full_s[j], sig, c, &mut self.packed, all);
                 }
             }
         }
@@ -600,8 +606,9 @@ impl DomainModel for AhbDomainModel {
     fn predict_remote_into(&mut self, out: &mut Vec<u32>) {
         // Predict each remote component's signals, updating the proxies and
         // their words so the subsequent tick sees them. A prediction is
-        // packed and taken as the peer's words are: unpacked into its slot
-        // only if it differs from the proxy's words.
+        // compared with its proxy first, as in `latch_slots`; one that
+        // differs is packed and taken as the peer's words are, so the proxy
+        // holds what the wire would carry.
         let dp_slave = self.fabric.data_phase().and_then(|dp| dp.slave);
         for k in 0..self.remotes.len() {
             let c = self.remotes[k];
@@ -610,13 +617,13 @@ impl DomainModel for AhbDomainModel {
                     let p = self.m_pred[i]
                         .as_mut()
                         .expect("a remote master's predictor");
-                    let words = p.predict().pack();
-                    self.take(c, &words)
+                    let sig = p.predict();
+                    sig == self.full_m[i] || self.take(c, &sig.pack())
                 }
                 Port::Slave(j) => {
                     let p = self.s_pred[j].as_mut().expect("a remote slave's predictor");
-                    let words = p.predict(dp_slave == Some(SlaveId(j))).pack();
-                    self.take(c, &words)
+                    let sig = p.predict(dp_slave == Some(SlaveId(j)));
+                    sig == self.full_s[j] || self.take(c, &sig.pack())
                 }
             };
             assert!(taken, "a bundle unpacks its own packing");

@@ -31,8 +31,10 @@ pub struct Placement {
 
 impl Placement {
     /// Packed output width (words) of the components living on `side`: the
-    /// width of their part of the cycle record, each as many words as its
-    /// signal bundle's declaration packs.
+    /// width of their part of the cycle record, each component as wide as
+    /// its bundle's declaration
+    /// ([`MasterSignals`](predpkt_ahb::signals::MasterSignals) or
+    /// [`SlaveSignals`](predpkt_ahb::signals::SlaveSignals)) packs it.
     pub fn local_width(&self, side: Side) -> usize {
         let here = |&d: &Side| d == side;
         record::width(record::chunks(

@@ -63,13 +63,6 @@ macro_rules! unsigned {
 
 unsigned!(u8, u16, u32);
 
-/// The low `width` bits, `1 ..= 32`.
-#[doc(hidden)]
-#[inline]
-pub const fn mask(width: u32) -> u32 {
-    u32::MAX >> (32 - width)
-}
-
 /// Declares a signal bundle's packed layout once, or a fieldless enum's
 /// codes once.
 ///
@@ -149,11 +142,10 @@ pub const fn mask(width: u32) -> u32 {
 /// ```
 #[macro_export]
 macro_rules! declare_signals {
-    (@unit $($field:ident)+) => { () };
     (
         $(#[$attr:meta])*
         $vis:vis enum $ty:ident {
-            $($(#[$vattr:meta])* $variant:ident = $code:expr),+ $(,)?
+            $($(#[$vattr:meta])* $variant:ident = $code:literal),+ $(,)?
         }
     ) => {
         $(#[$attr])*
@@ -175,10 +167,10 @@ macro_rules! declare_signals {
             /// The variant whose declared code is `code`.
             #[inline]
             pub fn decode(code: u32) -> Option<$ty> {
-                $(if code == $ty::$variant as u32 {
-                    return Some($ty::$variant);
-                })+
-                None
+                match code {
+                    $($code => Some($ty::$variant),)+
+                    _ => None,
+                }
             }
         }
 
@@ -200,7 +192,7 @@ macro_rules! declare_signals {
         $(const _: () = assert!(0 $(+ $width)+ <= 32, "a word holds 32 bits");)+
 
         impl $crate::Bundle for $ty {
-            const WORDS: usize = [$($crate::declare_signals!(@unit $($field)+)),+].len();
+            const WORDS: usize = [$(stringify!($($field)+)),+].len();
 
             #[inline]
             fn pack_into(&self, out: &mut [u32]) {
@@ -209,22 +201,7 @@ macro_rules! declare_signals {
 
             #[inline]
             fn unpack(words: &[u32]) -> Option<Self> {
-                if words.len() != Self::WORDS {
-                    return None;
-                }
-                let mut words = words.iter();
-                $(
-                    let word = *words.next()?;
-                    let mut at = 0u32;
-                    $(
-                        let $field = $crate::Field::from_bits(word >> at & $crate::__mask($width))?;
-                        at += $width;
-                    )+
-                    if word.checked_shr(at).unwrap_or(0) != 0 {
-                        return None;
-                    }
-                )+
-                Some(Self { $($($field),+),+ })
+                Self::unpack(words.try_into().ok()?)
             }
         }
 
@@ -237,7 +214,7 @@ macro_rules! declare_signals {
                     let mut word = 0u32;
                     let mut at = 0u32;
                     $(
-                        word |= ($crate::Field::to_bits(self.$field) & $crate::__mask($width)) << at;
+                        word |= ($crate::Field::to_bits(self.$field) & (u32::MAX >> (32 - $width))) << at;
                         at += $width;
                     )+
                     let _ = at;
@@ -249,7 +226,19 @@ macro_rules! declare_signals {
             /// reserved bit set or an illegal code.
             #[inline]
             pub fn unpack(words: &[u32; <$ty as $crate::Bundle>::WORDS]) -> Option<Self> {
-                <Self as $crate::Bundle>::unpack(words)
+                let mut words = words.iter();
+                $(
+                    let word = *words.next()?;
+                    let mut at = 0u32;
+                    $(
+                        let $field = $crate::Field::from_bits((word >> at) & (u32::MAX >> (32 - $width)))?;
+                        at += $width;
+                    )+
+                    if word.checked_shr(at).unwrap_or(0) != 0 {
+                        return None;
+                    }
+                )+
+                Some(Self { $($($field),+),+ })
             }
 
             /// The value as the wire carries it: what a pack/unpack round

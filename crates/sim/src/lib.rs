@@ -45,8 +45,6 @@ mod stats;
 mod time;
 mod trace;
 
-#[doc(hidden)]
-pub use bundle::mask as __mask;
 pub use bundle::{Bundle, Field};
 #[doc(hidden)]
 pub use declare::check as __check;
