@@ -178,7 +178,7 @@ impl MasterSignals {
 }
 
 // The MSABS words of one master: its flags and control, then HADDR, then
-// HWDATA. HPROT travels as four bits.
+// HWDATA.
 declare_signals! {
     impl MasterSignals {
         [busreq: 1, lock: 1, write: 1, trans: 2, size: 3, burst: 3, prot: 4],
