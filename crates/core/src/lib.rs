@@ -186,7 +186,7 @@ pub use coemu::{CoEmuConfig, CoEmulator, ConfigError, SliceStatus};
 pub use link::{ReliableInner, ShmOptions, TcpOptions, ThreadedOpts, TransportSelect};
 pub use model::{DomainModel, TickKind};
 pub use observer::{EmuEvent, EmuObserver, EventCounters, EventCounts, EventLog, NoopObserver};
-pub use protocol::{Message, ProtocolError};
+pub use protocol::{BurstEntries, Message, ProtocolError};
 pub use report::PerfReport;
 pub use session::{
     BlueprintSessionBuilder, EmuSession, EmuSessionBuilder, SessionError, SlicedSession,

@@ -8,12 +8,12 @@
 //! |---|---|---|
 //! | `Handshake` | setup | width agreement |
 //! | `CycleOutputs` | C-path exchange | one cycle of local outputs |
-//! | `Burst` | S-2 *Flush LOB* | delta-packetized LOB entries + the leader's next-cycle outputs |
+//! | `Burst` | S-2 *Flush LOB* | delta-packetized LOB entries (at least one) + the leader's next-cycle outputs |
 //! | `ReportSuccess` | R-path | lagger's next-cycle outputs |
 //! | `ReportFailure` | L-5 | failing index, actual outputs, next-cycle outputs |
 
 use predpkt_channel::{Packet, PacketTag};
-use predpkt_predict::LobEntries;
+use predpkt_predict::{LobBlock, LobEntries};
 use std::error::Error;
 use std::fmt;
 
@@ -63,10 +63,19 @@ impl fmt::Display for ProtocolError {
 
 impl Error for ProtocolError {}
 
+/// A burst's entries: the leader's buffer on the way out, a checked block on
+/// the way in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BurstEntries<'a> {
+    /// Buffered entries, delta-encoded with the message.
+    Lob(LobEntries<'a>),
+    /// A received block, decoded entry by entry as it is read.
+    Block(LobBlock<'a>),
+}
+
 /// A protocol message over borrowed words: what is encoded lends the
-/// sender's buffers, what is decoded lends the received payload (and, for a
-/// burst, the caller's decode buffer), so neither direction copies a vector
-/// into a message.
+/// sender's buffers, what is decoded lends the received payload, so neither
+/// direction copies a vector into a message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Message<'a> {
     /// Width agreement: (my local width, my remote width).
@@ -83,8 +92,8 @@ pub enum Message<'a> {
     },
     /// A LOB flush.
     Burst {
-        /// Buffered entries in cycle order.
-        entries: LobEntries<'a>,
+        /// The entries in cycle order.
+        entries: BurstEntries<'a>,
         /// The leader's Moore outputs for the cycle after the burst (valid only
         /// if every prediction checks out).
         leader_next: &'a [u32],
@@ -130,7 +139,10 @@ impl<'a> Message<'a> {
                 entries,
                 leader_next,
             } => {
-                entries.encode_into(payload);
+                match entries {
+                    BurstEntries::Lob(lob) => lob.encode_into(payload),
+                    BurstEntries::Block(block) => payload.extend_from_slice(block.wire()),
+                }
                 payload.extend_from_slice(leader_next);
             }
             Message::ReportSuccess { next } => payload.extend_from_slice(next),
@@ -160,9 +172,11 @@ impl<'a> Message<'a> {
     /// vector is one the model can take is the wrapper's question to
     /// [`DomainModel::check_remote`](crate::DomainModel::check_remote).
     ///
-    /// A burst's entries are delta-decoded into `burst` (its contents are
-    /// replaced, its allocation reused) and lent back from there; every other
-    /// message leaves `burst` alone and borrows the packet only.
+    /// A burst's block is checked whole — every length, and that its masks
+    /// select exactly the words that follow them — and lent back as a
+    /// [`LobBlock`] whose entries are decoded only as they are read, so a
+    /// malformed block is refused before its first entry is. Every message
+    /// borrows the packet only.
     ///
     /// # Errors
     ///
@@ -171,7 +185,6 @@ impl<'a> Message<'a> {
         packet: &'a Packet,
         local_width: usize,
         remote_width: usize,
-        burst: &'a mut Vec<u32>,
     ) -> Result<Message<'a>, ProtocolError> {
         let p = packet.payload();
         let truncated = || ProtocolError::Truncated { tag: packet.tag() };
@@ -198,11 +211,16 @@ impl<'a> Message<'a> {
                 let block_len = p.len().checked_sub(remote_width).ok_or_else(truncated)?;
                 let (block, leader_next) = p.split_at(block_len);
                 // The sender's remote width is OUR local width: entries embed
-                // predictions of our outputs.
-                let entries = LobEntries::decode_into(block, remote_width, local_width, burst)
+                // predictions of our outputs. A conforming leader flushes at
+                // least one entry (its head cycle or a prediction), so an
+                // empty block would report a transition nobody ran.
+                let entries = LobBlock::parse(block, remote_width, local_width)
                     .map_err(|_| ProtocolError::BadBlock)?;
+                if entries.is_empty() {
+                    return Err(ProtocolError::BadBlock);
+                }
                 Ok(Message::Burst {
-                    entries,
+                    entries: BurstEntries::Block(entries),
                     leader_next,
                 })
             }
@@ -245,18 +263,53 @@ mod tests {
     const RW: usize = 2;
 
     /// Encodes as the sender (local 3 / remote 2), decodes as the receiver
-    /// (local 2 / remote 3), and requires the same message back.
+    /// (local 2 / remote 3), and requires the same message back — a burst
+    /// entry by entry, through a scratch that held something else — and,
+    /// encoded again, the same payload.
     fn assert_roundtrip(msg: &Message<'_>) {
         let pkt = msg.encode();
-        let mut burst = vec![0xdead; 7];
-        assert_eq!(Message::decode(&pkt, RW, LW, &mut burst).as_ref(), Ok(msg));
+        let decoded = Message::decode(&pkt, RW, LW);
+        if let Ok(decoded) = &decoded {
+            assert_eq!(decoded.encode(), pkt);
+        }
+        match (msg, decoded) {
+            (
+                Message::Burst {
+                    entries: BurstEntries::Lob(sent),
+                    leader_next,
+                },
+                Ok(Message::Burst {
+                    entries: BurstEntries::Block(mut got),
+                    leader_next: got_next,
+                }),
+            ) => {
+                assert_eq!(got.len(), sent.len());
+                let mut scratch = vec![0xdead; 7];
+                for want in sent.iter() {
+                    assert_eq!(got.next_entry(&mut scratch), Some(want));
+                }
+                assert_eq!(got.next_entry(&mut scratch), None);
+                assert_eq!(got_next, *leader_next);
+            }
+            (msg, decoded) => assert_eq!(decoded.as_ref(), Ok(msg)),
+        }
     }
 
-    /// A burst payload as the receiver (local 2 / remote 3) decodes it.
-    fn decode_burst(payload: &[u32], burst: &mut Vec<u32>) -> Result<usize, ProtocolError> {
+    /// A burst payload as the receiver (local 2 / remote 3) decodes it,
+    /// every entry through `scratch`; returns how many there were.
+    fn decode_burst(payload: &[u32], scratch: &mut Vec<u32>) -> Result<usize, ProtocolError> {
         let pkt = Packet::new(PacketTag::Burst, payload.to_vec());
-        match Message::decode(&pkt, RW, LW, burst)? {
-            Message::Burst { entries, .. } => Ok(entries.len()),
+        match Message::decode(&pkt, RW, LW)? {
+            Message::Burst {
+                entries: BurstEntries::Block(mut entries),
+                ..
+            } => {
+                let mut count = 0;
+                while entries.next_entry(scratch).is_some() {
+                    count += 1;
+                }
+                Ok(count)
+            }
             other => panic!("a burst tag decoded to {other:?}"),
         }
     }
@@ -301,7 +354,7 @@ mod tests {
             },
         ]);
         let m = Message::Burst {
-            entries: lob.entries(),
+            entries: BurstEntries::Lob(lob.entries()),
             leader_next: &[10, 11, 12],
         };
         assert_roundtrip(&m);
@@ -360,7 +413,7 @@ mod tests {
             },
         ]);
         let good = Message::Burst {
-            entries: lob.entries(),
+            entries: BurstEntries::Lob(lob.entries()),
             leader_next: &[10, 11, 12],
         }
         .encode();
@@ -397,6 +450,8 @@ mod tests {
                 ProtocolError::BadBlock,
             );
         }
+        // An empty block of the right width: a transition nobody ran.
+        refused(&with_next(&[0, ENTRY as u32]), ProtocolError::BadBlock);
         // The block cut at every length (the leader-next words still follow).
         for cut in 0..block_len {
             refused(&with_next(&good[..cut]), ProtocolError::BadBlock);
@@ -426,7 +481,7 @@ mod tests {
             .unwrap();
         }
         let m = Message::Burst {
-            entries: lob.entries(),
+            entries: BurstEntries::Lob(lob.entries()),
             leader_next: &[0, 0, 0],
         };
         let pkt = m.encode();
@@ -451,7 +506,6 @@ mod tests {
 
     #[test]
     fn truncated_rejected() {
-        let mut burst = Vec::new();
         for (tag, payload) in [
             (PacketTag::ReportSuccess, vec![1]),
             (PacketTag::Handshake, vec![]),
@@ -461,7 +515,7 @@ mod tests {
         ] {
             let pkt = Packet::new(tag, payload);
             assert_eq!(
-                Message::decode(&pkt, RW, LW, &mut burst),
+                Message::decode(&pkt, RW, LW),
                 Err(ProtocolError::Truncated { tag })
             );
         }

@@ -20,9 +20,9 @@
 
 use crate::model::{DomainModel, TickKind};
 use crate::observer::{EmuEvent, EmuObserver};
-use crate::protocol::Message;
+use crate::protocol::{BurstEntries, Message};
 use predpkt_channel::{BufferPool, CostedChannel, Packet, Side, Transport};
-use predpkt_predict::{Lob, LobEntries};
+use predpkt_predict::{Lob, LobBlock};
 use predpkt_sim::{
     declare_state, mark_into, rewind_from_vec, CostCategory, Each, SimError, Snapshot,
     SnapshotError, StateReader, StateVec, StateWriter, TimeLedger, TraceMark, VirtualTime,
@@ -285,6 +285,18 @@ impl Outbox {
     }
 }
 
+/// The gate every peer-supplied output vector passes before `model` sees it:
+/// `what` names its position in the message for the error.
+fn check_remote<M: DomainModel>(model: &M, remote: &[u32], what: &str) -> Result<(), SimError> {
+    if model.check_remote(remote) {
+        Ok(())
+    } else {
+        Err(SimError::Config(format!(
+            "protocol: malformed signal word in {what}"
+        )))
+    }
+}
+
 /// Replaces `buf` with `model`'s outputs for the upcoming cycle.
 fn refill_outputs<M: DomainModel>(model: &M, buf: &mut Vec<u32>) {
     buf.clear();
@@ -294,7 +306,7 @@ fn refill_outputs<M: DomainModel>(model: &M, buf: &mut Vec<u32>) {
 /// The per-domain protocol engine. See the module docs.
 ///
 /// Every buffer a cycle needs is a field that outlives it — the LOB and its
-/// in-flight twin, the burst decode buffer, the two output vectors, the
+/// in-flight twin, the lagger's one-entry scratch, the two output vectors, the
 /// carried actuals, the payload pool — so a committed cycle in steady state
 /// allocates nothing here (`tests/alloc_budget.rs` pins that).
 pub struct ChannelWrapper<M: DomainModel> {
@@ -317,8 +329,9 @@ pub struct ChannelWrapper<M: DomainModel> {
     /// flush swaps `lob` with this buffer, so the two trade allocations and
     /// nothing is copied.
     inflight: Lob,
-    /// The lagger's decode buffer: a received burst's entries, end to end.
-    burst: Vec<u32>,
+    /// The lagger's scratch for one burst entry: each entry is decoded over
+    /// the one before it as it is reached.
+    entry: Vec<u32>,
     /// Scratch for this domain's outputs on their way into a message (a
     /// conservative exchange, a failing cycle's actuals, the leader's
     /// next-cycle outputs).
@@ -363,7 +376,7 @@ impl<M: DomainModel> ChannelWrapper<M> {
             lob,
             snapshot: StateVec::new(),
             snapshot_mark: None,
-            burst: Vec::new(),
+            entry: Vec::with_capacity(1 + model.local_width() + model.remote_width()),
             outputs: Vec::with_capacity(model.local_width()),
             next: Vec::with_capacity(model.local_width()),
             pending_actuals: Vec::with_capacity(model.remote_width()),
@@ -533,18 +546,6 @@ impl<M: DomainModel> ChannelWrapper<M> {
         self.snapshot_mark = Some(self.model.trace_mark());
     }
 
-    /// The gate every peer-supplied output vector passes before the model
-    /// sees it: `what` names its position in the message for the error.
-    fn check_remote(&self, remote: &[u32], what: &str) -> Result<(), SimError> {
-        if self.model.check_remote(remote) {
-            Ok(())
-        } else {
-            Err(SimError::Config(format!(
-                "protocol: malformed signal word in {what}"
-            )))
-        }
-    }
-
     /// Keeps `next` — checked peer outputs for cycle `self.model.cycle()` —
     /// as head actuals for a transition this domain may lead.
     fn carry(&mut self, next: &[u32]) {
@@ -638,16 +639,11 @@ impl<M: DomainModel> ChannelWrapper<M> {
                 let Some(pkt) = channel.recv(self.side) else {
                     return Ok(Progress::Blocked);
                 };
-                // The message lends the packet and (a burst) the decode
-                // buffer, which leaves `self` for the duration so the handler
-                // may borrow the rest of it.
-                let mut burst = std::mem::take(&mut self.burst);
                 let (local_width, remote_width) =
                     (self.model.local_width(), self.model.remote_width());
-                let handled = Message::decode(&pkt, local_width, remote_width, &mut burst)
+                let handled = Message::decode(&pkt, local_width, remote_width)
                     .map_err(|e| SimError::Config(format!("protocol: {e}")))
                     .and_then(|msg| self.receive(msg, channel, ledger, costs, obs));
-                self.burst = burst;
                 self.outbox.pool.release(pkt.into_payload());
                 handled.map(|()| Progress::Worked)
             }
@@ -689,6 +685,7 @@ impl<M: DomainModel> ChannelWrapper<M> {
         ledger: &mut TimeLedger,
         obs: &mut dyn EmuObserver,
     ) {
+        debug_assert!(!self.lob.is_empty(), "a flush carries at least one entry");
         obs.on_event(
             self.side,
             &EmuEvent::LobFlush {
@@ -698,7 +695,7 @@ impl<M: DomainModel> ChannelWrapper<M> {
         );
         refill_outputs(&self.model, &mut self.outputs);
         let msg = Message::Burst {
-            entries: self.lob.entries(),
+            entries: BurstEntries::Lob(self.lob.entries()),
             leader_next: &self.outputs,
         };
         self.outbox.send(channel, ledger, &msg, obs);
@@ -747,7 +744,7 @@ impl<M: DomainModel> ChannelWrapper<M> {
                 obs.on_event(self.side, &EmuEvent::HandshakeComplete);
             }
             (Phase::LeadAwaitReport, Message::ReportSuccess { next }) => {
-                self.check_remote(next, "a report's next-cycle outputs")?;
+                check_remote(&self.model, next, "a report's next-cycle outputs")?;
                 obs.on_event(
                     self.side,
                     &EmuEvent::ReportReceived {
@@ -773,8 +770,8 @@ impl<M: DomainModel> ChannelWrapper<M> {
                     next,
                 },
             ) => {
-                self.check_remote(actual, "a report's actual outputs")?;
-                self.check_remote(next, "a report's next-cycle outputs")?;
+                check_remote(&self.model, actual, "a report's actual outputs")?;
+                check_remote(&self.model, next, "a report's next-cycle outputs")?;
                 // Only an entry that carried a prediction can have failed.
                 let checked = self.head_count()..self.inflight.len();
                 if !checked.contains(&failed_index) {
@@ -801,12 +798,12 @@ impl<M: DomainModel> ChannelWrapper<M> {
                 self.carry(next);
             }
             (Phase::ConsAwaitReply, Message::CycleOutputs { outputs }) => {
-                self.check_remote(outputs, "cycle outputs")?;
+                check_remote(&self.model, outputs, "cycle outputs")?;
                 self.conservative_tick(outputs, ledger, costs, obs);
             }
             (Phase::FollowAwait, Message::CycleOutputs { outputs }) => {
                 // C-path responder: reply with our outputs, then tick.
-                self.check_remote(outputs, "cycle outputs")?;
+                check_remote(&self.model, outputs, "cycle outputs")?;
                 refill_outputs(&self.model, &mut self.outputs);
                 let mine = Message::CycleOutputs {
                     outputs: &self.outputs,
@@ -817,11 +814,11 @@ impl<M: DomainModel> ChannelWrapper<M> {
             (
                 Phase::FollowAwait,
                 Message::Burst {
-                    entries,
+                    entries: BurstEntries::Block(entries),
                     leader_next,
                 },
             ) => {
-                self.check_remote(leader_next, "a burst's leader-next outputs")?;
+                check_remote(&self.model, leader_next, "a burst's leader-next outputs")?;
                 self.follow_burst(entries, leader_next, channel, ledger, costs, obs)?;
             }
             (phase, other) => {
@@ -853,17 +850,18 @@ impl<M: DomainModel> ChannelWrapper<M> {
     /// L/R-paths: consume a burst, checking one prediction per entry.
     fn follow_burst<T: Transport>(
         &mut self,
-        entries: LobEntries<'_>,
+        mut entries: LobBlock<'_>,
         leader_next: &[u32],
         channel: &mut CostedChannel<T>,
         ledger: &mut TimeLedger,
         costs: &DomainCosts,
         obs: &mut dyn EmuObserver,
     ) -> Result<(), SimError> {
-        for (idx, entry) in entries.iter().enumerate() {
-            // Entries past a failed prediction are never looked at, so each
-            // is checked as it is reached.
-            self.check_remote(entry.local, "a burst entry's outputs")?;
+        let mut idx = 0;
+        while let Some(entry) = entries.next_entry(&mut self.entry) {
+            // Entries past a failed prediction are never decoded, so each is
+            // checked as it is reached.
+            check_remote(&self.model, entry.local, "a burst entry's outputs")?;
             let verified = match entry.predicted {
                 None => {
                     self.model.tick(entry.local, TickKind::Actual);
@@ -892,6 +890,7 @@ impl<M: DomainModel> ChannelWrapper<M> {
                 self.pending_cycle = None;
                 return Ok(());
             }
+            idx += 1;
         }
         // R-path: all predictions correct.
         refill_outputs(&self.model, &mut self.next);

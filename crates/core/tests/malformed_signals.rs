@@ -11,14 +11,20 @@
 //! A failure report's index is the peer's word too: one outside the entries
 //! of its burst that carried a prediction is refused the same way, before
 //! the leader rewinds anything.
+//!
+//! So is a burst's block structure. An empty burst would have the lagger
+//! report success for a transition it never ran, and a block whose tail
+//! selects one changed word too few or too many is refused whole: the
+//! lagger ends the run standing exactly where the burst found it.
 
 mod common;
 
 use predpkt_channel::tcp::{TcpEndpoint, TcpTransport};
 use predpkt_channel::{Packet, PacketTag, QueueTransport, Side, Transport, WaitTransport};
-use predpkt_core::{CoEmuConfig, CoEmulator, ModePolicy};
+use predpkt_core::{CoEmuConfig, CoEmulator, DomainModel, ModePolicy};
 use predpkt_sim::SimError;
-use std::cell::RefCell;
+use predpkt_workloads::SyntheticSoc;
+use std::cell::{Cell, RefCell};
 use std::time::Duration;
 
 /// Where in a message the damaged output vector sits.
@@ -318,4 +324,204 @@ fn untampered_runs_agree_over_both_media() {
     let queue = run(&mut || Box::new(QueueTransport::new()));
     let tcp = run(&mut || Box::new(SocketPair::new()));
     assert_eq!(queue, tcp);
+}
+
+/// Asserts `outcome` is the protocol's refusal of a malformed delta block.
+fn assert_bad_block(case: &str, outcome: Result<(), SimError>) {
+    match outcome {
+        Err(SimError::Config(msg)) => assert_eq!(msg, "protocol: malformed delta block", "{case}"),
+        other => panic!("{case}: expected a refused block, got {other:?}"),
+    }
+}
+
+/// Replaces the first burst's block with an empty one of the right width,
+/// keeping the leader-next words after it.
+struct EmptyBurst<T> {
+    inner: T,
+    /// Per sender: its local output width, the leader-next words' count.
+    widths: [usize; 2],
+    hit: bool,
+}
+
+impl<T: Transport> Transport for EmptyBurst<T> {
+    fn send(&mut self, from: Side, packet: Packet) {
+        let packet = if !self.hit && packet.tag() == PacketTag::Burst {
+            self.hit = true;
+            let words = packet.payload();
+            let width = self.widths[(from == Side::Accelerator) as usize];
+            let leader_next = &words[words.len() - width..];
+            Packet::new(PacketTag::Burst, [&[0, words[1]], leader_next].concat())
+        } else {
+            packet
+        };
+        self.inner.send(from, packet);
+    }
+
+    fn recv(&mut self, to: Side) -> Option<Packet> {
+        self.inner.recv(to)
+    }
+
+    fn pending(&self, to: Side) -> usize {
+        self.inner.pending(to)
+    }
+}
+
+fn run_empty_burst<T: Transport>(medium: T) -> Result<(), SimError> {
+    let blueprint = common::figure2_soc();
+    let placement = blueprint.placement();
+    let (sim, acc) = blueprint.build_pair().expect("Fig. 2 builds");
+    let config = CoEmuConfig::paper_defaults()
+        .policy(ModePolicy::Auto)
+        .carry(true);
+    let tamper = EmptyBurst {
+        inner: medium,
+        widths: [
+            placement.local_width(Side::Simulator),
+            placement.local_width(Side::Accelerator),
+        ],
+        hit: false,
+    };
+    let mut emu = CoEmulator::with_transport(sim, acc, config, tamper);
+    let outcome = emu.run_until_synchronized(4_000);
+    assert!(emu.transport().hit, "no burst was sent");
+    outcome
+}
+
+#[test]
+fn an_empty_burst_is_a_protocol_error() {
+    assert_bad_block("queue", run_empty_burst(QueueTransport::new()));
+    assert_bad_block("tcp", run_empty_burst(SocketPair::new()));
+}
+
+/// How the last entry of a damaged burst misdescribes its changed words.
+#[derive(Debug, Clone, Copy)]
+enum BadTail {
+    /// Its mask drops a word it selected: one word too many follows.
+    Loses,
+    /// Its mask selects a word that did not change: one word too few.
+    Gains,
+}
+
+/// While armed, damages the last entry's mask in the next burst sent —
+/// when that burst has such an entry and such a bit — and disarms.
+struct TailTamper<T> {
+    inner: T,
+    bad: BadTail,
+    armed: Cell<bool>,
+    /// The side the damaged burst was sent to.
+    hit: Option<Side>,
+}
+
+impl<T: Transport> Transport for TailTamper<T> {
+    fn send(&mut self, from: Side, packet: Packet) {
+        let packet = if self.armed.get() && packet.tag() == PacketTag::Burst {
+            self.armed.set(false);
+            let mut words = packet.into_payload();
+            // `[count, width, first entry, (count - 1) masks, changed words]`,
+            // then the leader-next words.
+            let (count, width) = (words[0] as usize, words[1] as usize);
+            let selected = matches!(self.bad, BadTail::Loses);
+            let flip = (count >= 2)
+                .then(|| {
+                    let last = 2 + width + (count - 2) * width.div_ceil(32);
+                    (0..width)
+                        .map(|i| (last + i / 32, 1u32 << (i % 32)))
+                        .find(|&(at, bit)| (words[at] & bit != 0) == selected)
+                })
+                .flatten();
+            if let Some((at, bit)) = flip {
+                words[at] ^= bit;
+                self.hit = Some(from.peer());
+            }
+            Packet::new(PacketTag::Burst, words)
+        } else {
+            packet
+        };
+        self.inner.send(from, packet);
+    }
+
+    fn recv(&mut self, to: Side) -> Option<Packet> {
+        self.inner.recv(to)
+    }
+
+    fn pending(&self, to: Side) -> usize {
+        self.inner.pending(to)
+    }
+}
+
+/// Runs the pair one transition at a time, arming `bad` at each boundary,
+/// until a burst is damaged. Returns the run's outcome and the lagger's
+/// `(cycle, trace length)` at the boundary before the burst and at the end.
+fn run_bad_tail<M: DomainModel + Send + 'static>(
+    bad: BadTail,
+    (sim, acc): (M, M),
+) -> (Result<(), SimError>, (u64, usize), (u64, usize)) {
+    let config = CoEmuConfig::paper_defaults().policy(ModePolicy::ForcedAls);
+    let tamper = TailTamper {
+        inner: QueueTransport::new(),
+        bad,
+        armed: Cell::new(false),
+        hit: None,
+    };
+    let mut emu = CoEmulator::with_transport(sim, acc, config, tamper);
+    emu.run_until_synchronized(500).expect("an undamaged run");
+    let standing = |emu: &CoEmulator<M, TailTamper<QueueTransport>>, side: Side| {
+        let model = match side {
+            Side::Simulator => emu.sim_model(),
+            Side::Accelerator => emu.acc_model(),
+        };
+        (model.cycle(), model.trace().len())
+    };
+    loop {
+        // At a boundary nothing is in flight: whoever lags the next
+        // transition meets its burst standing here.
+        let before = [Side::Simulator, Side::Accelerator].map(|side| standing(&emu, side));
+        emu.transport().armed.set(true);
+        let outcome = emu.run_until_synchronized(emu.committed_cycles() + 1);
+        if let Some(lagger) = emu.transport().hit {
+            let at = before[(lagger == Side::Accelerator) as usize];
+            return (outcome, at, standing(&emu, lagger));
+        }
+        outcome.expect("an undamaged transition runs");
+        assert!(
+            emu.committed_cycles() < 4_000,
+            "{bad:?}: no burst had a tail to damage"
+        );
+    }
+}
+
+#[test]
+fn a_burst_with_a_bad_tail_is_refused_before_its_first_entry() {
+    let synthetic = |accuracy| SyntheticSoc::als(accuracy, 7).build();
+    let figure2 = || common::figure2_soc().build_pair().expect("Fig. 2 builds");
+    // The synthetic leader repeats its outputs and its prediction through a
+    // run-ahead, so a synthetic burst's later entries select no word to lose.
+    let cases = [
+        (
+            "Fig. 2",
+            BadTail::Loses,
+            run_bad_tail(BadTail::Loses, figure2()),
+        ),
+        (
+            "Fig. 2",
+            BadTail::Gains,
+            run_bad_tail(BadTail::Gains, figure2()),
+        ),
+        (
+            "synthetic pair at p = 0.6",
+            BadTail::Gains,
+            run_bad_tail(BadTail::Gains, synthetic(0.6)),
+        ),
+        (
+            "synthetic pair at p = 1.0",
+            BadTail::Gains,
+            run_bad_tail(BadTail::Gains, synthetic(1.0)),
+        ),
+    ];
+    for (pair, bad, (outcome, before, after)) in cases {
+        let case = format!("{bad:?}, {pair}");
+        assert_bad_block(&case, outcome);
+        assert!(before.0 >= 500, "{case}: damaged at cycle {}", before.0);
+        assert_eq!(after, before, "{case}: the lagger moved");
+    }
 }

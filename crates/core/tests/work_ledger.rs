@@ -1,0 +1,145 @@
+//! The first rows of the work ledger, pinned: how much work a session asks
+//! of each layer per 1 000 committed cycles, read from the counters the
+//! session already keeps (`PerfReport`, `CwStats`, `ChannelStats`).
+//!
+//! A host-time claim is work × unit cost. These rows fix the work side for
+//! the LOB and the channel, so a change that moves only unit cost (a faster
+//! codec, a cheaper tick) leaves them exactly where they are, and one that
+//! moves the work shows up here by name. Per session, over the queue for
+//! 2 000 cycles:
+//!
+//! * **flushed** — LOB entries the leaders flushed: every predicted cycle
+//!   and every head cycle rides a burst;
+//! * **reached** — entries the laggers reached (`PaperPath::L`): each is
+//!   checked and ticked, and an entry after a failed prediction is never
+//!   decoded, so this is also what the laggers decode;
+//! * **words** and **accesses** — what the channel billed.
+
+use predpkt_core::{CoEmuConfig, EmuSession, ModePolicy, PaperPath, PerfReport, TransportSelect};
+use predpkt_workloads::{figure2_soc, SyntheticModel, SyntheticSoc};
+
+const CYCLES: u64 = 2_000;
+
+/// One row of the ledger, in raw counts over the run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Row {
+    committed: u64,
+    flushed: u64,
+    reached: u64,
+    words: u64,
+    accesses: u64,
+}
+
+impl Row {
+    fn of(report: &PerfReport) -> Row {
+        let sides = [report.sim_stats(), report.acc_stats()];
+        Row {
+            committed: report.committed_cycles(),
+            flushed: sides
+                .iter()
+                .map(|s| s.predicted_cycles + s.head_cycles)
+                .sum(),
+            reached: sides.iter().map(|s| s.path(PaperPath::L)).sum(),
+            words: report.channel().total_words(),
+            accesses: report.channel().total_accesses(),
+        }
+    }
+
+    fn per_kcycle(&self, count: u64) -> f64 {
+        count as f64 * 1_000.0 / self.committed as f64
+    }
+}
+
+/// Runs `session` for [`CYCLES`] and prints its row per 1 000 committed
+/// cycles (`--nocapture`).
+fn row<M: predpkt_core::DomainModel + Send + 'static>(
+    name: &str,
+    mut session: EmuSession<M>,
+) -> Row {
+    session
+        .run_until_committed(CYCLES)
+        .expect("the session runs");
+    let row = Row::of(&session.report());
+    println!(
+        "{name}: per 1 000 committed cycles ({} committed): flushed {:.1}, \
+         reached {:.1}, words {:.1}, accesses {:.1}",
+        row.committed,
+        row.per_kcycle(row.flushed),
+        row.per_kcycle(row.reached),
+        row.per_kcycle(row.words),
+        row.per_kcycle(row.accesses),
+    );
+    row
+}
+
+/// What `benchmark/` runs as `synth-p60-queue` and `synth-p100-queue`.
+fn synthetic(accuracy: f64) -> EmuSession<SyntheticModel> {
+    SyntheticSoc::als(accuracy, 7)
+        .session()
+        .config(CoEmuConfig::paper_defaults().policy(ModePolicy::ForcedAls))
+        .transport(TransportSelect::Queue)
+        .build()
+        .expect("the synthetic session builds")
+}
+
+#[test]
+fn the_synthetic_pair_at_p_0_6_is_pinned() {
+    let row = row(
+        "SyntheticSoc::als(0.6, 7) / queue / paper config",
+        synthetic(0.6),
+    );
+    assert_eq!(
+        row,
+        Row {
+            committed: 2006,
+            flushed: 50688,
+            reached: 2006,
+            words: 60990,
+            accesses: 1586,
+        }
+    );
+}
+
+#[test]
+fn the_synthetic_pair_at_p_1_0_is_pinned() {
+    let row = row(
+        "SyntheticSoc::als(1.0, 7) / queue / paper config",
+        synthetic(1.0),
+    );
+    assert_eq!(
+        row,
+        Row {
+            committed: 2048,
+            flushed: 2048,
+            reached: 2048,
+            words: 2374,
+            accesses: 66,
+        }
+    );
+}
+
+#[test]
+fn the_figure2_soc_is_pinned() {
+    // What `benchmark/` runs as `soc-queue`.
+    let config = CoEmuConfig::paper_defaults()
+        .policy(ModePolicy::Auto)
+        .rollback_vars(None)
+        .carry(true)
+        .adaptive(true);
+    let session = EmuSession::from_blueprint(&figure2_soc(7))
+        .config(config)
+        .transport(TransportSelect::Queue)
+        .build()
+        .expect("the Fig. 2 session builds");
+    let row = row("figure2_soc(7) / queue / bench config", session);
+    assert_eq!(
+        row,
+        Row {
+            committed: 2000,
+            flushed: 2888,
+            reached: 2000,
+            words: 28419,
+            accesses: 1036,
+        }
+    );
+}

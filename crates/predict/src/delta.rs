@@ -3,48 +3,57 @@
 //! A LOB flush carries one word vector per buffered cycle. Consecutive cycles
 //! differ in few positions (an address increments, a data word changes), so the
 //! packetizer transmits the first vector raw and each subsequent vector as a
-//! change bitmask followed by only the changed words. Word counts on the wire
-//! are what the channel cost model charges, so the encoding directly reduces
+//! change bitmask plus only the changed words. Word counts on the wire are
+//! what the channel cost model charges, so the encoding directly reduces
 //! `Tch.` payload.
 //!
 //! Wire format (all `u32` words):
 //!
 //! ```text
 //! [count, width, first entry (width words),
-//!  then per entry: ceil(width/32) mask words, changed words…]
+//!  (count - 1) × ceil(width/32) mask words, one run per later entry,
+//!  the changed words of every later entry, in entry order]
 //! ```
+//!
+//! The masks travel ahead of the words they select, so a receiver checks a
+//! whole block in one sweep — the masks' popcount must equal the number of
+//! words after them — and then decodes only the entries it reads: finding an
+//! entry's mask needs no earlier entry's changed words.
 
 use std::error::Error;
 use std::fmt;
 
-/// The one encoder: `count` entries of `width` words each, handed over as
-/// slices, appended to `out` in the wire format of the module docs.
+/// The one encoder: `count` entries of `width` words each, entry `k` handed
+/// over by `entry(k)`, appended to `out` in the wire format of the module
+/// docs.
 fn encode_entries<'a>(
     count: usize,
     width: usize,
-    entries: impl Iterator<Item = &'a [u32]>,
+    entry: impl Fn(usize) -> &'a [u32],
     out: &mut Vec<u32>,
 ) {
     out.push(count as u32);
     out.push(width as u32);
+    if count == 0 {
+        return;
+    }
+    let mut prev = entry(0);
+    assert_eq!(prev.len(), width, "entries must share a width");
+    out.extend_from_slice(prev);
     let mask_words = width.div_ceil(32);
-    let mut prev: Option<&[u32]> = None;
-    for entry in entries {
-        assert_eq!(entry.len(), width, "entries must share a width");
-        match prev {
-            None => out.extend_from_slice(entry),
-            Some(before) => {
-                let mask_at = out.len();
-                out.resize(mask_at + mask_words, 0);
-                for (i, (&now, &was)) in entry.iter().zip(before).enumerate() {
-                    if now != was {
-                        out[mask_at + i / 32] |= 1 << (i % 32);
-                        out.push(now);
-                    }
-                }
+    let mut mask_at = out.len();
+    out.resize(mask_at + (count - 1) * mask_words, 0);
+    for k in 1..count {
+        let next = entry(k);
+        assert_eq!(next.len(), width, "entries must share a width");
+        for (i, (&now, &was)) in next.iter().zip(prev).enumerate() {
+            if now != was {
+                out[mask_at + i / 32] |= 1 << (i % 32);
+                out.push(now);
             }
         }
-        prev = Some(entry);
+        mask_at += mask_words;
+        prev = next;
     }
 }
 
@@ -57,8 +66,7 @@ fn encode_entries<'a>(
 /// Panics if `flat` is not `count * width` words long.
 pub fn encode_flat_into(flat: &[u32], count: usize, width: usize, out: &mut Vec<u32>) {
     assert_eq!(flat.len(), count * width, "entries must share a width");
-    let entries = (0..count).map(|i| &flat[i * width..(i + 1) * width]);
-    encode_entries(count, width, entries, out);
+    encode_entries(count, width, |k| &flat[k * width..(k + 1) * width], out);
 }
 
 /// Encodes a block of equal-width entries. Returns the wire words.
@@ -73,14 +81,14 @@ pub fn encode_flat_into(flat: &[u32], count: usize, width: usize, out: &mut Vec<
 /// use predpkt_predict::{decode_block, encode_block};
 /// let entries = vec![vec![1, 2, 3], vec![1, 2, 4], vec![1, 2, 4]];
 /// let wire = encode_block(&entries);
-/// assert!(wire.len() < 2 + 3 * 3, "smaller than raw");
+/// // Header, the first entry raw, a mask per later entry, one changed word.
+/// assert_eq!(wire, [3, 3, 1, 2, 3, 0b100, 0, 4]);
 /// assert_eq!(decode_block(&wire).unwrap(), entries);
 /// ```
 pub fn encode_block(entries: &[Vec<u32>]) -> Vec<u32> {
     let mut out = Vec::new();
     let width = entries.first().map_or(0, Vec::len);
-    let slices = entries.iter().map(Vec::as_slice);
-    encode_entries(entries.len(), width, slices, &mut out);
+    encode_entries(entries.len(), width, |k| &entries[k], &mut out);
     out
 }
 
@@ -107,71 +115,179 @@ impl fmt::Display for DeltaDecodeError {
 
 impl Error for DeltaDecodeError {}
 
+/// A delta block whose lengths all check out, decoded one entry at a time
+/// in order by [`next_into`](Self::next_into) — the one decoder, which
+/// [`decode_flat_into`] and [`decode_block`] run to the end and a lagger
+/// stops at its first failed prediction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeltaBlock<'a> {
+    /// The whole block, header included.
+    wire: &'a [u32],
+    count: usize,
+    width: usize,
+    /// Entries decoded so far.
+    decoded: usize,
+    /// The masks of the entries not decoded yet.
+    masks: &'a [u32],
+    /// The changed words not taken yet.
+    changed: &'a [u32],
+}
+
+impl<'a> DeltaBlock<'a> {
+    /// Checks a block in one sweep, before anything is decoded.
+    ///
+    /// `count` and `width` are the peer's words, not facts: the block is
+    /// refused unless the words that follow could describe that many
+    /// entries (the first costs `width` words, every later one at least its
+    /// mask words), and then unless its masks select exactly the words
+    /// after them. Mask bits past the width select nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`DeltaDecodeError::Truncated`] when the block ends before what its
+    /// header and masks announce, [`DeltaDecodeError::TrailingWords`] when
+    /// words follow it.
+    pub fn parse(wire: &'a [u32]) -> Result<Self, DeltaDecodeError> {
+        let [count, width, body @ ..] = wire else {
+            return Err(DeltaDecodeError::Truncated);
+        };
+        let (count, width) = (*count as usize, *width as usize);
+        let mut block = DeltaBlock {
+            wire,
+            count,
+            width,
+            decoded: 0,
+            masks: &[],
+            changed: &[],
+        };
+        if count == 0 || width == 0 {
+            return if body.is_empty() {
+                Ok(block)
+            } else {
+                Err(DeltaDecodeError::TrailingWords)
+            };
+        }
+        let mask_words = width.div_ceil(32);
+        if body.len() < width || count - 1 > (body.len() - width) / mask_words {
+            return Err(DeltaDecodeError::Truncated);
+        }
+        let (masks, changed) = body[width..].split_at((count - 1) * mask_words);
+        // Every mask bit, less those past the width in each mask's last
+        // word; one mask word per entry, the common case, is one plain sweep.
+        let keep = u32::MAX >> (mask_words * 32 - width);
+        let selected: usize = if mask_words == 1 {
+            masks
+                .iter()
+                .map(|&w| (w & keep).count_ones() as usize)
+                .sum()
+        } else {
+            let all: usize = masks.iter().map(|w| w.count_ones() as usize).sum();
+            let stray: usize = masks
+                .iter()
+                .skip(mask_words - 1)
+                .step_by(mask_words)
+                .map(|&w| (w & !keep).count_ones() as usize)
+                .sum();
+            all - stray
+        };
+        if selected > changed.len() {
+            return Err(DeltaDecodeError::Truncated);
+        }
+        if selected < changed.len() {
+            return Err(DeltaDecodeError::TrailingWords);
+        }
+        block.masks = masks;
+        block.changed = changed;
+        Ok(block)
+    }
+
+    /// Entries in the block.
+    pub fn count(&self) -> usize {
+        self.count
+    }
+
+    /// Words per entry.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// The block's wire words, header included.
+    pub fn wire(&self) -> &'a [u32] {
+        self.wire
+    }
+
+    /// Decodes the next entry over `entry`, which must hold the entry before
+    /// it as the previous call left it (the first entry is copied whole, so
+    /// any buffer starts a block). Returns `false`, leaving `entry` alone,
+    /// once every entry has been decoded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entry` is not [`width`](Self::width) words long.
+    #[inline]
+    pub fn next_into(&mut self, entry: &mut [u32]) -> bool {
+        if self.decoded == self.count {
+            return false;
+        }
+        if self.decoded == 0 {
+            entry.copy_from_slice(&self.wire[2..2 + self.width]);
+        } else {
+            let (mask, masks) = self.masks.split_at(self.width.div_ceil(32));
+            self.masks = masks;
+            for (w, &bits) in mask.iter().enumerate() {
+                let mut bits = bits;
+                while bits != 0 {
+                    let i = w * 32 + bits.trailing_zeros() as usize;
+                    // Mask bits past the width select nothing.
+                    if i >= self.width {
+                        break;
+                    }
+                    bits &= bits - 1;
+                    let (&word, changed) = self
+                        .changed
+                        .split_first()
+                        .expect("the sweep counted every selected word");
+                    entry[i] = word;
+                    self.changed = changed;
+                }
+            }
+        }
+        self.decoded += 1;
+        true
+    }
+}
+
 /// Decodes a block into `out`, replacing its contents with the entries laid
 /// end to end and reusing its allocation; returns `(count, width)`. Zero-width
 /// entries occupy no words, so only the returned count tells how many there
 /// were.
 ///
-/// `count` and `width` are the peer's words, not facts: the block is refused
-/// before anything is sized by them unless the words that follow could
-/// describe that many entries (the first costs `width` words, every later one
-/// at least its mask words), so `out` never reserves more than
+/// The block is checked whole by [`DeltaBlock::parse`] before anything is
+/// sized by its header, so `out` never reserves more than
 /// `wire.len() * width` words for a block, good or bad.
 ///
 /// # Errors
 ///
-/// Returns [`DeltaDecodeError`] on truncated or oversized input; `out` then
-/// holds nothing meaningful.
+/// Returns [`DeltaDecodeError`] on truncated or oversized input; `out` is
+/// then empty.
 pub fn decode_flat_into(
     wire: &[u32],
     out: &mut Vec<u32>,
 ) -> Result<(usize, usize), DeltaDecodeError> {
     out.clear();
-    let [count, width, body @ ..] = wire else {
-        return Err(DeltaDecodeError::Truncated);
-    };
-    let (count, width) = (*count as usize, *width as usize);
-    let mut rest = body;
-    if count > 0 && width > 0 {
-        let mask_words = width.div_ceil(32);
-        if rest.len() < width || count - 1 > (rest.len() - width) / mask_words {
-            return Err(DeltaDecodeError::Truncated);
-        }
+    let mut block = DeltaBlock::parse(wire)?;
+    let (count, width) = (block.count(), block.width());
+    if width > 0 {
         out.reserve_exact(count * width);
-        let (first, after) = rest.split_at(width);
-        out.extend_from_slice(first);
-        rest = after;
-        for _ in 1..count {
-            // Promised by the count check only while earlier entries took no
-            // changed words from the same pool.
-            if rest.len() < mask_words {
-                return Err(DeltaDecodeError::Truncated);
+        out.resize(count * width, 0);
+        for at in (0..count).map(|i| i * width) {
+            if at > 0 {
+                out.copy_within(at - width..at, at);
             }
-            let (mask, after) = rest.split_at(mask_words);
-            rest = after;
-            let at = out.len();
-            out.extend_from_within(at - width..at);
-            for (w, &bits) in mask.iter().enumerate() {
-                let mut bits = bits;
-                while bits != 0 {
-                    let i = w * 32 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    // Mask bits past the width select nothing.
-                    if i >= width {
-                        break;
-                    }
-                    let (&now, after) = rest.split_first().ok_or(DeltaDecodeError::Truncated)?;
-                    out[at + i] = now;
-                    rest = after;
-                }
-            }
+            block.next_into(&mut out[at..at + width]);
         }
     }
-    if rest.is_empty() {
-        Ok((count, width))
-    } else {
-        Err(DeltaDecodeError::TrailingWords)
-    }
+    Ok((count, width))
 }
 
 /// Decodes a block produced by [`encode_block`].
@@ -180,11 +296,13 @@ pub fn decode_flat_into(
 ///
 /// Returns [`DeltaDecodeError`] on truncated or oversized input.
 pub fn decode_block(wire: &[u32]) -> Result<Vec<Vec<u32>>, DeltaDecodeError> {
-    let mut flat = Vec::new();
-    let (count, width) = decode_flat_into(wire, &mut flat)?;
-    Ok((0..count)
-        .map(|i| flat[i * width..(i + 1) * width].to_vec())
-        .collect())
+    let mut block = DeltaBlock::parse(wire)?;
+    let mut entry = vec![0; block.width()];
+    let mut entries = Vec::with_capacity(block.count());
+    while block.next_into(&mut entry) {
+        entries.push(entry.clone());
+    }
+    Ok(entries)
 }
 
 #[cfg(test)]
@@ -313,6 +431,33 @@ mod tests {
     }
 
     #[test]
+    fn masks_travel_ahead_of_the_words_they_select() {
+        let entries = vec![vec![1, 2, 3], vec![1, 5, 3], vec![6, 5, 7], vec![6, 5, 7]];
+        let wire = encode_block(&entries);
+        assert_eq!(wire, [4, 3, 1, 2, 3, 0b010, 0b101, 0, 5, 6, 7]);
+        assert_eq!(decode_block(&wire).unwrap(), entries);
+        // Checked whole, then decoded only as far as it is read: the second
+        // entry's words are found without reading past them.
+        let mut block = DeltaBlock::parse(&wire).unwrap();
+        assert_eq!((block.count(), block.width()), (4, 3));
+        let mut entry = [0; 3];
+        assert!(block.next_into(&mut entry));
+        assert_eq!(entry, [1, 2, 3]);
+        assert!(block.next_into(&mut entry));
+        assert_eq!(entry, [1, 5, 3]);
+        // A bad tail is refused before the first entry is decoded.
+        let mut lost = wire.clone();
+        lost[6] = 0b001; // the third entry loses a changed word
+        assert_eq!(
+            DeltaBlock::parse(&lost),
+            Err(DeltaDecodeError::TrailingWords)
+        );
+        let mut gained = wire.clone();
+        gained[7] = 0b100; // the last entry gains one
+        assert_eq!(DeltaBlock::parse(&gained), Err(DeltaDecodeError::Truncated));
+    }
+
+    #[test]
     fn stray_mask_bits_select_nothing() {
         // Width 3: bits 3.. of the mask word are outside the entry.
         let wire = [2, 3, 10, 20, 30, 0xffff_fff8 | 0b010, 21];
@@ -358,8 +503,8 @@ mod tests {
             &[&good[..], &[1]].concat(),
             Err(DeltaDecodeError::TrailingWords),
         );
-        // A count one higher than the words describe: the changed words of
-        // earlier entries leave no mask for the last.
+        // A count one higher than the words describe: the last mask is taken
+        // from the changed words, which then fall short of the masks.
         let mut over = good.clone();
         over[0] += 1;
         check(&over, truncated);

@@ -6,12 +6,16 @@
 //!   own outputs plus the prediction it used, buffered during run-ahead and
 //!   flushed as one burst. Its depth bounds the number of predictions per
 //!   transition (the paper evaluates depths 8 and 64). The entries lie end
-//!   to end in one buffer, read through [`LobEntries`].
+//!   to end in one buffer, read through [`LobEntries`]; a received flush is
+//!   a [`LobBlock`], decoded one entry at a time as the lagger reaches it.
 //! * [`encode_block`] / [`decode_block`] — the packetizer: consecutive cycles
 //!   differ in few signals, so entries are encoded as change-mask + changed
 //!   words, shrinking flush payloads (the paper's dynamic packetizing
-//!   decision #3). [`encode_flat_into`] / [`decode_flat_into`] are the same
-//!   codec over entries laid end to end in a caller-kept buffer.
+//!   decision #3). A block carries every mask ahead of the changed words, so
+//!   [`DeltaBlock`] checks it whole in one popcount sweep and then decodes
+//!   only the entries that are read. [`encode_flat_into`] /
+//!   [`decode_flat_into`] are the same codec over entries laid end to end in
+//!   a caller-kept buffer.
 //! * Predictors for each signal class of the paper's §3 analysis:
 //!   [`BurstFollower`] (address/control: linear within a burst),
 //!   [`WaitPredictor`] (slave responses: producer–consumer wait patterns),
@@ -95,8 +99,10 @@ pub use adaptive::{
     AdaptiveConfig, AdaptiveMasterPredictor, AdaptiveSlavePredictor, AdaptiveSuite,
 };
 pub use context::{ContextMasterPredictor, ContextSlavePredictor, ContextTable, MarkovSuite};
-pub use delta::{decode_block, decode_flat_into, encode_block, encode_flat_into, DeltaDecodeError};
-pub use lob::{Lob, LobEntries, LobEntry, LobFullError};
+pub use delta::{
+    decode_block, decode_flat_into, encode_block, encode_flat_into, DeltaBlock, DeltaDecodeError,
+};
+pub use lob::{Lob, LobBlock, LobEntries, LobEntry, LobFullError};
 pub use predictors::{BurstFollower, LastValuePredictor, WaitPredictor};
 pub use suite::{
     LastValueMasterPredictor, LastValueSlavePredictor, LastValueSuite, MasterPredictor,

@@ -3,11 +3,13 @@
 //! The buffer keeps its entries end to end in one `Vec<u32>`, each already in
 //! the block layout the delta packetizer sends
 //! (`[has_prediction, local…, prediction-or-zeros…]`), so a flush is one
-//! [`encode_into`](LobEntries::encode_into) pass over it and the lagger's
-//! decode of the same block ([`LobEntries::decode_into`]) is read through the
-//! same borrowed [`LobEntries`] view — no per-entry vector on either side.
+//! [`encode_into`](LobEntries::encode_into) pass over the borrowed
+//! [`LobEntries`]. The lagger reads the block it receives through a
+//! [`LobBlock`]: checked whole on arrival, then decoded one entry at a time
+//! into one entry's worth of scratch, so the entries after a failed
+//! prediction are never decoded. Neither side builds a vector per entry.
 
-use crate::delta::{decode_flat_into, encode_flat_into, DeltaDecodeError};
+use crate::delta::{encode_flat_into, DeltaBlock, DeltaDecodeError};
 use std::error::Error;
 use std::fmt;
 
@@ -94,34 +96,69 @@ impl<'a> LobEntries<'a> {
     pub fn encode_into(&self, out: &mut Vec<u32>) {
         encode_flat_into(self.words, self.len(), self.entry_words(), out);
     }
+}
 
-    /// Decodes a delta block of entries whose locals are `local_width` words
-    /// and whose predictions are `prediction_width` words into `buf`
-    /// (replacing its contents, reusing its allocation) and lends them back.
+/// A received flush: a delta block of LOB entries whose lengths all check
+/// out, decoded one entry at a time as the lagger reaches it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LobBlock<'a> {
+    block: DeltaBlock<'a>,
+    local_width: usize,
+}
+
+impl<'a> LobBlock<'a> {
+    /// Checks a delta block of entries whose locals are `local_width` words
+    /// and whose predictions are `prediction_width` words
+    /// ([`DeltaBlock::parse`]); nothing is decoded yet.
     ///
     /// # Errors
     ///
-    /// Returns [`DeltaDecodeError`] for a block the delta decoder refuses, and
-    /// [`DeltaDecodeError::Width`] for entries of any other width.
-    pub fn decode_into(
-        block: &[u32],
+    /// Returns [`DeltaDecodeError::Width`] for entries of any other width —
+    /// refused on the header, before the peer's count word drives the sweep
+    /// (zero-width entries cost no wire words, so nothing else bounds how
+    /// many a block claims) — and whatever [`DeltaBlock::parse`] refuses.
+    pub fn parse(
+        wire: &'a [u32],
         local_width: usize,
         prediction_width: usize,
-        buf: &'a mut Vec<u32>,
-    ) -> Result<LobEntries<'a>, DeltaDecodeError> {
+    ) -> Result<Self, DeltaDecodeError> {
         let entry_words = 1 + local_width + prediction_width;
-        // A non-empty block of any other width is refused on its header,
-        // before the peer's count word drives the parse (zero-width entries
-        // cost no wire words, so nothing else bounds how many a block claims).
-        if matches!(block, [count, width, ..] if *count != 0 && *width as usize != entry_words) {
+        if matches!(wire, [_, width, ..] if *width as usize != entry_words) {
             return Err(DeltaDecodeError::Width);
         }
-        decode_flat_into(block, buf)?;
-        Ok(LobEntries {
-            words: buf,
+        Ok(LobBlock {
+            block: DeltaBlock::parse(wire)?,
             local_width,
-            prediction_width,
         })
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.block.count()
+    }
+
+    /// `true` when the block holds no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The block's wire words.
+    pub fn wire(&self) -> &'a [u32] {
+        self.block.wire()
+    }
+
+    /// Decodes the next entry into `scratch` and lends it back, or returns
+    /// `None` once every entry has been read. Each entry is decoded over the
+    /// one before it, so `scratch` must be the buffer the previous call
+    /// filled; any buffer starts a block.
+    #[inline]
+    pub fn next_entry<'s>(&mut self, scratch: &'s mut Vec<u32>) -> Option<LobEntry<'s>> {
+        if scratch.len() != self.block.width() {
+            scratch.resize(self.block.width(), 0);
+        }
+        self.block
+            .next_into(scratch)
+            .then(|| LobEntries::entry(scratch, self.local_width))
     }
 }
 
@@ -360,9 +397,14 @@ mod tests {
             crate::decode_block(&wire).unwrap(),
             vec![vec![0, 7, 8, 0, 0, 0], vec![1, 1, 2, 3, 4, 5]]
         );
-        let mut buf = vec![99; 40];
-        let back = LobEntries::decode_into(&wire, 2, 3, &mut buf).unwrap();
-        assert_eq!(back, lob.entries());
+        let mut block = LobBlock::parse(&wire, 2, 3).unwrap();
+        assert_eq!(block.len(), 2);
+        let mut scratch = vec![99; 40];
+        for want in lob.entries().iter() {
+            assert_eq!(block.next_entry(&mut scratch), Some(want));
+        }
+        assert_eq!(block.next_entry(&mut scratch), None);
+        assert_eq!(LobBlock::parse(&wire, 2, 2), Err(DeltaDecodeError::Width));
     }
 
     #[test]

@@ -4,8 +4,9 @@
 
 use predpkt_ahb::signals::Hburst;
 use predpkt_predict::{
-    decode_block, encode_block, ContextMasterPredictor, ContextSlavePredictor, Htrans, Lob,
-    LobEntry, MasterPredictor, MasterSignals, SlavePredictor, SlaveSignals,
+    decode_block, decode_flat_into, encode_block, encode_flat_into, ContextMasterPredictor,
+    ContextSlavePredictor, DeltaBlock, DeltaDecodeError, Htrans, Lob, LobEntry, MasterPredictor,
+    MasterSignals, SlavePredictor, SlaveSignals,
 };
 use predpkt_sim::{save_to_vec, SplitMix64};
 
@@ -87,6 +88,103 @@ fn truncated_wire_never_panics() {
             // never panic.
             let _ = decode_block(&wire[..cut]);
         }
+    }
+}
+
+/// The (width, count) shapes the layout sweep runs: every width 1..=70 —
+/// one to three mask words, the last one full or partial — and every count
+/// 0..=70, each paired with a drawn partner, plus the grid of edges.
+fn layout_shapes(rng: &mut SplitMix64) -> Vec<(usize, usize)> {
+    let edges = [1, 2, 31, 32, 33, 63, 64, 65, 70];
+    let mut shapes: Vec<(usize, usize)> = edges
+        .iter()
+        .flat_map(|&width| [0, 1, 2, 3, 69, 70].map(|count| (width, count)))
+        .collect();
+    shapes.extend((1..=70).map(|width| (width, rng.below(71) as usize)));
+    shapes.extend((0..=70).map(|count| (1 + rng.below(70) as usize, count)));
+    shapes
+}
+
+/// Decodes `wire` into the reused `flat`, which must never grow past what
+/// the block's words could describe.
+fn decode_reused(wire: &[u32], flat: &mut Vec<u32>) -> Result<(usize, usize), DeltaDecodeError> {
+    let before = flat.capacity();
+    let width = wire.get(1).map_or(0, |&w| w as usize);
+    let verdict = decode_flat_into(wire, flat);
+    assert!(
+        flat.capacity() <= before.max(wire.len().saturating_mul(width)),
+        "{wire:?}: capacity {} from {before}",
+        flat.capacity()
+    );
+    verdict
+}
+
+#[test]
+fn the_masks_first_layout_holds_under_hostile_input() {
+    let mut rng = SplitMix64::new(0x5eed_0006);
+    let mut flat = Vec::new();
+    for (width, count) in layout_shapes(&mut rng) {
+        let case = format!("width {width}, count {count}");
+        let blocks = biased_blocks(&mut rng, width, count);
+        let raw = blocks.concat();
+        // Both codec pairs round-trip and write the same words — but for
+        // the width of an empty block, which only the flat form is told.
+        let block_wire = encode_block(&blocks);
+        assert_eq!(decode_block(&block_wire).as_ref(), Ok(&blocks), "{case}");
+        let mut wire = Vec::new();
+        encode_flat_into(&raw, count, width, &mut wire);
+        if count > 0 {
+            assert_eq!(wire, block_wire, "{case}");
+        } else {
+            assert_eq!(wire, [0, width as u32], "{case}");
+        }
+        assert_eq!(
+            decode_reused(&wire, &mut flat),
+            Ok((count, width)),
+            "{case}"
+        );
+        assert_eq!(flat, raw, "{case}");
+        // Every cut is truncated, one word more is trailing.
+        for cut in 0..wire.len() {
+            let verdict = decode_reused(&wire[..cut], &mut flat);
+            assert_eq!(
+                verdict,
+                Err(DeltaDecodeError::Truncated),
+                "{case}, cut {cut}"
+            );
+            assert!(flat.is_empty(), "{case}, cut {cut}");
+        }
+        let longer = [&wire[..], &[7]].concat();
+        let trailing = DeltaDecodeError::TrailingWords;
+        assert_eq!(decode_reused(&longer, &mut flat), Err(trailing), "{case}");
+        assert_eq!(decode_block(&longer), Err(trailing), "{case}");
+        // A count off by one either way: a typed error or a clean decode of
+        // some other entries, never a panic, each into a fresh buffer.
+        for wrong in [count + 1, count.wrapping_sub(1)] {
+            let Ok(wrong) = u32::try_from(wrong) else {
+                continue;
+            };
+            let mut off = wire.clone();
+            off[0] = wrong;
+            let _ = decode_block(&off);
+            let mut fresh = Vec::new();
+            let _ = decode_reused(&off, &mut fresh);
+        }
+        // Every mask bit past the width set: neither the sweep's verdict nor
+        // the decode moves, on the good block or on the longer one.
+        let mask_words = width.div_ceil(32);
+        let stray = !(u32::MAX >> (mask_words * 32 - width));
+        let mut strayed = wire.clone();
+        for entry in 1..count {
+            strayed[2 + width + entry * mask_words - 1] |= stray;
+        }
+        assert_eq!(decode_block(&strayed).as_ref(), Ok(&blocks), "{case}");
+        let strayed_longer = [&strayed[..], &[7]].concat();
+        assert_eq!(
+            DeltaBlock::parse(&strayed_longer).map(|block| block.count()),
+            Err(DeltaDecodeError::TrailingWords),
+            "{case}"
+        );
     }
 }
 
