@@ -65,6 +65,12 @@ impl Error for ProtocolError {}
 
 /// A burst's entries: the leader's buffer on the way out, a checked block on
 /// the way in.
+///
+/// Every [`Message`] encodes, a received one included: a `Block` re-encodes
+/// as the words it arrived as. A `Block` is a cursor ([`LobBlock`]), so
+/// copies and equality are positional: a copy resumes where the original
+/// stood, two `Block`s are equal only at the same entry, and a sent `Lob`
+/// never equals the `Block` it decodes to — compare the entries instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BurstEntries<'a> {
     /// Buffered entries, delta-encoded with the message.

@@ -119,6 +119,12 @@ impl Error for DeltaDecodeError {}
 /// in order by [`next_into`](Self::next_into) — the one decoder, which
 /// [`decode_flat_into`] and [`decode_block`] run to the end and a lagger
 /// stops at its first failed prediction.
+///
+/// The block is a cursor. Each entry is decoded over the one before it, so
+/// every call must be handed the buffer the previous call filled; any other
+/// buffer of the right width yields wrong words, unrefused. A copy resumes
+/// where the original stood, and two blocks are equal only when they hold
+/// the same words *and* stand at the same entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeltaBlock<'a> {
     /// The whole block, header included.
@@ -172,24 +178,16 @@ impl<'a> DeltaBlock<'a> {
             return Err(DeltaDecodeError::Truncated);
         }
         let (masks, changed) = body[width..].split_at((count - 1) * mask_words);
-        // Every mask bit, less those past the width in each mask's last
-        // word; one mask word per entry, the common case, is one plain sweep.
+        // Every mask bit, less those past the width in each mask's last word.
         let keep = u32::MAX >> (mask_words * 32 - width);
-        let selected: usize = if mask_words == 1 {
-            masks
-                .iter()
-                .map(|&w| (w & keep).count_ones() as usize)
-                .sum()
-        } else {
-            let all: usize = masks.iter().map(|w| w.count_ones() as usize).sum();
-            let stray: usize = masks
-                .iter()
-                .skip(mask_words - 1)
-                .step_by(mask_words)
-                .map(|&w| (w & !keep).count_ones() as usize)
-                .sum();
-            all - stray
-        };
+        let selected: usize = masks
+            .chunks_exact(mask_words)
+            .map(|mask| {
+                let (&last, rest) = mask.split_last().expect("a mask is one word or more");
+                rest.iter().map(|w| w.count_ones() as usize).sum::<usize>()
+                    + (last & keep).count_ones() as usize
+            })
+            .sum();
         if selected > changed.len() {
             return Err(DeltaDecodeError::Truncated);
         }
@@ -226,6 +224,7 @@ impl<'a> DeltaBlock<'a> {
     /// Panics if `entry` is not [`width`](Self::width) words long.
     #[inline]
     pub fn next_into(&mut self, entry: &mut [u32]) -> bool {
+        assert_eq!(entry.len(), self.width, "an entry is `width` words");
         if self.decoded == self.count {
             return false;
         }

@@ -100,6 +100,11 @@ impl<'a> LobEntries<'a> {
 
 /// A received flush: a delta block of LOB entries whose lengths all check
 /// out, decoded one entry at a time as the lagger reaches it.
+///
+/// Like the [`DeltaBlock`] it wraps, it is a cursor: every
+/// [`next_entry`](Self::next_entry) must be handed the scratch the previous
+/// call filled, since each entry is decoded over the one before it, and a
+/// copy or an equality compares the position reached as well as the words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LobBlock<'a> {
     block: DeltaBlock<'a>,
