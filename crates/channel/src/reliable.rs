@@ -1405,6 +1405,78 @@ mod tests {
         assert_eq!(save_to_vec(&resumed), state);
     }
 
+    /// The channel side of a cut, pinned word for word by `(length,
+    /// FNV-1a)`: a reliable layer over a lossy queue cut mid-window (a
+    /// backlog, unacknowledged frames, deliveries not yet taken, an ack still
+    /// owed and a recorded give-up), a batching channel with a parked
+    /// outbox, a ledger and a random stream. Any drift is a format change.
+    #[test]
+    fn channel_side_words_are_pinned() {
+        use crate::lossy::{FaultSpec, LossyTransport};
+        use crate::transport::CostedChannel;
+        use predpkt_sim::{fnv1a64, save_to_vec, CostCategory, SplitMix64, TimeLedger};
+        let pin = |words: &[u64]| (words.len(), fnv1a64(words));
+
+        let mut t = ReliableTransport::new(
+            LossyTransport::new(QueueTransport::new(), FaultSpec::drops(7, 0.5)),
+            ReliableConfig::default().window(4).retry_budget(1),
+            ChannelCostModel::iprove_pci(),
+        );
+        let packet = |i: u32| Packet::new(PacketTag::CycleOutputs, vec![i, !i]);
+        for i in 0..3 {
+            t.send(Side::Simulator, packet(i));
+        }
+        while t.failure().is_none() {
+            let _ = t.recv(Side::Simulator);
+        }
+        for i in 0..6 {
+            t.send(Side::Simulator, packet(i));
+        }
+        for i in 0..6 {
+            t.send(Side::Accelerator, packet(100 + i));
+        }
+        let _ = t.recv(Side::Simulator);
+        let windows: Vec<_> = t
+            .send
+            .iter()
+            .map(|s| (s.unacked.len(), s.backlog.len()))
+            .collect();
+        assert_eq!(windows, [(4, 2), (4, 2)], "unacked and backlogged frames");
+        assert_eq!(t.recv[1].deliverable.len(), 3, "deliveries not yet taken");
+        assert!(t.recv[1].ack_pending, "an ack still owed");
+        assert_eq!(
+            t.failure().map(|f| f.cause),
+            Some(TransportDead::BudgetExhausted)
+        );
+        assert_eq!(pin(save_to_vec(&t).words()), (191, 0x26e7_62ee_bd2d_270d));
+
+        let mut ch = CostedChannel::new(ChannelCostModel::iprove_pci());
+        ch.set_batching(true);
+        ch.send(Side::Accelerator, packet(7));
+        ch.send(Side::Accelerator, packet(8));
+        assert_eq!(
+            ch.transport().pending(Side::Simulator),
+            0,
+            "the outbox is parked"
+        );
+        assert_eq!(pin(save_to_vec(&ch).words()), (18, 0x5326_718c_4f7e_af10));
+
+        let mut ledger = TimeLedger::new();
+        for (i, c) in CostCategory::ALL.into_iter().enumerate() {
+            ledger.charge(c, VirtualTime::from_picos(1_000 + i as u64));
+        }
+        assert_eq!(
+            save_to_vec(&ledger).words(),
+            [1_000, 1_001, 1_002, 1_003, 1_004]
+        );
+        let mut rng = SplitMix64::new(42);
+        rng.next_u64();
+        assert_eq!(
+            save_to_vec(&rng).words(),
+            [42u64.wrapping_add(0x9e37_79b9_7f4a_7c15)]
+        );
+    }
+
     #[test]
     fn snapshot_restore_rejects_a_corrupt_direction_word() {
         use predpkt_sim::{restore_from_vec, save_to_vec};
