@@ -43,9 +43,10 @@ impl fmt::Display for Side {
 ///
 /// The paper measured asymmetric payload rates: writes toward the accelerator
 /// stream at 49.95 ns/word, reads back at 75.73 ns/word.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum Direction {
     /// Simulator → accelerator (the paper's 49.95 ns/word direction).
+    #[default]
     SimToAcc,
     /// Accelerator → simulator (the paper's 75.73 ns/word direction).
     AccToSim,
@@ -61,7 +62,19 @@ impl Direction {
             Direction::AccToSim => 1,
         }
     }
+
+    /// The direction's checkpoint word: its index.
+    fn encode(self) -> u32 {
+        self.index() as u32
+    }
+
+    /// The direction a checkpoint word names, if any.
+    fn decode(word: u32) -> Option<Direction> {
+        Direction::BOTH.get(word as usize).copied()
+    }
 }
+
+predpkt_sim::declare_state! { impl Direction: word(encode, decode) }
 
 impl fmt::Display for Direction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -169,6 +169,8 @@ pub struct FaultStats {
     pub severed: u64,
 }
 
+predpkt_sim::declare_state! { impl FaultStats { dropped, truncated, duplicated, severed } }
+
 impl FaultStats {
     /// Total faults injected.
     pub fn total(&self) -> u64 {
@@ -197,7 +199,7 @@ impl FaultStats {
 /// assert_eq!(t.fault_stats().dropped, 1);
 /// ```
 #[derive(Debug)]
-pub struct LossyTransport<T: Transport = QueueTransport> {
+pub struct LossyTransport<T = QueueTransport> {
     inner: T,
     spec: FaultSpec,
     rng: SplitMix64,
@@ -442,32 +444,11 @@ impl<T: Transport> Transport for LossyTransport<T> {
     }
 }
 
-/// The RNG cursor, fault counters, and the inner transport. The [`FaultSpec`]
-/// is configuration (validated at construction) and stays with the live
-/// instance — restoring resumes the *same* seeded fault plan draw-for-draw.
-impl<T: Transport + predpkt_sim::Snapshot> predpkt_sim::Snapshot for LossyTransport<T> {
-    fn save(&self, w: &mut predpkt_sim::StateWriter<'_>) {
-        self.rng.save(w);
-        w.word(self.stats.dropped)
-            .word(self.stats.truncated)
-            .word(self.stats.duplicated)
-            .word(self.stats.severed)
-            .word(self.sent_frames);
-        self.inner.save(w);
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut predpkt_sim::StateReader<'_>,
-    ) -> Result<(), predpkt_sim::SnapshotError> {
-        self.rng.restore(r)?;
-        self.stats.dropped = r.word()?;
-        self.stats.truncated = r.word()?;
-        self.stats.duplicated = r.word()?;
-        self.stats.severed = r.word()?;
-        self.sent_frames = r.word()?;
-        self.inner.restore(r)
-    }
+// The RNG cursor, fault counters, and the inner transport. The [`FaultSpec`]
+// is configuration (validated at construction) and stays with the live
+// instance — restoring resumes the *same* seeded fault plan draw-for-draw.
+predpkt_sim::declare_state! {
+    impl<T: predpkt_sim::Snapshot> LossyTransport<T> { rng, stats, sent_frames, inner }
 }
 
 /// Fault injection happens on the send path, so waiting is delegated

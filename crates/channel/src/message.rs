@@ -13,7 +13,7 @@ use std::fmt;
 /// state machine: a lagger blocked in *Read input data* distinguishes a
 /// conventional per-cycle exchange from a LOB burst by tag alone (this is how a
 /// conservative CW learns that its peer has started leading).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PacketTag {
     /// One cycle's signal values, conservative mode.
     CycleOutputs,
@@ -23,7 +23,9 @@ pub enum PacketTag {
     ReportSuccess,
     /// Lagger report: prediction failure, actual values attached.
     ReportFailure,
-    /// Initial handshake / configuration exchange.
+    /// Initial handshake / configuration exchange. The default, so an empty
+    /// handshake is the packet a restore fills in.
+    #[default]
     Handshake,
     /// A sequence-numbered, CRC-protected data frame of the reliable layer
     /// (wraps one of the protocol packets above; never reaches the protocol
@@ -87,6 +89,9 @@ impl fmt::Display for PacketTag {
     }
 }
 
+// The tag's one wire word, refused at that word when it names no tag.
+predpkt_sim::declare_state! { impl PacketTag: word(encode, decode) }
+
 /// A tagged word payload moving across the channel.
 ///
 /// # Example
@@ -96,7 +101,7 @@ impl fmt::Display for PacketTag {
 /// let p = Packet::new(PacketTag::Burst, vec![1, 2, 3]);
 /// assert_eq!(p.wire_words(), 4); // tag word + 3 payload words
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Packet {
     tag: PacketTag,
     payload: Vec<u32>,
@@ -164,26 +169,10 @@ impl Packet {
     }
 }
 
-/// Tag word plus length-prefixed payload. An unknown tag word surfaces as a
-/// [`Corrupt`](predpkt_sim::SnapshotError::Corrupt) error anchored at the tag
-/// word, so corrupt checkpoint blobs fail loudly instead of resurrecting a
-/// garbage packet.
-impl predpkt_sim::Snapshot for Packet {
-    fn save(&self, w: &mut predpkt_sim::StateWriter<'_>) {
-        w.u32(self.tag.encode()).slice_u32(&self.payload);
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut predpkt_sim::StateReader<'_>,
-    ) -> Result<(), predpkt_sim::SnapshotError> {
-        let at = r.position();
-        let tag_word = r.u32()?;
-        self.tag = PacketTag::decode(tag_word).ok_or_else(|| r.corrupt_at(at))?;
-        self.payload = r.slice_u32()?;
-        Ok(())
-    }
-}
+// Tag word plus length-prefixed payload, restored into the packet's own
+// buffer. An unknown tag word is corrupt at that word, so corrupt checkpoint
+// blobs fail loudly instead of resurrecting a garbage packet.
+predpkt_sim::declare_state! { impl Packet { tag, payload } }
 
 /// A borrowed decode of raw wire words: the tag plus a payload *slice* into
 /// the caller's buffer. Decoding through a view costs nothing; the copy (if

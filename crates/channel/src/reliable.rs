@@ -89,7 +89,7 @@ use crate::knob::KnobError;
 use crate::message::{Packet, PacketTag};
 use crate::pool::{BufferPool, PoolStats};
 use crate::transport::{BatchStats, Transport, WaitTransport};
-use predpkt_sim::{Snapshot, VirtualTime};
+use predpkt_sim::{Each, List, Snapshot, VirtualTime};
 use std::collections::VecDeque;
 use std::fmt;
 use std::time::Duration;
@@ -210,6 +210,19 @@ pub struct RecoveryStats {
     pub overhead_time: VirtualTime,
 }
 
+predpkt_sim::declare_state! {
+    impl RecoveryStats {
+        retransmits,
+        acks_sent,
+        acks_piggybacked,
+        duplicates_suppressed,
+        crc_rejects,
+        out_of_order_drops,
+        overhead_words,
+        overhead_time,
+    }
+}
+
 impl RecoveryStats {
     /// Recovery *events* (excluding routine acks): retransmits, suppressed
     /// duplicates, CRC rejects, and out-of-order drops. Nonzero exactly when
@@ -240,7 +253,7 @@ impl RecoveryStats {
 
 /// Why a [`ReliableTransport`] gave up on a frame — the postmortem cause
 /// attached to every [`RetryExhausted`] record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportDead {
     /// The medium itself reported death (the inner transport's readiness
     /// went [`Dead`](crate::poll::Readiness::Dead) — a severed link or
@@ -252,8 +265,30 @@ pub enum TransportDead {
     /// the peer stalled. Blocking runners land here even when the peer is
     /// in fact gone — they have no readiness probe, so exhaustion is the
     /// only evidence they ever see.
+    #[default]
     BudgetExhausted,
 }
+
+impl TransportDead {
+    /// The cause's checkpoint word.
+    fn encode(self) -> u32 {
+        match self {
+            TransportDead::PeerGone => 0,
+            TransportDead::BudgetExhausted => 1,
+        }
+    }
+
+    /// The cause a checkpoint word names, if any.
+    fn decode(word: u32) -> Option<TransportDead> {
+        match word {
+            0 => Some(TransportDead::PeerGone),
+            1 => Some(TransportDead::BudgetExhausted),
+            _ => None,
+        }
+    }
+}
+
+predpkt_sim::declare_state! { impl TransportDead: word(encode, decode) }
 
 impl fmt::Display for TransportDead {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -265,7 +300,7 @@ impl fmt::Display for TransportDead {
 }
 
 /// Record of a frame the reliable layer gave up on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetryExhausted {
     /// Direction of the abandoned frame.
     pub direction: Direction,
@@ -281,6 +316,8 @@ pub struct RetryExhausted {
     /// out without one.
     pub cause: TransportDead,
 }
+
+predpkt_sim::declare_state! { impl RetryExhausted { direction, seq, retries, idle, cause } }
 
 /// Feeds the little-endian bytes of `words` into a running CRC-32 state
 /// (IEEE 802.3, reflected); streaming so frame checksums never need a
@@ -311,7 +348,7 @@ pub fn crc32(words: &[u32]) -> u32 {
 }
 
 /// An in-flight (or backlogged) data frame.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct InFlight {
     seq: u32,
     frame: Packet,
@@ -323,6 +360,25 @@ struct InFlight {
     /// the frame's cumulative idle RTO time.
     first_sent: VirtualTime,
     retries: u32,
+}
+
+// A window frame is a `RelData` frame with its whole header: the ack refresh
+// rewrites header words in place, so anything else is refused, at its tag
+// word or at its length word.
+predpkt_sim::declare_state! {
+    impl InFlight {
+        seq,
+        frame => |this, at| match this.frame.tag() {
+            PacketTag::RelData if this.frame.payload().len() < DATA_HEADER_WORDS as usize => {
+                Err(at + 1)
+            }
+            PacketTag::RelData => Ok(()),
+            _ => Err(at),
+        },
+        sent_at,
+        first_sent,
+        retries,
+    }
 }
 
 /// Per-direction sender state.
@@ -348,11 +404,14 @@ struct RecvState {
     ack_pending: bool,
 }
 
+predpkt_sim::declare_state! { impl SendState { next_seq, unacked: List, backlog: List } }
+predpkt_sim::declare_state! { impl RecvState { next_expected, deliverable: List, ack_pending } }
+
 /// Sequence-numbered ack-and-retransmit wrapper turning any inner transport —
 /// including a fault-injecting [`LossyTransport`](crate::LossyTransport) —
 /// into a lossless one. See the module-level documentation for the design.
 #[derive(Debug)]
-pub struct ReliableTransport<T: Transport> {
+pub struct ReliableTransport<T> {
     inner: T,
     config: ReliableConfig,
     cost_model: ChannelCostModel,
@@ -850,167 +909,51 @@ impl<T: Transport> ReliableTransport<T> {
     }
 }
 
-impl InFlight {
-    fn save(&self, w: &mut predpkt_sim::StateWriter<'_>) {
-        w.u32(self.seq);
-        self.frame.save(w);
-        w.word(self.sent_at.as_picos())
-            .word(self.first_sent.as_picos())
-            .u32(self.retries);
-    }
-
-    fn restore(r: &mut predpkt_sim::StateReader<'_>) -> Result<Self, predpkt_sim::SnapshotError> {
-        let seq = r.u32()?;
-        let mut frame = Packet::new(PacketTag::RelData, Vec::new());
-        frame.restore(r)?;
-        Ok(InFlight {
-            seq,
-            frame,
-            sent_at: VirtualTime::from_picos(r.word()?),
-            first_sent: VirtualTime::from_picos(r.word()?),
-            retries: r.u32()?,
-        })
-    }
-}
-
-fn save_frame_queue(queue: &VecDeque<InFlight>, w: &mut predpkt_sim::StateWriter<'_>) {
-    w.usize(queue.len());
-    for inflight in queue {
-        inflight.save(w);
+// The complete recovery state — the RTO clock, both directions' send
+// windows (sequence cursors, unacknowledged and backlogged frames with their
+// per-frame retry counts and transmission stamps), both directions' receive
+// state (expected sequence, decoded-but-unconsumed deliveries, owed acks), the
+// recovery counters, and any recorded abandonment. Configuration (`config`,
+// `cost_model`, `scope`) and the buffer pool stay with the live instance.
+//
+// Restoring **re-arms** the window: frames restored into `unacked` carry their
+// original `sent_at` stamps against the restored clock, so the next idle polls
+// age them exactly as the uninterrupted run would — a restored session resumes
+// mid-window, retransmitting whatever the cut left unhealed. A stamp later
+// than the clock is refused at its word.
+predpkt_sim::declare_state! {
+    impl<T: Snapshot> ReliableTransport<T> {
+        now,
+        send: Each => |this, at| this.stamp_past_clock(at),
+        recv: Each,
+        stats,
+        failure,
+        inner,
     }
 }
 
-fn restore_frame_queue(
-    r: &mut predpkt_sim::StateReader<'_>,
-) -> Result<VecDeque<InFlight>, predpkt_sim::SnapshotError> {
-    let n = r.usize()?;
-    let mut queue = VecDeque::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        queue.push_back(InFlight::restore(r)?);
-    }
-    Ok(queue)
-}
-
-/// The complete recovery state — the RTO clock, both directions' send
-/// windows (sequence cursors, unacknowledged and backlogged frames with
-/// their per-frame retry counts and transmission stamps), both directions'
-/// receive state (expected sequence, decoded-but-unconsumed deliveries, owed
-/// acks), the recovery counters, and any recorded abandonment. Configuration
-/// (`config`, `cost_model`, `scope`) and the buffer pool stay with the live
-/// instance.
-///
-/// Restoring **re-arms** the window: frames restored into `unacked` carry
-/// their original `sent_at` stamps against the restored clock, so the next
-/// idle polls age them exactly as the uninterrupted run would — a restored
-/// session resumes mid-window, retransmitting whatever the cut left
-/// unhealed.
-impl<T: Transport + predpkt_sim::Snapshot> predpkt_sim::Snapshot for ReliableTransport<T> {
-    fn save(&self, w: &mut predpkt_sim::StateWriter<'_>) {
-        w.section("reliable.clock").word(self.now.as_picos());
-        w.section("reliable.send");
+impl<T> ReliableTransport<T> {
+    /// The word of the first window stamp later than the clock, if any:
+    /// `now - sent_at` underflows in the next timeout sweep. `at` is the
+    /// first word of the send states; the walk follows their layout.
+    fn stamp_past_clock(&self, mut at: usize) -> Result<(), usize> {
         for state in &self.send {
-            w.u32(state.next_seq);
-            save_frame_queue(&state.unacked, w);
-            save_frame_queue(&state.backlog, w);
-        }
-        w.section("reliable.recv");
-        for state in &self.recv {
-            w.u32(state.next_expected);
-            w.usize(state.deliverable.len());
-            for packet in &state.deliverable {
-                packet.save(w);
-            }
-            w.bool(state.ack_pending);
-        }
-        w.section("reliable.stats")
-            .word(self.stats.retransmits)
-            .word(self.stats.acks_sent)
-            .word(self.stats.acks_piggybacked)
-            .word(self.stats.duplicates_suppressed)
-            .word(self.stats.crc_rejects)
-            .word(self.stats.out_of_order_drops)
-            .word(self.stats.overhead_words)
-            .word(self.stats.overhead_time.as_picos());
-        w.section("reliable.failure");
-        match self.failure {
-            None => {
-                w.bool(false);
-            }
-            Some(f) => {
-                w.bool(true)
-                    .word(match f.direction {
-                        Direction::SimToAcc => 0,
-                        Direction::AccToSim => 1,
-                    })
-                    .u32(f.seq)
-                    .u32(f.retries)
-                    .word(f.idle.as_picos())
-                    .word(match f.cause {
-                        TransportDead::PeerGone => 0,
-                        TransportDead::BudgetExhausted => 1,
-                    });
+            at += 1; // next_seq
+            for queue in [&state.unacked, &state.backlog] {
+                at += 1; // the length word
+                for inflight in queue {
+                    at += 1 + inflight.frame.saved_len(); // seq, frame
+                    for stamp in [inflight.sent_at, inflight.first_sent] {
+                        if stamp > self.now {
+                            return Err(at);
+                        }
+                        at += 1;
+                    }
+                    at += 1; // retries
+                }
             }
         }
-        w.section("reliable.inner");
-        self.inner.save(w);
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut predpkt_sim::StateReader<'_>,
-    ) -> Result<(), predpkt_sim::SnapshotError> {
-        self.now = VirtualTime::from_picos(r.word()?);
-        for state in &mut self.send {
-            state.next_seq = r.u32()?;
-            state.unacked = restore_frame_queue(r)?;
-            state.backlog = restore_frame_queue(r)?;
-        }
-        for state in &mut self.recv {
-            state.next_expected = r.u32()?;
-            let n = r.usize()?;
-            let mut deliverable = VecDeque::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                let mut packet = Packet::new(PacketTag::RelData, Vec::new());
-                packet.restore(r)?;
-                deliverable.push_back(packet);
-            }
-            state.deliverable = deliverable;
-            state.ack_pending = r.bool()?;
-        }
-        self.stats.retransmits = r.word()?;
-        self.stats.acks_sent = r.word()?;
-        self.stats.acks_piggybacked = r.word()?;
-        self.stats.duplicates_suppressed = r.word()?;
-        self.stats.crc_rejects = r.word()?;
-        self.stats.out_of_order_drops = r.word()?;
-        self.stats.overhead_words = r.word()?;
-        self.stats.overhead_time = VirtualTime::from_picos(r.word()?);
-        self.failure = if r.bool()? {
-            let at = r.position();
-            let direction = match r.word()? {
-                0 => Direction::SimToAcc,
-                1 => Direction::AccToSim,
-                _ => return Err(r.corrupt_at(at)),
-            };
-            let (seq, retries) = (r.u32()?, r.u32()?);
-            let idle = VirtualTime::from_picos(r.word()?);
-            let at = r.position();
-            let cause = match r.word()? {
-                0 => TransportDead::PeerGone,
-                1 => TransportDead::BudgetExhausted,
-                _ => return Err(r.corrupt_at(at)),
-            };
-            Some(RetryExhausted {
-                direction,
-                seq,
-                retries,
-                idle,
-                cause,
-            })
-        } else {
-            None
-        };
-        self.inner.restore(r)
+        Ok(())
     }
 }
 
@@ -1312,10 +1255,6 @@ mod tests {
         }
         let _ = t.recv(Side::Accelerator); // deliver one, leave the ack owed
         let state = save_to_vec(&t);
-        assert!(
-            state.section_at(0).is_some(),
-            "reliable snapshots are section-labeled"
-        );
 
         let mut resumed = fresh();
         restore_from_vec(&mut resumed, &state).unwrap();

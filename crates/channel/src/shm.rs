@@ -1171,23 +1171,14 @@ impl ShmEndpoint {
     }
 }
 
-/// A socket-like endpoint carries **no serializable session state**: its
-/// medium lives outside this process's cut, so a checkpoint saves nothing
-/// and restore is a no-op. Frames in flight at the cut are healed by the
-/// reliable layer's re-armed retransmission window (duplicates are
-/// suppressed, cumulative acks are idempotent) — which is why sessions that
-/// need restore-exactness over endpoint backends run them under
-/// [`ReliableTransport`](crate::ReliableTransport).
-impl predpkt_sim::Snapshot for ShmEndpoint {
-    fn save(&self, _w: &mut predpkt_sim::StateWriter<'_>) {}
-
-    fn restore(
-        &mut self,
-        _r: &mut predpkt_sim::StateReader<'_>,
-    ) -> Result<(), predpkt_sim::SnapshotError> {
-        Ok(())
-    }
-}
+// A socket-like endpoint carries **no serializable session state**: its
+// medium lives outside this process's cut, so a checkpoint saves nothing
+// and restore is a no-op. Frames in flight at the cut are healed by the
+// reliable layer's re-armed retransmission window (duplicates are
+// suppressed, cumulative acks are idempotent) — which is why sessions that
+// need restore-exactness over endpoint backends run them under
+// [`ReliableTransport`](crate::ReliableTransport).
+predpkt_sim::declare_state! { impl ShmEndpoint {} }
 
 impl Transport for ShmEndpoint {
     fn send(&mut self, from: Side, packet: Packet) {

@@ -23,10 +23,22 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChannelStats {
-    accesses: [u64; 2],
-    words: [u64; 2],
-    time: [VirtualTime; 2],
+    /// Forward direction first.
+    dirs: [DirStats; 2],
 }
+
+/// One direction's counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct DirStats {
+    accesses: u64,
+    words: u64,
+    time: VirtualTime,
+}
+
+// Six words: per direction, forward first, accesses, words and virtual time
+// (picoseconds).
+predpkt_sim::declare_state! { impl DirStats { accesses, words, time } }
+predpkt_sim::declare_state! { impl ChannelStats { dirs: predpkt_sim::Each } }
 
 impl ChannelStats {
     /// Creates zeroed statistics.
@@ -36,10 +48,8 @@ impl ChannelStats {
 
     /// Records one access of `words` payload words costing `cost`.
     pub fn record(&mut self, direction: Direction, words: u64, cost: VirtualTime) {
-        let i = direction.index();
-        self.accesses[i] += 1;
-        self.words[i] += words;
-        self.time[i] += cost;
+        self.dirs[direction.index()].accesses += 1;
+        self.record_piggyback(direction, words, cost);
     }
 
     /// Records `words` of *piggybacked* payload costing `cost` — control
@@ -47,39 +57,39 @@ impl ChannelStats {
     /// strategy epochs appended to a burst flush). Words and time accrue,
     /// the access count does not.
     pub fn record_piggyback(&mut self, direction: Direction, words: u64, cost: VirtualTime) {
-        let i = direction.index();
-        self.words[i] += words;
-        self.time[i] += cost;
+        let dir = &mut self.dirs[direction.index()];
+        dir.words += words;
+        dir.time += cost;
     }
 
     /// Accesses performed in `direction`.
     pub fn accesses(&self, direction: Direction) -> u64 {
-        self.accesses[direction.index()]
+        self.dirs[direction.index()].accesses
     }
 
     /// Payload words moved in `direction`.
     pub fn words(&self, direction: Direction) -> u64 {
-        self.words[direction.index()]
+        self.dirs[direction.index()].words
     }
 
     /// Virtual time spent in `direction`.
     pub fn time(&self, direction: Direction) -> VirtualTime {
-        self.time[direction.index()]
+        self.dirs[direction.index()].time
     }
 
     /// Accesses summed over both directions.
     pub fn total_accesses(&self) -> u64 {
-        self.accesses.iter().sum()
+        self.dirs.iter().map(|d| d.accesses).sum()
     }
 
     /// Words summed over both directions.
     pub fn total_words(&self) -> u64 {
-        self.words.iter().sum()
+        self.dirs.iter().map(|d| d.words).sum()
     }
 
     /// Virtual time summed over both directions.
     pub fn total_time(&self) -> VirtualTime {
-        self.time.iter().copied().sum()
+        self.dirs.iter().map(|d| d.time).sum()
     }
 
     /// Mean payload words per access across both directions
@@ -96,38 +106,11 @@ impl ChannelStats {
 
     /// Merges another statistics block into this one.
     pub fn merge(&mut self, other: &ChannelStats) {
-        for d in Direction::BOTH {
-            let i = d.index();
-            self.accesses[i] += other.accesses[i];
-            self.words[i] += other.words[i];
-            self.time[i] += other.time[i];
+        for (mine, theirs) in self.dirs.iter_mut().zip(&other.dirs) {
+            mine.accesses += theirs.accesses;
+            mine.words += theirs.words;
+            mine.time += theirs.time;
         }
-    }
-}
-
-/// Six words: per-direction accesses, words, and virtual time (picoseconds),
-/// forward direction first.
-impl predpkt_sim::Snapshot for ChannelStats {
-    fn save(&self, w: &mut predpkt_sim::StateWriter<'_>) {
-        for i in 0..2 {
-            w.word(self.accesses[i])
-                .word(self.words[i])
-                .word(self.time[i].as_picos());
-        }
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut predpkt_sim::StateReader<'_>,
-    ) -> Result<(), predpkt_sim::SnapshotError> {
-        let mut restored = ChannelStats::new();
-        for i in 0..2 {
-            restored.accesses[i] = r.word()?;
-            restored.words[i] = r.word()?;
-            restored.time[i] = VirtualTime::from_picos(r.word()?);
-        }
-        *self = restored;
-        Ok(())
     }
 }
 

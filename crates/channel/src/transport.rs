@@ -6,7 +6,7 @@ use crate::message::Packet;
 use crate::poll::{PollReady, Readiness};
 use crate::reliable::{RecoveryStats, RetryExhausted};
 use crate::stats::ChannelStats;
-use predpkt_sim::{Snapshot, VirtualTime};
+use predpkt_sim::{Codec, List, Snapshot, SnapshotError, StateReader, StateWriter, VirtualTime};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -250,37 +250,9 @@ impl PollReady for QueueTransport {
     }
 }
 
-/// Both FIFO queues, in-flight packets included — an in-process medium is
-/// part of the session state, so a checkpoint captures it exactly.
-impl predpkt_sim::Snapshot for QueueTransport {
-    fn save(&self, w: &mut predpkt_sim::StateWriter<'_>) {
-        for queue in [&self.to_acc, &self.to_sim] {
-            w.usize(queue.len());
-            for packet in queue {
-                packet.save(w);
-            }
-        }
-    }
-
-    fn restore(
-        &mut self,
-        r: &mut predpkt_sim::StateReader<'_>,
-    ) -> Result<(), predpkt_sim::SnapshotError> {
-        let mut queues = [VecDeque::new(), VecDeque::new()];
-        for queue in &mut queues {
-            let n = r.usize()?;
-            for _ in 0..n {
-                let mut packet = Packet::new(crate::message::PacketTag::Handshake, Vec::new());
-                packet.restore(r)?;
-                queue.push_back(packet);
-            }
-        }
-        let [to_acc, to_sim] = queues;
-        self.to_acc = to_acc;
-        self.to_sim = to_sim;
-        Ok(())
-    }
-}
+// Both FIFO queues, in-flight packets included — an in-process medium is
+// part of the session state, so a checkpoint captures it exactly.
+predpkt_sim::declare_state! { impl QueueTransport { to_acc: List, to_sim: List } }
 
 /// A transport wrapped with the [`ChannelCostModel`] and [`ChannelStats`].
 ///
@@ -431,50 +403,49 @@ impl<T: Transport> CostedChannel<T> {
     }
 }
 
-/// Statistics, the parked outbox, and the inner transport — everything that
-/// distinguishes two mid-run channels sharing a cost model. The cost model
-/// itself is configuration and stays with the live instance.
-impl<T: Transport + Snapshot> Snapshot for CostedChannel<T> {
-    fn save(&self, w: &mut predpkt_sim::StateWriter<'_>) {
-        self.stats.save(w);
-        w.word(match self.outbox_from {
+/// The parked outbox's sender as one word: 0 for none, 1 for the
+/// simulator, 2 for the accelerator.
+struct SenderWord;
+
+impl Codec<Option<Side>> for SenderWord {
+    fn save(from: &Option<Side>, w: &mut StateWriter<'_>) {
+        w.u32(match from {
             None => 0,
             Some(Side::Simulator) => 1,
             Some(Side::Accelerator) => 2,
         });
-        w.usize(self.outbox.len());
-        for packet in &self.outbox {
-            packet.save(w);
-        }
-        self.transport.save(w);
     }
 
-    fn restore(
-        &mut self,
-        r: &mut predpkt_sim::StateReader<'_>,
-    ) -> Result<(), predpkt_sim::SnapshotError> {
-        self.stats.restore(r)?;
+    fn restore(from: &mut Option<Side>, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         let at = r.position();
-        let from = match r.word()? {
+        *from = match r.word()? {
             0 => None,
             1 => Some(Side::Simulator),
             2 => Some(Side::Accelerator),
             _ => return Err(r.corrupt_at(at)),
         };
-        let n = r.usize()?;
-        if n > 0 && from.is_none() {
-            // `flush` could never say whose packets these are.
-            return Err(r.corrupt_at(at));
-        }
-        self.outbox_from = from;
-        let mut outbox = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let mut packet = Packet::new(crate::message::PacketTag::Handshake, Vec::new());
-            packet.restore(r)?;
-            outbox.push(packet);
-        }
-        self.outbox = outbox;
-        self.transport.restore(r)
+        Ok(())
+    }
+
+    fn saved_len(_: &Option<Side>) -> usize {
+        1
+    }
+}
+
+// Statistics, the parked outbox, and the inner transport — everything that
+// distinguishes two mid-run channels sharing a cost model. The cost model
+// itself is configuration and stays with the live instance. A parked packet
+// with no sender is refused at the sender word: `flush` could never say whose
+// packets these are.
+predpkt_sim::declare_state! {
+    impl<T: Snapshot> CostedChannel<T> {
+        stats,
+        outbox_from: SenderWord,
+        outbox: List => |this, at| match this.outbox_from {
+            None if !this.outbox.is_empty() => Err(at - 1),
+            _ => Ok(()),
+        },
+        transport,
     }
 }
 

@@ -7,6 +7,7 @@ use predpkt_channel::{
     ChannelCostModel, FaultSpec, LossyTransport, Packet, PacketTag, QueueTransport, RecoveryStats,
     ReliableConfig, ReliableTransport, Side, Transport, TransportDead, DATA_HEADER_WORDS,
 };
+use predpkt_sim::{restore_from_vec, save_to_vec, SnapshotError, StateVec};
 
 type ReliableLossy = ReliableTransport<LossyTransport<QueueTransport>>;
 
@@ -319,4 +320,76 @@ fn recovery_stats_merge_adds_fields() {
     assert_eq!(a.overhead_time, predpkt_sim::VirtualTime::from_nanos(14));
     assert_eq!(a.recovery_events(), 2 + 6 + 8 + 10);
     assert_eq!(a.ack_piggyback_ratio(), Some(0.5));
+}
+
+/// A reliable layer over a link that drops everything, one poll tick into
+/// its clock, with one frame in its send window (a handshake: four header
+/// words, no payload), and its saved words. The words the tests below
+/// damage: the clock at 0, then the forward send state — the sequence cursor
+/// at 1, the window's length at 2, and its frame: the sequence number at 3,
+/// the frame's tag at 4, its length at 5, its four words at 6..10,
+/// `sent_at` at 10 and `first_sent` at 11.
+fn one_frame_in_flight() -> Vec<u64> {
+    let mut t = reliable_over(FaultSpec::drops(1, 1.0), ReliableConfig::default());
+    assert!(t.recv(Side::Accelerator).is_none(), "one idle poll");
+    t.send(Side::Simulator, Packet::new(PacketTag::Handshake, vec![]));
+    let words = save_to_vec(&t).words().to_vec();
+    let now = t.clock().as_picos();
+    assert_eq!(words[..3], [now, 1, 1]);
+    assert_eq!(words[4..6], [u64::from(PacketTag::RelData.encode()), 4]);
+    assert_eq!(words[10..12], [now, now]);
+    words
+}
+
+/// Restores `words` into a fresh layer over the same link, then polls it
+/// through two go-back-N rounds, each of which ages the window frame against
+/// the clock and rewrites its header words in place.
+fn restore_and_poll(words: Vec<u64>) -> Result<(), SnapshotError> {
+    let mut t = reliable_over(FaultSpec::drops(1, 1.0), ReliableConfig::default());
+    restore_from_vec(&mut t, &StateVec::from(words))?;
+    for _ in 0..20 {
+        assert!(t.recv(Side::Accelerator).is_none());
+    }
+    assert_eq!(t.recovery_stats().retransmits, 2);
+    Ok(())
+}
+
+/// A window frame the ack refresh cannot patch — one shorter than its
+/// header, or not a data frame at all — is refused at the word that says
+/// so. Restored, a short one panicked on the first retransmission, in
+/// either profile.
+#[test]
+fn a_window_frame_without_its_header_is_refused_at_its_word() {
+    let words = one_frame_in_flight();
+    restore_and_poll(words.clone()).expect("the saved window restores and runs");
+
+    let mut short = words.clone();
+    short[5] = 0;
+    short.drain(6..10);
+    assert_eq!(
+        restore_and_poll(short),
+        Err(SnapshotError::Corrupt { at: 5 })
+    );
+
+    let mut untagged = words;
+    untagged[4] = u64::from(PacketTag::Handshake.encode());
+    assert_eq!(
+        restore_and_poll(untagged),
+        Err(SnapshotError::Corrupt { at: 4 })
+    );
+}
+
+/// A window stamp later than the restored clock is refused at its word.
+/// Restored one RTO ahead, `now - sent_at` underflowed in the first timeout
+/// sweep: a panic in debug, and in release a wrapped age that fired a
+/// retransmission at once.
+#[test]
+fn a_window_stamp_past_the_clock_is_refused_at_its_word() {
+    let words = one_frame_in_flight();
+    let rto = ReliableConfig::default().rto.as_picos();
+    for at in [10, 11] {
+        let mut late = words.clone();
+        late[at] = words[0] + rto;
+        assert_eq!(restore_and_poll(late), Err(SnapshotError::Corrupt { at }));
+    }
 }

@@ -212,24 +212,45 @@ fn channel_components_roundtrip() {
     );
     assert_roundtrip("ChannelStats", &stats, &mut ChannelStats::new());
 
+    // Every queue restores in place, so each transport and channel also
+    // restores over a dirty twin whose queues have other lengths and
+    // contents.
     let mut queue = QueueTransport::new();
     seed_transport(&mut queue);
-    assert_roundtrip("QueueTransport", &queue, &mut QueueTransport::new());
+    let mut dirty_queue = QueueTransport::new();
+    dirty_queue.send(Side::Simulator, Packet::new(PacketTag::Burst, vec![5; 9]));
+    assert_roundtrip_over_dirty(
+        "QueueTransport",
+        &queue,
+        &mut QueueTransport::new(),
+        &mut dirty_queue,
+    );
 
-    let mut costed = CostedChannel::new(ChannelCostModel::iprove_pci());
-    costed.send(
-        Side::Simulator,
-        Packet::new(PacketTag::CycleOutputs, vec![9, 8, 7]),
-    );
-    costed.send(
-        Side::Accelerator,
-        Packet::new(PacketTag::ReportSuccess, vec![6]),
-    );
-    costed.recv(Side::Accelerator);
-    assert_roundtrip(
+    // A batching channel with a parked outbox over packets in flight.
+    let batching = |parked: u32| {
+        let mut costed = CostedChannel::new(ChannelCostModel::iprove_pci());
+        costed.set_batching(true);
+        costed.send(
+            Side::Simulator,
+            Packet::new(PacketTag::CycleOutputs, vec![9, 8, 7]),
+        );
+        costed.send(
+            Side::Accelerator,
+            Packet::new(PacketTag::ReportSuccess, vec![6]),
+        );
+        costed.recv(Side::Accelerator);
+        for i in 0..parked {
+            costed.send(Side::Accelerator, Packet::new(PacketTag::Burst, vec![i; 2]));
+        }
+        costed
+    };
+    let mut fresh_batching = CostedChannel::new(ChannelCostModel::iprove_pci());
+    fresh_batching.set_batching(true);
+    assert_roundtrip_over_dirty(
         "CostedChannel<QueueTransport>",
-        &costed,
-        &mut CostedChannel::new(ChannelCostModel::iprove_pci()),
+        &batching(2),
+        &mut fresh_batching,
+        &mut batching(5),
     );
 
     // The lossy wrapper's RNG cursor and fault counters are part of the cut —
@@ -237,12 +258,19 @@ fn channel_components_roundtrip() {
     let spec = FaultSpec::drops(0xfa57, 0.25);
     let mut lossy = LossyTransport::new(QueueTransport::new(), spec);
     seed_transport(&mut lossy);
-    assert_roundtrip(
+    let mut dirty_lossy = LossyTransport::new(QueueTransport::new(), spec);
+    seed_transport(&mut dirty_lossy);
+    seed_transport(&mut dirty_lossy);
+    assert_roundtrip_over_dirty(
         "LossyTransport<QueueTransport>",
         &lossy,
         &mut LossyTransport::new(QueueTransport::new(), spec),
+        &mut dirty_lossy,
     );
 
+    // Mid-window: `sent` packets each way through a window of 8, one taken
+    // on each side, so frames are unacknowledged and backlogged and
+    // deliveries wait.
     let reliable_fresh = || {
         ReliableTransport::new(
             QueueTransport::new(),
@@ -250,12 +278,34 @@ fn channel_components_roundtrip() {
             ChannelCostModel::iprove_pci(),
         )
     };
+    let mid_window = |sent: u32| {
+        let mut t = reliable_fresh();
+        for i in 0..sent {
+            t.send(
+                Side::Simulator,
+                Packet::new(PacketTag::CycleOutputs, vec![i]),
+            );
+            t.send(
+                Side::Accelerator,
+                Packet::new(PacketTag::ReportSuccess, vec![!i]),
+            );
+        }
+        t.recv(Side::Accelerator);
+        t.recv(Side::Simulator);
+        t
+    };
     let mut reliable = reliable_fresh();
     seed_transport(&mut reliable);
     assert_roundtrip(
         "ReliableTransport<QueueTransport>",
         &reliable,
         &mut reliable_fresh(),
+    );
+    assert_roundtrip_over_dirty(
+        "ReliableTransport<QueueTransport>, mid-window",
+        &mid_window(11),
+        &mut reliable_fresh(),
+        &mut mid_window(15),
     );
 
     // The endpoint impls are deliberate no-ops: their medium lives outside

@@ -117,8 +117,8 @@ impl Error for DeltaDecodeError {}
 
 /// A delta block whose lengths all check out, decoded one entry at a time
 /// in order by [`next_into`](Self::next_into) — the one decoder, which
-/// [`decode_flat_into`] and [`decode_block`] run to the end and a lagger
-/// stops at its first failed prediction.
+/// [`decode_block`] runs to the end and a lagger stops at its first failed
+/// prediction.
 ///
 /// The block is a cursor. Each entry is decoded over the one before it, so
 /// every call must be handed the buffer the previous call filled; any other
@@ -256,39 +256,6 @@ impl<'a> DeltaBlock<'a> {
     }
 }
 
-/// Decodes a block into `out`, replacing its contents with the entries laid
-/// end to end and reusing its allocation; returns `(count, width)`. Zero-width
-/// entries occupy no words, so only the returned count tells how many there
-/// were.
-///
-/// The block is checked whole by [`DeltaBlock::parse`] before anything is
-/// sized by its header, so `out` never reserves more than
-/// `wire.len() * width` words for a block, good or bad.
-///
-/// # Errors
-///
-/// Returns [`DeltaDecodeError`] on truncated or oversized input; `out` is
-/// then empty.
-pub fn decode_flat_into(
-    wire: &[u32],
-    out: &mut Vec<u32>,
-) -> Result<(usize, usize), DeltaDecodeError> {
-    out.clear();
-    let mut block = DeltaBlock::parse(wire)?;
-    let (count, width) = (block.count(), block.width());
-    if width > 0 {
-        out.reserve_exact(count * width);
-        out.resize(count * width, 0);
-        for at in (0..count).map(|i| i * width) {
-            if at > 0 {
-                out.copy_within(at - width..at, at);
-            }
-            block.next_into(&mut out[at..at + width]);
-        }
-    }
-    Ok((count, width))
-}
-
 /// Decodes a block produced by [`encode_block`].
 ///
 /// # Errors
@@ -418,15 +385,16 @@ mod tests {
         encode_flat_into(&flat, 9, 40, &mut wire);
         assert_eq!(wire[0], 0xfeed);
         assert_eq!(wire[1..], encode_block(&entries)[..]);
-        let mut back = vec![1, 2, 3]; // replaced, not appended to
-        assert_eq!(decode_flat_into(&wire[1..], &mut back), Ok((9, 40)));
-        assert_eq!(back, flat);
+        let block = DeltaBlock::parse(&wire[1..]).unwrap();
+        assert_eq!((block.count(), block.width()), (9, 40));
+        assert_eq!(decode_block(&wire[1..]).unwrap().concat(), flat);
         // Zero-width entries occupy no words: only the count comes back.
         let mut wire = Vec::new();
         encode_flat_into(&[], 5, 0, &mut wire);
         assert_eq!(wire, [5, 0]);
-        assert_eq!(decode_flat_into(&wire, &mut back), Ok((5, 0)));
-        assert!(back.is_empty());
+        let block = DeltaBlock::parse(&wire).unwrap();
+        assert_eq!((block.count(), block.width()), (5, 0));
+        assert_eq!(decode_block(&wire).unwrap(), vec![Vec::<u32>::new(); 5]);
     }
 
     #[test]
@@ -460,27 +428,22 @@ mod tests {
     fn stray_mask_bits_select_nothing() {
         // Width 3: bits 3.. of the mask word are outside the entry.
         let wire = [2, 3, 10, 20, 30, 0xffff_fff8 | 0b010, 21];
-        let mut flat = Vec::new();
-        assert_eq!(decode_flat_into(&wire, &mut flat), Ok((2, 3)));
-        assert_eq!(flat, [10, 20, 30, 10, 21, 30]);
+        assert_eq!(decode_block(&wire).unwrap(), [[10, 20, 30], [10, 21, 30]]);
     }
 
-    /// A reused buffer is never sized by what a block claims, only by what
-    /// its words could describe: `wire.len() * width` at most, good or bad.
+    /// A block is checked against its own words before anything is sized by
+    /// its header: one that parses announces entries of one word or more
+    /// only as many, and as wide, as its words could describe.
     #[test]
-    fn hostile_blocks_do_not_size_the_reused_buffer() {
+    fn hostile_blocks_are_refused_before_anything_is_sized() {
         let entries: Vec<Vec<u32>> = (0..6u32).map(|i| vec![i, 7, i / 2, 9]).collect();
         let good = encode_block(&entries);
-        let mut flat = Vec::new();
-        let mut check = |wire: &[u32], want: Result<(usize, usize), DeltaDecodeError>| {
-            let before = flat.capacity();
-            let width = wire.get(1).map_or(0, |&w| w as usize);
-            assert_eq!(decode_flat_into(wire, &mut flat), want, "{wire:?}");
-            assert!(
-                flat.capacity() <= before.max(wire.len().saturating_mul(width)),
-                "{wire:?}: capacity {} from {before}",
-                flat.capacity()
-            );
+        let check = |wire: &[u32], want: Result<(usize, usize), DeltaDecodeError>| {
+            let block = DeltaBlock::parse(wire);
+            assert_eq!(block.map(|b| (b.count(), b.width())), want, "{wire:?}");
+            if let Ok((count @ 1.., width @ 1..)) = want {
+                assert!(count <= wire.len() && width <= wire.len(), "{wire:?}");
+            }
         };
         let truncated = Err(DeltaDecodeError::Truncated);
         // Counts and widths no three words can back.
@@ -488,7 +451,7 @@ mod tests {
         check(&[u32::MAX, u32::MAX, 0], truncated);
         check(&[2, u32::MAX, 0], truncated);
         check(&[u32::MAX, 33, 0], truncated);
-        // Zero-width entries: any count, no words, nothing reserved.
+        // Zero-width entries: any count, no words.
         check(&[u32::MAX, 0], Ok((u32::MAX as usize, 0)));
         check(&[u32::MAX, 0, 1], Err(DeltaDecodeError::TrailingWords));
         // An empty block of any announced width.
@@ -508,6 +471,6 @@ mod tests {
         over[0] += 1;
         check(&over, truncated);
         check(&good, Ok((6, 4)));
-        assert_eq!(flat, entries.concat());
+        assert_eq!(decode_block(&good).unwrap(), entries);
     }
 }

@@ -13,9 +13,9 @@
 //!   words, shrinking flush payloads (the paper's dynamic packetizing
 //!   decision #3). A block carries every mask ahead of the changed words, so
 //!   [`DeltaBlock`] checks it whole in one popcount sweep and then decodes
-//!   only the entries that are read. [`encode_flat_into`] /
-//!   [`decode_flat_into`] are the same codec over entries laid end to end in
-//!   a caller-kept buffer.
+//!   only the entries that are read. [`encode_flat_into`] is the same encoder
+//!   over entries laid end to end in a caller-kept buffer, which is how
+//!   [`LobEntries`] flushes.
 //! * Predictors for each signal class of the paper's §3 analysis:
 //!   [`BurstFollower`] (address/control: linear within a burst),
 //!   [`WaitPredictor`] (slave responses: producer–consumer wait patterns),
@@ -99,9 +99,7 @@ pub use adaptive::{
     AdaptiveConfig, AdaptiveMasterPredictor, AdaptiveSlavePredictor, AdaptiveSuite,
 };
 pub use context::{ContextMasterPredictor, ContextSlavePredictor, ContextTable, MarkovSuite};
-pub use delta::{
-    decode_block, decode_flat_into, encode_block, encode_flat_into, DeltaBlock, DeltaDecodeError,
-};
+pub use delta::{decode_block, encode_block, encode_flat_into, DeltaBlock, DeltaDecodeError};
 pub use lob::{Lob, LobBlock, LobEntries, LobEntry, LobFullError};
 pub use predictors::{BurstFollower, LastValuePredictor, WaitPredictor};
 pub use suite::{
@@ -112,11 +110,6 @@ pub use suite::{
 // Re-exported so downstream code can name the paper concepts from one place
 // (`Htrans` because custom predictors mark speculative issues with it).
 pub use predpkt_ahb::signals::{Htrans, MasterSignals, SlaveSignals};
-
-/// Alias documenting intent: `DeltaDecoder` is the depacketizing half.
-pub use delta::decode_block as delta_decode;
-/// Alias documenting intent: `DeltaEncoder` is the packetizing half.
-pub use delta::encode_block as delta_encode;
 
 /// Convenience alias used throughout the protocol: one cycle's packed signal
 /// words.

@@ -4,9 +4,9 @@
 
 use predpkt_ahb::signals::Hburst;
 use predpkt_predict::{
-    decode_block, decode_flat_into, encode_block, encode_flat_into, ContextMasterPredictor,
-    ContextSlavePredictor, DeltaBlock, DeltaDecodeError, Htrans, Lob, LobEntry, MasterPredictor,
-    MasterSignals, SlavePredictor, SlaveSignals,
+    decode_block, encode_block, encode_flat_into, ContextMasterPredictor, ContextSlavePredictor,
+    DeltaBlock, DeltaDecodeError, Htrans, Lob, LobEntry, MasterPredictor, MasterSignals,
+    SlavePredictor, SlaveSignals,
 };
 use predpkt_sim::{save_to_vec, SplitMix64};
 
@@ -105,30 +105,28 @@ fn layout_shapes(rng: &mut SplitMix64) -> Vec<(usize, usize)> {
     shapes
 }
 
-/// Decodes `wire` into the reused `flat`, which must never grow past what
-/// the block's words could describe.
-fn decode_reused(wire: &[u32], flat: &mut Vec<u32>) -> Result<(usize, usize), DeltaDecodeError> {
-    let before = flat.capacity();
-    let width = wire.get(1).map_or(0, |&w| w as usize);
-    let verdict = decode_flat_into(wire, flat);
-    assert!(
-        flat.capacity() <= before.max(wire.len().saturating_mul(width)),
-        "{wire:?}: capacity {} from {before}",
-        flat.capacity()
-    );
-    verdict
+/// The `(count, width)` a block announces, once [`DeltaBlock::parse`] has
+/// checked it — and a block that parses announces entries of one word or
+/// more only as many, and as wide, as its words could describe, so nothing
+/// a decoder sizes by them outgrows the block.
+fn parsed(wire: &[u32]) -> Result<(usize, usize), DeltaDecodeError> {
+    let shape = DeltaBlock::parse(wire).map(|block| (block.count(), block.width()));
+    if let Ok((count @ 1.., width @ 1..)) = shape {
+        assert!(count <= wire.len() && width <= wire.len(), "{wire:?}");
+    }
+    shape
 }
 
 #[test]
 fn the_masks_first_layout_holds_under_hostile_input() {
     let mut rng = SplitMix64::new(0x5eed_0006);
-    let mut flat = Vec::new();
     for (width, count) in layout_shapes(&mut rng) {
         let case = format!("width {width}, count {count}");
         let blocks = biased_blocks(&mut rng, width, count);
         let raw = blocks.concat();
-        // Both codec pairs round-trip and write the same words — but for
-        // the width of an empty block, which only the flat form is told.
+        // Both encoders write the same words — but for the width of an
+        // empty block, which only the flat form is told — and the block
+        // decodes back to them.
         let block_wire = encode_block(&blocks);
         assert_eq!(decode_block(&block_wire).as_ref(), Ok(&blocks), "{case}");
         let mut wire = Vec::new();
@@ -138,28 +136,24 @@ fn the_masks_first_layout_holds_under_hostile_input() {
         } else {
             assert_eq!(wire, [0, width as u32], "{case}");
         }
-        assert_eq!(
-            decode_reused(&wire, &mut flat),
-            Ok((count, width)),
-            "{case}"
-        );
-        assert_eq!(flat, raw, "{case}");
+        assert_eq!(parsed(&wire), Ok((count, width)), "{case}");
+        assert_eq!(decode_block(&wire).map(|e| e.concat()), Ok(raw), "{case}");
         // Every cut is truncated, one word more is trailing.
+        let truncated = DeltaDecodeError::Truncated;
         for cut in 0..wire.len() {
-            let verdict = decode_reused(&wire[..cut], &mut flat);
+            assert_eq!(parsed(&wire[..cut]), Err(truncated), "{case}, cut {cut}");
             assert_eq!(
-                verdict,
-                Err(DeltaDecodeError::Truncated),
+                decode_block(&wire[..cut]),
+                Err(truncated),
                 "{case}, cut {cut}"
             );
-            assert!(flat.is_empty(), "{case}, cut {cut}");
         }
         let longer = [&wire[..], &[7]].concat();
         let trailing = DeltaDecodeError::TrailingWords;
-        assert_eq!(decode_reused(&longer, &mut flat), Err(trailing), "{case}");
+        assert_eq!(parsed(&longer), Err(trailing), "{case}");
         assert_eq!(decode_block(&longer), Err(trailing), "{case}");
         // A count off by one either way: a typed error or a clean decode of
-        // some other entries, never a panic, each into a fresh buffer.
+        // some other entries, never a panic.
         for wrong in [count + 1, count.wrapping_sub(1)] {
             let Ok(wrong) = u32::try_from(wrong) else {
                 continue;
@@ -167,8 +161,7 @@ fn the_masks_first_layout_holds_under_hostile_input() {
             let mut off = wire.clone();
             off[0] = wrong;
             let _ = decode_block(&off);
-            let mut fresh = Vec::new();
-            let _ = decode_reused(&off, &mut fresh);
+            let _ = parsed(&off);
         }
         // Every mask bit past the width set: neither the sweep's verdict nor
         // the decode moves, on the good block or on the longer one.

@@ -431,51 +431,58 @@ impl<T: Snapshot> Codec<Vec<Option<T>>> for Present {
 }
 
 /// A length word, then every element in order: a list that grows and
-/// shrinks (jobs in flight). A restore truncates the list to the announced
-/// length, restores the elements it keeps in place and appends
-/// `T::default()` for each one it lacks, so it allocates only what the list
-/// grew by. A rollback walks the list the same way through the elements'
-/// own `mark` and `rewind`, by position, so it suits elements whose mark is
-/// their save (ones built from leaves).
+/// shrinks (jobs in flight, a queue of frames), a `Vec` or a `VecDeque`. A
+/// restore truncates the list to the announced length, restores the
+/// elements it keeps in place and appends `T::default()` for each one it
+/// lacks, so it allocates only what the list grew by. A rollback walks the
+/// list the same way through the elements' own `mark` and `rewind`, by
+/// position, so it suits elements whose mark is their save (ones built from
+/// leaves).
 #[derive(Debug)]
 pub struct List;
 
-impl<T: Snapshot + Default> Codec<Vec<T>> for List {
-    fn save(field: &Vec<T>, w: &mut StateWriter<'_>) {
-        w.usize(field.len());
-        field.iter().for_each(|item| item.save(w));
-    }
-
-    fn restore(field: &mut Vec<T>, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let len = r.usize()?;
-        field.truncate(len);
-        for i in 0..len {
-            if i == field.len() {
-                field.push(T::default());
+macro_rules! list {
+    ($($list:ident => $push:ident),*) => {$(
+        impl<T: Snapshot + Default> Codec<$list<T>> for List {
+            fn save(field: &$list<T>, w: &mut StateWriter<'_>) {
+                w.usize(field.len());
+                field.iter().for_each(|item| item.save(w));
             }
-            field[i].restore(r)?;
+
+            fn restore(field: &mut $list<T>, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+                let len = r.usize()?;
+                field.truncate(len);
+                for i in 0..len {
+                    if i == field.len() {
+                        field.$push(T::default());
+                    }
+                    field[i].restore(r)?;
+                }
+                Ok(())
+            }
+
+            fn saved_len(field: &$list<T>) -> usize {
+                1 + field.iter().map(Snapshot::saved_len).sum::<usize>()
+            }
+
+            fn mark(field: &mut $list<T>, w: &mut StateWriter<'_>) {
+                w.usize(field.len());
+                field.iter_mut().for_each(|item| item.mark(w));
+            }
+
+            fn rewind(field: &mut $list<T>, r: &mut StateReader<'_>) {
+                field.resize_with(r.marked_word() as usize, T::default);
+                field.iter_mut().for_each(|item| item.rewind(r));
+            }
+
+            fn release(field: &mut $list<T>) {
+                field.iter_mut().for_each(Snapshot::release);
+            }
         }
-        Ok(())
-    }
-
-    fn saved_len(field: &Vec<T>) -> usize {
-        1 + field.iter().map(Snapshot::saved_len).sum::<usize>()
-    }
-
-    fn mark(field: &mut Vec<T>, w: &mut StateWriter<'_>) {
-        w.usize(field.len());
-        field.iter_mut().for_each(|item| item.mark(w));
-    }
-
-    fn rewind(field: &mut Vec<T>, r: &mut StateReader<'_>) {
-        field.resize_with(r.marked_word() as usize, T::default);
-        field.iter_mut().for_each(|item| item.rewind(r));
-    }
-
-    fn release(field: &mut Vec<T>) {
-        field.iter_mut().for_each(Snapshot::release);
-    }
+    )*};
 }
+
+list!(Vec => push, VecDeque => push_back);
 
 /// [`List`]'s layout, word for word, for a list that only grows while a
 /// mark is open (results so far): its elements are never changed in place,

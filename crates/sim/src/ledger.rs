@@ -135,23 +135,8 @@ impl TimeLedger {
     }
 }
 
-/// One word per Table 2 bucket, in [`CostCategory::ALL`] order.
-impl crate::Snapshot for TimeLedger {
-    fn save(&self, w: &mut crate::StateWriter<'_>) {
-        for c in CostCategory::ALL {
-            w.word(self.get(c).as_picos());
-        }
-    }
-
-    fn restore(&mut self, r: &mut crate::StateReader<'_>) -> Result<(), crate::SnapshotError> {
-        let mut buckets = [VirtualTime::ZERO; 5];
-        for b in &mut buckets {
-            *b = VirtualTime::from_picos(r.word()?);
-        }
-        self.buckets = buckets;
-        Ok(())
-    }
-}
+// One word per Table 2 bucket, in [`CostCategory::ALL`] order.
+crate::declare_state! { impl TimeLedger { buckets: crate::Each } }
 
 /// Per-committed-cycle view of a [`TimeLedger`]: the paper's Table 2 columns.
 #[derive(Debug, Clone, PartialEq)]

@@ -73,19 +73,10 @@ impl SplitMix64 {
     }
 }
 
-/// The stream cursor is one word of rollback state: checkpointing it is what
-/// makes a restored fault-injection plan replay draw-for-draw identically to
-/// the uninterrupted run.
-impl crate::Snapshot for SplitMix64 {
-    fn save(&self, w: &mut crate::StateWriter<'_>) {
-        w.word(self.state);
-    }
-
-    fn restore(&mut self, r: &mut crate::StateReader<'_>) -> Result<(), crate::SnapshotError> {
-        self.state = r.word()?;
-        Ok(())
-    }
-}
+// The stream cursor is one word of rollback state: checkpointing it is what
+// makes a restored fault-injection plan replay draw-for-draw identically to
+// the uninterrupted run.
+crate::declare_state! { impl SplitMix64 { state } }
 
 #[cfg(test)]
 mod tests {

@@ -73,12 +73,14 @@
 //!   each, refused above their range; `Option<T>`, a flag and then `T`,
 //!   restored in place; `Vec<u32>`, `VecDeque<u32>` and `[u32; N]`,
 //!   length-prefixed, through the bulk readers.
+//!   [`VirtualTime`](crate::VirtualTime) is declared as its one word of
+//!   picoseconds.
 //! * **A field's codec overrides its type's layout**: `field: Each` (every
 //!   element, no length word), `field: Present` (the filled slots of a
-//!   `Vec<Option<T>>`), `field: List` (a length word, then each element),
-//!   `field: GrowOnly` (`List`'s layout for a list that only grows while a
-//!   mark is open, rolled back by truncation), or any other
-//!   [`Codec`](crate::Codec).
+//!   `Vec<Option<T>>`), `field: List` (a length word, then each element of
+//!   a `Vec` or a `VecDeque`), `field: GrowOnly` (`List`'s layout for a
+//!   list that only grows while a mark is open, rolled back by truncation),
+//!   or any other [`Codec`](crate::Codec).
 //! * **A check runs right after its field is read**: `field => |this, at|
 //!   …` sees every field read so far and refuses, as
 //!   [`SnapshotError::Corrupt`], at the exact word it names (see
@@ -89,6 +91,25 @@
 //!   check runs on a rewind.
 //! * **The declared word count** is generated too: `saved_len` is the sum of
 //!   the fields' counts, each leaf's without writing anything.
+//!
+//! Every component is declared — the bus and its engines, the predictors,
+//! the channel with its transports and the reliable layer's windows, the
+//! ledger and the random stream — but for the leaves above, the
+//! [`Journaled`](crate::Journaled) store and three impls that stay
+//! hand-written on purpose:
+//!
+//! * **`Trace`** writes a record count and then each record, and reads the
+//!   records straight into its one word buffer. It is the committed history,
+//!   outside every rollback, and ROADMAP item 15 replaces it with a running
+//!   hash, so a codec for it would not outlive it.
+//! * **The AHB model's `Slots`** (`predpkt-core`) journals on the hot path:
+//!   its mark declares a local component's latched outputs instead of
+//!   copying them and its rewind skips them, a per-slot choice by a bit mask
+//!   that no field list can state.
+//! * **The wrapper's section walk** (`ChannelWrapper`'s checkpoint in
+//!   `predpkt-core`) labels the model, the trace and the wrapper as sections
+//!   of one cut and poisons the wrapper when a restore fails: the labels and
+//!   the quarantine are the walk's whole job, and neither is a field.
 //!
 //! A hand-written decorator — the `Box<S>` impl here, the benchmark's timing
 //! wrappers — forwards all three of `mark` / `rewind` / `release`, or none.
@@ -489,17 +510,6 @@ impl<'a> StateReader<'a> {
         Ok(out)
     }
 
-    /// Reads a length-prefixed slice of `u32` words into a fresh vector.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`StateReader::slice_u32_into`].
-    pub fn slice_u32(&mut self) -> Result<Vec<u32>, SnapshotError> {
-        let mut out = Vec::new();
-        self.slice_u32_into(&mut out)?;
-        Ok(out)
-    }
-
     /// Reads the next word of a vector its own component's
     /// [`mark`](Snapshot::mark) wrote: the rewind's read, with no range
     /// check, no label and no `Result`. The layout is the component's own,
@@ -787,8 +797,7 @@ mod tests {
         fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
             self.counter = r.u32()?;
             self.armed = r.bool()?;
-            self.fifo = r.slice_u32()?;
-            Ok(())
+            r.slice_u32_into(&mut self.fifo)
         }
     }
 

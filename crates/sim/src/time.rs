@@ -90,6 +90,9 @@ impl VirtualTime {
     }
 }
 
+// One word: the picoseconds.
+crate::declare_state! { impl VirtualTime { 0 } }
+
 impl Add for VirtualTime {
     type Output = VirtualTime;
     fn add(self, rhs: VirtualTime) -> VirtualTime {
