@@ -48,8 +48,10 @@ impl ChannelStats {
 
     /// Records one access of `words` payload words costing `cost`.
     pub fn record(&mut self, direction: Direction, words: u64, cost: VirtualTime) {
-        self.dirs[direction.index()].accesses += 1;
-        self.record_piggyback(direction, words, cost);
+        let dir = &mut self.dirs[direction.index()];
+        dir.accesses += 1;
+        dir.words += words;
+        dir.time += cost;
     }
 
     /// Records `words` of *piggybacked* payload costing `cost` — control
