@@ -13,10 +13,15 @@
 //! * **reached** — entries the laggers reached (`PaperPath::L`): each is
 //!   checked and ticked, and an entry after a failed prediction is never
 //!   decoded, so this is also what the laggers decode;
-//! * **words** and **accesses** — what the channel billed.
+//! * **words** and **accesses** — what the channel billed;
+//! * **rollbacks** — transitions the leaders rolled back;
+//! * **ticks** — half-bus ticks on both sides: predicted, head, replayed
+//!   and conservative cycles and the entries the laggers reached. Over the
+//!   committed cycles this is `benchmark/`'s `ahb.ticks_per_cycle`.
 
 use predpkt_core::{CoEmuConfig, EmuSession, ModePolicy, PaperPath, PerfReport, TransportSelect};
-use predpkt_workloads::{figure2_soc, SyntheticModel, SyntheticSoc};
+use predpkt_predict::AdaptiveSuite;
+use predpkt_workloads::{figure2_soc, mesh_hotspot_soc, MeshConfig, SyntheticModel, SyntheticSoc};
 
 const CYCLES: u64 = 2_000;
 
@@ -28,6 +33,8 @@ struct Row {
     reached: u64,
     words: u64,
     accesses: u64,
+    rollbacks: u64,
+    ticks: u64,
 }
 
 impl Row {
@@ -42,6 +49,17 @@ impl Row {
             reached: sides.iter().map(|s| s.path(PaperPath::L)).sum(),
             words: report.channel().total_words(),
             accesses: report.channel().total_accesses(),
+            rollbacks: sides.iter().map(|s| s.rollbacks).sum(),
+            ticks: sides
+                .iter()
+                .map(|s| {
+                    s.predicted_cycles
+                        + s.head_cycles
+                        + s.replayed_cycles
+                        + s.conservative_cycles
+                        + s.path(PaperPath::L)
+                })
+                .sum(),
         }
     }
 
@@ -62,14 +80,25 @@ fn row<M: predpkt_core::DomainModel + Send + 'static>(
     let row = Row::of(&session.report());
     println!(
         "{name}: per 1 000 committed cycles ({} committed): flushed {:.1}, \
-         reached {:.1}, words {:.1}, accesses {:.1}",
+         reached {:.1}, words {:.1}, accesses {:.1}, rollbacks {:.1}, ticks {:.1}",
         row.committed,
         row.per_kcycle(row.flushed),
         row.per_kcycle(row.reached),
         row.per_kcycle(row.words),
         row.per_kcycle(row.accesses),
+        row.per_kcycle(row.rollbacks),
+        row.per_kcycle(row.ticks),
     );
     row
+}
+
+/// The configuration `benchmark/` runs its AHB workloads in.
+fn bench_config() -> CoEmuConfig {
+    CoEmuConfig::paper_defaults()
+        .policy(ModePolicy::Auto)
+        .rollback_vars(None)
+        .carry(true)
+        .adaptive(true)
 }
 
 /// What `benchmark/` runs as `synth-p60-queue` and `synth-p100-queue`.
@@ -96,6 +125,8 @@ fn the_synthetic_pair_at_p_0_6_is_pinned() {
             reached: 2006,
             words: 60990,
             accesses: 1586,
+            rollbacks: 792,
+            ticks: 54700,
         }
     );
 }
@@ -114,6 +145,8 @@ fn the_synthetic_pair_at_p_1_0_is_pinned() {
             reached: 2048,
             words: 2374,
             accesses: 66,
+            rollbacks: 0,
+            ticks: 4096,
         }
     );
 }
@@ -121,13 +154,8 @@ fn the_synthetic_pair_at_p_1_0_is_pinned() {
 #[test]
 fn the_figure2_soc_is_pinned() {
     // What `benchmark/` runs as `soc-queue`.
-    let config = CoEmuConfig::paper_defaults()
-        .policy(ModePolicy::Auto)
-        .rollback_vars(None)
-        .carry(true)
-        .adaptive(true);
     let session = EmuSession::from_blueprint(&figure2_soc(7))
-        .config(config)
+        .config(bench_config())
         .transport(TransportSelect::Queue)
         .build()
         .expect("the Fig. 2 session builds");
@@ -140,6 +168,38 @@ fn the_figure2_soc_is_pinned() {
             reached: 2000,
             words: 28419,
             accesses: 1036,
+            rollbacks: 299,
+            ticks: 5752,
+        }
+    );
+}
+
+#[test]
+fn the_hotspot_mesh_is_pinned() {
+    // What `benchmark/` runs as `mesh-adaptive-queue`.
+    let session = EmuSession::from_blueprint(&mesh_hotspot_soc(MeshConfig {
+        seed: 7,
+        ..MeshConfig::default()
+    }))
+    .config(bench_config())
+    .predictors(AdaptiveSuite::default())
+    .transport(TransportSelect::Queue)
+    .build()
+    .expect("the mesh session builds");
+    let row = row(
+        "mesh_hotspot_soc(7) / queue / adaptive / bench config",
+        session,
+    );
+    assert_eq!(
+        row,
+        Row {
+            committed: 2026,
+            flushed: 2713,
+            reached: 2026,
+            words: 18406,
+            accesses: 888,
+            rollbacks: 375,
+            ticks: 5937,
         }
     );
 }
