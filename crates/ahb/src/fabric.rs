@@ -403,6 +403,26 @@ impl Fabric {
         );
     }
 
+    /// What [`tick`](Self::tick) on `view` would leave, in a fabric without
+    /// the decoder, which no tick changes: two such fabrics compare the
+    /// edges two views of one cycle lead to, and building one allocates
+    /// nothing.
+    pub fn ticked(
+        &self,
+        view: &CycleView,
+        masters: &[MasterSignals],
+        slaves: &[SlaveSignals],
+    ) -> Fabric {
+        let mut next = Fabric {
+            arbiter: self.arbiter.clone(),
+            decoder: Decoder::default(),
+            dp: self.dp,
+            default_err2: self.default_err2,
+        };
+        next.tick(view, masters, slaves);
+        next
+    }
+
     /// Builds the per-master view of a cycle.
     pub fn master_view(&self, view: &CycleView, master: MasterId) -> MasterView {
         MasterView {

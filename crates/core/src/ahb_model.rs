@@ -10,11 +10,16 @@
 //!
 //! Prediction checking compares signal vectors only in positions that can
 //! influence the leader domain's state (the paper's *minimal set of active bus
-//! signals*, §3): arbitration requests always; address/control only for the
-//! granted master; write data only when it crosses into the leader domain; read
-//! data only when a leader-side master consumes it; the data-phase slave's
-//! ready/response; HSPLIT and IRQ always. Inactive positions are free — a
-//! mispredicted idle address bus costs nothing.
+//! signals*, §3): arbitration requests always; the granted master's HTRANS
+//! always, and its address and control only while it drives NONSEQ or SEQ;
+//! write data only when it crosses into the leader domain; read data only when
+//! a leader-side master consumes it; the data-phase slave's ready/response;
+//! HSPLIT and IRQ always. Inactive positions are free — a mispredicted idle
+//! address bus costs nothing: under IDLE or BUSY no decoder, data-phase
+//! register, burst tracker or slave reads HADDR, HWRITE, HSIZE, HBURST or
+//! HPROT. A debug build checks every prediction that exemption lets through
+//! against an oracle (`shadow_exemption`), which panics if the leader domain
+//! would have seen a difference.
 //!
 //! ## Latched outputs
 //!
@@ -440,10 +445,29 @@ impl AhbDomainModel {
     /// `true` where the MSABS active projections (see the module docs) of
     /// this domain's actual outputs — the local slots of `full_m` / `full_s`
     /// — and of `predicted`, a packed prediction of them, agree under `view`.
-    /// Which positions are active depends on `view` alone, so the two
-    /// projections are compared position by position and never built. A
-    /// malformed prediction matches nothing.
+    /// Which positions are active depends on `view` and the actual HTRANS
+    /// alone, so the two projections are compared position by position and
+    /// never built: a granted master's address and control count only
+    /// while it drives NONSEQ or SEQ, its HTRANS always. A malformed
+    /// prediction matches nothing.
     fn projection_matches(
+        &self,
+        full_m: &[MasterSignals],
+        full_s: &[SlaveSignals],
+        predicted: &[u32],
+        view: &CycleView,
+        leader: Side,
+    ) -> bool {
+        let verified = self.projections_agree(full_m, full_s, predicted, view, leader);
+        #[cfg(debug_assertions)]
+        if verified {
+            self.shadow_exemption(full_m, full_s, predicted, view, leader);
+        }
+        verified
+    }
+
+    /// The rule of [`projection_matches`](Self::projection_matches).
+    fn projections_agree(
         &self,
         full_m: &[MasterSignals],
         full_s: &[SlaveSignals],
@@ -470,10 +494,13 @@ impl AhbDomainModel {
                     if (a.busreq, a.lock) != (p.busreq, p.lock) {
                         return false;
                     }
-                    // Address/control: only for the granted master.
+                    // The granted master's HTRANS: always active. Its
+                    // address and control: only for a NONSEQ or SEQ transfer.
                     if view.grant == MasterId(i)
-                        && (a.trans, a.addr, a.write, a.size, a.burst, a.prot)
-                            != (p.trans, p.addr, p.write, p.size, p.burst, p.prot)
+                        && (a.trans != p.trans
+                            || a.trans.is_active()
+                                && (a.addr, a.write, a.size, a.burst, a.prot)
+                                    != (p.addr, p.write, p.size, p.burst, p.prot))
                     {
                         return false;
                     }
@@ -513,6 +540,90 @@ impl AhbDomainModel {
             }
         }
         true
+    }
+
+    /// Checks a verified prediction that the field-by-field rule, which
+    /// compared a granted master's HTRANS, HADDR, HWRITE, HSIZE, HBURST and
+    /// HPROT whatever it drove, would have refused. The oracle runs the
+    /// cycle twice on the actual vectors, once with the granted master's
+    /// actual outputs and once with its prediction, and requires the
+    /// fabric's next state and the view of every component in the leader
+    /// domain to be equal; every other slot holds its actual value, so a
+    /// difference is the exemption's. Panics, naming the cycle, the master
+    /// and the fields, if the leader domain would have seen one.
+    #[cfg(debug_assertions)]
+    fn shadow_exemption(
+        &self,
+        full_m: &[MasterSignals],
+        full_s: &[SlaveSignals],
+        predicted: &[u32],
+        view: &CycleView,
+        leader: Side,
+    ) {
+        let granted = view.grant;
+        let Some(c) = self
+            .locals
+            .iter()
+            .find(|c| c.port == Port::Master(granted.0))
+        else {
+            return;
+        };
+        let p = <MasterSignals as Bundle>::unpack(&predicted[c.words()])
+            .expect("a verified prediction unpacks");
+        let a = full_m[granted.0].normalized();
+        let fields = [
+            ("HTRANS", a.trans != p.trans),
+            ("HADDR", a.addr != p.addr),
+            ("HWRITE", a.write != p.write),
+            ("HSIZE", a.size != p.size),
+            ("HBURST", a.burst != p.burst),
+            ("HPROT", a.prot != p.prot),
+        ];
+        if !fields.iter().any(|&(_, differs)| differs) {
+            return;
+        }
+        let run = |granted_outputs: MasterSignals| {
+            let mut m = [MasterSignals::default(); MAX_COMPONENTS];
+            m[..full_m.len()].copy_from_slice(full_m);
+            m[granted.0] = granted_outputs;
+            let m = &m[..full_m.len()];
+            let view = self.fabric.view(m, full_s);
+            (view, self.fabric.ticked(&view, m, full_s))
+        };
+        let (actual, actual_next) = run(a);
+        let (predicted, predicted_next) = run(p);
+        let leader_master = (0..full_m.len()).find(|&k| {
+            self.placement.masters[k] == leader
+                && self.fabric.master_view(&actual, MasterId(k))
+                    != self.fabric.master_view(&predicted, MasterId(k))
+        });
+        let leader_slave = (0..full_s.len()).find(|&k| {
+            self.placement.slaves[k] == leader
+                && self.fabric.slave_view(&actual, SlaveId(k))
+                    != self.fabric.slave_view(&predicted, SlaveId(k))
+        });
+        let seen = if actual_next != predicted_next {
+            "the fabric's next state".to_string()
+        } else if let Some(k) = leader_master {
+            format!("master {k}'s MasterView")
+        } else if let Some(k) = leader_slave {
+            format!("slave {k}'s SlaveView")
+        } else {
+            return;
+        };
+        let fields: Vec<&str> = fields
+            .iter()
+            .filter_map(|&(name, differs)| differs.then_some(name))
+            .collect();
+        panic!(
+            "MSABS shadow: cycle {}: granted master {} drives {:?} and its predicted {} \
+             differ from the actual, which changes {seen}: the IDLE/BUSY exemption let \
+             through a prediction the leader domain reads",
+            self.cycle,
+            granted.0,
+            a.trans,
+            fields.join("/"),
+        );
     }
 
     /// Downcast access to a local master.

@@ -81,9 +81,9 @@ fn checkpoint_blob_size_is_pinned_per_engine_layout() {
     }
     let long = workload_config(&workload_for(ModePolicy::Auto));
     for (name, bytes, hash) in [
-        ("queue", 113_804, 0xb9aa_e195_1d53_0804_u64),
-        ("lossy", 113_852, 0xf38c_cda0_7aa8_d5fb),
-        ("threaded", 113_972, 0x7074_7f90_b57a_0e7b),
+        ("queue", 113_804, 0xeeed_60b8_b990_6427_u64),
+        ("lossy", 113_852, 0x1141_eb1f_7545_a1ca),
+        ("threaded", 113_972, 0xd091_6bb8_69e4_a81a),
     ] {
         let ckpt = checkpoint_at(name, long, 700);
         assert_eq!(ckpt.committed_cycles(), 701, "{name}: the halt boundary");

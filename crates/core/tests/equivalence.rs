@@ -261,7 +261,7 @@ fn snapshot_billing_is_pinned() {
             picos(CostCategory::StateStore),
             picos(CostCategory::StateRestore),
         ),
-        (1_091, 1_029, 13_597_885_400, 13_576_149_040),
+        (989, 969, 13_210_874_940, 13_189_285_430),
         "transitions, rollbacks, Tstore and Trest of 6 000 Fig. 2 cycles"
     );
 }

@@ -56,7 +56,7 @@ fn a_session_emits_its_events_in_a_pinned_order() {
         .expect("the Fig. 2 session runs");
     assert_eq!(
         fingerprint(&log),
-        (2_888, 7_494_712_955_724_642_907),
+        (2_718, 6_915_403_362_729_581_639),
         "figure2_soc / bench config"
     );
 
@@ -87,7 +87,7 @@ fn a_coemulator_stepping_once_per_round_emits_its_events_in_a_pinned_order() {
         .expect("the Fig. 2 co-emulator runs");
     assert_eq!(
         fingerprint(&log),
-        (2_887, 3_545_405_721_052_636_311),
+        (2_717, 4_781_196_179_258_123_891),
         "figure2_soc / bench config"
     );
 

@@ -225,21 +225,21 @@ const PINNED_MESH_WORDS: [Cut; 4] = [
         402,
         [
             (4336, 0x9fdb3e4e4fa51836, 0xdc99797780e109d1),
-            (2685, 0x4058d00065d37f2a, 0x6496b5215ae1fd1d),
+            (2685, 0x654794313dae5a9d, 0x6496b5215ae1fd1d),
         ],
     ),
     (
         1501,
         [
-            (4332, 0xe7dff131acff51cb, 0x138ad251b65d2148),
-            (2633, 0x71235801fdb59d75, 0x5480bfdeca5b12b7),
+            (4332, 0x0411994d703da973, 0x138ad251b65d2148),
+            (2633, 0x3779b8677382c8e4, 0x5480bfdeca5b12b7),
         ],
     ),
     (
         4000,
         [
-            (4356, 0x6345f92945ac7592, 0xff1bca35cc259dbd),
-            (2644, 0x3989452b21fe60aa, 0x40af19d59aed906c),
+            (4356, 0xb5b8a697f5124af1, 0xff1bca35cc259dbd),
+            (2644, 0xf2f82ba4d3bd2ae1, 0x40af19d59aed906c),
         ],
     ),
 ];
@@ -256,7 +256,7 @@ const PINNED_WORDS: [Cut; 4] = [
         400,
         [
             (2130, 0xcd0fa7367327a1f6, 0xe3212ba06d9604f0),
-            (120, 0xbdc8651861dd7a47, 0xac49bf8fd19fcabd),
+            (120, 0x97bbbb98e9ef3b1e, 0xac49bf8fd19fcabd),
         ],
     ),
     (

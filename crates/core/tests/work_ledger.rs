@@ -164,12 +164,12 @@ fn the_figure2_soc_is_pinned() {
         row,
         Row {
             committed: 2000,
-            flushed: 2888,
+            flushed: 2826,
             reached: 2000,
-            words: 28419,
-            accesses: 1036,
-            rollbacks: 299,
-            ticks: 5752,
+            words: 27035,
+            accesses: 978,
+            rollbacks: 274,
+            ticks: 5667,
         }
     );
 }
@@ -193,13 +193,13 @@ fn the_hotspot_mesh_is_pinned() {
     assert_eq!(
         row,
         Row {
-            committed: 2026,
-            flushed: 2713,
-            reached: 2026,
-            words: 18406,
-            accesses: 888,
-            rollbacks: 375,
-            ticks: 5937,
+            committed: 2056,
+            flushed: 2473,
+            reached: 2056,
+            words: 14899,
+            accesses: 728,
+            rollbacks: 213,
+            ticks: 5020,
         }
     );
 }
