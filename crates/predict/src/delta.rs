@@ -99,7 +99,9 @@ pub enum DeltaDecodeError {
     Truncated,
     /// Trailing words after the last entry.
     TrailingWords,
-    /// The entries are not of the width the receiver expects.
+    /// The entries are not of the width the receiver expects, or a block
+    /// with entries announces them zero words wide: such entries cost no
+    /// words, so nothing bounds how many the block claims.
     Width,
 }
 
@@ -146,13 +148,16 @@ impl<'a> DeltaBlock<'a> {
     /// refused unless the words that follow could describe that many
     /// entries (the first costs `width` words, every later one at least its
     /// mask words), and then unless its masks select exactly the words
-    /// after them. Mask bits past the width select nothing.
+    /// after them. Mask bits past the width select nothing. So a block that
+    /// parses with entries holds no more of them, and none wider, than it
+    /// has words; an empty block may announce any width.
     ///
     /// # Errors
     ///
     /// [`DeltaDecodeError::Truncated`] when the block ends before what its
     /// header and masks announce, [`DeltaDecodeError::TrailingWords`] when
-    /// words follow it.
+    /// words follow it, [`DeltaDecodeError::Width`] when it announces
+    /// entries zero words wide.
     pub fn parse(wire: &'a [u32]) -> Result<Self, DeltaDecodeError> {
         let [count, width, body @ ..] = wire else {
             return Err(DeltaDecodeError::Truncated);
@@ -166,12 +171,15 @@ impl<'a> DeltaBlock<'a> {
             masks: &[],
             changed: &[],
         };
-        if count == 0 || width == 0 {
+        if count == 0 {
             return if body.is_empty() {
                 Ok(block)
             } else {
                 Err(DeltaDecodeError::TrailingWords)
             };
+        }
+        if width == 0 {
+            return Err(DeltaDecodeError::Width);
         }
         let mask_words = width.div_ceil(32);
         if body.len() < width || count - 1 > (body.len() - width) / mask_words {
@@ -256,17 +264,22 @@ impl<'a> DeltaBlock<'a> {
     }
 }
 
-/// Decodes a block produced by [`encode_block`].
+/// Decodes a block produced by [`encode_block`]. Nothing is reserved
+/// beyond what the block's words describe: the entries once it parses, and
+/// no scratch for an empty block, whatever width it announces.
 ///
 /// # Errors
 ///
-/// Returns [`DeltaDecodeError`] on truncated or oversized input.
+/// Returns [`DeltaDecodeError`] on truncated or oversized input, and on a
+/// block of zero-width entries.
 pub fn decode_block(wire: &[u32]) -> Result<Vec<Vec<u32>>, DeltaDecodeError> {
     let mut block = DeltaBlock::parse(wire)?;
-    let mut entry = vec![0; block.width()];
     let mut entries = Vec::with_capacity(block.count());
-    while block.next_into(&mut entry) {
-        entries.push(entry.clone());
+    if block.count() > 0 {
+        let mut entry = vec![0; block.width()];
+        while block.next_into(&mut entry) {
+            entries.push(entry.clone());
+        }
     }
     Ok(entries)
 }
@@ -321,9 +334,13 @@ mod tests {
 
     #[test]
     fn zero_width_entries() {
+        // They occupy no words, so no word count bounds how many a header
+        // claims: every decoder refuses them.
         let entries = vec![vec![], vec![], vec![]];
         let wire = encode_block(&entries);
-        assert_eq!(decode_block(&wire).unwrap(), entries);
+        assert_eq!(wire, [3, 0]);
+        assert_eq!(DeltaBlock::parse(&wire), Err(DeltaDecodeError::Width));
+        assert_eq!(decode_block(&wire), Err(DeltaDecodeError::Width));
     }
 
     #[test]
@@ -388,13 +405,18 @@ mod tests {
         let block = DeltaBlock::parse(&wire[1..]).unwrap();
         assert_eq!((block.count(), block.width()), (9, 40));
         assert_eq!(decode_block(&wire[1..]).unwrap().concat(), flat);
-        // Zero-width entries occupy no words: only the count comes back.
+        // Zero-width entries occupy no words and are refused; an empty
+        // block keeps the width it is told.
         let mut wire = Vec::new();
         encode_flat_into(&[], 5, 0, &mut wire);
         assert_eq!(wire, [5, 0]);
+        assert_eq!(decode_block(&wire), Err(DeltaDecodeError::Width));
+        let mut wire = Vec::new();
+        encode_flat_into(&[], 0, 40, &mut wire);
+        assert_eq!(wire, [0, 40]);
         let block = DeltaBlock::parse(&wire).unwrap();
-        assert_eq!((block.count(), block.width()), (5, 0));
-        assert_eq!(decode_block(&wire).unwrap(), vec![Vec::<u32>::new(); 5]);
+        assert_eq!((block.count(), block.width()), (0, 40));
+        assert_eq!(decode_block(&wire).unwrap(), Vec::<Vec<u32>>::new());
     }
 
     #[test]
@@ -451,9 +473,10 @@ mod tests {
         check(&[u32::MAX, u32::MAX, 0], truncated);
         check(&[2, u32::MAX, 0], truncated);
         check(&[u32::MAX, 33, 0], truncated);
-        // Zero-width entries: any count, no words.
-        check(&[u32::MAX, 0], Ok((u32::MAX as usize, 0)));
-        check(&[u32::MAX, 0, 1], Err(DeltaDecodeError::TrailingWords));
+        // Zero-width entries: no words back any count of them.
+        check(&[u32::MAX, 0], Err(DeltaDecodeError::Width));
+        check(&[1, 0], Err(DeltaDecodeError::Width));
+        check(&[u32::MAX, 0, 1], Err(DeltaDecodeError::Width));
         // An empty block of any announced width.
         check(&[0, u32::MAX], Ok((0, u32::MAX as usize)));
         check(&[0, 4, 1], Err(DeltaDecodeError::TrailingWords));
