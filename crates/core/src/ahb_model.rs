@@ -616,9 +616,9 @@ impl AhbDomainModel {
             .filter_map(|&(name, differs)| differs.then_some(name))
             .collect();
         panic!(
-            "MSABS shadow: cycle {}: granted master {} drives {:?} and its predicted {} \
-             differ from the actual, which changes {seen}: the IDLE/BUSY exemption let \
-             through a prediction the leader domain reads",
+            "MSABS shadow: cycle {}: granted master {} drives {:?}, and its prediction \
+             differs from the actual in {}, which changes {seen}: the IDLE/BUSY exemption \
+             let through a prediction the leader domain reads",
             self.cycle,
             granted.0,
             a.trans,
