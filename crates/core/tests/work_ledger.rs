@@ -18,8 +18,16 @@
 //! * **ticks** — half-bus ticks on both sides: predicted, head, replayed
 //!   and conservative cycles and the entries the laggers reached. Over the
 //!   committed cycles this is `benchmark/`'s `ahb.ticks_per_cycle`.
+//!
+//! Fig. 2 also runs over the loopback socket and the shm ring: the seven
+//! counts must equal the queue row's, and the endpoints' `BatchStats` pin
+//! what the medium cost in frames, writes, reads and empty reads.
 
-use predpkt_core::{CoEmuConfig, EmuSession, ModePolicy, PaperPath, PerfReport, TransportSelect};
+use predpkt_channel::BatchStats;
+use predpkt_core::{
+    CoEmuConfig, EmuSession, ModePolicy, PaperPath, PerfReport, ShmOptions, TcpOptions,
+    TransportSelect,
+};
 use predpkt_predict::AdaptiveSuite;
 use predpkt_workloads::{figure2_soc, mesh_hotspot_soc, MeshConfig, SyntheticModel, SyntheticSoc};
 
@@ -72,7 +80,7 @@ impl Row {
 /// cycles (`--nocapture`).
 fn row<M: predpkt_core::DomainModel + Send + 'static>(
     name: &str,
-    mut session: EmuSession<M>,
+    session: &mut EmuSession<M>,
 ) -> Row {
     session
         .run_until_committed(CYCLES)
@@ -115,7 +123,7 @@ fn synthetic(accuracy: f64) -> EmuSession<SyntheticModel> {
 fn the_synthetic_pair_at_p_0_6_is_pinned() {
     let row = row(
         "SyntheticSoc::als(0.6, 7) / queue / paper config",
-        synthetic(0.6),
+        &mut synthetic(0.6),
     );
     assert_eq!(
         row,
@@ -135,7 +143,7 @@ fn the_synthetic_pair_at_p_0_6_is_pinned() {
 fn the_synthetic_pair_at_p_1_0_is_pinned() {
     let row = row(
         "SyntheticSoc::als(1.0, 7) / queue / paper config",
-        synthetic(1.0),
+        &mut synthetic(1.0),
     );
     assert_eq!(
         row,
@@ -151,33 +159,80 @@ fn the_synthetic_pair_at_p_1_0_is_pinned() {
     );
 }
 
-#[test]
-fn the_figure2_soc_is_pinned() {
-    // What `benchmark/` runs as `soc-queue`.
-    let session = EmuSession::from_blueprint(&figure2_soc(7))
+/// Fig. 2's row over every medium.
+const FIGURE2: Row = Row {
+    committed: 2000,
+    flushed: 2826,
+    reached: 2000,
+    words: 27035,
+    accesses: 978,
+    rollbacks: 274,
+    ticks: 5667,
+};
+
+/// What `benchmark/` runs as `soc-queue`, `soc-tcp` and `soc-shm`.
+fn figure2(name: &str, transport: TransportSelect) -> (Row, Option<BatchStats>) {
+    let mut session = EmuSession::from_blueprint(&figure2_soc(7))
         .config(bench_config())
-        .transport(TransportSelect::Queue)
+        .transport(transport)
         .build()
         .expect("the Fig. 2 session builds");
-    let row = row("figure2_soc(7) / queue / bench config", session);
+    let row = row(name, &mut session);
+    let io = session.batch_stats();
+    println!("{name}: {io:?}");
+    (row, io)
+}
+
+#[test]
+fn the_figure2_soc_is_pinned() {
+    let (row, io) = figure2(
+        "figure2_soc(7) / queue / bench config",
+        TransportSelect::Queue,
+    );
+    assert_eq!(row, FIGURE2);
+    assert_eq!(io, None, "the queue has no physical medium");
+}
+
+#[test]
+fn the_figure2_soc_over_tcp_is_pinned() {
+    let (row, io) = figure2(
+        "figure2_soc(7) / tcp / bench config",
+        TransportSelect::Tcp(TcpOptions::default()),
+    );
+    assert_eq!(row, FIGURE2);
     assert_eq!(
-        row,
-        Row {
-            committed: 2000,
-            flushed: 2826,
-            reached: 2000,
-            words: 27035,
-            accesses: 978,
-            rollbacks: 274,
-            ticks: 5667,
-        }
+        io,
+        Some(BatchStats {
+            frames: 978,
+            physical_writes: 719,
+            physical_reads: 723,
+            empty_reads: 4,
+        })
+    );
+}
+
+#[test]
+fn the_figure2_soc_over_shm_is_pinned() {
+    let (row, io) = figure2(
+        "figure2_soc(7) / shm / bench config",
+        TransportSelect::Shm(ShmOptions::default()),
+    );
+    assert_eq!(row, FIGURE2);
+    assert_eq!(
+        io,
+        Some(BatchStats {
+            frames: 978,
+            physical_writes: 721,
+            physical_reads: 1441,
+            empty_reads: 721,
+        })
     );
 }
 
 #[test]
 fn the_hotspot_mesh_is_pinned() {
     // What `benchmark/` runs as `mesh-adaptive-queue`.
-    let session = EmuSession::from_blueprint(&mesh_hotspot_soc(MeshConfig {
+    let mut session = EmuSession::from_blueprint(&mesh_hotspot_soc(MeshConfig {
         seed: 7,
         ..MeshConfig::default()
     }))
@@ -188,7 +243,7 @@ fn the_hotspot_mesh_is_pinned() {
     .expect("the mesh session builds");
     let row = row(
         "mesh_hotspot_soc(7) / queue / adaptive / bench config",
-        session,
+        &mut session,
     );
     assert_eq!(
         row,
