@@ -11,15 +11,18 @@
 //! Prediction checking compares signal vectors only in positions that can
 //! influence the leader domain's state (the paper's *minimal set of active bus
 //! signals*, §3): arbitration requests always; the granted master's HTRANS
-//! always, and its address and control only while it drives NONSEQ or SEQ;
-//! write data only when it crosses into the leader domain; read data only when
-//! a leader-side master consumes it; the data-phase slave's ready/response;
-//! HSPLIT and IRQ always. Inactive positions are free — a mispredicted idle
-//! address bus costs nothing: under IDLE or BUSY no decoder, data-phase
-//! register, burst tracker or slave reads HADDR, HWRITE, HSIZE, HBURST or
-//! HPROT. A debug build checks every prediction that exemption lets through
-//! against an oracle (`shadow_exemption`), which panics if the leader domain
-//! would have seen a difference.
+//! always, and its HADDR, HWRITE, HSIZE and HBURST only while it drives NONSEQ
+//! or SEQ; write data only when it crosses into the leader domain; read data
+//! only when a leader-side master consumes it; the data-phase slave's
+//! ready/response; HSPLIT and IRQ always. Inactive positions are free — a
+//! mispredicted idle address bus costs nothing: under IDLE or BUSY no decoder,
+//! data-phase register, burst tracker or slave reads HADDR, HWRITE, HSIZE or
+//! HBURST. HPROT is never compared: no leader-side component reads it at all
+//! (the address phase the decoder routes, the data-phase register holds and
+//! every `SlaveView` carries has no HPROT field, and the arbiter reads none).
+//! A debug build checks every prediction those exemptions let through against
+//! an oracle (`shadow_exemption`), which panics if the leader domain would
+//! have seen a difference.
 //!
 //! ## Latched outputs
 //!
@@ -447,9 +450,10 @@ impl AhbDomainModel {
     /// — and of `predicted`, a packed prediction of them, agree under `view`.
     /// Which positions are active depends on `view` and the actual HTRANS
     /// alone, so the two projections are compared position by position and
-    /// never built: a granted master's address and control count only
-    /// while it drives NONSEQ or SEQ, its HTRANS always. A malformed
-    /// prediction matches nothing.
+    /// never built: a granted master's HADDR, HWRITE, HSIZE and HBURST
+    /// count only while it drives NONSEQ or SEQ, its HTRANS always, and its
+    /// HPROT never, since nothing in the leader domain reads HPROT. A
+    /// malformed prediction matches nothing.
     fn projection_matches(
         &self,
         full_m: &[MasterSignals],
@@ -495,12 +499,13 @@ impl AhbDomainModel {
                         return false;
                     }
                     // The granted master's HTRANS: always active. Its
-                    // address and control: only for a NONSEQ or SEQ transfer.
+                    // address and control: only for a NONSEQ or SEQ
+                    // transfer. Its HPROT: never read, so never active.
                     if view.grant == MasterId(i)
                         && (a.trans != p.trans
                             || a.trans.is_active()
-                                && (a.addr, a.write, a.size, a.burst, a.prot)
-                                    != (p.addr, p.write, p.size, p.burst, p.prot))
+                                && (a.addr, a.write, a.size, a.burst)
+                                    != (p.addr, p.write, p.size, p.burst))
                     {
                         return false;
                     }

@@ -1,11 +1,12 @@
 //! The edges of the MSABS rule for a granted master's address phase.
 //!
 //! A lagger compares the prediction of its granted master's HADDR, HWRITE,
-//! HSIZE, HBURST and HPROT with the actual values only while that master
-//! drives NONSEQ or SEQ: under IDLE or BUSY no decoder, data-phase register,
-//! burst tracker or slave reads them. HTRANS itself is always compared: the
+//! HSIZE and HBURST with the actual values only while that master drives
+//! NONSEQ or SEQ: under IDLE or BUSY no decoder, data-phase register, burst
+//! tracker or slave reads them. HTRANS itself is always compared: the
 //! arbiter keeps a burst on BUSY and drops it on IDLE, and only NONSEQ and
-//! SEQ open a data phase.
+//! SEQ open a data phase. HPROT is never compared: no leader-side component
+//! reads it.
 //!
 //! Each case sets up a fresh split pair whose only master, the granted
 //! default master, sits on the accelerator (the lagger) and drives a fixed
@@ -147,5 +148,17 @@ fn the_address_of_nonseq_and_seq_is_compared() {
             "{trans:?}: address and control differ"
         );
         assert!(verdict(actual, actual), "{trans:?}: an exact prediction");
+    }
+}
+
+#[test]
+fn hprot_is_never_compared() {
+    for trans in [Htrans::Nonseq, Htrans::Seq] {
+        let actual = phase(trans, 0x0040);
+        let predicted = MasterSignals {
+            prot: actual.prot ^ 0xf,
+            ..actual
+        };
+        assert!(verdict(actual, predicted), "{trans:?}: only HPROT differs");
     }
 }
