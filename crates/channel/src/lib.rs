@@ -17,10 +17,13 @@
 //!   socket-backed [`TcpTransport`] (per-side [`TcpEndpoint`]s moving
 //!   length-prefixed frames over `std::net::TcpStream`, for co-emulation
 //!   split across processes or hosts), the shared-memory [`ShmTransport`]
-//!   (per-side [`ShmEndpoint`]s over lock-free SPSC rings — in-process or
-//!   through a `/dev/shm` region file, for multi-process co-emulation on one
-//!   host), and the fault-injecting [`LossyTransport`] for
-//!   protocol-robustness scenarios.
+//!   (per-side [`ShmEndpoint`]s moving the same frames over lock-free SPSC
+//!   rings — in-process or through a `/dev/shm` region file, for
+//!   multi-process co-emulation on one host), and the fault-injecting
+//!   [`LossyTransport`] for protocol-robustness scenarios. The socket and
+//!   ring endpoints are one framed endpoint over two media: the frame codec,
+//!   ready queue, sticky error, batching, read rule and waits are written
+//!   once, and a medium only moves bytes and says how a reader waits on it.
 //! * [`CostedChannel`] — a transport combined with the cost model and
 //!   [`ChannelStats`], returning the virtual-time cost of every access so the
 //!   caller can charge its ledger.
@@ -383,12 +386,13 @@
 //!   so traces/statistics never depend on the batching mode.
 //!   [`BatchStats`] (via [`Transport::batch_stats`]) reports the achieved
 //!   frames-per-write, and the reads paid for them.
-//! * **One read per received frame.** A [`TcpEndpoint`] reads the socket
-//!   straight into its [`tcp::FrameDecoder`]'s buffer, stops draining after
-//!   a read that comes back short, and skips the read of a `recv` right
-//!   after its own write (the reply cannot be there yet). Both per-side
-//!   endpoints decode into the payloads of the packets they last sent, so
-//!   a ping-pong exchange receives without allocating.
+//! * **One read per received frame.** A [`TcpEndpoint`] or [`ShmEndpoint`]
+//!   reads its medium straight into its [`tcp::FrameDecoder`]'s buffer,
+//!   stops draining after a read that comes back short of what the medium
+//!   held, and skips the read of a `recv` right after its own write (the
+//!   reply cannot be there yet). Both decode into the payloads of the
+//!   packets they last sent, so a ping-pong exchange receives without
+//!   allocating.
 //! * **Ack piggybacking.** The reliable layer rides its cumulative ack in
 //!   every outgoing data frame (`RelData` header word 2) and emits a
 //!   standalone [`PacketTag::RelAck`] only on idle polls — when traffic is
@@ -412,6 +416,7 @@
 
 mod cost;
 pub mod fabric;
+mod framed;
 mod knob;
 mod lossy;
 mod message;
@@ -426,6 +431,7 @@ mod transport;
 
 pub use cost::{ChannelCostModel, Direction, LayeredStartup, Side};
 pub use fabric::{full_mesh, Fabric, FabricEdge};
+pub use framed::FramedEndpoint;
 pub use knob::KnobError;
 pub use lossy::{FaultSpec, FaultStats, LossyTransport};
 pub use message::{Packet, PacketTag, PacketView};

@@ -31,16 +31,18 @@
 //!
 //! ## Wire format
 //!
-//! Frames are byte-for-byte the TCP codec's
-//! ([`tcp::write_frame`]): a `u32` little-endian
-//! length prefix counting the wire words, then the tag word and payload
-//! words. The receive side copies published words out of the ring into one
-//! word buffer the endpoint keeps, and hands each copied run to the shared
-//! [`FrameDecoder`] in one call; the decoder fills payload buffers recycled
-//! from the packets this endpoint sent, so a ping-pong exchange receives
-//! without allocating. Malformed input — zero or
-//! oversized prefixes, unknown tags, a peer that died mid-frame — surfaces as
-//! a typed [`RingError`], never a panic.
+//! A [`ShmEndpoint`] is the crate's framed endpoint over a ring — the same
+//! endpoint a [`TcpEndpoint`](crate::TcpEndpoint) is over a socket — so
+//! frames are byte-for-byte the TCP codec's ([`tcp::write_frame`]): a `u32`
+//! little-endian length prefix counting the wire words, then the tag word and
+//! payload words. A read copies published words out of the ring straight into
+//! the [`FrameDecoder`](tcp::FrameDecoder)'s receive buffer; the decoder
+//! fills payload buffers recycled from the packets this endpoint sent, so a
+//! ping-pong exchange receives without allocating. A `recv` right after the
+//! endpoint's own publication does not look at the ring (the reply cannot be
+//! there yet; the next call looks). Malformed input — zero or oversized
+//! prefixes, unknown tags, a peer that died mid-frame — surfaces as a typed
+//! [`RingError`], never a panic.
 //!
 //! ## Liveness and teardown
 //!
@@ -52,10 +54,8 @@
 //! decoder stranded, which the survivor reports as [`RingError::TornFrame`].
 
 use crate::cost::Side;
-use crate::message::Packet;
-use crate::tcp::{self, FrameDecoder, FrameError};
-use crate::transport::{BatchStats, Transport, WaitTransport};
-use std::collections::VecDeque;
+use crate::framed::{FramedEndpoint, Got, Medium};
+use crate::tcp::{self, FrameError};
 use std::error::Error;
 use std::fmt;
 use std::io;
@@ -104,9 +104,7 @@ const DRAIN_CHUNK_WORDS: usize = 512;
 // transports; the ring's own blocking wait keeps using the same tuned
 // constants (hard spin for atomic-load polls, a token spin plus coarser
 // parks for syscall-cost polls).
-use crate::poll::{
-    PollReady, Readiness, PARK_SLICE, PARK_SLICE_SYSCALL, SPIN_POLLS, SPIN_POLLS_SYSCALL,
-};
+use crate::poll::{PARK_SLICE, PARK_SLICE_SYSCALL, SPIN_POLLS, SPIN_POLLS_SYSCALL};
 
 /// Why a shared-memory ring operation failed.
 ///
@@ -224,7 +222,7 @@ fn side_index(side: Side) -> usize {
 /// acquire/release semantics (atomics on the heap backing; syscall-ordered
 /// positioned I/O on the file backing); data words need no ordering of their
 /// own because the head/tail publication protocol brackets them.
-trait RingBacking: Send + Sync {
+trait RingBacking: Send {
     /// Per-direction data capacity in words (a power of two).
     fn capacity(&self) -> u32;
     /// Acquire-load of a ring's producer counter.
@@ -235,11 +233,12 @@ trait RingBacking: Send + Sync {
     fn tail(&self, ring: RingDir) -> Result<u32, RingError>;
     /// Release-store of a ring's consumer counter.
     fn set_tail(&self, ring: RingDir, v: u32) -> Result<(), RingError>;
-    /// Copies `data` into the ring at `slot..slot + data.len()` (no wrap:
-    /// the caller splits runs at the ring boundary).
-    fn write_data(&self, ring: RingDir, slot: u32, data: &[u32]) -> Result<(), RingError>;
-    /// Copies `out.len()` words out of the ring starting at `slot` (no wrap).
-    fn read_data(&self, ring: RingDir, slot: u32, out: &mut [u32]) -> Result<(), RingError>;
+    /// Copies `data`, whole little-endian words, into the ring from word
+    /// `slot` on (no wrap: the caller splits runs at the ring boundary).
+    fn write_data(&self, ring: RingDir, slot: u32, data: &[u8]) -> Result<(), RingError>;
+    /// Fills `out` with little-endian words of the ring from word `slot` on
+    /// (no wrap).
+    fn read_data(&self, ring: RingDir, slot: u32, out: &mut [u8]) -> Result<(), RingError>;
     /// Whether `side`'s endpoint is currently attached.
     fn alive(&self, side: Side) -> Result<bool, RingError>;
     /// Flips `side`'s attachment flag.
@@ -369,27 +368,30 @@ impl RingBacking for HeapBacking {
         Ok(())
     }
 
-    fn write_data(&self, ring: RingDir, slot: u32, data: &[u32]) -> Result<(), RingError> {
-        // `slot..slot+data.len()` lies in the producer-owned span
+    fn write_data(&self, ring: RingDir, slot: u32, data: &[u8]) -> Result<(), RingError> {
+        // The written words lie in the producer-owned span
         // [head, head+free): the consumer has release-stored a tail covering
         // these slots and will not read them again until the producer's
         // subsequent release-store of head publishes them, so Relaxed is
         // enough here. See `ShmRegion` for the full protocol.
-        let cells = &self.slot().rings[ring.index()].data;
-        for (i, &w) in data.iter().enumerate() {
-            cells[slot as usize + i].store(w, Ordering::Relaxed);
+        let cells = &self.slot().rings[ring.index()].data[slot as usize..];
+        for (cell, word) in cells.iter().zip(data.chunks_exact(4)) {
+            cell.store(
+                u32::from_le_bytes(word.try_into().unwrap()),
+                Ordering::Relaxed,
+            );
         }
         Ok(())
     }
 
-    fn read_data(&self, ring: RingDir, slot: u32, out: &mut [u32]) -> Result<(), RingError> {
-        // `slot..slot+out.len()` lies in the consumer-owned span
-        // [tail, head): the producer release-stored a head covering these
-        // slots (acquire-loaded by the caller) and will not write them again
+    fn read_data(&self, ring: RingDir, slot: u32, out: &mut [u8]) -> Result<(), RingError> {
+        // The read words lie in the consumer-owned span [tail, head): the
+        // producer release-stored a head covering these slots
+        // (acquire-loaded by the caller) and will not write them again
         // until the consumer's subsequent release-store of tail frees them.
-        let cells = &self.slot().rings[ring.index()].data;
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = cells[slot as usize + i].load(Ordering::Relaxed);
+        let cells = &self.slot().rings[ring.index()].data[slot as usize..];
+        for (cell, word) in cells.iter().zip(out.chunks_exact_mut(4)) {
+            word.copy_from_slice(&cell.load(Ordering::Relaxed).to_le_bytes());
         }
         Ok(())
     }
@@ -600,24 +602,16 @@ mod file_backing {
             self.write_word(self.ctrl_word(ring, true), v)
         }
 
-        fn write_data(&self, ring: RingDir, slot: u32, data: &[u32]) -> Result<(), RingError> {
-            let mut bytes = Vec::with_capacity(data.len() * 4);
-            for w in data {
-                bytes.extend_from_slice(&w.to_le_bytes());
-            }
+        fn write_data(&self, ring: RingDir, slot: u32, data: &[u8]) -> Result<(), RingError> {
             self.file
-                .write_all_at(&bytes, (self.data_base(ring) + u64::from(slot)) * 4)
+                .write_all_at(data, (self.data_base(ring) + u64::from(slot)) * 4)
                 .map_err(RingError::from)
         }
 
-        fn read_data(&self, ring: RingDir, slot: u32, out: &mut [u32]) -> Result<(), RingError> {
-            let mut bytes = vec![0u8; out.len() * 4];
+        fn read_data(&self, ring: RingDir, slot: u32, out: &mut [u8]) -> Result<(), RingError> {
             self.file
-                .read_exact_at(&mut bytes, (self.data_base(ring) + u64::from(slot)) * 4)?;
-            for (i, o) in out.iter_mut().enumerate() {
-                *o = u32::from_le_bytes(bytes[4 * i..4 * i + 4].try_into().unwrap());
-            }
-            Ok(())
+                .read_exact_at(out, (self.data_base(ring) + u64::from(slot)) * 4)
+                .map_err(RingError::from)
         }
 
         fn alive(&self, side: Side) -> Result<bool, RingError> {
@@ -702,23 +696,11 @@ impl ShmTransport {
         let region = Arc::new(ShmRegion::with_links(capacity, links));
         (0..links)
             .map(|link| {
-                let sim = ShmEndpoint::over_backing(
-                    Arc::new(HeapBacking {
-                        region: Arc::clone(&region),
-                        link,
-                    }),
-                    Side::Simulator,
-                    true,
-                );
-                let acc = ShmEndpoint::over_backing(
-                    Arc::new(HeapBacking {
-                        region: Arc::clone(&region),
-                        link,
-                    }),
-                    Side::Accelerator,
-                    true,
-                );
-                (sim, acc)
+                let end = |side| {
+                    let region = Arc::clone(&region);
+                    ShmEndpoint::over_backing(Box::new(HeapBacking { region, link }), side, true)
+                };
+                (end(Side::Simulator), end(Side::Accelerator))
             })
             .collect()
     }
@@ -791,61 +773,188 @@ fn ring_capacity(ring_words: u32) -> u32 {
         .next_power_of_two()
 }
 
-/// One side's endpoint of a shared-memory ring channel; `Send`, so it moves
-/// to its domain's thread (or lives in its domain's process, for the
-/// file-backed form). Implements [`Transport`] and [`WaitTransport`] for the
-/// side it belongs to, exactly like
+/// One side's endpoint of a shared-memory ring channel: the framed endpoint
+/// over a word ring. `Send`, so it moves to its domain's thread (or lives in
+/// its domain's process, for the file-backed form); implements
+/// [`Transport`](crate::Transport) and [`WaitTransport`](crate::WaitTransport)
+/// for the side it belongs to, exactly like
 /// [`TcpEndpoint`](crate::TcpEndpoint) / [`ThreadedEndpoint`](crate::ThreadedEndpoint).
-pub struct ShmEndpoint {
-    side: Side,
-    backing: Arc<dyn RingBacking>,
-    /// Reassembles drained ring words into packets (the TCP frame codec).
-    decoder: FrameDecoder,
-    /// Decoded packets awaiting [`Transport::recv`].
-    ready: VecDeque<Packet>,
-    /// Local copy of the outbound ring's head (this side is its producer).
-    out_head: u32,
-    /// Local copy of the inbound ring's tail (this side is its consumer).
-    in_tail: u32,
-    /// Sticky first failure: once the ring is corrupt, wedged, or the peer
-    /// is gone mid-frame, the endpoint delivers nothing further and reports
-    /// the cause here (starvation is detected upstream by the session
-    /// layer, mirroring the socket endpoint).
-    error: Option<RingError>,
-    /// The peer has been observed attached at least once — required before
-    /// a cleared liveness flag can mean "gone" rather than "not yet
-    /// attached" (the file-backed form attaches asymmetrically).
-    peer_seen: bool,
-    /// The peer's liveness flag has been observed cleared after attachment.
-    peer_closed: bool,
-    /// See [`SEND_TIMEOUT`]; tests shrink it to exercise backpressure
-    /// failure without ten-second waits.
-    send_timeout: Duration,
-    /// See [`DEFAULT_CHUNK_WORDS`]; tests shrink it to place chunk seams at
-    /// every offset inside a frame.
-    chunk_words: u32,
-    /// Reused frame-encoding scratch: sends serialize into this word buffer
-    /// and publish it in one pass, so the
-    /// steady-state send path performs no heap allocation and a batch of
-    /// frames shares its head-counter publications.
-    out_scratch: Vec<u32>,
-    /// Reused drain buffer ([`DRAIN_CHUNK_WORDS`] long): a poll copies
-    /// published words out of the ring into it and hands them to the
-    /// decoder in one call.
-    in_scratch: Vec<u32>,
-    /// Frames vs head-counter publications issued (the batching win,
-    /// measured), and the chunks and empty polls paid on the receive side.
-    io_stats: BatchStats,
+pub type ShmEndpoint = FramedEndpoint<Ring>;
+
+mod sealed {
+    use super::{RingBacking, Side};
+    use std::time::Duration;
+
+    /// One side's view of a link slot's ring pair: the medium under a
+    /// [`ShmEndpoint`](super::ShmEndpoint). Public in a private module, so
+    /// the endpoint type can name it and nothing outside the crate can.
+    pub struct Ring {
+        pub(super) side: Side,
+        pub(super) backing: Box<dyn RingBacking>,
+        /// Local copy of the outbound ring's head (this side is its producer).
+        pub(super) out_head: u32,
+        /// Local copy of the inbound ring's tail (this side is its consumer).
+        pub(super) in_tail: u32,
+        /// The peer has been observed attached at least once — required
+        /// before a cleared liveness flag can mean "gone" rather than "not
+        /// yet attached" (the file-backed form attaches asymmetrically).
+        pub(super) peer_seen: bool,
+        /// See `SEND_TIMEOUT`; tests shrink it to exercise backpressure
+        /// failure without ten-second waits.
+        pub(super) send_timeout: Duration,
+        /// See `DEFAULT_CHUNK_WORDS`; tests shrink it to place chunk seams
+        /// at every offset inside a frame.
+        pub(super) chunk_words: u32,
+    }
 }
 
-impl fmt::Debug for ShmEndpoint {
+use sealed::Ring;
+
+impl fmt::Debug for Ring {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ShmEndpoint")
-            .field("side", &self.side)
+        f.debug_struct("Ring")
             .field("capacity", &self.backing.capacity())
-            .field("ready", &self.ready.len())
-            .field("error", &self.error)
             .finish_non_exhaustive()
+    }
+}
+
+impl Ring {
+    /// One peer-liveness observation: whether the peer, once seen attached,
+    /// has cleared its flag.
+    fn peer_gone(&mut self) -> Result<bool, RingError> {
+        let alive = self.backing.alive(self.side.peer())?;
+        self.peer_seen |= alive;
+        Ok(self.peer_seen && !alive)
+    }
+}
+
+impl Medium for Ring {
+    type Error = RingError;
+
+    fn admit(&self, wire_words: u64) -> Result<(), RingError> {
+        let frame_words = wire_words + 1;
+        if frame_words > u64::from(self.backing.capacity())
+            || wire_words > u64::from(tcp::MAX_FRAME_WORDS)
+        {
+            return Err(RingError::Oversized {
+                words: frame_words.min(u64::from(u32::MAX)) as u32,
+            });
+        }
+        Ok(())
+    }
+
+    /// Pushes the frames' words into the outbound ring, publishing in
+    /// [`chunk_words`](ShmEndpoint::set_chunk_words) slices and waiting
+    /// (bounded by the send deadline) whenever the ring is full.
+    fn write_frames(&mut self, bytes: &[u8], writes: &mut u64) -> Result<(), RingError> {
+        let ring = RingDir::outbound_from(self.side);
+        let capacity = self.backing.capacity();
+        let words = bytes.len() / 4;
+        let mut written = 0usize;
+        let mut deadline = None;
+        while written < words {
+            let free = capacity - self.out_head.wrapping_sub(self.backing.tail(ring)?);
+            if free == 0 {
+                if self.peer_gone()? {
+                    return Err(RingError::PeerGone);
+                }
+                let deadline = *deadline.get_or_insert_with(|| Instant::now() + self.send_timeout);
+                if Instant::now() >= deadline {
+                    return Err(RingError::Full {
+                        remaining: (words - written) as u32,
+                        capacity,
+                    });
+                }
+                thread::sleep(PARK_SLICE);
+                continue;
+            }
+            let slot = self.out_head & (capacity - 1);
+            let n = (words - written)
+                .min(free as usize)
+                .min((capacity - slot) as usize)
+                .min(self.chunk_words as usize);
+            self.backing
+                .write_data(ring, slot, &bytes[4 * written..4 * (written + n)])?;
+            self.out_head = self.out_head.wrapping_add(n as u32);
+            self.backing.set_head(ring, self.out_head)?;
+            *writes += 1;
+            written += n;
+        }
+        Ok(())
+    }
+
+    /// One look at the inbound head, copying out what it published (at most
+    /// `DRAIN_CHUNK_WORDS` per tail release). Only a ring found empty asks
+    /// whether the peer is gone.
+    fn try_read(&mut self, room: &mut [u8]) -> Result<Got, RingError> {
+        let ring = RingDir::outbound_from(self.side.peer());
+        let mut avail = self.backing.head(ring)?.wrapping_sub(self.in_tail);
+        if avail == 0 {
+            if !self.peer_gone()? {
+                return Ok(Got::Nothing);
+            }
+            // The peer clears its flag strictly after its last publication,
+            // so one more look at the head sees everything it sent.
+            avail = self.backing.head(ring)?.wrapping_sub(self.in_tail);
+            if avail == 0 {
+                return Ok(Got::Closed);
+            }
+        }
+        let capacity = self.backing.capacity();
+        let slot = self.in_tail & (capacity - 1);
+        let n = (avail as usize)
+            .min((capacity - slot) as usize)
+            .min(DRAIN_CHUNK_WORDS)
+            .min(room.len() / 4);
+        self.backing.read_data(ring, slot, &mut room[..4 * n])?;
+        self.in_tail = self.in_tail.wrapping_add(n as u32);
+        self.backing.set_tail(ring, self.in_tail)?;
+        Ok(Got::Bytes {
+            len: 4 * n,
+            more: n < avail as usize,
+        })
+    }
+
+    /// Bounded spin first: shared-memory handoffs complete in well under a
+    /// microsecond and the peer's turnaround in a few, so most waits resolve
+    /// there without a sleep (a hard spin on atomic-load polls, a token spin
+    /// on syscall polls). Then parks in short slices; every look also
+    /// re-checks the peer's liveness flag, so a dropped peer (which clears
+    /// its flag on drop) wakes the waiter within one slice.
+    fn read_within(&mut self, room: &mut [u8], timeout: Duration) -> Result<Got, RingError> {
+        let deadline = Instant::now() + timeout;
+        let (mut spins, park) = if self.backing.poll_is_cheap() {
+            (SPIN_POLLS, PARK_SLICE)
+        } else {
+            (SPIN_POLLS_SYSCALL, PARK_SLICE_SYSCALL)
+        };
+        loop {
+            let got = self.try_read(room)?;
+            if got != Got::Nothing {
+                return Ok(got);
+            }
+            if spins > 0 {
+                spins -= 1;
+                std::hint::spin_loop();
+                continue;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return Ok(Got::Nothing);
+            }
+            thread::sleep(park.min(deadline - now));
+        }
+    }
+
+    fn torn(missing: usize) -> RingError {
+        RingError::TornFrame { missing }
+    }
+
+    /// Clears this side's liveness flag; a peer's waits re-check it. (The
+    /// file backing also unlinks the region file when the creating endpoint
+    /// drops.)
+    fn close(&mut self) {
+        let _ = self.backing.set_alive(self.side, false);
     }
 }
 
@@ -854,25 +963,21 @@ impl ShmEndpoint {
     /// both ends of an in-process pair, and an attacher (whose creator
     /// necessarily preceded it). Only a region *creator* must first observe
     /// its peer attach before a cleared flag can mean "gone".
-    fn over_backing(backing: Arc<dyn RingBacking>, side: Side, peer_seen: bool) -> Self {
+    fn over_backing(backing: Box<dyn RingBacking>, side: Side, peer_seen: bool) -> Self {
         // Attachment must be visible to the peer before any traffic.
         let _ = backing.set_alive(side, true);
-        ShmEndpoint {
+        FramedEndpoint::new(
             side,
-            backing,
-            decoder: FrameDecoder::new(),
-            ready: VecDeque::new(),
-            out_head: 0,
-            in_tail: 0,
-            error: None,
-            peer_seen,
-            peer_closed: false,
-            send_timeout: SEND_TIMEOUT,
-            chunk_words: DEFAULT_CHUNK_WORDS,
-            out_scratch: Vec::new(),
-            in_scratch: vec![0; DRAIN_CHUNK_WORDS],
-            io_stats: BatchStats::default(),
-        }
+            Ring {
+                side,
+                backing,
+                out_head: 0,
+                in_tail: 0,
+                peer_seen,
+                send_timeout: SEND_TIMEOUT,
+                chunk_words: DEFAULT_CHUNK_WORDS,
+            },
+        )
     }
 
     /// Creates a region file at `path` with the default ring capacity and
@@ -928,7 +1033,7 @@ impl ShmEndpoint {
         let links = u32::try_from(links).unwrap_or(u32::MAX);
         let backing =
             file_backing::FileBacking::create(path.as_ref(), ring_capacity(ring_words), links)?;
-        Ok(Self::over_backing(Arc::new(backing), side, false))
+        Ok(Self::over_backing(Box::new(backing), side, false))
     }
 
     /// Attaches to an existing region file created by a peer process.
@@ -958,34 +1063,17 @@ impl ShmEndpoint {
         let link = u32::try_from(link)
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "link index overflow"))?;
         let backing = file_backing::FileBacking::attach(path.as_ref(), link)?;
-        Ok(Self::over_backing(Arc::new(backing), side, true))
-    }
-
-    /// Which side this endpoint belongs to.
-    pub fn side(&self) -> Side {
-        self.side
+        Ok(Self::over_backing(Box::new(backing), side, true))
     }
 
     /// Per-direction ring capacity in data words.
     pub fn capacity_words(&self) -> u32 {
-        self.backing.capacity()
-    }
-
-    /// The first ring failure, if the channel has broken down. A sticky
-    /// error means the endpoint will never deliver again; the session layer
-    /// sees the resulting starvation as a deadlock.
-    pub fn last_error(&self) -> Option<&RingError> {
-        self.error.as_ref()
-    }
-
-    /// True once the peer has detached (liveness flag observed cleared).
-    pub fn peer_closed(&self) -> bool {
-        self.peer_closed
+        self.medium.backing.capacity()
     }
 
     /// Overrides the full-ring send deadline (default [`SEND_TIMEOUT`]).
     pub fn set_send_timeout(&mut self, timeout: Duration) {
-        self.send_timeout = timeout;
+        self.medium.send_timeout = timeout;
     }
 
     /// Overrides the words published per head-counter release — test
@@ -993,7 +1081,7 @@ impl ShmEndpoint {
     /// offset inside a frame.
     #[doc(hidden)]
     pub fn set_chunk_words(&mut self, words: u32) {
-        self.chunk_words = words.max(1);
+        self.medium.chunk_words = words.max(1);
     }
 
     /// Writes raw words into the outbound ring and publishes them without
@@ -1002,350 +1090,17 @@ impl ShmEndpoint {
     /// follow, then drop the endpoint).
     #[doc(hidden)]
     pub fn inject_raw_words(&mut self, words: &[u32]) {
-        let mut deadline = None;
-        if let Err(e) = self.push_words(words, &mut deadline) {
-            self.record_error(e);
-        }
-    }
-
-    fn record_error(&mut self, e: RingError) {
-        if self.error.is_none() {
-            self.error = Some(e);
-        }
-    }
-
-    /// True once nothing further will ever be decoded from the ring.
-    fn channel_dead(&self) -> bool {
-        self.error.is_some() || self.peer_closed
-    }
-
-    /// One peer-liveness observation; flips `peer_seen`/`peer_closed`.
-    fn observe_peer(&mut self) -> Result<(), RingError> {
-        if self.backing.alive(self.side.peer())? {
-            self.peer_seen = true;
-        } else if self.peer_seen {
-            self.peer_closed = true;
-        }
-        Ok(())
-    }
-
-    /// Pushes `words` into the outbound ring, publishing in
-    /// [`chunk_words`](Self::set_chunk_words) slices and waiting (bounded by
-    /// the send deadline) whenever the ring is full.
-    fn push_words(
-        &mut self,
-        words: &[u32],
-        deadline: &mut Option<Instant>,
-    ) -> Result<(), RingError> {
-        let ring = RingDir::outbound_from(self.side);
-        let capacity = self.backing.capacity();
-        let mask = capacity - 1;
-        let mut written = 0usize;
-        while written < words.len() {
-            let tail = self.backing.tail(ring)?;
-            let free = capacity - self.out_head.wrapping_sub(tail);
-            if free == 0 {
-                self.observe_peer()?;
-                if self.peer_closed {
-                    return Err(RingError::PeerGone);
-                }
-                let deadline = deadline.get_or_insert_with(|| Instant::now() + self.send_timeout);
-                if Instant::now() >= *deadline {
-                    return Err(RingError::Full {
-                        remaining: (words.len() - written) as u32,
-                        capacity,
-                    });
-                }
-                thread::sleep(PARK_SLICE);
-                continue;
-            }
-            let slot = self.out_head & mask;
-            let contiguous = capacity - slot;
-            let n = (words.len() - written)
-                .min(free as usize)
-                .min(contiguous as usize)
-                .min(self.chunk_words as usize);
-            self.backing
-                .write_data(ring, slot, &words[written..written + n])?;
-            self.out_head = self.out_head.wrapping_add(n as u32);
-            self.backing.set_head(ring, self.out_head)?;
-            self.io_stats.physical_writes += 1;
-            written += n;
-        }
-        Ok(())
-    }
-
-    /// Appends `packet` as ring words (length prefix, tag word, payload
-    /// words) to `scratch`. Returns `false` — recording the sticky
-    /// [`RingError::Oversized`] — when the frame can never fit the ring.
-    fn encode_ring_frame(&mut self, packet: &Packet, scratch: &mut Vec<u32>) -> bool {
-        let wire_words = packet.wire_words();
-        let frame_words = wire_words + 1;
-        if frame_words > u64::from(self.backing.capacity())
-            || wire_words > u64::from(tcp::MAX_FRAME_WORDS)
-        {
-            self.record_error(RingError::Oversized {
-                words: frame_words.min(u64::from(u32::MAX)) as u32,
-            });
-            return false;
-        }
-        scratch.push(wire_words as u32);
-        packet.encode_into(scratch);
-        true
-    }
-
-    /// Publishes the encoded frames in `scratch` — `frames` of them — into
-    /// the outbound ring, recording the first failure as the sticky error.
-    fn push_scratch(&mut self, scratch: &[u32], frames: u64) {
-        if frames == 0 {
-            return;
-        }
-        self.io_stats.frames += frames;
-        let mut deadline = None;
-        if let Err(e) = self.push_words(scratch, &mut deadline) {
-            self.record_error(e);
-        }
-    }
-
-    /// Drains every published inbound word through the frame decoder into
-    /// the ready queue, freeing ring space as it goes.
-    fn poll(&mut self) {
-        if self.error.is_some() {
-            return;
-        }
-        let ring = RingDir::outbound_from(self.side.peer());
-        let capacity = self.backing.capacity();
-        let mask = capacity - 1;
-        let mut drained = false;
-        loop {
-            let head = match self.backing.head(ring) {
-                Ok(h) => h,
-                Err(e) => return self.record_error(e),
-            };
-            let avail = head.wrapping_sub(self.in_tail);
-            if avail == 0 {
-                if !drained {
-                    self.io_stats.physical_reads += 1;
-                    self.io_stats.empty_reads += 1;
-                }
-                // Quiescent: now (and only now) a cleared liveness flag
-                // means the peer is gone. Re-check the head afterwards — the
-                // peer clears the flag strictly after its last publication,
-                // so one more pass drains anything that raced us.
-                let was_closed = self.peer_closed;
-                if let Err(e) = self.observe_peer() {
-                    return self.record_error(e);
-                }
-                if self.peer_closed && !was_closed {
-                    continue; // one re-drain after observing the close
-                }
-                if self.peer_closed && self.decoder.is_mid_frame() {
-                    let missing = self.decoder.missing_bytes();
-                    return self.record_error(RingError::TornFrame { missing });
-                }
-                return;
-            }
-            let slot = self.in_tail & mask;
-            let n = (avail as usize)
-                .min((capacity - slot) as usize)
-                .min(DRAIN_CHUNK_WORDS);
-            let words = &mut self.in_scratch[..n];
-            if let Err(e) = self.backing.read_data(ring, slot, words) {
-                return self.record_error(e);
-            }
-            self.io_stats.physical_reads += 1;
-            drained = true;
-            self.in_tail = self.in_tail.wrapping_add(n as u32);
-            if let Err(e) = self.backing.set_tail(ring, self.in_tail) {
-                return self.record_error(e);
-            }
-            self.decoder.push_words(&self.in_scratch[..n]);
-            loop {
-                match self.decoder.next_frame() {
-                    Ok(Some(packet)) => self.ready.push_back(packet),
-                    Ok(None) => break,
-                    Err(e) => return self.record_error(e.into()),
-                }
-            }
-        }
-    }
-}
-
-// A socket-like endpoint carries **no serializable session state**: its
-// medium lives outside this process's cut, so a checkpoint saves nothing
-// and restore is a no-op. Frames in flight at the cut are healed by the
-// reliable layer's re-armed retransmission window (duplicates are
-// suppressed, cumulative acks are idempotent) — which is why sessions that
-// need restore-exactness over endpoint backends run them under
-// [`ReliableTransport`](crate::ReliableTransport).
-predpkt_sim::declare_state! { impl ShmEndpoint {} }
-
-impl Transport for ShmEndpoint {
-    fn send(&mut self, from: Side, packet: Packet) {
-        self.send_ref(from, &packet);
-        self.decoder.recycle(packet.into_payload());
-    }
-
-    /// A lone send is the one-element batch (single shared body — the
-    /// error-guard/scratch/publish sequence lives in `send_batch_ref`
-    /// alone).
-    fn send_ref(&mut self, from: Side, packet: &Packet) {
-        self.send_batch_ref(from, &mut std::iter::once(packet));
-    }
-
-    /// The sent payloads refill the decoder's pool: the next frames this
-    /// end receives decode into them.
-    fn send_batch(&mut self, from: Side, packets: &mut Vec<Packet>) {
-        self.send_batch_ref(from, &mut packets.iter());
-        for packet in packets.drain(..) {
-            self.decoder.recycle(packet.into_payload());
-        }
-    }
-
-    /// Coalesces the whole batch into the scratch buffer and publishes it in
-    /// one publication pass: consecutive frames share head-counter
-    /// publications (one release-store per [`chunk
-    /// words`](Self::set_chunk_words) slice) instead of paying at least one
-    /// per frame.
-    fn send_batch_ref(&mut self, from: Side, packets: &mut dyn Iterator<Item = &Packet>) {
-        debug_assert_eq!(from, self.side, "endpoints send from their own side");
-        if self.error.is_some() {
-            return;
-        }
-        let mut scratch = std::mem::take(&mut self.out_scratch);
-        scratch.clear();
-        let mut frames = 0u64;
-        for packet in packets {
-            if !self.encode_ring_frame(packet, &mut scratch) {
-                // Oversized mid-batch: the offender is dropped with the
-                // sticky error recorded (every later send would be dropped
-                // too); frames already encoded still go out, matching the
-                // sequential path.
-                break;
-            }
-            frames += 1;
-        }
-        self.push_scratch(&scratch, frames);
-        self.out_scratch = scratch;
-    }
-
-    fn recv(&mut self, to: Side) -> Option<Packet> {
-        debug_assert_eq!(to, self.side, "endpoints receive for their own side");
-        if self.ready.is_empty() {
-            self.poll();
-        }
-        self.ready.pop_front()
-    }
-
-    /// Packets decoded locally and awaiting `recv`. Like the socket
-    /// endpoint there is no shared in-flight counter — the peer may be
-    /// another process — so frames still in the ring are not counted.
-    fn pending(&self, to: Side) -> usize {
-        debug_assert_eq!(to, self.side, "endpoints count for their own side");
-        self.ready.len()
-    }
-
-    fn batch_stats(&self) -> Option<BatchStats> {
-        Some(self.io_stats)
-    }
-}
-
-impl WaitTransport for ShmEndpoint {
-    fn wait_for_packet(&mut self, timeout: Duration) -> bool {
-        if !self.ready.is_empty() {
-            return true;
-        }
-        self.poll();
-        if !self.ready.is_empty() {
-            return true;
-        }
-        if self.channel_dead() {
-            // Nothing will ever arrive, but returning instantly would turn
-            // the caller's poll loop into a hot spin (and, under a reliable
-            // wrapper, burn the retry budget in wall-clock microseconds).
-            // Pace the caller exactly like a live-but-silent link would.
-            thread::sleep(timeout);
-            return false;
-        }
-        let deadline = Instant::now() + timeout;
-        // Bounded spin: shared-memory handoffs complete in well under a
-        // microsecond and the peer's turnaround in a few, so most waits
-        // resolve here without a sleep (budget per backing: hard spin on
-        // atomic-load polls, a token spin on syscall polls).
-        let spins = if self.backing.poll_is_cheap() {
-            SPIN_POLLS
-        } else {
-            SPIN_POLLS_SYSCALL
-        };
-        for _ in 0..spins {
-            std::hint::spin_loop();
-            self.poll();
-            if !self.ready.is_empty() {
-                return true;
-            }
-            if self.channel_dead() {
-                return false;
-            }
-        }
-        // Park in short slices; each wakeup re-checks the data *and* the
-        // peer's liveness flag, so a dropped peer (which clears its flag on
-        // Drop) wakes this waiter within one slice rather than letting it
-        // sleep out a long timeout.
-        let park = if self.backing.poll_is_cheap() {
-            PARK_SLICE
-        } else {
-            PARK_SLICE_SYSCALL
-        };
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            thread::sleep(park.min(deadline - now));
-            self.poll();
-            if !self.ready.is_empty() {
-                return true;
-            }
-            if self.channel_dead() {
-                return false;
-            }
-        }
-    }
-}
-
-impl PollReady for ShmEndpoint {
-    /// Head/tail and liveness atomics only (plus the decode of whatever they
-    /// reveal): one drain pass, no spinning, no sleeping — the poll-set's
-    /// per-source probe.
-    fn readiness(&mut self) -> Readiness {
-        if self.ready.is_empty() {
-            self.poll();
-        }
-        if !self.ready.is_empty() {
-            Readiness::Ready
-        } else if self.channel_dead() {
-            Readiness::Dead
-        } else {
-            Readiness::Idle
-        }
-    }
-}
-
-impl Drop for ShmEndpoint {
-    fn drop(&mut self) {
-        // Wake a peer blocked in wait_for_packet promptly: its park slices
-        // re-check this flag. (The file backing additionally unlinks the
-        // region file when the creating endpoint drops.)
-        let _ = self.backing.set_alive(self.side, false);
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        self.write_bytes(&bytes);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{ChannelCostModel, Direction};
-    use crate::message::PacketTag;
-    use crate::transport::CostedChannel;
+    use crate::framed::tests as both;
+    use crate::message::{Packet, PacketTag};
+    use crate::transport::{Transport, WaitTransport};
 
     fn pair() -> (ShmEndpoint, ShmEndpoint) {
         ShmTransport::pair()
@@ -1353,76 +1108,32 @@ mod tests {
 
     #[test]
     fn loopback_ping_pong() {
-        let (mut sim, mut acc) = pair();
-        let worker = thread::spawn(move || {
-            for _ in 0..50 {
-                while !acc.wait_for_packet(Duration::from_secs(5)) {}
-                let p = acc.recv(Side::Accelerator).unwrap();
-                let bumped: Vec<u32> = p.payload().iter().map(|w| w + 1).collect();
-                acc.send(
-                    Side::Accelerator,
-                    Packet::new(PacketTag::CycleOutputs, bumped),
-                );
-            }
-        });
-        for i in 0..50u32 {
-            sim.send(
-                Side::Simulator,
-                Packet::new(PacketTag::CycleOutputs, vec![i]),
-            );
-            while !sim.wait_for_packet(Duration::from_secs(5)) {}
-            let reply = sim.recv(Side::Simulator).unwrap();
-            assert_eq!(reply.payload(), &[i + 1]);
-        }
-        worker.join().unwrap();
+        both::ping_pong(pair());
     }
 
     #[test]
     fn recv_is_nonblocking_when_empty() {
-        let (mut sim, _acc) = pair();
-        assert!(sim.recv(Side::Simulator).is_none());
-        assert_eq!(sim.pending(Side::Simulator), 0);
+        both::recv_is_nonblocking_when_empty(pair());
     }
 
     #[test]
     fn wait_times_out_then_delivers() {
-        let (mut sim, mut acc) = pair();
-        assert!(!sim.wait_for_packet(Duration::from_millis(5)));
-        acc.send(Side::Accelerator, Packet::new(PacketTag::Handshake, vec![]));
-        assert!(sim.wait_for_packet(Duration::from_secs(5)));
-        assert_eq!(
-            sim.recv(Side::Simulator).unwrap().tag(),
-            PacketTag::Handshake
-        );
+        both::wait_times_out_then_delivers(pair());
     }
 
     #[test]
     fn fifo_order_preserved_across_the_ring() {
-        let (mut sim, mut acc) = pair();
-        for i in 0..100u32 {
-            sim.send(
-                Side::Simulator,
-                Packet::new(PacketTag::Burst, vec![i; (i % 7) as usize]),
-            );
-        }
-        for i in 0..100u32 {
-            while !acc.wait_for_packet(Duration::from_secs(5)) {}
-            let p = acc.recv(Side::Accelerator).unwrap();
-            assert_eq!(p.payload(), vec![i; (i % 7) as usize].as_slice());
-        }
+        both::fifo_order_preserved(pair());
     }
 
     #[test]
     fn costed_endpoint_bills_like_any_transport() {
-        let (sim_end, mut acc_end) = pair();
-        let mut sim = CostedChannel::with_transport(sim_end, ChannelCostModel::iprove_pci());
-        let cost = sim.send(Side::Simulator, Packet::new(PacketTag::Burst, vec![0; 9]));
-        assert_eq!(
-            cost,
-            ChannelCostModel::iprove_pci().access_cost(Direction::SimToAcc, 10)
-        );
-        while !acc_end.wait_for_packet(Duration::from_secs(5)) {}
-        assert_eq!(acc_end.recv(Side::Accelerator).unwrap().payload().len(), 9);
+        both::costed_endpoint_bills_like_any_transport(pair());
+    }
+
+    #[test]
+    fn a_recv_right_after_a_send_skips_the_read_and_the_next_one_reads() {
+        both::a_recv_right_after_a_send_skips_the_read(pair());
     }
 
     #[test]

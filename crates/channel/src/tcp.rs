@@ -29,10 +29,16 @@
 //!
 //! ## Endpoints
 //!
-//! [`TcpEndpoint`] implements [`Transport`] and [`WaitTransport`] for *its own
-//! side*, exactly like [`ThreadedEndpoint`](crate::ThreadedEndpoint), so it
-//! slots into the same per-side [`CostedChannel`](crate::CostedChannel) +
-//! session runner machinery. Obtain endpoints three ways:
+//! [`TcpEndpoint`] is the crate's framed endpoint over a non-blocking
+//! socket — the same endpoint a [`ShmEndpoint`](crate::ShmEndpoint) is over
+//! a shared-memory ring. It implements [`Transport`](crate::Transport) and
+//! [`WaitTransport`](crate::WaitTransport) for *its own side*, exactly like
+//! [`ThreadedEndpoint`](crate::ThreadedEndpoint), so it slots into the same
+//! per-side [`CostedChannel`](crate::CostedChannel) + session runner
+//! machinery. A drain reads until a read comes back short of the room it was
+//! offered, and a `recv` right after the endpoint's own write does not read
+//! at all (the reply cannot be there yet; the next call reads), so a
+//! ping-pong pays about one `read` per write. Obtain endpoints three ways:
 //!
 //! * [`TcpTransport::loopback_pair`] — an ephemeral localhost pair for
 //!   in-process sessions and tests (no fixed port, so parallel test runs
@@ -43,20 +49,18 @@
 //!   simulator side).
 //!
 //! Dropping an endpoint shuts the socket down in both directions, so a peer
-//! blocked in [`WaitTransport::wait_for_packet`] wakes up promptly instead of
-//! deadlocking on teardown.
+//! blocked in [`wait_for_packet`](crate::WaitTransport::wait_for_packet)
+//! wakes up promptly instead of deadlocking on teardown.
 
 use crate::cost::Side;
+use crate::framed::{FramedEndpoint, Got, Medium};
 use crate::message::{Packet, PacketTag};
 use crate::pool::BufferPool;
-use crate::transport::{BatchStats, Transport, WaitTransport};
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::thread;
 use std::time::Duration;
 
 /// Upper bound on the length prefix of one frame, in wire words (4 MiB of
@@ -237,11 +241,11 @@ fn decode_body(body: &[u8], payload: &mut Vec<u32>) -> Result<PacketTag, FrameEr
 /// stay buffered across calls, so non-blocking reads never lose data.
 ///
 /// The receive buffer is the decoder's own and lives as long as it does: an
-/// endpoint reads the socket straight into its spare room, so a received
-/// byte is copied once, by the kernel. Each decoded payload is a buffer
-/// taken from the decoder's [`BufferPool`], which an endpoint refills with
-/// the payloads of the packets it has just sent, so a ping-pong exchange
-/// decodes without allocating.
+/// endpoint reads its medium straight into the spare room, so a received
+/// byte is copied once (by the kernel, or out of the ring). Each decoded
+/// payload is a buffer taken from the decoder's [`BufferPool`], which an
+/// endpoint refills with the payloads of the packets it has just sent, so a
+/// ping-pong exchange decodes without allocating.
 ///
 /// # Example
 ///
@@ -271,7 +275,7 @@ pub struct FrameDecoder {
     pool: BufferPool,
 }
 
-/// Spare room a socket read is offered at least, in bytes.
+/// Spare room a read of the medium is offered at least, in bytes.
 const READ_CHUNK: usize = 8 * 1024;
 
 impl FrameDecoder {
@@ -284,16 +288,6 @@ impl FrameDecoder {
     pub fn push(&mut self, bytes: &[u8]) {
         self.spare(bytes.len())[..bytes.len()].copy_from_slice(bytes);
         self.end += bytes.len();
-    }
-
-    /// Appends received words as their little-endian bytes, in one pass —
-    /// the shared-memory ring's path into the codec.
-    pub(crate) fn push_words(&mut self, words: &[u32]) {
-        let room = self.spare(4 * words.len());
-        for (bytes, word) in room.chunks_exact_mut(4).zip(words) {
-            bytes.copy_from_slice(&word.to_le_bytes());
-        }
-        self.end += 4 * words.len();
     }
 
     /// At least `min` bytes of spare room after the undecoded bytes: the
@@ -318,17 +312,23 @@ impl FrameDecoder {
         &mut self.buf[self.end..]
     }
 
-    /// One read from `r` straight into the spare room. Returns what the read
-    /// returned and how many bytes it was offered; a read that returns fewer
-    /// has emptied the source.
-    fn read_from(&mut self, r: &mut impl Read) -> (io::Result<usize>, usize) {
-        let room = self.spare(READ_CHUNK);
-        let offered = room.len();
-        let got = r.read(room);
-        if let Ok(n) = got {
-            self.end += n;
-        }
-        (got, offered)
+    /// The spare room a read of the medium fills in place: enough that the
+    /// undecoded bytes and the room hold [`READ_CHUNK`] bytes together, and
+    /// more than the rest of a frame already begun, so a read that
+    /// completes the frame and empties the medium comes back short. A
+    /// medium that hands a frame over in pieces (a ring, chunk by chunk)
+    /// then grows the buffer only for a frame longer than that.
+    pub(crate) fn room(&mut self) -> &mut [u8] {
+        let undecoded = self.end - self.pos;
+        let min = READ_CHUNK
+            .saturating_sub(undecoded)
+            .max(self.missing_bytes() + 1);
+        self.spare(min)
+    }
+
+    /// Takes in `len` bytes a read has just written into [`room`](Self::room).
+    pub(crate) fn filled(&mut self, len: usize) {
+        self.end += len;
     }
 
     /// Hands a payload buffer back for a later decode to fill.
@@ -458,34 +458,11 @@ impl TcpTransport {
     }
 }
 
-/// One side's endpoint of a TCP channel; `Send`, so it moves to its domain's
-/// thread (or lives in its domain's process). Implements [`Transport`] and
-/// [`WaitTransport`] for the side it belongs to.
-#[derive(Debug)]
-pub struct TcpEndpoint {
-    side: Side,
-    stream: TcpStream,
-    decoder: FrameDecoder,
-    /// Decoded packets awaiting [`Transport::recv`].
-    ready: VecDeque<Packet>,
-    /// Sticky first failure: once the stream is corrupt or gone, the endpoint
-    /// delivers nothing further (starvation, detected upstream) and reports
-    /// the cause here.
-    error: Option<FrameError>,
-    /// The peer closed its write half cleanly.
-    peer_closed: bool,
-    /// Reused frame-encoding scratch: sends serialize into this buffer and
-    /// issue one `write_all`, so the steady-state send path performs no heap
-    /// allocation and a batch of frames costs one syscall.
-    wbuf: Vec<u8>,
-    /// This end has written since it last read the socket. A reply to that
-    /// write cannot have arrived yet, so the next [`Transport::recv`] that
-    /// finds nothing decoded skips its read (and clears this).
-    wrote_since_poll: bool,
-    /// Frames vs physical writes issued (the batching win, measured), and
-    /// the reads paid on the receive side.
-    io_stats: BatchStats,
-}
+/// One side's endpoint of a TCP channel: the framed endpoint over a
+/// non-blocking socket. `Send`, so it moves to its domain's thread (or lives
+/// in its domain's process); implements [`Transport`](crate::Transport) and
+/// [`WaitTransport`](crate::WaitTransport) for the side it belongs to.
+pub type TcpEndpoint = FramedEndpoint<TcpStream>;
 
 impl TcpEndpoint {
     /// Dials a listening peer. `side` is the domain this endpoint serves —
@@ -513,12 +490,7 @@ impl TcpEndpoint {
     /// protocol exchanges small latency-sensitive frames, the workload
     /// Nagle's algorithm punishes hardest. The socket is kept
     /// **non-blocking** for its whole life, so a write that fits the kernel
-    /// buffer is one `write` and a received frame costs one `read`: a poll
-    /// reads until a read comes back short of the room it was offered, and
-    /// [`Transport::recv`] does not read at all right after this end's own
-    /// write (the reply cannot be there yet; the next call reads).
-    /// [`BatchStats::physical_reads`] and [`BatchStats::empty_reads`] count
-    /// what that costs. The socket turns
+    /// buffer is one `write` and a received frame costs one `read`. It turns
     /// blocking only for the timed read of a wait and for the rest of a
     /// write the kernel buffer refused. That blocking remainder carries a
     /// generous [`WRITE_TIMEOUT`]: a peer that keeps the connection open but
@@ -533,58 +505,7 @@ impl TcpEndpoint {
         stream.set_nodelay(true)?;
         stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
         stream.set_nonblocking(true)?;
-        Ok(TcpEndpoint {
-            side,
-            stream,
-            decoder: FrameDecoder::new(),
-            ready: VecDeque::new(),
-            error: None,
-            peer_closed: false,
-            wbuf: Vec::new(),
-            wrote_since_poll: false,
-            io_stats: BatchStats::default(),
-        })
-    }
-
-    /// Flushes the encoded frames in `wbuf` — `frames` of them — as one
-    /// physical write, recording the first failure as the sticky error.
-    fn write_wbuf(&mut self, frames: u64) {
-        if frames == 0 {
-            return;
-        }
-        self.io_stats.frames += frames;
-        self.io_stats.physical_writes += 1;
-        self.wrote_since_poll = true;
-        if let Err(e) = self.write_all_wbuf() {
-            self.error = Some(e.into());
-        }
-    }
-
-    /// Writes all of `wbuf`: without blocking while the kernel buffer takes
-    /// it, and — a frame must never stop half-written — blocking under
-    /// [`WRITE_TIMEOUT`] for whatever it refuses.
-    fn write_all_wbuf(&mut self) -> io::Result<()> {
-        let mut rest = &self.wbuf[..];
-        while !rest.is_empty() {
-            match self.stream.write(rest) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => rest = &rest[n..],
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.stream.set_nonblocking(false)?;
-                    let written = self.stream.write_all(rest);
-                    self.stream.set_nonblocking(true)?;
-                    return written;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    }
-
-    /// Which side this endpoint belongs to.
-    pub fn side(&self) -> Side {
-        self.side
+        Ok(FramedEndpoint::new(side, stream))
     }
 
     /// The endpoint's local socket address.
@@ -593,274 +514,85 @@ impl TcpEndpoint {
     ///
     /// Propagates the socket-layer failure.
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.stream.local_addr()
+        self.medium.local_addr()
     }
+}
 
-    /// The first stream failure, if the connection has broken down. A sticky
-    /// error means the endpoint will never deliver again; the session layer
-    /// sees the resulting starvation as a deadlock.
-    pub fn last_error(&self) -> Option<&FrameError> {
-        self.error.as_ref()
-    }
+/// The socket as a medium. A write goes out without blocking while the
+/// kernel buffer takes it and — a frame must never stop half-written —
+/// blocks under [`WRITE_TIMEOUT`] for whatever it refuses. A read is one
+/// `read` into the offered room; one that fills the room may have left more.
+impl Medium for TcpStream {
+    type Error = FrameError;
 
-    /// True once the peer has closed its write half (EOF observed).
-    pub fn peer_closed(&self) -> bool {
-        self.peer_closed
-    }
-
-    /// Moves every complete frame out of the decoder into the ready queue,
-    /// recording the first codec failure.
-    fn decode_ready(&mut self) {
-        loop {
-            match self.decoder.next_frame() {
-                Ok(Some(packet)) => self.ready.push_back(packet),
-                Ok(None) => break,
-                Err(e) => {
-                    self.error = Some(e);
-                    break;
+    fn write_frames(&mut self, mut rest: &[u8], writes: &mut u64) -> Result<(), FrameError> {
+        *writes += 1;
+        while !rest.is_empty() {
+            match self.write(rest) {
+                Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero).into()),
+                Ok(n) => rest = &rest[n..],
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    self.set_nonblocking(false)?;
+                    let written = self.write_all(rest);
+                    self.set_nonblocking(true)?;
+                    return Ok(written?);
                 }
+                Err(e) => return Err(e.into()),
             }
         }
+        Ok(())
     }
 
-    /// Marks the stream dead on EOF: clean close at a boundary, truncation
-    /// mid-frame.
-    fn on_eof(&mut self) {
-        self.peer_closed = true;
-        if self.decoder.is_mid_frame() && self.error.is_none() {
-            self.error = Some(FrameError::Truncated {
-                missing: self.decoder.missing_bytes(),
-            });
-        }
-    }
-
-    /// True once no further byte will ever be decoded.
-    fn stream_dead(&self) -> bool {
-        self.error.is_some() || self.peer_closed
-    }
-
-    /// Drains whatever the socket holds right now without blocking: reads
-    /// until one comes back short of the room it was offered, which only
-    /// happens once the kernel buffer is empty.
-    fn poll_nonblocking(&mut self) {
-        self.wrote_since_poll = false;
-        if self.stream_dead() {
-            return;
-        }
-        while self.read_once() == Fill::Full {}
-    }
-
-    /// One blocking read with `timeout`; returns whether any bytes arrived.
-    fn poll_blocking(&mut self, timeout: Duration) -> bool {
-        self.wrote_since_poll = false;
-        if self.stream_dead() {
-            return false;
-        }
-        // A zero timeout means "block forever" to the socket layer; clamp to
-        // the smallest real timeout instead.
-        let timeout = timeout.max(Duration::from_millis(1));
-        let blocking = self
-            .stream
-            .set_nonblocking(false)
-            .and_then(|()| self.stream.set_read_timeout(Some(timeout)));
-        if let Err(e) = blocking {
-            self.error = Some(e.into());
-            return false;
-        }
-        let got = self.read_once() != Fill::Nothing;
-        if let Err(e) = self.stream.set_nonblocking(true) {
-            self.error.get_or_insert(e.into());
-        }
-        got
-    }
-
-    /// One read into the decoder's spare room, decoding what it completes.
-    fn read_once(&mut self) -> Fill {
+    fn try_read(&mut self, room: &mut [u8]) -> Result<Got, FrameError> {
         loop {
-            self.io_stats.physical_reads += 1;
-            let outcome = match self.decoder.read_from(&mut self.stream) {
-                (Ok(0), _) => {
-                    self.on_eof();
-                    Fill::Nothing
-                }
-                (Ok(n), offered) => {
-                    self.decode_ready();
-                    if n < offered || self.error.is_some() {
-                        Fill::Short
-                    } else {
-                        Fill::Full
-                    }
-                }
-                (Err(e), _)
+            return match self.read(room) {
+                Ok(0) => Ok(Got::Closed),
+                Ok(len) => Ok(Got::Bytes {
+                    len,
+                    more: len == room.len(),
+                }),
+                // The platform reports a read timeout as either kind; both
+                // simply mean "nothing yet" (the same shape
+                // `TryRecvError::Empty` takes on the mpsc backend).
+                Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut =>
                 {
-                    // The platform reports a read timeout as either kind;
-                    // both simply mean "nothing yet" (the same shape
-                    // `TryRecvError::Empty` takes on the mpsc backend).
-                    Fill::Nothing
+                    Ok(Got::Nothing)
                 }
-                (Err(e), _) if e.kind() == io::ErrorKind::Interrupted => {
-                    self.io_stats.empty_reads += 1;
-                    continue;
-                }
-                (Err(e), _) => {
-                    self.error = Some(e.into());
-                    Fill::Nothing
-                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => Err(e.into()),
             };
-            if outcome == Fill::Nothing {
-                self.io_stats.empty_reads += 1;
-            }
-            return outcome;
-        }
-    }
-}
-
-/// What one socket read delivered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Fill {
-    /// No bytes: nothing yet, end of stream, or a failure.
-    Nothing,
-    /// Fewer bytes than offered (or the decoder failed): the socket is
-    /// drained for now.
-    Short,
-    /// As many bytes as offered: more may be waiting.
-    Full,
-}
-
-// A socket-like endpoint carries **no serializable session state**: its
-// medium lives outside this process's cut, so a checkpoint saves nothing
-// and restore is a no-op. Frames in flight at the cut are healed by the
-// reliable layer's re-armed retransmission window (duplicates are
-// suppressed, cumulative acks are idempotent) — which is why sessions that
-// need restore-exactness over endpoint backends run them under
-// [`ReliableTransport`](crate::ReliableTransport).
-predpkt_sim::declare_state! { impl TcpEndpoint {} }
-
-impl Transport for TcpEndpoint {
-    fn send(&mut self, from: Side, packet: Packet) {
-        self.send_ref(from, &packet);
-        self.decoder.recycle(packet.into_payload());
-    }
-
-    /// A lone send is the one-element batch (single shared body — the
-    /// error-guard/scratch/write sequence lives in `send_batch_ref` alone).
-    fn send_ref(&mut self, from: Side, packet: &Packet) {
-        self.send_batch_ref(from, &mut std::iter::once(packet));
-    }
-
-    /// The sent payloads refill the decoder's pool: the next frames this
-    /// end receives decode into them.
-    fn send_batch(&mut self, from: Side, packets: &mut Vec<Packet>) {
-        self.send_batch_ref(from, &mut packets.iter());
-        for packet in packets.drain(..) {
-            self.decoder.recycle(packet.into_payload());
         }
     }
 
-    /// Coalesces the whole batch into the scratch buffer and issues **one**
-    /// physical write (`TCP_NODELAY` is on, so the segment leaves
-    /// immediately) — the per-frame-syscall cost of the sequential path
-    /// disappears.
-    fn send_batch_ref(&mut self, from: Side, packets: &mut dyn Iterator<Item = &Packet>) {
-        debug_assert_eq!(from, self.side, "endpoints send from their own side");
-        if self.error.is_some() {
-            return;
-        }
-        self.wbuf.clear();
-        let mut frames = 0u64;
-        for packet in packets {
-            encode_frame_into(&mut self.wbuf, packet);
-            frames += 1;
-        }
-        self.write_wbuf(frames);
+    fn read_within(&mut self, room: &mut [u8], timeout: Duration) -> Result<Got, FrameError> {
+        // A zero timeout means "block forever" to the socket layer; clamp to
+        // the smallest real timeout instead.
+        self.set_nonblocking(false)?;
+        self.set_read_timeout(Some(timeout.max(Duration::from_millis(1))))?;
+        let got = self.try_read(room);
+        self.set_nonblocking(true)?;
+        got
     }
 
-    /// Reads the socket only when nothing is decoded, and not right after
-    /// this end's own write: a reply to it cannot be there yet, so that call
-    /// returns `None` without a syscall and the next one reads.
-    /// [`wait_for_packet`](WaitTransport::wait_for_packet) and the readiness
-    /// probe always read.
-    fn recv(&mut self, to: Side) -> Option<Packet> {
-        debug_assert_eq!(to, self.side, "endpoints receive for their own side");
-        if self.ready.is_empty() {
-            if std::mem::take(&mut self.wrote_since_poll) {
-                return None;
-            }
-            self.poll_nonblocking();
-        }
-        self.ready.pop_front()
+    fn torn(missing: usize) -> FrameError {
+        FrameError::Truncated { missing }
     }
 
-    /// Packets decoded locally and awaiting `recv`. Unlike
-    /// [`ThreadedEndpoint`](crate::ThreadedEndpoint) there is no shared
-    /// in-flight counter — the peer may be another process or host — so
-    /// frames still in the kernel or on the wire are not counted.
-    fn pending(&self, to: Side) -> usize {
-        debug_assert_eq!(to, self.side, "endpoints count for their own side");
-        self.ready.len()
-    }
-
-    fn batch_stats(&self) -> Option<BatchStats> {
-        Some(self.io_stats)
-    }
-}
-
-impl WaitTransport for TcpEndpoint {
-    fn wait_for_packet(&mut self, timeout: Duration) -> bool {
-        if !self.ready.is_empty() {
-            return true;
-        }
-        self.poll_nonblocking();
-        if !self.ready.is_empty() {
-            return true;
-        }
-        if self.stream_dead() {
-            // Nothing will ever arrive, but returning instantly would turn
-            // the caller's poll loop into a hot spin (and, under a reliable
-            // wrapper, advance the RTO clock once per iteration, burning the
-            // retry budget in wall-clock microseconds). Pace the caller
-            // exactly like a live-but-silent link would.
-            thread::sleep(timeout);
-            return false;
-        }
-        self.poll_blocking(timeout);
-        !self.ready.is_empty()
-    }
-}
-
-impl crate::poll::PollReady for TcpEndpoint {
-    /// Read-readiness probe: one non-blocking socket drain (the kernel
-    /// buffer is emptied into the decoder as a side effect), never a blocking
-    /// read — the poll-set's per-source probe.
-    fn readiness(&mut self) -> crate::poll::Readiness {
-        if self.ready.is_empty() {
-            self.poll_nonblocking();
-        }
-        if !self.ready.is_empty() {
-            crate::poll::Readiness::Ready
-        } else if self.stream_dead() {
-            crate::poll::Readiness::Dead
-        } else {
-            crate::poll::Readiness::Idle
-        }
-    }
-}
-
-impl Drop for TcpEndpoint {
-    fn drop(&mut self) {
-        // Wake a peer blocked in wait_for_packet immediately rather than
-        // relying on the kernel noticing the closed fd later.
-        let _ = self.stream.shutdown(Shutdown::Both);
+    /// Shuts the socket down in both directions: a peer blocked in a wait
+    /// wakes at once rather than when the kernel notices the closed fd.
+    fn close(&mut self) {
+        let _ = self.shutdown(Shutdown::Both);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{ChannelCostModel, Direction};
-    use crate::transport::CostedChannel;
+    use crate::framed::tests as both;
+    use crate::transport::{Transport, WaitTransport};
     use std::thread;
 
     fn pair() -> (TcpEndpoint, TcpEndpoint) {
@@ -869,76 +601,32 @@ mod tests {
 
     #[test]
     fn loopback_ping_pong() {
-        let (mut sim, mut acc) = pair();
-        let worker = thread::spawn(move || {
-            for _ in 0..50 {
-                while !acc.wait_for_packet(Duration::from_secs(5)) {}
-                let p = acc.recv(Side::Accelerator).unwrap();
-                let bumped: Vec<u32> = p.payload().iter().map(|w| w + 1).collect();
-                acc.send(
-                    Side::Accelerator,
-                    Packet::new(PacketTag::CycleOutputs, bumped),
-                );
-            }
-        });
-        for i in 0..50u32 {
-            sim.send(
-                Side::Simulator,
-                Packet::new(PacketTag::CycleOutputs, vec![i]),
-            );
-            while !sim.wait_for_packet(Duration::from_secs(5)) {}
-            let reply = sim.recv(Side::Simulator).unwrap();
-            assert_eq!(reply.payload(), &[i + 1]);
-        }
-        worker.join().unwrap();
+        both::ping_pong(pair());
     }
 
     #[test]
     fn recv_is_nonblocking_when_empty() {
-        let (mut sim, _acc) = pair();
-        assert!(sim.recv(Side::Simulator).is_none());
-        assert_eq!(sim.pending(Side::Simulator), 0);
+        both::recv_is_nonblocking_when_empty(pair());
     }
 
     #[test]
     fn wait_times_out_then_delivers() {
-        let (mut sim, mut acc) = pair();
-        assert!(!sim.wait_for_packet(Duration::from_millis(5)));
-        acc.send(Side::Accelerator, Packet::new(PacketTag::Handshake, vec![]));
-        assert!(sim.wait_for_packet(Duration::from_secs(5)));
-        assert_eq!(
-            sim.recv(Side::Simulator).unwrap().tag(),
-            PacketTag::Handshake
-        );
+        both::wait_times_out_then_delivers(pair());
     }
 
     #[test]
     fn fifo_order_preserved_across_the_socket() {
-        let (mut sim, mut acc) = pair();
-        for i in 0..100u32 {
-            sim.send(
-                Side::Simulator,
-                Packet::new(PacketTag::Burst, vec![i; (i % 7) as usize]),
-            );
-        }
-        for i in 0..100u32 {
-            while !acc.wait_for_packet(Duration::from_secs(5)) {}
-            let p = acc.recv(Side::Accelerator).unwrap();
-            assert_eq!(p.payload(), vec![i; (i % 7) as usize].as_slice());
-        }
+        both::fifo_order_preserved(pair());
     }
 
     #[test]
     fn costed_endpoint_bills_like_any_transport() {
-        let (sim_end, mut acc_end) = pair();
-        let mut sim = CostedChannel::with_transport(sim_end, ChannelCostModel::iprove_pci());
-        let cost = sim.send(Side::Simulator, Packet::new(PacketTag::Burst, vec![0; 9]));
-        assert_eq!(
-            cost,
-            ChannelCostModel::iprove_pci().access_cost(Direction::SimToAcc, 10)
-        );
-        while !acc_end.wait_for_packet(Duration::from_secs(5)) {}
-        assert_eq!(acc_end.recv(Side::Accelerator).unwrap().payload().len(), 9);
+        both::costed_endpoint_bills_like_any_transport(pair());
+    }
+
+    #[test]
+    fn a_recv_right_after_a_send_skips_the_read_and_the_next_one_reads() {
+        both::a_recv_right_after_a_send_skips_the_read(pair());
     }
 
     #[test]
@@ -1005,7 +693,7 @@ mod tests {
     fn a_peer_that_never_drains_leaves_a_sticky_error_not_a_spin() {
         let (mut sim, _acc_open_but_never_read) = pair();
         // The production timeout is 30 s; the mechanism is the same at 50 ms.
-        sim.stream
+        sim.medium
             .set_write_timeout(Some(Duration::from_millis(50)))
             .unwrap();
         let t0 = std::time::Instant::now();
@@ -1025,43 +713,6 @@ mod tests {
         let before = sim.batch_stats().unwrap();
         sim.send(Side::Simulator, mib_frame(0));
         assert_eq!(sim.batch_stats().unwrap(), before);
-    }
-
-    #[test]
-    fn a_recv_right_after_a_send_skips_the_read_and_the_next_one_reads() {
-        let (mut sim, mut acc) = pair();
-        acc.send(Side::Accelerator, Packet::new(PacketTag::Handshake, vec![]));
-        sim.send(
-            Side::Simulator,
-            Packet::new(PacketTag::CycleOutputs, vec![1]),
-        );
-        let before = sim.batch_stats().unwrap();
-        assert!(sim.recv(Side::Simulator).is_none(), "no read, no packet");
-        assert_eq!(sim.batch_stats().unwrap(), before, "not one read issued");
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let got = loop {
-            if let Some(p) = sim.recv(Side::Simulator) {
-                break p;
-            }
-            assert!(std::time::Instant::now() < deadline, "never delivered");
-            thread::sleep(Duration::from_millis(1));
-        };
-        assert_eq!(got.tag(), PacketTag::Handshake);
-        assert!(sim.batch_stats().unwrap().physical_reads > before.physical_reads);
-        // A wait still reads after a write: another thread may be replying.
-        sim.send(
-            Side::Simulator,
-            Packet::new(PacketTag::CycleOutputs, vec![2]),
-        );
-        acc.send(
-            Side::Accelerator,
-            Packet::new(PacketTag::ReportSuccess, vec![]),
-        );
-        assert!(sim.wait_for_packet(Duration::from_secs(5)));
-        assert_eq!(
-            sim.recv(Side::Simulator).unwrap().tag(),
-            PacketTag::ReportSuccess
-        );
     }
 
     /// Receives one packet by plain `recv` polls, returning it and how many
@@ -1180,7 +831,7 @@ mod tests {
         raw.write_all(&0xdead_beefu32.to_le_bytes()).unwrap();
         raw.write_all(&7u32.to_le_bytes()).unwrap();
         raw.flush().unwrap();
-        while !end.stream_dead() {
+        while !end.is_dead() {
             let _ = end.wait_for_packet(Duration::from_millis(10));
         }
         assert!(

@@ -24,12 +24,13 @@ pub struct BatchStats {
     pub frames: u64,
     /// Physical operations issued (socket writes, ring head publications).
     pub physical_writes: u64,
-    /// Physical reads issued: socket `read`s; on a ring, chunks copied out
-    /// plus polls that found nothing published.
+    /// Physical reads issued: socket `read`s; on a ring, looks at the head
+    /// (each copying out at most one chunk). A wait counts as one read, on
+    /// a ring however long it spins.
     pub physical_reads: u64,
     /// The physical reads that delivered nothing: a socket `read` that
-    /// returned `EAGAIN`, timed out or hit end of stream; a ring poll that
-    /// found nothing published. A ping-pong over a socket needs one read per
+    /// returned `EAGAIN`, timed out or hit end of stream; a ring found empty
+    /// or its peer gone. A ping-pong over either medium needs one read per
     /// write and none of these.
     pub empty_reads: u64,
 }

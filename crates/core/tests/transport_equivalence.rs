@@ -13,7 +13,8 @@
 
 use predpkt_channel::FaultSpec;
 use predpkt_core::{
-    CoEmuConfig, EmuObserver, EmuSession, EventCounters, ModePolicy, TcpOptions, TransportSelect,
+    CoEmuConfig, EmuObserver, EmuSession, EventCounters, ModePolicy, ShmOptions, TcpOptions,
+    TransportSelect,
 };
 use predpkt_workloads::figure2_soc;
 
@@ -153,14 +154,14 @@ fn observer_counts_match_wrapper_statistics_across_backends() {
     }
 }
 
-/// Reads the two socket ends of a run may pay beyond one per write: the
-/// first poll of each end before its peer has written, and polls that beat
-/// a write still crossing the loopback.
+/// Reads the two ends of a run may pay beyond one per write: the first
+/// poll of each end before its peer has written, and polls that beat a
+/// write still crossing the medium.
 const READ_SLACK: u64 = 16;
 
-/// Over a socket a frame costs one `read`: an end does not poll right after
-/// its own write (the reply cannot be there yet), and a drain stops after a
-/// short read, which can only be followed by `EAGAIN`.
+/// Over a socket or a ring a frame costs one read: an end does not poll
+/// right after its own write (the reply cannot be there yet), and a drain
+/// stops after a read that came back short of what the medium held.
 #[test]
 fn a_socket_session_reads_once_per_write() {
     let bench_config = CoEmuConfig::paper_defaults()
@@ -168,23 +169,28 @@ fn a_socket_session_reads_once_per_write() {
         .rollback_vars(None)
         .carry(true)
         .adaptive(true);
-    let mut session = EmuSession::from_blueprint(&figure2_soc(7))
-        .config(bench_config)
-        .transport(TransportSelect::Tcp(TcpOptions::default()))
-        .build()
-        .expect("the Fig. 2 session builds");
-    session.run_until_committed(2_000).expect("no deadlock");
-    let io = session
-        .batch_stats()
-        .expect("a socket counts its operations");
-    println!("{io:?}");
-    assert!(io.physical_writes > 100, "{io:?}");
-    assert!(
-        io.physical_reads <= io.physical_writes + READ_SLACK,
-        "more than one read per write: {io:?}"
-    );
-    assert!(
-        io.empty_reads <= READ_SLACK,
-        "reads that found nothing: {io:?}"
-    );
+    for transport in [
+        TransportSelect::Tcp(TcpOptions::default()),
+        TransportSelect::Shm(ShmOptions::default()),
+    ] {
+        let mut session = EmuSession::from_blueprint(&figure2_soc(7))
+            .config(bench_config)
+            .transport(transport)
+            .build()
+            .expect("the Fig. 2 session builds");
+        session.run_until_committed(2_000).expect("no deadlock");
+        let io = session
+            .batch_stats()
+            .expect("an endpoint counts its operations");
+        println!("{transport:?}: {io:?}");
+        assert!(io.physical_writes > 100, "{transport:?}: {io:?}");
+        assert!(
+            io.physical_reads <= io.physical_writes + READ_SLACK,
+            "{transport:?}: more than one read per write: {io:?}"
+        );
+        assert!(
+            io.empty_reads <= READ_SLACK,
+            "{transport:?}: reads that found nothing: {io:?}"
+        );
+    }
 }

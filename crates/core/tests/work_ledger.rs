@@ -223,8 +223,8 @@ fn the_figure2_soc_over_shm_is_pinned() {
         Some(BatchStats {
             frames: 978,
             physical_writes: 721,
-            physical_reads: 1441,
-            empty_reads: 721,
+            physical_reads: 725,
+            empty_reads: 4,
         })
     );
 }
